@@ -43,7 +43,6 @@ from .numerics import power_method
 from .select_kernel import (
     KERNEL_TAGS,
     KernelConfig,
-    assemble_kernel,
     build_kernel_blocks,
     fit_predict_kernel,
     greedy_select_kernel,
@@ -56,6 +55,7 @@ from .select_linear import (
 from .timeseries import (
     Split,
     apply_preprocess,
+    assemble_blocks,
     clean_stations,
     estimate_blocks,
     fit_weekly_profile,
@@ -68,12 +68,6 @@ from .timeseries import (
 
 METHODS = ("linear", "kernel", "gcn-dropout", "gcn-mask")
 LAPLACIANS = ("combinatorial", "normalized")
-
-
-def _threads(args):
-    if args.threads is not None:
-        return args.threads
-    return int(os.environ.get("NETSELECT_THREADS", "1"))
 
 
 def _int_list(text):
@@ -166,15 +160,15 @@ def cmd_ingest(args):
     write_panel(panel, panel_path)
     manifest_path = os.path.join(args.out_dir, "stations.csv")
     lines = ["station,max_bikes"]
-    lines += [f"{station},{int(mb)}" for station, mb in kept
-              if station in set(panel.sensor_ids)]
+    ids = set(panel.sensor_ids)
+    lines += [f"{station},{int(mb)}" for station, mb in kept if station in ids]
     _write_text(manifest_path, "\n".join(lines))
     print(f"ingested {len(panel.sensor_ids)} stations x {panel.t_total} hours "
           f"-> {panel_path}, {manifest_path}")
     return 0
 
 
-def _select_kernel_cmd(args, X, split, graph, n, threads):
+def _select_kernel_cmd(args, X, split, graph, p):
     H = args.H
     gamma = args.gamma
     if gamma is None:
@@ -187,13 +181,11 @@ def _select_kernel_cmd(args, X, split, graph, n, threads):
     if args.lam is not None:
         lam_list = [args.lam]
     else:
-        K_full = assemble_kernel(kb, range(n), range(n), H)
-        lam_max = power_method(K_full).value
+        lam_max = power_method(assemble_blocks(kb, [], H)[0]).value
         lam_list = lambda_grid(lam_max)
 
     def run(lam):
-        res = greedy_select_kernel(cov, kb, args.p, lam=lam, H=H,
-                                   use_cg=args.cg, threads=threads)
+        res = greedy_select_kernel(cov, kb, p, lam=lam, H=H, use_cg=args.cg)
         rec = fit_predict_kernel(cov, kb, res.order, lam, H)
         return res, rec
 
@@ -221,7 +213,6 @@ def cmd_select(args):
     panel, X, split = _prepare_panel(args)
     n = X.shape[0]
     p = args.p if args.p is not None else default_p(n)
-    threads = _threads(args)
     coords = _align_coords(panel, args.coords)
 
     needs_graph = args.method in ("gcn-dropout", "gcn-mask") or (
@@ -234,10 +225,10 @@ def cmd_select(args):
     mask_path_values = None
     if args.method == "linear":
         blocks = estimate_blocks(X[:, :split.t_tv], args.H)
-        result = greedy_select_linear(blocks, p, H=args.H, threads=threads)
+        result = greedy_select_linear(blocks, p, H=args.H)
         extras = {}
     elif args.method == "kernel":
-        result, extras = _select_kernel_cmd(args, X, split, graph, n, threads)
+        result, extras = _select_kernel_cmd(args, X, split, graph, p)
     else:
         L = _laplacian(graph, args.laplacian)
         Lt = scale_laplacian(L, power_method(L).value)
@@ -459,8 +450,6 @@ def _build_parser():
     slc.add_argument("--cg", action="store_true",
                      help="solve kernel systems by conjugate gradient")
     slc.add_argument("--seed", type=int, default=0)
-    slc.add_argument("--threads", type=int, default=None,
-                     help="candidate-parallel threads (env NETSELECT_THREADS)")
     slc.add_argument("--k0", type=int, default=20)
     slc.add_argument("--k1", type=int, default=7)
     slc.add_argument("--laplacian", choices=LAPLACIANS, default="combinatorial")

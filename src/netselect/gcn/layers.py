@@ -156,17 +156,6 @@ def cheb_apply(Lt, K, X):
     return out
 
 
-def gconv_forward(H_in, Lt, theta, bias):
-    """Chebyshev graph convolution with elu activation.
-
-    H_out[:, j] = elu(sum_i sum_k theta[k, i, j] T_k(Lt) H_in[:, i] + bias[:, j]).
-    """
-    K = theta.shape[0] - 1
-    T_stack = np.stack(cheb_apply(Lt, K, H_in), axis=0)  # (K+1, n, f_in)
-    pre = np.einsum("knf,kfo->no", T_stack, theta) + bias
-    return elu(pre)
-
-
 def forward_batch(Xb, params: ChebNetParams, config: ChebNetConfig, Lt,
                   want_cache=False):
     """Batched forward pass; Xb has shape (B, n, f_in).
@@ -238,12 +227,6 @@ def backward_batch(dout, cache, params: ChebNetParams, config: ChebNetConfig, Lt
         if K >= 1:
             dXb = dXb + np.einsum("ij,bjf->bif", Lt, adj[1])
     return grads, dXb
-
-
-def net_forward(x_input, params: ChebNetParams, config: ChebNetConfig, Lt):
-    """Single-sample forward pass; x_input has shape (n, h+1)."""
-    out = forward_batch(np.asarray(x_input, dtype=float)[None], params, config, Lt)
-    return out[0]
 
 
 def net_backward(x_input, target, params: ChebNetParams, config: ChebNetConfig, Lt,

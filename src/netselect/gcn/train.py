@@ -198,7 +198,8 @@ class NetReconstructor:
 
     @property
     def kept(self):
-        return [i for i in range(self.config.n) if i not in set(self.turned_off)]
+        off = set(self.turned_off)
+        return [i for i in range(self.config.n) if i not in off]
 
     @property
     def H(self):

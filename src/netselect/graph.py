@@ -63,11 +63,6 @@ class GraphSpectrum(NamedTuple):
     eig: EigenPair
 
 
-class StGramBlocks(NamedTuple):
-    blocks: List[np.ndarray]   # K(l) for l = 0 .. H
-    assembled: np.ndarray      # (H+1)x(H+1) block matrix, block (r,c) = K(|c-r|)
-
-
 def connected_components(adjacency):
     """Connected components of a nonnegative adjacency matrix, as sorted lists."""
     n = adjacency.shape[0]
@@ -183,13 +178,6 @@ def _pinv_map(values):
     return out
 
 
-def heat_map(beta):
-    """Spectral map r(lambda) = exp(-beta lambda)."""
-    def r(values):
-        return np.exp(-beta * np.asarray(values, dtype=float))
-    return r
-
-
 SPECTRAL_MAPS = {"pinv": _pinv_map}
 
 
@@ -217,28 +205,6 @@ def laplacian_kernel(spec: GraphSpectrum, r: Union[str, Callable] = "pinv"):
     Phi = spec.eig.vectors
     K = (Phi * mapped[None, :]) @ Phi.T
     return (K + K.T) / 2.0
-
-
-def st_gram_blocks(K_g, gamma, H, subset=None) -> StGramBlocks:
-    """Spatial-temporal Gram blocks K(l) = K_g * exp(-gamma l^2), l = 0..H.
-
-    The assembled matrix is the (H+1)x(H+1) block matrix whose (r, c)
-    block is K(|c - r|); it is symmetric PSD because the lag factor is an
-    RBF kernel in the lag.
-    """
-    K_g = check_symmetric(K_g, "K_g")
-    if gamma < 0:
-        raise InvalidInputError("gamma must be nonnegative")
-    if H < 0:
-        raise InvalidInputError("H must be nonnegative")
-    if subset is not None:
-        idx = np.asarray(subset, dtype=int)
-        K_g = K_g[np.ix_(idx, idx)]
-    blocks = [K_g * np.exp(-gamma * l ** 2) for l in range(H + 1)]
-    assembled = np.block(
-        [[blocks[abs(c - r)] for c in range(H + 1)] for r in range(H + 1)]
-    )
-    return StGramBlocks(blocks, assembled)
 
 
 def read_coords(path):

@@ -9,15 +9,15 @@ lambda = 0 everything reduces to the linear method.
 
 import warnings
 from dataclasses import asdict, dataclass
-from typing import List, NamedTuple
+from typing import List
 
 import numpy as np
 
 from . import graph as graphmod
 from .errors import ConvergenceError, InvalidInputError
 from .numerics import conjugate_gradient, solve_spd, stabilize_spd
-from .select_linear import LinearReconstructor, SelectionResult, _argmin_first, _map_candidates
-from .timeseries import CovarianceBlocks, _check_partition, assemble_blocks, estimate_blocks
+from .select_linear import LinearReconstructor, SelectionResult, greedy
+from .timeseries import CovarianceBlocks, _check_partition, estimate_blocks, lag_stack
 
 KERNEL_TAGS = ("laplacian", "spatial-temporal", "autocovariance", "linear", "rbf")
 
@@ -45,24 +45,20 @@ class KernelConfig:
         return asdict(self)
 
 
-class KernelBlocks(NamedTuple):
-    blocks: List[np.ndarray]  # K(l), l = 0 .. H
-    symmetric_in_l: bool      # K(-l) = K(l) rather than K(l)^T
-
-
-def build_kernel_blocks(config: KernelConfig, graph=None, X_train=None) -> KernelBlocks:
+def build_kernel_blocks(config: KernelConfig, graph=None, X_train=None) -> List[np.ndarray]:
     """Gram blocks K(0..H) for the configured kernel.
 
     autocovariance needs training data; laplacian / spatial-temporal / rbf
     need the sensor graph. Kernels without intrinsic lag structure are
-    extended in time by the RBF factor exp(-gamma l^2).
+    extended in time by the RBF factor exp(-gamma l^2); each of their
+    blocks is exactly symmetric, so K(-l) = K(l)^T = K(l). The blocks
+    follow the lag convention of timeseries.assemble_blocks.
     """
     H = config.H
     if config.kernel == "autocovariance":
         if X_train is None:
             raise InvalidInputError("autocovariance kernel needs training data")
-        blocks = estimate_blocks(np.asarray(X_train, dtype=float), H).gammas
-        return KernelBlocks(blocks, symmetric_in_l=False)
+        return estimate_blocks(np.asarray(X_train, dtype=float), H).gammas
 
     if config.kernel == "linear":
         if X_train is None:
@@ -83,39 +79,7 @@ def build_kernel_blocks(config: KernelConfig, graph=None, X_train=None) -> Kerne
         scale = np.median(off) if off.size and np.median(off) > 0 else 1.0
         K_g = np.exp(-d2 / scale)
 
-    blocks = [K_g * np.exp(-config.gamma * l ** 2) for l in range(H + 1)]
-    return KernelBlocks(blocks, symmetric_in_l=True)
-
-
-def _kernel_block(kb: KernelBlocks, l):
-    if l >= 0:
-        return kb.blocks[l]
-    return kb.blocks[-l] if kb.symmetric_in_l else kb.blocks[-l].T
-
-
-def assemble_kernel(kb: KernelBlocks, rows, cols, H):
-    """Lag-stacked kernel matrix with block (r, c) = K(c - r)[rows, cols]."""
-    if H + 1 > len(kb.blocks):
-        raise InvalidInputError(f"kernel blocks hold lags 0..{len(kb.blocks) - 1}")
-    rows = np.asarray(rows, dtype=int)
-    cols = np.asarray(cols, dtype=int)
-    return np.block(
-        [
-            [_kernel_block(kb, c - r)[np.ix_(rows, cols)] for c in range(H + 1)]
-            for r in range(H + 1)
-        ]
-    )
-
-
-def _kernel_gram_for(kb: KernelBlocks, I, Ic, H):
-    # K over the kept set, stacked, and the cross rows for each lag c:
-    # block c of the cross part is K(c)[I, Ic], matching the data beta layout
-    K_S = assemble_kernel(kb, Ic, Ic, H)
-    q = len(Ic)
-    K_cross = np.empty((len(I), (H + 1) * q))
-    for c in range(H + 1):
-        K_cross[:, c * q:(c + 1) * q] = _kernel_block(kb, c)[np.ix_(I, Ic)]
-    return K_S, K_cross
+    return [K_g * np.exp(-config.gamma * l ** 2) for l in range(H + 1)]
 
 
 def kernel_reconstructor(K_cross, K_S, lam):
@@ -141,7 +105,7 @@ def _cg_reconstructor(K_cross, K_S, lam, eps):
     return np.vstack(rows)
 
 
-def criterion_kernel(cov_blocks: CovarianceBlocks, kb: KernelBlocks, I, lam, H,
+def criterion_kernel(cov_blocks: CovarianceBlocks, kb, I, lam, H,
                      use_cg=False, eps=1e-10):
     """tr(Sigma_I - 2 beta Theta^T + Theta alpha Theta^T).
 
@@ -153,8 +117,8 @@ def criterion_kernel(cov_blocks: CovarianceBlocks, kb: KernelBlocks, I, lam, H,
     I, Ic = _check_partition(n, I)
     if not I or not Ic:
         raise InvalidInputError("I must be a nonempty proper subset")
-    alpha, beta = assemble_blocks(cov_blocks.gammas, I, H)
-    K_S, K_cross = _kernel_gram_for(kb, I, Ic, H)
+    alpha, beta = lag_stack(cov_blocks.gammas, I, Ic, H)
+    K_S, K_cross = lag_stack(kb, I, Ic, H)
     if use_cg:
         theta = _cg_with_fallback(K_cross, K_S, lam, eps)
     else:
@@ -177,15 +141,15 @@ def _cg_with_fallback(K_cross, K_S, lam, eps):
         return kernel_reconstructor(K_cross, K_S, lam)
 
 
-def greedy_select_kernel(cov_blocks: CovarianceBlocks, kb: KernelBlocks, p,
-                         lam=0.0, H=0, eps=1e-8, use_cg=False, threads=1,
+def greedy_select_kernel(cov_blocks: CovarianceBlocks, kb, p,
+                         lam=0.0, H=0, eps=1e-8, use_cg=False,
                          hyperparams=None) -> SelectionResult:
     """Greedy selection under the kernel ridge criterion.
 
-    Same loop as the linear method; the candidate value swaps the
-    least-squares map for Theta_lambda(i) computed from the kernel Gram
-    blocks (by conjugate gradient when use_cg is set). Ties go to the
-    lowest index.
+    The loop of the linear method; the value of a candidate i given the
+    remaining sensors S swaps the least-squares map for Theta_lambda(i)
+    computed from the kernel Gram blocks kb (by conjugate gradient when
+    use_cg is set).
     """
     n = cov_blocks.n
     if not (1 <= p < n):
@@ -194,34 +158,17 @@ def greedy_select_kernel(cov_blocks: CovarianceBlocks, kb: KernelBlocks, p,
     if H > len(gammas) - 1:
         raise InvalidInputError(f"covariance blocks hold lags 0..{len(gammas) - 1}")
 
-    def value(cand):
-        i, S = cand
-        q = len(S)
-        alpha = np.empty(((H + 1) * q, (H + 1) * q))
-        for r in range(H + 1):
-            for c in range(H + 1):
-                l = c - r
-                blk = gammas[l] if l >= 0 else gammas[-l].T
-                alpha[r * q:(r + 1) * q, c * q:(c + 1) * q] = blk[np.ix_(S, S)]
-        beta = np.concatenate([gammas[c][i, S] for c in range(H + 1)])
-        K_S, K_cross = _kernel_gram_for(kb, [i], S, H)
+    def value(i, S):
+        alpha, beta = lag_stack(gammas, [i], S, H)
+        K_S, K_cross = lag_stack(kb, [i], S, H)
         if use_cg:
             theta = _cg_with_fallback(K_cross, K_S, lam, eps)
         else:
             theta = kernel_reconstructor(K_cross, K_S, lam)
         th = theta.ravel()
-        return float(gammas[0][i, i] - 2.0 * (beta @ th) + th @ alpha @ th)
+        return float(gammas[0][i, i] - 2.0 * (beta[0] @ th) + th @ alpha @ th)
 
-    remaining = list(range(n))
-    order: List[int] = []
-    step_values: List[float] = []
-    for _ in range(p):
-        cands = [(i, [j for j in remaining if j != i]) for i in remaining]
-        vals = _map_candidates(value, cands, threads)
-        k = _argmin_first(vals)
-        order.append(remaining[k])
-        step_values.append(vals[k])
-        remaining.pop(k)
+    order, step_values = greedy(n, p, value)
     method = "kernel-h0" if H == 0 else "kernel-h"
     hp = {"H": H, "lambda": lam, "eps": eps, "use_cg": bool(use_cg)}
     if hyperparams:
@@ -229,14 +176,14 @@ def greedy_select_kernel(cov_blocks: CovarianceBlocks, kb: KernelBlocks, p,
     return SelectionResult(method, hp, order, step_values)
 
 
-def fit_predict_kernel(cov_blocks: CovarianceBlocks, kb: KernelBlocks, I, lam, H=0
+def fit_predict_kernel(cov_blocks: CovarianceBlocks, kb, I, lam, H=0
                        ) -> LinearReconstructor:
     """Kernel ridge reconstructor for the set I, as a lag-stacked linear map."""
     n = cov_blocks.n
     I, Ic = _check_partition(n, I)
     if not I or not Ic:
         raise InvalidInputError("I must be a nonempty proper subset")
-    K_S, K_cross = _kernel_gram_for(kb, I, Ic, H)
+    K_S, K_cross = lag_stack(kb, I, Ic, H)
     theta = kernel_reconstructor(K_cross, K_S, lam)
     return LinearReconstructor(theta=theta, turned_off=I, kept=Ic, H=H)
 
@@ -247,7 +194,7 @@ def lambda_monotonicity_check(cov_blocks: CovarianceBlocks, I, lam_grid, H=0):
     With that kernel the Gram blocks equal the data blocks, so the
     criterion is monotone nondecreasing in lambda and minimal at 0.
     """
-    kb = KernelBlocks(list(cov_blocks.gammas), symmetric_in_l=False)
     return [
-        criterion_kernel(cov_blocks, kb, I, lam, H) for lam in lam_grid
+        criterion_kernel(cov_blocks, cov_blocks.gammas, I, lam, H)
+        for lam in lam_grid
     ]

@@ -22,6 +22,7 @@ from .timeseries import (
     CovarianceBlocks,
     _check_partition,
     assemble_blocks,
+    lag_stack,
     lagged_design,
 )
 
@@ -109,43 +110,31 @@ def criterion_linear_h(sigma, alpha, beta, I):
     return float(np.trace(sigma[np.ix_(I, I)]) - np.trace(explained))
 
 
-def _candidate_value(gammas, i, S, H):
-    # one-sensor criterion of i conditioned on S over lags 0..H
-    q = len(S)
-    alpha = np.empty(((H + 1) * q, (H + 1) * q))
-    for r in range(H + 1):
-        for c in range(H + 1):
-            l = c - r
-            blk = gammas[l] if l >= 0 else gammas[-l].T
-            alpha[r * q:(r + 1) * q, c * q:(c + 1) * q] = blk[np.ix_(S, S)]
-    beta = np.concatenate([gammas[c][i, S] for c in range(H + 1)])
-    return float(gammas[0][i, i] - beta @ solve_spd(alpha, beta))
+def greedy(n, p, value):
+    """Backward greedy over sensors 0..n-1.
+
+    At each of p steps, value(i, S) scores every remaining sensor i
+    against the others S, and the smallest score moves i to the
+    turned-off set; ties go to the lowest index. Returns (order,
+    step_values).
+    """
+    remaining = list(range(n))
+    order: List[int] = []
+    step_values: List[float] = []
+    for _ in range(p):
+        vals = [value(i, [j for j in remaining if j != i]) for i in remaining]
+        k = min(range(len(vals)), key=vals.__getitem__)
+        order.append(remaining.pop(k))
+        step_values.append(vals[k])
+    return order, step_values
 
 
-def _argmin_first(values):
-    # strict < keeps the lowest index on ties
-    best_k = 0
-    for k in range(1, len(values)):
-        if values[k] < values[best_k]:
-            best_k = k
-    return best_k
-
-
-def _map_candidates(fn, items, threads):
-    if threads and threads > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(it) for it in items]
-
-
-def greedy_select_linear(blocks: CovarianceBlocks, p, H=0, threads=1) -> SelectionResult:
+def greedy_select_linear(blocks: CovarianceBlocks, p, H=0) -> SelectionResult:
     """Greedy selection for the linear reconstruction criterion.
 
-    At each step the sensor with the smallest one-sensor criterion given
-    the remaining sensors is moved to the turned-off set; ties go to the
-    lowest index.
+    The value of a candidate i is its one-sensor criterion given the
+    remaining sensors S, Gamma_ii(0) - beta alpha^{-1} beta^T, with
+    alpha and beta from lag_stack of [i] on S.
     """
     n = blocks.n
     if not (1 <= p < n):
@@ -153,18 +142,13 @@ def greedy_select_linear(blocks: CovarianceBlocks, p, H=0, threads=1) -> Selecti
     if H > blocks.max_lag:
         raise InvalidInputError(f"blocks hold lags 0..{blocks.max_lag}, need H={H}")
     gammas = blocks.gammas
-    remaining = list(range(n))
-    order: List[int] = []
-    step_values: List[float] = []
-    for _ in range(p):
-        cands = [(i, [j for j in remaining if j != i]) for i in remaining]
-        vals = _map_candidates(
-            lambda c: _candidate_value(gammas, c[0], c[1], H), cands, threads
-        )
-        k = _argmin_first(vals)
-        order.append(remaining[k])
-        step_values.append(vals[k])
-        remaining.pop(k)
+
+    def value(i, S):
+        alpha, beta = lag_stack(gammas, [i], S, H)
+        b = beta[0]
+        return float(gammas[0][i, i] - b @ solve_spd(alpha, b))
+
+    order, step_values = greedy(n, p, value)
     method = "linear-h0" if H == 0 else "linear-h"
     return SelectionResult(method, {"H": H}, order, step_values)
 

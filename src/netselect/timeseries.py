@@ -10,6 +10,7 @@ treated as zero-mean.
 
 import csv
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Dict, List, Tuple
@@ -48,6 +49,9 @@ class PanelSeries:
             raise InvalidInputError("timestamps must increase in exact 1-hour steps")
         if not np.all(np.isfinite(vals)):
             raise InvalidInputError("panel contains non-finite values")
+        dups = sorted(s for s, k in Counter(self.sensor_ids).items() if k > 1)
+        if dups:
+            raise InvalidInputError(f"duplicate sensor ids {dups[:5]}")
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "values", vals)
 
@@ -283,36 +287,47 @@ def estimate_blocks(X, H) -> CovarianceBlocks:
 
 def _check_partition(n, I):
     I = [int(i) for i in I]
-    if len(set(I)) != len(I):
+    off = set(I)
+    if len(off) != len(I):
         raise PartitionError(f"turned-off set has duplicates: {I}")
     if any(i < 0 or i >= n for i in I):
         raise PartitionError(f"turned-off set {I} outside range(0, {n})")
-    Ic = [j for j in range(n) if j not in set(I)]
+    Ic = [j for j in range(n) if j not in off]
     return I, Ic
 
 
-def assemble_blocks(gammas, I, H):
-    """Lag-stacked Gram matrices for the turned-off set I.
-
-    alpha is the (H+1)|I^c| square matrix with block (r, c) equal to
-    Gamma_{I^c}(c - r), using Gamma(-l) = Gamma(l)^T; beta is the
-    |I| x (H+1)|I^c| matrix whose c-th block is Gamma_{I I^c}(c).
-    """
-    if H + 1 > len(gammas):
-        raise LagError(f"need lags 0..{H}, only {len(gammas)} available")
-    n = gammas[0].shape[0]
-    I, Ic = _check_partition(n, I)
-    q = len(Ic)
+def lag_stack(blocks, rows, cols, H):
+    """The lag-stacked layout of assemble_blocks for any rows and cols:
+    alpha over cols, beta from rows to cols."""
+    if H + 1 > len(blocks):
+        raise LagError(f"need lags 0..{H}, only {len(blocks)} available")
+    cols = np.asarray(cols, dtype=int)
+    ix = np.ix_(cols, cols)
+    sub = [blocks[l][ix] for l in range(H + 1)]
+    q = cols.shape[0]
     alpha = np.empty(((H + 1) * q, (H + 1) * q))
     for r in range(H + 1):
         for c in range(H + 1):
-            l = c - r
-            blk = gammas[l] if l >= 0 else gammas[-l].T
-            alpha[r * q:(r + 1) * q, c * q:(c + 1) * q] = blk[np.ix_(Ic, Ic)]
-    beta = np.empty((len(I), (H + 1) * q))
-    for c in range(H + 1):
-        beta[:, c * q:(c + 1) * q] = gammas[c][np.ix_(I, Ic)]
+            alpha[r * q:(r + 1) * q, c * q:(c + 1) * q] = (
+                sub[c - r] if c >= r else sub[r - c].T
+            )
+    rx = np.ix_(np.asarray(rows, dtype=int), cols)
+    beta = np.concatenate([blocks[c][rx] for c in range(H + 1)], axis=1)
     return alpha, beta
+
+
+def assemble_blocks(blocks, I, H):
+    """Lag-stacked Gram matrices for the turned-off set I.
+
+    blocks holds G(0..H), or more lags, with G(-l) = G(l)^T: the data
+    autocovariances Gamma(l) and the kernel Gram blocks K(l) share this
+    convention. alpha is the (H+1)|I^c| square matrix with block (r, c)
+    equal to G_{I^c}(c - r); beta is the |I| x (H+1)|I^c| matrix whose
+    c-th block is G_{I I^c}(c). With I empty, alpha is the full
+    lag-stacked matrix.
+    """
+    I, Ic = _check_partition(blocks[0].shape[0], I)
+    return lag_stack(blocks, I, Ic, H)
 
 
 def lagged_design(X, rows, H):

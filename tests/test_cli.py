@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from netselect.cli import main
+from netselect.evaluation import default_p
 from netselect.select_linear import SelectionResult
 from netselect.timeseries import HOUR, PanelSeries, write_panel
 
@@ -128,6 +129,34 @@ def test_select_autocovariance_kernel_matches_linear(tmp_path, capsys):
     assert ker["method"] == "kernel-h0"
     assert ker["hyperparams"]["lambda"] == 0.0
     assert ker["order"] == lin["order"]
+
+
+def test_select_kernel_readme_example_defaults_p(tmp_path, capsys):
+    # the README kernel example, which leaves --p at its default
+    n = 24
+    panel_path, coords_path, _ = _correlated_panel(tmp_path, n=n)
+    out = tmp_path / "kernel"
+    assert main(["select", str(panel_path), "--coords", str(coords_path),
+                 "--method", "kernel", "--kernel", "spatial-temporal",
+                 "--H", "1", "--r-s", "0.3", "--k0", "20", "--k1", "7",
+                 "--standardize", "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    sel = json.loads((out / "selection.json").read_text())
+    assert sel["method"] == "kernel-h"
+    assert len(sel["order"]) == default_p(n)
+    assert sel["hyperparams"]["p"] == default_p(n)
+    assert len(sel["hyperparams"]["lambda_grid"]) == 5
+
+
+def test_select_rejects_duplicate_sensor_ids(tmp_path, capsys):
+    panel_path, coords_path, ids = _correlated_panel(tmp_path)
+    lines = panel_path.read_text().splitlines()
+    lines[0] = ",".join(["timestamp"] + ids[:-1] + [ids[0]])
+    panel_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["select", str(panel_path), "--coords", str(coords_path),
+                 "--out-dir", str(tmp_path / "sel")]) == 2
+    assert "duplicate sensor ids ['s000']" in capsys.readouterr().err
+    assert not (tmp_path / "sel").exists()
 
 
 def _noiseless_panel(tmp_path, T=400, seed=1):

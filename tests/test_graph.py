@@ -15,11 +15,9 @@ from netselect.graph import (
     combinatorial_laplacian,
     connected_components,
     graph_spectrum,
-    heat_map,
     laplacian_kernel,
     normalized_laplacian,
     read_coords,
-    st_gram_blocks,
 )
 
 
@@ -126,33 +124,12 @@ def test_laplacian_kernel_is_pseudoinverse():
 def test_laplacian_kernel_custom_map_and_validation():
     g = _line_graph()
     spec = graph_spectrum(combinatorial_laplacian(g))
-    K = laplacian_kernel(spec, heat_map(0.5))
+    K = laplacian_kernel(spec, lambda v: np.exp(-0.5 * v))
     assert np.min(np.linalg.eigvalsh(K)) > 0
     with pytest.raises(InvalidInputError, match="unknown spectral map"):
         laplacian_kernel(spec, "inverse-square")
     with pytest.raises(InvalidInputError, match="negative"):
         laplacian_kernel(spec, lambda v: -np.ones_like(v))
-
-
-def test_heat_map_values():
-    r = heat_map(2.0)
-    assert np.allclose(r(np.array([0.0, 1.0])), [1.0, np.exp(-2.0)])
-
-
-def test_st_gram_blocks_structure():
-    g = _line_graph()
-    K_g = laplacian_kernel(graph_spectrum(combinatorial_laplacian(g)))
-    st = st_gram_blocks(K_g, gamma=0.3, H=2)
-    assert len(st.blocks) == 3
-    assert np.allclose(st.blocks[2], K_g * np.exp(-0.3 * 4))
-    n = K_g.shape[0]
-    assert st.assembled.shape == (3 * n, 3 * n)
-    assert np.allclose(st.assembled[:n, n:2 * n], st.blocks[1])
-    assert np.allclose(st.assembled, st.assembled.T)
-    # PSD because the lag factor is itself a kernel
-    assert np.min(np.linalg.eigvalsh(st.assembled)) >= -1e-10
-    sub = st_gram_blocks(K_g, 0.3, 1, subset=[0, 2])
-    assert sub.blocks[0].shape == (2, 2)
 
 
 def test_read_coords_round_trip_and_errors(tmp_path):

@@ -3,18 +3,16 @@
 import numpy as np
 import pytest
 
-from netselect.errors import InvalidInputError
+from netselect.errors import InvalidInputError, LagError
+from netselect.evaluation import gamma_grid, synth_generate
 from netselect.graph import (
     build_knn_graph,
     combinatorial_laplacian,
     graph_spectrum,
     laplacian_kernel,
-    st_gram_blocks,
 )
 from netselect.select_kernel import (
-    KernelBlocks,
     KernelConfig,
-    assemble_kernel,
     build_kernel_blocks,
     criterion_kernel,
     fit_predict_kernel,
@@ -93,51 +91,89 @@ def test_laplacian_and_spatial_temporal_blocks_agree():
         KernelConfig(kernel="laplacian", gamma=gamma, H=H), graph=g)
     st = build_kernel_blocks(
         KernelConfig(kernel="spatial-temporal", gamma=gamma, H=H), graph=g)
-    ref = st_gram_blocks(K_g, gamma, H)
+    assert len(lap) == len(st) == H + 1
     for l in range(H + 1):
-        assert np.allclose(lap.blocks[l], ref.blocks[l], atol=1e-12)
-        assert np.allclose(st.blocks[l], ref.blocks[l], atol=1e-12)
-    assert lap.symmetric_in_l and st.symmetric_in_l
+        ref = K_g * np.exp(-gamma * l ** 2)
+        assert np.allclose(lap[l], ref, atol=1e-12)
+        assert np.allclose(st[l], ref, atol=1e-12)
+        # K(-l) = K(l)^T needs no flag: the blocks are exactly symmetric
+        assert np.array_equal(lap[l], lap[l].T)
+        assert np.array_equal(st[l], st[l].T)
+
+
+def test_spatial_temporal_blocks_structure():
+    g = _graph()
+    K_g = laplacian_kernel(graph_spectrum(combinatorial_laplacian(g)))
+    kb = build_kernel_blocks(
+        KernelConfig(kernel="spatial-temporal", gamma=0.3, H=2), graph=g)
+    assert len(kb) == 3
+    assert np.allclose(kb[2], K_g * np.exp(-0.3 * 4))
+    n = K_g.shape[0]
+    K, cross = assemble_blocks(kb, [], 2)
+    assert K.shape == (3 * n, 3 * n)
+    assert cross.shape == (0, 3 * n)
+    assert np.array_equal(K[:n, n:2 * n], kb[1])
+    assert np.array_equal(K[n:2 * n, :n], kb[1])
+    assert np.array_equal(K[:n, 2 * n:], kb[2])
+    assert np.array_equal(K, K.T)
+    # PSD because the lag factor is itself a kernel
+    assert np.min(np.linalg.eigvalsh(K)) >= -1e-10
+    # the kept set [0, 2] at H=1: alpha is the stacked kernel over it
+    sub, _ = assemble_blocks(kb, [1, 3, 4, 5], 1)
+    assert sub.shape == (4, 4)
+    assert np.array_equal(sub[:2, :2], kb[0][np.ix_([0, 2], [0, 2])])
+    assert np.array_equal(sub[:2, 2:], kb[1][np.ix_([0, 2], [0, 2])])
+
+
+def test_graph_and_linear_kernel_blocks_are_exactly_symmetric():
+    for seed in range(5):
+        g = _graph(n=8, seed=seed)
+        X = _data(n=8, T=200, seed=seed)
+        for kernel in ("laplacian", "spatial-temporal", "linear", "rbf"):
+            kb = build_kernel_blocks(
+                KernelConfig(kernel=kernel, gamma=0.4, H=2), graph=g, X_train=X)
+            for K in kb:
+                assert np.array_equal(K, K.T), (kernel, seed)
 
 
 def test_rbf_kernel_blocks():
     g = _graph(seed=3)
     kb = build_kernel_blocks(
         KernelConfig(kernel="rbf", gamma=0.2, H=1), graph=g)
-    assert kb.symmetric_in_l
-    K0 = kb.blocks[0]
+    K0 = kb[0]
+    assert np.array_equal(K0, K0.T)
     assert np.allclose(np.diag(K0), 1.0)
-    assert np.allclose(kb.blocks[1], K0 * np.exp(-0.2), atol=1e-12)
+    assert np.allclose(kb[1], K0 * np.exp(-0.2), atol=1e-12)
     assert np.min(np.linalg.eigvalsh(K0)) >= -1e-10
 
 
 def test_autocovariance_blocks_keep_lag_direction():
     X = _data(seed=4)
     kb = build_kernel_blocks(KernelConfig(kernel="autocovariance", H=1), X_train=X)
-    assert not kb.symmetric_in_l
     # Gamma(1) from a VAR process is genuinely asymmetric
-    assert not np.allclose(kb.blocks[1], kb.blocks[1].T)
+    assert not np.allclose(kb[1], kb[1].T)
 
 
-def test_assemble_kernel_block_layout():
+def test_kernel_blocks_assemble_layout():
     X = _data(seed=5)
     kb = build_kernel_blocks(KernelConfig(kernel="autocovariance", H=1), X_train=X)
-    rows = [0, 2, 4]
-    K = assemble_kernel(kb, rows, rows, 1)
-    q = len(rows)
-    ix = np.ix_(rows, rows)
-    assert np.allclose(K[:q, :q], kb.blocks[0][ix])
-    assert np.allclose(K[:q, q:], kb.blocks[1][ix])
-    assert np.allclose(K[q:, :q], kb.blocks[1].T[ix])
-    with pytest.raises(InvalidInputError, match="lags"):
-        assemble_kernel(kb, rows, rows, 2)
+    kept = [0, 2, 4]
+    K, cross = assemble_blocks(kb, [1, 3], 1)
+    q = len(kept)
+    ix = np.ix_(kept, kept)
+    assert np.array_equal(K[:q, :q], kb[0][ix])
+    assert np.array_equal(K[:q, q:], kb[1][ix])
+    assert np.array_equal(K[q:, :q], kb[1].T[ix])
+    assert np.array_equal(cross[:, q:], kb[1][np.ix_([1, 3], kept)])
+    with pytest.raises(LagError, match="lags"):
+        assemble_blocks(kb, [1, 3], 2)
 
 
 def test_reconstructor_norm_shrinks_with_lambda():
     X = _data(seed=6)
     kb = build_kernel_blocks(KernelConfig(kernel="autocovariance", H=0), X_train=X)
-    K_S = kb.blocks[0][1:, 1:]
-    K_cross = kb.blocks[0][[0], 1:]
+    K_S = kb[0][1:, 1:]
+    K_cross = kb[0][[0], 1:]
     norms = [np.linalg.norm(kernel_reconstructor(K_cross, K_S, lam))
              for lam in (0.0, 0.1, 1.0, 10.0)]
     assert all(b < a for a, b in zip(norms, norms[1:]))
@@ -187,3 +223,27 @@ def test_fit_predict_kernel_reconstructor():
     assert rec.theta.shape == (2, 2 * 3)
     pred = rec.predict_panel(X, 10, 20)
     assert pred.shape == (2, 10)
+
+
+def test_greedy_orders_and_step_values_are_frozen():
+    # reference orders and step values of both criteria on a seeded panel
+    # with one planted duplicate (7 copies 0) and one noise sensor (4)
+    rng = np.random.default_rng(11)
+    g = build_knn_graph(rng.uniform(size=(12, 2)), k0=5, k1=3)
+    X = synth_generate(g, 600, "graph-smooth", seed=3,
+                       redundant_pairs=[(0, 7)], noise_sensors=[4]).values
+    H = 1
+    blocks = estimate_blocks(X, H)
+    lin = greedy_select_linear(blocks, 4, H=H)
+    assert lin.order == [7, 6, 11, 5]
+    assert lin.step_values == pytest.approx(
+        [0.023980776979150464, 0.0981969237766862,
+         0.10355579533767256, 0.10453749157095027], rel=1e-12)
+    kb = build_kernel_blocks(
+        KernelConfig(kernel="spatial-temporal", gamma=gamma_grid(H, 0.5), H=H),
+        graph=g)
+    ker = greedy_select_kernel(blocks, kb, 4, lam=0.05, H=H)
+    assert ker.order == [8, 5, 6, 0]
+    assert ker.step_values == pytest.approx(
+        [13.239323084452277, 7.1948013966010755,
+         4.613528935434546, 3.2341914887372836], rel=1e-12)

@@ -88,16 +88,6 @@ def test_greedy_method_tag_with_history():
     assert len(result.order) == 2
 
 
-def test_threaded_greedy_matches_serial():
-    rng = np.random.default_rng(1)
-    X = rng.normal(size=(8, 500))
-    blocks = estimate_blocks(X, 1)
-    serial = greedy_select_linear(blocks, p=4, H=1, threads=1)
-    threaded = greedy_select_linear(blocks, p=4, H=1, threads=4)
-    assert serial.order == threaded.order
-    assert serial.step_values == threaded.step_values
-
-
 def test_entropy_equivalence_on_one_instance():
     rng = np.random.default_rng(2)
     M = rng.normal(size=(6, 6))

@@ -45,6 +45,8 @@ def test_panel_series_validation():
         PanelSeries(["a"], np.array([0, HOUR]), np.array([[1.0, np.nan]]))
     with pytest.raises(InvalidInputError, match="sensor count"):
         PanelSeries(["a", "b"], np.array([0, HOUR]), np.zeros((1, 2)))
+    with pytest.raises(InvalidInputError, match=r"duplicate sensor ids \['a'\]"):
+        PanelSeries(["a", "b", "a"], np.array([0, HOUR]), np.zeros((3, 2)))
 
 
 def test_split_validation_and_make_split():

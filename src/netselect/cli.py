@@ -39,7 +39,7 @@ from .graph import (
     normalized_laplacian,
     read_coords,
 )
-from .numerics import power_method
+from .numerics import power_method, sym_eig
 from .select_kernel import (
     KERNEL_TAGS,
     KernelConfig,
@@ -231,7 +231,7 @@ def cmd_select(args):
         result, extras = _select_kernel_cmd(args, X, split, graph, p)
     else:
         L = _laplacian(graph, args.laplacian)
-        Lt = scale_laplacian(L, power_method(L).value)
+        spectrum = sym_eig(scale_laplacian(L, power_method(L).value))
         net = ChebNetConfig(n=n, cheb_order=args.cheb_order, f_out=args.f_out,
                             fc_sizes=tuple(_int_list(args.fc_sizes)),
                             out_dim=n, h=args.H)
@@ -250,7 +250,7 @@ def cmd_select(args):
                              max_epoch=args.max_epoch,
                              early_stop="five-epoch-mean", seed=args.seed)
             scores, result, _ = train_selection_dropout(
-                X, split, Lt, p, net, tc, measure=args.measure)
+                X, split, spectrum, p, net, tc, measure=args.measure)
             extras["measure"] = scores.measure
         else:
             tc = TrainConfig(optimizer="adam", lr=args.lr,
@@ -261,7 +261,7 @@ def cmd_select(args):
                                         args.mask_lambda_max,
                                         args.mask_lambda_count))
             result, mask_path_values = train_selection_masking(
-                X, split, Lt, p, lam_grid, args.eps0, net, tc)
+                X, split, spectrum, p, lam_grid, args.eps0, net, tc)
             extras["eps0"] = args.eps0
             extras["mask_lambda_grid"] = [float(v) for v in lam_grid]
 
@@ -336,7 +336,7 @@ def _evaluate_fit_fn(args, sel, X, split, panel):
     coords = _align_coords(panel, args.coords)
     graph = build_knn_graph(coords, int(hp.get("k0", 20)), int(hp.get("k1", 7)))
     L = _laplacian(graph, hp.get("laplacian", "combinatorial"))
-    Lt = scale_laplacian(L, power_method(L).value)
+    spectrum = sym_eig(scale_laplacian(L, power_method(L).value))
     n = X.shape[0]
     tc = TrainConfig(optimizer="adam", lr=args.lr, batch_size=args.batch_size,
                      max_epoch=args.max_epoch, early_stop="two-epoch-mean",
@@ -347,8 +347,8 @@ def _evaluate_fit_fn(args, sel, X, split, panel):
                             f_out=int(hp.get("f_out", 16)),
                             fc_sizes=tuple(hp.get("fc_sizes", [128, 500, 64])),
                             out_dim=len(I), h=H)
-        params, _ = train_prediction_net(X, split, Lt, I, net, tc)
-        return NetReconstructor(params, net, Lt, list(I))
+        params, _ = train_prediction_net(X, split, spectrum, I, net, tc)
+        return NetReconstructor(params, net, spectrum, list(I))
 
     return fit
 
@@ -385,6 +385,9 @@ def cmd_evaluate(args):
     mse = test_mse(rec, X, sel.order, split)
     base = random_baseline(fit_fn, X, len(sel.order), split,
                            draws=args.baseline_draws, seed=args.seed)
+    if sel.method.startswith("gcn"):
+        hp = dict(hp, prediction_net={"lr": args.lr, "batch_size": args.batch_size,
+                                      "max_epoch": args.max_epoch})
     report = EvalReport(
         method=sel.method,
         selected=sel.order,

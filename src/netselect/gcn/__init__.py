@@ -1,7 +1,6 @@
 from .layers import (
     ChebNetConfig,
     ChebNetParams,
-    cheb_apply,
     elu,
     forward_batch,
     init_params,
@@ -27,7 +26,6 @@ __all__ = [
     "NetReconstructor",
     "TrainConfig",
     "SensorScores",
-    "cheb_apply",
     "elu",
     "forward_batch",
     "init_params",

@@ -138,29 +138,29 @@ def scale_laplacian(L, lam_max):
     return 2.0 * L / lam_max - np.eye(L.shape[0])
 
 
-def cheb_apply(Lt, K, X):
-    """Chebyshev stack [T_0(Lt) X, ..., T_K(Lt) X].
+def cheb_values(lam, K):
+    """Chebyshev polynomials T_0..T_K at the points lam, shape (K+1, n).
 
-    T_0 = X, T_1 = Lt X, T_k = 2 Lt T_{k-1} - T_{k-2}. X may be (n, f)
-    or batched (B, n, f); Lt acts on the node axis.
+    T_0 = 1, T_1 = lam, T_k = 2 lam T_{k-1} - T_{k-2}.
     """
-    X = np.asarray(X, dtype=float)
-    apply_L = (lambda A: Lt @ A) if X.ndim == 2 else (
-        lambda A: np.einsum("ij,bjf->bif", Lt, A)
-    )
-    out = [X]
+    lam = np.asarray(lam, dtype=float)
+    T = np.empty((K + 1, lam.size))
+    T[0] = 1.0
     if K >= 1:
-        out.append(apply_L(X))
-    for _ in range(2, K + 1):
-        out.append(2.0 * apply_L(out[-1]) - out[-2])
-    return out
+        T[1] = lam
+    for k in range(2, K + 1):
+        T[k] = 2.0 * lam * T[k - 1] - T[k - 2]
+    return T
 
 
-def forward_batch(Xb, params: ChebNetParams, config: ChebNetConfig, Lt,
+def forward_batch(Xb, params: ChebNetParams, config: ChebNetConfig, spectrum,
                   want_cache=False):
     """Batched forward pass; Xb has shape (B, n, f_in).
 
-    Returns (B, out_dim) outputs, plus the intermediate cache when
+    spectrum is the EigenPair (lam, U) of the rescaled Laplacian L_tilde.
+    The filter sum_k theta_k T_k(L_tilde) equals U diag(h) U^T with
+    h = sum_k theta_k T_k(lam), so it is applied in the graph Fourier
+    basis. Returns (B, out_dim) outputs, plus the intermediate cache when
     want_cache is set.
     """
     Xb = np.asarray(Xb, dtype=float)
@@ -168,8 +168,11 @@ def forward_batch(Xb, params: ChebNetParams, config: ChebNetConfig, Lt,
         raise InvalidInputError(
             f"input must be (B, {config.n}, {config.f_in}), got {Xb.shape}"
         )
-    T_stack = np.stack(cheb_apply(Lt, config.cheb_order, Xb), axis=1)  # (B, K+1, n, f_in)
-    G_pre = np.einsum("bknf,kfo->bno", T_stack, params.theta) + params.gconv_bias[None]
+    U = spectrum.vectors
+    T = cheb_values(spectrum.values, config.cheb_order)         # (K+1, n)
+    h = np.einsum("kj,kfo->jfo", T, params.theta)                # (n, f_in, f_out)
+    X_hat = U.T @ Xb                                             # (B, n, f_in)
+    G_pre = U @ np.einsum("bjf,jfo->bjo", X_hat, h) + params.gconv_bias[None]
     A1 = elu(G_pre)
     f = A1.reshape(Xb.shape[0], config.n * config.f_out)
     pre_acts = []
@@ -183,12 +186,13 @@ def forward_batch(Xb, params: ChebNetParams, config: ChebNetConfig, Lt,
     out = f @ params.fc_weights[-1].T + params.fc_biases[-1]
     if not want_cache:
         return out
-    cache = {"T_stack": T_stack, "G_pre": G_pre, "pre_acts": pre_acts, "feats": feats}
+    cache = {"X_hat": X_hat, "T": T, "h": h, "G_pre": G_pre,
+             "pre_acts": pre_acts, "feats": feats}
     return out, cache
 
 
-def backward_batch(dout, cache, params: ChebNetParams, config: ChebNetConfig, Lt,
-                   want_input_grad=False):
+def backward_batch(dout, cache, params: ChebNetParams, config: ChebNetConfig,
+                   spectrum, want_input_grad=False):
     """Reverse-mode gradients from dL/dout of shape (B, out_dim).
 
     Returns (grads: ChebNetParams, dXb or None). dout must already
@@ -211,26 +215,20 @@ def backward_batch(dout, cache, params: ChebNetParams, config: ChebNetConfig, Lt
 
     dA1 = df.reshape(B, config.n, config.f_out)
     dG = dA1 * elu_grad(cache["G_pre"])
-    grads.theta = np.einsum("bknf,bno->kfo", cache["T_stack"], dG)
+    U = spectrum.vectors
+    dG_hat = U.T @ dG                                            # (B, n, f_out)
+    dh = np.einsum("bjf,bjo->jfo", cache["X_hat"], dG_hat)
+    grads.theta = np.einsum("kj,jfo->kfo", cache["T"], dh)
     grads.gconv_bias = dG.sum(axis=0)
 
     dXb = None
     if want_input_grad:
-        dT = np.einsum("kfo,bno->bknf", params.theta, dG)  # (B, K+1, n, f_in)
-        K = config.cheb_order
-        adj = [dT[:, k] for k in range(K + 1)]
-        # adjoint of T_k = 2 Lt T_{k-1} - T_{k-2}; Lt is symmetric
-        for k in range(K, 1, -1):
-            adj[k - 1] = adj[k - 1] + 2.0 * np.einsum("ij,bjf->bif", Lt, adj[k])
-            adj[k - 2] = adj[k - 2] - adj[k]
-        dXb = adj[0]
-        if K >= 1:
-            dXb = dXb + np.einsum("ij,bjf->bif", Lt, adj[1])
+        dXb = U @ np.einsum("jfo,bjo->bjf", cache["h"], dG_hat)
     return grads, dXb
 
 
-def net_backward(x_input, target, params: ChebNetParams, config: ChebNetConfig, Lt,
-                 out_mask=None):
+def net_backward(x_input, target, params: ChebNetParams, config: ChebNetConfig,
+                 spectrum, out_mask=None):
     """Loss and parameter gradients for one sample.
 
     Loss is sum_j m_j (out_j - target_j)^2 with m the optional output
@@ -238,7 +236,7 @@ def net_backward(x_input, target, params: ChebNetParams, config: ChebNetConfig, 
     """
     Xb = np.asarray(x_input, dtype=float)[None]
     target = np.asarray(target, dtype=float)[None]
-    out, cache = forward_batch(Xb, params, config, Lt, want_cache=True)
+    out, cache = forward_batch(Xb, params, config, spectrum, want_cache=True)
     resid = out - target
     if out_mask is None:
         weighted = resid
@@ -247,5 +245,5 @@ def net_backward(x_input, target, params: ChebNetParams, config: ChebNetConfig, 
         m = np.asarray(out_mask, dtype=float)[None]
         weighted = m * resid
         loss = float(np.sum(m * resid ** 2))
-    grads, _ = backward_batch(2.0 * weighted, cache, params, config, Lt)
+    grads, _ = backward_batch(2.0 * weighted, cache, params, config, spectrum)
     return loss, grads

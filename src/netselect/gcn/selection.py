@@ -21,7 +21,7 @@ from .layers import ChebNetConfig, backward_batch, forward_batch, init_params
 from .train import (
     TrainConfig,
     _check_finite,
-    _five_epoch_stop,
+    _early_stop,
     _param_tensors,
     batch_blocks,
     make_optimizer,
@@ -52,7 +52,7 @@ def write_scores_csv(scores: SensorScores, sensor_ids, path):
             writer.writerow([sid, format(float(scores.scores[i]), ".17g"), rank_of[i]])
 
 
-def score_sensors(params, net_config: ChebNetConfig, Lt, X, val_ts, measure="r2"
+def score_sensors(params, net_config: ChebNetConfig, spectrum, X, val_ts, measure="r2"
                   ) -> SensorScores:
     """Per-sensor score of the trained network on validation rows.
 
@@ -65,7 +65,7 @@ def score_sensors(params, net_config: ChebNetConfig, Lt, X, val_ts, measure="r2"
     X = np.asarray(X, dtype=float)
     val_ts = np.asarray(val_ts, dtype=int)
     pred = forward_batch(window_tensor(X, val_ts, net_config.h), params,
-                         net_config, Lt)           # (B, n)
+                         net_config, spectrum)     # (B, n)
     actual = X[:, val_ts].T
     resid_sq = ((actual - pred) ** 2).sum(axis=0)  # per sensor
     if measure == "mse":
@@ -83,16 +83,15 @@ def score_sensors(params, net_config: ChebNetConfig, Lt, X, val_ts, measure="r2"
     return SensorScores(scores, measure, [int(i) for i in ranking])
 
 
-def train_selection_dropout(X, split: Split, Lt, p, net_config: ChebNetConfig,
+def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetConfig,
                             train_config: TrainConfig, measure="r2"):
     """Dropout selection: train with random sensor knockouts, rank by score.
 
     Per batch a Bernoulli vector w with zero-probability q = p/N masks
     the input; the loss counts only dropped sensors (factor 1 - w).
     Degenerate draws (all zeros or all ones) are resampled. Early
-    stopping compares 5-epoch validation-loss means; validation masks
-    are drawn once so the trace is deterministic. Scoring uses the full
-    input.
+    stopping follows train_config.early_stop; validation masks are drawn
+    once so the trace is deterministic. Scoring uses the full input.
 
     Returns (scores, result, diagnostics).
     """
@@ -125,7 +124,6 @@ def train_selection_dropout(X, split: Split, Lt, p, net_config: ChebNetConfig,
 
     resample_count = 0
     val_losses: List[float] = []
-    use_early_stop = train_config.early_stop != "none"
     for _ in range(train_config.max_epoch):
         for bi in rng.permutation(len(train_blocks)):
             ts = train_blocks[bi]
@@ -133,35 +131,35 @@ def train_selection_dropout(X, split: Split, Lt, p, net_config: ChebNetConfig,
             resample_count += extra
             Xb = window_tensor(X, ts, h)
             out, cache = forward_batch(Xb * w[None, :, None], params, net_config,
-                                       Lt, want_cache=True)
+                                       spectrum, want_cache=True)
             resid = out - X[:, ts].T
             drop = 1.0 - w
             loss = float(np.sum(drop[None, :] * resid ** 2) / ts.size)
             _check_finite(loss)
             grads, _ = backward_batch(2.0 * drop[None, :] * resid / ts.size,
-                                      cache, params, net_config, Lt)
+                                      cache, params, net_config, spectrum)
             opt.step(_param_tensors(params), _param_tensors(grads))
 
         vl = 0.0
         n_val = 0
         for ts, w in zip(val_blocks, val_masks):
             out = forward_batch(window_tensor(X, ts, h) * w[None, :, None],
-                                params, net_config, Lt)
+                                params, net_config, spectrum)
             resid = out - X[:, ts].T
             vl += float(np.sum((1.0 - w)[None, :] * resid ** 2))
             n_val += ts.size
         val_loss = vl / n_val
         _check_finite(val_loss)
         val_losses.append(val_loss)
-        if use_early_stop and _five_epoch_stop(val_losses):
+        if _early_stop(train_config.early_stop, val_losses):
             break
 
     val_ts = np.concatenate(val_blocks)
     try:
-        scores = score_sensors(params, net_config, Lt, X, val_ts, measure)
+        scores = score_sensors(params, net_config, spectrum, X, val_ts, measure)
     except UndefinedScoreError as err:
         warnings.warn(f"{err}; falling back to mse scoring")
-        scores = score_sensors(params, net_config, Lt, X, val_ts, "mse")
+        scores = score_sensors(params, net_config, spectrum, X, val_ts, "mse")
 
     order = scores.ranking[:p]
     result = SelectionResult(
@@ -184,18 +182,18 @@ def train_selection_dropout(X, split: Split, Lt, p, net_config: ChebNetConfig,
     return scores, result, diagnostics
 
 
-def train_selection_masking(X, split: Split, Lt, p, lam_grid, eps0,
+def train_selection_masking(X, split: Split, spectrum, p, lam_grid, eps0,
                             net_config: ChebNetConfig, train_config: TrainConfig):
     """Masking selection: l1-penalized trainable input mask, Lasso path.
 
     For each lambda in the ascending grid the network and a mask w
-    (init 0.5) are trained jointly for the full max_epoch (no early
-    stopping); after every optimizer step w is projected onto [0, 1].
-    The per-batch loss is mean_t sum_i (1 - w_i)^2 (x_it - x_hat_it)^2
-    plus lambda ||w||_1. F_i counts the grid points whose final mask
-    weight falls below eps0; sensors are ranked by descending F_i with
-    ties (and the no-collapse fallback) broken by the final weight at
-    the largest lambda.
+    (init 0.5) are trained jointly for the full max_epoch (early_stop
+    must be "none"); after every optimizer step w is projected onto
+    [0, 1]. The per-batch loss is
+    mean_t sum_i (1 - w_i)^2 (x_it - x_hat_it)^2 plus lambda ||w||_1.
+    F_i counts the grid points whose final mask weight falls below eps0;
+    sensors are ranked by descending F_i with ties (and the no-collapse
+    fallback) broken by the final weight at the largest lambda.
 
     Returns (result, mask_path) with mask_path of shape (len(grid), N).
     """
@@ -210,6 +208,9 @@ def train_selection_masking(X, split: Split, Lt, p, lam_grid, eps0,
         raise InvalidInputError("lambda grid must be nonempty and ascending")
     if eps0 <= 0:
         raise InvalidInputError("eps0 must be positive")
+    if train_config.early_stop != "none":
+        raise InvalidInputError("masking selection trains every lambda for the "
+                                "full max_epoch; early_stop must be 'none'")
     h = net_config.h
 
     train_blocks = batch_blocks(0, split.t_tv, h, train_config.batch_size)
@@ -224,7 +225,7 @@ def train_selection_masking(X, split: Split, Lt, p, lam_grid, eps0,
                 ts = train_blocks[bi]
                 Xb = window_tensor(X, ts, h)
                 out, cache = forward_batch(Xb * w[None, :, None], params,
-                                           net_config, Lt, want_cache=True)
+                                           net_config, spectrum, want_cache=True)
                 target = X[:, ts].T
                 resid = out - target
                 sqw = (1.0 - w) ** 2
@@ -232,7 +233,7 @@ def train_selection_masking(X, split: Split, Lt, p, lam_grid, eps0,
                              + lam * np.abs(w).sum())
                 _check_finite(loss)
                 grads, dXb = backward_batch(2.0 * sqw[None, :] * resid / ts.size,
-                                            cache, params, net_config, Lt,
+                                            cache, params, net_config, spectrum,
                                             want_input_grad=True)
                 # mask gradient: input path, the (1-w)^2 loss factor, and l1
                 dw = (dXb * Xb).sum(axis=(0, 2))

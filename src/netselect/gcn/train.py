@@ -10,6 +10,7 @@ from typing import List
 import numpy as np
 
 from ..errors import InvalidInputError, TrainingDivergedError
+from ..numerics import EigenPair
 from ..timeseries import Split
 from .layers import (
     ChebNetConfig,
@@ -104,35 +105,32 @@ def _check_finite(loss):
         raise TrainingDivergedError(f"training loss became non-finite ({loss})")
 
 
-def _two_epoch_stop(val_losses):
-    # stop when the mean of the current and previous validation losses
-    # exceeds the previous such mean
-    if len(val_losses) < 3:
-        return False
-    cur = (val_losses[-1] + val_losses[-2]) / 2.0
-    prev = (val_losses[-2] + val_losses[-3]) / 2.0
-    return cur > prev
+def _early_stop(rule, val_losses):
+    """Whether the early-stopping rule fires after the latest epoch.
 
-
-def _five_epoch_stop(val_losses):
-    # at the end of every 5 epochs compare the mean of the last 5
-    # validation losses against the previous block of 5
+    "two-epoch-mean": the mean of the current and previous validation
+    losses exceeds the previous such mean. "five-epoch-mean": at the end
+    of every 5 epochs, the mean of the last 5 validation losses exceeds
+    the mean of the block of 5 before. "none" never fires.
+    """
     e = len(val_losses)
-    if e % 5 != 0 or e < 10:
-        return False
-    cur = float(np.mean(val_losses[-5:]))
-    prev = float(np.mean(val_losses[-10:-5]))
-    return cur > prev
+    if rule == "two-epoch-mean" and e >= 3:
+        cur = (val_losses[-1] + val_losses[-2]) / 2.0
+        prev = (val_losses[-2] + val_losses[-3]) / 2.0
+        return cur > prev
+    if rule == "five-epoch-mean" and e >= 10 and e % 5 == 0:
+        return float(np.mean(val_losses[-5:])) > float(np.mean(val_losses[-10:-5]))
+    return False
 
 
-def train_prediction_net(X, split: Split, Lt, I, net_config: ChebNetConfig,
+def train_prediction_net(X, split: Split, spectrum, I, net_config: ChebNetConfig,
                          train_config: TrainConfig):
     """Train the reconstruction network for the turned-off set I.
 
-    X is the preprocessed (n, T) panel matrix. Inputs are lag windows
-    with zeros inserted at the rows of I; targets are x_{I,t}. Validation
-    loss is tracked per epoch and training stops early when the mean of
-    the current and previous validation losses increases.
+    X is the preprocessed (n, T) panel matrix and spectrum the EigenPair
+    of the rescaled Laplacian. Inputs are lag windows with zeros inserted
+    at the rows of I; targets are x_{I,t}. Validation loss is tracked per
+    epoch and training stops early by the rule train_config.early_stop.
 
     Returns (params, val_losses).
     """
@@ -163,21 +161,20 @@ def train_prediction_net(X, split: Split, Lt, I, net_config: ChebNetConfig,
             ts = train_blocks[bi]
             Xb = window_tensor(X_masked, ts, h)
             target = X[np.ix_(I, ts)].T
-            out, cache = forward_batch(Xb, params, net_config, Lt, want_cache=True)
+            out, cache = forward_batch(Xb, params, net_config, spectrum,
+                                       want_cache=True)
             resid = out - target
             loss = float(np.sum(resid ** 2) / ts.size)
             _check_finite(loss)
             grads, _ = backward_batch(2.0 * resid / ts.size, cache, params,
-                                      net_config, Lt)
+                                      net_config, spectrum)
             opt.step(_param_tensors(params), _param_tensors(grads))
 
-        val_out = forward_batch(val_in, params, net_config, Lt)
+        val_out = forward_batch(val_in, params, net_config, spectrum)
         val_loss = float(np.sum((val_out - val_target) ** 2) / val_ts.size)
         _check_finite(val_loss)
         val_losses.append(val_loss)
-        if train_config.early_stop == "two-epoch-mean" and _two_epoch_stop(val_losses):
-            break
-        if train_config.early_stop == "five-epoch-mean" and _five_epoch_stop(val_losses):
+        if _early_stop(train_config.early_stop, val_losses):
             break
     return params, val_losses
 
@@ -193,7 +190,7 @@ class NetReconstructor:
 
     params: object
     config: ChebNetConfig
-    laplacian_scaled: np.ndarray
+    spectrum: EigenPair
     turned_off: List[int]
 
     @property
@@ -215,5 +212,5 @@ class NetReconstructor:
                 f"prediction needs {self.config.h} lag columns before t_start"
             )
         out = forward_batch(window_tensor(X_masked, ts, self.config.h),
-                            self.params, self.config, self.laplacian_scaled)
+                            self.params, self.config, self.spectrum)
         return out.T

@@ -243,12 +243,12 @@ def test_criterion_08_gradient_check():
     rng = np.random.default_rng(8)
     S = rng.normal(size=(5, 5))
     S = (S + S.T) / 2.0
-    Lt = S / np.max(np.abs(np.linalg.eigvalsh(S)))
+    spectrum = sym_eig(S / np.max(np.abs(np.linalg.eigvalsh(S))))
     params = init_params(config, seed=1)
     x = rng.normal(size=(5, 3))
     target = rng.normal(size=4)
 
-    _, grads = net_backward(x, target, params, config, Lt)
+    _, grads = net_backward(x, target, params, config, spectrum)
     vec = pack_params(params)
     num = np.empty_like(vec)
     eps = 1e-6
@@ -256,9 +256,9 @@ def test_criterion_08_gradient_check():
         bump = np.zeros_like(vec)
         bump[k] = eps
         lo, _ = net_backward(x, target, unpack_params(vec - bump, params),
-                             config, Lt)
+                             config, spectrum)
         hi, _ = net_backward(x, target, unpack_params(vec + bump, params),
-                             config, Lt)
+                             config, spectrum)
         num[k] = (hi - lo) / (2.0 * eps)
 
     pos = 0
@@ -302,11 +302,11 @@ def selection_sanity():
         X = panel.values
         split = make_split(X.shape[1])
         L = combinatorial_laplacian(g)
-        Lt = scale_laplacian(L, power_method(L).value)
+        spectrum = sym_eig(scale_laplacian(L, power_method(L).value))
         blocks = estimate_blocks(X[:, :split.t_tv], 0)
 
         scores, result, _ = train_selection_dropout(
-            X, split, Lt, 2, net,
+            X, split, spectrum, 2, net,
             TrainConfig(optimizer="gd", lr=0.02, batch_size=50, max_epoch=60,
                         early_stop="five-epoch-mean", seed=seed))
         rec = fit_predict_linear(blocks, result.order, 0)
@@ -319,7 +319,7 @@ def selection_sanity():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             _, mpath = train_selection_masking(
-                X, split, Lt, 2, mask_lams, 0.01, net,
+                X, split, spectrum, 2, mask_lams, 0.01, net,
                 TrainConfig(optimizer="adam", lr=0.01, batch_size=50,
                             max_epoch=8, early_stop="none", seed=seed))
         F = (mpath < 0.01).sum(axis=0)

@@ -194,6 +194,7 @@ def test_evaluate_reports_exact_reconstruction(tmp_path, capsys):
     assert report["test_mse"] <= 1e-10
     assert report["baseline_draws"] == 5
     assert report["baseline_skipped"] == 0
+    assert "prediction_net" not in report["hyperparams"]
 
     summary = (out1 / "summary.csv").read_text().splitlines()
     assert summary[0] == "method,H=0"
@@ -212,3 +213,26 @@ def test_evaluate_rejects_mismatched_network_size(tmp_path, capsys):
     assert main(["evaluate", str(panel_path), str(sel_path),
                  "--out-dir", str(tmp_path)]) == 3
     assert "PartitionError" in capsys.readouterr().err
+
+
+def test_evaluate_records_gcn_prediction_net_settings(tmp_path, capsys):
+    panel_path = _noiseless_panel(tmp_path)
+    coords_path = tmp_path / "coords.csv"
+    _write_coords(coords_path, [f"s{i:03d}" for i in range(4)],
+                  [[0.0, 0.0], [1.0, 0.2], [0.1, 1.3], [1.2, 1.1]])
+    sel_dir = tmp_path / "sel"
+    with pytest.warns(UserWarning, match="below eps0"):
+        assert main(["select", str(panel_path), "--coords", str(coords_path),
+                     "--method", "gcn-mask", "--p", "1", "--k0", "2", "--k1", "1",
+                     "--cheb-order", "2", "--f-out", "2", "--fc-sizes", "4",
+                     "--max-epoch", "2", "--mask-lambda-count", "2",
+                     "--out-dir", str(sel_dir)]) == 0
+    ev_dir = tmp_path / "ev"
+    assert main(["evaluate", str(panel_path), str(sel_dir / "selection.json"),
+                 "--coords", str(coords_path), "--baseline-draws", "2",
+                 "--lr", "0.01", "--batch-size", "64", "--max-epoch", "3",
+                 "--out-dir", str(ev_dir)]) == 0
+    report = json.loads((ev_dir / "report.json").read_text())
+    assert report["method"] == "gcn-mask"
+    assert report["hyperparams"]["prediction_net"] == {
+        "lr": 0.01, "batch_size": 64, "max_epoch": 3}

@@ -12,7 +12,6 @@ from netselect.gcn import (
     ChebNetConfig,
     NetReconstructor,
     TrainConfig,
-    cheb_apply,
     elu,
     forward_batch,
     init_params,
@@ -24,7 +23,7 @@ from netselect.gcn import (
     train_prediction_net,
     unpack_params,
 )
-from netselect.gcn.layers import elu_grad, leaky_relu_grad
+from netselect.gcn.layers import backward_batch, cheb_values, elu_grad, leaky_relu_grad
 from netselect.gcn.selection import (
     score_sensors,
     train_selection_dropout,
@@ -32,11 +31,11 @@ from netselect.gcn.selection import (
     write_scores_csv,
 )
 from netselect.gcn.train import (
-    _five_epoch_stop,
-    _two_epoch_stop,
+    _early_stop,
     batch_blocks,
     window_tensor,
 )
+from netselect.numerics import sym_eig
 from netselect.timeseries import Split
 
 
@@ -45,9 +44,9 @@ def _toy_setup(n=4, T=260, h=0, seed=0):
     X = rng.normal(size=(n, T))
     S = rng.normal(size=(n, n))
     S = (S + S.T) / 2.0
-    Lt = S / np.max(np.abs(np.linalg.eigvalsh(S)))
+    spectrum = sym_eig(S / np.max(np.abs(np.linalg.eigvalsh(S))))
     split = Split(200, 230, T)
-    return X, Lt, split
+    return X, spectrum, split
 
 
 def test_activations_and_gradients():
@@ -58,20 +57,85 @@ def test_activations_and_gradients():
     assert np.allclose(leaky_relu_grad(x, 0.2), [0.2, 1.0, 1.0])
 
 
-def test_cheb_apply_matches_recursion():
-    rng = np.random.default_rng(1)
-    Lt = rng.normal(size=(3, 3))
-    Lt = (Lt + Lt.T) / 2.0
-    X = rng.normal(size=(3, 2))
-    stack = cheb_apply(Lt, 3, X)
-    assert len(stack) == 4
-    assert np.allclose(stack[0], X)
-    assert np.allclose(stack[1], Lt @ X)
-    assert np.allclose(stack[2], 2.0 * Lt @ stack[1] - stack[0])
-    assert np.allclose(stack[3], 2.0 * Lt @ stack[2] - stack[1])
-    # batched input gets the same values per sample
-    batched = cheb_apply(Lt, 3, X[None])
-    assert np.allclose(batched[3][0], stack[3])
+def _cheb_stack(Lt, K, Xb):
+    """Reference Chebyshev stack [T_0(Lt) Xb, ..., T_K(Lt) Xb], shape
+    (B, K+1, n, f), by the recursion T_k = 2 Lt T_{k-1} - T_{k-2}."""
+    out = [Xb]
+    if K >= 1:
+        out.append(Lt @ Xb)
+    for _ in range(2, K + 1):
+        out.append(2.0 * (Lt @ out[-1]) - out[-2])
+    return np.stack(out, axis=1)
+
+
+def _cheb_stack_adjoint(Lt, K, dstack):
+    """Reference adjoint of _cheb_stack: the gradient with respect to Xb
+    from the gradient with respect to the stack (Lt symmetric)."""
+    adj = [dstack[:, k] for k in range(K + 1)]
+    for k in range(K, 1, -1):
+        adj[k - 1] = adj[k - 1] + 2.0 * (Lt @ adj[k])
+        adj[k - 2] = adj[k - 2] - adj[k]
+    dXb = adj[0]
+    if K >= 1:
+        dXb = dXb + Lt @ adj[1]
+    return dXb
+
+
+def test_spectral_filter_matches_chebyshev_recursion():
+    n, B, f_out, out_dim = 7, 4, 3, 5
+    angles = np.linspace(0.0, np.pi, 9)
+    for K in (0, 1, 3, 20, 50):
+        assert np.allclose(cheb_values(np.cos(angles), K),
+                           np.cos(np.outer(np.arange(K + 1), angles)))
+        rng = np.random.default_rng(K)
+        S = rng.normal(size=(n, n))
+        S = (S + S.T) / 2.0
+        Lt = S / np.max(np.abs(np.linalg.eigvalsh(S)))
+        config = ChebNetConfig(n=n, cheb_order=K, f_out=f_out, fc_sizes=(),
+                               out_dim=out_dim, h=1)
+        params = init_params(config, seed=K)
+        params.gconv_bias[:] = rng.normal(size=params.gconv_bias.shape)
+        Xb = rng.normal(size=(B, n, 2))
+        dout = rng.normal(size=(B, out_dim))
+        spectrum = sym_eig(Lt)
+        out, cache = forward_batch(Xb, params, config, spectrum, want_cache=True)
+        grads, dXb = backward_batch(dout, cache, params, config, spectrum,
+                                    want_input_grad=True)
+
+        stack = _cheb_stack(Lt, K, Xb)
+        G_pre = np.einsum("bknf,kfo->bno", stack, params.theta) + params.gconv_bias
+        W, b = params.fc_weights[0], params.fc_biases[0]
+        out_ref = elu(G_pre).reshape(B, -1) @ W.T + b
+        dG = (dout @ W).reshape(B, n, f_out) * elu_grad(G_pre)
+        dtheta = np.einsum("bknf,bno->kfo", stack, dG)
+        dX = _cheb_stack_adjoint(Lt, K, np.einsum("kfo,bno->bknf", params.theta, dG))
+        for name, got, ref in (("out", out, out_ref), ("G_pre", cache["G_pre"], G_pre),
+                               ("dtheta", grads.theta, dtheta), ("dX", dXb, dX)):
+            rel = np.abs(got - ref).max() / np.abs(ref).max()
+            assert rel <= 1e-10, f"K={K} {name}: rel {rel:.2e}"
+
+
+def test_input_gradient_matches_central_differences():
+    # dXb feeds the mask gradient of the masking selector
+    config = ChebNetConfig(n=4, cheb_order=3, f_out=2, fc_sizes=(5,),
+                           out_dim=3, h=1)
+    _, spectrum, _ = _toy_setup()
+    rng = np.random.default_rng(11)
+    params = init_params(config, seed=2)
+    Xb = rng.normal(size=(2, 4, 2))
+    dout = rng.normal(size=(2, 3))
+    _, cache = forward_batch(Xb, params, config, spectrum, want_cache=True)
+    _, dXb = backward_batch(dout, cache, params, config, spectrum,
+                            want_input_grad=True)
+    eps = 1e-6
+    num = np.empty_like(Xb)
+    for idx in np.ndindex(Xb.shape):
+        bump = np.zeros_like(Xb)
+        bump[idx] = eps
+        hi = np.sum(dout * forward_batch(Xb + bump, params, config, spectrum))
+        lo = np.sum(dout * forward_batch(Xb - bump, params, config, spectrum))
+        num[idx] = (hi - lo) / (2.0 * eps)
+    assert np.allclose(dXb, num, rtol=1e-5, atol=1e-9)
 
 
 def test_scale_laplacian():
@@ -124,9 +188,9 @@ def test_forward_batch_validates_shape():
     config = ChebNetConfig(n=3, cheb_order=1, f_out=2, fc_sizes=(4,),
                            out_dim=1, h=1)
     params = init_params(config)
-    Lt = np.eye(3) * 0.5
+    spectrum = sym_eig(np.eye(3) * 0.5)
     with pytest.raises(InvalidInputError, match="input must be"):
-        forward_batch(np.zeros((2, 3, 1)), params, config, Lt)
+        forward_batch(np.zeros((2, 3, 1)), params, config, spectrum)
 
 
 def test_small_gradient_check():
@@ -135,11 +199,11 @@ def test_small_gradient_check():
     rng = np.random.default_rng(5)
     S = rng.normal(size=(3, 3))
     S = (S + S.T) / 2.0
-    Lt = S / np.max(np.abs(np.linalg.eigvalsh(S)))
+    spectrum = sym_eig(S / np.max(np.abs(np.linalg.eigvalsh(S))))
     params = init_params(config, seed=1)
     x = rng.normal(size=(3, 2))
     target = rng.normal(size=2)
-    _, grads = net_backward(x, target, params, config, Lt)
+    _, grads = net_backward(x, target, params, config, spectrum)
     vec = pack_params(params)
     ana = pack_params(grads)
     eps = 1e-6
@@ -148,9 +212,9 @@ def test_small_gradient_check():
         bump = np.zeros_like(vec)
         bump[k] = eps
         lo, _ = net_backward(x, target, unpack_params(vec - bump, params),
-                             config, Lt)
+                             config, spectrum)
         hi, _ = net_backward(x, target, unpack_params(vec + bump, params),
-                             config, Lt)
+                             config, spectrum)
         num[k] = (hi - lo) / (2.0 * eps)
     rel = np.abs(ana - num) / np.maximum(np.abs(num), 1e-6)
     assert rel.max() <= 1e-6
@@ -178,18 +242,21 @@ def test_batch_blocks_contiguity():
 
 
 def test_two_epoch_stop_rule():
-    assert not _two_epoch_stop([3.0, 2.0])
-    assert not _two_epoch_stop([3.0, 2.0, 1.0])
-    assert _two_epoch_stop([1.0, 2.0, 3.0])
+    assert not _early_stop("two-epoch-mean", [3.0, 2.0])
+    assert not _early_stop("two-epoch-mean", [3.0, 2.0, 1.0])
+    assert _early_stop("two-epoch-mean", [1.0, 2.0, 3.0])
+    assert not _early_stop("none", [1.0, 2.0, 3.0])
 
 
 def test_five_epoch_stop_rule():
     falling = list(np.linspace(2.0, 1.0, 10))
-    assert not _five_epoch_stop(falling)
+    assert not _early_stop("five-epoch-mean", falling)
     rising = list(np.linspace(1.0, 2.0, 10))
-    assert _five_epoch_stop(rising)
-    assert not _five_epoch_stop(rising[:9])
-    assert not _five_epoch_stop(rising + [0.0])  # length 11, not a block end
+    assert _early_stop("five-epoch-mean", rising)
+    assert not _early_stop("five-epoch-mean", rising[:9])
+    # length 11, not a block end
+    assert not _early_stop("five-epoch-mean", rising + [0.0])
+    assert not _early_stop("none", rising)
 
 
 def test_train_config_validation():
@@ -202,46 +269,46 @@ def test_train_config_validation():
 
 
 def test_prediction_training_runs_and_stops():
-    X, Lt, split = _toy_setup()
+    X, spectrum, split = _toy_setup()
     config = ChebNetConfig(n=4, cheb_order=2, f_out=2, fc_sizes=(8,),
                            out_dim=1, h=0)
     params, val_losses = train_prediction_net(
-        X, split, Lt, [2], config,
+        X, split, spectrum, [2], config,
         TrainConfig(optimizer="adam", lr=0.01, batch_size=32, max_epoch=5,
                     early_stop="none", seed=0))
     assert len(val_losses) == 5
     assert all(np.isfinite(v) for v in val_losses)
     out = forward_batch(window_tensor(X, np.arange(230, 240), 0),
-                        params, config, Lt)
+                        params, config, spectrum)
     assert out.shape == (10, 1)
 
 
 def test_prediction_training_validates_out_dim():
-    X, Lt, split = _toy_setup()
+    X, spectrum, split = _toy_setup()
     config = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
                            out_dim=2, h=0)
     with pytest.raises(InvalidInputError, match="out_dim"):
-        train_prediction_net(X, split, Lt, [0], config, TrainConfig())
+        train_prediction_net(X, split, spectrum, [0], config, TrainConfig())
 
 
 def test_training_diverges_at_huge_lr():
-    X, Lt, split = _toy_setup()
+    X, spectrum, split = _toy_setup()
     config = ChebNetConfig(n=4, cheb_order=2, f_out=2, fc_sizes=(8,),
                            out_dim=1, h=0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDivergedError, match="non-finite"):
             train_prediction_net(
-                X, split, Lt, [1], config,
+                X, split, spectrum, [1], config,
                 TrainConfig(optimizer="gd", lr=1e12, batch_size=32, max_epoch=20,
                             early_stop="none", seed=0))
 
 
 def test_net_reconstructor_surface():
-    X, Lt, split = _toy_setup(h=1)
+    X, spectrum, split = _toy_setup(h=1)
     config = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
                            out_dim=2, h=1)
     params = init_params(config, seed=0)
-    rec = NetReconstructor(params, config, Lt, [1, 3])
+    rec = NetReconstructor(params, config, spectrum, [1, 3])
     assert rec.kept == [0, 2]
     assert rec.H == 1
     pred = rec.predict_panel(X, 10, 15)
@@ -251,33 +318,33 @@ def test_net_reconstructor_surface():
 
 
 def test_score_sensors_mse_and_zero_variance():
-    X, Lt, _ = _toy_setup()
+    X, spectrum, _ = _toy_setup()
     config = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
                            out_dim=4, h=0)
     params = init_params(config, seed=2)
     val_ts = np.arange(200, 230)
-    scores = score_sensors(params, config, Lt, X, val_ts, measure="mse")
+    scores = score_sensors(params, config, spectrum, X, val_ts, measure="mse")
     assert scores.measure == "mse"
     assert list(np.argsort(scores.scores, kind="stable")) == scores.ranking
 
-    r2 = score_sensors(params, config, Lt, X, val_ts, measure="r2")
+    r2 = score_sensors(params, config, spectrum, X, val_ts, measure="r2")
     assert np.all(r2.scores <= 1.0)
     assert list(np.argsort(-r2.scores, kind="stable")) == r2.ranking
 
     flat = X.copy()
     flat[2, val_ts] = 7.0
     with pytest.raises(UndefinedScoreError, match="index 2"):
-        score_sensors(params, config, Lt, flat, val_ts, measure="r2")
+        score_sensors(params, config, spectrum, flat, val_ts, measure="r2")
     with pytest.raises(InvalidInputError, match="measure"):
-        score_sensors(params, config, Lt, X, val_ts, measure="mae")
+        score_sensors(params, config, spectrum, X, val_ts, measure="mae")
 
 
 def test_write_scores_csv(tmp_path):
-    X, Lt, _ = _toy_setup()
+    X, spectrum, _ = _toy_setup()
     config = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
                            out_dim=4, h=0)
     params = init_params(config, seed=2)
-    scores = score_sensors(params, config, Lt, X, np.arange(200, 230), "mse")
+    scores = score_sensors(params, config, spectrum, X, np.arange(200, 230), "mse")
     path = tmp_path / "scores.csv"
     write_scores_csv(scores, ["a", "b", "c", "d"], path)
     lines = path.read_text().splitlines()
@@ -289,13 +356,13 @@ def test_write_scores_csv(tmp_path):
 
 def test_dropout_selection_counts_degenerate_draws():
     # with two sensors and q = 1/2, half of all mask draws are degenerate
-    X, Lt, split = _toy_setup(n=2)
+    X, spectrum, split = _toy_setup(n=2)
     config = ChebNetConfig(n=2, cheb_order=1, f_out=2, fc_sizes=(4,),
                            out_dim=2, h=0)
     tc = TrainConfig(optimizer="gd", lr=0.01, batch_size=25, max_epoch=5,
                      early_stop="none", seed=0)
     scores, result, diagnostics = train_selection_dropout(
-        X, split, Lt, 1, config, tc)
+        X, split, spectrum, 1, config, tc)
     assert diagnostics["resampled"] > 0
     assert result.method == "gcn-dropout"
     assert len(result.order) == 1
@@ -303,30 +370,47 @@ def test_dropout_selection_counts_degenerate_draws():
     assert len(scores.scores) == 2
 
 
+def test_dropout_selection_follows_the_early_stop_rule():
+    X, spectrum, split = _toy_setup()
+    config = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
+                           out_dim=4, h=0)
+    val_losses = {}
+    for rule in ("none", "two-epoch-mean"):
+        tc = TrainConfig(optimizer="gd", lr=0.05, batch_size=25, max_epoch=12,
+                         early_stop=rule, seed=0)
+        _, _, diagnostics = train_selection_dropout(X, split, spectrum, 1, config, tc)
+        val_losses[rule] = diagnostics["val_losses"]
+    full = val_losses["none"]
+    assert len(full) == 12
+    first = next(e for e in range(1, 13) if _early_stop("two-epoch-mean", full[:e]))
+    assert first < 10  # the five-epoch rule cannot fire this early
+    assert val_losses["two-epoch-mean"] == full[:first]
+
+
 def test_dropout_selection_validation():
-    X, Lt, split = _toy_setup()
+    X, spectrum, split = _toy_setup()
     good = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
                          out_dim=4, h=0)
     bad_dim = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
                             out_dim=2, h=0)
     gd = TrainConfig(optimizer="gd", max_epoch=1, early_stop="none")
     with pytest.raises(InvalidInputError, match="out_dim"):
-        train_selection_dropout(X, split, Lt, 1, bad_dim, gd)
+        train_selection_dropout(X, split, spectrum, 1, bad_dim, gd)
     with pytest.raises(InvalidInputError, match="gd optimizer"):
-        train_selection_dropout(X, split, Lt, 1, good, TrainConfig())
+        train_selection_dropout(X, split, spectrum, 1, good, TrainConfig())
     with pytest.raises(InvalidInputError, match="p="):
-        train_selection_dropout(X, split, Lt, 4, good, gd)
+        train_selection_dropout(X, split, spectrum, 4, good, gd)
 
 
 def test_masking_selection_shapes_and_validation():
-    X, Lt, split = _toy_setup()
+    X, spectrum, split = _toy_setup()
     config = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
                            out_dim=4, h=0)
     tc = TrainConfig(optimizer="adam", lr=0.01, batch_size=32, max_epoch=2,
                      early_stop="none", seed=0)
     with pytest.warns(UserWarning, match="below eps0"):
         result, mask_path = train_selection_masking(
-            X, split, Lt, 1, [0.01, 0.02], 1e-6, config, tc)
+            X, split, spectrum, 1, [0.01, 0.02], 1e-6, config, tc)
     assert mask_path.shape == (2, 4)
     assert np.all(mask_path >= 0.0)
     assert np.all(mask_path <= 1.0)
@@ -334,15 +418,18 @@ def test_masking_selection_shapes_and_validation():
     assert len(result.order) == 1
 
     with pytest.raises(InvalidInputError, match="ascending"):
-        train_selection_masking(X, split, Lt, 1, [0.2, 0.1], 0.01, config, tc)
+        train_selection_masking(X, split, spectrum, 1, [0.2, 0.1], 0.01, config, tc)
     with pytest.raises(InvalidInputError, match="ascending"):
-        train_selection_masking(X, split, Lt, 1, [], 0.01, config, tc)
+        train_selection_masking(X, split, spectrum, 1, [], 0.01, config, tc)
     with pytest.raises(InvalidInputError, match="eps0"):
-        train_selection_masking(X, split, Lt, 1, [0.1], 0.0, config, tc)
+        train_selection_masking(X, split, spectrum, 1, [0.1], 0.0, config, tc)
+    with pytest.raises(InvalidInputError, match="early_stop"):
+        train_selection_masking(X, split, spectrum, 1, [0.1], 0.01, config,
+                                TrainConfig(early_stop="two-epoch-mean"))
 
 
 def test_masking_is_deterministic_given_seed():
-    X, Lt, split = _toy_setup()
+    X, spectrum, split = _toy_setup()
     config = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
                            out_dim=4, h=0)
     tc = TrainConfig(optimizer="adam", lr=0.02, batch_size=32, max_epoch=2,
@@ -351,8 +438,8 @@ def test_masking_is_deterministic_given_seed():
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        _, path_a = train_selection_masking(X, split, Lt, 1, [0.05, 0.1],
+        _, path_a = train_selection_masking(X, split, spectrum, 1, [0.05, 0.1],
                                             0.01, config, tc)
-        _, path_b = train_selection_masking(X, split, Lt, 1, [0.05, 0.1],
+        _, path_b = train_selection_masking(X, split, spectrum, 1, [0.05, 0.1],
                                             0.01, config, tc)
     assert np.array_equal(path_a, path_b)

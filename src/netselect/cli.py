@@ -175,7 +175,7 @@ def _select_kernel_cmd(args, X, split, graph, p):
         gamma = gamma_grid(H, args.r_s) if H > 0 else 0.0
     X_train = X[:, :split.t_tv]
     cov = estimate_blocks(X_train, H)
-    kcfg = KernelConfig(kernel=args.kernel, gamma=gamma, lam=0.0, H=H, r=args.r)
+    kcfg = KernelConfig(kernel=args.kernel, gamma=gamma, H=H, r=args.r)
     kb = build_kernel_blocks(kcfg, graph=graph, X_train=X_train)
 
     if args.lam is not None:
@@ -185,7 +185,7 @@ def _select_kernel_cmd(args, X, split, graph, p):
         lam_list = lambda_grid(lam_max)
 
     def run(lam):
-        res = greedy_select_kernel(cov, kb, p, lam=lam, H=H, use_cg=args.cg)
+        res = greedy_select_kernel(cov, kb, p, lam=lam, H=H)
         rec = fit_predict_kernel(cov, kb, res.order, lam, H)
         return res, rec
 
@@ -202,7 +202,6 @@ def _select_kernel_cmd(args, X, split, graph, p):
         "lambda": float(lam_star),
         "lambda_grid": [float(v) for v in lam_list],
         "r": args.r,
-        "use_cg": bool(args.cg),
     }
     if val_error is not None:
         extras["validation_error"] = val_error
@@ -316,7 +315,7 @@ def _evaluate_fit_fn(args, sel, X, split, panel):
     if sel.method.startswith("kernel"):
         kcfg = KernelConfig(kernel=hp.get("kernel", "autocovariance"),
                             gamma=float(hp.get("gamma", 0.0)),
-                            lam=0.0, H=H, r=hp.get("r", "pinv"))
+                            H=H, r=hp.get("r", "pinv"))
         graph = None
         if kcfg.kernel in ("laplacian", "spatial-temporal", "rbf"):
             if args.coords is None:
@@ -450,8 +449,6 @@ def _build_parser():
     slc.add_argument("--kernel", choices=KERNEL_TAGS, default="laplacian")
     slc.add_argument("--r", default="pinv",
                      help="spectral map for the laplacian kernel")
-    slc.add_argument("--cg", action="store_true",
-                     help="solve kernel systems by conjugate gradient")
     slc.add_argument("--seed", type=int, default=0)
     slc.add_argument("--k0", type=int, default=20)
     slc.add_argument("--k1", type=int, default=7)

@@ -2,9 +2,9 @@
 
 All routines work on plain float64 numpy arrays. Covariance and Gram
 matrices estimated from data can be numerically singular, so every
-inversion goes through the same jitter policy: if the smallest eigenvalue
-of A falls below 1e-12 * trace(A)/n, add 1e-10 * trace(A)/n to the
-diagonal before factorizing.
+inversion goes through solve_spd and its jitter policy: if the smallest
+eigenvalue of A falls below 1e-12 * trace(A)/n, add 1e-10 * trace(A)/n
+to the diagonal before solving.
 """
 
 from typing import NamedTuple
@@ -65,38 +65,33 @@ def sym_eig(M) -> EigenPair:
     return EigenPair(values, vectors)
 
 
-def stabilize_spd(A):
-    """Apply the jitter policy to a symmetric matrix meant to be SPD.
-
-    Returns (A_stable, min_eigenvalue_before_jitter). The caller decides
-    whether a still-indefinite result is an error.
-    """
-    A = check_symmetric(A)
-    n = A.shape[0]
-    min_eig = float(np.linalg.eigvalsh(A)[0])
-    scale = np.trace(A) / n
-    if min_eig < JITTER_TRIGGER * scale:
-        A = A + (JITTER_SIZE * scale) * np.eye(n)
-    return A, min_eig
-
-
 def solve_spd(A, B):
     """Solve A X = B for symmetric positive definite A.
 
-    The jitter policy is applied first; if A is still not positive
-    definite after jitter, a SingularMatrixError is raised naming the
-    smallest eigenvalue.
+    The jitter policy is decided by one Cholesky factorization: with
+    tau = JITTER_TRIGGER * trace(A)/n, A - tau Id has no Cholesky factor
+    when lambda_min(A) falls below tau, and then JITTER_SIZE * trace(A)/n
+    is added to the diagonal. If the jittered A has no Cholesky factor
+    either, a SingularMatrixError is raised naming the smallest
+    eigenvalue of A.
     """
-    A2, min_eig = stabilize_spd(A)
-    B = np.asarray(B, dtype=float)
+    A = check_symmetric(A)
+    n = A.shape[0]
+    scale = np.trace(A) / n
     try:
-        np.linalg.cholesky(A2)
+        np.linalg.cholesky(A - (JITTER_TRIGGER * scale) * np.eye(n))
     except np.linalg.LinAlgError:
-        raise SingularMatrixError(
-            f"matrix is singular beyond jitter (min eigenvalue {min_eig:.3e})",
-            min_eigenvalue=min_eig,
-        )
-    return np.linalg.solve(A2, B)
+        jittered = A + (JITTER_SIZE * scale) * np.eye(n)
+        try:
+            np.linalg.cholesky(jittered)
+        except np.linalg.LinAlgError:
+            min_eig = float(np.linalg.eigvalsh(A)[0])
+            raise SingularMatrixError(
+                f"matrix is singular beyond jitter (min eigenvalue {min_eig:.3e})",
+                min_eigenvalue=min_eig,
+            )
+        A = jittered
+    return np.linalg.solve(A, np.asarray(B, dtype=float))
 
 
 def conjugate_gradient(A, b, tol=1e-8, max_iter=None):

@@ -7,15 +7,14 @@ autocovariance kernel the Gram blocks equal the data blocks, so at
 lambda = 0 everything reduces to the linear method.
 """
 
-import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
 from . import graph as graphmod
-from .errors import ConvergenceError, InvalidInputError
-from .numerics import conjugate_gradient, solve_spd, stabilize_spd
+from .errors import InvalidInputError
+from .numerics import solve_spd
 from .select_linear import LinearReconstructor, SelectionResult, greedy
 from .timeseries import CovarianceBlocks, _check_partition, estimate_blocks, lag_stack
 
@@ -26,23 +25,16 @@ KERNEL_TAGS = ("laplacian", "spatial-temporal", "autocovariance", "linear", "rbf
 class KernelConfig:
     kernel: str = "autocovariance"
     gamma: float = 0.0   # RBF decay in the time lag
-    lam: float = 0.0     # ridge strength
     H: int = 0
     r: str = "pinv"      # spectral map for the Laplacian kernel
-    eps: float = 1e-8    # conjugate gradient tolerance
 
     def __post_init__(self):
         if self.kernel not in KERNEL_TAGS:
             raise InvalidInputError(
                 f"unknown kernel {self.kernel!r}; supported: {KERNEL_TAGS}"
             )
-        if self.lam < 0 or self.gamma < 0 or self.H < 0 or self.eps <= 0:
-            raise InvalidInputError(
-                "need lam >= 0, gamma >= 0, H >= 0, eps > 0"
-            )
-
-    def as_dict(self):
-        return asdict(self)
+        if self.gamma < 0 or self.H < 0:
+            raise InvalidInputError("need gamma >= 0, H >= 0")
 
 
 def build_kernel_blocks(config: KernelConfig, graph=None, X_train=None) -> List[np.ndarray]:
@@ -96,17 +88,7 @@ def kernel_reconstructor(K_cross, K_S, lam):
     return solve_spd(A, np.asarray(K_cross, dtype=float).T).T
 
 
-def _cg_reconstructor(K_cross, K_S, lam, eps):
-    A = K_S + lam * np.eye(K_S.shape[0])
-    A, _ = stabilize_spd(A)
-    rows = []
-    for row in np.atleast_2d(K_cross):
-        rows.append(conjugate_gradient(A, row, tol=eps))
-    return np.vstack(rows)
-
-
-def criterion_kernel(cov_blocks: CovarianceBlocks, kb, I, lam, H,
-                     use_cg=False, eps=1e-10):
+def criterion_kernel(cov_blocks: CovarianceBlocks, kb, I, lam, H):
     """tr(Sigma_I - 2 beta Theta^T + Theta alpha Theta^T).
 
     alpha and beta are the data Gram blocks for I; Theta is the kernel
@@ -119,10 +101,7 @@ def criterion_kernel(cov_blocks: CovarianceBlocks, kb, I, lam, H,
         raise InvalidInputError("I must be a nonempty proper subset")
     alpha, beta = lag_stack(cov_blocks.gammas, I, Ic, H)
     K_S, K_cross = lag_stack(kb, I, Ic, H)
-    if use_cg:
-        theta = _cg_with_fallback(K_cross, K_S, lam, eps)
-    else:
-        theta = kernel_reconstructor(K_cross, K_S, lam)
+    theta = kernel_reconstructor(K_cross, K_S, lam)
     sigma_I = cov_blocks.sigma[np.ix_(I, I)]
     return float(
         np.trace(sigma_I)
@@ -131,25 +110,13 @@ def criterion_kernel(cov_blocks: CovarianceBlocks, kb, I, lam, H,
     )
 
 
-def _cg_with_fallback(K_cross, K_S, lam, eps):
-    try:
-        return _cg_reconstructor(K_cross, K_S, lam, eps)
-    except ConvergenceError as err:
-        warnings.warn(
-            f"conjugate gradient did not converge ({err}); using direct solve"
-        )
-        return kernel_reconstructor(K_cross, K_S, lam)
-
-
 def greedy_select_kernel(cov_blocks: CovarianceBlocks, kb, p,
-                         lam=0.0, H=0, eps=1e-8, use_cg=False,
-                         hyperparams=None) -> SelectionResult:
+                         lam=0.0, H=0) -> SelectionResult:
     """Greedy selection under the kernel ridge criterion.
 
     The loop of the linear method; the value of a candidate i given the
     remaining sensors S swaps the least-squares map for Theta_lambda(i)
-    computed from the kernel Gram blocks kb (by conjugate gradient when
-    use_cg is set).
+    computed from the kernel Gram blocks kb.
     """
     n = cov_blocks.n
     if not (1 <= p < n):
@@ -161,19 +128,12 @@ def greedy_select_kernel(cov_blocks: CovarianceBlocks, kb, p,
     def value(i, S):
         alpha, beta = lag_stack(gammas, [i], S, H)
         K_S, K_cross = lag_stack(kb, [i], S, H)
-        if use_cg:
-            theta = _cg_with_fallback(K_cross, K_S, lam, eps)
-        else:
-            theta = kernel_reconstructor(K_cross, K_S, lam)
-        th = theta.ravel()
+        th = kernel_reconstructor(K_cross, K_S, lam).ravel()
         return float(gammas[0][i, i] - 2.0 * (beta[0] @ th) + th @ alpha @ th)
 
     order, step_values = greedy(n, p, value)
     method = "kernel-h0" if H == 0 else "kernel-h"
-    hp = {"H": H, "lambda": lam, "eps": eps, "use_cg": bool(use_cg)}
-    if hyperparams:
-        hp.update(hyperparams)
-    return SelectionResult(method, hp, order, step_values)
+    return SelectionResult(method, {"H": H, "lambda": lam}, order, step_values)
 
 
 def fit_predict_kernel(cov_blocks: CovarianceBlocks, kb, I, lam, H=0

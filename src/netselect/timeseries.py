@@ -192,8 +192,9 @@ def interpolate_hourly(records, kept) -> PanelSeries:
 
     The grid spans from the 0.995 quantile of per-station start moments
     to the 0.005 quantile of per-station end moments, so nearly every
-    station covers the whole interval. Values are bikes / max_bikes,
-    linearly interpolated and clamped to [0, 1].
+    station covers the whole interval; one that does not is held flat
+    past its first or last record, with a warning. Values are
+    bikes / max_bikes, linearly interpolated and clamped to [0, 1].
     """
     if not kept:
         raise IntervalError("no stations to interpolate")
@@ -217,6 +218,10 @@ def interpolate_hourly(records, kept) -> PanelSeries:
             warnings.warn(f"station {station} has fewer than 2 records, dropped")
             continue
         moments = np.array([m for (m, _, _) in recs])
+        outside = int((stamps < moments[0]).sum() + (stamps > moments[-1]).sum())
+        if outside:
+            warnings.warn(f"station {station} has no records for {outside} "
+                          f"grid hours, flat-extrapolated")
         levels = np.array([b for (_, b, _) in recs]) / max_bikes
         series = np.interp(stamps.astype(float), moments, levels)
         rows.append(np.clip(series, 0.0, 1.0))

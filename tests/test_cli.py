@@ -1,11 +1,15 @@
 """End-to-end command line runs: ingest, select, evaluate, exit codes."""
 
+import argparse
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from netselect.cli import main
+from netselect.cli import _build_parser, main
 from netselect.evaluation import default_p
 from netselect.select_linear import SelectionResult
 from netselect.timeseries import HOUR, PanelSeries, write_panel
@@ -61,6 +65,35 @@ def test_ingest_keeps_only_clean_stations(tmp_path, capsys):
     out2 = tmp_path / "run2"
     assert main(["ingest", str(raw), "--out-dir", str(out2)]) == 0
     assert (out1 / "panel.csv").read_bytes() == (out2 / "panel.csv").read_bytes()
+
+
+def _readme_commands():
+    """Every `netselect ...` command line in the README's shell blocks."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"),
+                            flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("netselect "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_use_only_existing_flags():
+    # a deleted option must not linger in the documented examples
+    parser = _build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"ingest", "select", "evaluate"}
+    for argv in commands:
+        known = set(subparsers.choices[argv[0]]._option_string_actions)
+        flags = [tok for tok in argv if tok.startswith("--")]
+        assert flags, argv
+        unknown = [flag for flag in flags if flag not in known]
+        assert not unknown, f"netselect {argv[0]} does not accept {unknown}"
+        parser.parse_args(argv)
 
 
 def test_ingest_missing_file_is_input_error(tmp_path, capsys):

@@ -5,11 +5,12 @@ import pytest
 
 from netselect.errors import ConvergenceError, InvalidInputError, SingularMatrixError
 from netselect.numerics import (
+    JITTER_SIZE,
+    JITTER_TRIGGER,
     check_symmetric,
     conjugate_gradient,
     power_method,
     solve_spd,
-    stabilize_spd,
     sym_eig,
 )
 
@@ -63,8 +64,7 @@ def test_solve_spd_rejects_indefinite():
     A = np.diag([1.0, -2.0, 3.0])
     with pytest.raises(SingularMatrixError) as exc:
         solve_spd(A, np.ones(3))
-    assert exc.value.min_eigenvalue is not None
-    assert exc.value.min_eigenvalue < 0
+    assert exc.value.min_eigenvalue == -2.0
 
 
 def test_solve_spd_handles_singular_psd_with_consistent_rhs():
@@ -75,11 +75,59 @@ def test_solve_spd_handles_singular_psd_with_consistent_rhs():
     assert np.allclose(A @ x, b, atol=1e-6)
 
 
-def test_stabilize_spd_reports_min_eigenvalue():
-    A = np.diag([0.0, 1.0, 2.0])
-    stabilized, min_eig = stabilize_spd(A)
-    assert min_eig == 0.0
-    assert stabilized[0, 0] > 0
+def _reference_solve_spd(A, B):
+    """The jitter policy decided by a full eigensolve, then a dense solve.
+
+    Returns (X, jittered).
+    """
+    A = check_symmetric(A)
+    n = A.shape[0]
+    scale = np.trace(A) / n
+    jittered = bool(np.linalg.eigvalsh(A)[0] < JITTER_TRIGGER * scale)
+    if jittered:
+        A = A + (JITTER_SIZE * scale) * np.eye(n)
+    return np.linalg.solve(A, np.asarray(B, dtype=float)), jittered
+
+
+def _with_min_eigenvalue(rng, n, factor):
+    """SPD matrix whose smallest eigenvalue is factor * tau, where
+    tau = JITTER_TRIGGER * trace/n."""
+    values = rng.uniform(1.0, 2.0, size=n)
+    values[0] = factor * JITTER_TRIGGER * values[1:].sum() / n
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    A = Q @ np.diag(values) @ Q.T
+    return (A + A.T) / 2.0
+
+
+def _jitter_cases(rng, n):
+    """(name, matrix, whether the jitter policy must fire)."""
+    Y = rng.normal(size=(n, max(1, n // 2)))
+    rank_deficient = Y @ Y.T / Y.shape[1]
+    Z = rng.normal(size=(n, 2 * n))
+    full = Z @ Z.T / Z.shape[1]
+    twin = list(range(n - 1)) + [0]
+    cases = [("zero eigenvalue", np.diag(np.arange(float(n))), True),
+             ("rank-deficient", rank_deficient, True),
+             ("duplicated row and column", full[np.ix_(twin, twin)], True),
+             ("full rank", full, False),
+             ("min eigenvalue 0.1 tau", _with_min_eigenvalue(rng, n, 0.1), True),
+             ("min eigenvalue 10 tau", _with_min_eigenvalue(rng, n, 10.0), False)]
+    for c in (1e-8, 1e8):
+        cases += [(f"rank-deficient x {c:g}", c * rank_deficient, True),
+                  (f"full rank x {c:g}", c * full, False)]
+    return cases
+
+
+def test_solve_spd_matches_eigvalsh_jitter_reference():
+    # one Cholesky of A - tau Id decides the jitter exactly where the
+    # smallest eigenvalue did, and the final solve is the same
+    rng = np.random.default_rng(0)
+    for n in (3, 50, 200):
+        for name, A, jitter in _jitter_cases(rng, n):
+            B = rng.normal(size=(n, 2))
+            ref, jittered = _reference_solve_spd(A, B)
+            assert jittered == jitter, (n, name)
+            assert np.array_equal(solve_spd(A, B), ref), (n, name)
 
 
 def test_conjugate_gradient_matches_direct():

@@ -119,6 +119,24 @@ def test_interpolate_hourly_grid_and_clamp():
     assert np.all(panel.values <= 1.0)
 
 
+def test_interpolate_hourly_warns_on_flat_extrapolation():
+    # 200 stations span hours 0..20; with them the grid quantiles land on
+    # 0 and 20 h, so "late" (first record at 5 h) is held flat for hours
+    # 0..4 and "early" (last record at 17 h) for hours 18..20
+    full = [(0.0, 5.0, 5.0), (20 * HOUR, 5.0, 5.0)]
+    records = {f"s{k:03d}": full for k in range(200)}
+    records["late"] = [(5 * HOUR, 5.0, 5.0), (20 * HOUR, 5.0, 5.0)]
+    records["early"] = [(0.0, 5.0, 5.0), (17 * HOUR, 5.0, 5.0)]
+    kept = [(s, 10.0) for s in sorted(records)]
+    with pytest.warns(UserWarning) as caught:
+        panel = interpolate_hourly(records, kept)
+    assert panel.t_total == 21
+    assert sorted(str(w.message) for w in caught) == [
+        "station early has no records for 3 grid hours, flat-extrapolated",
+        "station late has no records for 5 grid hours, flat-extrapolated",
+    ]
+
+
 def test_weekly_profile_round_trip():
     rng = np.random.default_rng(1)
     T = 2 * WEEK_HOURS + 50

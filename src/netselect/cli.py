@@ -68,6 +68,16 @@ from .timeseries import (
 
 METHODS = ("linear", "kernel", "gcn-dropout", "gcn-mask")
 LAPLACIANS = ("combinatorial", "normalized")
+GRAPH_KERNELS = ("laplacian", "spatial-temporal", "rbf")
+# selection.json hyperparams evaluate rebuilds a method from, by method
+# family; select writes all of them
+_COMMON_KEYS = ("n", "split", "standardize", "H")
+EVALUATE_KEYS = {
+    "linear": _COMMON_KEYS,
+    "kernel": _COMMON_KEYS + ("kernel", "gamma", "lambda", "k0", "k1"),
+    "gcn": _COMMON_KEYS + ("k0", "k1", "laplacian", "cheb_order", "f_out",
+                           "fc_sizes"),
+}
 
 
 def _int_list(text):
@@ -111,15 +121,39 @@ def _laplacian(graph, tag):
     return combinatorial_laplacian(graph)
 
 
-def _prepare_panel(args):
-    """Shared select/evaluate front end: read, split, optionally standardize."""
-    panel = read_panel(args.panel)
-    split = _resolve_split(args, panel.t_total)
-    if args.standardize:
-        model = fit_weekly_profile(panel, split)
-        panel_p = apply_preprocess(panel, model)
-        return panel, panel_p.values, split
-    return panel, panel.values, split
+def _panel_matrix(panel, split, standardize):
+    """Panel values, with the weekly profile fitted on the training rows
+    removed when standardize is set."""
+    if standardize:
+        return apply_preprocess(panel, fit_weekly_profile(panel, split)).values
+    return panel.values
+
+
+def _needs_graph(method, hp):
+    """Whether a method (select's --method or a stored tag) uses the graph."""
+    return method.startswith("gcn") or (
+        method.startswith("kernel") and hp["kernel"] in GRAPH_KERNELS
+    )
+
+
+def _kernel_blocks(hp, X_train, graph):
+    """Data covariance blocks and kernel Gram blocks for the kernel in hp."""
+    H = hp["H"]
+    cov = estimate_blocks(X_train, H)
+    kcfg = KernelConfig(kernel=hp["kernel"], gamma=hp["gamma"], H=H)
+    return cov, build_kernel_blocks(kcfg, graph=graph, X_train=X_train)
+
+
+def _gcn_spectrum(hp, graph):
+    """EigenPair of the rescaled Laplacian the ChebNet filters in."""
+    L = _laplacian(graph, hp["laplacian"])
+    return sym_eig(scale_laplacian(L, power_method(L).value))
+
+
+def _chebnet(hp, out_dim):
+    return ChebNetConfig(n=hp["n"], cheb_order=hp["cheb_order"],
+                         f_out=hp["f_out"], fc_sizes=tuple(hp["fc_sizes"]),
+                         out_dim=out_dim, h=hp["H"])
 
 
 def _geojson(result: SelectionResult, sensor_ids, coords):
@@ -168,15 +202,9 @@ def cmd_ingest(args):
     return 0
 
 
-def _select_kernel_cmd(args, X, split, graph, p):
-    H = args.H
-    gamma = args.gamma
-    if gamma is None:
-        gamma = gamma_grid(H, args.r_s) if H > 0 else 0.0
-    X_train = X[:, :split.t_tv]
-    cov = estimate_blocks(X_train, H)
-    kcfg = KernelConfig(kernel=args.kernel, gamma=gamma, H=H, r=args.r)
-    kb = build_kernel_blocks(kcfg, graph=graph, X_train=X_train)
+def _select_kernel_cmd(args, hp, X, split, graph):
+    H, p = hp["H"], hp["p"]
+    cov, kb = _kernel_blocks(hp, X[:, :split.t_tv], graph)
 
     if args.lam is not None:
         lam_list = [args.lam]
@@ -197,11 +225,8 @@ def _select_kernel_cmd(args, X, split, graph, p):
         gs = grid_search(run, lam_list, X, split)
         result, lam_star, val_error = gs.result, gs.config, gs.val_error
     extras = {
-        "kernel": args.kernel,
-        "gamma": gamma,
         "lambda": float(lam_star),
         "lambda_grid": [float(v) for v in lam_list],
-        "r": args.r,
     }
     if val_error is not None:
         extras["validation_error"] = val_error
@@ -209,40 +234,45 @@ def _select_kernel_cmd(args, X, split, graph, p):
 
 
 def cmd_select(args):
-    panel, X, split = _prepare_panel(args)
+    panel = read_panel(args.panel)
+    split = _resolve_split(args, panel.t_total)
+    X = _panel_matrix(panel, split, args.standardize)
     n = X.shape[0]
     p = args.p if args.p is not None else default_p(n)
     coords = _align_coords(panel, args.coords)
 
-    needs_graph = args.method in ("gcn-dropout", "gcn-mask") or (
-        args.method == "kernel"
-        and args.kernel in ("laplacian", "spatial-temporal", "rbf")
-    )
-    graph = build_knn_graph(coords, args.k0, args.k1) if needs_graph else None
+    # every setting evaluate rebuilds the method from (EVALUATE_KEYS)
+    hp = {
+        "n": n,
+        "p": p,
+        "H": args.H,
+        "seed": args.seed,
+        "standardize": bool(args.standardize),
+        "split": [split.t_tv, split.t0, split.t1],
+        "k0": args.k0,
+        "k1": args.k1,
+    }
+    if args.method == "kernel":
+        hp["kernel"] = args.kernel
+        hp["gamma"] = gamma_grid(args.H, args.r_s) if args.H > 0 else 0.0
+    elif args.method != "linear":
+        hp.update(laplacian=args.laplacian, cheb_order=args.cheb_order,
+                  f_out=args.f_out, fc_sizes=_int_list(args.fc_sizes))
+    graph = None
+    if _needs_graph(args.method, hp):
+        graph = build_knn_graph(coords, hp["k0"], hp["k1"])
 
     scores = None
     mask_path_values = None
+    extras = {}
     if args.method == "linear":
         blocks = estimate_blocks(X[:, :split.t_tv], args.H)
         result = greedy_select_linear(blocks, p, H=args.H)
-        extras = {}
     elif args.method == "kernel":
-        result, extras = _select_kernel_cmd(args, X, split, graph, p)
+        result, extras = _select_kernel_cmd(args, hp, X, split, graph)
     else:
-        L = _laplacian(graph, args.laplacian)
-        spectrum = sym_eig(scale_laplacian(L, power_method(L).value))
-        net = ChebNetConfig(n=n, cheb_order=args.cheb_order, f_out=args.f_out,
-                            fc_sizes=tuple(_int_list(args.fc_sizes)),
-                            out_dim=n, h=args.H)
-        extras = {
-            "laplacian": args.laplacian,
-            "cheb_order": args.cheb_order,
-            "f_out": args.f_out,
-            "fc_sizes": _int_list(args.fc_sizes),
-            "lr": args.lr,
-            "batch_size": args.batch_size,
-            "max_epoch": args.max_epoch,
-        }
+        spectrum = _gcn_spectrum(hp, graph)
+        net = _chebnet(hp, n)
         if args.method == "gcn-dropout":
             tc = TrainConfig(optimizer="gd", lr=args.lr,
                              batch_size=args.batch_size,
@@ -250,7 +280,6 @@ def cmd_select(args):
                              early_stop="five-epoch-mean", seed=args.seed)
             scores, result, _ = train_selection_dropout(
                 X, split, spectrum, p, net, tc, measure=args.measure)
-            extras["measure"] = scores.measure
         else:
             tc = TrainConfig(optimizer="adam", lr=args.lr,
                              batch_size=args.batch_size,
@@ -261,22 +290,9 @@ def cmd_select(args):
                                         args.mask_lambda_count))
             result, mask_path_values = train_selection_masking(
                 X, split, spectrum, p, lam_grid, args.eps0, net, tc)
-            extras["eps0"] = args.eps0
-            extras["mask_lambda_grid"] = [float(v) for v in lam_grid]
 
     result.hyperparams.update(extras)
-    result.hyperparams.update(
-        {
-            "n": n,
-            "p": p,
-            "H": args.H,
-            "seed": args.seed,
-            "standardize": bool(args.standardize),
-            "split": [split.t_tv, split.t0, split.t1],
-            "k0": args.k0,
-            "k1": args.k1,
-        }
-    )
+    result.hyperparams.update(hp)
 
     os.makedirs(args.out_dir, exist_ok=True)
     sel_path = os.path.join(args.out_dir, "selection.json")
@@ -304,48 +320,25 @@ def cmd_select(args):
     return 0
 
 
-def _evaluate_fit_fn(args, sel, X, split, panel):
+def _evaluate_fit_fn(args, sel, X, split, graph):
     """Reconstructor factory for the stored method, reused for baselines."""
     hp = sel.hyperparams
-    H = int(hp.get("H", 0))
+    H = hp["H"]
     X_train = X[:, :split.t_tv]
     if sel.method.startswith("linear"):
         blocks = estimate_blocks(X_train, H)
         return lambda I: fit_predict_linear(blocks, I, H)
     if sel.method.startswith("kernel"):
-        kcfg = KernelConfig(kernel=hp.get("kernel", "autocovariance"),
-                            gamma=float(hp.get("gamma", 0.0)),
-                            H=H, r=hp.get("r", "pinv"))
-        graph = None
-        if kcfg.kernel in ("laplacian", "spatial-temporal", "rbf"):
-            if args.coords is None:
-                raise InvalidInputError(
-                    f"--coords is required to rebuild the {kcfg.kernel} kernel"
-                )
-            coords = _align_coords(panel, args.coords)
-            graph = build_knn_graph(coords, int(hp.get("k0", 20)),
-                                    int(hp.get("k1", 7)))
-        kb = build_kernel_blocks(kcfg, graph=graph, X_train=X_train)
-        cov = estimate_blocks(X_train, H)
-        lam = float(hp.get("lambda", 0.0))
-        return lambda I: fit_predict_kernel(cov, kb, I, lam, H)
+        cov, kb = _kernel_blocks(hp, X_train, graph)
+        return lambda I: fit_predict_kernel(cov, kb, I, hp["lambda"], H)
     # gcn: retrain the prediction network for each requested set
-    if args.coords is None:
-        raise InvalidInputError("--coords is required for gcn evaluation")
-    coords = _align_coords(panel, args.coords)
-    graph = build_knn_graph(coords, int(hp.get("k0", 20)), int(hp.get("k1", 7)))
-    L = _laplacian(graph, hp.get("laplacian", "combinatorial"))
-    spectrum = sym_eig(scale_laplacian(L, power_method(L).value))
-    n = X.shape[0]
+    spectrum = _gcn_spectrum(hp, graph)
     tc = TrainConfig(optimizer="adam", lr=args.lr, batch_size=args.batch_size,
                      max_epoch=args.max_epoch, early_stop="two-epoch-mean",
                      seed=args.seed)
 
     def fit(I):
-        net = ChebNetConfig(n=n, cheb_order=int(hp.get("cheb_order", 50)),
-                            f_out=int(hp.get("f_out", 16)),
-                            fc_sizes=tuple(hp.get("fc_sizes", [128, 500, 64])),
-                            out_dim=len(I), h=H)
+        net = _chebnet(hp, len(I))
         params, _ = train_prediction_net(X, split, spectrum, I, net, tc)
         return NetReconstructor(params, net, spectrum, list(I))
 
@@ -357,29 +350,35 @@ def cmd_evaluate(args):
     with open(args.selection, encoding="utf-8") as fh:
         sel = SelectionResult.from_json(fh.read())
     hp = sel.hyperparams
+    missing = [k for k in EVALUATE_KEYS[sel.method.split("-")[0]] if k not in hp]
+    if missing:
+        raise InvalidInputError(
+            f"selection hyperparams lack {', '.join(map(repr, missing))}; "
+            f"rerun select to write them"
+        )
     n = panel.n
-    if "n" in hp and int(hp["n"]) != n:
+    if hp["n"] != n:
         raise PartitionError(
             f"selection was made for {hp['n']} sensors, panel has {n}"
         )
     if any(i >= n for i in sel.order):
         raise PartitionError(f"selection order {sel.order} exceeds panel size {n}")
+    split = Split(*[int(v) for v in hp["split"]])
+    if split.t1 != panel.t_total:
+        raise PartitionError(
+            f"stored split covers {split.t1} hours, panel has {panel.t_total}"
+        )
+    X = _panel_matrix(panel, split, hp["standardize"])
 
-    if "split" in hp:
-        split = Split(*[int(v) for v in hp["split"]])
-        if split.t1 != panel.t_total:
-            raise PartitionError(
-                f"stored split covers {split.t1} hours, panel has {panel.t_total}"
+    graph = None
+    if _needs_graph(sel.method, hp):
+        if args.coords is None:
+            raise InvalidInputError(
+                f"--coords is required to rebuild the graph of {sel.method}"
             )
-    else:
-        split = _resolve_split(args, panel.t_total)
-    if hp.get("standardize", False):
-        model = fit_weekly_profile(panel, split)
-        X = apply_preprocess(panel, model).values
-    else:
-        X = panel.values
-
-    fit_fn = _evaluate_fit_fn(args, sel, X, split, panel)
+        graph = build_knn_graph(_align_coords(panel, args.coords),
+                                hp["k0"], hp["k1"])
+    fit_fn = _evaluate_fit_fn(args, sel, X, split, graph)
     rec = fit_fn(sel.order)
     mse = test_mse(rec, X, sel.order, split)
     base = random_baseline(fit_fn, X, len(sel.order), split,
@@ -408,15 +407,6 @@ def cmd_evaluate(args):
     return 0
 
 
-def _add_split_flags(sub):
-    sub.add_argument("--split", default=None,
-                     help="train,val,test sizes in hours (must sum to T)")
-    sub.add_argument("--val-frac", type=float, default=0.05)
-    sub.add_argument("--test-frac", type=float, default=0.15)
-    sub.add_argument("--standardize", action="store_true",
-                     help="remove the weekly profile and scale by train std")
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="netselect",
@@ -442,13 +432,10 @@ def _build_parser():
     slc.add_argument("--H", type=int, default=0, help="input history length")
     slc.add_argument("--lambda", dest="lam", type=float, default=None,
                      help="ridge strength; default searches the a_i grid")
-    slc.add_argument("--gamma", type=float, default=None,
-                     help="temporal decay; default -ln(r_s)/H^2")
     slc.add_argument("--r-s", type=float, default=0.5,
-                     help="target temporal kernel value at lag H")
+                     help="target temporal kernel value at lag H; sets the "
+                          "decay -ln(r_s)/H^2")
     slc.add_argument("--kernel", choices=KERNEL_TAGS, default="laplacian")
-    slc.add_argument("--r", default="pinv",
-                     help="spectral map for the laplacian kernel")
     slc.add_argument("--seed", type=int, default=0)
     slc.add_argument("--k0", type=int, default=20)
     slc.add_argument("--k1", type=int, default=7)
@@ -465,7 +452,12 @@ def _build_parser():
     slc.add_argument("--mask-lambda-count", type=int, default=20)
     slc.add_argument("--eps0", type=float, default=0.01)
     slc.add_argument("--out-dir", default=".")
-    _add_split_flags(slc)
+    slc.add_argument("--split", default=None,
+                     help="train,val,test sizes in hours (must sum to T)")
+    slc.add_argument("--val-frac", type=float, default=0.05)
+    slc.add_argument("--test-frac", type=float, default=0.15)
+    slc.add_argument("--standardize", action="store_true",
+                     help="remove the weekly profile and scale by train std")
     slc.set_defaults(func=cmd_select)
 
     ev = sub.add_parser("evaluate", help="score a stored selection on test rows")
@@ -479,7 +471,6 @@ def _build_parser():
     ev.add_argument("--batch-size", type=int, default=1000)
     ev.add_argument("--max-epoch", type=int, default=50)
     ev.add_argument("--out-dir", default=".")
-    _add_split_flags(ev)
     ev.set_defaults(func=cmd_evaluate)
     return parser
 

@@ -144,13 +144,13 @@ def gamma_grid(H: int, r_s: float = 0.5) -> float:
     return -math.log(r_s) / H ** 2
 
 
-def lambda_grid(lambda_max: float, coefficients=LAMBDA_COEFFICIENTS) -> List[float]:
+def lambda_grid(lambda_max: float) -> List[float]:
     """Ridge grid lambda_i = a_i * lambda_max."""
     if lambda_max < 0:
         raise InvalidInputError("lambda_max must be nonnegative")
     if lambda_max == 0:
         warnings.warn("lambda_max is 0; the ridge grid collapses to all zeros")
-    return [float(a) * float(lambda_max) for a in coefficients]
+    return [float(a) * float(lambda_max) for a in LAMBDA_COEFFICIENTS]
 
 
 class GridSearchResult(NamedTuple):
@@ -257,7 +257,7 @@ def synth_generate(graph: SensorGraph, T: int, model: str = "var1", seed: int = 
     if not (0.0 <= ar_coef < 1.0):
         raise InvalidInputError("ar_coef must lie in [0, 1) for stationarity")
     spec = graph_spectrum(combinatorial_laplacian(graph))
-    modes = spec.eig.vectors[:, :n_modes]
+    modes = spec.vectors[:, :n_modes]
     coef = np.zeros((n_modes, BURN_IN + T))
     c = np.zeros(n_modes)
     for t in range(BURN_IN + T):
@@ -277,11 +277,10 @@ def synth_generate(graph: SensorGraph, T: int, model: str = "var1", seed: int = 
     return _hourly_panel(X)
 
 
-def summary_table_csv(reports: List[EvalReport], path, horizons=None):
-    """Summary grid, methods down the rows and horizons across the
-    columns, each cell "test (baseline)"."""
-    if horizons is None:
-        horizons = sorted({int(r.hyperparams.get("H", 0)) for r in reports})
+def summary_table_csv(reports: List[EvalReport], path):
+    """Summary grid, methods down the rows and the horizons of the
+    reports across the columns, each cell "test (baseline)"."""
+    horizons = sorted({int(r.hyperparams.get("H", 0)) for r in reports})
     cells: Dict[Tuple[str, int], EvalReport] = {}
     for r in reports:
         key = (r.method, int(r.hyperparams.get("H", 0)))

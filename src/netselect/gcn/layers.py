@@ -14,6 +14,8 @@ import numpy as np
 
 from ..errors import InvalidInputError
 
+LEAKY_ALPHA = 0.2  # negative-side slope of the hidden FC activations
+
 
 def elu(x):
     """exp(x) - 1 for x < 0, identity otherwise."""
@@ -41,7 +43,6 @@ class ChebNetConfig:
     fc_sizes: Tuple[int, ...] # hidden widths after flatten
     out_dim: int              # p (prediction net) or n (selection nets)
     h: int = 0                # input lag depth; input channels = h + 1
-    leaky_alpha: float = 0.2
 
     def __post_init__(self):
         if self.cheb_order < 0:
@@ -50,8 +51,6 @@ class ChebNetConfig:
             raise InvalidInputError("n, f_out, out_dim must be >= 1")
         if any(w < 1 for w in self.fc_sizes):
             raise InvalidInputError("fc widths must be >= 1")
-        if not (0 < self.leaky_alpha < 1):
-            raise InvalidInputError("leaky_alpha must be in (0, 1)")
         if self.h < 0:
             raise InvalidInputError("h must be >= 0")
 
@@ -181,7 +180,7 @@ def forward_batch(Xb, params: ChebNetParams, config: ChebNetConfig, spectrum,
     for m in range(n_hidden):
         u = f @ params.fc_weights[m].T + params.fc_biases[m]
         pre_acts.append(u)
-        f = leaky_relu(u, config.leaky_alpha)
+        f = leaky_relu(u, LEAKY_ALPHA)
         feats.append(f)
     out = f @ params.fc_weights[-1].T + params.fc_biases[-1]
     if not want_cache:
@@ -208,7 +207,7 @@ def backward_batch(dout, cache, params: ChebNetParams, config: ChebNetConfig,
     grads.fc_biases[-1] = df.sum(axis=0)
     df = df @ params.fc_weights[-1]
     for m in range(len(params.fc_weights) - 2, -1, -1):
-        du = df * leaky_relu_grad(pre_acts[m], config.leaky_alpha)
+        du = df * leaky_relu_grad(pre_acts[m], LEAKY_ALPHA)
         grads.fc_weights[m] = du.T @ feats[m]
         grads.fc_biases[m] = du.sum(axis=0)
         df = du @ params.fc_weights[m]
@@ -228,22 +227,15 @@ def backward_batch(dout, cache, params: ChebNetParams, config: ChebNetConfig,
 
 
 def net_backward(x_input, target, params: ChebNetParams, config: ChebNetConfig,
-                 spectrum, out_mask=None):
+                 spectrum):
     """Loss and parameter gradients for one sample.
 
-    Loss is sum_j m_j (out_j - target_j)^2 with m the optional output
-    mask (default all ones). Returns (loss, grads).
+    Loss is sum_j (out_j - target_j)^2. Returns (loss, grads).
     """
     Xb = np.asarray(x_input, dtype=float)[None]
     target = np.asarray(target, dtype=float)[None]
     out, cache = forward_batch(Xb, params, config, spectrum, want_cache=True)
     resid = out - target
-    if out_mask is None:
-        weighted = resid
-        loss = float(np.sum(resid ** 2))
-    else:
-        m = np.asarray(out_mask, dtype=float)[None]
-        weighted = m * resid
-        loss = float(np.sum(m * resid ** 2))
-    grads, _ = backward_batch(2.0 * weighted, cache, params, config, spectrum)
+    loss = float(np.sum(resid ** 2))
+    grads, _ = backward_batch(2.0 * resid, cache, params, config, spectrum)
     return loss, grads

@@ -258,7 +258,7 @@ def train_selection_masking(X, split: Split, spectrum, p, lam_grid, eps0,
         {
             "p": p,
             "eps0": eps0,
-            "lambda_grid": lam_grid,
+            "mask_lambda_grid": lam_grid,
             "lr": train_config.lr,
             "batch_size": train_config.batch_size,
             "max_epoch": train_config.max_epoch,

@@ -23,6 +23,7 @@ from .layers import (
 
 OPTIMIZERS = ("adam", "gd")
 EARLY_STOP_RULES = ("none", "two-epoch-mean", "five-epoch-mean")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -55,11 +56,8 @@ class _GD:
 
 
 class _Adam:
-    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = None
         self.v = None
@@ -69,13 +67,13 @@ class _Adam:
             self.m = [np.zeros_like(t) for t in tensors]
             self.v = [np.zeros_like(t) for t in tensors]
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for k, (t, g) in enumerate(zip(tensors, grads)):
             self.m[k] = b1 * self.m[k] + (1 - b1) * g
             self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
             m_hat = self.m[k] / (1 - b1 ** self.t)
             v_hat = self.v[k] / (1 - b2 ** self.t)
-            t -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            t -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def make_optimizer(cfg: TrainConfig):

@@ -9,7 +9,7 @@ elementwise max and the result must be connected.
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Union
+from typing import List
 
 import numpy as np
 
@@ -58,11 +58,6 @@ class SensorGraph:
         return int(np.count_nonzero(np.triu(self.adjacency, k=1)))
 
 
-class GraphSpectrum(NamedTuple):
-    laplacian: np.ndarray
-    eig: EigenPair
-
-
 def connected_components(adjacency):
     """Connected components of a nonnegative adjacency matrix, as sorted lists."""
     n = adjacency.shape[0]
@@ -85,7 +80,7 @@ def connected_components(adjacency):
     return comps
 
 
-def build_knn_graph(coords, k0, k1, zero_distance_floor=None) -> SensorGraph:
+def build_knn_graph(coords, k0, k1) -> SensorGraph:
     """Self-tuning kNN graph over sensor coordinates.
 
     Parameters
@@ -93,10 +88,8 @@ def build_knn_graph(coords, k0, k1, zero_distance_floor=None) -> SensorGraph:
     coords : (n, 2) array of (lat, lon); distances are plain Euclidean
         on the raw pairs.
     k0 : neighbors per node.
-    k1 : index of the neighbor whose distance sets the local scale sigma.
-    zero_distance_floor : optional floor applied to all pairwise
-        distances; without it, coincident coordinates raise
-        DegenerateScaleError.
+    k1 : index of the neighbor whose distance sets the local scale sigma;
+        coincident coordinates that make it zero raise DegenerateScaleError.
     """
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != 2:
@@ -109,9 +102,6 @@ def build_knn_graph(coords, k0, k1, zero_distance_floor=None) -> SensorGraph:
 
     diff = coords[:, None, :] - coords[None, :, :]
     dist = np.sqrt((diff ** 2).sum(axis=2))
-    if zero_distance_floor is not None:
-        off = ~np.eye(n, dtype=bool)
-        dist[off] = np.maximum(dist[off], zero_distance_floor)
 
     # stable neighbor order: distance, then index; self excluded
     dist_ranked = dist.copy()
@@ -123,7 +113,7 @@ def build_knn_graph(coords, k0, k1, zero_distance_floor=None) -> SensorGraph:
         if sigma[i] == 0.0:
             raise DegenerateScaleError(
                 f"node {i} has zero distance to its k1-th neighbor "
-                f"(duplicate coordinates); enable zero_distance_floor"
+                f"(duplicate coordinates)"
             )
 
     directed = np.zeros((n, n))
@@ -163,47 +153,22 @@ def normalized_laplacian(g: SensorGraph):
     return (Lsym + Lsym.T) / 2.0
 
 
-def graph_spectrum(laplacian) -> GraphSpectrum:
+def graph_spectrum(laplacian) -> EigenPair:
     """Eigendecomposition of a Laplacian (the graph Fourier basis)."""
-    L = check_symmetric(laplacian, "laplacian")
-    return GraphSpectrum(L, sym_eig(L))
+    return sym_eig(check_symmetric(laplacian, "laplacian"))
 
 
-def _pinv_map(values):
-    # 1/lambda away from the kernel of L, 0 on it (Moore-Penrose inverse)
+def laplacian_kernel(spec: EigenPair):
+    """Kernel K = Phi Lambda^+ Phi^T, the Moore-Penrose pseudoinverse of
+    the Laplacian whose spectrum is spec."""
+    values = spec.values
+    # 1/lambda away from the kernel of L, 0 on it
     cutoff = 1e-10 * max(1.0, float(np.abs(values).max()))
-    out = np.zeros_like(values)
+    inv = np.zeros_like(values)
     nz = np.abs(values) > cutoff
-    out[nz] = 1.0 / values[nz]
-    return out
-
-
-SPECTRAL_MAPS = {"pinv": _pinv_map}
-
-
-def laplacian_kernel(spec: GraphSpectrum, r: Union[str, Callable] = "pinv"):
-    """Kernel K = Phi r(Lambda) Phi^T from a Laplacian spectrum.
-
-    r may be a registered tag or a callable mapping the eigenvalue array
-    to nonnegative values; the default "pinv" gives the Moore-Penrose
-    inverse of the Laplacian.
-    """
-    if isinstance(r, str):
-        try:
-            r_fn = SPECTRAL_MAPS[r]
-        except KeyError:
-            raise InvalidInputError(
-                f"unknown spectral map {r!r}; registered: {sorted(SPECTRAL_MAPS)}"
-            )
-    else:
-        r_fn = r
-    mapped = np.asarray(r_fn(spec.eig.values), dtype=float)
-    if mapped.shape != spec.eig.values.shape:
-        raise InvalidInputError("spectral map changed the eigenvalue count")
-    if np.any(mapped < 0):
-        raise InvalidInputError("spectral map produced negative values")
-    Phi = spec.eig.vectors
-    K = (Phi * mapped[None, :]) @ Phi.T
+    inv[nz] = 1.0 / values[nz]
+    Phi = spec.vectors
+    K = (Phi * inv[None, :]) @ Phi.T
     return (K + K.T) / 2.0
 
 

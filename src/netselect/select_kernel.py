@@ -26,7 +26,6 @@ class KernelConfig:
     kernel: str = "autocovariance"
     gamma: float = 0.0   # RBF decay in the time lag
     H: int = 0
-    r: str = "pinv"      # spectral map for the Laplacian kernel
 
     def __post_init__(self):
         if self.kernel not in KERNEL_TAGS:
@@ -60,7 +59,7 @@ def build_kernel_blocks(config: KernelConfig, graph=None, X_train=None) -> List[
         if graph is None:
             raise InvalidInputError(f"{config.kernel} kernel needs the sensor graph")
         spec = graphmod.graph_spectrum(graphmod.combinatorial_laplacian(graph))
-        K_g = graphmod.laplacian_kernel(spec, config.r)
+        K_g = graphmod.laplacian_kernel(spec)
     else:  # rbf on sensor coordinates, median-heuristic length scale
         if graph is None:
             raise InvalidInputError("rbf kernel needs the sensor graph")
@@ -147,14 +146,3 @@ def fit_predict_kernel(cov_blocks: CovarianceBlocks, kb, I, lam, H=0
     theta = kernel_reconstructor(K_cross, K_S, lam)
     return LinearReconstructor(theta=theta, turned_off=I, kept=Ic, H=H)
 
-
-def lambda_monotonicity_check(cov_blocks: CovarianceBlocks, I, lam_grid, H=0):
-    """Criterion values along a lambda grid under the autocovariance kernel.
-
-    With that kernel the Gram blocks equal the data blocks, so the
-    criterion is monotone nondecreasing in lambda and minimal at 0.
-    """
-    return [
-        criterion_kernel(cov_blocks, cov_blocks.gammas, I, lam, H)
-        for lam in lam_grid
-    ]

@@ -26,6 +26,8 @@ from .timeseries import (
     lagged_design,
 )
 
+EXHAUSTIVE_BUDGET = 2_000_000  # most subsets exhaustive_select will score
+
 METHOD_TAGS = (
     "linear-h0",
     "linear-h",
@@ -46,6 +48,8 @@ class SelectionResult:
     def __post_init__(self):
         if self.method not in METHOD_TAGS:
             raise InvalidInputError(f"unknown method tag {self.method!r}")
+        if not isinstance(self.hyperparams, dict):
+            raise InvalidInputError("hyperparams must be a JSON object")
         if len(set(self.order)) != len(self.order):
             raise InvalidInputError(f"selection order has duplicates: {self.order}")
         if len(self.step_values) != len(self.order):
@@ -67,13 +71,18 @@ class SelectionResult:
 
     @classmethod
     def from_json(cls, text):
-        data = json.loads(text)
-        return cls(
-            method=data["method"],
-            hyperparams=data["hyperparams"],
-            order=[int(i) for i in data["order"]],
-            step_values=[float(v) for v in data["step_values"]],
-        )
+        try:
+            data = json.loads(text)
+            return cls(
+                method=data["method"],
+                hyperparams=data["hyperparams"],
+                order=[int(i) for i in data["order"]],
+                step_values=[float(v) for v in data["step_values"]],
+            )
+        except KeyError as err:
+            raise InvalidInputError(f"selection has no {err.args[0]!r} key") from None
+        except (TypeError, ValueError) as err:
+            raise InvalidInputError(f"malformed selection: {err}") from None
 
 
 def partial_variance(sigma, i, S):
@@ -153,15 +162,17 @@ def greedy_select_linear(blocks: CovarianceBlocks, p, H=0) -> SelectionResult:
     return SelectionResult(method, {"H": H}, order, step_values)
 
 
-def exhaustive_select(criterion: Callable, n, p, budget=2_000_000):
+def exhaustive_select(criterion: Callable, n, p):
     """Global minimizer of a set criterion over all size-p subsets.
 
     Ties are broken lexicographically (combinations order). Raises
-    BudgetError if C(n, p) exceeds the evaluation budget.
+    BudgetError if C(n, p) exceeds EXHAUSTIVE_BUDGET.
     """
     count = math.comb(n, p)
-    if count > budget:
-        raise BudgetError(f"C({n},{p}) = {count} exceeds budget {budget}")
+    if count > EXHAUSTIVE_BUDGET:
+        raise BudgetError(
+            f"C({n},{p}) = {count} exceeds budget {EXHAUSTIVE_BUDGET}"
+        )
     best = None
     best_val = math.inf
     for subset in combinations(range(n), p):

@@ -36,7 +36,6 @@ from netselect.select_kernel import (
     criterion_kernel,
     fit_predict_kernel,
     greedy_select_kernel,
-    lambda_monotonicity_check,
 )
 from netselect.select_linear import (
     criterion_linear_h0,
@@ -189,7 +188,7 @@ def test_criterion_05_lambda_monotonicity():
         blocks = estimate_blocks(X, H)
         p = int(rng.integers(1, n))
         I = sorted(rng.choice(n, size=p, replace=False).tolist())
-        vals = lambda_monotonicity_check(blocks, I, grid, H=H)
+        vals = [criterion_kernel(blocks, blocks.gammas, I, lam, H) for lam in grid]
         for a, b in zip(vals, vals[1:]):
             assert b >= a - 1e-10, f"I={I}: {vals}"
         assert vals[0] <= min(vals) + 1e-10

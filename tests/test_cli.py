@@ -269,3 +269,67 @@ def test_evaluate_records_gcn_prediction_net_settings(tmp_path, capsys):
     assert report["method"] == "gcn-mask"
     assert report["hyperparams"]["prediction_net"] == {
         "lr": 0.01, "batch_size": 64, "max_epoch": 3}
+
+
+_COORDS4 = [[0.0, 0.0], [1.0, 0.2], [0.1, 1.3], [1.2, 1.1]]
+# complete hyperparams of each stored method family, as select writes them
+_STORED = {
+    "linear-h0": {"H": 0, "n": 4, "split": [300, 350, 400], "standardize": False},
+    "kernel-h0": {"H": 0, "n": 4, "split": [300, 350, 400], "standardize": False,
+                  "kernel": "autocovariance", "gamma": 0.0, "lambda": 0.0,
+                  "k0": 2, "k1": 1},
+    "gcn-mask": {"H": 0, "n": 4, "split": [300, 350, 400], "standardize": False,
+                 "k0": 2, "k1": 1, "laplacian": "combinatorial", "cheb_order": 2,
+                 "f_out": 2, "fc_sizes": [4]},
+}
+
+
+@pytest.mark.parametrize("method", sorted(_STORED))
+def test_evaluate_needs_every_stored_setting(tmp_path, capsys, method):
+    # evaluate keeps no defaults of its own: a missing key is an input
+    # error, never a silently different method
+    panel_path = _noiseless_panel(tmp_path)
+    coords_path = tmp_path / "coords.csv"
+    _write_coords(coords_path, [f"s{i:03d}" for i in range(4)], _COORDS4)
+    sel_path = tmp_path / "selection.json"
+    argv = ["evaluate", str(panel_path), str(sel_path), "--coords", str(coords_path),
+            "--baseline-draws", "2", "--max-epoch", "1", "--out-dir", str(tmp_path)]
+    hp = _STORED[method]
+    for key in hp:
+        partial = {k: v for k, v in hp.items() if k != key}
+        sel_path.write_text(SelectionResult(method, partial, [2, 3], [0.0, 0.0])
+                            .to_json(), encoding="utf-8")
+        assert main(argv) == 2, key
+        assert repr(key) in capsys.readouterr().err
+    sel_path.write_text(SelectionResult(method, hp, [2, 3], [0.0, 0.0]).to_json(),
+                        encoding="utf-8")
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["method"] == method
+
+
+def test_evaluate_rejects_malformed_selection(tmp_path, capsys):
+    panel_path = _noiseless_panel(tmp_path)
+    sel_path = tmp_path / "selection.json"
+    argv = ["evaluate", str(panel_path), str(sel_path), "--out-dir", str(tmp_path)]
+    sel_path.write_text("order: [2, 3]\n", encoding="utf-8")
+    assert main(argv) == 2
+    assert "malformed selection" in capsys.readouterr().err
+    _write_selection(sel_path)
+    stored = json.loads(sel_path.read_text())
+    del stored["order"]
+    sel_path.write_text(json.dumps(stored), encoding="utf-8")
+    assert main(argv) == 2
+    assert "'order'" in capsys.readouterr().err
+
+
+def test_evaluate_takes_the_split_from_the_selection_only(tmp_path, capsys):
+    panel_path = _noiseless_panel(tmp_path)
+    sel_path = tmp_path / "selection.json"
+    _write_selection(sel_path)
+    for flag in ("--standardize", "--split", "--val-frac", "--test-frac"):
+        argv = ["evaluate", str(panel_path), str(sel_path),
+                "--out-dir", str(tmp_path), flag]
+        with pytest.raises(SystemExit) as exc:
+            main(argv if flag == "--standardize" else argv + ["0.1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -217,7 +217,7 @@ def test_synth_var1_validation():
 def test_synth_graph_smooth_lives_in_low_modes():
     g = _graph(seed=3)
     panel = synth_generate(g, 300, "graph-smooth", seed=0, noise_std=0.0)
-    modes = graph_spectrum(combinatorial_laplacian(g)).eig.vectors[:, :3]
+    modes = graph_spectrum(combinatorial_laplacian(g)).vectors[:, :3]
     X = panel.values
     resid = X - modes @ (modes.T @ X)
     assert np.max(np.abs(resid)) <= 1e-10

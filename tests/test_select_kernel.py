@@ -18,7 +18,6 @@ from netselect.select_kernel import (
     fit_predict_kernel,
     greedy_select_kernel,
     kernel_reconstructor,
-    lambda_monotonicity_check,
 )
 from netselect.select_linear import criterion_linear_h, greedy_select_linear
 from netselect.timeseries import assemble_blocks, estimate_blocks
@@ -77,7 +76,8 @@ def test_autocovariance_kernel_lambda_zero_matches_linear():
 def test_lambda_monotonicity_single_instance():
     X = _data(seed=2)
     blocks = estimate_blocks(X, 1)
-    vals = lambda_monotonicity_check(blocks, [1, 2], [0.0, 0.01, 0.1, 1.0], H=1)
+    vals = [criterion_kernel(blocks, blocks.gammas, [1, 2], lam, 1)
+            for lam in [0.0, 0.01, 0.1, 1.0]]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     assert vals[0] == min(vals)
 
@@ -85,7 +85,7 @@ def test_lambda_monotonicity_single_instance():
 def test_laplacian_and_spatial_temporal_blocks_agree():
     g = _graph()
     spec = graph_spectrum(combinatorial_laplacian(g))
-    K_g = laplacian_kernel(spec, "pinv")
+    K_g = laplacian_kernel(spec)
     H, gamma = 2, 0.4
     lap = build_kernel_blocks(
         KernelConfig(kernel="laplacian", gamma=gamma, H=H), graph=g)

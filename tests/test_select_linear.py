@@ -138,7 +138,7 @@ def test_selection_result_validation():
 
 def test_exhaustive_budget():
     with pytest.raises(BudgetError, match="exceeds budget"):
-        exhaustive_select(lambda I: 0.0, 30, 15, budget=1000)
+        exhaustive_select(lambda I: 0.0, 30, 15)
 
 
 def test_exhaustive_finds_global_minimum():

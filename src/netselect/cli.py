@@ -7,6 +7,7 @@ byte-identical across reruns. Exit codes: 0 success, 2 input error,
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -77,6 +78,35 @@ EVALUATE_KEYS = {
     "kernel": _COMMON_KEYS + ("kernel", "gamma", "lambda", "k0", "k1"),
     "gcn": _COMMON_KEYS + ("k0", "k1", "laplacian", "cheb_order", "f_out",
                            "fc_sizes"),
+}
+
+
+def _is_int(v, lo):
+    return isinstance(v, int) and not isinstance(v, bool) and v >= lo
+
+
+def _is_nonnegative_number(v):
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v) and v >= 0)
+
+
+# what each EVALUATE_KEYS value must be: (check, description)
+EVALUATE_TYPES = {
+    "n": (lambda v: _is_int(v, 1), "an integer >= 1"),
+    "split": (lambda v: isinstance(v, list) and len(v) == 3
+              and all(_is_int(t, 0) for t in v), "three integers t_tv, t0, t1"),
+    "standardize": (lambda v: isinstance(v, bool), "true or false"),
+    "H": (lambda v: _is_int(v, 0), "an integer >= 0"),
+    "kernel": (lambda v: v in KERNEL_TAGS, f"one of {KERNEL_TAGS}"),
+    "gamma": (_is_nonnegative_number, "a finite number >= 0"),
+    "lambda": (_is_nonnegative_number, "a finite number >= 0"),
+    "k0": (lambda v: _is_int(v, 1), "an integer >= 1"),
+    "k1": (lambda v: _is_int(v, 1), "an integer >= 1"),
+    "laplacian": (lambda v: v in LAPLACIANS, f"one of {LAPLACIANS}"),
+    "cheb_order": (lambda v: _is_int(v, 0), "an integer >= 0"),
+    "f_out": (lambda v: _is_int(v, 1), "an integer >= 1"),
+    "fc_sizes": (lambda v: isinstance(v, list) and all(_is_int(w, 1) for w in v),
+                 "a list of integers >= 1"),
 }
 
 
@@ -350,12 +380,19 @@ def cmd_evaluate(args):
     with open(args.selection, encoding="utf-8") as fh:
         sel = SelectionResult.from_json(fh.read())
     hp = sel.hyperparams
-    missing = [k for k in EVALUATE_KEYS[sel.method.split("-")[0]] if k not in hp]
+    keys = EVALUATE_KEYS[sel.method.split("-")[0]]
+    missing = [k for k in keys if k not in hp]
     if missing:
         raise InvalidInputError(
             f"selection hyperparams lack {', '.join(map(repr, missing))}; "
             f"rerun select to write them"
         )
+    for key in keys:
+        check, wanted = EVALUATE_TYPES[key]
+        if not check(hp[key]):
+            raise InvalidInputError(
+                f"selection hyperparam {key!r} must be {wanted}, got {hp[key]!r}"
+            )
     n = panel.n
     if hp["n"] != n:
         raise PartitionError(
@@ -363,7 +400,7 @@ def cmd_evaluate(args):
         )
     if any(i >= n for i in sel.order):
         raise PartitionError(f"selection order {sel.order} exceeds panel size {n}")
-    split = Split(*[int(v) for v in hp["split"]])
+    split = Split(*hp["split"])
     if split.t1 != panel.t_total:
         raise PartitionError(
             f"stored split covers {split.t1} hours, panel has {panel.t_total}"

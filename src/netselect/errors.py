@@ -17,14 +17,6 @@ class SingularMatrixError(NetselectError):
         self.min_eigenvalue = min_eigenvalue
 
 
-class ConvergenceError(NetselectError):
-    """Iterative solver exhausted its iteration cap."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class ConnectivityError(NetselectError):
     """Constructed graph is not connected."""
 
@@ -55,14 +47,6 @@ class ZeroScaleError(NetselectError):
 
 class IntervalError(NetselectError):
     """Empty common observation interval across stations."""
-
-
-class BudgetError(NetselectError):
-    """Exhaustive search would exceed the evaluation budget."""
-
-
-class DeterminantError(NetselectError):
-    """Log-determinant requested for a non-positive-definite matrix."""
 
 
 class TrainingDivergedError(NetselectError):

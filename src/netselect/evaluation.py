@@ -20,7 +20,6 @@ from .select_linear import METHOD_TAGS, SelectionResult
 from .timeseries import HOUR, PanelSeries, Split
 
 LAMBDA_COEFFICIENTS = (0.001, 0.00325, 0.0055, 0.00775, 0.01)
-SYNTH_MODELS = ("var1", "graph-smooth")
 BURN_IN = 500
 
 
@@ -58,13 +57,6 @@ class EvalReport:
             "seed": self.seed,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        d = json.loads(text)
-        return cls(d["method"], d["selected"], d["test_mse"],
-                   d["baseline_mean"], d["baseline_draws"],
-                   d["baseline_skipped"], d["hyperparams"], d["seed"])
 
 
 def default_p(n: int) -> int:
@@ -198,51 +190,25 @@ def _hourly_panel(values: np.ndarray) -> PanelSeries:
     return PanelSeries(sensor_ids, timestamps, values)
 
 
-def synth_generate(graph: SensorGraph, T: int, model: str = "var1", seed: int = 0,
-                   **kwargs) -> PanelSeries:
+def synth_generate(graph: SensorGraph, T: int, model: str = "graph-smooth",
+                   seed: int = 0, **kwargs) -> PanelSeries:
     """Synthetic hourly panel on a sensor graph.
 
-    var1: x_t = A x_{t-1} + noise with A supported on the graph edges
-    (plus the diagonal) and rescaled to the requested spectral radius
-    (default 0.8, capped at 0.95). kwargs: spectral_radius, noise_std.
-
-    graph-smooth: a few lowest graph Fourier modes with AR(1)
-    coefficients plus per-sensor noise. kwargs: n_modes (3), ar_coef
+    graph-smooth, the only model: a few lowest graph Fourier modes with
+    AR(1) coefficients plus per-sensor noise. kwargs: n_modes (3), ar_coef
     (0.9), noise_std (0.3), redundant_pairs (list of (src, dup) where
     dup copies src's signal with noise redundant_noise = 0.005), and
     noise_sensors (indices replaced by pure noise, std 1).
 
-    Both models run a 500-step burn-in so the returned T columns are
-    from the stationary regime.
+    A 500-step burn-in makes the returned T columns come from the
+    stationary regime.
     """
-    if model not in SYNTH_MODELS:
-        raise InvalidInputError(f"model must be one of {SYNTH_MODELS}")
+    if model != "graph-smooth":
+        raise InvalidInputError(f"unknown model {model!r}; only 'graph-smooth'")
     if T < 1:
         raise InvalidInputError("T must be positive")
     n = graph.n
     rng = np.random.default_rng(seed)
-
-    if model == "var1":
-        rho = float(kwargs.pop("spectral_radius", 0.8))
-        noise_std = float(kwargs.pop("noise_std", 1.0))
-        if kwargs:
-            raise InvalidInputError(f"unknown kwargs {sorted(kwargs)}")
-        if rho > 0.95:
-            raise InvalidInputError(
-                f"spectral radius {rho} exceeds the stability cap 0.95"
-            )
-        if rho < 0:
-            raise InvalidInputError("spectral radius must be nonnegative")
-        support = (graph.adjacency > 0).astype(float) + np.eye(n)
-        A = support * rng.normal(size=(n, n))
-        radius = float(np.max(np.abs(np.linalg.eigvals(A))))
-        A = A * (rho / radius) if radius > 0 and rho > 0 else np.zeros((n, n))
-        X = np.zeros((n, BURN_IN + T))
-        x = np.zeros(n)
-        for t in range(BURN_IN + T):
-            x = A @ x + rng.normal(scale=noise_std, size=n)
-            X[:, t] = x
-        return _hourly_panel(X[:, BURN_IN:])
 
     n_modes = int(kwargs.pop("n_modes", 3))
     ar_coef = float(kwargs.pop("ar_coef", 0.9))

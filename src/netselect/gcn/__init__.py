@@ -5,11 +5,8 @@ from .layers import (
     forward_batch,
     init_params,
     leaky_relu,
-    net_backward,
-    pack_params,
     scale_laplacian,
     tensor_items,
-    unpack_params,
 )
 from .train import NetReconstructor, TrainConfig, train_prediction_net
 from .selection import (
@@ -30,14 +27,11 @@ __all__ = [
     "forward_batch",
     "init_params",
     "leaky_relu",
-    "net_backward",
-    "pack_params",
     "scale_laplacian",
     "score_sensors",
     "tensor_items",
     "train_prediction_net",
     "train_selection_dropout",
     "train_selection_masking",
-    "unpack_params",
     "write_scores_csv",
 ]

@@ -96,29 +96,6 @@ def init_params(config: ChebNetConfig, seed=0) -> ChebNetParams:
     return ChebNetParams(theta, gconv_bias, fc_weights, fc_biases)
 
 
-def pack_params(params: ChebNetParams):
-    """Flatten all tensors to one vector (for finite-difference checks)."""
-    return np.concatenate([a.ravel() for _, a in tensor_items(params)])
-
-
-def unpack_params(vector, like: ChebNetParams) -> ChebNetParams:
-    out_tensors = []
-    pos = 0
-    for _, a in tensor_items(like):
-        chunk = vector[pos:pos + a.size]
-        if chunk.size != a.size:
-            raise InvalidInputError("vector length does not match parameter shapes")
-        out_tensors.append(chunk.reshape(a.shape))
-        pos += a.size
-    if pos != vector.size:
-        raise InvalidInputError("vector length does not match parameter shapes")
-    theta, gconv_bias = out_tensors[0], out_tensors[1]
-    rest = out_tensors[2:]
-    fc_weights = rest[0::2]
-    fc_biases = rest[1::2]
-    return ChebNetParams(theta, gconv_bias, list(fc_weights), list(fc_biases))
-
-
 def zeros_like_params(params: ChebNetParams) -> ChebNetParams:
     return ChebNetParams(
         np.zeros_like(params.theta),
@@ -224,18 +201,3 @@ def backward_batch(dout, cache, params: ChebNetParams, config: ChebNetConfig,
     if want_input_grad:
         dXb = U @ np.einsum("jfo,bjo->bjf", cache["h"], dG_hat)
     return grads, dXb
-
-
-def net_backward(x_input, target, params: ChebNetParams, config: ChebNetConfig,
-                 spectrum):
-    """Loss and parameter gradients for one sample.
-
-    Loss is sum_j (out_j - target_j)^2. Returns (loss, grads).
-    """
-    Xb = np.asarray(x_input, dtype=float)[None]
-    target = np.asarray(target, dtype=float)[None]
-    out, cache = forward_batch(Xb, params, config, spectrum, want_cache=True)
-    resid = out - target
-    loss = float(np.sum(resid ** 2))
-    grads, _ = backward_batch(2.0 * resid, cache, params, config, spectrum)
-    return loss, grads

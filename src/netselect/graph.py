@@ -8,8 +8,9 @@ elementwise max and the result must be connected.
 """
 
 import csv
+import math
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
@@ -52,10 +53,6 @@ class SensorGraph:
     @property
     def n(self):
         return self.adjacency.shape[0]
-
-    @property
-    def edge_count(self):
-        return int(np.count_nonzero(np.triu(self.adjacency, k=1)))
 
 
 def connected_components(adjacency):
@@ -175,10 +172,11 @@ def laplacian_kernel(spec: EigenPair):
 def read_coords(path):
     """Read a sensor coordinates CSV with header sensor_id,lat,lon.
 
-    Returns (sensor_ids, coords). Malformed rows raise InvalidInputError
-    naming the line number.
+    Returns (sensor_ids, coords). Malformed rows, non-finite coordinates
+    and repeated sensor ids raise InvalidInputError naming the line
+    number.
     """
-    ids: List[str] = []
+    first_line: Dict[str, int] = {}  # sensor id -> line it is defined on
     rows: List[List[float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -193,10 +191,18 @@ def read_coords(path):
             if len(row) != 3:
                 raise InvalidInputError(f"{path}: line {lineno}: expected 3 fields")
             try:
-                rows.append([float(row[1]), float(row[2])])
+                lat, lon = float(row[1]), float(row[2])
             except ValueError:
                 raise InvalidInputError(
                     f"{path}: line {lineno}: non-numeric coordinate"
                 )
-            ids.append(row[0])
-    return ids, np.asarray(rows, dtype=float).reshape(len(ids), 2)
+            if not (math.isfinite(lat) and math.isfinite(lon)):
+                raise InvalidInputError(f"{path}: line {lineno}: non-finite coordinate")
+            if row[0] in first_line:
+                raise InvalidInputError(
+                    f"{path}: line {lineno}: sensor_id {row[0]!r} repeats line "
+                    f"{first_line[row[0]]}"
+                )
+            first_line[row[0]] = lineno
+            rows.append([lat, lon])
+    return list(first_line), np.asarray(rows, dtype=float).reshape(len(rows), 2)

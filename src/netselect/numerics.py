@@ -11,14 +11,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidInputError, SingularMatrixError
+from .errors import InvalidInputError, SingularMatrixError
 
 # jitter policy thresholds, relative to the mean diagonal trace(A)/n
 JITTER_TRIGGER = 1e-12
 JITTER_SIZE = 1e-10
-
-# conjugate gradient iteration cap, as a multiple of the dimension
-CG_CAP_FACTOR = 10
 
 
 class EigenPair(NamedTuple):
@@ -92,67 +89,6 @@ def solve_spd(A, B):
             )
         A = jittered
     return np.linalg.solve(A, np.asarray(B, dtype=float))
-
-
-def conjugate_gradient(A, b, tol=1e-8, max_iter=None):
-    """Conjugate gradient solve of A x = b for symmetric PSD A.
-
-    Parameters
-    ----------
-    A : (n, n) symmetric PSD array.
-    b : (n,) right-hand side.
-    tol : stop when ||A x - b||_2 <= tol * ||b||_2.
-    max_iter : iteration cap, default 10 n.
-
-    Raises ConvergenceError reporting the final residual if the cap is
-    reached without meeting the tolerance.
-    """
-    A = check_symmetric(A)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    n = A.shape[0]
-    if b.shape[0] != n:
-        raise InvalidInputError(f"b has length {b.shape[0]}, expected {n}")
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
-    if max_iter is None:
-        max_iter = CG_CAP_FACTOR * n
-
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return np.zeros(n)
-
-    x = np.zeros(n)
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    for _ in range(max_iter):
-        if np.sqrt(rs) <= tol * b_norm:
-            return x
-        Ap = A @ p
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            # direction of zero curvature; PSD system, restart from the residual
-            r = b - A @ x
-            p = r.copy()
-            rs = float(r @ r)
-            Ap = A @ p
-            pAp = float(p @ Ap)
-            if pAp <= 0.0:
-                break
-        alpha = rs / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    residual = float(np.linalg.norm(A @ x - b))
-    if residual <= tol * b_norm:
-        return x
-    raise ConvergenceError(
-        f"conjugate gradient did not reach tol {tol:g} within {max_iter} "
-        f"iterations (residual {residual:.3e})",
-        residual=residual,
-    )
 
 
 def power_method(A, tol=1e-10, max_iter=1000, seed=0) -> PowerResult:

@@ -87,28 +87,6 @@ def kernel_reconstructor(K_cross, K_S, lam):
     return solve_spd(A, np.asarray(K_cross, dtype=float).T).T
 
 
-def criterion_kernel(cov_blocks: CovarianceBlocks, kb, I, lam, H):
-    """tr(Sigma_I - 2 beta Theta^T + Theta alpha Theta^T).
-
-    alpha and beta are the data Gram blocks for I; Theta is the kernel
-    ridge reconstructor. Equals the training MSE of that reconstructor
-    under the zero-padded lag convention.
-    """
-    n = cov_blocks.n
-    I, Ic = _check_partition(n, I)
-    if not I or not Ic:
-        raise InvalidInputError("I must be a nonempty proper subset")
-    alpha, beta = lag_stack(cov_blocks.gammas, I, Ic, H)
-    K_S, K_cross = lag_stack(kb, I, Ic, H)
-    theta = kernel_reconstructor(K_cross, K_S, lam)
-    sigma_I = cov_blocks.sigma[np.ix_(I, I)]
-    return float(
-        np.trace(sigma_I)
-        - 2.0 * np.trace(beta @ theta.T)
-        + np.trace(theta @ alpha @ theta.T)
-    )
-
-
 def greedy_select_kernel(cov_blocks: CovarianceBlocks, kb, p,
                          lam=0.0, H=0) -> SelectionResult:
     """Greedy selection under the kernel ridge criterion.

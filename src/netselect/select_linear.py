@@ -1,4 +1,4 @@
-"""Partial variance, linear trace criteria, and greedy/exhaustive selection.
+"""Selection results, the greedy loop, and the linear reconstructor.
 
 The linear reconstruction of turned-off sensors I from the rest is
 x_hat_{I,t} = Theta x^H_{I^c,t} with Theta = beta alpha^{-1} on the
@@ -11,22 +11,13 @@ minimize one sensor at a time.
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 import numpy as np
 
-from .errors import BudgetError, DeterminantError, InvalidInputError
+from .errors import InvalidInputError
 from .numerics import solve_spd
-from .timeseries import (
-    CovarianceBlocks,
-    _check_partition,
-    assemble_blocks,
-    lag_stack,
-    lagged_design,
-)
-
-EXHAUSTIVE_BUDGET = 2_000_000  # most subsets exhaustive_select will score
+from .timeseries import CovarianceBlocks, _check_partition, assemble_blocks, lag_stack
 
 METHOD_TAGS = (
     "linear-h0",
@@ -50,6 +41,10 @@ class SelectionResult:
             raise InvalidInputError(f"unknown method tag {self.method!r}")
         if not isinstance(self.hyperparams, dict):
             raise InvalidInputError("hyperparams must be a JSON object")
+        if any(i < 0 for i in self.order):
+            raise InvalidInputError(
+                f"selection order has a negative index: {self.order}"
+            )
         if len(set(self.order)) != len(self.order):
             raise InvalidInputError(f"selection order has duplicates: {self.order}")
         if len(self.step_values) != len(self.order):
@@ -83,40 +78,6 @@ class SelectionResult:
             raise InvalidInputError(f"selection has no {err.args[0]!r} key") from None
         except (TypeError, ValueError) as err:
             raise InvalidInputError(f"malformed selection: {err}") from None
-
-
-def partial_variance(sigma, i, S):
-    """sigma^2_{i|S} = Sigma_ii - Sigma_iS Sigma_S^{-1} Sigma_Si."""
-    sigma = np.asarray(sigma, dtype=float)
-    S = [int(j) for j in S]
-    i = int(i)
-    if i in S:
-        raise InvalidInputError(f"sensor {i} cannot condition on itself")
-    if not S:
-        return float(sigma[i, i])
-    sub = sigma[np.ix_(S, S)]
-    v = sigma[i, S]
-    return float(sigma[i, i] - v @ solve_spd(sub, v))
-
-
-def criterion_linear_h0(sigma, I):
-    """tr(Sigma_I - Sigma_II^c Sigma_I^c^{-1} Sigma_I^cI)."""
-    sigma = np.asarray(sigma, dtype=float)
-    n = sigma.shape[0]
-    I, Ic = _check_partition(n, I)
-    if not I or not Ic:
-        raise InvalidInputError("I must be a nonempty proper subset")
-    cross = sigma[np.ix_(Ic, I)]
-    explained = cross.T @ solve_spd(sigma[np.ix_(Ic, Ic)], cross)
-    return float(np.trace(sigma[np.ix_(I, I)]) - np.trace(explained))
-
-
-def criterion_linear_h(sigma, alpha, beta, I):
-    """tr(Sigma_I - beta alpha^{-1} beta^T) on pre-assembled lag blocks."""
-    sigma = np.asarray(sigma, dtype=float)
-    I = [int(i) for i in I]
-    explained = beta @ solve_spd(alpha, beta.T)
-    return float(np.trace(sigma[np.ix_(I, I)]) - np.trace(explained))
 
 
 def greedy(n, p, value):
@@ -162,40 +123,6 @@ def greedy_select_linear(blocks: CovarianceBlocks, p, H=0) -> SelectionResult:
     return SelectionResult(method, {"H": H}, order, step_values)
 
 
-def exhaustive_select(criterion: Callable, n, p):
-    """Global minimizer of a set criterion over all size-p subsets.
-
-    Ties are broken lexicographically (combinations order). Raises
-    BudgetError if C(n, p) exceeds EXHAUSTIVE_BUDGET.
-    """
-    count = math.comb(n, p)
-    if count > EXHAUSTIVE_BUDGET:
-        raise BudgetError(
-            f"C({n},{p}) = {count} exceeds budget {EXHAUSTIVE_BUDGET}"
-        )
-    best = None
-    best_val = math.inf
-    for subset in combinations(range(n), p):
-        val = criterion(list(subset))
-        if val < best_val:
-            best = subset
-            best_val = val
-    return best, best_val
-
-
-def entropy_criterion(sigma, I):
-    """log det Sigma_{I^c}, the entropy design objective."""
-    sigma = np.asarray(sigma, dtype=float)
-    n = sigma.shape[0]
-    _, Ic = _check_partition(n, I)
-    sign, logdet = np.linalg.slogdet(sigma[np.ix_(Ic, Ic)])
-    if sign <= 0:
-        raise DeterminantError(
-            f"complement submatrix is not positive definite (sign {sign})"
-        )
-    return float(logdet)
-
-
 @dataclass
 class LinearReconstructor:
     """Fitted linear map from lag-stacked kept sensors to turned-off ones."""
@@ -222,20 +149,6 @@ class LinearReconstructor:
             if src_lo < hi:
                 D[l * q:(l + 1) * q, src_lo - lo:] = X[self.kept, src_lo:hi]
         return self.theta @ D
-
-    def training_mse(self, X_train):
-        """Mean squared training error under the zero-padded convention.
-
-        The sum runs over T+H padded columns and is divided by T, which
-        makes it equal to the trace criterion exactly.
-        """
-        X_train = np.asarray(X_train, dtype=float)
-        T = X_train.shape[1]
-        D = lagged_design(X_train, self.kept, self.H)
-        target = np.zeros((len(self.turned_off), T + self.H))
-        target[:, :T] = X_train[self.turned_off, :]
-        resid = target - self.theta @ D
-        return float(np.sum(resid ** 2) / T)
 
 
 def fit_predict_linear(blocks: CovarianceBlocks, I, H=0) -> LinearReconstructor:

@@ -264,12 +264,6 @@ def apply_preprocess(panel: PanelSeries, model: PreprocessModel) -> PanelSeries:
     return panel.with_values(values)
 
 
-def invert_preprocess(panel: PanelSeries, model: PreprocessModel) -> PanelSeries:
-    slots = np.arange(panel.t_total) % WEEK_HOURS
-    values = panel.values * model.scale[:, None] + model.profile[:, slots]
-    return panel.with_values(values)
-
-
 def autocovariance(X, l):
     """Uncentered sample autocovariance Gamma(l) = (1/T) sum_t x_t x_{t-l}^T."""
     X = np.asarray(X, dtype=float)
@@ -333,25 +327,6 @@ def assemble_blocks(blocks, I, H):
     """
     I, Ic = _check_partition(blocks[0].shape[0], I)
     return lag_stack(blocks, I, Ic, H)
-
-
-def lagged_design(X, rows, H):
-    """Zero-padded lag-stacked design of the given rows of X.
-
-    Returns a ((H+1)|rows|, T+H) matrix whose lag-l row block is X[rows]
-    shifted right by l with zeros at both ends. With this convention the
-    design's Gram matrix (normalized by 1/T) equals assemble_blocks
-    exactly, which is what makes the trace criteria coincide with
-    training mean squared error.
-    """
-    X = np.asarray(X, dtype=float)
-    rows = np.asarray(rows, dtype=int)
-    T = X.shape[1]
-    q = rows.shape[0]
-    D = np.zeros(((H + 1) * q, T + H))
-    for l in range(H + 1):
-        D[l * q:(l + 1) * q, l:l + T] = X[rows, :]
-    return D
 
 
 def _format_stamp(epoch):

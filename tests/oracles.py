@@ -1,0 +1,130 @@
+"""Reference computations of the paper's identities, used only by tests.
+
+The library computes what the pipeline runs: the greedy value of one
+candidate and the fitted reconstructors. The set criteria, the training
+error they equal, the conjugate-gradient solve and the single-sample
+network loss live here, so the tests can check the pipeline against them.
+"""
+
+import numpy as np
+
+from netselect.gcn.layers import backward_batch, forward_batch, tensor_items
+from netselect.numerics import solve_spd
+from netselect.select_kernel import kernel_reconstructor
+from netselect.timeseries import assemble_blocks
+
+
+def criterion_linear(gammas, I, H):
+    """tr(Sigma_I - beta alpha^{-1} beta^T) for the turned-off set I.
+
+    gammas holds Gamma(0..H). At H = 0 this is
+    tr(Sigma_I - Sigma_II^c Sigma_I^c^{-1} Sigma_I^cI); on a singleton
+    I = [i] it is the partial variance sigma^2_{i|I^c}.
+    """
+    alpha, beta = assemble_blocks(gammas, I, H)
+    explained = beta @ solve_spd(alpha, beta.T)
+    return float(np.trace(gammas[0][np.ix_(I, I)]) - np.trace(explained))
+
+
+def criterion_kernel(cov_blocks, kb, I, lam, H):
+    """tr(Sigma_I - 2 beta Theta^T + Theta alpha Theta^T).
+
+    alpha and beta are the data Gram blocks for I; Theta is the kernel
+    ridge reconstructor from the kernel Gram blocks kb.
+    """
+    alpha, beta = assemble_blocks(cov_blocks.gammas, I, H)
+    K_S, K_cross = assemble_blocks(kb, I, H)
+    theta = kernel_reconstructor(K_cross, K_S, lam)
+    return float(
+        np.trace(cov_blocks.sigma[np.ix_(I, I)])
+        - 2.0 * np.trace(beta @ theta.T)
+        + np.trace(theta @ alpha @ theta.T)
+    )
+
+
+def lagged_design(X, rows, H):
+    """Zero-padded lag-stacked design of the given rows of X.
+
+    Returns a ((H+1)|rows|, T+H) matrix whose lag-l row block is X[rows]
+    shifted right by l with zeros at both ends. Its Gram matrix,
+    normalized by 1/T, equals assemble_blocks exactly, which is what
+    makes the trace criteria coincide with training mean squared error.
+    """
+    X = np.asarray(X, dtype=float)
+    rows = np.asarray(rows, dtype=int)
+    T = X.shape[1]
+    q = rows.shape[0]
+    D = np.zeros(((H + 1) * q, T + H))
+    for l in range(H + 1):
+        D[l * q:(l + 1) * q, l:l + T] = X[rows, :]
+    return D
+
+
+def training_mse(rec, X_train):
+    """Mean squared training error of a LinearReconstructor.
+
+    The sum runs over T+H zero-padded columns and is divided by T, which
+    makes it equal to the trace criterion exactly.
+    """
+    X_train = np.asarray(X_train, dtype=float)
+    T = X_train.shape[1]
+    D = lagged_design(X_train, rec.kept, rec.H)
+    target = np.zeros((len(rec.turned_off), T + rec.H))
+    target[:, :T] = X_train[rec.turned_off, :]
+    resid = target - rec.theta @ D
+    return float(np.sum(resid ** 2) / T)
+
+
+def conjugate_gradient(A, b, tol=1e-8):
+    """Textbook conjugate gradient for A x = b with A symmetric positive
+    definite; stops when ||r||_2 <= tol ||b||_2 and asserts that it did
+    within 10 n iterations."""
+    b = np.asarray(b, dtype=float)
+    b_norm = float(np.linalg.norm(b))
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rs = float(r @ r)
+    for _ in range(10 * b.size):
+        if np.sqrt(rs) <= tol * b_norm:
+            return x
+        Ap = A @ p
+        alpha = rs / float(p @ Ap)
+        x = x + alpha * p
+        r = r - alpha * Ap
+        rs_new = float(r @ r)
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    assert np.sqrt(rs) <= tol * b_norm, "conjugate gradient did not converge"
+    return x
+
+
+def net_backward(x_input, target, params, config, spectrum):
+    """Loss sum_j (out_j - target_j)^2 of one sample, with its parameter
+    gradients. Returns (loss, grads)."""
+    Xb = np.asarray(x_input, dtype=float)[None]
+    out, cache = forward_batch(Xb, params, config, spectrum, want_cache=True)
+    resid = out - np.asarray(target, dtype=float)[None]
+    grads, _ = backward_batch(2.0 * resid, cache, params, config, spectrum)
+    return float(np.sum(resid ** 2)), grads
+
+
+def central_differences(loss, params, eps=1e-6):
+    """Central-difference gradient of loss() in every parameter entry.
+
+    Each entry of params is moved by +-eps in place and restored. Returns
+    one array per tensor_items(params) entry, in that order.
+    """
+    grads = []
+    for _, tensor in tensor_items(params):
+        num = np.empty_like(tensor)
+        for idx in np.ndindex(tensor.shape):
+            old = tensor[idx]
+            tensor[idx] = old + eps
+            hi = loss()
+            tensor[idx] = old - eps
+            lo = loss()
+            tensor[idx] = old
+            num[idx] = (hi - lo) / (2.0 * eps)
+        grads.append(num)
+    return grads

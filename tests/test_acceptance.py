@@ -6,6 +6,7 @@ verbose run reads as a checklist. Runtime-guarded tests use wall time.
 
 import time
 import warnings
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -21,42 +22,40 @@ from netselect.gcn import (
     ChebNetConfig,
     TrainConfig,
     init_params,
-    net_backward,
-    pack_params,
     scale_laplacian,
     tensor_items,
-    unpack_params,
 )
 from netselect.gcn.selection import train_selection_dropout, train_selection_masking
 from netselect.graph import build_knn_graph, combinatorial_laplacian
-from netselect.numerics import conjugate_gradient, power_method, sym_eig
+from netselect.numerics import power_method, sym_eig
 from netselect.select_kernel import (
     KernelConfig,
     build_kernel_blocks,
-    criterion_kernel,
     fit_predict_kernel,
     greedy_select_kernel,
 )
 from netselect.select_linear import (
-    criterion_linear_h0,
-    criterion_linear_h,
-    entropy_criterion,
-    exhaustive_select,
     fit_predict_linear,
     greedy,
     greedy_select_linear,
-    partial_variance,
 )
 from netselect.timeseries import (
     CovarianceBlocks,
     Split,
     apply_preprocess,
-    assemble_blocks,
     estimate_blocks,
     fit_weekly_profile,
     lag_stack,
     make_split,
     read_panel,
+)
+from oracles import (
+    central_differences,
+    conjugate_gradient,
+    criterion_kernel,
+    criterion_linear,
+    net_backward,
+    training_mse,
 )
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -99,8 +98,7 @@ def test_criterion_01_toy_partial_variances():
         "correlation": (corr, [0.44, 0.67, 0.67, 0.57], 0),
     }
     for name, (S, caption, pick) in expected.items():
-        pv = [partial_variance(S, i, [j for j in range(4) if j != i])
-              for i in range(4)]
+        pv = [criterion_linear([S], [i], 0) for i in range(4)]
         for i, (got, want) in enumerate(zip(pv, caption)):
             assert abs(got - want) <= 0.01, f"{name} sensor {i + 1}: {got}"
         result = greedy_select_linear(CovarianceBlocks(S, [S]), p=1, H=0)
@@ -137,16 +135,11 @@ def test_criterion_03_criterion_equals_training_mse():
         p = int(rng.integers(1, n))
         I = sorted(rng.choice(n, size=p, replace=False).tolist())
         blocks = estimate_blocks(X, H)
-        alpha, beta = assemble_blocks(blocks.gammas, I, H)
-        crit = criterion_linear_h(blocks.sigma, alpha, beta, I)
-        mse = fit_predict_linear(blocks, I, H).training_mse(X)
+        crit = criterion_linear(blocks.gammas, I, H)
+        mse = training_mse(fit_predict_linear(blocks, I, H), X)
         rel = abs(crit - mse) / max(abs(mse), 1e-30)
         worst = max(worst, rel)
         assert rel <= 1e-8, f"n={n} H={H} I={I}: rel error {rel:.3e}"
-        if H == 0:
-            rel0 = abs(criterion_linear_h0(blocks.sigma, I) - mse) / abs(mse)
-            worst = max(worst, rel0)
-            assert rel0 <= 1e-8
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
     print(f"criterion 03 PASS: 50 instances, worst relative error "
@@ -166,8 +159,7 @@ def test_criterion_04_autocovariance_kernel_matches_linear():
         for _ in range(3):
             p = int(rng.integers(1, n))
             I = sorted(rng.choice(n, size=p, replace=False).tolist())
-            alpha, beta = assemble_blocks(blocks.gammas, I, H)
-            lin = criterion_linear_h(blocks.sigma, alpha, beta, I)
+            lin = criterion_linear(blocks.gammas, I, H)
             ker = criterion_kernel(blocks, kb, I, lam=0.0, H=H)
             worst = max(worst, abs(lin - ker))
             assert abs(lin - ker) <= 1e-8, f"I={I}: {lin} vs {ker}"
@@ -202,13 +194,13 @@ def test_criterion_06_entropy_equivalence():
         n = int(rng.integers(3, 9))
         M = rng.normal(size=(n, n))
         sigma = M @ M.T + 0.1 * np.eye(n)
-        pv = [partial_variance(sigma, i, [j for j in range(n) if j != i])
-              for i in range(n)]
-        ent = [entropy_criterion(sigma, [i]) for i in range(n)]
+        pv = [criterion_linear([sigma], [i], 0) for i in range(n)]
+        comps = [[j for j in range(n) if j != i] for i in range(n)]
+        # entropy criterion: log det of the kept sensors' covariance
+        ent = [np.linalg.slogdet(sigma[np.ix_(c, c)])[1] for c in comps]
         assert int(np.argmin(pv)) == int(np.argmax(ent))
         det_full = np.linalg.det(sigma)
-        for i in range(n):
-            comp = [j for j in range(n) if j != i]
+        for i, comp in enumerate(comps):
             det_prod = np.linalg.det(sigma[np.ix_(comp, comp)]) * pv[i]
             assert abs(det_prod - det_full) <= 1e-8 * abs(det_full)
     print("criterion 06 PASS: 50 matrices, argmin partial variance == "
@@ -263,24 +255,11 @@ def test_criterion_08_gradient_check():
     target = rng.normal(size=4)
 
     _, grads = net_backward(x, target, params, config, spectrum)
-    vec = pack_params(params)
-    num = np.empty_like(vec)
-    eps = 1e-6
-    for k in range(vec.size):
-        bump = np.zeros_like(vec)
-        bump[k] = eps
-        lo, _ = net_backward(x, target, unpack_params(vec - bump, params),
-                             config, spectrum)
-        hi, _ = net_backward(x, target, unpack_params(vec + bump, params),
-                             config, spectrum)
-        num[k] = (hi - lo) / (2.0 * eps)
+    num = central_differences(
+        lambda: net_backward(x, target, params, config, spectrum)[0], params)
 
-    pos = 0
     worst = {}
-    for name, tensor in tensor_items(grads):
-        ana = tensor.ravel()
-        ref = num[pos:pos + ana.size]
-        pos += ana.size
+    for (name, ana), ref in zip(tensor_items(grads), num):
         rel = np.abs(ana - ref) / np.maximum.reduce(
             [np.abs(ana), np.abs(ref), np.full_like(ref, 1e-8)]
         )
@@ -374,9 +353,9 @@ def test_criterion_11_greedy_vs_exhaustive():
         blocks = CovarianceBlocks(sigma, [sigma])
         for p in (1, 2, 3):
             greedy = greedy_select_linear(blocks, p, H=0)
-            greedy_val = criterion_linear_h0(sigma, greedy.order)
-            _, best_val = exhaustive_select(
-                lambda I: criterion_linear_h0(sigma, I), 8, p)
+            greedy_val = criterion_linear([sigma], greedy.order, 0)
+            best_val = min(criterion_linear([sigma], I, 0)
+                           for I in combinations(range(8), p))
             assert best_val <= greedy_val + 1e-12, f"p={p}"
             if p == 1:
                 assert abs(best_val - greedy_val) <= 1e-12

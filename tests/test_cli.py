@@ -192,6 +192,23 @@ def test_select_rejects_duplicate_sensor_ids(tmp_path, capsys):
     assert not (tmp_path / "sel").exists()
 
 
+@pytest.mark.parametrize("line, row, message", [
+    (3, "s002,nan,0.5", "line 4: non-finite coordinate"),
+    (7, "s002,0.5,0.5", "line 8: sensor_id 's002' repeats line 4"),
+], ids=["nan-latitude", "repeated-id"])
+def test_select_rejects_bad_coordinates(tmp_path, capsys, line, row, message):
+    # a NaN would reach selected.geojson as a bare NaN, which is not JSON,
+    # and a repeated id would silently replace the first row's coordinates
+    panel_path, coords_path, _ = _correlated_panel(tmp_path)
+    lines = coords_path.read_text().splitlines()
+    lines[line:line + 1] = [row]
+    coords_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["select", str(panel_path), "--coords", str(coords_path),
+                 "--p", "3", "--out-dir", str(tmp_path / "sel")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "sel").exists()
+
+
 def _noiseless_panel(tmp_path, T=400, seed=1):
     # two free signals plus their difference and sum: any pair of the
     # four sensors reconstructs the rest exactly
@@ -284,27 +301,60 @@ _STORED = {
 }
 
 
-@pytest.mark.parametrize("method", sorted(_STORED))
-def test_evaluate_needs_every_stored_setting(tmp_path, capsys, method):
-    # evaluate keeps no defaults of its own: a missing key is an input
-    # error, never a silently different method
+def _evaluate_stored(tmp_path, method, order, hp):
+    """Exit code of evaluate on a hand-written selection.json."""
     panel_path = _noiseless_panel(tmp_path)
     coords_path = tmp_path / "coords.csv"
     _write_coords(coords_path, [f"s{i:03d}" for i in range(4)], _COORDS4)
     sel_path = tmp_path / "selection.json"
-    argv = ["evaluate", str(panel_path), str(sel_path), "--coords", str(coords_path),
-            "--baseline-draws", "2", "--max-epoch", "1", "--out-dir", str(tmp_path)]
+    sel = {"method": method, "hyperparams": hp, "order": order,
+           "step_values": [0.0] * len(order)}
+    sel_path.write_text(json.dumps(sel), encoding="utf-8")
+    return main(["evaluate", str(panel_path), str(sel_path),
+                 "--coords", str(coords_path), "--baseline-draws", "2",
+                 "--max-epoch", "1", "--out-dir", str(tmp_path)])
+
+
+@pytest.mark.parametrize("method", sorted(_STORED))
+def test_evaluate_needs_every_stored_setting(tmp_path, capsys, method):
+    # evaluate keeps no defaults of its own: a missing key is an input
+    # error, never a silently different method
     hp = _STORED[method]
     for key in hp:
         partial = {k: v for k, v in hp.items() if k != key}
-        sel_path.write_text(SelectionResult(method, partial, [2, 3], [0.0, 0.0])
-                            .to_json(), encoding="utf-8")
-        assert main(argv) == 2, key
+        assert _evaluate_stored(tmp_path, method, [2, 3], partial) == 2, key
         assert repr(key) in capsys.readouterr().err
-    sel_path.write_text(SelectionResult(method, hp, [2, 3], [0.0, 0.0]).to_json(),
-                        encoding="utf-8")
-    assert main(argv) == 0
+    assert _evaluate_stored(tmp_path, method, [2, 3], hp) == 0
     assert json.loads((tmp_path / "report.json").read_text())["method"] == method
+
+
+@pytest.mark.parametrize("method", sorted(_STORED))
+def test_evaluate_rejects_negative_sensor_index(tmp_path, capsys, method):
+    # numpy would read -1 as the last sensor
+    assert _evaluate_stored(tmp_path, method, [-1, 2], _STORED[method]) == 2
+    assert "negative index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, key, value", [
+    ("linear-h0", "n", "4"),
+    ("linear-h0", "split", [300, 400]),
+    ("linear-h0", "standardize", "no"),
+    ("linear-h0", "H", "0"),
+    ("linear-h0", "H", 0.5),
+    ("linear-h0", "H", -1),
+    ("linear-h0", "H", True),
+    ("kernel-h0", "gamma", "0"),
+    ("kernel-h0", "lambda", -1.0),
+    ("gcn-mask", "k0", "2"),
+    ("gcn-mask", "laplacian", "foo"),
+    ("gcn-mask", "fc_sizes", "4"),
+])
+def test_evaluate_checks_stored_setting_types(tmp_path, capsys, method, key, value):
+    # a wrong type or range is an input error naming the key, never a
+    # traceback or a silently different method
+    hp = dict(_STORED[method], **{key: value})
+    assert _evaluate_stored(tmp_path, method, [2, 3], hp) == 2
+    assert f"{key!r} must be" in capsys.readouterr().err
 
 
 def test_evaluate_rejects_malformed_selection(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Reports, baselines, hyperparameter grids, grid search, synthetic panels."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -41,12 +43,12 @@ def _report(**overrides):
 
 def test_eval_report_round_trip():
     report = _report()
-    back = EvalReport.from_json(report.to_json())
-    assert back.method == report.method
-    assert back.selected == report.selected
-    assert back.test_mse == report.test_mse
-    assert back.baseline_mean == report.baseline_mean
-    assert back.hyperparams == report.hyperparams
+    back = json.loads(report.to_json())
+    assert back["method"] == report.method
+    assert back["selected"] == report.selected
+    assert back["test_mse"] == report.test_mse
+    assert back["baseline_mean"] == report.baseline_mean
+    assert back["hyperparams"] == report.hyperparams
 
 
 def test_eval_report_validation():
@@ -188,32 +190,6 @@ def test_grid_search_picks_best_and_keeps_first_on_ties():
         grid_search(sometimes, [], X, split)
 
 
-def test_synth_var1_statistics():
-    g = _graph()
-    panel = synth_generate(g, 10000, "var1", seed=0, spectral_radius=0.0)
-    # zero coefficient matrix leaves white noise: lag-1 covariance vanishes
-    X = panel.values
-    G1 = X[:, 1:] @ X[:, :-1].T / X.shape[1]
-    assert np.max(np.abs(G1)) <= 0.05
-    again = synth_generate(g, 10000, "var1", seed=0, spectral_radius=0.0)
-    assert np.array_equal(panel.values, again.values)
-    other = synth_generate(g, 100, "var1", seed=1)
-    assert other.t_total == 100
-    assert other.n == g.n
-
-
-def test_synth_var1_validation():
-    g = _graph()
-    with pytest.raises(InvalidInputError, match="stability cap"):
-        synth_generate(g, 10, "var1", spectral_radius=0.99)
-    with pytest.raises(InvalidInputError, match="unknown kwargs"):
-        synth_generate(g, 10, "var1", rho=0.5)
-    with pytest.raises(InvalidInputError, match="model"):
-        synth_generate(g, 10, "sinusoid")
-    with pytest.raises(InvalidInputError, match="T"):
-        synth_generate(g, 0, "var1")
-
-
 def test_synth_graph_smooth_lives_in_low_modes():
     g = _graph(seed=3)
     panel = synth_generate(g, 300, "graph-smooth", seed=0, noise_std=0.0)
@@ -236,6 +212,12 @@ def test_synth_graph_smooth_designed_redundancy():
         synth_generate(g, 10, "graph-smooth", redundant_pairs=[(0, 0)])
     with pytest.raises(InvalidInputError, match="out of range"):
         synth_generate(g, 10, "graph-smooth", noise_sensors=[99])
+    with pytest.raises(InvalidInputError, match="unknown kwargs"):
+        synth_generate(g, 10, "graph-smooth", rho=0.5)
+    with pytest.raises(InvalidInputError, match="model"):
+        synth_generate(g, 10, "sinusoid")
+    with pytest.raises(InvalidInputError, match="T"):
+        synth_generate(g, 0, "graph-smooth")
 
 
 def test_summary_table_layout(tmp_path):
@@ -256,7 +238,7 @@ def test_make_split_covers_burn_in_notion():
     # synthetic panels discard the burn-in; splits then address only the
     # returned columns
     g = _graph(seed=9)
-    panel = synth_generate(g, 400, "var1", seed=0)
+    panel = synth_generate(g, 400, "graph-smooth", seed=0)
     assert panel.t_total == 400
     split = make_split(panel.t_total)
     assert split.t1 == 400

@@ -16,12 +16,9 @@ from netselect.gcn import (
     forward_batch,
     init_params,
     leaky_relu,
-    net_backward,
-    pack_params,
     scale_laplacian,
     tensor_items,
     train_prediction_net,
-    unpack_params,
 )
 from netselect.gcn.layers import backward_batch, cheb_values, elu_grad, leaky_relu_grad
 from netselect.gcn.selection import (
@@ -37,6 +34,7 @@ from netselect.gcn.train import (
 )
 from netselect.numerics import sym_eig
 from netselect.timeseries import Split
+from oracles import central_differences, net_backward
 
 
 def _toy_setup(n=4, T=260, h=0, seed=0):
@@ -156,23 +154,12 @@ def test_init_params_bounds_and_determinism():
     assert all(np.all(b == 0) for b in params.fc_biases)
     assert params.fc_weights[0].shape == (10, 6 * 3)
     assert params.fc_weights[1].shape == (2, 10)
-    again = init_params(config, seed=3)
-    assert np.array_equal(pack_params(params), pack_params(again))
-    other = init_params(config, seed=4)
-    assert not np.array_equal(pack_params(params), pack_params(other))
+    def same(p, q):
+        return all(np.array_equal(a, b)
+                   for (_, a), (_, b) in zip(tensor_items(p), tensor_items(q)))
 
-
-def test_pack_unpack_round_trip():
-    config = ChebNetConfig(n=3, cheb_order=2, f_out=2, fc_sizes=(5,),
-                           out_dim=3, h=0)
-    params = init_params(config, seed=0)
-    vec = pack_params(params)
-    back = unpack_params(vec, params)
-    for (name_a, a), (name_b, b) in zip(tensor_items(params), tensor_items(back)):
-        assert name_a == name_b
-        assert np.array_equal(a, b)
-    with pytest.raises(InvalidInputError, match="length"):
-        unpack_params(vec[:-1], params)
+    assert same(params, init_params(config, seed=3))
+    assert not same(params, init_params(config, seed=4))
 
 
 def test_net_config_validation():
@@ -204,20 +191,11 @@ def test_small_gradient_check():
     x = rng.normal(size=(3, 2))
     target = rng.normal(size=2)
     _, grads = net_backward(x, target, params, config, spectrum)
-    vec = pack_params(params)
-    ana = pack_params(grads)
-    eps = 1e-6
-    num = np.empty_like(vec)
-    for k in range(vec.size):
-        bump = np.zeros_like(vec)
-        bump[k] = eps
-        lo, _ = net_backward(x, target, unpack_params(vec - bump, params),
-                             config, spectrum)
-        hi, _ = net_backward(x, target, unpack_params(vec + bump, params),
-                             config, spectrum)
-        num[k] = (hi - lo) / (2.0 * eps)
-    rel = np.abs(ana - num) / np.maximum(np.abs(num), 1e-6)
-    assert rel.max() <= 1e-6
+    num = central_differences(
+        lambda: net_backward(x, target, params, config, spectrum)[0], params)
+    for (_, ana), ref in zip(tensor_items(grads), num):
+        rel = np.abs(ana - ref) / np.maximum(np.abs(ref), 1e-6)
+        assert rel.max() <= 1e-6
 
 
 def test_window_tensor_layout():

@@ -136,3 +136,12 @@ def test_read_coords_round_trip_and_errors(tmp_path):
     bad.write_text("id,lat,lon\n")
     with pytest.raises(InvalidInputError, match="line 1"):
         read_coords(bad)
+    bad.write_text("sensor_id,lat,lon\na,48.85,2.35\nb,nan,2.36\n")
+    with pytest.raises(InvalidInputError, match="line 3: non-finite"):
+        read_coords(bad)
+    bad.write_text("sensor_id,lat,lon\na,48.85,inf\n")
+    with pytest.raises(InvalidInputError, match="line 2: non-finite"):
+        read_coords(bad)
+    bad.write_text("sensor_id,lat,lon\na,48.85,2.35\nb,48.86,2.36\na,0.0,0.0\n")
+    with pytest.raises(InvalidInputError, match="line 4: sensor_id 'a' repeats line 2"):
+        read_coords(bad)

@@ -14,13 +14,13 @@ from netselect.graph import (
 from netselect.select_kernel import (
     KernelConfig,
     build_kernel_blocks,
-    criterion_kernel,
     fit_predict_kernel,
     greedy_select_kernel,
     kernel_reconstructor,
 )
-from netselect.select_linear import criterion_linear_h, greedy_select_linear
+from netselect.select_linear import greedy_select_linear
 from netselect.timeseries import assemble_blocks, estimate_blocks
+from oracles import criterion_kernel, criterion_linear
 
 
 def _graph(n=6, seed=0):
@@ -64,8 +64,7 @@ def test_autocovariance_kernel_lambda_zero_matches_linear():
     blocks = estimate_blocks(X, H)
     kb = build_kernel_blocks(KernelConfig(kernel="autocovariance", H=H), X_train=X)
     I = [0, 3]
-    alpha, beta = assemble_blocks(blocks.gammas, I, H)
-    lin = criterion_linear_h(blocks.sigma, alpha, beta, I)
+    lin = criterion_linear(blocks.gammas, I, H)
     ker = criterion_kernel(blocks, kb, I, lam=0.0, H=H)
     assert ker == pytest.approx(lin, abs=1e-10)
     lin_order = greedy_select_linear(blocks, 3, H=H).order

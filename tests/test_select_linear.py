@@ -1,21 +1,19 @@
 """Linear criteria, greedy and exhaustive selection, linear reconstructor."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from netselect.errors import BudgetError, DeterminantError, InvalidInputError
+from netselect.errors import InvalidInputError
 from netselect.select_linear import (
     LinearReconstructor,
     SelectionResult,
-    criterion_linear_h,
-    criterion_linear_h0,
-    entropy_criterion,
-    exhaustive_select,
     fit_predict_linear,
     greedy_select_linear,
-    partial_variance,
 )
-from netselect.timeseries import CovarianceBlocks, assemble_blocks, estimate_blocks
+from netselect.timeseries import CovarianceBlocks, estimate_blocks
+from oracles import criterion_linear, training_mse
 
 
 def _toy_cov():
@@ -31,35 +29,29 @@ def _toy_cov():
     return A + np.diag(A.sum(axis=1))
 
 
+def _partial_variance(sigma, i):
+    """sigma^2_{i|S} = Sigma_ii - Sigma_iS Sigma_S^{-1} Sigma_Si, S the rest."""
+    S = [j for j in range(sigma.shape[0]) if j != i]
+    v = sigma[i, S]
+    return sigma[i, i] - v @ np.linalg.solve(sigma[np.ix_(S, S)], v)
+
+
 def test_partial_variance_exact_fractions():
     cov = _toy_cov()
-    rest = lambda i: [j for j in range(4) if j != i]
-    assert partial_variance(cov, 0, rest(0)) == pytest.approx(4 / 3, abs=1e-12)
-    assert partial_variance(cov, 3, rest(3)) == pytest.approx(4 / 7, abs=1e-12)
+    assert criterion_linear([cov], [0], 0) == pytest.approx(4 / 3, abs=1e-12)
+    assert criterion_linear([cov], [3], 0) == pytest.approx(4 / 7, abs=1e-12)
     d = np.sqrt(np.diag(cov))
     corr = cov / np.outer(d, d)
-    assert partial_variance(corr, 0, rest(0)) == pytest.approx(4 / 9, abs=1e-12)
-    assert partial_variance(corr, 3, rest(3)) == pytest.approx(4 / 7, abs=1e-12)
-
-
-def test_partial_variance_edge_cases():
-    cov = _toy_cov()
-    assert partial_variance(cov, 2, []) == cov[2, 2]
-    with pytest.raises(InvalidInputError, match="itself"):
-        partial_variance(cov, 1, [1, 2])
+    assert criterion_linear([corr], [0], 0) == pytest.approx(4 / 9, abs=1e-12)
+    assert criterion_linear([corr], [3], 0) == pytest.approx(4 / 7, abs=1e-12)
 
 
 def test_criterion_h0_equals_partial_variance_for_singletons():
     cov = _toy_cov()
     for i in range(4):
-        rest = [j for j in range(4) if j != i]
-        assert criterion_linear_h0(cov, [i]) == pytest.approx(
-            partial_variance(cov, i, rest), abs=1e-12
+        assert criterion_linear([cov], [i], 0) == pytest.approx(
+            _partial_variance(cov, i), abs=1e-12
         )
-    with pytest.raises(InvalidInputError, match="proper subset"):
-        criterion_linear_h0(cov, [0, 1, 2, 3])
-    with pytest.raises(InvalidInputError, match="proper subset"):
-        criterion_linear_h0(cov, [])
 
 
 def test_greedy_tie_breaks_to_lowest_index():
@@ -92,16 +84,10 @@ def test_entropy_equivalence_on_one_instance():
     rng = np.random.default_rng(2)
     M = rng.normal(size=(6, 6))
     sigma = M @ M.T + 0.5 * np.eye(6)
-    pv = [partial_variance(sigma, i, [j for j in range(6) if j != i])
-          for i in range(6)]
-    ent = [entropy_criterion(sigma, [i]) for i in range(6)]
+    pv = [criterion_linear([sigma], [i], 0) for i in range(6)]
+    ent = [np.linalg.slogdet(np.delete(np.delete(sigma, i, 0), i, 1))[1]
+           for i in range(6)]
     assert int(np.argmin(pv)) == int(np.argmax(ent))
-
-
-def test_entropy_criterion_rejects_indefinite_complement():
-    sigma = np.diag([1.0, -1.0, 1.0])
-    with pytest.raises(DeterminantError, match="not positive definite"):
-        entropy_criterion(sigma, [0])
 
 
 def test_criterion_equals_training_mse_one_instance():
@@ -110,9 +96,8 @@ def test_criterion_equals_training_mse_one_instance():
     H = 2
     blocks = estimate_blocks(X, H)
     I = [1, 4]
-    alpha, beta = assemble_blocks(blocks.gammas, I, H)
-    crit = criterion_linear_h(blocks.sigma, alpha, beta, I)
-    mse = fit_predict_linear(blocks, I, H).training_mse(X)
+    crit = criterion_linear(blocks.gammas, I, H)
+    mse = training_mse(fit_predict_linear(blocks, I, H), X)
     assert crit == pytest.approx(mse, rel=1e-10)
 
 
@@ -136,16 +121,17 @@ def test_selection_result_validation():
         SelectionResult("linear-h0", {}, [0], [np.inf])
 
 
-def test_exhaustive_budget():
-    with pytest.raises(BudgetError, match="exceeds budget"):
-        exhaustive_select(lambda I: 0.0, 30, 15)
-
-
 def test_exhaustive_finds_global_minimum():
     sigma = np.diag([4.0, 1.0, 3.0, 2.0])
-    best, val = exhaustive_select(lambda I: criterion_linear_h0(sigma, I), 4, 2)
+
+    def crit(I):
+        return criterion_linear([sigma], I, 0)
+
+    # min keeps the first minimum in combinations order: the
+    # lexicographic tie-break
+    best = min(combinations(range(4), 2), key=crit)
     assert best == (1, 3)
-    assert val == pytest.approx(3.0)
+    assert crit(best) == pytest.approx(3.0)
 
 
 def test_predict_panel_zero_padding():
@@ -167,4 +153,4 @@ def test_noiseless_reconstruction_is_exact():
     rec = fit_predict_linear(blocks, [0], 0)
     pred = rec.predict_panel(X, 0, 600)
     assert np.max(np.abs(pred - X[0])) <= 1e-10
-    assert criterion_linear_h0(blocks.sigma, [0]) <= 1e-10
+    assert criterion_linear(blocks.gammas, [0], 0) <= 1e-10

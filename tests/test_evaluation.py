@@ -212,6 +212,13 @@ def test_synth_graph_smooth_designed_redundancy():
         synth_generate(g, 10, "graph-smooth", redundant_pairs=[(0, 0)])
     with pytest.raises(InvalidInputError, match="out of range"):
         synth_generate(g, 10, "graph-smooth", noise_sensors=[99])
+
+
+def test_synth_var1_validation():
+    g = _graph()
+    # the var1 model was removed: asking for it is an unknown model
+    with pytest.raises(InvalidInputError, match="model"):
+        synth_generate(g, 10, "var1")
     with pytest.raises(InvalidInputError, match="unknown kwargs"):
         synth_generate(g, 10, "graph-smooth", rho=0.5)
     with pytest.raises(InvalidInputError, match="model"):

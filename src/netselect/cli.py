@@ -110,8 +110,26 @@ EVALUATE_TYPES = {
 }
 
 
+def _int_at_least(lo):
+    """argparse type: an integer >= lo."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lo:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {lo}")
+        return value
+    return parse
+
+
 def _int_list(text):
-    return [int(part) for part in text.split(",") if part.strip()]
+    """argparse type: comma-separated integers."""
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of integers") from None
 
 
 def _write_text(path, text):
@@ -120,8 +138,8 @@ def _write_text(path, text):
 
 
 def _resolve_split(args, t_total) -> Split:
-    if args.split:
-        sizes = _int_list(args.split)
+    sizes = args.split
+    if sizes:
         if len(sizes) != 3:
             raise InvalidInputError("--split needs train,val,test sizes")
         if sum(sizes) != t_total:
@@ -287,7 +305,7 @@ def cmd_select(args):
         hp["gamma"] = gamma_grid(args.H, args.r_s) if args.H > 0 else 0.0
     elif args.method != "linear":
         hp.update(laplacian=args.laplacian, cheb_order=args.cheb_order,
-                  f_out=args.f_out, fc_sizes=_int_list(args.fc_sizes))
+                  f_out=args.f_out, fc_sizes=args.fc_sizes)
     graph = None
     if _needs_graph(args.method, hp):
         graph = build_knn_graph(coords, hp["k0"], hp["k1"])
@@ -303,18 +321,12 @@ def cmd_select(args):
     else:
         spectrum = _gcn_spectrum(hp, graph)
         net = _chebnet(hp, n)
+        tc = TrainConfig(lr=args.lr, batch_size=args.batch_size,
+                         max_epoch=args.max_epoch, seed=args.seed)
         if args.method == "gcn-dropout":
-            tc = TrainConfig(optimizer="gd", lr=args.lr,
-                             batch_size=args.batch_size,
-                             max_epoch=args.max_epoch,
-                             early_stop="five-epoch-mean", seed=args.seed)
             scores, result, _ = train_selection_dropout(
                 X, split, spectrum, p, net, tc, measure=args.measure)
         else:
-            tc = TrainConfig(optimizer="adam", lr=args.lr,
-                             batch_size=args.batch_size,
-                             max_epoch=args.max_epoch,
-                             early_stop="none", seed=args.seed)
             lam_grid = list(np.linspace(args.mask_lambda_min,
                                         args.mask_lambda_max,
                                         args.mask_lambda_count))
@@ -363,9 +375,8 @@ def _evaluate_fit_fn(args, sel, X, split, graph):
         return lambda I: fit_predict_kernel(cov, kb, I, hp["lambda"], H)
     # gcn: retrain the prediction network for each requested set
     spectrum = _gcn_spectrum(hp, graph)
-    tc = TrainConfig(optimizer="adam", lr=args.lr, batch_size=args.batch_size,
-                     max_epoch=args.max_epoch, early_stop="two-epoch-mean",
-                     seed=args.seed)
+    tc = TrainConfig(lr=args.lr, batch_size=args.batch_size,
+                     max_epoch=args.max_epoch, seed=args.seed)
 
     def fit(I):
         net = _chebnet(hp, len(I))
@@ -466,7 +477,8 @@ def _build_parser():
     slc.add_argument("--method", choices=METHODS, default="linear")
     slc.add_argument("--p", type=int, default=None,
                      help="sensors to turn off (default 10%% of N)")
-    slc.add_argument("--H", type=int, default=0, help="input history length")
+    slc.add_argument("--H", type=_int_at_least(0), default=0,
+                     help="input history length")
     slc.add_argument("--lambda", dest="lam", type=float, default=None,
                      help="ridge strength; default searches the a_i grid")
     slc.add_argument("--r-s", type=float, default=0.5,
@@ -479,17 +491,17 @@ def _build_parser():
     slc.add_argument("--laplacian", choices=LAPLACIANS, default="combinatorial")
     slc.add_argument("--cheb-order", type=int, default=50)
     slc.add_argument("--f-out", type=int, default=16)
-    slc.add_argument("--fc-sizes", default="128,500,64")
+    slc.add_argument("--fc-sizes", type=_int_list, default="128,500,64")
     slc.add_argument("--lr", type=float, default=0.05)
     slc.add_argument("--batch-size", type=int, default=50)
     slc.add_argument("--max-epoch", type=int, default=500)
     slc.add_argument("--measure", choices=("r2", "mse"), default="r2")
     slc.add_argument("--mask-lambda-min", type=float, default=0.05)
     slc.add_argument("--mask-lambda-max", type=float, default=0.35)
-    slc.add_argument("--mask-lambda-count", type=int, default=20)
+    slc.add_argument("--mask-lambda-count", type=_int_at_least(1), default=20)
     slc.add_argument("--eps0", type=float, default=0.01)
     slc.add_argument("--out-dir", default=".")
-    slc.add_argument("--split", default=None,
+    slc.add_argument("--split", type=_int_list, default=None,
                      help="train,val,test sizes in hours (must sum to T)")
     slc.add_argument("--val-frac", type=float, default=0.05)
     slc.add_argument("--test-frac", type=float, default=0.15)

@@ -96,15 +96,6 @@ def init_params(config: ChebNetConfig, seed=0) -> ChebNetParams:
     return ChebNetParams(theta, gconv_bias, fc_weights, fc_biases)
 
 
-def zeros_like_params(params: ChebNetParams) -> ChebNetParams:
-    return ChebNetParams(
-        np.zeros_like(params.theta),
-        np.zeros_like(params.gconv_bias),
-        [np.zeros_like(W) for W in params.fc_weights],
-        [np.zeros_like(b) for b in params.fc_biases],
-    )
-
-
 def scale_laplacian(L, lam_max):
     """Rescale a Laplacian so its spectrum lies in [-1, 1]:
     L_tilde = 2 L / lam_max - Id."""
@@ -176,26 +167,25 @@ def backward_batch(dout, cache, params: ChebNetParams, config: ChebNetConfig,
     """
     feats = cache["feats"]
     pre_acts = cache["pre_acts"]
-    grads = zeros_like_params(params)
     B = dout.shape[0]
 
+    n_fc = len(params.fc_weights)
+    fc_weights, fc_biases = [None] * n_fc, [None] * n_fc
     df = dout
-    grads.fc_weights[-1] = df.T @ feats[-1]
-    grads.fc_biases[-1] = df.sum(axis=0)
-    df = df @ params.fc_weights[-1]
-    for m in range(len(params.fc_weights) - 2, -1, -1):
-        du = df * leaky_relu_grad(pre_acts[m], LEAKY_ALPHA)
-        grads.fc_weights[m] = du.T @ feats[m]
-        grads.fc_biases[m] = du.sum(axis=0)
-        df = du @ params.fc_weights[m]
+    for m in range(n_fc - 1, -1, -1):
+        if m < len(pre_acts):  # hidden layers; the output layer is linear
+            df = df * leaky_relu_grad(pre_acts[m], LEAKY_ALPHA)
+        fc_weights[m] = df.T @ feats[m]
+        fc_biases[m] = df.sum(axis=0)
+        df = df @ params.fc_weights[m]
 
     dA1 = df.reshape(B, config.n, config.f_out)
     dG = dA1 * elu_grad(cache["G_pre"])
     U = spectrum.vectors
     dG_hat = U.T @ dG                                            # (B, n, f_out)
     dh = np.einsum("bjf,bjo->jfo", cache["X_hat"], dG_hat)
-    grads.theta = np.einsum("kj,jfo->kfo", cache["T"], dh)
-    grads.gconv_bias = dG.sum(axis=0)
+    grads = ChebNetParams(np.einsum("kj,jfo->kfo", cache["T"], dh),
+                          dG.sum(axis=0), fc_weights, fc_biases)
 
     dXb = None
     if want_input_grad:

@@ -8,6 +8,7 @@ early their mask weight collapses along an ascending lambda grid.
 """
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from typing import List
@@ -17,14 +18,14 @@ import numpy as np
 from ..errors import InvalidInputError, UndefinedScoreError
 from ..select_linear import SelectionResult
 from ..timeseries import Split
-from .layers import ChebNetConfig, backward_batch, forward_batch, init_params
+from .layers import ChebNetConfig, forward_batch, init_params
 from .train import (
     TrainConfig,
-    _check_finite,
-    _early_stop,
     _param_tensors,
     batch_blocks,
+    batch_loss,
     make_optimizer,
+    run_epochs,
     window_tensor,
 )
 
@@ -89,9 +90,10 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
 
     Per batch a Bernoulli vector w with zero-probability q = p/N masks
     the input; the loss counts only dropped sensors (factor 1 - w).
-    Degenerate draws (all zeros or all ones) are resampled. Early
-    stopping follows train_config.early_stop; validation masks are drawn
-    once so the trace is deterministic. Scoring uses the full input.
+    Degenerate draws (all zeros or all ones) are resampled. The net
+    trains by plain gradient descent and stops early by the
+    "five-epoch-mean" rule; validation masks are drawn once so the trace
+    is deterministic. Scoring uses the full input.
 
     Returns (scores, result, diagnostics).
     """
@@ -101,14 +103,12 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
         raise InvalidInputError(f"out_dim must be N = {n} for dropout selection")
     if not (1 <= p < n):
         raise InvalidInputError(f"need 1 <= p < {n}, got p={p}")
-    if train_config.optimizer != "gd":
-        raise InvalidInputError("dropout selection uses the plain gd optimizer")
     q = p / n
     h = net_config.h
 
     rng = np.random.default_rng(train_config.seed)
     params = init_params(net_config, seed=train_config.seed)
-    opt = make_optimizer(train_config)
+    opt = make_optimizer("gd", train_config.lr)
 
     def draw_mask():
         resampled = 0
@@ -123,23 +123,17 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
     val_masks = [draw_mask()[0] for _ in val_blocks]
 
     resample_count = 0
-    val_losses: List[float] = []
-    for _ in range(train_config.max_epoch):
-        for bi in rng.permutation(len(train_blocks)):
-            ts = train_blocks[bi]
-            w, extra = draw_mask()
-            resample_count += extra
-            Xb = window_tensor(X, ts, h)
-            out, cache = forward_batch(Xb * w[None, :, None], params, net_config,
-                                       spectrum, want_cache=True)
-            resid = out - X[:, ts].T
-            drop = 1.0 - w
-            loss = float(np.sum(drop[None, :] * resid ** 2) / ts.size)
-            _check_finite(loss)
-            grads, _ = backward_batch(2.0 * drop[None, :] * resid / ts.size,
-                                      cache, params, net_config, spectrum)
-            opt.step(_param_tensors(params), _param_tensors(grads))
 
+    def step(ts):
+        nonlocal resample_count
+        w, extra = draw_mask()
+        resample_count += extra
+        _, grads, _, _ = batch_loss(window_tensor(X, ts, h) * w[None, :, None],
+                                    X[:, ts].T, (1.0 - w)[None, :], params,
+                                    net_config, spectrum)
+        opt.step(_param_tensors(params), _param_tensors(grads))
+
+    def val_loss():
         vl = 0.0
         n_val = 0
         for ts, w in zip(val_blocks, val_masks):
@@ -148,11 +142,10 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
             resid = out - X[:, ts].T
             vl += float(np.sum((1.0 - w)[None, :] * resid ** 2))
             n_val += ts.size
-        val_loss = vl / n_val
-        _check_finite(val_loss)
-        val_losses.append(val_loss)
-        if _early_stop(train_config.early_stop, val_losses):
-            break
+        return vl / n_val
+
+    val_losses = run_epochs(rng, train_blocks, train_config.max_epoch, step,
+                            val_loss, "five-epoch-mean")
 
     val_ts = np.concatenate(val_blocks)
     try:
@@ -177,8 +170,7 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
         order,
         [float(scores.scores[i]) for i in order],
     )
-    diagnostics = {"resampled": resample_count, "val_losses": val_losses,
-                   "params": params}
+    diagnostics = {"resampled": resample_count, "val_losses": val_losses}
     return scores, result, diagnostics
 
 
@@ -187,9 +179,9 @@ def train_selection_masking(X, split: Split, spectrum, p, lam_grid, eps0,
     """Masking selection: l1-penalized trainable input mask, Lasso path.
 
     For each lambda in the ascending grid the network and a mask w
-    (init 0.5) are trained jointly for the full max_epoch (early_stop
-    must be "none"); after every optimizer step w is projected onto
-    [0, 1]. The per-batch loss is
+    (init 0.5) are trained jointly with Adam for the full max_epoch, from
+    a fresh init and batch order; after every optimizer step w is
+    projected onto [0, 1]. The per-batch loss is
     mean_t sum_i (1 - w_i)^2 (x_it - x_hat_it)^2 plus lambda ||w||_1.
     F_i counts the grid points whose final mask weight falls below eps0;
     sensors are ranked by descending F_i with ties (and the no-collapse
@@ -204,44 +196,38 @@ def train_selection_masking(X, split: Split, spectrum, p, lam_grid, eps0,
     if not (1 <= p < n):
         raise InvalidInputError(f"need 1 <= p < {n}, got p={p}")
     lam_grid = [float(l) for l in lam_grid]
-    if not lam_grid or any(b < a for a, b in zip(lam_grid, lam_grid[1:])):
-        raise InvalidInputError("lambda grid must be nonempty and ascending")
+    if (not lam_grid or not all(math.isfinite(l) for l in lam_grid)
+            or any(b < a for a, b in zip(lam_grid, lam_grid[1:]))):
+        raise InvalidInputError("lambda grid must be nonempty, finite and ascending")
     if eps0 <= 0:
         raise InvalidInputError("eps0 must be positive")
-    if train_config.early_stop != "none":
-        raise InvalidInputError("masking selection trains every lambda for the "
-                                "full max_epoch; early_stop must be 'none'")
     h = net_config.h
 
     train_blocks = batch_blocks(0, split.t_tv, h, train_config.batch_size)
     mask_path = np.empty((len(lam_grid), n))
     for gi, lam in enumerate(lam_grid):
-        rng = np.random.default_rng(train_config.seed)
         params = init_params(net_config, seed=train_config.seed)
         w = np.full(n, 0.5)
-        opt = make_optimizer(train_config)
-        for _ in range(train_config.max_epoch):
-            for bi in rng.permutation(len(train_blocks)):
-                ts = train_blocks[bi]
-                Xb = window_tensor(X, ts, h)
-                out, cache = forward_batch(Xb * w[None, :, None], params,
-                                           net_config, spectrum, want_cache=True)
-                target = X[:, ts].T
-                resid = out - target
-                sqw = (1.0 - w) ** 2
-                loss = float(np.sum(sqw[None, :] * resid ** 2) / ts.size
-                             + lam * np.abs(w).sum())
-                _check_finite(loss)
-                grads, dXb = backward_batch(2.0 * sqw[None, :] * resid / ts.size,
-                                            cache, params, net_config, spectrum,
-                                            want_input_grad=True)
-                # mask gradient: input path, the (1-w)^2 loss factor, and l1
-                dw = (dXb * Xb).sum(axis=(0, 2))
-                dw += -2.0 * (1.0 - w) * (resid ** 2).sum(axis=0) / ts.size
-                dw += lam * np.sign(w)
-                opt.step(_param_tensors(params) + [w],
-                         _param_tensors(grads) + [dw])
-                np.clip(w, 0.0, 1.0, out=w)
+        opt = make_optimizer("adam", train_config.lr)
+
+        # lam is finite (checked above) and w stays in [0, 1], so the l1
+        # term is finite and batch_loss checking the data loss alone
+        # catches divergence
+        def step(ts):
+            Xb = window_tensor(X, ts, h)
+            _, grads, resid, dXb = batch_loss(Xb * w[None, :, None], X[:, ts].T,
+                                              ((1.0 - w) ** 2)[None, :], params,
+                                              net_config, spectrum,
+                                              want_input_grad=True)
+            # mask gradient: input path, the (1-w)^2 loss factor, and l1
+            dw = (dXb * Xb).sum(axis=(0, 2))
+            dw += -2.0 * (1.0 - w) * (resid ** 2).sum(axis=0) / ts.size
+            dw += lam * np.sign(w)
+            opt.step(_param_tensors(params) + [w], _param_tensors(grads) + [dw])
+            np.clip(w, 0.0, 1.0, out=w)
+
+        run_epochs(np.random.default_rng(train_config.seed), train_blocks,
+                   train_config.max_epoch, step)
         mask_path[gi] = w
 
     final_at_top = mask_path[-1]

@@ -1,4 +1,4 @@
-"""Training loops for the reconstruction network.
+"""The training loop that the prediction, dropout and mask nets share.
 
 Batches are contiguous chronological blocks whose order is reshuffled
 every epoch from the run seed, so runs are deterministic given the seed.
@@ -21,29 +21,21 @@ from .layers import (
     tensor_items,
 )
 
-OPTIMIZERS = ("adam", "gd")
-EARLY_STOP_RULES = ("none", "two-epoch-mean", "five-epoch-mean")
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    optimizer: str = "adam"
     lr: float = 0.001
     batch_size: int = 50
     max_epoch: int = 50
-    early_stop: str = "two-epoch-mean"
     seed: int = 0
 
     def __post_init__(self):
-        if self.optimizer not in OPTIMIZERS:
-            raise InvalidInputError(f"optimizer must be one of {OPTIMIZERS}")
         if self.lr <= 0:
             raise InvalidInputError("lr must be positive")
         if self.batch_size < 1 or self.max_epoch < 1:
             raise InvalidInputError("batch_size and max_epoch must be >= 1")
-        if self.early_stop not in EARLY_STOP_RULES:
-            raise InvalidInputError(f"early_stop must be one of {EARLY_STOP_RULES}")
 
 
 class _GD:
@@ -76,8 +68,9 @@ class _Adam:
             t -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def make_optimizer(cfg: TrainConfig):
-    return _Adam(cfg.lr) if cfg.optimizer == "adam" else _GD(cfg.lr)
+def make_optimizer(kind, lr):
+    """Adam for kind "adam", plain gradient descent for "gd"."""
+    return _Adam(lr) if kind == "adam" else _GD(lr)
 
 
 def window_tensor(X, ts, h):
@@ -109,7 +102,7 @@ def _early_stop(rule, val_losses):
     "two-epoch-mean": the mean of the current and previous validation
     losses exceeds the previous such mean. "five-epoch-mean": at the end
     of every 5 epochs, the mean of the last 5 validation losses exceeds
-    the mean of the block of 5 before. "none" never fires.
+    the mean of the block of 5 before.
     """
     e = len(val_losses)
     if rule == "two-epoch-mean" and e >= 3:
@@ -121,14 +114,57 @@ def _early_stop(rule, val_losses):
     return False
 
 
+def batch_loss(Xb, target, weight, params, net_config, spectrum,
+               want_input_grad=False):
+    """Weighted squared-error loss of one batch and its gradients.
+
+    The loss is sum(weight * (out - target)^2) / B for the B rows of the
+    batch, with weight broadcast against the (B, out_dim) residual; a
+    non-finite loss raises TrainingDivergedError. Returns
+    (loss, grads, resid, dXb), dXb being None unless want_input_grad.
+    """
+    out, cache = forward_batch(Xb, params, net_config, spectrum, want_cache=True)
+    resid = out - target
+    B = target.shape[0]
+    loss = float(np.sum(weight * resid ** 2) / B)
+    _check_finite(loss)
+    grads, dXb = backward_batch(2.0 * weight * resid / B, cache, params,
+                                net_config, spectrum,
+                                want_input_grad=want_input_grad)
+    return loss, grads, resid, dXb
+
+
+def run_epochs(rng, blocks, max_epoch, step, val_loss=None, rule=None):
+    """Up to max_epoch passes of step(ts) over the batch blocks.
+
+    Each pass visits the blocks in a fresh order drawn from rng. When
+    val_loss is given, it is called after every pass and checked to be
+    finite, and training stops once the early-stopping rule fires.
+    Returns the validation losses, one per pass made (none without
+    val_loss).
+    """
+    val_losses: List[float] = []
+    for _ in range(max_epoch):
+        for bi in rng.permutation(len(blocks)):
+            step(blocks[bi])
+        if val_loss is not None:
+            loss = val_loss()
+            _check_finite(loss)
+            val_losses.append(loss)
+            if _early_stop(rule, val_losses):
+                break
+    return val_losses
+
+
 def train_prediction_net(X, split: Split, spectrum, I, net_config: ChebNetConfig,
                          train_config: TrainConfig):
     """Train the reconstruction network for the turned-off set I.
 
     X is the preprocessed (n, T) panel matrix and spectrum the EigenPair
     of the rescaled Laplacian. Inputs are lag windows with zeros inserted
-    at the rows of I; targets are x_{I,t}. Validation loss is tracked per
-    epoch and training stops early by the rule train_config.early_stop.
+    at the rows of I; targets are x_{I,t}. The net trains with Adam; the
+    validation loss is tracked per epoch and training stops early by the
+    "two-epoch-mean" rule.
 
     Returns (params, val_losses).
     """
@@ -146,34 +182,25 @@ def train_prediction_net(X, split: Split, spectrum, I, net_config: ChebNetConfig
 
     rng = np.random.default_rng(train_config.seed)
     params = init_params(net_config, seed=train_config.seed)
-    opt = make_optimizer(train_config)
+    opt = make_optimizer("adam", train_config.lr)
 
     train_blocks = batch_blocks(0, split.t_tv, h, train_config.batch_size)
     val_ts = np.concatenate(batch_blocks(split.t_tv, split.t0, h, split.t0 - split.t_tv))
     val_in = window_tensor(X_masked, val_ts, h)
     val_target = X[np.ix_(I, val_ts)].T
 
-    val_losses: List[float] = []
-    for _ in range(train_config.max_epoch):
-        for bi in rng.permutation(len(train_blocks)):
-            ts = train_blocks[bi]
-            Xb = window_tensor(X_masked, ts, h)
-            target = X[np.ix_(I, ts)].T
-            out, cache = forward_batch(Xb, params, net_config, spectrum,
-                                       want_cache=True)
-            resid = out - target
-            loss = float(np.sum(resid ** 2) / ts.size)
-            _check_finite(loss)
-            grads, _ = backward_batch(2.0 * resid / ts.size, cache, params,
-                                      net_config, spectrum)
-            opt.step(_param_tensors(params), _param_tensors(grads))
+    def step(ts):
+        _, grads, _, _ = batch_loss(window_tensor(X_masked, ts, h),
+                                    X[np.ix_(I, ts)].T, 1.0, params,
+                                    net_config, spectrum)
+        opt.step(_param_tensors(params), _param_tensors(grads))
 
+    def val_loss():
         val_out = forward_batch(val_in, params, net_config, spectrum)
-        val_loss = float(np.sum((val_out - val_target) ** 2) / val_ts.size)
-        _check_finite(val_loss)
-        val_losses.append(val_loss)
-        if _early_stop(train_config.early_stop, val_losses):
-            break
+        return float(np.sum((val_out - val_target) ** 2) / val_ts.size)
+
+    val_losses = run_epochs(rng, train_blocks, train_config.max_epoch, step,
+                            val_loss, "two-epoch-mean")
     return params, val_losses
 
 
@@ -190,15 +217,6 @@ class NetReconstructor:
     config: ChebNetConfig
     spectrum: EigenPair
     turned_off: List[int]
-
-    @property
-    def kept(self):
-        off = set(self.turned_off)
-        return [i for i in range(self.config.n) if i not in off]
-
-    @property
-    def H(self):
-        return self.config.h
 
     def predict_panel(self, X, t_start, t_end):
         X = np.asarray(X, dtype=float)

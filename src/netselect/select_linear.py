@@ -29,6 +29,16 @@ METHOD_TAGS = (
 )
 
 
+def _json_list(data, key, kind, wanted):
+    """data[key], which must be a JSON list of kind values (not booleans)."""
+    value = data[key]
+    if not isinstance(value, list) or any(
+            isinstance(v, bool) or not isinstance(v, kind) for v in value):
+        raise InvalidInputError(
+            f"selection {key!r} must be a list of {wanted}, got {value!r}")
+    return value
+
+
 @dataclass
 class SelectionResult:
     method: str
@@ -71,8 +81,9 @@ class SelectionResult:
             return cls(
                 method=data["method"],
                 hyperparams=data["hyperparams"],
-                order=[int(i) for i in data["order"]],
-                step_values=[float(v) for v in data["step_values"]],
+                order=_json_list(data, "order", int, "integers"),
+                step_values=[float(v) for v in _json_list(
+                    data, "step_values", (int, float), "numbers")],
             )
         except KeyError as err:
             raise InvalidInputError(f"selection has no {err.args[0]!r} key") from None

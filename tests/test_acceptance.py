@@ -300,8 +300,7 @@ def selection_sanity():
 
         scores, result, _ = train_selection_dropout(
             X, split, spectrum, 2, net,
-            TrainConfig(optimizer="gd", lr=0.02, batch_size=50, max_epoch=60,
-                        early_stop="five-epoch-mean", seed=seed))
+            TrainConfig(lr=0.02, batch_size=50, max_epoch=60, seed=seed))
         rec = fit_predict_linear(blocks, result.order, 0)
         sel_mse = held_out_mse(rec, X, result.order, split)
         base = random_baseline(lambda I: fit_predict_linear(blocks, I, 0),
@@ -313,8 +312,7 @@ def selection_sanity():
             warnings.simplefilter("ignore")
             _, mpath = train_selection_masking(
                 X, split, spectrum, 2, mask_lams, 0.01, net,
-                TrainConfig(optimizer="adam", lr=0.01, batch_size=50,
-                            max_epoch=8, early_stop="none", seed=seed))
+                TrainConfig(lr=0.01, batch_size=50, max_epoch=8, seed=seed))
         F = (mpath < 0.01).sum(axis=0)
         rank_pos = {i: k for k, i in enumerate(
             sorted(range(20), key=lambda i: (-F[i], mpath[-1][i], i)))}

@@ -1,5 +1,7 @@
 """src/netselect holds only code that the pipeline or the benchmark runs."""
 
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -20,3 +22,19 @@ def test_every_library_name_is_used_outside_the_tests():
               for name in re.findall(r"^(?:def|class) (\w+)", text, flags=re.M)
               if len(re.findall(rf"\b{name}\b", corpus)) < 2]
     assert not unused, f"defined in src/netselect but used by no other code: {unused}"
+
+
+def test_tracer_targets_resolve():
+    # perfbench/tracer.py wraps library functions by name and reports a
+    # vanished one only as a metric that reads 0; these three are known
+    # stale and listed for renaming in ROADMAP.md, any other is a break
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = {f"{modname[len('netselect.'):]}.{name}"
+               for modname, names in tracer.TARGETS.items()
+               for name in names
+               if not hasattr(importlib.import_module(modname), name)}
+    assert missing == {"gcn.layers.cheb_apply", "numerics.stabilize_spd",
+                       "select_kernel.assemble_kernel"}

@@ -209,6 +209,25 @@ def test_select_rejects_bad_coordinates(tmp_path, capsys, line, row, message):
     assert not (tmp_path / "sel").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--H", "-1"],
+    ["--method", "kernel", "--H", "-1"],
+    ["--split", "300,x,50"],
+    ["--method", "gcn-mask", "--fc-sizes", "8,x"],
+    ["--method", "gcn-mask", "--mask-lambda-count", "-1"],
+    ["--method", "gcn-mask", "--mask-lambda-count", "0"],
+])
+def test_select_rejects_bad_flag_values(tmp_path, capsys, flags):
+    # argparse rejects them (exit 2) before any work, never a traceback
+    panel_path, coords_path, _ = _correlated_panel(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["select", str(panel_path), "--coords", str(coords_path),
+              "--k0", "2", "--k1", "1", "--cheb-order", "2", "--max-epoch", "1",
+              "--out-dir", str(tmp_path)] + flags)
+    assert exc.value.code == 2
+    assert f"argument {flags[-2]}:" in capsys.readouterr().err
+
+
 def _noiseless_panel(tmp_path, T=400, seed=1):
     # two free signals plus their difference and sum: any pair of the
     # four sensors reconstructs the rest exactly
@@ -370,6 +389,16 @@ def test_evaluate_rejects_malformed_selection(tmp_path, capsys):
     sel_path.write_text(json.dumps(stored), encoding="utf-8")
     assert main(argv) == 2
     assert "'order'" in capsys.readouterr().err
+    # JSON values of the wrong type are not coerced
+    for key, value in (("order", [2.9, True]), ("order", ["3", 1]),
+                       ("order", [2, True]), ("step_values", ["0.5", True]),
+                       ("step_values", [0.5, True])):
+        _write_selection(sel_path)
+        stored = json.loads(sel_path.read_text())
+        stored[key] = value
+        sel_path.write_text(json.dumps(stored), encoding="utf-8")
+        assert main(argv) == 2, (key, value)
+        assert f"{key!r} must be a list of" in capsys.readouterr().err
 
 
 def test_evaluate_takes_the_split_from_the_selection_only(tmp_path, capsys):

@@ -223,7 +223,6 @@ def test_two_epoch_stop_rule():
     assert not _early_stop("two-epoch-mean", [3.0, 2.0])
     assert not _early_stop("two-epoch-mean", [3.0, 2.0, 1.0])
     assert _early_stop("two-epoch-mean", [1.0, 2.0, 3.0])
-    assert not _early_stop("none", [1.0, 2.0, 3.0])
 
 
 def test_five_epoch_stop_rule():
@@ -234,16 +233,11 @@ def test_five_epoch_stop_rule():
     assert not _early_stop("five-epoch-mean", rising[:9])
     # length 11, not a block end
     assert not _early_stop("five-epoch-mean", rising + [0.0])
-    assert not _early_stop("none", rising)
 
 
 def test_train_config_validation():
-    with pytest.raises(InvalidInputError, match="optimizer"):
-        TrainConfig(optimizer="sgd")
     with pytest.raises(InvalidInputError, match="lr"):
         TrainConfig(lr=0.0)
-    with pytest.raises(InvalidInputError, match="early_stop"):
-        TrainConfig(early_stop="patience")
 
 
 def test_prediction_training_runs_and_stops():
@@ -252,9 +246,11 @@ def test_prediction_training_runs_and_stops():
                            out_dim=1, h=0)
     params, val_losses = train_prediction_net(
         X, split, spectrum, [2], config,
-        TrainConfig(optimizer="adam", lr=0.01, batch_size=32, max_epoch=5,
-                    early_stop="none", seed=0))
-    assert len(val_losses) == 5
+        TrainConfig(lr=0.01, batch_size=32, max_epoch=5, seed=0))
+    # stops at the first epoch where the two-epoch rule fires
+    assert len(val_losses) == 4
+    assert [e for e in range(1, 5)
+            if _early_stop("two-epoch-mean", val_losses[:e])] == [4]
     assert all(np.isfinite(v) for v in val_losses)
     out = forward_batch(window_tensor(X, np.arange(230, 240), 0),
                         params, config, spectrum)
@@ -277,8 +273,7 @@ def test_training_diverges_at_huge_lr():
         with pytest.raises(TrainingDivergedError, match="non-finite"):
             train_prediction_net(
                 X, split, spectrum, [1], config,
-                TrainConfig(optimizer="gd", lr=1e12, batch_size=32, max_epoch=20,
-                            early_stop="none", seed=0))
+                TrainConfig(lr=1e100, batch_size=32, max_epoch=20, seed=0))
 
 
 def test_net_reconstructor_surface():
@@ -287,8 +282,6 @@ def test_net_reconstructor_surface():
                            out_dim=2, h=1)
     params = init_params(config, seed=0)
     rec = NetReconstructor(params, config, spectrum, [1, 3])
-    assert rec.kept == [0, 2]
-    assert rec.H == 1
     pred = rec.predict_panel(X, 10, 15)
     assert pred.shape == (2, 5)
     with pytest.raises(InvalidInputError, match="lag columns"):
@@ -337,8 +330,7 @@ def test_dropout_selection_counts_degenerate_draws():
     X, spectrum, split = _toy_setup(n=2)
     config = ChebNetConfig(n=2, cheb_order=1, f_out=2, fc_sizes=(4,),
                            out_dim=2, h=0)
-    tc = TrainConfig(optimizer="gd", lr=0.01, batch_size=25, max_epoch=5,
-                     early_stop="none", seed=0)
+    tc = TrainConfig(lr=0.01, batch_size=25, max_epoch=5, seed=0)
     scores, result, diagnostics = train_selection_dropout(
         X, split, spectrum, 1, config, tc)
     assert diagnostics["resampled"] > 0
@@ -352,17 +344,17 @@ def test_dropout_selection_follows_the_early_stop_rule():
     X, spectrum, split = _toy_setup()
     config = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
                            out_dim=4, h=0)
-    val_losses = {}
-    for rule in ("none", "two-epoch-mean"):
-        tc = TrainConfig(optimizer="gd", lr=0.05, batch_size=25, max_epoch=12,
-                         early_stop=rule, seed=0)
-        _, _, diagnostics = train_selection_dropout(X, split, spectrum, 1, config, tc)
-        val_losses[rule] = diagnostics["val_losses"]
-    full = val_losses["none"]
-    assert len(full) == 12
-    first = next(e for e in range(1, 13) if _early_stop("two-epoch-mean", full[:e]))
-    assert first < 10  # the five-epoch rule cannot fire this early
-    assert val_losses["two-epoch-mean"] == full[:first]
+    tc = TrainConfig(lr=0.05, batch_size=25, max_epoch=40, seed=0)
+    _, _, diagnostics = train_selection_dropout(X, split, spectrum, 1, config, tc)
+    val_losses = diagnostics["val_losses"]
+    # the rule is checked every five epochs; it first fires at epoch 25
+    assert len(val_losses) == 25
+    assert [e for e in range(1, 26)
+            if _early_stop("five-epoch-mean", val_losses[:e])] == [25]
+    # a run capped before the stop makes the same epochs
+    short = TrainConfig(lr=0.05, batch_size=25, max_epoch=24, seed=0)
+    _, _, diagnostics = train_selection_dropout(X, split, spectrum, 1, config, short)
+    assert diagnostics["val_losses"] == val_losses[:24]
 
 
 def test_dropout_selection_validation():
@@ -371,21 +363,18 @@ def test_dropout_selection_validation():
                          out_dim=4, h=0)
     bad_dim = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
                             out_dim=2, h=0)
-    gd = TrainConfig(optimizer="gd", max_epoch=1, early_stop="none")
+    tc = TrainConfig(max_epoch=1)
     with pytest.raises(InvalidInputError, match="out_dim"):
-        train_selection_dropout(X, split, spectrum, 1, bad_dim, gd)
-    with pytest.raises(InvalidInputError, match="gd optimizer"):
-        train_selection_dropout(X, split, spectrum, 1, good, TrainConfig())
+        train_selection_dropout(X, split, spectrum, 1, bad_dim, tc)
     with pytest.raises(InvalidInputError, match="p="):
-        train_selection_dropout(X, split, spectrum, 4, good, gd)
+        train_selection_dropout(X, split, spectrum, 4, good, tc)
 
 
 def test_masking_selection_shapes_and_validation():
     X, spectrum, split = _toy_setup()
     config = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
                            out_dim=4, h=0)
-    tc = TrainConfig(optimizer="adam", lr=0.01, batch_size=32, max_epoch=2,
-                     early_stop="none", seed=0)
+    tc = TrainConfig(lr=0.01, batch_size=32, max_epoch=2, seed=0)
     with pytest.warns(UserWarning, match="below eps0"):
         result, mask_path = train_selection_masking(
             X, split, spectrum, 1, [0.01, 0.02], 1e-6, config, tc)
@@ -399,19 +388,18 @@ def test_masking_selection_shapes_and_validation():
         train_selection_masking(X, split, spectrum, 1, [0.2, 0.1], 0.01, config, tc)
     with pytest.raises(InvalidInputError, match="ascending"):
         train_selection_masking(X, split, spectrum, 1, [], 0.01, config, tc)
+    for grid in ([0.1, float("nan")], [0.1, float("inf")]):
+        with pytest.raises(InvalidInputError, match="finite"):
+            train_selection_masking(X, split, spectrum, 1, grid, 0.01, config, tc)
     with pytest.raises(InvalidInputError, match="eps0"):
         train_selection_masking(X, split, spectrum, 1, [0.1], 0.0, config, tc)
-    with pytest.raises(InvalidInputError, match="early_stop"):
-        train_selection_masking(X, split, spectrum, 1, [0.1], 0.01, config,
-                                TrainConfig(early_stop="two-epoch-mean"))
 
 
 def test_masking_is_deterministic_given_seed():
     X, spectrum, split = _toy_setup()
     config = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
                            out_dim=4, h=0)
-    tc = TrainConfig(optimizer="adam", lr=0.02, batch_size=32, max_epoch=2,
-                     early_stop="none", seed=7)
+    tc = TrainConfig(lr=0.02, batch_size=32, max_epoch=2, seed=7)
     import warnings
 
     with warnings.catch_warnings():
@@ -421,3 +409,55 @@ def test_masking_is_deterministic_given_seed():
         _, path_b = train_selection_masking(X, split, spectrum, 1, [0.05, 0.1],
                                             0.01, config, tc)
     assert np.array_equal(path_a, path_b)
+
+
+# Recorded on the toy panel below (numpy float64); each training net must
+# reproduce them exactly, so a change to the shared training loop that
+# alters the order of the random stream or of the floating-point
+# operations shows here.
+FROZEN_PREDICTION_VAL_LOSSES = [
+    1.731777371187768, 1.158075398604687, 0.9796549194585008,
+    0.9422445052569411, 0.9429667695816062, 0.962205963620402]
+FROZEN_DROPOUT_SCORES = [
+    -0.029829119137570803, 0.19739740438581554, -0.22861310454117678,
+    -0.20113389236266843]
+FROZEN_DROPOUT_RESAMPLED = 82
+FROZEN_DROPOUT_VAL_LOSSES = [
+    2.0227062359789922, 1.801775643557145, 1.7743559279695023,
+    1.8143028399104852, 1.7478065909878098, 1.7424747630013548,
+    1.757736979115421, 1.7783131475464062, 1.7253031623498984,
+    1.7538066918548316, 1.7545823512734593, 1.7444189793834766,
+    1.7379550126170138, 1.7297911249987812, 1.7357819018885468,
+    1.7409648269276035, 1.7659486754358966, 1.7619828292988786,
+    1.7235154210865382, 1.7316549946458986]
+FROZEN_MASK_PATH = [
+    [0.6989782361762668, 0.6947810691807788, 0.6922557390826738,
+     0.6880523138760545],
+    [0.6973585994855918, 0.6908739507221745, 0.6895300157627867,
+     0.6831573630260144]]
+
+
+def test_training_nets_are_frozen():
+    X, spectrum, split = _toy_setup()
+    pred_net = ChebNetConfig(n=4, cheb_order=2, f_out=2, fc_sizes=(8,),
+                             out_dim=1, h=1)
+    _, val_losses = train_prediction_net(
+        X, split, spectrum, [2], pred_net,
+        TrainConfig(lr=0.01, batch_size=32, max_epoch=20, seed=0))
+    assert np.array_equal(val_losses, FROZEN_PREDICTION_VAL_LOSSES)  # stops at 6
+
+    sel_net = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
+                            out_dim=4, h=1)
+    scores, _, diagnostics = train_selection_dropout(
+        X, split, spectrum, 1, sel_net,
+        TrainConfig(lr=0.05, batch_size=25, max_epoch=40, seed=0))
+    assert np.array_equal(scores.scores, FROZEN_DROPOUT_SCORES)
+    assert diagnostics["resampled"] == FROZEN_DROPOUT_RESAMPLED
+    assert np.array_equal(diagnostics["val_losses"],
+                          FROZEN_DROPOUT_VAL_LOSSES)  # stops at 20
+
+    with pytest.warns(UserWarning, match="below eps0"):
+        _, mask_path = train_selection_masking(
+            X, split, spectrum, 1, [0.01, 0.1], 0.01, sel_net,
+            TrainConfig(lr=0.01, batch_size=32, max_epoch=3, seed=0))
+    assert np.array_equal(mask_path, FROZEN_MASK_PATH)

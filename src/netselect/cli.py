@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .errors import InvalidInputError, NetselectError, PartitionError
+from .errors import InvalidInputError, NetselectError
 from .evaluation import (
     EvalReport,
     default_p,
@@ -43,7 +43,6 @@ from .graph import (
 from .numerics import power_method, sym_eig
 from .select_kernel import (
     KERNEL_TAGS,
-    KernelConfig,
     build_kernel_blocks,
     fit_predict_kernel,
     greedy_select_kernel,
@@ -185,11 +184,9 @@ def _needs_graph(method, hp):
 
 
 def _kernel_blocks(hp, X_train, graph):
-    """Data covariance blocks and kernel Gram blocks for the kernel in hp."""
-    H = hp["H"]
-    cov = estimate_blocks(X_train, H)
-    kcfg = KernelConfig(kernel=hp["kernel"], gamma=hp["gamma"], H=H)
-    return cov, build_kernel_blocks(kcfg, graph=graph, X_train=X_train)
+    """Kernel Gram blocks K(0..H) for the kernel in hp."""
+    return build_kernel_blocks(hp["kernel"], H=hp["H"], gamma=hp["gamma"],
+                               graph=graph, X_train=X_train)
 
 
 def _gcn_spectrum(hp, graph):
@@ -252,7 +249,9 @@ def cmd_ingest(args):
 
 def _select_kernel_cmd(args, hp, X, split, graph):
     H, p = hp["H"], hp["p"]
-    cov, kb = _kernel_blocks(hp, X[:, :split.t_tv], graph)
+    X_train = X[:, :split.t_tv]
+    gammas = estimate_blocks(X_train, H)
+    kb = _kernel_blocks(hp, X_train, graph)
 
     if args.lam is not None:
         lam_list = [args.lam]
@@ -261,8 +260,8 @@ def _select_kernel_cmd(args, hp, X, split, graph):
         lam_list = lambda_grid(lam_max)
 
     def run(lam):
-        res = greedy_select_kernel(cov, kb, p, lam=lam, H=H)
-        rec = fit_predict_kernel(cov, kb, res.order, lam, H)
+        res = greedy_select_kernel(gammas, kb, p, lam=lam, H=H)
+        rec = fit_predict_kernel(kb, res.order, lam, H)
         return res, rec
 
     if len(lam_list) == 1:
@@ -314,8 +313,8 @@ def cmd_select(args):
     mask_path_values = None
     extras = {}
     if args.method == "linear":
-        blocks = estimate_blocks(X[:, :split.t_tv], args.H)
-        result = greedy_select_linear(blocks, p, H=args.H)
+        gammas = estimate_blocks(X[:, :split.t_tv], args.H)
+        result = greedy_select_linear(gammas, p, H=args.H)
     elif args.method == "kernel":
         result, extras = _select_kernel_cmd(args, hp, X, split, graph)
     else:
@@ -368,11 +367,11 @@ def _evaluate_fit_fn(args, sel, X, split, graph):
     H = hp["H"]
     X_train = X[:, :split.t_tv]
     if sel.method.startswith("linear"):
-        blocks = estimate_blocks(X_train, H)
-        return lambda I: fit_predict_linear(blocks, I, H)
+        gammas = estimate_blocks(X_train, H)
+        return lambda I: fit_predict_linear(gammas, I, H)
     if sel.method.startswith("kernel"):
-        cov, kb = _kernel_blocks(hp, X_train, graph)
-        return lambda I: fit_predict_kernel(cov, kb, I, hp["lambda"], H)
+        kb = _kernel_blocks(hp, X_train, graph)
+        return lambda I: fit_predict_kernel(kb, I, hp["lambda"], H)
     # gcn: retrain the prediction network for each requested set
     spectrum = _gcn_spectrum(hp, graph)
     tc = TrainConfig(lr=args.lr, batch_size=args.batch_size,
@@ -406,14 +405,14 @@ def cmd_evaluate(args):
             )
     n = panel.n
     if hp["n"] != n:
-        raise PartitionError(
+        raise InvalidInputError(
             f"selection was made for {hp['n']} sensors, panel has {n}"
         )
     if any(i >= n for i in sel.order):
-        raise PartitionError(f"selection order {sel.order} exceeds panel size {n}")
+        raise InvalidInputError(f"selection order {sel.order} exceeds panel size {n}")
     split = Split(*hp["split"])
     if split.t1 != panel.t_total:
-        raise PartitionError(
+        raise InvalidInputError(
             f"stored split covers {split.t1} hours, panel has {panel.t_total}"
         )
     X = _panel_matrix(panel, split, hp["standardize"])
@@ -448,7 +447,7 @@ def cmd_evaluate(args):
     report_path = os.path.join(args.out_dir, "report.json")
     _write_text(report_path, report.to_json())
     table_path = os.path.join(args.out_dir, "summary.csv")
-    summary_table_csv([report], table_path)
+    summary_table_csv(report, table_path)
     print(f"{sel.method}: test MSE {mse:.4f}, baseline {base.mean_mse:.4f} "
           f"over {base.draws} draws ({base.skipped} skipped)")
     print(f"wrote {report_path}, {table_path}")

@@ -10,7 +10,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -149,7 +149,6 @@ class GridSearchResult(NamedTuple):
     config: object
     result: SelectionResult
     val_error: float
-    failures: List[str]
 
 
 def grid_search(select_fn: Callable, grid, X, split: Split) -> GridSearchResult:
@@ -157,9 +156,9 @@ def grid_search(select_fn: Callable, grid, X, split: Split) -> GridSearchResult:
 
     select_fn(config) runs selection and fitting on training rows only
     and returns (SelectionResult, reconstructor). Scoring uses the
-    validation interval; ties keep the earliest grid entry. Configs that
-    raise are recorded and skipped; if all fail the errors are raised
-    together.
+    validation interval; ties keep the earliest grid entry. A config
+    that raises is skipped with a warning; if all fail the errors are
+    raised together.
     """
     grid = list(grid)
     if not grid:
@@ -172,6 +171,7 @@ def grid_search(select_fn: Callable, grid, X, split: Split) -> GridSearchResult:
             result, rec = select_fn(config)
             err = _interval_mse(rec, X, split.t_tv, split.t0)
         except NetselectError as exc:
+            warnings.warn(f"grid config {config!r} skipped: {exc}")
             failures.append(f"{config!r}: {exc}")
             continue
         if best is None or err < best[2]:
@@ -180,7 +180,7 @@ def grid_search(select_fn: Callable, grid, X, split: Split) -> GridSearchResult:
         raise InvalidInputError(
             "every grid config failed: " + "; ".join(failures)
         )
-    return GridSearchResult(best[0], best[1], best[2], failures)
+    return GridSearchResult(*best)
 
 
 def _hourly_panel(values: np.ndarray) -> PanelSeries:
@@ -243,28 +243,14 @@ def synth_generate(graph: SensorGraph, T: int, model: str = "graph-smooth",
     return _hourly_panel(X)
 
 
-def summary_table_csv(reports: List[EvalReport], path):
-    """Summary grid, methods down the rows and the horizons of the
-    reports across the columns, each cell "test (baseline)"."""
-    horizons = sorted({int(r.hyperparams.get("H", 0)) for r in reports})
-    cells: Dict[Tuple[str, int], EvalReport] = {}
-    for r in reports:
-        key = (r.method, int(r.hyperparams.get("H", 0)))
-        if key in cells:
-            raise InvalidInputError(f"duplicate report for {key}")
-        cells[key] = r
-    methods = [m for m in METHOD_TAGS if any(k[0] == m for k in cells)]
+def summary_table_csv(report: EvalReport, path):
+    """The report as a one-row table: its method, and the cell
+    "test (baseline)" under its horizon H; a bare test MSE without a
+    baseline."""
+    cell = f"{report.test_mse:.4g}"
+    if report.baseline_mean is not None:
+        cell += f" ({report.baseline_mean:.4g})"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method"] + [f"H={h}" for h in horizons])
-        for m in methods:
-            row = [m]
-            for h in horizons:
-                r = cells.get((m, h))
-                if r is None:
-                    row.append("")
-                elif r.baseline_mean is None:
-                    row.append(f"{r.test_mse:.4g}")
-                else:
-                    row.append(f"{r.test_mse:.4g} ({r.baseline_mean:.4g})")
-            writer.writerow(row)
+        writer.writerow(["method", f"H={int(report.hyperparams.get('H', 0))}"])
+        writer.writerow([report.method, cell])

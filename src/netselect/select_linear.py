@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .numerics import solve_spd
-from .timeseries import CovarianceBlocks, _check_partition, assemble_blocks, lag_stack
+from .timeseries import _check_partition, assemble_blocks, lag_stack
 
 METHOD_TAGS = (
     "linear-h0",
@@ -99,6 +99,8 @@ def greedy(n, p, value):
     turned-off set; ties go to the lowest index. Returns (order,
     step_values).
     """
+    if not (1 <= p < n):
+        raise InvalidInputError(f"need 1 <= p < {n}, got p={p}")
     remaining = list(range(n))
     order: List[int] = []
     step_values: List[float] = []
@@ -110,26 +112,23 @@ def greedy(n, p, value):
     return order, step_values
 
 
-def greedy_select_linear(blocks: CovarianceBlocks, p, H=0) -> SelectionResult:
+def greedy_select_linear(gammas, p, H=0) -> SelectionResult:
     """Greedy selection for the linear reconstruction criterion.
 
-    The value of a candidate i is its one-sensor criterion given the
-    remaining sensors S, Gamma_ii(0) - beta alpha^{-1} beta^T, with
-    alpha and beta from lag_stack of [i] on S.
+    gammas holds Gamma(0..H) or more lags. The value of a candidate i is
+    its one-sensor criterion given the remaining sensors S,
+    Gamma_ii(0) - beta alpha^{-1} beta^T, with alpha and beta from
+    lag_stack of [i] on S.
     """
-    n = blocks.n
-    if not (1 <= p < n):
-        raise InvalidInputError(f"need 1 <= p < {n}, got p={p}")
-    if H > blocks.max_lag:
-        raise InvalidInputError(f"blocks hold lags 0..{blocks.max_lag}, need H={H}")
-    gammas = blocks.gammas
+    if H > len(gammas) - 1:
+        raise InvalidInputError(f"blocks hold lags 0..{len(gammas) - 1}, need H={H}")
 
     def value(i, S):
         alpha, beta = lag_stack(gammas, [i], S, H)
         b = beta[0]
         return float(gammas[0][i, i] - b @ solve_spd(alpha, b))
 
-    order, step_values = greedy(n, p, value)
+    order, step_values = greedy(gammas[0].shape[0], p, value)
     method = "linear-h0" if H == 0 else "linear-h"
     return SelectionResult(method, {"H": H}, order, step_values)
 
@@ -162,12 +161,11 @@ class LinearReconstructor:
         return self.theta @ D
 
 
-def fit_predict_linear(blocks: CovarianceBlocks, I, H=0) -> LinearReconstructor:
+def fit_predict_linear(gammas, I, H=0) -> LinearReconstructor:
     """Least-squares reconstructor Theta = beta alpha^{-1} for the set I."""
-    n = blocks.n
-    I, Ic = _check_partition(n, I)
+    I, Ic = _check_partition(gammas[0].shape[0], I)
     if not I or not Ic:
         raise InvalidInputError("I must be a nonempty proper subset")
-    alpha, beta = assemble_blocks(blocks.gammas, I, H)
+    alpha, beta = assemble_blocks(gammas, I, H)
     theta = solve_spd(alpha, beta.T).T
     return LinearReconstructor(theta=theta, turned_off=I, kept=Ic, H=H)

@@ -24,7 +24,6 @@ from .errors import (
     PartitionError,
     ZeroScaleError,
 )
-from .numerics import check_symmetric
 
 WEEK_HOURS = 168
 HOUR = 3600
@@ -92,23 +91,6 @@ def make_split(t_total, val_frac=0.05, test_frac=0.15) -> Split:
 class PreprocessModel:
     profile: np.ndarray  # (n, 168) weekly trend per sensor
     scale: np.ndarray    # (n,) residual standard deviations, all positive
-
-
-@dataclass(frozen=True)
-class CovarianceBlocks:
-    sigma: np.ndarray            # Gamma(0)
-    gammas: List[np.ndarray]     # Gamma(0) .. Gamma(H)
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", check_symmetric(self.sigma, "sigma"))
-
-    @property
-    def n(self):
-        return self.sigma.shape[0]
-
-    @property
-    def max_lag(self):
-        return len(self.gammas) - 1
 
 
 def _parse_moment(text, where):
@@ -269,6 +251,8 @@ def autocovariance(X, l):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise InvalidInputError(f"X must be (n, T), got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise InvalidInputError("X contains non-finite values")
     T = X.shape[1]
     if not (0 <= l < T):
         raise LagError(f"lag {l} outside [0, {T - 1}]")
@@ -278,10 +262,10 @@ def autocovariance(X, l):
     return G
 
 
-def estimate_blocks(X, H) -> CovarianceBlocks:
-    """Covariance and autocovariances Gamma(0..H) of a data matrix."""
-    gammas = [autocovariance(X, l) for l in range(H + 1)]
-    return CovarianceBlocks(sigma=gammas[0], gammas=gammas)
+def estimate_blocks(X, H) -> List[np.ndarray]:
+    """Covariance and autocovariances [Gamma(0), ..., Gamma(H)] of a data
+    matrix, in the block layout of assemble_blocks."""
+    return [autocovariance(X, l) for l in range(H + 1)]
 
 
 def _check_partition(n, I):

@@ -26,17 +26,18 @@ def criterion_linear(gammas, I, H):
     return float(np.trace(gammas[0][np.ix_(I, I)]) - np.trace(explained))
 
 
-def criterion_kernel(cov_blocks, kb, I, lam, H):
+def criterion_kernel(gammas, kb, I, lam, H):
     """tr(Sigma_I - 2 beta Theta^T + Theta alpha Theta^T).
 
-    alpha and beta are the data Gram blocks for I; Theta is the kernel
-    ridge reconstructor from the kernel Gram blocks kb.
+    alpha and beta are the data Gram blocks for I from Gamma(0..H) in
+    gammas; Theta is the kernel ridge reconstructor from the kernel Gram
+    blocks kb.
     """
-    alpha, beta = assemble_blocks(cov_blocks.gammas, I, H)
+    alpha, beta = assemble_blocks(gammas, I, H)
     K_S, K_cross = assemble_blocks(kb, I, H)
     theta = kernel_reconstructor(K_cross, K_S, lam)
     return float(
-        np.trace(cov_blocks.sigma[np.ix_(I, I)])
+        np.trace(gammas[0][np.ix_(I, I)])
         - 2.0 * np.trace(beta @ theta.T)
         + np.trace(theta @ alpha @ theta.T)
     )

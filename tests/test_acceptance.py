@@ -29,7 +29,6 @@ from netselect.gcn.selection import train_selection_dropout, train_selection_mas
 from netselect.graph import build_knn_graph, combinatorial_laplacian
 from netselect.numerics import power_method, sym_eig
 from netselect.select_kernel import (
-    KernelConfig,
     build_kernel_blocks,
     fit_predict_kernel,
     greedy_select_kernel,
@@ -40,7 +39,6 @@ from netselect.select_linear import (
     greedy_select_linear,
 )
 from netselect.timeseries import (
-    CovarianceBlocks,
     Split,
     apply_preprocess,
     estimate_blocks,
@@ -101,7 +99,7 @@ def test_criterion_01_toy_partial_variances():
         pv = [criterion_linear([S], [i], 0) for i in range(4)]
         for i, (got, want) in enumerate(zip(pv, caption)):
             assert abs(got - want) <= 0.01, f"{name} sensor {i + 1}: {got}"
-        result = greedy_select_linear(CovarianceBlocks(S, [S]), p=1, H=0)
+        result = greedy_select_linear([S], p=1, H=0)
         assert result.order == [pick], f"{name} greedy picked {result.order}"
     elapsed = time.monotonic() - started
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
@@ -135,7 +133,7 @@ def test_criterion_03_criterion_equals_training_mse():
         p = int(rng.integers(1, n))
         I = sorted(rng.choice(n, size=p, replace=False).tolist())
         blocks = estimate_blocks(X, H)
-        crit = criterion_linear(blocks.gammas, I, H)
+        crit = criterion_linear(blocks, I, H)
         mse = training_mse(fit_predict_linear(blocks, I, H), X)
         rel = abs(crit - mse) / max(abs(mse), 1e-30)
         worst = max(worst, rel)
@@ -154,12 +152,11 @@ def test_criterion_04_autocovariance_kernel_matches_linear():
         H = int(rng.integers(0, 3))
         X = _simulate_var(rng, n, 1200)
         blocks = estimate_blocks(X, H)
-        kb = build_kernel_blocks(KernelConfig(kernel="autocovariance", H=H),
-                                 X_train=X)
+        kb = build_kernel_blocks("autocovariance", H=H, X_train=X)
         for _ in range(3):
             p = int(rng.integers(1, n))
             I = sorted(rng.choice(n, size=p, replace=False).tolist())
-            lin = criterion_linear(blocks.gammas, I, H)
+            lin = criterion_linear(blocks, I, H)
             ker = criterion_kernel(blocks, kb, I, lam=0.0, H=H)
             worst = max(worst, abs(lin - ker))
             assert abs(lin - ker) <= 1e-8, f"I={I}: {lin} vs {ker}"
@@ -180,7 +177,7 @@ def test_criterion_05_lambda_monotonicity():
         blocks = estimate_blocks(X, H)
         p = int(rng.integers(1, n))
         I = sorted(rng.choice(n, size=p, replace=False).tolist())
-        vals = [criterion_kernel(blocks, blocks.gammas, I, lam, H) for lam in grid]
+        vals = [criterion_kernel(blocks, blocks, I, lam, H) for lam in grid]
         for a, b in zip(vals, vals[1:]):
             assert b >= a - 1e-10, f"I={I}: {vals}"
         assert vals[0] <= min(vals) + 1e-10
@@ -207,11 +204,10 @@ def test_criterion_06_entropy_equivalence():
           "argmax complement log det, Schur identity to 1e-8")
 
 
-def _cg_kernel_value(blocks, kb, lam, H):
+def _cg_kernel_value(gammas, kb, lam, H):
     """Kernel criterion value of candidate i given the kept set S, with
     the ridge system (K_S + lam Id) theta = K_cross solved by conjugate
     gradient."""
-    gammas = blocks.gammas
 
     def value(i, S):
         alpha, beta = lag_stack(gammas, [i], S, H)
@@ -231,8 +227,7 @@ def test_criterion_07_conjugate_gradient_path():
         H = int(rng.integers(0, 4))
         X = _simulate_var(rng, n, 1000)
         blocks = estimate_blocks(X, H)
-        kb = build_kernel_blocks(KernelConfig(kernel="autocovariance", H=H),
-                                 X_train=X)
+        kb = build_kernel_blocks("autocovariance", H=H, X_train=X)
         p = min(3, n - 1)
         lam = lams[k % len(lams)]
         direct = greedy_select_kernel(blocks, kb, p, lam=lam, H=H)
@@ -347,10 +342,9 @@ def test_criterion_11_greedy_vs_exhaustive():
     max_gap = 0.0
     for _ in range(4):
         X = _simulate_var(rng, 8, 600)
-        sigma = estimate_blocks(X, 0).sigma
-        blocks = CovarianceBlocks(sigma, [sigma])
+        sigma = estimate_blocks(X, 0)[0]
         for p in (1, 2, 3):
-            greedy = greedy_select_linear(blocks, p, H=0)
+            greedy = greedy_select_linear([sigma], p, H=0)
             greedy_val = criterion_linear([sigma], greedy.order, 0)
             best_val = min(criterion_linear([sigma], I, 0)
                            for I in combinations(range(8), p))
@@ -397,14 +391,13 @@ def test_criterion_12_dataset_tables():
     coords = coords[[index[sid] for sid in panel2.sensor_ids]]
     graph = build_knn_graph(coords, k0=20, k1=7)
     cov = estimate_blocks(X2[:, :split2.t_tv], 1)
-    kb = build_kernel_blocks(
-        KernelConfig(kernel="spatial-temporal", gamma=gamma_grid(1, 0.3), H=1),
-        graph=graph)
+    kb = build_kernel_blocks("spatial-temporal", H=1, gamma=gamma_grid(1, 0.3),
+                             graph=graph)
     lam = 0.149
     res2 = greedy_select_kernel(cov, kb, 18, lam=lam, H=1)
-    mse2 = held_out_mse(fit_predict_kernel(cov, kb, res2.order, lam, 1),
-                    X2, res2.order, split2)
-    base2 = random_baseline(lambda I: fit_predict_kernel(cov, kb, I, lam, 1),
+    mse2 = held_out_mse(fit_predict_kernel(kb, res2.order, lam, 1),
+                        X2, res2.order, split2)
+    base2 = random_baseline(lambda I: fit_predict_kernel(kb, I, lam, 1),
                             X2, 18, split2, draws=100, seed=0)
     assert abs(mse2 - 18.13) <= 0.05 * 18.13, f"test MSE {mse2:.2f}"
     assert abs(base2.mean_mse - 20.59) <= 0.05 * 20.59, \

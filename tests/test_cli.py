@@ -1,6 +1,8 @@
 """End-to-end command line runs: ingest, select, evaluate, exit codes."""
 
 import argparse
+import ast
+import importlib
 import json
 import re
 import shlex
@@ -13,6 +15,8 @@ from netselect.cli import _build_parser, main
 from netselect.evaluation import default_p
 from netselect.select_linear import SelectionResult
 from netselect.timeseries import HOUR, PanelSeries, write_panel
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _write_raw(path):
@@ -69,9 +73,8 @@ def test_ingest_keeps_only_clean_stations(tmp_path, capsys):
 
 def _readme_commands():
     """Every `netselect ...` command line in the README's shell blocks."""
-    readme = Path(__file__).resolve().parent.parent / "README.md"
     commands = []
-    for block in re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"),
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"),
                             flags=re.S):
         for line in block.replace("\\\n", " ").splitlines():
             line = line.split("#", 1)[0].strip()
@@ -94,6 +97,22 @@ def test_readme_commands_use_only_existing_flags():
         unknown = [flag for flag in flags if flag not in known]
         assert not unknown, f"netselect {argv[0]} does not accept {unknown}"
         parser.parse_args(argv)
+
+
+def test_readme_library_imports_resolve():
+    # a deleted function or class must not linger in the library examples
+    imports = [(node.module, alias.name)
+               for block in re.findall(r"```python\n(.*?)```",
+                                       README.read_text(encoding="utf-8"), flags=re.S)
+               for node in ast.walk(ast.parse(block))
+               if isinstance(node, ast.ImportFrom)
+               and node.module.split(".")[0] == "netselect"
+               for alias in node.names]
+    assert {module for module, _ in imports} >= {
+        "netselect.timeseries", "netselect.select_linear", "netselect.select_kernel"}
+    missing = [f"{module}.{name}" for module, name in imports
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, f"README imports names the package lacks: {missing}"
 
 
 def test_ingest_missing_file_is_input_error(tmp_path, capsys):
@@ -240,9 +259,9 @@ def _noiseless_panel(tmp_path, T=400, seed=1):
     return panel_path
 
 
-def _write_selection(path, n=4):
+def _write_selection(path):
     result = SelectionResult(
-        "linear-h0", {"H": 0, "n": n, "split": [300, 350, 400],
+        "linear-h0", {"H": 0, "n": 4, "split": [300, 350, 400],
                       "standardize": False},
         [2, 3], [0.0, 0.0])
     path.write_text(result.to_json() + "\n", encoding="utf-8")
@@ -275,13 +294,23 @@ def test_evaluate_reports_exact_reconstruction(tmp_path, capsys):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
-def test_evaluate_rejects_mismatched_network_size(tmp_path, capsys):
+@pytest.mark.parametrize("key, value, message", [
+    ("n", 7, "made for 7 sensors, panel has 4"),
+    ("order", [2, 4], "exceeds panel size 4"),
+    ("split", [300, 350, 380], "covers 380 hours, panel has 400"),
+], ids=["n", "order", "split"])
+def test_evaluate_rejects_mismatched_network_size(tmp_path, capsys, key, value,
+                                                  message):
+    # a selection made on another panel is an input error
     panel_path = _noiseless_panel(tmp_path)
     sel_path = tmp_path / "selection.json"
-    _write_selection(sel_path, n=7)
+    _write_selection(sel_path)
+    stored = json.loads(sel_path.read_text())
+    (stored if key == "order" else stored["hyperparams"])[key] = value
+    sel_path.write_text(json.dumps(stored), encoding="utf-8")
     assert main(["evaluate", str(panel_path), str(sel_path),
-                 "--out-dir", str(tmp_path)]) == 3
-    assert "PartitionError" in capsys.readouterr().err
+                 "--out-dir", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_evaluate_records_gcn_prediction_net_settings(tmp_path, capsys):

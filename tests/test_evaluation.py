@@ -181,13 +181,34 @@ def test_grid_search_picks_best_and_keeps_first_on_ties():
             raise NetselectError("broken config")
         return select_fn((0,))
 
-    gs2 = grid_search(sometimes, ["bad", "ok"], X, split)
-    assert gs2.config == "ok"
-    assert len(gs2.failures) == 1
-    with pytest.raises(InvalidInputError, match="every grid config"):
-        grid_search(sometimes, ["bad"], X, split)
+    with pytest.warns(UserWarning, match="'bad' skipped: broken config"):
+        with pytest.raises(InvalidInputError, match="every grid config"):
+            grid_search(sometimes, ["bad"], X, split)
     with pytest.raises(InvalidInputError, match="nonempty"):
         grid_search(sometimes, [], X, split)
+
+
+def test_grid_search_warns_once_per_failed_config_and_scores_the_rest():
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(4, 400))
+    split = Split(300, 350, 400)
+    blocks = estimate_blocks(X[:, :300], 0)
+
+    def select_fn(I):
+        if I == (1,):
+            raise NetselectError("singular")
+        result = SelectionResult("linear-h0", {"H": 0}, list(I), [0.0] * len(I))
+        return result, fit_predict_linear(blocks, list(I), 0)
+
+    grid = [(0,), (1,), (2,), (3,)]
+    with pytest.warns(UserWarning) as caught:
+        gs = grid_search(select_fn, grid, X, split)
+    assert [str(w.message) for w in caught] == [
+        "grid config (1,) skipped: singular"]
+    scored = [I for I in grid if I != (1,)]
+    errs = {I: grid_search(select_fn, [I], X, split).val_error for I in scored}
+    assert gs.config == min(scored, key=lambda I: errs[I])
+    assert gs.val_error == errs[gs.config]
 
 
 def test_synth_graph_smooth_lives_in_low_modes():
@@ -228,17 +249,12 @@ def test_synth_var1_validation():
 
 
 def test_summary_table_layout(tmp_path):
-    r0 = _report()
-    r1 = _report(method="kernel-h", hyperparams={"H": 1}, test_mse=0.7,
-                 baseline_mean=None)
     path = tmp_path / "summary.csv"
-    summary_table_csv([r0, r1], path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "method,H=0,H=1"
-    assert lines[1] == "linear-h0,0.5 (0.8),"
-    assert lines[2] == "kernel-h,,0.7"
-    with pytest.raises(InvalidInputError, match="duplicate"):
-        summary_table_csv([r0, r0], path)
+    summary_table_csv(_report(), path)
+    assert path.read_text() == "method,H=0\nlinear-h0,0.5 (0.8)\n"
+    summary_table_csv(_report(method="kernel-h", hyperparams={"H": 1},
+                              test_mse=0.7, baseline_mean=None), path)
+    assert path.read_text() == "method,H=1\nkernel-h,0.7\n"
 
 
 def test_make_split_covers_burn_in_notion():

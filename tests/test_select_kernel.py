@@ -12,7 +12,6 @@ from netselect.graph import (
     laplacian_kernel,
 )
 from netselect.select_kernel import (
-    KernelConfig,
     build_kernel_blocks,
     fit_predict_kernel,
     greedy_select_kernel,
@@ -41,30 +40,31 @@ def _data(n=5, T=800, seed=1):
 
 
 def test_kernel_config_validation():
+    X = _data()
     with pytest.raises(InvalidInputError, match="unknown kernel"):
-        KernelConfig(kernel="polynomial")
+        build_kernel_blocks("polynomial", X_train=X)
     with pytest.raises(InvalidInputError, match="gamma"):
-        KernelConfig(gamma=-0.1)
+        build_kernel_blocks("autocovariance", gamma=-0.1, X_train=X)
     with pytest.raises(InvalidInputError, match="H >= 0"):
-        KernelConfig(H=-1)
+        build_kernel_blocks("autocovariance", H=-1, X_train=X)
 
 
 def test_build_kernel_blocks_requirements():
     with pytest.raises(InvalidInputError, match="training data"):
-        build_kernel_blocks(KernelConfig(kernel="autocovariance"))
+        build_kernel_blocks("autocovariance")
     with pytest.raises(InvalidInputError, match="graph"):
-        build_kernel_blocks(KernelConfig(kernel="laplacian"))
+        build_kernel_blocks("laplacian")
     with pytest.raises(InvalidInputError, match="graph"):
-        build_kernel_blocks(KernelConfig(kernel="rbf"))
+        build_kernel_blocks("rbf")
 
 
 def test_autocovariance_kernel_lambda_zero_matches_linear():
     X = _data()
     H = 1
     blocks = estimate_blocks(X, H)
-    kb = build_kernel_blocks(KernelConfig(kernel="autocovariance", H=H), X_train=X)
+    kb = build_kernel_blocks("autocovariance", H=H, X_train=X)
     I = [0, 3]
-    lin = criterion_linear(blocks.gammas, I, H)
+    lin = criterion_linear(blocks, I, H)
     ker = criterion_kernel(blocks, kb, I, lam=0.0, H=H)
     assert ker == pytest.approx(lin, abs=1e-10)
     lin_order = greedy_select_linear(blocks, 3, H=H).order
@@ -75,7 +75,7 @@ def test_autocovariance_kernel_lambda_zero_matches_linear():
 def test_lambda_monotonicity_single_instance():
     X = _data(seed=2)
     blocks = estimate_blocks(X, 1)
-    vals = [criterion_kernel(blocks, blocks.gammas, [1, 2], lam, 1)
+    vals = [criterion_kernel(blocks, blocks, [1, 2], lam, 1)
             for lam in [0.0, 0.01, 0.1, 1.0]]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     assert vals[0] == min(vals)
@@ -86,10 +86,8 @@ def test_laplacian_and_spatial_temporal_blocks_agree():
     spec = graph_spectrum(combinatorial_laplacian(g))
     K_g = laplacian_kernel(spec)
     H, gamma = 2, 0.4
-    lap = build_kernel_blocks(
-        KernelConfig(kernel="laplacian", gamma=gamma, H=H), graph=g)
-    st = build_kernel_blocks(
-        KernelConfig(kernel="spatial-temporal", gamma=gamma, H=H), graph=g)
+    lap = build_kernel_blocks("laplacian", gamma=gamma, H=H, graph=g)
+    st = build_kernel_blocks("spatial-temporal", gamma=gamma, H=H, graph=g)
     assert len(lap) == len(st) == H + 1
     for l in range(H + 1):
         ref = K_g * np.exp(-gamma * l ** 2)
@@ -103,8 +101,7 @@ def test_laplacian_and_spatial_temporal_blocks_agree():
 def test_spatial_temporal_blocks_structure():
     g = _graph()
     K_g = laplacian_kernel(graph_spectrum(combinatorial_laplacian(g)))
-    kb = build_kernel_blocks(
-        KernelConfig(kernel="spatial-temporal", gamma=0.3, H=2), graph=g)
+    kb = build_kernel_blocks("spatial-temporal", gamma=0.3, H=2, graph=g)
     assert len(kb) == 3
     assert np.allclose(kb[2], K_g * np.exp(-0.3 * 4))
     n = K_g.shape[0]
@@ -129,16 +126,14 @@ def test_graph_and_linear_kernel_blocks_are_exactly_symmetric():
         g = _graph(n=8, seed=seed)
         X = _data(n=8, T=200, seed=seed)
         for kernel in ("laplacian", "spatial-temporal", "linear", "rbf"):
-            kb = build_kernel_blocks(
-                KernelConfig(kernel=kernel, gamma=0.4, H=2), graph=g, X_train=X)
+            kb = build_kernel_blocks(kernel, gamma=0.4, H=2, graph=g, X_train=X)
             for K in kb:
                 assert np.array_equal(K, K.T), (kernel, seed)
 
 
 def test_rbf_kernel_blocks():
     g = _graph(seed=3)
-    kb = build_kernel_blocks(
-        KernelConfig(kernel="rbf", gamma=0.2, H=1), graph=g)
+    kb = build_kernel_blocks("rbf", gamma=0.2, H=1, graph=g)
     K0 = kb[0]
     assert np.array_equal(K0, K0.T)
     assert np.allclose(np.diag(K0), 1.0)
@@ -148,14 +143,14 @@ def test_rbf_kernel_blocks():
 
 def test_autocovariance_blocks_keep_lag_direction():
     X = _data(seed=4)
-    kb = build_kernel_blocks(KernelConfig(kernel="autocovariance", H=1), X_train=X)
+    kb = build_kernel_blocks("autocovariance", H=1, X_train=X)
     # Gamma(1) from a VAR process is genuinely asymmetric
     assert not np.allclose(kb[1], kb[1].T)
 
 
 def test_kernel_blocks_assemble_layout():
     X = _data(seed=5)
-    kb = build_kernel_blocks(KernelConfig(kernel="autocovariance", H=1), X_train=X)
+    kb = build_kernel_blocks("autocovariance", H=1, X_train=X)
     kept = [0, 2, 4]
     K, cross = assemble_blocks(kb, [1, 3], 1)
     q = len(kept)
@@ -170,7 +165,7 @@ def test_kernel_blocks_assemble_layout():
 
 def test_reconstructor_norm_shrinks_with_lambda():
     X = _data(seed=6)
-    kb = build_kernel_blocks(KernelConfig(kernel="autocovariance", H=0), X_train=X)
+    kb = build_kernel_blocks("autocovariance", H=0, X_train=X)
     K_S = kb[0][1:, 1:]
     K_cross = kb[0][[0], 1:]
     norms = [np.linalg.norm(kernel_reconstructor(K_cross, K_S, lam))
@@ -191,20 +186,21 @@ def test_exactly_singular_psd_gram_at_lambda_zero():
 def test_greedy_kernel_result_surface():
     X = _data(seed=8)
     blocks = estimate_blocks(X, 0)
-    kb = build_kernel_blocks(KernelConfig(kernel="autocovariance", H=0), X_train=X)
+    kb = build_kernel_blocks("autocovariance", H=0, X_train=X)
     result = greedy_select_kernel(blocks, kb, 2, lam=0.05, H=0)
     assert result.method == "kernel-h0"
     assert result.hyperparams == {"H": 0, "lambda": 0.05}
     assert len(result.order) == 2
     with pytest.raises(InvalidInputError, match="p="):
         greedy_select_kernel(blocks, kb, 5, lam=0.0, H=0)
+    with pytest.raises(InvalidInputError, match="lags"):
+        greedy_select_kernel(blocks, kb, 2, lam=0.0, H=1)
 
 
 def test_fit_predict_kernel_reconstructor():
     X = _data(seed=9)
-    blocks = estimate_blocks(X, 1)
-    kb = build_kernel_blocks(KernelConfig(kernel="autocovariance", H=1), X_train=X)
-    rec = fit_predict_kernel(blocks, kb, [1, 3], lam=0.2, H=1)
+    kb = build_kernel_blocks("autocovariance", H=1, X_train=X)
+    rec = fit_predict_kernel(kb, [1, 3], lam=0.2, H=1)
     assert rec.turned_off == [1, 3]
     assert rec.kept == [0, 2, 4]
     assert rec.theta.shape == (2, 2 * 3)
@@ -226,9 +222,8 @@ def test_greedy_orders_and_step_values_are_frozen():
     assert lin.step_values == pytest.approx(
         [0.023980776979150464, 0.0981969237766862,
          0.10355579533767256, 0.10453749157095027], rel=1e-12)
-    kb = build_kernel_blocks(
-        KernelConfig(kernel="spatial-temporal", gamma=gamma_grid(H, 0.5), H=H),
-        graph=g)
+    kb = build_kernel_blocks("spatial-temporal", H=H, gamma=gamma_grid(H, 0.5),
+                             graph=g)
     ker = greedy_select_kernel(blocks, kb, 4, lam=0.05, H=H)
     assert ker.order == [8, 5, 6, 0]
     assert ker.step_values == pytest.approx(
@@ -247,8 +242,8 @@ def _greedy(criterion, X, H, ridge=0.05, p=4):
     blocks = estimate_blocks(X, H)
     if criterion == "linear":
         return greedy_select_linear(blocks, p, H=H)
-    kb = build_kernel_blocks(KernelConfig(kernel="autocovariance", H=H), X_train=X)
-    lam = ridge * np.trace(blocks.sigma) / blocks.n
+    kb = build_kernel_blocks("autocovariance", H=H, X_train=X)
+    lam = ridge * np.trace(blocks[0]) / blocks[0].shape[0]
     return greedy_select_kernel(blocks, kb, p, lam=lam, H=H)
 
 

@@ -12,7 +12,7 @@ from netselect.select_linear import (
     fit_predict_linear,
     greedy_select_linear,
 )
-from netselect.timeseries import CovarianceBlocks, estimate_blocks
+from netselect.timeseries import estimate_blocks
 from oracles import criterion_linear, training_mse
 
 
@@ -55,17 +55,14 @@ def test_criterion_h0_equals_partial_variance_for_singletons():
 
 
 def test_greedy_tie_breaks_to_lowest_index():
-    sigma = np.eye(5)
-    blocks = CovarianceBlocks(sigma, [sigma])
-    result = greedy_select_linear(blocks, p=3, H=0)
+    result = greedy_select_linear([np.eye(5)], p=3, H=0)
     assert result.order == [0, 1, 2]
     assert result.step_values == [1.0, 1.0, 1.0]
     assert result.method == "linear-h0"
 
 
 def test_greedy_validates_p_and_lags():
-    sigma = np.eye(4)
-    blocks = CovarianceBlocks(sigma, [sigma])
+    blocks = [np.eye(4)]
     with pytest.raises(InvalidInputError, match="p="):
         greedy_select_linear(blocks, p=4)
     with pytest.raises(InvalidInputError, match="lags"):
@@ -96,7 +93,7 @@ def test_criterion_equals_training_mse_one_instance():
     H = 2
     blocks = estimate_blocks(X, H)
     I = [1, 4]
-    crit = criterion_linear(blocks.gammas, I, H)
+    crit = criterion_linear(blocks, I, H)
     mse = training_mse(fit_predict_linear(blocks, I, H), X)
     assert crit == pytest.approx(mse, rel=1e-10)
 
@@ -153,4 +150,4 @@ def test_noiseless_reconstruction_is_exact():
     rec = fit_predict_linear(blocks, [0], 0)
     pred = rec.predict_panel(X, 0, 600)
     assert np.max(np.abs(pred - X[0])) <= 1e-10
-    assert criterion_linear(blocks.gammas, [0], 0) <= 1e-10
+    assert criterion_linear(blocks, [0], 0) <= 1e-10

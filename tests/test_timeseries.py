@@ -174,6 +174,12 @@ def test_autocovariance_manual_and_lag_bounds():
         autocovariance(X, 3)
     with pytest.raises(LagError):
         autocovariance(X, -1)
+    for bad in (np.nan, np.inf):
+        X[1, 2] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            autocovariance(X, 1)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            estimate_blocks(X, 0)
 
 
 def test_assemble_blocks_layout():
@@ -181,20 +187,20 @@ def test_assemble_blocks_layout():
     X = rng.normal(size=(4, 300))
     blocks = estimate_blocks(X, 1)
     I = [1]
-    alpha, beta = assemble_blocks(blocks.gammas, I, 1)
+    alpha, beta = assemble_blocks(blocks, I, 1)
     Ic = [0, 2, 3]
     q = 3
-    G0, G1 = blocks.gammas
+    G0, G1 = blocks
     assert np.allclose(alpha[:q, :q], G0[np.ix_(Ic, Ic)])
     assert np.allclose(alpha[:q, q:], G1[np.ix_(Ic, Ic)])
     assert np.allclose(alpha[q:, :q], G1.T[np.ix_(Ic, Ic)])
     assert np.allclose(beta[:, q:], G1[np.ix_(I, Ic)])
     with pytest.raises(LagError):
-        assemble_blocks(blocks.gammas, I, 2)
+        assemble_blocks(blocks, I, 2)
     with pytest.raises(PartitionError):
-        assemble_blocks(blocks.gammas, [0, 0], 1)
+        assemble_blocks(blocks, [0, 0], 1)
     with pytest.raises(PartitionError):
-        assemble_blocks(blocks.gammas, [7], 1)
+        assemble_blocks(blocks, [7], 1)
 
 
 def test_lagged_design_gram_identity():
@@ -203,7 +209,7 @@ def test_lagged_design_gram_identity():
     X = rng.normal(size=(4, 200))
     H = 2
     blocks = estimate_blocks(X, H)
-    alpha, _ = assemble_blocks(blocks.gammas, [0], H)
+    alpha, _ = assemble_blocks(blocks, [0], H)
     D = lagged_design(X, [1, 2, 3], H)
     assert D.shape == (3 * (H + 1), 200 + H)
     assert np.allclose(D @ D.T / 200.0, alpha, atol=1e-12)

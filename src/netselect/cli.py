@@ -251,7 +251,10 @@ def _select_kernel_cmd(args, hp, X, split, graph):
     H, p = hp["H"], hp["p"]
     X_train = X[:, :split.t_tv]
     gammas = estimate_blocks(X_train, H)
-    kb = _kernel_blocks(hp, X_train, graph)
+    if hp["kernel"] == "autocovariance":
+        kb = gammas  # the autocovariance kernel's Gram blocks are the data blocks
+    else:
+        kb = _kernel_blocks(hp, X_train, graph)
 
     if args.lam is not None:
         lam_list = [args.lam]

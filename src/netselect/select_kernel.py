@@ -14,7 +14,13 @@ import numpy as np
 from . import graph as graphmod
 from .errors import InvalidInputError
 from .numerics import solve_spd
-from .select_linear import LinearReconstructor, SelectionResult, greedy
+from .select_linear import (
+    LinearReconstructor,
+    SelectionResult,
+    greedy,
+    lag_positions,
+    step_inverse,
+)
 from .timeseries import _check_partition, estimate_blocks, lag_stack
 
 KERNEL_TAGS = ("laplacian", "spatial-temporal", "autocovariance", "linear", "rbf")
@@ -81,10 +87,34 @@ def greedy_select_kernel(gammas, kb, p, lam=0.0, H=0) -> SelectionResult:
     The loop of the linear method on the data blocks gammas; the value
     of a candidate i given the remaining sensors S swaps the
     least-squares map for Theta_lambda(i) computed from the kernel Gram
-    blocks kb.
+    blocks kb. With Q the inverse of K_R + lambda Id over R = S + {i}
+    and J the positions of i, Theta_lambda(i) is the lag-0 row of
+    -Q_JJ^{-1} Q_J,: with its J entries set to 0: one (H+1)-sized solve
+    per candidate, and one product with the data Gram M_R for all of
+    them. Steps that step_inverse declines solve each K_S instead.
     """
     if H > len(gammas) - 1:
-        raise InvalidInputError(f"covariance blocks hold lags 0..{len(gammas) - 1}")
+        raise InvalidInputError(
+            f"covariance blocks hold lags 0..{len(gammas) - 1}, need H={H}")
+    if H > len(kb) - 1:
+        raise InvalidInputError(f"kernel blocks hold lags 0..{len(kb) - 1}, need H={H}")
+    if lam < 0:
+        raise InvalidInputError("lambda must be nonnegative")
+
+    def score(R):
+        K_R = lag_stack(kb, [], R, H)[0]
+        Q = step_inverse(K_R + lam * np.eye(K_R.shape[0]), H)
+        if Q is None:
+            return None
+        q = len(R)
+        theta = np.empty((q, Q.shape[0]))
+        for k, J in enumerate(lag_positions(q, H)):
+            theta[k] = -solve_spd(Q[np.ix_(J, J)], Q[J])[0]
+            theta[k, J] = 0.0
+        M_R = lag_stack(gammas, [], R, H)[0]
+        vals = (np.diag(M_R)[:q] - 2.0 * np.sum(M_R[:q] * theta, axis=1)
+                + np.sum((theta @ M_R) * theta, axis=1))
+        return [float(v) for v in vals]
 
     def value(i, S):
         alpha, beta = lag_stack(gammas, [i], S, H)
@@ -92,7 +122,7 @@ def greedy_select_kernel(gammas, kb, p, lam=0.0, H=0) -> SelectionResult:
         th = kernel_reconstructor(K_cross, K_S, lam).ravel()
         return float(gammas[0][i, i] - 2.0 * (beta[0] @ th) + th @ alpha @ th)
 
-    order, step_values = greedy(gammas[0].shape[0], p, value)
+    order, step_values = greedy(gammas[0].shape[0], p, score, value)
     method = "kernel-h0" if H == 0 else "kernel-h"
     return SelectionResult(method, {"H": H, "lambda": lam}, order, step_values)
 

@@ -16,7 +16,7 @@ from typing import Dict, List
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import solve_spd
+from .numerics import JITTER_TRIGGER, check_symmetric, solve_spd
 from .timeseries import _check_partition, assemble_blocks, lag_stack
 
 METHOD_TAGS = (
@@ -91,13 +91,14 @@ class SelectionResult:
             raise InvalidInputError(f"malformed selection: {err}") from None
 
 
-def greedy(n, p, value):
+def greedy(n, p, score, value):
     """Backward greedy over sensors 0..n-1.
 
-    At each of p steps, value(i, S) scores every remaining sensor i
-    against the others S, and the smallest score moves i to the
-    turned-off set; ties go to the lowest index. Returns (order,
-    step_values).
+    At each of p steps, score(R) returns the values of all remaining
+    sensors R at once, or None when step_inverse declines the step;
+    then value(i, S) scores each i in R against the others S on its
+    own. The smallest value moves its sensor to the turned-off set; ties
+    go to the lowest index. Returns (order, step_values).
     """
     if not (1 <= p < n):
         raise InvalidInputError(f"need 1 <= p < {n}, got p={p}")
@@ -105,11 +106,45 @@ def greedy(n, p, value):
     order: List[int] = []
     step_values: List[float] = []
     for _ in range(p):
-        vals = [value(i, [j for j in remaining if j != i]) for i in remaining]
+        vals = score(remaining)
+        if vals is None:
+            vals = [value(i, [j for j in remaining if j != i]) for i in remaining]
         k = min(range(len(vals)), key=vals.__getitem__)
         order.append(remaining.pop(k))
         step_values.append(vals[k])
     return order, step_values
+
+
+def step_inverse(A, H):
+    """Inverse of the lag-stacked Gram matrix A over the q remaining
+    sensors, or None when a candidate's own solve could take the jitter.
+
+    Candidate k owns the H+1 positions k, q+k, ..., and alpha_S is A
+    without them: a principal submatrix, so lambda_min(alpha_S) >=
+    lambda_min(A). If A - tau* Id has a Cholesky factor, where tau* is
+    the largest jitter trigger JITTER_TRIGGER * trace(alpha_S)/dim of
+    any candidate, solve_spd would add no jitter to any alpha_S, and the
+    values read from A^{-1} equal the per-candidate ones in exact
+    arithmetic. The inverse is symmetrized.
+    """
+    A = check_symmetric(A)
+    m = A.shape[0]
+    d = np.diag(A)
+    own = d.reshape(H + 1, -1).sum(axis=0)
+    tau = JITTER_TRIGGER * (d.sum() - own.min()) / (m - H - 1)
+    try:
+        np.linalg.cholesky(A - tau * np.eye(m))
+    except np.linalg.LinAlgError:
+        return None
+    P = np.linalg.inv(A)
+    return (P + P.T) / 2.0
+
+
+def lag_positions(q, H):
+    """Index arrays J of each of q sensors' H+1 positions in the
+    lag-stacked layout, lag 0 first."""
+    lags = q * np.arange(H + 1)
+    return [k + lags for k in range(q)]
 
 
 def greedy_select_linear(gammas, p, H=0) -> SelectionResult:
@@ -118,17 +153,29 @@ def greedy_select_linear(gammas, p, H=0) -> SelectionResult:
     gammas holds Gamma(0..H) or more lags. The value of a candidate i is
     its one-sensor criterion given the remaining sensors S,
     Gamma_ii(0) - beta alpha^{-1} beta^T, with alpha and beta from
-    lag_stack of [i] on S.
+    lag_stack of [i] on S. With P the inverse of the lag-stacked Gram
+    over R = S + {i} and J the positions of i, P_JJ^{-1} is the Schur
+    complement of alpha in it, so the value is its lag-0 entry: one
+    (H+1)-sized solve per candidate. Steps that step_inverse declines
+    solve each alpha instead.
     """
     if H > len(gammas) - 1:
         raise InvalidInputError(f"blocks hold lags 0..{len(gammas) - 1}, need H={H}")
+    e0 = np.eye(H + 1)[0]
+
+    def score(R):
+        P = step_inverse(lag_stack(gammas, [], R, H)[0], H)
+        if P is None:
+            return None
+        return [float(solve_spd(P[np.ix_(J, J)], e0)[0])
+                for J in lag_positions(len(R), H)]
 
     def value(i, S):
         alpha, beta = lag_stack(gammas, [i], S, H)
         b = beta[0]
         return float(gammas[0][i, i] - b @ solve_spd(alpha, b))
 
-    order, step_values = greedy(gammas[0].shape[0], p, value)
+    order, step_values = greedy(gammas[0].shape[0], p, score, value)
     method = "linear-h0" if H == 0 else "linear-h"
     return SelectionResult(method, {"H": H}, order, step_values)
 

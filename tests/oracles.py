@@ -1,9 +1,11 @@
 """Reference computations of the paper's identities, used only by tests.
 
-The library computes what the pipeline runs: the greedy value of one
-candidate and the fitted reconstructors. The set criteria, the training
-error they equal, the conjugate-gradient solve and the single-sample
-network loss live here, so the tests can check the pipeline against them.
+The library computes what the pipeline runs: the greedy steps, which
+score every candidate from one inverse, and the fitted reconstructors.
+The set criteria, the training error they equal, the greedy that solves
+each candidate's system on its own, the conjugate-gradient solve and the
+single-sample network loss live here, so the tests can check the
+pipeline against them.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ import numpy as np
 from netselect.gcn.layers import backward_batch, forward_batch, tensor_items
 from netselect.numerics import solve_spd
 from netselect.select_kernel import kernel_reconstructor
-from netselect.timeseries import assemble_blocks
+from netselect.timeseries import assemble_blocks, lag_stack
 
 
 def criterion_linear(gammas, I, H):
@@ -41,6 +43,48 @@ def criterion_kernel(gammas, kb, I, lam, H):
         - 2.0 * np.trace(beta @ theta.T)
         + np.trace(theta @ alpha @ theta.T)
     )
+
+
+def greedy_per_candidate(n, p, value):
+    """Backward greedy that scores each candidate on its own.
+
+    At each of p steps, value(i, S) scores every remaining sensor i
+    against the others S, and the smallest score moves i to the
+    turned-off set; ties go to the lowest index. Returns (order,
+    step_values).
+    """
+    remaining = list(range(n))
+    order, step_values = [], []
+    for _ in range(p):
+        vals = [value(i, [j for j in remaining if j != i]) for i in remaining]
+        k = min(range(len(vals)), key=vals.__getitem__)
+        order.append(remaining.pop(k))
+        step_values.append(vals[k])
+    return order, step_values
+
+
+def linear_value(gammas, H):
+    """value(i, S) = Gamma_ii(0) - beta alpha^{-1} beta^T of [i] on S."""
+
+    def value(i, S):
+        alpha, beta = lag_stack(gammas, [i], S, H)
+        b = beta[0]
+        return float(gammas[0][i, i] - b @ solve_spd(alpha, b))
+
+    return value
+
+
+def kernel_value(gammas, kb, lam, H):
+    """value(i, S) of the kernel ridge criterion of [i] on S: the data
+    Gram blocks from gammas, Theta_lambda(i) from the kernel blocks kb."""
+
+    def value(i, S):
+        alpha, beta = lag_stack(gammas, [i], S, H)
+        K_S, K_cross = lag_stack(kb, [i], S, H)
+        th = kernel_reconstructor(K_cross, K_S, lam).ravel()
+        return float(gammas[0][i, i] - 2.0 * (beta[0] @ th) + th @ alpha @ th)
+
+    return value
 
 
 def lagged_design(X, rows, H):

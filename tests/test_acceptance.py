@@ -33,11 +33,7 @@ from netselect.select_kernel import (
     fit_predict_kernel,
     greedy_select_kernel,
 )
-from netselect.select_linear import (
-    fit_predict_linear,
-    greedy,
-    greedy_select_linear,
-)
+from netselect.select_linear import fit_predict_linear, greedy_select_linear
 from netselect.timeseries import (
     Split,
     apply_preprocess,
@@ -52,6 +48,7 @@ from oracles import (
     conjugate_gradient,
     criterion_kernel,
     criterion_linear,
+    greedy_per_candidate,
     net_backward,
     training_mse,
 )
@@ -231,7 +228,7 @@ def test_criterion_07_conjugate_gradient_path():
         p = min(3, n - 1)
         lam = lams[k % len(lams)]
         direct = greedy_select_kernel(blocks, kb, p, lam=lam, H=H)
-        viacg, _ = greedy(n, p, _cg_kernel_value(blocks, kb, lam, H))
+        viacg, _ = greedy_per_candidate(n, p, _cg_kernel_value(blocks, kb, lam, H))
         assert direct.order == viacg, f"{direct.order} vs {viacg}"
     print("criterion 07 PASS: 20 instances, conjugate gradient reproduces "
           "the direct selection order")

@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from netselect import cli, select_kernel
 from netselect.cli import _build_parser, main
 from netselect.evaluation import default_p
 from netselect.select_linear import SelectionResult
-from netselect.timeseries import HOUR, PanelSeries, write_panel
+from netselect.timeseries import HOUR, PanelSeries, estimate_blocks, write_panel
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -181,6 +182,28 @@ def test_select_autocovariance_kernel_matches_linear(tmp_path, capsys):
     assert ker["method"] == "kernel-h0"
     assert ker["hyperparams"]["lambda"] == 0.0
     assert ker["order"] == lin["order"]
+
+
+def test_select_autocovariance_kernel_estimates_blocks_once(tmp_path, capsys,
+                                                           monkeypatch):
+    # the autocovariance kernel's Gram blocks are the data blocks Gamma(0..H)
+    panel_path, coords_path, _ = _correlated_panel(tmp_path)
+    calls = []
+
+    def counted(X, H):
+        calls.append(H)
+        return estimate_blocks(X, H)
+
+    for module in (cli, select_kernel):
+        monkeypatch.setattr(module, "estimate_blocks", counted)
+    assert main(["select", str(panel_path), "--coords", str(coords_path),
+                 "--p", "2", "--method", "kernel", "--kernel", "autocovariance",
+                 "--H", "1", "--out-dir", str(tmp_path / "ker")]) == 0
+    capsys.readouterr()
+    assert calls == [1]
+    sel = json.loads((tmp_path / "ker" / "selection.json").read_text())
+    assert sel["method"] == "kernel-h"
+    assert len(sel["order"]) == 2
 
 
 def test_select_kernel_readme_example_defaults_p(tmp_path, capsys):

@@ -193,8 +193,13 @@ def test_greedy_kernel_result_surface():
     assert len(result.order) == 2
     with pytest.raises(InvalidInputError, match="p="):
         greedy_select_kernel(blocks, kb, 5, lam=0.0, H=0)
-    with pytest.raises(InvalidInputError, match="lags"):
+    with pytest.raises(InvalidInputError,
+                       match="covariance blocks hold lags 0..0, need H=1"):
         greedy_select_kernel(blocks, kb, 2, lam=0.0, H=1)
+    # deep enough data blocks, short kernel blocks
+    with pytest.raises(InvalidInputError,
+                       match="kernel blocks hold lags 0..0, need H=1"):
+        greedy_select_kernel(estimate_blocks(X, 1), kb, 2, lam=0.0, H=1)
 
 
 def test_fit_predict_kernel_reconstructor():

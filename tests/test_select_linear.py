@@ -5,12 +5,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from netselect import select_linear
 from netselect.errors import InvalidInputError
+from netselect.numerics import solve_spd
 from netselect.select_linear import (
     LinearReconstructor,
     SelectionResult,
     fit_predict_linear,
     greedy_select_linear,
+    step_inverse,
 )
 from netselect.timeseries import estimate_blocks
 from oracles import criterion_linear, training_mse
@@ -75,6 +78,33 @@ def test_greedy_method_tag_with_history():
     result = greedy_select_linear(estimate_blocks(X, 2), p=2, H=2)
     assert result.method == "linear-h"
     assert len(result.order) == 2
+
+
+@pytest.mark.parametrize("H", [0, 1])
+def test_greedy_makes_one_solve_per_candidate(H, monkeypatch):
+    # step k scores the n - k remaining sensors with one (H+1)-sized
+    # solve_spd each
+    calls = []
+
+    def counted(A, B):
+        calls.append(A.shape[0])
+        return solve_spd(A, B)
+
+    monkeypatch.setattr(select_linear, "solve_spd", counted)
+    X = np.random.default_rng(6).normal(size=(12, 400))
+    greedy_select_linear(estimate_blocks(X, H), p=4, H=H)
+    assert calls == [H + 1] * sum(12 - k for k in range(4))
+
+
+def test_step_inverse_declines_when_any_candidate_would_jitter():
+    # without sensor 1 the Gram is diag(1e6, 1e-8, 1): its jitter trigger
+    # 1e-12 * (1e6 + 1) / 3 exceeds its smallest eigenvalue 1e-8
+    assert step_inverse(np.diag([1e6, 1.0, 1e-8, 1.0]), 0) is None
+    A = np.diag([1e6, 1.0, 1e-5, 1.0])
+    assert np.allclose(step_inverse(A, 0) @ A, np.eye(4))
+    # at H=1 sensor k owns positions k and 4 + k
+    A = np.kron(np.eye(2), np.diag([1e6, 1.0, 1e-8, 1.0]))
+    assert step_inverse(A, 1) is None
 
 
 def test_entropy_equivalence_on_one_instance():

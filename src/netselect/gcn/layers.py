@@ -7,6 +7,7 @@ central differences in the tests, so every forward quantity needed for
 the backward pass is cached explicitly.
 """
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -17,18 +18,33 @@ from ..errors import InvalidInputError
 LEAKY_ALPHA = 0.2  # negative-side slope of the hidden FC activations
 
 
-def elu(x):
-    """exp(x) - 1 for x < 0, identity otherwise."""
-    return np.where(x < 0, np.expm1(x), x)
+def elu(x, out=None, scratch=None):
+    """exp(x) - 1 for x < 0, identity otherwise.
+
+    Branch-free: expm1 only sees min(x, 0), so a large positive x cannot
+    overflow. out and scratch, when given, receive the result and the
+    negative part instead of new arrays.
+    """
+    neg = np.minimum(x, 0.0, out=scratch)
+    np.expm1(neg, out=neg)
+    pos = np.maximum(x, 0.0, out=out)
+    pos += neg
+    return pos
 
 
-def elu_grad(x):
-    return np.where(x < 0, np.exp(x), 1.0)
+def elu_grad(x, out=None):
+    """exp(min(x, 0)): exp(x) for x < 0, 1 otherwise."""
+    g = np.minimum(x, 0.0, out=out)
+    np.exp(g, out=g)
+    return g
 
 
-def leaky_relu(x, alpha):
-    """alpha * x for x < 0, identity otherwise."""
-    return np.where(x < 0, alpha * x, x)
+def leaky_relu(x, alpha, out=None):
+    """alpha * x for x < 0, identity otherwise (0 < alpha < 1).
+
+    Branch-free; out, when given, receives the result."""
+    scaled = np.multiply(x, alpha, out=out)
+    return np.maximum(x, scaled, out=scaled)
 
 
 def leaky_relu_grad(x, alpha):
@@ -120,35 +136,76 @@ def cheb_values(lam, K):
     return T
 
 
+class Workspace:
+    """Scratch arrays that one training run reuses from batch to batch.
+
+    forward_batch and backward_batch write their batch-sized
+    intermediates into a workspace instead of allocating them, which
+    spares the page faults of freeing and refetching the same memory on
+    every batch. Each named buffer is as large as the largest array it
+    has served, and a smaller one is a view of its leading part, so a
+    run that alternates batch sizes keeps its pages. A cache or input
+    gradient computed with a workspace holds views into it and is valid
+    only until the next pass that uses the same workspace.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name, shape):
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+def _out(workspace, name, shape):
+    """The workspace buffer called name, or None, which has numpy
+    allocate the result, without a workspace."""
+    return None if workspace is None else workspace.take(name, shape)
+
+
 def forward_batch(Xb, params: ChebNetParams, config: ChebNetConfig, spectrum,
-                  want_cache=False):
+                  want_cache=False, workspace=None):
     """Batched forward pass; Xb has shape (B, n, f_in).
 
     spectrum is the EigenPair (lam, U) of the rescaled Laplacian L_tilde.
     The filter sum_k theta_k T_k(L_tilde) equals U diag(h) U^T with
     h = sum_k theta_k T_k(lam), so it is applied in the graph Fourier
     basis. Returns (B, out_dim) outputs, plus the intermediate cache when
-    want_cache is set.
+    want_cache is set. With a Workspace, the batch-sized intermediates
+    are written into it.
     """
     Xb = np.asarray(Xb, dtype=float)
     if Xb.ndim != 3 or Xb.shape[1] != config.n or Xb.shape[2] != config.f_in:
         raise InvalidInputError(
             f"input must be (B, {config.n}, {config.f_in}), got {Xb.shape}"
         )
+    B = Xb.shape[0]
+    in_shape, g_shape = Xb.shape, (B, config.n, config.f_out)
     U = spectrum.vectors
     T = cheb_values(spectrum.values, config.cheb_order)         # (K+1, n)
     h = np.einsum("kj,kfo->jfo", T, params.theta)                # (n, f_in, f_out)
-    X_hat = U.T @ Xb                                             # (B, n, f_in)
-    G_pre = U @ np.einsum("bjf,jfo->bjo", X_hat, h) + params.gconv_bias[None]
-    A1 = elu(G_pre)
-    f = A1.reshape(Xb.shape[0], config.n * config.f_out)
+    X_hat = np.matmul(U.T, Xb, out=_out(workspace, "X_hat", in_shape))
+    # "tmp" holds Z, then the negative part of elu, then in backward_batch
+    # the first FC layer's input gradient and dG_hat; each is dead before
+    # the next is written, and the cache never refers to it
+    Z = np.einsum("bjf,jfo->bjo", X_hat, h, out=_out(workspace, "tmp", g_shape))
+    G_pre = np.matmul(U, Z, out=_out(workspace, "G_pre", g_shape))
+    G_pre += params.gconv_bias
+    A1 = elu(G_pre, out=_out(workspace, "A1", g_shape),
+             scratch=_out(workspace, "tmp", g_shape))
+    f = A1.reshape(B, config.n * config.f_out)
     pre_acts = []
     feats = [f]
     n_hidden = len(params.fc_weights) - 1
     for m in range(n_hidden):
-        u = f @ params.fc_weights[m].T + params.fc_biases[m]
+        fc_shape = (B, params.fc_weights[m].shape[0])
+        u = np.matmul(f, params.fc_weights[m].T, out=_out(workspace, f"u{m}", fc_shape))
+        u += params.fc_biases[m]
         pre_acts.append(u)
-        f = leaky_relu(u, LEAKY_ALPHA)
+        f = leaky_relu(u, LEAKY_ALPHA, out=_out(workspace, f"a{m}", fc_shape))
         feats.append(f)
     out = f @ params.fc_weights[-1].T + params.fc_biases[-1]
     if not want_cache:
@@ -159,35 +216,43 @@ def forward_batch(Xb, params: ChebNetParams, config: ChebNetConfig, spectrum,
 
 
 def backward_batch(dout, cache, params: ChebNetParams, config: ChebNetConfig,
-                   spectrum, want_input_grad=False):
+                   spectrum, want_input_grad=False, workspace=None):
     """Reverse-mode gradients from dL/dout of shape (B, out_dim).
 
     Returns (grads: ChebNetParams, dXb or None). dout must already
-    include the loss normalization.
+    include the loss normalization. With a Workspace, the (B, n, f_out)
+    intermediates and dXb are written into it.
     """
     feats = cache["feats"]
     pre_acts = cache["pre_acts"]
     B = dout.shape[0]
+    g_shape = (B, config.n, config.f_out)
 
     n_fc = len(params.fc_weights)
     fc_weights, fc_biases = [None] * n_fc, [None] * n_fc
     df = dout
     for m in range(n_fc - 1, -1, -1):
         if m < len(pre_acts):  # hidden layers; the output layer is linear
-            df = df * leaky_relu_grad(pre_acts[m], LEAKY_ALPHA)
+            # df is the product made below for layer m + 1, never dout
+            df *= leaky_relu_grad(pre_acts[m], LEAKY_ALPHA)
         fc_weights[m] = df.T @ feats[m]
         fc_biases[m] = df.sum(axis=0)
-        df = df @ params.fc_weights[m]
+        df = np.matmul(df, params.fc_weights[m],
+                       out=_out(workspace, "tmp", feats[0].shape) if m == 0 else None)
 
-    dA1 = df.reshape(B, config.n, config.f_out)
-    dG = dA1 * elu_grad(cache["G_pre"])
+    dA1 = df.reshape(g_shape)
+    dG = elu_grad(cache["G_pre"], out=_out(workspace, "dG", g_shape))
+    dG *= dA1
     U = spectrum.vectors
-    dG_hat = U.T @ dG                                            # (B, n, f_out)
+    dG_hat = np.matmul(U.T, dG, out=_out(workspace, "tmp", g_shape))
     dh = np.einsum("bjf,bjo->jfo", cache["X_hat"], dG_hat)
     grads = ChebNetParams(np.einsum("kj,jfo->kfo", cache["T"], dh),
                           dG.sum(axis=0), fc_weights, fc_biases)
 
     dXb = None
     if want_input_grad:
-        dXb = U @ np.einsum("jfo,bjo->bjf", cache["h"], dG_hat)
+        in_shape = cache["X_hat"].shape
+        dX_hat = np.einsum("jfo,bjo->bjf", cache["h"], dG_hat,
+                           out=_out(workspace, "dX_hat", in_shape))
+        dXb = np.matmul(U, dX_hat, out=_out(workspace, "dXb", in_shape))
     return grads, dXb

@@ -18,7 +18,7 @@ import numpy as np
 from ..errors import InvalidInputError, UndefinedScoreError
 from ..select_linear import SelectionResult
 from ..timeseries import Split
-from .layers import ChebNetConfig, forward_batch, init_params
+from .layers import ChebNetConfig, Workspace, forward_batch, init_params
 from .train import (
     TrainConfig,
     _param_tensors,
@@ -109,6 +109,7 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
     rng = np.random.default_rng(train_config.seed)
     params = init_params(net_config, seed=train_config.seed)
     opt = make_optimizer("gd", train_config.lr)
+    workspace = Workspace()
 
     def draw_mask():
         resampled = 0
@@ -130,7 +131,7 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
         resample_count += extra
         _, grads, _, _ = batch_loss(window_tensor(X, ts, h) * w[None, :, None],
                                     X[:, ts].T, (1.0 - w)[None, :], params,
-                                    net_config, spectrum)
+                                    net_config, spectrum, workspace=workspace)
         opt.step(_param_tensors(params), _param_tensors(grads))
 
     def val_loss():
@@ -138,7 +139,7 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
         n_val = 0
         for ts, w in zip(val_blocks, val_masks):
             out = forward_batch(window_tensor(X, ts, h) * w[None, :, None],
-                                params, net_config, spectrum)
+                                params, net_config, spectrum, workspace=workspace)
             resid = out - X[:, ts].T
             vl += float(np.sum((1.0 - w)[None, :] * resid ** 2))
             n_val += ts.size
@@ -205,6 +206,7 @@ def train_selection_masking(X, split: Split, spectrum, p, lam_grid, eps0,
 
     train_blocks = batch_blocks(0, split.t_tv, h, train_config.batch_size)
     mask_path = np.empty((len(lam_grid), n))
+    workspace = Workspace()  # shared by the grid's runs, which run in turn
     for gi, lam in enumerate(lam_grid):
         params = init_params(net_config, seed=train_config.seed)
         w = np.full(n, 0.5)
@@ -218,7 +220,8 @@ def train_selection_masking(X, split: Split, spectrum, p, lam_grid, eps0,
             _, grads, resid, dXb = batch_loss(Xb * w[None, :, None], X[:, ts].T,
                                               ((1.0 - w) ** 2)[None, :], params,
                                               net_config, spectrum,
-                                              want_input_grad=True)
+                                              want_input_grad=True,
+                                              workspace=workspace)
             # mask gradient: input path, the (1-w)^2 loss factor, and l1
             dw = (dXb * Xb).sum(axis=(0, 2))
             dw += -2.0 * (1.0 - w) * (resid ** 2).sum(axis=0) / ts.size

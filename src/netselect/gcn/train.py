@@ -15,6 +15,7 @@ from ..timeseries import Split
 from .layers import (
     ChebNetConfig,
     ChebNetParams,
+    Workspace,
     backward_batch,
     forward_batch,
     init_params,
@@ -48,6 +49,10 @@ class _GD:
 
 
 class _Adam:
+    """Adam with its moments updated in place and its temporaries taken
+    from two scratch arrays per tensor, so only the first step
+    allocates."""
+
     def __init__(self, lr):
         self.lr = lr
         self.t = 0
@@ -58,14 +63,25 @@ class _Adam:
         if self.m is None:
             self.m = [np.zeros_like(t) for t in tensors]
             self.v = [np.zeros_like(t) for t in tensors]
+            self._scratch = [(np.empty_like(t), np.empty_like(t)) for t in tensors]
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
-        for k, (t, g) in enumerate(zip(tensors, grads)):
-            self.m[k] = b1 * self.m[k] + (1 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
-            m_hat = self.m[k] / (1 - b1 ** self.t)
-            v_hat = self.v[k] / (1 - b2 ** self.t)
-            t -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        for t, g, m, v, (s, r) in zip(tensors, grads, self.m, self.v, self._scratch):
+            # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g
+            m *= b1
+            m += np.multiply(1 - b1, g, out=s)
+            v *= b2
+            np.multiply(1 - b2, g, out=s)
+            s *= g
+            v += s
+            # t -= lr m_hat / (sqrt(v_hat) + eps)
+            np.divide(m, 1 - b1 ** self.t, out=s)
+            s *= self.lr
+            np.divide(v, 1 - b2 ** self.t, out=r)
+            np.sqrt(r, out=r)
+            r += ADAM_EPS
+            s /= r
+            t -= s
 
 
 def make_optimizer(kind, lr):
@@ -115,22 +131,26 @@ def _early_stop(rule, val_losses):
 
 
 def batch_loss(Xb, target, weight, params, net_config, spectrum,
-               want_input_grad=False):
+               want_input_grad=False, workspace=None):
     """Weighted squared-error loss of one batch and its gradients.
 
     The loss is sum(weight * (out - target)^2) / B for the B rows of the
     batch, with weight broadcast against the (B, out_dim) residual; a
     non-finite loss raises TrainingDivergedError. Returns
     (loss, grads, resid, dXb), dXb being None unless want_input_grad.
+    The layers keep their intermediates, and dXb, in workspace when one
+    is given.
     """
-    out, cache = forward_batch(Xb, params, net_config, spectrum, want_cache=True)
+    out, cache = forward_batch(Xb, params, net_config, spectrum, want_cache=True,
+                               workspace=workspace)
     resid = out - target
     B = target.shape[0]
     loss = float(np.sum(weight * resid ** 2) / B)
     _check_finite(loss)
     grads, dXb = backward_batch(2.0 * weight * resid / B, cache, params,
                                 net_config, spectrum,
-                                want_input_grad=want_input_grad)
+                                want_input_grad=want_input_grad,
+                                workspace=workspace)
     return loss, grads, resid, dXb
 
 
@@ -183,6 +203,7 @@ def train_prediction_net(X, split: Split, spectrum, I, net_config: ChebNetConfig
     rng = np.random.default_rng(train_config.seed)
     params = init_params(net_config, seed=train_config.seed)
     opt = make_optimizer("adam", train_config.lr)
+    workspace = Workspace()
 
     train_blocks = batch_blocks(0, split.t_tv, h, train_config.batch_size)
     val_ts = np.concatenate(batch_blocks(split.t_tv, split.t0, h, split.t0 - split.t_tv))
@@ -192,11 +213,12 @@ def train_prediction_net(X, split: Split, spectrum, I, net_config: ChebNetConfig
     def step(ts):
         _, grads, _, _ = batch_loss(window_tensor(X_masked, ts, h),
                                     X[np.ix_(I, ts)].T, 1.0, params,
-                                    net_config, spectrum)
+                                    net_config, spectrum, workspace=workspace)
         opt.step(_param_tensors(params), _param_tensors(grads))
 
     def val_loss():
-        val_out = forward_batch(val_in, params, net_config, spectrum)
+        val_out = forward_batch(val_in, params, net_config, spectrum,
+                                workspace=workspace)
         return float(np.sum((val_out - val_target) ** 2) / val_ts.size)
 
     val_losses = run_epochs(rng, train_blocks, train_config.max_epoch, step,

@@ -5,12 +5,15 @@ score every candidate from one inverse, and the fitted reconstructors.
 The set criteria, the training error they equal, the greedy that solves
 each candidate's system on its own, the conjugate-gradient solve and the
 single-sample network loss live here, so the tests can check the
-pipeline against them.
+pipeline against them. So do the plain forms of what the network layers
+compute faster: the activations as np.where branches and an Adam step
+that allocates its moments and temporaries afresh.
 """
 
 import numpy as np
 
 from netselect.gcn.layers import backward_batch, forward_batch, tensor_items
+from netselect.gcn.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from netselect.numerics import solve_spd
 from netselect.select_kernel import kernel_reconstructor
 from netselect.timeseries import assemble_blocks, lag_stack
@@ -173,3 +176,42 @@ def central_differences(loss, params, eps=1e-6):
             num[idx] = (hi - lo) / (2.0 * eps)
         grads.append(num)
     return grads
+
+
+def elu_where(x):
+    """exp(x) - 1 for x < 0, identity otherwise."""
+    return np.where(x < 0, np.expm1(x), x)
+
+
+def elu_grad_where(x):
+    return np.where(x < 0, np.exp(x), 1.0)
+
+
+def leaky_relu_where(x, alpha):
+    """alpha * x for x < 0, identity otherwise."""
+    return np.where(x < 0, alpha * x, x)
+
+
+class AdamAllocating:
+    """Adam written as array expressions: every step builds new moment
+    arrays and temporaries. The library's step must match it bit for
+    bit."""
+
+    def __init__(self, lr):
+        self.lr = lr
+        self.t = 0
+        self.m = None
+        self.v = None
+
+    def step(self, tensors, grads):
+        if self.m is None:
+            self.m = [np.zeros_like(t) for t in tensors]
+            self.v = [np.zeros_like(t) for t in tensors]
+        self.t += 1
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        for k, (t, g) in enumerate(zip(tensors, grads)):
+            self.m[k] = b1 * self.m[k] + (1 - b1) * g
+            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
+            m_hat = self.m[k] / (1 - b1 ** self.t)
+            v_hat = self.v[k] / (1 - b2 ** self.t)
+            t -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

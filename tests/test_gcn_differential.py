@@ -1,0 +1,152 @@
+"""The network's fast paths against their plain references.
+
+The branch-free activations, the in-place Adam step and the workspace
+the layers write into must give the same values as the np.where
+activations, the allocating Adam step and a pass without a workspace.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from netselect.gcn import ChebNetConfig, elu, init_params, leaky_relu, tensor_items
+from netselect.gcn.layers import Workspace, backward_batch, elu_grad, forward_batch
+from netselect.gcn.train import batch_loss, make_optimizer
+from netselect.numerics import sym_eig
+from oracles import AdamAllocating, elu_grad_where, elu_where, leaky_relu_where
+
+SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, 1e3, -1e3, np.inf, -np.inf])
+
+
+def _spectrum(n, seed):
+    rng = np.random.default_rng(seed)
+    S = rng.normal(size=(n, n))
+    S = (S + S.T) / 2.0
+    return sym_eig(S / np.max(np.abs(np.linalg.eigvalsh(S))))
+
+
+def _net(n=12, f_out=3, out_dim=5, h=1, fc_sizes=(7,), cheb_order=5, seed=0):
+    config = ChebNetConfig(n=n, cheb_order=cheb_order, f_out=f_out,
+                           fc_sizes=fc_sizes, out_dim=out_dim, h=h)
+    params = init_params(config, seed=seed)
+    params.gconv_bias[:] = np.random.default_rng(seed).normal(size=(n, f_out))
+    return config, params, _spectrum(n, seed)
+
+
+def _assert_grads_equal(got, ref):
+    for (name, a), (_, b) in zip(tensor_items(got), tensor_items(ref)):
+        assert np.array_equal(a, b), name
+
+
+def test_activations_never_exponentiate_a_positive_input():
+    x = np.array([-800.0, -1.0, 0.0, 1.0, 800.0])
+    with np.errstate(over="raise", invalid="raise"):
+        assert np.array_equal(elu(x), [np.expm1(-800.0), np.expm1(-1.0), 0.0, 1.0, 800.0])
+        assert np.array_equal(elu_grad(x), [np.exp(-800.0), np.exp(-1.0), 1.0, 1.0, 1.0])
+        assert np.array_equal(leaky_relu(x, 0.2), [-160.0, -0.2, 0.0, 1.0, 800.0])
+
+
+def test_activations_equal_the_where_forms():
+    for seed, scale in ((0, 1.0), (1, 30.0), (2, 1e-300)):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(scale=scale, size=(48, 40, 8))
+        x.flat[rng.choice(x.size, SPECIAL.size, replace=False)] = SPECIAL
+        # the references exponentiate the positive side, which overflows
+        with np.errstate(over="ignore"):
+            ref_elu, ref_grad = elu_where(x), elu_grad_where(x)
+        assert np.array_equal(elu(x), ref_elu)
+        assert np.array_equal(elu_grad(x), ref_grad)
+        for alpha in (0.2, 0.01):
+            assert np.array_equal(leaky_relu(x, alpha), leaky_relu_where(x, alpha))
+        # the workspace form writes into out and scratch
+        out, scratch = np.empty_like(x), np.empty_like(x)
+        assert elu(x, out=out, scratch=scratch) is out
+        assert np.array_equal(out, ref_elu)
+        assert elu_grad(x, out=scratch) is scratch
+        assert np.array_equal(scratch, ref_grad)
+
+
+def test_adam_step_equals_the_allocating_step():
+    rng = np.random.default_rng(7)
+    shapes = [(21, 2, 3), (12, 3), (7, 36), (7,), (5, 7), (5,)]
+    start = [rng.normal(size=s) for s in shapes]
+    fast, ref = make_optimizer("adam", 0.05), AdamAllocating(0.05)
+    fast_tensors = [t.copy() for t in start]
+    ref_tensors = [t.copy() for t in start]
+    for _ in range(20):
+        grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=s) for s in shapes]
+        fast.step(fast_tensors, grads)
+        ref.step(ref_tensors, grads)
+    for a, b, ma, mb, va, vb in zip(fast_tensors, ref_tensors, fast.m, ref.m,
+                                    fast.v, ref.v):
+        assert np.array_equal(a, b)
+        assert np.array_equal(ma, mb)
+        assert np.array_equal(va, vb)
+
+
+def test_workspace_gives_the_same_loss_and_gradients():
+    config, params, spectrum = _net()
+    rng = np.random.default_rng(3)
+    workspace = Workspace()
+    # the buffers serve the largest batch; a smaller one reuses their head
+    for B in (480, 160, 480):
+        Xb = rng.normal(size=(B, config.n, config.f_in))
+        target = rng.normal(size=(B, config.out_dim))
+        weight = rng.uniform(size=(1, config.out_dim))
+        ref = batch_loss(Xb, target, weight, params, config, spectrum,
+                         want_input_grad=True)
+        got = batch_loss(Xb, target, weight, params, config, spectrum,
+                         want_input_grad=True, workspace=workspace)
+        assert got[0] == ref[0]
+        _assert_grads_equal(got[1], ref[1])
+        assert np.array_equal(got[2], ref[2])
+        assert got[3].shape == (B, config.n, config.f_in)
+        assert np.array_equal(got[3], ref[3])
+        assert np.array_equal(forward_batch(Xb, params, config, spectrum,
+                                            workspace=workspace),
+                              forward_batch(Xb, params, config, spectrum))
+
+
+def test_a_held_cache_survives_a_later_forward_without_workspace():
+    config, params, spectrum = _net()
+    rng = np.random.default_rng(4)
+    Xa, Xb = rng.normal(size=(2, 30, config.n, config.f_in))
+    dout = rng.normal(size=(30, config.out_dim))
+    _, cache = forward_batch(Xa, params, config, spectrum, want_cache=True)
+    ref, ref_dX = backward_batch(dout, cache, params, config, spectrum,
+                                 want_input_grad=True)
+    forward_batch(Xb, params, config, spectrum, want_cache=True)
+    got, got_dX = backward_batch(dout, cache, params, config, spectrum,
+                                 want_input_grad=True)
+    _assert_grads_equal(got, ref)
+    assert np.array_equal(got_dX, ref_dX)
+
+
+def test_a_step_on_a_warm_workspace_allocates_less_than_one_block():
+    # the gcn-mask benchmark's prediction net: one 480-row batch per step
+    B = 480
+    config, params, spectrum = _net(n=40, f_out=8, out_dim=4, h=0, fc_sizes=(64,),
+                                    cheb_order=20)
+    rng = np.random.default_rng(5)
+    Xb = rng.normal(size=(B, config.n, config.f_in))
+    target = rng.normal(size=(B, config.out_dim))
+    tensors = [t for _, t in tensor_items(params)]
+    workspace = Workspace()
+    opt = make_optimizer("adam", 0.001)
+
+    def step():
+        _, grads, _, _ = batch_loss(Xb, target, 1.0, params, config, spectrum,
+                                    workspace=workspace)
+        opt.step(tensors, [g for _, g in tensor_items(grads)])
+
+    step()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = B * config.n * config.f_out * 8
+    assert peak - base < block, f"step peaked {peak - base} bytes over a {block}-byte block"

@@ -291,7 +291,8 @@ def cmd_select(args):
     p = args.p if args.p is not None else default_p(n)
     coords = _align_coords(panel, args.coords)
 
-    # every setting evaluate rebuilds the method from (EVALUATE_KEYS)
+    # every setting the method runs with, among them all that evaluate
+    # rebuilds it from (EVALUATE_KEYS)
     hp = {
         "n": n,
         "p": p,
@@ -307,7 +308,12 @@ def cmd_select(args):
         hp["gamma"] = gamma_grid(args.H, args.r_s) if args.H > 0 else 0.0
     elif args.method != "linear":
         hp.update(laplacian=args.laplacian, cheb_order=args.cheb_order,
-                  f_out=args.f_out, fc_sizes=args.fc_sizes)
+                  f_out=args.f_out, fc_sizes=args.fc_sizes, lr=args.lr,
+                  batch_size=args.batch_size, max_epoch=args.max_epoch)
+    if args.method == "gcn-mask":
+        hp["eps0"] = args.eps0
+        hp["mask_lambda_grid"] = [float(v) for v in np.linspace(
+            args.mask_lambda_min, args.mask_lambda_max, args.mask_lambda_count)]
     graph = None
     if _needs_graph(args.method, hp):
         graph = build_knn_graph(coords, hp["k0"], hp["k1"])
@@ -323,20 +329,16 @@ def cmd_select(args):
     else:
         spectrum = _gcn_spectrum(hp, graph)
         net = _chebnet(hp, n)
-        tc = TrainConfig(lr=args.lr, batch_size=args.batch_size,
-                         max_epoch=args.max_epoch, seed=args.seed)
+        tc = TrainConfig(lr=hp["lr"], batch_size=hp["batch_size"],
+                         max_epoch=hp["max_epoch"], seed=args.seed)
         if args.method == "gcn-dropout":
             scores, result, _ = train_selection_dropout(
                 X, split, spectrum, p, net, tc, measure=args.measure)
         else:
-            lam_grid = list(np.linspace(args.mask_lambda_min,
-                                        args.mask_lambda_max,
-                                        args.mask_lambda_count))
             result, mask_path_values = train_selection_masking(
-                X, split, spectrum, p, lam_grid, args.eps0, net, tc)
+                X, split, spectrum, p, hp["mask_lambda_grid"], hp["eps0"], net, tc)
 
-    result.hyperparams.update(extras)
-    result.hyperparams.update(hp)
+    result.hyperparams.update(hp, **extras)
 
     os.makedirs(args.out_dir, exist_ok=True)
     sel_path = os.path.join(args.out_dir, "selection.json")
@@ -350,9 +352,8 @@ def cmd_select(args):
         written.append(scores_path)
     if mask_path_values is not None:
         path_csv = os.path.join(args.out_dir, "mask_path.csv")
-        grid = result.hyperparams["mask_lambda_grid"]
         lines = ["lambda," + ",".join(panel.sensor_ids)]
-        for lam, row in zip(grid, mask_path_values):
+        for lam, row in zip(hp["mask_lambda_grid"], mask_path_values):
             lines.append(format(lam, ".17g") + ","
                          + ",".join(format(v, ".17g") for v in row))
         _write_text(path_csv, "\n".join(lines))

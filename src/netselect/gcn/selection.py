@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import InvalidInputError, UndefinedScoreError
 from ..select_linear import SelectionResult
-from ..timeseries import Split
+from ..timeseries import Split, lag_windows
 from .layers import ChebNetConfig, Workspace, forward_batch, init_params
 from .train import (
     TrainConfig,
@@ -26,7 +26,6 @@ from .train import (
     batch_loss,
     make_optimizer,
     run_epochs,
-    window_tensor,
 )
 
 MEASURES = ("r2", "mse")
@@ -65,7 +64,7 @@ def score_sensors(params, net_config: ChebNetConfig, spectrum, X, val_ts, measur
         raise InvalidInputError(f"measure must be one of {MEASURES}")
     X = np.asarray(X, dtype=float)
     val_ts = np.asarray(val_ts, dtype=int)
-    pred = forward_batch(window_tensor(X, val_ts, net_config.h), params,
+    pred = forward_batch(lag_windows(X, val_ts, net_config.h), params,
                          net_config, spectrum)     # (B, n)
     actual = X[:, val_ts].T
     resid_sq = ((actual - pred) ** 2).sum(axis=0)  # per sensor
@@ -129,7 +128,7 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
         nonlocal resample_count
         w, extra = draw_mask()
         resample_count += extra
-        _, grads, _, _ = batch_loss(window_tensor(X, ts, h) * w[None, :, None],
+        _, grads, _, _ = batch_loss(lag_windows(X, ts, h) * w[None, :, None],
                                     X[:, ts].T, (1.0 - w)[None, :], params,
                                     net_config, spectrum, workspace=workspace)
         opt.step(_param_tensors(params), _param_tensors(grads))
@@ -138,7 +137,7 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
         vl = 0.0
         n_val = 0
         for ts, w in zip(val_blocks, val_masks):
-            out = forward_batch(window_tensor(X, ts, h) * w[None, :, None],
+            out = forward_batch(lag_windows(X, ts, h) * w[None, :, None],
                                 params, net_config, spectrum, workspace=workspace)
             resid = out - X[:, ts].T
             vl += float(np.sum((1.0 - w)[None, :] * resid ** 2))
@@ -156,21 +155,8 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
         scores = score_sensors(params, net_config, spectrum, X, val_ts, "mse")
 
     order = scores.ranking[:p]
-    result = SelectionResult(
-        "gcn-dropout",
-        {
-            "p": p,
-            "q": q,
-            "measure": scores.measure,
-            "lr": train_config.lr,
-            "batch_size": train_config.batch_size,
-            "max_epoch": train_config.max_epoch,
-            "seed": train_config.seed,
-            "H": h,
-        },
-        order,
-        [float(scores.scores[i]) for i in order],
-    )
+    result = SelectionResult("gcn-dropout", {"q": q, "measure": scores.measure},
+                             order, [float(scores.scores[i]) for i in order])
     diagnostics = {"resampled": resample_count, "val_losses": val_losses}
     return scores, result, diagnostics
 
@@ -216,7 +202,7 @@ def train_selection_masking(X, split: Split, spectrum, p, lam_grid, eps0,
         # term is finite and batch_loss checking the data loss alone
         # catches divergence
         def step(ts):
-            Xb = window_tensor(X, ts, h)
+            Xb = lag_windows(X, ts, h)
             _, grads, resid, dXb = batch_loss(Xb * w[None, :, None], X[:, ts].T,
                                               ((1.0 - w) ** 2)[None, :], params,
                                               net_config, spectrum,
@@ -242,19 +228,5 @@ def train_selection_masking(X, split: Split, spectrum, p, lam_grid, eps0,
         )
     ranking = sorted(range(n), key=lambda i: (-F[i], final_at_top[i], i))
     order = ranking[:p]
-    result = SelectionResult(
-        "gcn-mask",
-        {
-            "p": p,
-            "eps0": eps0,
-            "mask_lambda_grid": lam_grid,
-            "lr": train_config.lr,
-            "batch_size": train_config.batch_size,
-            "max_epoch": train_config.max_epoch,
-            "seed": train_config.seed,
-            "H": h,
-        },
-        order,
-        [float(F[i]) for i in order],
-    )
+    result = SelectionResult("gcn-mask", {}, order, [float(F[i]) for i in order])
     return result, mask_path

@@ -11,7 +11,7 @@ import numpy as np
 
 from ..errors import InvalidInputError, TrainingDivergedError
 from ..numerics import EigenPair
-from ..timeseries import Split
+from ..timeseries import Split, lag_windows
 from .layers import (
     ChebNetConfig,
     ChebNetParams,
@@ -87,12 +87,6 @@ class _Adam:
 def make_optimizer(kind, lr):
     """Adam for kind "adam", plain gradient descent for "gd"."""
     return _Adam(lr) if kind == "adam" else _GD(lr)
-
-
-def window_tensor(X, ts, h):
-    """Lag windows (B, n, h+1) with [:, :, l] = X[:, t - l]; needs min(ts) >= h."""
-    cols = np.stack([X[:, ts - l] for l in range(h + 1)], axis=2)  # (n, B, h+1)
-    return cols.transpose(1, 0, 2)
 
 
 def batch_blocks(t_lo, t_hi, h, batch_size):
@@ -207,11 +201,11 @@ def train_prediction_net(X, split: Split, spectrum, I, net_config: ChebNetConfig
 
     train_blocks = batch_blocks(0, split.t_tv, h, train_config.batch_size)
     val_ts = np.concatenate(batch_blocks(split.t_tv, split.t0, h, split.t0 - split.t_tv))
-    val_in = window_tensor(X_masked, val_ts, h)
+    val_in = lag_windows(X_masked, val_ts, h)
     val_target = X[np.ix_(I, val_ts)].T
 
     def step(ts):
-        _, grads, _, _ = batch_loss(window_tensor(X_masked, ts, h),
+        _, grads, _, _ = batch_loss(lag_windows(X_masked, ts, h),
                                     X[np.ix_(I, ts)].T, 1.0, params,
                                     net_config, spectrum, workspace=workspace)
         opt.step(_param_tensors(params), _param_tensors(grads))
@@ -249,6 +243,6 @@ class NetReconstructor:
             raise InvalidInputError(
                 f"prediction needs {self.config.h} lag columns before t_start"
             )
-        out = forward_batch(window_tensor(X_masked, ts, self.config.h),
+        out = forward_batch(lag_windows(X_masked, ts, self.config.h),
                             self.params, self.config, self.spectrum)
         return out.T

@@ -124,7 +124,7 @@ def greedy_select_kernel(gammas, kb, p, lam=0.0, H=0) -> SelectionResult:
 
     order, step_values = greedy(gammas[0].shape[0], p, score, value)
     method = "kernel-h0" if H == 0 else "kernel-h"
-    return SelectionResult(method, {"H": H, "lambda": lam}, order, step_values)
+    return SelectionResult(method, {}, order, step_values)
 
 
 def fit_predict_kernel(kb, I, lam, H=0) -> LinearReconstructor:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .numerics import JITTER_TRIGGER, check_symmetric, solve_spd
-from .timeseries import _check_partition, assemble_blocks, lag_stack
+from .timeseries import _check_partition, lag_stack, lag_windows
 
 METHOD_TAGS = (
     "linear-h0",
@@ -177,7 +177,7 @@ def greedy_select_linear(gammas, p, H=0) -> SelectionResult:
 
     order, step_values = greedy(gammas[0].shape[0], p, score, value)
     method = "linear-h0" if H == 0 else "linear-h"
-    return SelectionResult(method, {"H": H}, order, step_values)
+    return SelectionResult(method, {}, order, step_values)
 
 
 @dataclass
@@ -195,17 +195,10 @@ class LinearReconstructor:
         Lags reach back into columns before t_start; positions before
         column 0 are treated as zero.
         """
-        X = np.asarray(X, dtype=float)
-        q = len(self.kept)
-        nt = t_end - t_start
-        D = np.zeros(((self.H + 1) * q, nt))
-        for l in range(self.H + 1):
-            lo = t_start - l
-            hi = t_end - l
-            src_lo = max(lo, 0)
-            if src_lo < hi:
-                D[l * q:(l + 1) * q, src_lo - lo:] = X[self.kept, src_lo:hi]
-        return self.theta @ D
+        ts = np.arange(t_start, t_end)
+        # (H+1, n, B) -> the (H+1)|I^c| x B design, row l|I^c| + k
+        W = lag_windows(np.asarray(X, dtype=float), ts, self.H).transpose(2, 1, 0)
+        return self.theta @ W[:, self.kept].reshape(self.theta.shape[1], ts.size)
 
 
 def fit_predict_linear(gammas, I, H=0) -> LinearReconstructor:
@@ -213,6 +206,6 @@ def fit_predict_linear(gammas, I, H=0) -> LinearReconstructor:
     I, Ic = _check_partition(gammas[0].shape[0], I)
     if not I or not Ic:
         raise InvalidInputError("I must be a nonempty proper subset")
-    alpha, beta = assemble_blocks(gammas, I, H)
+    alpha, beta = lag_stack(gammas, I, Ic, H)
     theta = solve_spd(alpha, beta.T).T
     return LinearReconstructor(theta=theta, turned_off=I, kept=Ic, H=H)

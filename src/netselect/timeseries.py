@@ -9,6 +9,7 @@ treated as zero-mean.
 """
 
 import csv
+import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -96,9 +97,13 @@ class PreprocessModel:
 def _parse_moment(text, where):
     text = text.strip()
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         pass
+    else:
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{where}: non-finite moment {text!r}")
+        return value
     try:
         dt = datetime.fromisoformat(text)
     except ValueError:
@@ -111,9 +116,9 @@ def _parse_moment(text, where):
 def read_raw_records(path) -> Dict[str, List[Tuple[float, float, float]]]:
     """Read raw records CSV station,moment,bikes,spaces.
 
-    Moments may be epoch seconds or ISO-8601 timestamps (naive = UTC).
-    Returns a dict station -> list of (moment, bikes, spaces) sorted by
-    moment.
+    Moments may be epoch seconds or ISO-8601 timestamps (naive = UTC);
+    moments, bikes and spaces must be finite. Returns a dict station ->
+    list of (moment, bikes, spaces) sorted by moment.
     """
     out: Dict[str, List[Tuple[float, float, float]]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -136,6 +141,8 @@ def read_raw_records(path) -> Dict[str, List[Tuple[float, float, float]]]:
                 spaces = float(row[3])
             except ValueError:
                 raise InvalidInputError(f"{where}: non-numeric bikes/spaces")
+            if not (math.isfinite(bikes) and math.isfinite(spaces)):
+                raise InvalidInputError(f"{where}: non-finite bikes/spaces")
             out.setdefault(row[0], []).append((moment, bikes, spaces))
     for recs in out.values():
         recs.sort(key=lambda r: r[0])
@@ -297,6 +304,20 @@ def lag_stack(blocks, rows, cols, H):
     rx = np.ix_(np.asarray(rows, dtype=int), cols)
     beta = np.concatenate([blocks[c][rx] for c in range(H + 1)], axis=1)
     return alpha, beta
+
+
+def lag_windows(X, ts, H):
+    """Lag windows (B, n, H+1) of the columns ts of X: [:, :, l] is
+    X[:, t - l], zero where t - l < 0.
+
+    The windows are a C-ordered (n, B, H+1) array seen through a
+    transpose, and a sum over them (the masking rule's per-sensor sum
+    over batch and lags) runs in that memory order.
+    """
+    lags = np.asarray(ts, dtype=int)[:, None] - np.arange(H + 1)  # (B, H+1)
+    cols = np.take(X, lags, axis=1)
+    cols[:, lags < 0] = 0.0
+    return cols.transpose(1, 0, 2)
 
 
 def assemble_blocks(blocks, I, H):

@@ -72,6 +72,25 @@ def test_ingest_keeps_only_clean_stations(tmp_path, capsys):
     assert (out1 / "panel.csv").read_bytes() == (out2 / "panel.csv").read_bytes()
 
 
+@pytest.mark.parametrize("row, message", [
+    ("a01,nan,3,7", "non-finite moment"),
+    ("a02,3600,nan,7", "non-finite bikes/spaces"),
+], ids=["nan-moment", "nan-bikes"])
+def test_ingest_rejects_non_finite_records(tmp_path, capsys, row, message):
+    # with a01's records in reverse order, a NaN moment used to break
+    # their sort and shrink the panel to 2 hours; a NaN bikes value
+    # dropped a02 without a word
+    raw = tmp_path / "raw.csv"
+    _write_raw(raw)
+    lines = raw.read_text().splitlines()
+    lines[1:301] = lines[300:0:-1] + [row]
+    raw.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["ingest", str(raw), "--out-dir", str(out)]) == 2
+    assert f"line 302: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _readme_commands():
     """Every `netselect ...` command line in the README's shell blocks."""
     commands = []
@@ -129,6 +148,17 @@ def test_select_rejects_bad_panel_header(tmp_path, capsys):
     _write_coords(coords, ["s000"], [(0.0, 0.0)])
     assert main(["select", str(bad), "--coords", str(coords)]) == 2
     assert "timestamp" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stamp", ["nan", "inf"])
+def test_select_rejects_non_finite_timestamp(tmp_path, capsys, stamp):
+    panel_path, coords_path, _ = _correlated_panel(tmp_path)
+    lines = panel_path.read_text().splitlines()
+    lines[5] = stamp + lines[5][lines[5].index(","):]
+    panel_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["select", str(panel_path), "--coords", str(coords_path),
+                 "--out-dir", str(tmp_path / "sel")]) == 2
+    assert f"line 6: non-finite moment '{stamp}'" in capsys.readouterr().err
 
 
 def test_select_missing_coords_is_input_error(tmp_path, capsys):
@@ -464,3 +494,46 @@ def test_evaluate_takes_the_split_from_the_selection_only(tmp_path, capsys):
             main(argv if flag == "--standardize" else argv + ["0.1"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+_SELECT_FLAGS = ["--p", "1", "--k0", "2", "--k1", "1", "--cheb-order", "2",
+                 "--f-out", "2", "--fc-sizes", "4", "--max-epoch", "2",
+                 "--mask-lambda-count", "2"]
+_COMMON_RECORD = ["H", "k0", "k1", "n", "p", "seed", "split", "standardize"]
+_KERNEL_RECORD = _COMMON_RECORD + ["gamma", "kernel", "lambda", "lambda_grid"]
+_GCN_RECORD = _COMMON_RECORD + ["batch_size", "cheb_order", "f_out", "fc_sizes",
+                                "laplacian", "lr", "max_epoch"]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("flags, keys, values", [
+    (["--method", "linear"], _COMMON_RECORD, {"H": 0, "p": 1}),
+    (["--method", "kernel"], _KERNEL_RECORD + ["validation_error"], {"H": 0}),
+    (["--method", "kernel", "--lambda", "0.1"], _KERNEL_RECORD,
+     {"lambda": 0.1, "lambda_grid": [0.1]}),
+    (["--method", "gcn-dropout", "--lr", "0.02"], _GCN_RECORD + ["measure", "q"],
+     {"q": 0.25, "measure": "r2", "lr": 0.02, "batch_size": 50, "max_epoch": 2}),
+    (["--method", "gcn-mask", "--eps0", "0.02"],
+     _GCN_RECORD + ["eps0", "mask_lambda_grid"],
+     {"eps0": 0.02, "mask_lambda_grid": [0.05, 0.35], "lr": 0.05,
+      "batch_size": 50, "max_epoch": 2}),
+], ids=["linear", "kernel-grid", "kernel-lambda", "gcn-dropout", "gcn-mask"])
+def test_select_records_every_setting(tmp_path, capsys, flags, keys, values):
+    # select alone writes the settings record, and evaluate rebuilds the
+    # method from it
+    panel_path = _noiseless_panel(tmp_path)
+    coords_path = tmp_path / "coords.csv"
+    _write_coords(coords_path, [f"s{i:03d}" for i in range(4)], _COORDS4)
+    sel_dir = tmp_path / "sel"
+    assert main(["select", str(panel_path), "--coords", str(coords_path),
+                 "--out-dir", str(sel_dir)] + _SELECT_FLAGS + flags) == 0
+    hp = json.loads((sel_dir / "selection.json").read_text())["hyperparams"]
+    assert sorted(hp) == sorted(keys)
+    assert {k: hp[k] for k in values} == values
+    if "mask_lambda_grid" in hp:
+        rows = (sel_dir / "mask_path.csv").read_text().splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == hp["mask_lambda_grid"]
+    assert main(["evaluate", str(panel_path), str(sel_dir / "selection.json"),
+                 "--coords", str(coords_path), "--baseline-draws", "2",
+                 "--max-epoch", "1", "--out-dir", str(tmp_path / "ev")]) == 0
+    capsys.readouterr()

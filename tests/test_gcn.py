@@ -27,13 +27,9 @@ from netselect.gcn.selection import (
     train_selection_masking,
     write_scores_csv,
 )
-from netselect.gcn.train import (
-    _early_stop,
-    batch_blocks,
-    window_tensor,
-)
+from netselect.gcn.train import _early_stop, batch_blocks
 from netselect.numerics import sym_eig
-from netselect.timeseries import Split
+from netselect.timeseries import Split, lag_windows
 from oracles import central_differences, net_backward
 
 
@@ -198,16 +194,6 @@ def test_small_gradient_check():
         assert rel.max() <= 1e-6
 
 
-def test_window_tensor_layout():
-    X = np.arange(12.0).reshape(2, 6)
-    ts = np.array([3, 5])
-    W = window_tensor(X, ts, h=2)
-    assert W.shape == (2, 2, 3)
-    for b, t in enumerate(ts):
-        for l in range(3):
-            assert np.array_equal(W[b, :, l], X[:, t - l])
-
-
 def test_batch_blocks_contiguity():
     blocks = batch_blocks(0, 20, h=3, batch_size=6)
     flat = np.concatenate(blocks)
@@ -252,7 +238,7 @@ def test_prediction_training_runs_and_stops():
     assert [e for e in range(1, 5)
             if _early_stop("two-epoch-mean", val_losses[:e])] == [4]
     assert all(np.isfinite(v) for v in val_losses)
-    out = forward_batch(window_tensor(X, np.arange(230, 240), 0),
+    out = forward_batch(lag_windows(X, np.arange(230, 240), 0),
                         params, config, spectrum)
     assert out.shape == (10, 1)
 

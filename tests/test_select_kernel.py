@@ -189,7 +189,7 @@ def test_greedy_kernel_result_surface():
     kb = build_kernel_blocks("autocovariance", H=0, X_train=X)
     result = greedy_select_kernel(blocks, kb, 2, lam=0.05, H=0)
     assert result.method == "kernel-h0"
-    assert result.hyperparams == {"H": 0, "lambda": 0.05}
+    assert result.hyperparams == {}  # select records the settings
     assert len(result.order) == 2
     with pytest.raises(InvalidInputError, match="p="):
         greedy_select_kernel(blocks, kb, 5, lam=0.0, H=0)

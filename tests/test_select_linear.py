@@ -16,7 +16,7 @@ from netselect.select_linear import (
     step_inverse,
 )
 from netselect.timeseries import estimate_blocks
-from oracles import criterion_linear, training_mse
+from oracles import criterion_linear, lagged_design, training_mse
 
 
 def _toy_cov():
@@ -170,6 +170,21 @@ def test_predict_panel_zero_padding():
     assert np.allclose(pred, [[3.0, 11.0, 17.0]])
     tail = rec.predict_panel(X, 2, 3)
     assert np.allclose(tail, [[17.0]])
+
+
+@pytest.mark.parametrize("H", [0, 2])
+def test_predict_panel_matches_lagged_design(H):
+    # the design read from lag_windows equals the zero-padded reference
+    # column for column, so the product is bit-equal
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(6, 40))
+    kept = [0, 2, 3, 5]
+    theta = rng.normal(size=(2, (H + 1) * len(kept)))
+    rec = LinearReconstructor(theta, turned_off=[1, 4], kept=kept, H=H)
+    D = lagged_design(X, kept, H)
+    for lo, hi in ((0, 40), (1, 7), (25, 40), (3, 3)):
+        ref = theta @ np.ascontiguousarray(D[:, lo:hi])
+        assert np.array_equal(rec.predict_panel(X, lo, hi), ref)
 
 
 def test_noiseless_reconstruction_is_exact():

@@ -21,6 +21,7 @@ from netselect.timeseries import (
     estimate_blocks,
     fit_weekly_profile,
     interpolate_hourly,
+    lag_windows,
     make_split,
     read_panel,
     read_raw_records,
@@ -84,6 +85,21 @@ def test_read_raw_records_parsing(tmp_path):
     bad.write_text("station,moment,bikes,spaces\na,0,many,5\n")
     with pytest.raises(InvalidInputError, match="non-numeric"):
         read_raw_records(bad)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("a,nan,3,7", "non-finite moment 'nan'"),
+    ("a,-inf,3,7", "non-finite moment '-inf'"),
+    ("a,3600,nan,7", "non-finite bikes/spaces"),
+    ("a,3600,3,inf", "non-finite bikes/spaces"),
+])
+def test_read_raw_records_rejects_non_finite_values(tmp_path, row, message):
+    # a NaN moment breaks the sort by moment, and a NaN count drops the
+    # station from cleaning without a word
+    path = tmp_path / "raw.csv"
+    path.write_text(f"station,moment,bikes,spaces\na,0,5,5\n{row}\n")
+    with pytest.raises(InvalidInputError, match=f"line 3: {message}"):
+        read_raw_records(path)
 
 
 def test_clean_stations_rules():
@@ -203,6 +219,22 @@ def test_assemble_blocks_layout():
         assemble_blocks(blocks, [7], 1)
 
 
+def test_lag_windows_layout():
+    X = np.arange(12.0).reshape(2, 6)
+    ts = np.array([3, 5, 0, 1])
+    W = lag_windows(X, ts, 2)
+    assert W.shape == (4, 2, 3)
+    for b, t in enumerate(ts):
+        for l in range(3):
+            # lags before column 0 are zero
+            want = X[:, t - l] if t >= l else np.zeros(2)
+            assert np.array_equal(W[b, :, l], want)
+    # an (n, B, H+1) array seen through a transpose: the masking rule's
+    # per-sensor sum over batch and lags keeps its memory order, and so
+    # its bits
+    assert W.transpose(1, 0, 2).flags.c_contiguous
+
+
 def test_lagged_design_gram_identity():
     # the zero-padded design reproduces the block-Toeplitz Gram exactly
     rng = np.random.default_rng(3)
@@ -241,3 +273,8 @@ def test_read_panel_errors(tmp_path):
     path.write_text("timestamp,a\n")
     with pytest.raises(InvalidInputError, match="no data rows"):
         read_panel(path)
+    for stamp in ("nan", "inf"):
+        path.write_text(f"timestamp,a\n0,1.0\n{stamp},2.0\n")
+        with pytest.raises(InvalidInputError,
+                           match=f"line 3: non-finite moment '{stamp}'"):
+            read_panel(path)

@@ -24,16 +24,13 @@ from .evaluation import (
     summary_table_csv,
     test_mse,
 )
-from .gcn import (
-    ChebNetConfig,
-    NetReconstructor,
-    TrainConfig,
-    scale_laplacian,
-    train_prediction_net,
+from .gcn.layers import ChebNetConfig, scale_laplacian
+from .gcn.selection import (
     train_selection_dropout,
     train_selection_masking,
     write_scores_csv,
 )
+from .gcn.train import NetReconstructor, TrainConfig, train_prediction_net
 from .graph import (
     build_knn_graph,
     combinatorial_laplacian,
@@ -63,6 +60,7 @@ from .timeseries import (
     make_split,
     read_panel,
     read_raw_records,
+    write_csv,
     write_panel,
 )
 
@@ -238,10 +236,9 @@ def cmd_ingest(args):
     panel_path = os.path.join(args.out_dir, "panel.csv")
     write_panel(panel, panel_path)
     manifest_path = os.path.join(args.out_dir, "stations.csv")
-    lines = ["station,max_bikes"]
     ids = set(panel.sensor_ids)
-    lines += [f"{station},{int(mb)}" for station, mb in kept if station in ids]
-    _write_text(manifest_path, "\n".join(lines))
+    write_csv(manifest_path, ["station", "max_bikes"],
+              ([station, int(mb)] for station, mb in kept if station in ids))
     print(f"ingested {len(panel.sensor_ids)} stations x {panel.t_total} hours "
           f"-> {panel_path}, {manifest_path}")
     return 0
@@ -352,11 +349,9 @@ def cmd_select(args):
         written.append(scores_path)
     if mask_path_values is not None:
         path_csv = os.path.join(args.out_dir, "mask_path.csv")
-        lines = ["lambda," + ",".join(panel.sensor_ids)]
-        for lam, row in zip(hp["mask_lambda_grid"], mask_path_values):
-            lines.append(format(lam, ".17g") + ","
-                         + ",".join(format(v, ".17g") for v in row))
-        _write_text(path_csv, "\n".join(lines))
+        write_csv(path_csv, ["lambda"] + list(panel.sensor_ids),
+                  ([lam] + row.tolist()
+                   for lam, row in zip(hp["mask_lambda_grid"], mask_path_values)))
         written.append(path_csv)
     names = [panel.sensor_ids[i] for i in result.order]
     print(f"{result.method} selected {len(result.order)} sensors: "
@@ -495,7 +490,10 @@ def _build_parser():
     slc.add_argument("--cheb-order", type=int, default=50)
     slc.add_argument("--f-out", type=int, default=16)
     slc.add_argument("--fc-sizes", type=_int_list, default="128,500,64")
-    slc.add_argument("--lr", type=float, default=0.05)
+    slc.add_argument("--lr", type=float, default=0.05,
+                     help="selection net learning rate; the default suits "
+                          "gcn-mask's Adam, while gcn-dropout's gradient "
+                          "descent can diverge at it (0.002 runs)")
     slc.add_argument("--batch-size", type=int, default=50)
     slc.add_argument("--max-epoch", type=int, default=500)
     slc.add_argument("--measure", choices=("r2", "mse"), default="r2")

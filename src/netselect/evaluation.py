@@ -5,7 +5,6 @@ turned-off set per time step, then averaged over test rows, which is the
 scale the summary tables use.
 """
 
-import csv
 import json
 import math
 import warnings
@@ -17,7 +16,7 @@ import numpy as np
 from .errors import InvalidInputError, NetselectError
 from .graph import SensorGraph, combinatorial_laplacian, graph_spectrum
 from .select_linear import METHOD_TAGS, SelectionResult
-from .timeseries import HOUR, PanelSeries, Split
+from .timeseries import HOUR, PanelSeries, Split, write_csv
 
 LAMBDA_COEFFICIENTS = (0.001, 0.00325, 0.0055, 0.00775, 0.01)
 BURN_IN = 500
@@ -250,7 +249,5 @@ def summary_table_csv(report: EvalReport, path):
     cell = f"{report.test_mse:.4g}"
     if report.baseline_mean is not None:
         cell += f" ({report.baseline_mean:.4g})"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", f"H={int(report.hyperparams.get('H', 0))}"])
-        writer.writerow([report.method, cell])
+    write_csv(path, ["method", f"H={int(report.hyperparams.get('H', 0))}"],
+              [[report.method, cell]])

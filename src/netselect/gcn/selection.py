@@ -7,7 +7,6 @@ continuous input mask under an l1 penalty and ranks sensors by how
 early their mask weight collapses along an ascending lambda grid.
 """
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ import numpy as np
 
 from ..errors import InvalidInputError, UndefinedScoreError
 from ..select_linear import SelectionResult
-from ..timeseries import Split, lag_windows
+from ..timeseries import Split, lag_windows, write_csv
 from .layers import ChebNetConfig, Workspace, forward_batch, init_params
 from .train import (
     TrainConfig,
@@ -45,11 +44,9 @@ class SensorScores:
 def write_scores_csv(scores: SensorScores, sensor_ids, path):
     """CSV sensor_id,score,rank with rank 1 at the top of the ranking."""
     rank_of = {i: k + 1 for k, i in enumerate(scores.ranking)}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sensor_id", "score", "rank"])
-        for i, sid in enumerate(sensor_ids):
-            writer.writerow([sid, format(float(scores.scores[i]), ".17g"), rank_of[i]])
+    write_csv(path, ["sensor_id", "score", "rank"],
+              ([sid, float(scores.scores[i]), rank_of[i]]
+               for i, sid in enumerate(sensor_ids)))
 
 
 def score_sensors(params, net_config: ChebNetConfig, spectrum, X, val_ts, measure="r2"

@@ -28,6 +28,9 @@ from .errors import (
 
 WEEK_HOURS = 168
 HOUR = 3600
+# epoch seconds of 0001-01-01T00:00:00 and 9999-12-31T23:59:59 UTC
+MIN_MOMENT = -62135596800
+MAX_MOMENT = 253402300799
 
 
 @dataclass(frozen=True)
@@ -95,22 +98,24 @@ class PreprocessModel:
 
 
 def _parse_moment(text, where):
+    """Epoch seconds of a moment in years 1 to 9999, the range
+    _format_stamp writes."""
     text = text.strip()
     try:
         value = float(text)
     except ValueError:
-        pass
-    else:
-        if not math.isfinite(value):
-            raise InvalidInputError(f"{where}: non-finite moment {text!r}")
-        return value
-    try:
-        dt = datetime.fromisoformat(text)
-    except ValueError:
-        raise InvalidInputError(f"{where}: unparseable moment {text!r}")
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp()
+        try:
+            dt = datetime.fromisoformat(text)
+        except ValueError:
+            raise InvalidInputError(f"{where}: unparseable moment {text!r}")
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        value = dt.timestamp()
+    if not math.isfinite(value):
+        raise InvalidInputError(f"{where}: non-finite moment {text!r}")
+    if not MIN_MOMENT <= value <= MAX_MOMENT:
+        raise InvalidInputError(f"{where}: moment {text!r} outside years 1 to 9999")
+    return value
 
 
 def read_raw_records(path) -> Dict[str, List[Tuple[float, float, float]]]:
@@ -335,21 +340,29 @@ def assemble_blocks(blocks, I, H):
 
 
 def _format_stamp(epoch):
-    return datetime.fromtimestamp(int(epoch), tz=timezone.utc).strftime(
-        "%Y-%m-%dT%H:%M:%S"
-    )
+    # isoformat pads years below 1000 to four digits, as fromisoformat reads them
+    dt = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+    return dt.replace(tzinfo=None).isoformat()
+
+
+def write_csv(path, header, rows):
+    """Write a CSV table: a header row, then rows; fields that hold a
+    comma, quote or newline are quoted, and floats are written with
+    .17g so a read-write cycle is lossless. Every table the commands
+    write goes through here."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format(v, ".17g") if isinstance(v, float) else v
+                          for v in row] for row in rows)
 
 
 def write_panel(panel: PanelSeries, path):
     """Write a panel CSV: first column timestamp (ISO-8601 hour), one
     column per sensor id."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["timestamp"] + list(panel.sensor_ids))
-        for t in range(panel.t_total):
-            row = [_format_stamp(panel.timestamps[t])]
-            row += [format(v, ".17g") for v in panel.values[:, t]]
-            writer.writerow(row)
+    write_csv(path, ["timestamp"] + list(panel.sensor_ids),
+              ([_format_stamp(stamp)] + panel.values[:, t].tolist()
+               for t, stamp in enumerate(panel.timestamps)))
 
 
 def read_panel(path) -> PanelSeries:

@@ -18,14 +18,9 @@ from netselect.evaluation import (
     synth_generate,
 )
 from netselect.evaluation import test_mse as held_out_mse
-from netselect.gcn import (
-    ChebNetConfig,
-    TrainConfig,
-    init_params,
-    scale_laplacian,
-    tensor_items,
-)
+from netselect.gcn.layers import ChebNetConfig, init_params, scale_laplacian, tensor_items
 from netselect.gcn.selection import train_selection_dropout, train_selection_masking
+from netselect.gcn.train import TrainConfig
 from netselect.graph import build_knn_graph, combinatorial_laplacian
 from netselect.numerics import power_method, sym_eig
 from netselect.select_kernel import (

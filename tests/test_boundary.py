@@ -38,3 +38,15 @@ def test_tracer_targets_resolve():
                if not hasattr(importlib.import_module(modname), name)}
     assert missing == {"gcn.layers.cheb_apply", "numerics.stabilize_spd",
                        "select_kernel.assemble_kernel"}
+
+
+def test_one_csv_writer():
+    # timeseries.write_csv writes every table the commands write; a row
+    # joined by hand splits an id that holds a comma into two fields
+    sources = {p.relative_to(ROOT).as_posix(): p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "src" / "netselect").rglob("*.py"))}
+    writers = sorted(path for path, text in sources.items() if "csv.writer(" in text)
+    assert writers == ["src/netselect/timeseries.py"]
+    joined = sorted(path for path, text in sources.items()
+                    if re.search(r"""["'],["']\.join""", text))
+    assert not joined, f"CSV rows joined by hand in {joined}"

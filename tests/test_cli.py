@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import csv
 import importlib
 import json
 import re
@@ -75,11 +76,14 @@ def test_ingest_keeps_only_clean_stations(tmp_path, capsys):
 @pytest.mark.parametrize("row, message", [
     ("a01,nan,3,7", "non-finite moment"),
     ("a02,3600,nan,7", "non-finite bikes/spaces"),
-], ids=["nan-moment", "nan-bikes"])
+    ("a01,1e300,3,7", "moment '1e300' outside years 1 to 9999"),
+], ids=["nan-moment", "nan-bikes", "huge-moment"])
 def test_ingest_rejects_non_finite_records(tmp_path, capsys, row, message):
     # with a01's records in reverse order, a NaN moment used to break
     # their sort and shrink the panel to 2 hours; a NaN bikes value
-    # dropped a02 without a word
+    # dropped a02 without a word; a moment past year 9999 was read in
+    # without a word here, and overflowed the hourly grid (exit 1) when
+    # it bounded the grid
     raw = tmp_path / "raw.csv"
     _write_raw(raw)
     lines = raw.read_text().splitlines()
@@ -89,6 +93,43 @@ def test_ingest_rejects_non_finite_records(tmp_path, capsys, row, message):
     assert main(["ingest", str(raw), "--out-dir", str(out)]) == 2
     assert f"line 302: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def test_ids_that_need_quoting_survive_every_table(tmp_path, capsys):
+    # stations.csv and mask_path.csv were joined by hand, so the id a,1
+    # split into two fields there while panel.csv quoted it
+    ids = ["a,1", 'b"2', "c3"]
+    with open(tmp_path / "raw.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["station", "moment", "bikes", "spaces"])
+        for mult, sid in zip((3, 5, 7), ids):
+            for k in range(300):
+                bikes = (k * mult) % 11
+                writer.writerow([sid, k * HOUR, bikes, 10 - bikes])
+    with open(tmp_path / "coords.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["sensor_id", "lat", "lon"]]
+                                 + [[sid] + c for sid, c in zip(ids, _COORDS4)])
+    data = tmp_path / "data"
+    assert main(["ingest", str(tmp_path / "raw.csv"), "--out-dir", str(data)]) == 0
+    sel = tmp_path / "sel"
+    with pytest.warns(UserWarning, match="below eps0"):
+        assert main(["select", str(data / "panel.csv"),
+                     "--coords", str(tmp_path / "coords.csv"),
+                     "--method", "gcn-mask", "--out-dir", str(sel)]
+                    + _SELECT_FLAGS) == 0
+    capsys.readouterr()
+    assert _read_csv(data / "panel.csv")[0] == ["timestamp"] + ids
+    for path, header in ((data / "stations.csv", ["station", "max_bikes"]),
+                         (sel / "mask_path.csv", ["lambda"] + ids)):
+        rows = _read_csv(path)
+        assert rows[0] == header
+        assert all(len(row) == len(header) for row in rows)
+    assert [row[0] for row in _read_csv(data / "stations.csv")[1:]] == ids
 
 
 def _readme_commands():
@@ -159,6 +200,36 @@ def test_select_rejects_non_finite_timestamp(tmp_path, capsys, stamp):
     assert main(["select", str(panel_path), "--coords", str(coords_path),
                  "--out-dir", str(tmp_path / "sel")]) == 2
     assert f"line 6: non-finite moment '{stamp}'" in capsys.readouterr().err
+
+
+def test_select_rejects_out_of_range_timestamp(tmp_path, capsys):
+    # a timestamp past year 9999 overflowed the int64 timestamps: exit 1
+    panel_path, coords_path, _ = _correlated_panel(tmp_path)
+    lines = panel_path.read_text().splitlines()
+    lines[5] = "1e300" + lines[5][lines[5].index(","):]
+    panel_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["select", str(panel_path), "--coords", str(coords_path),
+                 "--out-dir", str(tmp_path / "sel")]) == 2
+    assert "line 6: moment '1e300' outside years 1 to 9999" in capsys.readouterr().err
+
+
+def test_select_stores_explicit_split_sizes(tmp_path, capsys):
+    panel_path, coords_path, _ = _correlated_panel(tmp_path)
+    out = tmp_path / "sel"
+    assert main(["select", str(panel_path), "--coords", str(coords_path),
+                 "--split", "300,40,60", "--out-dir", str(out)]) == 0
+    sel = json.loads((out / "selection.json").read_text())
+    assert sel["hyperparams"]["split"] == [300, 340, 400]
+    capsys.readouterr()
+
+
+def test_select_rejects_split_sizes_off_the_panel_length(tmp_path, capsys):
+    panel_path, coords_path, _ = _correlated_panel(tmp_path)
+    out = tmp_path / "sel"
+    assert main(["select", str(panel_path), "--coords", str(coords_path),
+                 "--split", "300,40,50", "--out-dir", str(out)]) == 2
+    assert "--split sizes sum to 390, panel has 400 hours" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_select_missing_coords_is_input_error(tmp_path, capsys):

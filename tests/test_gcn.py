@@ -8,26 +8,32 @@ from netselect.errors import (
     TrainingDivergedError,
     UndefinedScoreError,
 )
-from netselect.gcn import (
+from netselect.gcn.layers import (
     ChebNetConfig,
-    NetReconstructor,
-    TrainConfig,
+    backward_batch,
+    cheb_values,
     elu,
+    elu_grad,
     forward_batch,
     init_params,
     leaky_relu,
+    leaky_relu_grad,
     scale_laplacian,
     tensor_items,
-    train_prediction_net,
 )
-from netselect.gcn.layers import backward_batch, cheb_values, elu_grad, leaky_relu_grad
 from netselect.gcn.selection import (
     score_sensors,
     train_selection_dropout,
     train_selection_masking,
     write_scores_csv,
 )
-from netselect.gcn.train import _early_stop, batch_blocks
+from netselect.gcn.train import (
+    NetReconstructor,
+    TrainConfig,
+    _early_stop,
+    batch_blocks,
+    train_prediction_net,
+)
 from netselect.numerics import sym_eig
 from netselect.timeseries import Split, lag_windows
 from oracles import central_differences, net_backward

@@ -9,8 +9,17 @@ import tracemalloc
 
 import numpy as np
 
-from netselect.gcn import ChebNetConfig, elu, init_params, leaky_relu, tensor_items
-from netselect.gcn.layers import Workspace, backward_batch, elu_grad, forward_batch
+from netselect.gcn.layers import (
+    ChebNetConfig,
+    Workspace,
+    backward_batch,
+    elu,
+    elu_grad,
+    forward_batch,
+    init_params,
+    leaky_relu,
+    tensor_items,
+)
 from netselect.gcn.train import batch_loss, make_optimizer
 from netselect.numerics import sym_eig
 from oracles import AdamAllocating, elu_grad_where, elu_where, leaky_relu_where

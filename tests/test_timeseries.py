@@ -1,5 +1,7 @@
 """Ingestion, cleaning, weekly detrending, covariance blocks, panel IO."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from netselect.timeseries import (
     make_split,
     read_panel,
     read_raw_records,
+    write_csv,
     write_panel,
 )
 from oracles import lagged_design
@@ -92,10 +95,15 @@ def test_read_raw_records_parsing(tmp_path):
     ("a,-inf,3,7", "non-finite moment '-inf'"),
     ("a,3600,nan,7", "non-finite bikes/spaces"),
     ("a,3600,3,inf", "non-finite bikes/spaces"),
+    ("a,1e300,3,7", "moment '1e300' outside years 1 to 9999"),
+    ("a,-62135596801,3,7", "moment '-62135596801' outside years 1 to 9999"),
+    ("a,9999-12-31T23:00:00-01:00,3,7",
+     "moment '9999-12-31T23:00:00-01:00' outside years 1 to 9999"),
 ])
 def test_read_raw_records_rejects_non_finite_values(tmp_path, row, message):
-    # a NaN moment breaks the sort by moment, and a NaN count drops the
-    # station from cleaning without a word
+    # a NaN moment breaks the sort by moment, a NaN count drops the
+    # station from cleaning without a word, and a moment past year 9999
+    # overflows the hourly grid
     path = tmp_path / "raw.csv"
     path.write_text(f"station,moment,bikes,spaces\na,0,5,5\n{row}\n")
     with pytest.raises(InvalidInputError, match=f"line 3: {message}"):
@@ -278,3 +286,31 @@ def test_read_panel_errors(tmp_path):
         with pytest.raises(InvalidInputError,
                            match=f"line 3: non-finite moment '{stamp}'"):
             read_panel(path)
+    # a moment past year 9999 overflowed the int64 timestamps
+    for stamp in ("1e300", "253402300800", "-1e20"):
+        path.write_text(f"timestamp,a\n0,1.0\n{stamp},2.0\n")
+        with pytest.raises(InvalidInputError,
+                           match=f"line 3: moment '{stamp}' outside years 1 to 9999"):
+            read_panel(path)
+
+
+def test_panel_csv_round_trips_the_first_and_last_hours(tmp_path):
+    # years 1 to 9999, written with four-digit years that read back
+    for first in (-62135596800, 253402300799 - HOUR - 59 * 60 - 59):
+        panel = PanelSeries(["a"], first + np.arange(2) * HOUR, np.ones((1, 2)))
+        path = tmp_path / "panel.csv"
+        write_panel(panel, path)
+        assert np.array_equal(read_panel(path).timestamps, panel.timestamps)
+
+
+def test_write_csv_quotes_fields_and_keeps_floats(tmp_path):
+    path = tmp_path / "table.csv"
+    rows = [["a,1", 0.1, 3], ['b"2', np.float64(1 / 3), -1], ["c\n3", 1e300, 0]]
+    write_csv(path, ["id", "value", "rank"], rows)
+    with open(path, newline="", encoding="utf-8") as fh:
+        back = list(csv.reader(fh))
+    assert back[0] == ["id", "value", "rank"]
+    assert [row[0] for row in back[1:]] == ["a,1", 'b"2', "c\n3"]
+    assert [float(row[1]) for row in back[1:]] == [0.1, 1 / 3, 1e300]
+    assert [row[2] for row in back[1:]] == ["3", "-1", "0"]
+    assert path.read_bytes().endswith(b"1.0000000000000001e+300,0\n")

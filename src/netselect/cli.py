@@ -24,7 +24,7 @@ from .evaluation import (
     summary_table_csv,
     test_mse,
 )
-from .gcn.layers import ChebNetConfig, scale_laplacian
+from .gcn.layers import ChebNetConfig, Workspace, scale_laplacian
 from .gcn.selection import (
     train_selection_dropout,
     train_selection_masking,
@@ -371,14 +371,16 @@ def _evaluate_fit_fn(args, sel, X, split, graph):
     if sel.method.startswith("kernel"):
         kb = _kernel_blocks(hp, X_train, graph)
         return lambda I: fit_predict_kernel(kb, I, hp["lambda"], H)
-    # gcn: retrain the prediction network for each requested set
+    # gcn: retrain the prediction network for each requested set; the
+    # nets train in turn with equal shapes, so they share one workspace
     spectrum = _gcn_spectrum(hp, graph)
     tc = TrainConfig(lr=args.lr, batch_size=args.batch_size,
                      max_epoch=args.max_epoch, seed=args.seed)
+    workspace = Workspace()
 
     def fit(I):
         net = _chebnet(hp, len(I))
-        params, _ = train_prediction_net(X, split, spectrum, I, net, tc)
+        params, _ = train_prediction_net(X, split, spectrum, I, net, tc, workspace)
         return NetReconstructor(params, net, spectrum, list(I))
 
     return fit

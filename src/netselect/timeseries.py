@@ -11,10 +11,11 @@ treated as zero-mean.
 import csv
 import math
 import warnings
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -97,6 +98,15 @@ class PreprocessModel:
     scale: np.ndarray    # (n,) residual standard deviations, all positive
 
 
+def _iso_seconds(text):
+    """Epoch seconds of an ISO-8601 moment, naive meaning UTC; ValueError
+    when text is not one."""
+    dt = datetime.fromisoformat(text)
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt.timestamp()
+
+
 def _parse_moment(text, where):
     """Epoch seconds of a moment in years 1 to 9999, the range
     _format_stamp writes."""
@@ -105,12 +115,9 @@ def _parse_moment(text, where):
         value = float(text)
     except ValueError:
         try:
-            dt = datetime.fromisoformat(text)
+            value = _iso_seconds(text)
         except ValueError:
             raise InvalidInputError(f"{where}: unparseable moment {text!r}")
-        if dt.tzinfo is None:
-            dt = dt.replace(tzinfo=timezone.utc)
-        value = dt.timestamp()
     if not math.isfinite(value):
         raise InvalidInputError(f"{where}: non-finite moment {text!r}")
     if not MIN_MOMENT <= value <= MAX_MOMENT:
@@ -118,29 +125,30 @@ def _parse_moment(text, where):
     return value
 
 
-def read_raw_records(path) -> Dict[str, List[Tuple[float, float, float]]]:
-    """Read raw records CSV station,moment,bikes,spaces.
+def _raw_reader(fh, path):
+    """A csv reader of a raw records file past its checked header."""
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    expected = ["station", "moment", "bikes", "spaces"]
+    if header is None or [h.strip() for h in header] != expected:
+        raise InvalidInputError(
+            f"{path}: line 1: expected header 'station,moment,bikes,spaces'"
+        )
+    return reader
 
-    Moments may be epoch seconds or ISO-8601 timestamps (naive = UTC);
-    moments, bikes and spaces must be finite. Returns a dict station ->
-    list of (moment, bikes, spaces) sorted by moment.
-    """
-    out: Dict[str, List[Tuple[float, float, float]]] = {}
+
+def _raise_first_bad_record(path):
+    """Re-read a raw records file row by row and raise the error of its
+    first bad record. read_raw_records checks whole columns at once, so
+    it calls this, once it knows some record is bad, to name the line."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["station", "moment", "bikes", "spaces"]
-        if header is None or [h.strip() for h in header] != expected:
-            raise InvalidInputError(
-                f"{path}: line 1: expected header 'station,moment,bikes,spaces'"
-            )
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(_raw_reader(fh, path), start=2):
             if not row:
                 continue
             if len(row) != 4:
                 raise InvalidInputError(f"{path}: line {lineno}: expected 4 fields")
             where = f"{path}: line {lineno}"
-            moment = _parse_moment(row[1], where)
+            _parse_moment(row[1], where)
             try:
                 bikes = float(row[2])
                 spaces = float(row[3])
@@ -148,10 +156,60 @@ def read_raw_records(path) -> Dict[str, List[Tuple[float, float, float]]]:
                 raise InvalidInputError(f"{where}: non-numeric bikes/spaces")
             if not (math.isfinite(bikes) and math.isfinite(spaces)):
                 raise InvalidInputError(f"{where}: non-finite bikes/spaces")
-            out.setdefault(row[0], []).append((moment, bikes, spaces))
-    for recs in out.values():
-        recs.sort(key=lambda r: r[0])
-    return out
+    raise InvalidInputError(f"{path}: a record failed to read but none is bad on re-reading")
+
+
+def read_raw_records(path) -> Dict[str, np.ndarray]:
+    """Read raw records CSV station,moment,bikes,spaces.
+
+    Moments may be epoch seconds or ISO-8601 timestamps (naive = UTC)
+    in years 1 to 9999; bikes and spaces must be finite. A bad record
+    raises InvalidInputError naming the first bad line. Returns a dict
+    station -> (k, 3) array of its k records (moment, bikes, spaces)
+    sorted by moment, records with equal moments in file order; the
+    stations come in order of first appearance.
+    """
+    codes: Dict[str, int] = {}  # station -> code, in order of first appearance
+    code = array("q")
+    moment, bikes, spaces = array("d"), array("d"), array("d")
+    add_code, add_moment = code.append, moment.append
+    add_bikes, add_spaces = bikes.append, spaces.append
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = _raw_reader(fh, path)
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                station, m, b, s = row
+                c = codes.get(station)
+                if c is None:
+                    c = codes[station] = len(codes)
+                try:
+                    t = float(m)
+                except ValueError:
+                    t = _iso_seconds(m.strip())
+                add_moment(t)
+                add_bikes(float(b))
+                add_spaces(float(s))
+                add_code(c)
+        except (ValueError, csv.Error):
+            _raise_first_bad_record(path)
+    code = np.frombuffer(code, dtype=np.int64)
+    moment, bikes, spaces = (np.frombuffer(a) for a in (moment, bikes, spaces))
+    # NaN fails both comparisons
+    if not (np.all((moment >= MIN_MOMENT) & (moment <= MAX_MOMENT))
+            and np.all(np.isfinite(bikes)) and np.all(np.isfinite(spaces))):
+        _raise_first_bad_record(path)
+    order = np.lexsort((moment, code))
+    table = np.column_stack((moment, bikes, spaces))[order]
+    ends = np.cumsum(np.bincount(code))
+    return dict(zip(codes, np.split(table, ends[:-1])))
+
+
+def _record_array(recs):
+    """Records as a (k, 3) float array: read_raw_records' arrays, or
+    lists of (moment, bikes, spaces) tuples."""
+    return np.asarray(recs, dtype=float).reshape(-1, 3)
 
 
 def clean_stations(records, r_c, min_records=100):
@@ -168,10 +226,10 @@ def clean_stations(records, r_c, min_records=100):
         raise InvalidInputError(f"r_c must be in (0, 1], got {r_c}")
     kept = []
     for station in sorted(records):
-        recs = records[station]
-        if not recs:
+        recs = _record_array(records[station])
+        if not len(recs):
             continue
-        totals = np.array([b + s for (_, b, s) in recs], dtype=float)
+        totals = recs[:, 1] + recs[:, 2]
         max_bikes = float(totals.max())
         if max_bikes <= 0:
             continue
@@ -192,10 +250,9 @@ def interpolate_hourly(records, kept) -> PanelSeries:
     """
     if not kept:
         raise IntervalError("no stations to interpolate")
-    starts = np.array([records[s][0][0] for s, _ in kept])
-    ends = np.array([records[s][-1][0] for s, _ in kept])
-    start_q = float(np.quantile(starts, 0.995))
-    end_q = float(np.quantile(ends, 0.005))
+    arrays = [_record_array(records[s]) for s, _ in kept]
+    start_q = float(np.quantile([recs[0, 0] for recs in arrays], 0.995))
+    end_q = float(np.quantile([recs[-1, 0] for recs in arrays], 0.005))
     t_first = int(np.ceil(start_q / HOUR)) * HOUR
     t_last = int(np.floor(end_q / HOUR)) * HOUR
     if t_last < t_first:
@@ -203,21 +260,20 @@ def interpolate_hourly(records, kept) -> PanelSeries:
             f"empty common interval: grid start {t_first} after end {t_last}"
         )
     stamps = np.arange(t_first, t_last + HOUR, HOUR, dtype=np.int64)
+    grid = stamps.astype(float)
 
     ids = []
     rows = []
-    for station, max_bikes in kept:
-        recs = records[station]
+    for (station, max_bikes), recs in zip(kept, arrays):
         if len(recs) < 2:
             warnings.warn(f"station {station} has fewer than 2 records, dropped")
             continue
-        moments = np.array([m for (m, _, _) in recs])
+        moments = recs[:, 0]
         outside = int((stamps < moments[0]).sum() + (stamps > moments[-1]).sum())
         if outside:
             warnings.warn(f"station {station} has no records for {outside} "
                           f"grid hours, flat-extrapolated")
-        levels = np.array([b for (_, b, _) in recs]) / max_bikes
-        series = np.interp(stamps.astype(float), moments, levels)
+        series = np.interp(grid, moments, recs[:, 1] / max_bikes)
         rows.append(np.clip(series, 0.0, 1.0))
         ids.append(station)
     if not rows:
@@ -345,24 +401,33 @@ def _format_stamp(epoch):
     return dt.replace(tzinfo=None).isoformat()
 
 
-def write_csv(path, header, rows):
+def write_csv(path, header, rows, row_format=None):
     """Write a CSV table: a header row, then rows; fields that hold a
     comma, quote or newline are quoted, and floats are written with
     .17g so a read-write cycle is lossless. Every table the commands
-    write goes through here."""
+    write goes through here.
+
+    Rows whose fields never need quoting may instead be written with one
+    %-format each, row_format % tuple(row), which then holds the line end.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
+        if row_format is not None:
+            fh.writelines(row_format % tuple(row) for row in rows)
+            return
         writer.writerows([format(v, ".17g") if isinstance(v, float) else v
                           for v in row] for row in rows)
 
 
 def write_panel(panel: PanelSeries, path):
     """Write a panel CSV: first column timestamp (ISO-8601 hour), one
-    column per sensor id."""
+    column per sensor id. The ids go through csv quoting; a timestamp
+    or a .17g float never needs it, so each row is one %-format."""
     write_csv(path, ["timestamp"] + list(panel.sensor_ids),
-              ([_format_stamp(stamp)] + panel.values[:, t].tolist()
-               for t, stamp in enumerate(panel.timestamps)))
+              ((_format_stamp(stamp), *values) for stamp, values in
+               zip(panel.timestamps.tolist(), panel.values.T.tolist())),
+              row_format="%s" + ",%.17g" * panel.n + "\n")
 
 
 def read_panel(path) -> PanelSeries:
@@ -372,7 +437,7 @@ def read_panel(path) -> PanelSeries:
         header = next(reader, None)
         if header is None or not header or header[0].strip() != "timestamp":
             raise InvalidInputError(f"{path}: line 1: first column must be 'timestamp'")
-        ids = [h.strip() for h in header[1:]]
+        ids = header[1:]
         if not ids:
             raise InvalidInputError(f"{path}: line 1: no sensor columns")
         stamps = []

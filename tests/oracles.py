@@ -7,16 +7,32 @@ each candidate's system on its own, the conjugate-gradient solve and the
 single-sample network loss live here, so the tests can check the
 pipeline against them. So do the plain forms of what the network layers
 compute faster: the activations as np.where branches and an Adam step
-that allocates its moments and temporaries afresh.
+that allocates its moments and temporaries afresh, and the ingest
+layer as it was written before it went columnar: a row loop that keeps
+every record as a tuple, and a panel writer that formats one field at a
+time.
 """
+
+import csv
+import math
+import warnings
 
 import numpy as np
 
 from netselect.gcn.layers import backward_batch, forward_batch, tensor_items
 from netselect.gcn.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from netselect.errors import IntervalError, InvalidInputError
 from netselect.numerics import solve_spd
 from netselect.select_kernel import kernel_reconstructor
-from netselect.timeseries import assemble_blocks, lag_stack
+from netselect.timeseries import (
+    HOUR,
+    PanelSeries,
+    _format_stamp,
+    _parse_moment,
+    assemble_blocks,
+    lag_stack,
+    write_csv,
+)
 
 
 def criterion_linear(gammas, I, H):
@@ -215,3 +231,93 @@ class AdamAllocating:
             m_hat = self.m[k] / (1 - b1 ** self.t)
             v_hat = self.v[k] / (1 - b2 ** self.t)
             t -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def read_raw_records_by_row(path):
+    """read_raw_records as a row loop: a dict station -> list of
+    (moment, bikes, spaces) tuples sorted by moment, each row checked as
+    it is read."""
+    out = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        expected = ["station", "moment", "bikes", "spaces"]
+        if header is None or [h.strip() for h in header] != expected:
+            raise InvalidInputError(
+                f"{path}: line 1: expected header 'station,moment,bikes,spaces'"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 4:
+                raise InvalidInputError(f"{path}: line {lineno}: expected 4 fields")
+            where = f"{path}: line {lineno}"
+            moment = _parse_moment(row[1], where)
+            try:
+                bikes = float(row[2])
+                spaces = float(row[3])
+            except ValueError:
+                raise InvalidInputError(f"{where}: non-numeric bikes/spaces")
+            if not (math.isfinite(bikes) and math.isfinite(spaces)):
+                raise InvalidInputError(f"{where}: non-finite bikes/spaces")
+            out.setdefault(row[0], []).append((moment, bikes, spaces))
+    for recs in out.values():
+        recs.sort(key=lambda r: r[0])
+    return out
+
+
+def clean_stations_by_row(records, r_c, min_records=100):
+    """clean_stations over lists of record tuples."""
+    kept = []
+    for station in sorted(records):
+        recs = records[station]
+        if not recs:
+            continue
+        totals = np.array([b + s for (_, b, s) in recs], dtype=float)
+        max_bikes = float(totals.max())
+        if max_bikes <= 0:
+            continue
+        rate = float(np.mean(totals == max_bikes))
+        if rate > r_c and len(recs) >= min_records:
+            kept.append((station, max_bikes))
+    return kept
+
+
+def interpolate_hourly_by_row(records, kept):
+    """interpolate_hourly over lists of record tuples, rebuilding each
+    station's columns from its tuples."""
+    if not kept:
+        raise IntervalError("no stations to interpolate")
+    starts = np.array([records[s][0][0] for s, _ in kept])
+    ends = np.array([records[s][-1][0] for s, _ in kept])
+    t_first = int(np.ceil(float(np.quantile(starts, 0.995)) / HOUR)) * HOUR
+    t_last = int(np.floor(float(np.quantile(ends, 0.005)) / HOUR)) * HOUR
+    if t_last < t_first:
+        raise IntervalError(
+            f"empty common interval: grid start {t_first} after end {t_last}"
+        )
+    stamps = np.arange(t_first, t_last + HOUR, HOUR, dtype=np.int64)
+    ids, rows = [], []
+    for station, max_bikes in kept:
+        recs = records[station]
+        if len(recs) < 2:
+            warnings.warn(f"station {station} has fewer than 2 records, dropped")
+            continue
+        moments = np.array([m for (m, _, _) in recs])
+        outside = int((stamps < moments[0]).sum() + (stamps > moments[-1]).sum())
+        if outside:
+            warnings.warn(f"station {station} has no records for {outside} "
+                          f"grid hours, flat-extrapolated")
+        levels = np.array([b for (_, b, _) in recs]) / max_bikes
+        rows.append(np.clip(np.interp(stamps.astype(float), moments, levels), 0.0, 1.0))
+        ids.append(station)
+    if not rows:
+        raise IntervalError("no station had enough records to interpolate")
+    return PanelSeries(ids, stamps, np.vstack(rows))
+
+
+def write_panel_by_field(panel, path):
+    """write_panel with every field of every row through csv.writer."""
+    write_csv(path, ["timestamp"] + list(panel.sensor_ids),
+              ([_format_stamp(stamp)] + panel.values[:, t].tolist()
+               for t, stamp in enumerate(panel.timestamps)))

@@ -73,6 +73,25 @@ def test_ingest_keeps_only_clean_stations(tmp_path, capsys):
     assert (out1 / "panel.csv").read_bytes() == (out2 / "panel.csv").read_bytes()
 
 
+def test_ids_keep_their_spaces_from_feed_to_selection(tmp_path, capsys):
+    # read_panel stripped the header ids, so the panel that ingest wrote
+    # for the station " a1" came back as "a1", and select found no
+    # coordinates for it (exit 2)
+    raw = tmp_path / "raw.csv"
+    _write_raw(raw)
+    raw.write_text(raw.read_text().replace("a01,", " a1,"), encoding="utf-8")
+    ids = [" a1", "a02", "a03"]
+    _write_coords(tmp_path / "coords.csv", ids, _COORDS4)
+    data = tmp_path / "data"
+    assert main(["ingest", str(raw), "--out-dir", str(data)]) == 0
+    assert main(["select", str(data / "panel.csv"), "--coords",
+                 str(tmp_path / "coords.csv"), "--method", "linear", "--p", "1",
+                 "--k0", "2", "--k1", "1", "--out-dir", str(tmp_path / "sel")]) == 0
+    capsys.readouterr()
+    assert _read_csv(data / "panel.csv")[0] == ["timestamp"] + ids
+    assert [row[0] for row in _read_csv(data / "stations.csv")[1:]] == ids
+
+
 @pytest.mark.parametrize("row, message", [
     ("a01,nan,3,7", "non-finite moment"),
     ("a02,3600,nan,7", "non-finite bikes/spaces"),

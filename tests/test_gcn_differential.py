@@ -20,8 +20,14 @@ from netselect.gcn.layers import (
     leaky_relu,
     tensor_items,
 )
-from netselect.gcn.train import batch_loss, make_optimizer
+from netselect.gcn.train import (
+    TrainConfig,
+    batch_loss,
+    make_optimizer,
+    train_prediction_net,
+)
 from netselect.numerics import sym_eig
+from netselect.timeseries import Split
 from oracles import AdamAllocating, elu_grad_where, elu_where, leaky_relu_where
 
 SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, 1e3, -1e3, np.inf, -np.inf])
@@ -114,6 +120,26 @@ def test_workspace_gives_the_same_loss_and_gradients():
         assert np.array_equal(forward_batch(Xb, params, config, spectrum,
                                             workspace=workspace),
                               forward_batch(Xb, params, config, spectrum))
+
+
+def test_prediction_nets_trained_in_turn_on_one_workspace():
+    # evaluate retrains one net per random draw on a shared workspace;
+    # each must equal the net trained on a workspace of its own
+    n, T = 12, 300
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(n, T))
+    spectrum = _spectrum(n, 7)
+    split = Split(220, 260, T)
+    config = ChebNetConfig(n=n, cheb_order=3, f_out=2, fc_sizes=(6,),
+                           out_dim=2, h=1)
+    train = TrainConfig(lr=0.01, batch_size=40, max_epoch=3, seed=0)
+    workspace = Workspace()
+    for I in ([0, 5], [3, 11], [0, 5]):
+        shared, shared_val = train_prediction_net(X, split, spectrum, I, config,
+                                                  train, workspace)
+        own, own_val = train_prediction_net(X, split, spectrum, I, config, train)
+        assert shared_val == own_val
+        _assert_grads_equal(shared, own)
 
 
 def test_a_held_cache_survives_a_later_forward_without_workspace():

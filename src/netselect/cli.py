@@ -67,6 +67,9 @@ from .timeseries import (
 METHODS = ("linear", "kernel", "gcn-dropout", "gcn-mask")
 LAPLACIANS = ("combinatorial", "normalized")
 GRAPH_KERNELS = ("laplacian", "spatial-temporal", "rbf")
+# select's --lr default per selection rule: Adam for the mask, plain
+# gradient descent (which diverges at Adam's rate) for dropout
+DEFAULT_LR = {"gcn-mask": 0.05, "gcn-dropout": 0.002}
 # selection.json hyperparams evaluate rebuilds a method from, by method
 # family; select writes all of them
 _COMMON_KEYS = ("n", "split", "standardize", "H")
@@ -118,6 +121,17 @@ def _int_at_least(lo):
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {lo}")
         return value
     return parse
+
+
+def _finite_float(text):
+    """argparse type: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _int_list(text):
@@ -305,7 +319,8 @@ def cmd_select(args):
         hp["gamma"] = gamma_grid(args.H, args.r_s) if args.H > 0 else 0.0
     elif args.method != "linear":
         hp.update(laplacian=args.laplacian, cheb_order=args.cheb_order,
-                  f_out=args.f_out, fc_sizes=args.fc_sizes, lr=args.lr,
+                  f_out=args.f_out, fc_sizes=args.fc_sizes,
+                  lr=args.lr if args.lr is not None else DEFAULT_LR[args.method],
                   batch_size=args.batch_size, max_epoch=args.max_epoch)
     if args.method == "gcn-mask":
         hp["eps0"] = args.eps0
@@ -464,7 +479,7 @@ def _build_parser():
 
     ing = sub.add_parser("ingest", help="clean raw records into an hourly panel")
     ing.add_argument("raw_csv")
-    ing.add_argument("--rc", type=float, default=0.5,
+    ing.add_argument("--rc", type=_finite_float, default=0.5,
                      help="minimum share of consistent records to keep a station")
     ing.add_argument("--min-records", type=int, default=100)
     ing.add_argument("--out-dir", default=".")
@@ -479,35 +494,35 @@ def _build_parser():
                      help="sensors to turn off (default 10%% of N)")
     slc.add_argument("--H", type=_int_at_least(0), default=0,
                      help="input history length")
-    slc.add_argument("--lambda", dest="lam", type=float, default=None,
+    slc.add_argument("--lambda", dest="lam", type=_finite_float, default=None,
                      help="ridge strength; default searches the a_i grid")
-    slc.add_argument("--r-s", type=float, default=0.5,
+    slc.add_argument("--r-s", type=_finite_float, default=0.5,
                      help="target temporal kernel value at lag H; sets the "
                           "decay -ln(r_s)/H^2")
     slc.add_argument("--kernel", choices=KERNEL_TAGS, default="laplacian")
-    slc.add_argument("--seed", type=int, default=0)
+    slc.add_argument("--seed", type=_int_at_least(0), default=0)
     slc.add_argument("--k0", type=int, default=20)
     slc.add_argument("--k1", type=int, default=7)
     slc.add_argument("--laplacian", choices=LAPLACIANS, default="combinatorial")
     slc.add_argument("--cheb-order", type=int, default=50)
     slc.add_argument("--f-out", type=int, default=16)
     slc.add_argument("--fc-sizes", type=_int_list, default="128,500,64")
-    slc.add_argument("--lr", type=float, default=0.05,
-                     help="selection net learning rate; the default suits "
-                          "gcn-mask's Adam, while gcn-dropout's gradient "
-                          "descent can diverge at it (0.002 runs)")
+    slc.add_argument("--lr", type=_finite_float, default=None,
+                     help="selection net learning rate (default 0.05 for "
+                          "gcn-mask's Adam, 0.002 for gcn-dropout's "
+                          "gradient descent)")
     slc.add_argument("--batch-size", type=int, default=50)
     slc.add_argument("--max-epoch", type=int, default=500)
     slc.add_argument("--measure", choices=("r2", "mse"), default="r2")
-    slc.add_argument("--mask-lambda-min", type=float, default=0.05)
-    slc.add_argument("--mask-lambda-max", type=float, default=0.35)
+    slc.add_argument("--mask-lambda-min", type=_finite_float, default=0.05)
+    slc.add_argument("--mask-lambda-max", type=_finite_float, default=0.35)
     slc.add_argument("--mask-lambda-count", type=_int_at_least(1), default=20)
-    slc.add_argument("--eps0", type=float, default=0.01)
+    slc.add_argument("--eps0", type=_finite_float, default=0.01)
     slc.add_argument("--out-dir", default=".")
     slc.add_argument("--split", type=_int_list, default=None,
                      help="train,val,test sizes in hours (must sum to T)")
-    slc.add_argument("--val-frac", type=float, default=0.05)
-    slc.add_argument("--test-frac", type=float, default=0.15)
+    slc.add_argument("--val-frac", type=_finite_float, default=0.05)
+    slc.add_argument("--test-frac", type=_finite_float, default=0.15)
     slc.add_argument("--standardize", action="store_true",
                      help="remove the weekly profile and scale by train std")
     slc.set_defaults(func=cmd_select)
@@ -517,8 +532,8 @@ def _build_parser():
     ev.add_argument("selection", help="selection.json from the select command")
     ev.add_argument("--coords", default=None)
     ev.add_argument("--baseline-draws", type=int, default=100)
-    ev.add_argument("--seed", type=int, default=0)
-    ev.add_argument("--lr", type=float, default=0.001,
+    ev.add_argument("--seed", type=_int_at_least(0), default=0)
+    ev.add_argument("--lr", type=_finite_float, default=0.001,
                     help="prediction net learning rate (gcn methods)")
     ev.add_argument("--batch-size", type=int, default=1000)
     ev.add_argument("--max-epoch", type=int, default=50)

@@ -1,4 +1,11 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package.
+
+The class decides the exit code: an InvalidInputError (bad data, files or
+settings, among them a constant sensor under standardization, coincident
+or disconnected coordinates, a lag beyond the training rows, or feeds
+with no common interval) exits 2; any other NetselectError, a
+computation that failed on valid input, exits 3.
+"""
 
 
 class NetselectError(Exception):
@@ -17,41 +24,5 @@ class SingularMatrixError(NetselectError):
         self.min_eigenvalue = min_eigenvalue
 
 
-class ConnectivityError(NetselectError):
-    """Constructed graph is not connected."""
-
-    def __init__(self, message, components=None):
-        super().__init__(message)
-        self.components = components
-
-
-class DegenerateScaleError(NetselectError):
-    """Coincident coordinates make a local kNN scale zero."""
-
-
-class ZeroDegreeError(NetselectError):
-    """Isolated node where a positive degree is required."""
-
-
-class LagError(NetselectError):
-    """Requested lag not available from the data."""
-
-
-class PartitionError(NetselectError):
-    """Turned-off set and complement do not partition the sensors."""
-
-
-class ZeroScaleError(NetselectError):
-    """Sensor with zero residual variance cannot be standardized."""
-
-
-class IntervalError(NetselectError):
-    """Empty common observation interval across stations."""
-
-
 class TrainingDivergedError(NetselectError):
     """Network training produced a non-finite loss."""
-
-
-class UndefinedScoreError(NetselectError):
-    """R^2 undefined because a sensor has zero validation variance."""

@@ -14,7 +14,7 @@ from typing import List
 
 import numpy as np
 
-from ..errors import InvalidInputError, UndefinedScoreError
+from ..errors import InvalidInputError
 from ..select_linear import SelectionResult
 from ..timeseries import Split, lag_windows, write_csv
 from .layers import ChebNetConfig, Workspace, forward_batch, init_params
@@ -55,7 +55,8 @@ def score_sensors(params, net_config: ChebNetConfig, spectrum, X, val_ts, measur
 
     Predictions use the full input (no dropout, no rescaling). R^2 per
     sensor is 1 - sum (x - x_hat)^2 / sum (x - x_bar)^2 with x_bar the
-    validation mean; a zero-variance sensor raises UndefinedScoreError.
+    validation mean; a zero-variance sensor leaves it undefined, so the
+    scores fall back to mse with a warning naming that sensor.
     """
     if measure not in MEASURES:
         raise InvalidInputError(f"measure must be one of {MEASURES}")
@@ -65,16 +66,17 @@ def score_sensors(params, net_config: ChebNetConfig, spectrum, X, val_ts, measur
                          net_config, spectrum)     # (B, n)
     actual = X[:, val_ts].T
     resid_sq = ((actual - pred) ** 2).sum(axis=0)  # per sensor
+    if measure == "r2":
+        centered = ((actual - actual.mean(axis=0)) ** 2).sum(axis=0)
+        if np.any(centered == 0):
+            bad = int(np.nonzero(centered == 0)[0][0])
+            warnings.warn(f"sensor index {bad} has zero variance on validation "
+                          f"rows; falling back to mse scoring")
+            measure = "mse"
     if measure == "mse":
         scores = resid_sq / val_ts.size
         ranking = list(np.argsort(scores, kind="stable"))
     else:
-        centered = ((actual - actual.mean(axis=0)) ** 2).sum(axis=0)
-        if np.any(centered == 0):
-            bad = int(np.nonzero(centered == 0)[0][0])
-            raise UndefinedScoreError(
-                f"sensor index {bad} has zero variance on validation rows"
-            )
         scores = 1.0 - resid_sq / centered
         ranking = list(np.argsort(-scores, kind="stable"))
     return SensorScores(scores, measure, [int(i) for i in ranking])
@@ -145,11 +147,7 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
                             val_loss, "five-epoch-mean")
 
     val_ts = np.concatenate(val_blocks)
-    try:
-        scores = score_sensors(params, net_config, spectrum, X, val_ts, measure)
-    except UndefinedScoreError as err:
-        warnings.warn(f"{err}; falling back to mse scoring")
-        scores = score_sensors(params, net_config, spectrum, X, val_ts, "mse")
+    scores = score_sensors(params, net_config, spectrum, X, val_ts, measure)
 
     order = scores.ranking[:p]
     result = SelectionResult("gcn-dropout", {"q": q, "measure": scores.measure},

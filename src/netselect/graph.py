@@ -14,12 +14,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from .errors import (
-    ConnectivityError,
-    DegenerateScaleError,
-    InvalidInputError,
-    ZeroDegreeError,
-)
+from .errors import InvalidInputError
 from .numerics import EigenPair, check_symmetric, sym_eig
 
 
@@ -44,8 +39,8 @@ class SensorGraph:
             raise InvalidInputError("adjacency weights must be nonnegative")
         comps = connected_components(adj)
         if len(comps) > 1:
-            raise ConnectivityError(
-                f"graph has {len(comps)} connected components", components=comps
+            raise InvalidInputError(
+                f"graph has {len(comps)} connected components: {comps}"
             )
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "adjacency", adj)
@@ -86,7 +81,7 @@ def build_knn_graph(coords, k0, k1) -> SensorGraph:
         on the raw pairs.
     k0 : neighbors per node.
     k1 : index of the neighbor whose distance sets the local scale sigma;
-        coincident coordinates that make it zero raise DegenerateScaleError.
+        coincident coordinates that make it zero raise InvalidInputError.
     """
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != 2:
@@ -108,7 +103,7 @@ def build_knn_graph(coords, k0, k1) -> SensorGraph:
     for i in range(n):
         sigma[i] = dist[i, order[i, k1 - 1]]
         if sigma[i] == 0.0:
-            raise DegenerateScaleError(
+            raise InvalidInputError(
                 f"node {i} has zero distance to its k1-th neighbor "
                 f"(duplicate coordinates)"
             )
@@ -121,9 +116,8 @@ def build_knn_graph(coords, k0, k1) -> SensorGraph:
 
     comps = connected_components(adjacency)
     if len(comps) > 1:
-        raise ConnectivityError(
-            f"kNN graph with k0={k0} is not connected: components {comps}",
-            components=comps,
+        raise InvalidInputError(
+            f"kNN graph with k0={k0} is not connected: components {comps}"
         )
     return SensorGraph(coords=coords, adjacency=adjacency)
 
@@ -143,7 +137,7 @@ def normalized_laplacian(g: SensorGraph):
     deg = A.sum(axis=1)
     if np.any(deg <= 0):
         isolated = np.nonzero(deg <= 0)[0].tolist()
-        raise ZeroDegreeError(f"nodes with zero degree: {isolated}")
+        raise InvalidInputError(f"nodes with zero degree: {isolated}")
     inv_sqrt = 1.0 / np.sqrt(deg)
     L = np.diag(deg) - A
     Lsym = inv_sqrt[:, None] * L * inv_sqrt[None, :]

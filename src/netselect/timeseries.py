@@ -19,13 +19,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from .errors import (
-    IntervalError,
-    InvalidInputError,
-    LagError,
-    PartitionError,
-    ZeroScaleError,
-)
+from .errors import InvalidInputError
 
 WEEK_HOURS = 168
 HOUR = 3600
@@ -249,14 +243,14 @@ def interpolate_hourly(records, kept) -> PanelSeries:
     bikes / max_bikes, linearly interpolated and clamped to [0, 1].
     """
     if not kept:
-        raise IntervalError("no stations to interpolate")
+        raise InvalidInputError("no stations to interpolate")
     arrays = [_record_array(records[s]) for s, _ in kept]
     start_q = float(np.quantile([recs[0, 0] for recs in arrays], 0.995))
     end_q = float(np.quantile([recs[-1, 0] for recs in arrays], 0.005))
     t_first = int(np.ceil(start_q / HOUR)) * HOUR
     t_last = int(np.floor(end_q / HOUR)) * HOUR
     if t_last < t_first:
-        raise IntervalError(
+        raise InvalidInputError(
             f"empty common interval: grid start {t_first} after end {t_last}"
         )
     stamps = np.arange(t_first, t_last + HOUR, HOUR, dtype=np.int64)
@@ -277,7 +271,7 @@ def interpolate_hourly(records, kept) -> PanelSeries:
         rows.append(np.clip(series, 0.0, 1.0))
         ids.append(station)
     if not rows:
-        raise IntervalError("no station had enough records to interpolate")
+        raise InvalidInputError("no station had enough records to interpolate")
     return PanelSeries(ids, stamps, np.vstack(rows))
 
 
@@ -301,7 +295,7 @@ def fit_weekly_profile(panel: PanelSeries, split: Split) -> PreprocessModel:
     scale = residual.std(axis=1)
     if np.any(scale <= 0):
         bad = int(np.nonzero(scale <= 0)[0][0])
-        raise ZeroScaleError(
+        raise InvalidInputError(
             f"sensor {panel.sensor_ids[bad]!r} (index {bad}) has zero "
             f"residual variance on training rows"
         )
@@ -323,7 +317,7 @@ def autocovariance(X, l):
         raise InvalidInputError("X contains non-finite values")
     T = X.shape[1]
     if not (0 <= l < T):
-        raise LagError(f"lag {l} outside [0, {T - 1}]")
+        raise InvalidInputError(f"lag {l} outside [0, {T - 1}]")
     G = X[:, l:] @ X[:, : T - l].T / T
     if l == 0:
         G = (G + G.T) / 2.0
@@ -340,9 +334,9 @@ def _check_partition(n, I):
     I = [int(i) for i in I]
     off = set(I)
     if len(off) != len(I):
-        raise PartitionError(f"turned-off set has duplicates: {I}")
+        raise InvalidInputError(f"turned-off set has duplicates: {I}")
     if any(i < 0 or i >= n for i in I):
-        raise PartitionError(f"turned-off set {I} outside range(0, {n})")
+        raise InvalidInputError(f"turned-off set {I} outside range(0, {n})")
     Ic = [j for j in range(n) if j not in off]
     return I, Ic
 
@@ -351,7 +345,7 @@ def lag_stack(blocks, rows, cols, H):
     """The lag-stacked layout of assemble_blocks for any rows and cols:
     alpha over cols, beta from rows to cols."""
     if H + 1 > len(blocks):
-        raise LagError(f"need lags 0..{H}, only {len(blocks)} available")
+        raise InvalidInputError(f"need lags 0..{H}, only {len(blocks)} available")
     cols = np.asarray(cols, dtype=int)
     ix = np.ix_(cols, cols)
     sub = [blocks[l][ix] for l in range(H + 1)]

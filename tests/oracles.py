@@ -21,7 +21,7 @@ import numpy as np
 
 from netselect.gcn.layers import backward_batch, forward_batch, tensor_items
 from netselect.gcn.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-from netselect.errors import IntervalError, InvalidInputError
+from netselect.errors import InvalidInputError
 from netselect.numerics import solve_spd
 from netselect.select_kernel import kernel_reconstructor
 from netselect.timeseries import (
@@ -287,13 +287,13 @@ def interpolate_hourly_by_row(records, kept):
     """interpolate_hourly over lists of record tuples, rebuilding each
     station's columns from its tuples."""
     if not kept:
-        raise IntervalError("no stations to interpolate")
+        raise InvalidInputError("no stations to interpolate")
     starts = np.array([records[s][0][0] for s, _ in kept])
     ends = np.array([records[s][-1][0] for s, _ in kept])
     t_first = int(np.ceil(float(np.quantile(starts, 0.995)) / HOUR)) * HOUR
     t_last = int(np.floor(float(np.quantile(ends, 0.005)) / HOUR)) * HOUR
     if t_last < t_first:
-        raise IntervalError(
+        raise InvalidInputError(
             f"empty common interval: grid start {t_first} after end {t_last}"
         )
     stamps = np.arange(t_first, t_last + HOUR, HOUR, dtype=np.int64)
@@ -312,7 +312,7 @@ def interpolate_hourly_by_row(records, kept):
         rows.append(np.clip(np.interp(stamps.astype(float), moments, levels), 0.0, 1.0))
         ids.append(station)
     if not rows:
-        raise IntervalError("no station had enough records to interpolate")
+        raise InvalidInputError("no station had enough records to interpolate")
     return PanelSeries(ids, stamps, np.vstack(rows))
 
 

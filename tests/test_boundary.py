@@ -50,3 +50,27 @@ def test_one_csv_writer():
     joined = sorted(path for path, text in sources.items()
                     if re.search(r"""["'],["']\.join""", text))
     assert not joined, f"CSV rows joined by hand in {joined}"
+
+
+def test_one_error_class_per_exit_code():
+    # cli.main maps InvalidInputError to exit 2 and every other
+    # NetselectError to 3; a class of its own per fault let input faults
+    # slip to 3, so errors.py holds the two bases and the two computation
+    # failures, and src/netselect raises nothing else
+    errors = (ROOT / "src" / "netselect" / "errors.py").read_text(encoding="utf-8")
+    classes = re.findall(r"^class (\w+)\((\w+)\)", errors, flags=re.M)
+    assert classes == [("NetselectError", "Exception"),
+                       ("InvalidInputError", "NetselectError"),
+                       ("SingularMatrixError", "NetselectError"),
+                       ("TrainingDivergedError", "NetselectError")]
+    sources = {p.relative_to(ROOT).as_posix(): p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "src" / "netselect").rglob("*.py"))}
+    allowed = {name for name, _ in classes} | {"argparse.ArgumentTypeError"}
+    raised = {(path, name) for path, text in sources.items()
+              for name in re.findall(r"\braise ([\w.]+)\(", text)}
+    assert raised and not {r for r in raised if r[1] not in allowed}
+    # a handler for one computation failure would steer control by it
+    caught = {(path, clause) for path, text in sources.items()
+              for clause in re.findall(r"\bexcept ([^:]*):", text)
+              if re.search(r"SingularMatrixError|TrainingDivergedError", clause)}
+    assert not caught

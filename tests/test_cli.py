@@ -14,6 +14,11 @@ import pytest
 
 from netselect import cli, select_kernel
 from netselect.cli import _build_parser, main
+from netselect.errors import (
+    InvalidInputError,
+    SingularMatrixError,
+    TrainingDivergedError,
+)
 from netselect.evaluation import default_p
 from netselect.select_linear import SelectionResult
 from netselect.timeseries import HOUR, PanelSeries, estimate_blocks, write_panel
@@ -603,11 +608,13 @@ _GCN_RECORD = _COMMON_RECORD + ["batch_size", "cheb_order", "f_out", "fc_sizes",
      {"lambda": 0.1, "lambda_grid": [0.1]}),
     (["--method", "gcn-dropout", "--lr", "0.02"], _GCN_RECORD + ["measure", "q"],
      {"q": 0.25, "measure": "r2", "lr": 0.02, "batch_size": 50, "max_epoch": 2}),
+    (["--method", "gcn-dropout"], _GCN_RECORD + ["measure", "q"], {"lr": 0.002}),
     (["--method", "gcn-mask", "--eps0", "0.02"],
      _GCN_RECORD + ["eps0", "mask_lambda_grid"],
      {"eps0": 0.02, "mask_lambda_grid": [0.05, 0.35], "lr": 0.05,
       "batch_size": 50, "max_epoch": 2}),
-], ids=["linear", "kernel-grid", "kernel-lambda", "gcn-dropout", "gcn-mask"])
+], ids=["linear", "kernel-grid", "kernel-lambda", "gcn-dropout",
+        "gcn-dropout-default-lr", "gcn-mask"])
 def test_select_records_every_setting(tmp_path, capsys, flags, keys, values):
     # select alone writes the settings record, and evaluate rebuilds the
     # method from it
@@ -627,3 +634,101 @@ def test_select_records_every_setting(tmp_path, capsys, flags, keys, values):
                  "--coords", str(coords_path), "--baseline-draws", "2",
                  "--max-epoch", "1", "--out-dir", str(tmp_path / "ev")]) == 0
     capsys.readouterr()
+
+
+def _twelve_sensors(tmp_path, coords=None, constant_sensor=None):
+    """select argv on a 12-sensor, 400-hour panel and its coords file."""
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(12, 400))
+    if constant_sensor is not None:
+        X[constant_sensor] = 0.5
+    ids = [f"s{i:03d}" for i in range(12)]
+    panel_path = tmp_path / "panel.csv"
+    write_panel(PanelSeries(ids, np.arange(400) * HOUR, X), panel_path)
+    coords_path = tmp_path / "coords.csv"
+    _write_coords(coords_path, ids, rng.normal(size=(12, 2)) if coords is None
+                  else coords)
+    return ["select", str(panel_path), "--coords", str(coords_path),
+            "--out-dir", str(tmp_path / "out")]
+
+
+def _disjoint_feeds(tmp_path):
+    """ingest argv on two stations whose records never overlap in time."""
+    lines = ["station,moment,bikes,spaces"]
+    for name, start in (("a01", 0), ("a02", 1000)):
+        lines += [f"{name},{(start + k) * HOUR},{k % 7},{10 - k % 7}"
+                  for k in range(150)]
+    raw = tmp_path / "raw.csv"
+    raw.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ["ingest", str(raw), "--out-dir", str(tmp_path / "out")]
+
+
+_SAME_SPOT = [[0.0, 0.0]] * 3 + [[float(i), 1.0] for i in range(9)]
+_TWO_CLUSTERS = ([[0.1 * i, 0.0] for i in range(6)]
+                 + [[100.0 + 0.1 * i, 100.0] for i in range(6)])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda tmp: _twelve_sensors(tmp, constant_sensor=1) + ["--standardize"],
+     "sensor 's001' (index 1) has zero residual variance on training rows"),
+    (lambda tmp: _twelve_sensors(tmp) + ["--H", "500"], "lag 320 outside [0, 319]"),
+    (lambda tmp: _twelve_sensors(tmp, coords=_SAME_SPOT)
+     + ["--method", "kernel", "--k0", "3", "--k1", "1"],
+     "node 0 has zero distance to its k1-th neighbor (duplicate coordinates)"),
+    (lambda tmp: _twelve_sensors(tmp, coords=_TWO_CLUSTERS)
+     + ["--method", "kernel", "--k0", "3", "--k1", "1"],
+     "kNN graph with k0=3 is not connected: components "
+     "[[0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11]]"),
+    (_disjoint_feeds, "empty common interval"),
+], ids=["constant-sensor", "lag-beyond-training", "duplicate-coordinates",
+        "disconnected-graph", "no-common-interval"])
+def test_input_faults_exit_2(tmp_path, capsys, argv, message):
+    # these faults in the data exited 3, the code of a failed computation
+    assert main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+# each command's positional arguments; argparse rejects a bad flag first
+_POSITIONAL = {"ingest": ["raw.csv"], "select": ["panel.csv", "--coords", "c.csv"],
+               "evaluate": ["panel.csv", "selection.json"]}
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("ingest", "--rc"),
+    ("select", "--lambda"), ("select", "--r-s"), ("select", "--lr"),
+    ("select", "--mask-lambda-min"), ("select", "--mask-lambda-max"),
+    ("select", "--eps0"), ("select", "--val-frac"), ("select", "--test-frac"),
+    ("evaluate", "--lr"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_flags_exit_2(capsys, command, flag, value):
+    # they crashed with a traceback, ran into a later error, or wrote a
+    # bare NaN into selection.json
+    with pytest.raises(SystemExit) as exc:
+        main([command] + _POSITIONAL[command] + [f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {value!r} is not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["select", "evaluate"])
+def test_negative_seed_exits_2(capsys, command):
+    # numpy's generator rejects it, which exited 1 with a traceback
+    with pytest.raises(SystemExit) as exc:
+        main([command] + _POSITIONAL[command] + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: '-1' is not an integer >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, code", [
+    (InvalidInputError("bad"), 2),
+    (SingularMatrixError("bad", min_eigenvalue=-1.0), 3),
+    (TrainingDivergedError("bad"), 3),
+])
+def test_the_error_class_decides_the_exit_code(capsys, monkeypatch, error, code):
+    def fail(path):
+        raise error
+    monkeypatch.setattr(cli, "read_panel", fail)
+    assert main(["select", "panel.csv", "--coords", "coords.csv"]) == code
+    assert capsys.readouterr().err.endswith("bad\n")

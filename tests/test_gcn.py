@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from netselect.errors import (
-    InvalidInputError,
-    TrainingDivergedError,
-    UndefinedScoreError,
-)
+from netselect.errors import InvalidInputError, TrainingDivergedError
 from netselect.gcn.layers import (
     ChebNetConfig,
     backward_batch,
@@ -296,8 +292,11 @@ def test_score_sensors_mse_and_zero_variance():
 
     flat = X.copy()
     flat[2, val_ts] = 7.0
-    with pytest.raises(UndefinedScoreError, match="index 2"):
-        score_sensors(params, config, spectrum, flat, val_ts, measure="r2")
+    with pytest.warns(UserWarning, match="index 2"):
+        fallback = score_sensors(params, config, spectrum, flat, val_ts, measure="r2")
+    assert fallback.measure == "mse"
+    mse = score_sensors(params, config, spectrum, flat, val_ts, measure="mse")
+    assert np.array_equal(fallback.scores, mse.scores)
     with pytest.raises(InvalidInputError, match="measure"):
         score_sensors(params, config, spectrum, X, val_ts, measure="mae")
 
@@ -360,6 +359,20 @@ def test_dropout_selection_validation():
         train_selection_dropout(X, split, spectrum, 1, bad_dim, tc)
     with pytest.raises(InvalidInputError, match="p="):
         train_selection_dropout(X, split, spectrum, 4, good, tc)
+
+
+def test_dropout_selection_falls_back_to_mse_on_a_constant_sensor():
+    # r2 is undefined for a sensor with no variance on the validation rows
+    X, spectrum, split = _toy_setup()
+    X[1, split.t_tv:split.t0] = 0.3
+    config = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
+                           out_dim=4, h=0)
+    tc = TrainConfig(lr=0.01, batch_size=25, max_epoch=2, seed=0)
+    with pytest.warns(UserWarning, match="sensor index 1 .*falling back to mse"):
+        scores, result, _ = train_selection_dropout(X, split, spectrum, 1, config, tc)
+    assert scores.measure == "mse"
+    assert result.hyperparams["measure"] == "mse"
+    assert list(np.argsort(scores.scores, kind="stable")) == scores.ranking
 
 
 def test_masking_selection_shapes_and_validation():

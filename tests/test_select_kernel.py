@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from netselect.errors import InvalidInputError, LagError
+from netselect.errors import InvalidInputError
 from netselect.evaluation import gamma_grid, synth_generate
 from netselect.graph import (
     build_knn_graph,
@@ -159,7 +159,7 @@ def test_kernel_blocks_assemble_layout():
     assert np.array_equal(K[:q, q:], kb[1][ix])
     assert np.array_equal(K[q:, :q], kb[1].T[ix])
     assert np.array_equal(cross[:, q:], kb[1][np.ix_([1, 3], kept)])
-    with pytest.raises(LagError, match="lags"):
+    with pytest.raises(InvalidInputError, match="lags"):
         assemble_blocks(kb, [1, 3], 2)
 
 

@@ -10,6 +10,8 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -65,82 +67,75 @@ from .timeseries import (
 )
 
 METHODS = ("linear", "kernel", "gcn-dropout", "gcn-mask")
-LAPLACIANS = ("combinatorial", "normalized")
+LAPLACIAN_OF = {"combinatorial": combinatorial_laplacian,
+                "normalized": normalized_laplacian}
+LAPLACIANS = tuple(LAPLACIAN_OF)
 GRAPH_KERNELS = ("laplacian", "spatial-temporal", "rbf")
 # select's --lr default per selection rule: Adam for the mask, plain
 # gradient descent (which diverges at Adam's rate) for dropout
 DEFAULT_LR = {"gcn-mask": 0.05, "gcn-dropout": 0.002}
-# selection.json hyperparams evaluate rebuilds a method from, by method
-# family; select writes all of them
-_COMMON_KEYS = ("n", "split", "standardize", "H")
-EVALUATE_KEYS = {
-    "linear": _COMMON_KEYS,
-    "kernel": _COMMON_KEYS + ("kernel", "gamma", "lambda", "k0", "k1"),
-    "gcn": _COMMON_KEYS + ("k0", "k1", "laplacian", "cheb_order", "f_out",
-                           "fc_sizes"),
-}
+
+
+@dataclass(frozen=True)
+class Kind:
+    """What a setting must be: a check of its value, the phrase for its
+    errors, and how a flag's text parses into a value."""
+    wanted: str
+    check: Callable
+    parse: Callable = None
+
+    def flag(self, text):
+        """argparse type: the parsed text, if the check admits it."""
+        try:
+            value = self.parse(text)
+        except ValueError:
+            value = None
+        if not self.check(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {self.wanted}")
+        return value
 
 
 def _is_int(v, lo):
     return isinstance(v, int) and not isinstance(v, bool) and v >= lo
 
 
-def _is_nonnegative_number(v):
+def _is_number(v):
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v) and v >= 0)
+            and math.isfinite(v))
 
 
-# what each EVALUATE_KEYS value must be: (check, description)
-EVALUATE_TYPES = {
-    "n": (lambda v: _is_int(v, 1), "an integer >= 1"),
-    "split": (lambda v: isinstance(v, list) and len(v) == 3
-              and all(_is_int(t, 0) for t in v), "three integers t_tv, t0, t1"),
-    "standardize": (lambda v: isinstance(v, bool), "true or false"),
-    "H": (lambda v: _is_int(v, 0), "an integer >= 0"),
-    "kernel": (lambda v: v in KERNEL_TAGS, f"one of {KERNEL_TAGS}"),
-    "gamma": (_is_nonnegative_number, "a finite number >= 0"),
-    "lambda": (_is_nonnegative_number, "a finite number >= 0"),
-    "k0": (lambda v: _is_int(v, 1), "an integer >= 1"),
-    "k1": (lambda v: _is_int(v, 1), "an integer >= 1"),
-    "laplacian": (lambda v: v in LAPLACIANS, f"one of {LAPLACIANS}"),
-    "cheb_order": (lambda v: _is_int(v, 0), "an integer >= 0"),
-    "f_out": (lambda v: _is_int(v, 1), "an integer >= 1"),
-    "fc_sizes": (lambda v: isinstance(v, list) and all(_is_int(w, 1) for w in v),
-                 "a list of integers >= 1"),
+def _comma_ints(text):
+    return [int(part) for part in text.split(",") if part.strip()]
+
+
+INT_GE0 = Kind("an integer >= 0", lambda v: _is_int(v, 0), int)
+INT_GE1 = Kind("an integer >= 1", lambda v: _is_int(v, 1), int)
+INTS_GE1 = Kind("a list of integers >= 1", lambda v: isinstance(v, list)
+                and all(_is_int(w, 1) for w in v), _comma_ints)
+FINITE = Kind("a finite number", _is_number, float)
+FINITE_GE0 = Kind("a finite number >= 0", lambda v: _is_number(v) and v >= 0, float)
+FINITE_GT0 = Kind("a finite number > 0", lambda v: _is_number(v) and v > 0, float)
+
+# the selection.json hyperparams evaluate rebuilds a method from: each
+# key's kind, which select's flag for it parses with too, and the method
+# families that need it; select writes all of them
+_FAMILIES = ("linear", "kernel", "gcn")
+SETTINGS = {
+    "n": (INT_GE1, _FAMILIES),
+    "split": (Kind("three integers t_tv, t0, t1", lambda v: isinstance(v, list)
+                   and len(v) == 3 and all(_is_int(t, 0) for t in v)), _FAMILIES),
+    "standardize": (Kind("true or false", lambda v: isinstance(v, bool)), _FAMILIES),
+    "H": (INT_GE0, _FAMILIES),
+    "kernel": (Kind(f"one of {KERNEL_TAGS}", lambda v: v in KERNEL_TAGS), ("kernel",)),
+    "gamma": (FINITE_GE0, ("kernel",)),
+    "lambda": (FINITE_GE0, ("kernel",)),
+    "k0": (INT_GE1, ("kernel", "gcn")),
+    "k1": (INT_GE1, ("kernel", "gcn")),
+    "laplacian": (Kind(f"one of {LAPLACIANS}", lambda v: v in LAPLACIANS), ("gcn",)),
+    "cheb_order": (INT_GE0, ("gcn",)),
+    "f_out": (INT_GE1, ("gcn",)),
+    "fc_sizes": (INTS_GE1, ("gcn",)),
 }
-
-
-def _int_at_least(lo):
-    """argparse type: an integer >= lo."""
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            value = None
-        if value is None or value < lo:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {lo}")
-        return value
-    return parse
-
-
-def _finite_float(text):
-    """argparse type: a finite number."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
-    return value
-
-
-def _int_list(text):
-    """argparse type: comma-separated integers."""
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a comma-separated list of integers") from None
 
 
 def _write_text(path, text):
@@ -174,12 +169,6 @@ def _align_coords(panel, coords_path):
     return coords[[index[sid] for sid in panel.sensor_ids]]
 
 
-def _laplacian(graph, tag):
-    if tag == "normalized":
-        return normalized_laplacian(graph)
-    return combinatorial_laplacian(graph)
-
-
 def _panel_matrix(panel, split, standardize):
     """Panel values, with the weekly profile fitted on the training rows
     removed when standardize is set."""
@@ -188,11 +177,18 @@ def _panel_matrix(panel, split, standardize):
     return panel.values
 
 
-def _needs_graph(method, hp):
-    """Whether a method (select's --method or a stored tag) uses the graph."""
-    return method.startswith("gcn") or (
-        method.startswith("kernel") and hp["kernel"] in GRAPH_KERNELS
-    )
+def _graph(method, hp, panel, coords):
+    """The kNN graph that a method (select's --method or a stored tag)
+    uses, or None; coords is the panel-aligned array or a coords path."""
+    if not (method.startswith("gcn") or (
+            method.startswith("kernel") and hp["kernel"] in GRAPH_KERNELS)):
+        return None
+    if coords is None:
+        raise InvalidInputError(
+            f"--coords is required to rebuild the graph of {method}")
+    if isinstance(coords, str):
+        coords = _align_coords(panel, coords)
+    return build_knn_graph(coords, hp["k0"], hp["k1"])
 
 
 def _kernel_blocks(hp, X_train, graph):
@@ -203,7 +199,7 @@ def _kernel_blocks(hp, X_train, graph):
 
 def _gcn_spectrum(hp, graph):
     """EigenPair of the rescaled Laplacian the ChebNet filters in."""
-    L = _laplacian(graph, hp["laplacian"])
+    L = LAPLACIAN_OF[hp["laplacian"]](graph)
     return sym_eig(scale_laplacian(L, power_method(L).value))
 
 
@@ -303,7 +299,7 @@ def cmd_select(args):
     coords = _align_coords(panel, args.coords)
 
     # every setting the method runs with, among them all that evaluate
-    # rebuilds it from (EVALUATE_KEYS)
+    # rebuilds it from (SETTINGS)
     hp = {
         "n": n,
         "p": p,
@@ -326,9 +322,7 @@ def cmd_select(args):
         hp["eps0"] = args.eps0
         hp["mask_lambda_grid"] = [float(v) for v in np.linspace(
             args.mask_lambda_min, args.mask_lambda_max, args.mask_lambda_count)]
-    graph = None
-    if _needs_graph(args.method, hp):
-        graph = build_knn_graph(coords, hp["k0"], hp["k1"])
+    graph = _graph(args.method, hp, panel, coords)
 
     scores = None
     mask_path_values = None
@@ -406,7 +400,8 @@ def cmd_evaluate(args):
     with open(args.selection, encoding="utf-8") as fh:
         sel = SelectionResult.from_json(fh.read())
     hp = sel.hyperparams
-    keys = EVALUATE_KEYS[sel.method.split("-")[0]]
+    family = sel.method.split("-")[0]
+    keys = [k for k, (_, families) in SETTINGS.items() if family in families]
     missing = [k for k in keys if k not in hp]
     if missing:
         raise InvalidInputError(
@@ -414,10 +409,10 @@ def cmd_evaluate(args):
             f"rerun select to write them"
         )
     for key in keys:
-        check, wanted = EVALUATE_TYPES[key]
-        if not check(hp[key]):
+        kind = SETTINGS[key][0]
+        if not kind.check(hp[key]):
             raise InvalidInputError(
-                f"selection hyperparam {key!r} must be {wanted}, got {hp[key]!r}"
+                f"selection hyperparam {key!r} must be {kind.wanted}, got {hp[key]!r}"
             )
     n = panel.n
     if hp["n"] != n:
@@ -433,14 +428,7 @@ def cmd_evaluate(args):
         )
     X = _panel_matrix(panel, split, hp["standardize"])
 
-    graph = None
-    if _needs_graph(sel.method, hp):
-        if args.coords is None:
-            raise InvalidInputError(
-                f"--coords is required to rebuild the graph of {sel.method}"
-            )
-        graph = build_knn_graph(_align_coords(panel, args.coords),
-                                hp["k0"], hp["k1"])
+    graph = _graph(sel.method, hp, panel, args.coords)
     fit_fn = _evaluate_fit_fn(args, sel, X, split, graph)
     rec = fit_fn(sel.order)
     mse = test_mse(rec, X, sel.order, split)
@@ -479,9 +467,9 @@ def _build_parser():
 
     ing = sub.add_parser("ingest", help="clean raw records into an hourly panel")
     ing.add_argument("raw_csv")
-    ing.add_argument("--rc", type=_finite_float, default=0.5,
+    ing.add_argument("--rc", type=FINITE.flag, default=0.5,
                      help="minimum share of consistent records to keep a station")
-    ing.add_argument("--min-records", type=int, default=100)
+    ing.add_argument("--min-records", type=INT_GE0.flag, default=100)
     ing.add_argument("--out-dir", default=".")
     ing.set_defaults(func=cmd_ingest)
 
@@ -490,39 +478,39 @@ def _build_parser():
     slc.add_argument("--coords", required=True,
                      help="sensor_id,lat,lon CSV; required for output maps")
     slc.add_argument("--method", choices=METHODS, default="linear")
-    slc.add_argument("--p", type=int, default=None,
+    slc.add_argument("--p", type=INT_GE1.flag, default=None,
                      help="sensors to turn off (default 10%% of N)")
-    slc.add_argument("--H", type=_int_at_least(0), default=0,
+    slc.add_argument("--H", type=INT_GE0.flag, default=0,
                      help="input history length")
-    slc.add_argument("--lambda", dest="lam", type=_finite_float, default=None,
+    slc.add_argument("--lambda", dest="lam", type=FINITE_GE0.flag, default=None,
                      help="ridge strength; default searches the a_i grid")
-    slc.add_argument("--r-s", type=_finite_float, default=0.5,
+    slc.add_argument("--r-s", type=FINITE.flag, default=0.5,
                      help="target temporal kernel value at lag H; sets the "
                           "decay -ln(r_s)/H^2")
     slc.add_argument("--kernel", choices=KERNEL_TAGS, default="laplacian")
-    slc.add_argument("--seed", type=_int_at_least(0), default=0)
-    slc.add_argument("--k0", type=int, default=20)
-    slc.add_argument("--k1", type=int, default=7)
+    slc.add_argument("--seed", type=INT_GE0.flag, default=0)
+    slc.add_argument("--k0", type=INT_GE1.flag, default=20)
+    slc.add_argument("--k1", type=INT_GE1.flag, default=7)
     slc.add_argument("--laplacian", choices=LAPLACIANS, default="combinatorial")
-    slc.add_argument("--cheb-order", type=int, default=50)
-    slc.add_argument("--f-out", type=int, default=16)
-    slc.add_argument("--fc-sizes", type=_int_list, default="128,500,64")
-    slc.add_argument("--lr", type=_finite_float, default=None,
+    slc.add_argument("--cheb-order", type=INT_GE0.flag, default=50)
+    slc.add_argument("--f-out", type=INT_GE1.flag, default=16)
+    slc.add_argument("--fc-sizes", type=INTS_GE1.flag, default="128,500,64")
+    slc.add_argument("--lr", type=FINITE_GT0.flag, default=None,
                      help="selection net learning rate (default 0.05 for "
                           "gcn-mask's Adam, 0.002 for gcn-dropout's "
                           "gradient descent)")
-    slc.add_argument("--batch-size", type=int, default=50)
-    slc.add_argument("--max-epoch", type=int, default=500)
+    slc.add_argument("--batch-size", type=INT_GE1.flag, default=50)
+    slc.add_argument("--max-epoch", type=INT_GE1.flag, default=500)
     slc.add_argument("--measure", choices=("r2", "mse"), default="r2")
-    slc.add_argument("--mask-lambda-min", type=_finite_float, default=0.05)
-    slc.add_argument("--mask-lambda-max", type=_finite_float, default=0.35)
-    slc.add_argument("--mask-lambda-count", type=_int_at_least(1), default=20)
-    slc.add_argument("--eps0", type=_finite_float, default=0.01)
+    slc.add_argument("--mask-lambda-min", type=FINITE_GE0.flag, default=0.05)
+    slc.add_argument("--mask-lambda-max", type=FINITE_GE0.flag, default=0.35)
+    slc.add_argument("--mask-lambda-count", type=INT_GE1.flag, default=20)
+    slc.add_argument("--eps0", type=FINITE_GT0.flag, default=0.01)
     slc.add_argument("--out-dir", default=".")
-    slc.add_argument("--split", type=_int_list, default=None,
+    slc.add_argument("--split", type=INTS_GE1.flag, default=None,
                      help="train,val,test sizes in hours (must sum to T)")
-    slc.add_argument("--val-frac", type=_finite_float, default=0.05)
-    slc.add_argument("--test-frac", type=_finite_float, default=0.15)
+    slc.add_argument("--val-frac", type=FINITE.flag, default=0.05)
+    slc.add_argument("--test-frac", type=FINITE.flag, default=0.15)
     slc.add_argument("--standardize", action="store_true",
                      help="remove the weekly profile and scale by train std")
     slc.set_defaults(func=cmd_select)
@@ -531,12 +519,12 @@ def _build_parser():
     ev.add_argument("panel")
     ev.add_argument("selection", help="selection.json from the select command")
     ev.add_argument("--coords", default=None)
-    ev.add_argument("--baseline-draws", type=int, default=100)
-    ev.add_argument("--seed", type=_int_at_least(0), default=0)
-    ev.add_argument("--lr", type=_finite_float, default=0.001,
+    ev.add_argument("--baseline-draws", type=INT_GE1.flag, default=100)
+    ev.add_argument("--seed", type=INT_GE0.flag, default=0)
+    ev.add_argument("--lr", type=FINITE_GT0.flag, default=0.001,
                     help="prediction net learning rate (gcn methods)")
-    ev.add_argument("--batch-size", type=int, default=1000)
-    ev.add_argument("--max-epoch", type=int, default=50)
+    ev.add_argument("--batch-size", type=INT_GE1.flag, default=1000)
+    ev.add_argument("--max-epoch", type=INT_GE1.flag, default=50)
     ev.add_argument("--out-dir", default=".")
     ev.set_defaults(func=cmd_evaluate)
     return parser
@@ -547,10 +535,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidInputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (InvalidInputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except NetselectError as err:

@@ -160,7 +160,7 @@ def train_selection_masking(X, split: Split, spectrum, p, lam_grid, eps0,
                             net_config: ChebNetConfig, train_config: TrainConfig):
     """Masking selection: l1-penalized trainable input mask, Lasso path.
 
-    For each lambda in the ascending grid the network and a mask w
+    For each lambda in the ascending, nonnegative grid the network and a mask w
     (init 0.5) are trained jointly with Adam for the full max_epoch, from
     a fresh init and batch order; after every optimizer step w is
     projected onto [0, 1]. The per-batch loss is
@@ -178,9 +178,10 @@ def train_selection_masking(X, split: Split, spectrum, p, lam_grid, eps0,
     if not (1 <= p < n):
         raise InvalidInputError(f"need 1 <= p < {n}, got p={p}")
     lam_grid = [float(l) for l in lam_grid]
-    if (not lam_grid or not all(math.isfinite(l) for l in lam_grid)
+    if (not lam_grid or not all(math.isfinite(l) and l >= 0 for l in lam_grid)
             or any(b < a for a, b in zip(lam_grid, lam_grid[1:]))):
-        raise InvalidInputError("lambda grid must be nonempty, finite and ascending")
+        raise InvalidInputError(
+            "lambda grid must be nonempty, finite, nonnegative and ascending")
     if eps0 <= 0:
         raise InvalidInputError("eps0 must be positive")
     h = net_config.h

@@ -52,6 +52,18 @@ def test_one_csv_writer():
     assert not joined, f"CSV rows joined by hand in {joined}"
 
 
+def test_one_kind_per_setting():
+    # every numeric flag parses through a cli.Kind, and evaluate checks the
+    # stored settings with the same objects through cli.SETTINGS; a bare
+    # int or float flag, or a second table of stored keys, lets select
+    # record a value that evaluate refuses
+    cli = (ROOT / "src" / "netselect" / "cli.py").read_text(encoding="utf-8")
+    bare = re.findall(r"\btype=(?:int|float)\b", cli)
+    assert not bare, f"flags parsed without a kind: {bare}"
+    tables = [name for name in ("EVALUATE_KEYS", "EVALUATE_TYPES") if name in cli]
+    assert not tables, f"stored keys declared outside SETTINGS: {tables}"
+
+
 def test_one_error_class_per_exit_code():
     # cli.main maps InvalidInputError to exit 2 and every other
     # NetselectError to 3; a class of its own per fault let input faults

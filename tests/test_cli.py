@@ -383,6 +383,9 @@ def test_select_rejects_bad_coordinates(tmp_path, capsys, line, row, message):
     ["--method", "gcn-mask", "--fc-sizes", "8,x"],
     ["--method", "gcn-mask", "--mask-lambda-count", "-1"],
     ["--method", "gcn-mask", "--mask-lambda-count", "0"],
+    # recorded unchecked, then refused by evaluate on the same selection.json
+    ["--method", "kernel", "--kernel", "autocovariance", "--k0", "0"],
+    ["--method", "linear", "--k0", "0"],
 ])
 def test_select_rejects_bad_flag_values(tmp_path, capsys, flags):
     # argparse rejects them (exit 2) before any work, never a traceback
@@ -393,6 +396,7 @@ def test_select_rejects_bad_flag_values(tmp_path, capsys, flags):
               "--out-dir", str(tmp_path)] + flags)
     assert exc.value.code == 2
     assert f"argument {flags[-2]}:" in capsys.readouterr().err
+    assert not (tmp_path / "selection.json").exists()
 
 
 def _noiseless_panel(tmp_path, T=400, seed=1):
@@ -719,6 +723,87 @@ def test_negative_seed_exits_2(capsys, command):
         main([command] + _POSITIONAL[command] + ["--seed", "-1"])
     assert exc.value.code == 2
     assert "argument --seed: '-1' is not an integer >= 0" in capsys.readouterr().err
+
+
+def _commands():
+    """Each command's argparse parser, by command name."""
+    return next(a for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# a value that each numeric flag's kind refuses, and the kind's phrase
+_REFUSED = [
+    ("ingest", "--rc", "nan", "a finite number"),
+    ("ingest", "--min-records", "-1", "an integer >= 0"),
+    ("select", "--p", "0", "an integer >= 1"),
+    ("select", "--H", "1.5", "an integer >= 0"),
+    ("select", "--lambda", "-1", "a finite number >= 0"),
+    ("select", "--r-s", "inf", "a finite number"),
+    ("select", "--seed", "x", "an integer >= 0"),
+    ("select", "--k0", "0", "an integer >= 1"),
+    ("select", "--k1", "-2", "an integer >= 1"),
+    ("select", "--cheb-order", "-1", "an integer >= 0"),
+    ("select", "--f-out", "0", "an integer >= 1"),
+    ("select", "--fc-sizes", "8,0", "a list of integers >= 1"),
+    ("select", "--lr", "0", "a finite number > 0"),
+    ("select", "--batch-size", "0", "an integer >= 1"),
+    ("select", "--max-epoch", "0", "an integer >= 1"),
+    ("select", "--mask-lambda-min", "-1", "a finite number >= 0"),
+    ("select", "--mask-lambda-max", "-0.5", "a finite number >= 0"),
+    ("select", "--mask-lambda-count", "0", "an integer >= 1"),
+    ("select", "--eps0", "0", "a finite number > 0"),
+    ("select", "--split", "300,0,100", "a list of integers >= 1"),
+    ("select", "--val-frac", "x", "a finite number"),
+    ("select", "--test-frac", "-inf", "a finite number"),
+    ("evaluate", "--baseline-draws", "0", "an integer >= 1"),
+    ("evaluate", "--seed", "-1", "an integer >= 0"),
+    ("evaluate", "--lr", "-0.01", "a finite number > 0"),
+    ("evaluate", "--batch-size", "0", "an integer >= 1"),
+    ("evaluate", "--max-epoch", "2.5", "an integer >= 1"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, wanted", _REFUSED)
+def test_numeric_flags_parse_with_their_kind(capsys, command, flag, value, wanted):
+    # checked at parse time whether or not the chosen method uses the flag,
+    # so select never records a value that evaluate refuses
+    with pytest.raises(SystemExit) as exc:
+        main([command] + _POSITIONAL[command] + [f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {value!r} is not {wanted}" in capsys.readouterr().err
+
+
+def test_every_numeric_flag_parses_with_a_kind():
+    # a flag without a kind takes any value, which its consumer may not check
+    typed = {(command, action.option_strings[0]): action.type
+             for command, parser in _commands().items()
+             for action in parser._actions if action.type is not None}
+    assert sorted(typed) == sorted((command, flag) for command, flag, _, _ in _REFUSED)
+    assert all(isinstance(getattr(parse, "__self__", None), cli.Kind)
+               for parse in typed.values())
+
+
+def test_select_flags_and_evaluate_share_each_settings_kind():
+    # select records a flag's value under its key, and evaluate checks it
+    # with the same Kind object, so the two accept the same values; --split
+    # takes sizes and select records their boundaries, --standardize no value
+    actions = _commands()["select"]._option_string_actions
+    shared = {}
+    for key, (kind, _) in cli.SETTINGS.items():
+        action = actions.get("--" + key.replace("_", "-"))
+        if action is None or key in ("split", "standardize"):
+            continue
+        if action.choices is not None:
+            assert all(kind.check(choice) for choice in action.choices), key
+        else:
+            assert action.type.__self__ is kind, key
+        shared[key] = kind.wanted
+    assert shared == {
+        "H": "an integer >= 0", "kernel": f"one of {select_kernel.KERNEL_TAGS}",
+        "lambda": "a finite number >= 0", "k0": "an integer >= 1",
+        "k1": "an integer >= 1", "laplacian": f"one of {cli.LAPLACIANS}",
+        "cheb_order": "an integer >= 0", "f_out": "an integer >= 1",
+        "fc_sizes": "a list of integers >= 1"}
 
 
 @pytest.mark.parametrize("error, code", [

@@ -396,6 +396,9 @@ def test_masking_selection_shapes_and_validation():
     for grid in ([0.1, float("nan")], [0.1, float("inf")]):
         with pytest.raises(InvalidInputError, match="finite"):
             train_selection_masking(X, split, spectrum, 1, grid, 0.01, config, tc)
+    # a negative penalty pushes every weight up to 1, so none collapses
+    with pytest.raises(InvalidInputError, match="nonnegative"):
+        train_selection_masking(X, split, spectrum, 1, [-0.1, 0.1], 0.01, config, tc)
     with pytest.raises(InvalidInputError, match="eps0"):
         train_selection_masking(X, split, spectrum, 1, [0.1], 0.0, config, tc)
 

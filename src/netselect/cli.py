@@ -112,7 +112,9 @@ INT_GE0 = Kind("an integer >= 0", lambda v: _is_int(v, 0), int)
 INT_GE1 = Kind("an integer >= 1", lambda v: _is_int(v, 1), int)
 INTS_GE1 = Kind("a list of integers >= 1", lambda v: isinstance(v, list)
                 and all(_is_int(w, 1) for w in v), _comma_ints)
-FINITE = Kind("a finite number", _is_number, float)
+FRACTION = Kind("a finite number in (0, 1)", lambda v: _is_number(v) and 0 < v < 1,
+                float)
+SHARE = Kind("a finite number in (0, 1]", lambda v: _is_number(v) and 0 < v <= 1, float)
 FINITE_GE0 = Kind("a finite number >= 0", lambda v: _is_number(v) and v >= 0, float)
 FINITE_GT0 = Kind("a finite number > 0", lambda v: _is_number(v) and v > 0, float)
 
@@ -467,7 +469,7 @@ def _build_parser():
 
     ing = sub.add_parser("ingest", help="clean raw records into an hourly panel")
     ing.add_argument("raw_csv")
-    ing.add_argument("--rc", type=FINITE.flag, default=0.5,
+    ing.add_argument("--rc", type=SHARE.flag, default=0.5,
                      help="minimum share of consistent records to keep a station")
     ing.add_argument("--min-records", type=INT_GE0.flag, default=100)
     ing.add_argument("--out-dir", default=".")
@@ -484,7 +486,7 @@ def _build_parser():
                      help="input history length")
     slc.add_argument("--lambda", dest="lam", type=FINITE_GE0.flag, default=None,
                      help="ridge strength; default searches the a_i grid")
-    slc.add_argument("--r-s", type=FINITE.flag, default=0.5,
+    slc.add_argument("--r-s", type=FRACTION.flag, default=0.5,
                      help="target temporal kernel value at lag H; sets the "
                           "decay -ln(r_s)/H^2")
     slc.add_argument("--kernel", choices=KERNEL_TAGS, default="laplacian")
@@ -509,8 +511,8 @@ def _build_parser():
     slc.add_argument("--out-dir", default=".")
     slc.add_argument("--split", type=INTS_GE1.flag, default=None,
                      help="train,val,test sizes in hours (must sum to T)")
-    slc.add_argument("--val-frac", type=FINITE.flag, default=0.05)
-    slc.add_argument("--test-frac", type=FINITE.flag, default=0.15)
+    slc.add_argument("--val-frac", type=FRACTION.flag, default=0.05)
+    slc.add_argument("--test-frac", type=FRACTION.flag, default=0.15)
     slc.add_argument("--standardize", action="store_true",
                      help="remove the weekly profile and scale by train std")
     slc.set_defaults(func=cmd_select)

@@ -7,8 +7,6 @@ node j to its k1-th nearest neighbor. Directed assignments are merged by
 elementwise max and the result must be connected.
 """
 
-import csv
-import math
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -16,6 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .numerics import EigenPair, check_symmetric, sym_eig
+from .timeseries import csv_rows, float_fields
 
 
 @dataclass(frozen=True)
@@ -173,30 +172,18 @@ def read_coords(path):
     first_line: Dict[str, int] = {}  # sensor id -> line it is defined on
     rows: List[List[float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["sensor_id", "lat", "lon"]:
+        records = csv_rows(fh, path)
+        header = next(records)[1]
+        if [h.strip() for h in header] != ["sensor_id", "lat", "lon"]:
             raise InvalidInputError(
                 f"{path}: line 1: expected header 'sensor_id,lat,lon', got {header}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise InvalidInputError(f"{path}: line {lineno}: expected 3 fields")
-            try:
-                lat, lon = float(row[1]), float(row[2])
-            except ValueError:
-                raise InvalidInputError(
-                    f"{path}: line {lineno}: non-numeric coordinate"
-                )
-            if not (math.isfinite(lat) and math.isfinite(lon)):
-                raise InvalidInputError(f"{path}: line {lineno}: non-finite coordinate")
+        for line, row in records:
+            where = f"{path}: line {line}"
+            lat, lon = float_fields(row[1:], "coordinate", where)
             if row[0] in first_line:
                 raise InvalidInputError(
-                    f"{path}: line {lineno}: sensor_id {row[0]!r} repeats line "
-                    f"{first_line[row[0]]}"
-                )
-            first_line[row[0]] = lineno
+                    f"{where}: sensor_id {row[0]!r} repeats line {first_line[row[0]]}")
+            first_line[row[0]] = line
             rows.append([lat, lon])
     return list(first_line), np.asarray(rows, dtype=float).reshape(len(rows), 2)

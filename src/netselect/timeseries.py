@@ -119,16 +119,14 @@ def _parse_moment(text, where):
     return value
 
 
-def _raw_reader(fh, path):
-    """A csv reader of a raw records file past its checked header."""
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    expected = ["station", "moment", "bikes", "spaces"]
-    if header is None or [h.strip() for h in header] != expected:
+def _raw_rows(fh, path):
+    """The csv_rows of a raw records file past its checked header."""
+    rows = csv_rows(fh, path)
+    if [h.strip() for h in next(rows)[1]] != ["station", "moment", "bikes", "spaces"]:
         raise InvalidInputError(
             f"{path}: line 1: expected header 'station,moment,bikes,spaces'"
         )
-    return reader
+    return rows
 
 
 def _raise_first_bad_record(path):
@@ -136,20 +134,10 @@ def _raise_first_bad_record(path):
     first bad record. read_raw_records checks whole columns at once, so
     it calls this, once it knows some record is bad, to name the line."""
     with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(_raw_reader(fh, path), start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise InvalidInputError(f"{path}: line {lineno}: expected 4 fields")
-            where = f"{path}: line {lineno}"
+        for line, row in _raw_rows(fh, path):
+            where = f"{path}: line {line}"
             _parse_moment(row[1], where)
-            try:
-                bikes = float(row[2])
-                spaces = float(row[3])
-            except ValueError:
-                raise InvalidInputError(f"{where}: non-numeric bikes/spaces")
-            if not (math.isfinite(bikes) and math.isfinite(spaces)):
-                raise InvalidInputError(f"{where}: non-finite bikes/spaces")
+            float_fields(row[2:], "bikes/spaces", where)
     raise InvalidInputError(f"{path}: a record failed to read but none is bad on re-reading")
 
 
@@ -169,9 +157,10 @@ def read_raw_records(path) -> Dict[str, np.ndarray]:
     add_code, add_moment = code.append, moment.append
     add_bikes, add_spaces = bikes.append, spaces.append
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = _raw_reader(fh, path)
+        _raw_rows(fh, path)  # checks the header
         try:
-            for row in reader:
+            # a bare reader: numbering each row would cost time on every record
+            for row in csv.reader(fh):
                 if not row:
                     continue
                 station, m, b, s = row
@@ -395,6 +384,43 @@ def _format_stamp(epoch):
     return dt.replace(tzinfo=None).isoformat()
 
 
+def csv_rows(fh, path):
+    """(line, fields) of the header of an open CSV file, [] if it is
+    empty, then of each record past it but blank ones. A record's line is
+    the file line it starts on; blank lines and lines inside a quoted
+    newline count. A record with other than the header's number of
+    fields, or one that csv cannot parse (a field over
+    csv.field_size_limit(), say), raises InvalidInputError naming its
+    line. Every line number an input CSV's errors name comes from here."""
+    reader = csv.reader(fh)
+    line = 1
+    try:
+        header = next(reader, [])
+        yield line, header
+        line = reader.line_num + 1
+        for row in reader:
+            if row:
+                if len(row) != len(header):
+                    raise InvalidInputError(
+                        f"{path}: line {line}: expected {len(header)} fields")
+                yield line, row
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise InvalidInputError(f"{path}: line {line}: {exc}") from None
+
+
+def float_fields(fields, what, where, finite=True):
+    """The fields as floats, finite unless finite is False; else an
+    InvalidInputError at where, "non-numeric what" or "non-finite what"."""
+    try:
+        values = [float(v) for v in fields]
+    except ValueError:
+        raise InvalidInputError(f"{where}: non-numeric {what}") from None
+    if finite and not all(map(math.isfinite, values)):
+        raise InvalidInputError(f"{where}: non-finite {what}")
+    return values
+
+
 def write_csv(path, header, rows, row_format=None):
     """Write a CSV table: a header row, then rows; fields that hold a
     comma, quote or newline are quoted, and floats are written with
@@ -426,29 +452,24 @@ def write_panel(panel: PanelSeries, path):
 
 def read_panel(path) -> PanelSeries:
     """Read a panel CSV written by write_panel (or equivalent)."""
+    lines, stamps, cols = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not header or header[0].strip() != "timestamp":
+        rows = csv_rows(fh, path)
+        header = next(rows)[1]
+        if not header or header[0].strip() != "timestamp":
             raise InvalidInputError(f"{path}: line 1: first column must be 'timestamp'")
-        ids = header[1:]
-        if not ids:
+        if len(header) < 2:
             raise InvalidInputError(f"{path}: line 1: no sensor columns")
-        stamps = []
-        cols = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(ids) + 1:
-                raise InvalidInputError(
-                    f"{path}: line {lineno}: expected {len(ids) + 1} fields"
-                )
-            stamps.append(int(_parse_moment(row[0], f"{path}: line {lineno}")))
-            try:
-                cols.append([float(v) for v in row[1:]])
-            except ValueError:
-                raise InvalidInputError(f"{path}: line {lineno}: non-numeric value")
-        if not stamps:
-            raise InvalidInputError(f"{path}: no data rows")
-    values = np.asarray(cols, dtype=float).T
-    return PanelSeries(ids, np.asarray(stamps, dtype=np.int64), values)
+        for line, row in rows:
+            where = f"{path}: line {line}"
+            stamps.append(int(_parse_moment(row[0], where)))
+            cols.append(float_fields(row[1:], "value", where, finite=False))
+            lines.append(line)
+    if not stamps:
+        raise InvalidInputError(f"{path}: no data rows")
+    values = np.asarray(cols, dtype=float)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise InvalidInputError(
+            f"{path}: line {lines[int(np.argmin(finite))]}: non-finite value")
+    return PanelSeries(header[1:], np.asarray(stamps, dtype=np.int64), values.T)

@@ -52,6 +52,19 @@ def test_one_csv_writer():
     assert not joined, f"CSV rows joined by hand in {joined}"
 
 
+def test_one_csv_reader():
+    # timeseries.csv_rows numbers the records of every CSV the commands
+    # read; a loop of its own that counts rows from 2 names the wrong line
+    # after a quoted newline and lets a csv.Error exit 1
+    sources = {p.relative_to(ROOT).as_posix(): p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "src" / "netselect").rglob("*.py"))}
+    readers = sorted(path for path, text in sources.items() if "csv.reader(" in text)
+    assert readers == ["src/netselect/timeseries.py"]
+    counted = sorted(path for path, text in sources.items()
+                     if re.search(r"enumerate\(.*\bstart=2\)", text))
+    assert not counted, f"rows numbered by hand in {counted}"
+
+
 def test_one_kind_per_setting():
     # every numeric flag parses through a cli.Kind, and evaluate checks the
     # stored settings with the same objects through cli.SETTINGS; a bare

@@ -119,6 +119,28 @@ def test_ingest_rejects_non_finite_records(tmp_path, capsys, row, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, name", [
+    ("ingest", "raw.csv"), ("select", "panel.csv"), ("select", "coords.csv"),
+])
+def test_oversized_fields_exit_2(tmp_path, capsys, command, name):
+    # csv refuses a field longer than csv.field_size_limit(); its csv.Error
+    # exited 1 with a traceback
+    if command == "ingest":
+        _write_raw(tmp_path / name)
+        argv = ["ingest", str(tmp_path / name)]
+    else:
+        panel_path, coords_path, _ = _correlated_panel(tmp_path)
+        argv = ["select", str(panel_path), "--coords", str(coords_path)]
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    lines[2] = "x" * (csv.field_size_limit() + 1) + lines[2][lines[2].index(","):]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    assert f"{path}: line 3: field larger than field limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
@@ -386,6 +408,10 @@ def test_select_rejects_bad_coordinates(tmp_path, capsys, line, row, message):
     # recorded unchecked, then refused by evaluate on the same selection.json
     ["--method", "kernel", "--kernel", "autocovariance", "--k0", "0"],
     ["--method", "linear", "--k0", "0"],
+    # out of range, and checked only where used, so these exited 0
+    ["--method", "kernel", "--kernel", "autocovariance", "--H", "0", "--r-s", "5"],
+    ["--split", "300,50,50", "--val-frac", "7"],
+    ["--split", "300,50,50", "--test-frac", "-3"],
 ])
 def test_select_rejects_bad_flag_values(tmp_path, capsys, flags):
     # argparse rejects them (exit 2) before any work, never a traceback
@@ -763,7 +789,19 @@ _REFUSED = [
 ]
 
 
-@pytest.mark.parametrize("command, flag, value, wanted", _REFUSED)
+# values that pass the finiteness check but not the range of their kind
+_OUT_OF_RANGE = [
+    ("ingest", "--rc", "0", "a finite number in (0, 1]"),
+    ("ingest", "--rc", "1.5", "a finite number in (0, 1]"),
+    ("select", "--r-s", "1", "a finite number in (0, 1)"),
+    ("select", "--r-s", "5", "a finite number in (0, 1)"),
+    ("select", "--val-frac", "7", "a finite number in (0, 1)"),
+    ("select", "--test-frac", "-3", "a finite number in (0, 1)"),
+    ("select", "--test-frac", "0", "a finite number in (0, 1)"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, wanted", _REFUSED + _OUT_OF_RANGE)
 def test_numeric_flags_parse_with_their_kind(capsys, command, flag, value, wanted):
     # checked at parse time whether or not the chosen method uses the flag,
     # so select never records a value that evaluate refuses

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from netselect.errors import InvalidInputError
+from netselect.graph import read_coords
 from netselect.timeseries import (
     HOUR,
     WEEK_HOURS,
@@ -287,6 +288,32 @@ def test_read_panel_errors(tmp_path):
         with pytest.raises(InvalidInputError,
                            match=f"line 3: moment '{stamp}' outside years 1 to 9999"):
             read_panel(path)
+    # a non-finite value was named without its file or line
+    for value in ("nan", "inf", "-1e999"):
+        path.write_text(f"timestamp,a,b\n0,1.0,2.0\n\n3600,2.0,{value}\n")
+        with pytest.raises(InvalidInputError,
+                           match=f"{path}: line 4: non-finite value"):
+            read_panel(path)
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("raw.csv", 'station,moment,bikes,spaces\n"a\nb",0,5,5\na,0,many,5\n',
+     "line 4: non-numeric bikes/spaces"),
+    ("panel.csv", 'timestamp,"a\nb",c\n0,1,2\n3600,x,2\n', "line 4: non-numeric value"),
+    ("coords.csv", 'sensor_id,lat,lon\n"a\nb",0,0\nc,nan,0\n',
+     "line 4: non-finite coordinate"),
+    ("coords.csv", 'sensor_id,lat,lon\n"a\nb",0,0\n\n"a\nb",1,1\n',
+     r"line 5: sensor_id 'a\\nb' repeats line 2"),
+], ids=["raw", "panel", "coords", "coords-repeat"])
+def test_lines_inside_a_quoted_newline_count(tmp_path, name, text, message):
+    # write_csv quotes an id that holds a newline, so it round-trips; rows
+    # numbered from 2 named every later line one too early
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    read = {"raw.csv": read_raw_records, "panel.csv": read_panel,
+            "coords.csv": read_coords}[name]
+    with pytest.raises(InvalidInputError, match=message):
+        read(path)
 
 
 def test_panel_csv_round_trips_the_first_and_last_hours(tmp_path):

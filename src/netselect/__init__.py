@@ -1,7 +1,1 @@
 """Sensor subset selection and reconstruction for networks of time series."""
-
-__version__ = "0.1.0"
-
-from .errors import NetselectError
-
-__all__ = ["NetselectError", "__version__"]

@@ -175,7 +175,7 @@ def _panel_matrix(panel, split, standardize):
     """Panel values, with the weekly profile fitted on the training rows
     removed when standardize is set."""
     if standardize:
-        return apply_preprocess(panel, fit_weekly_profile(panel, split)).values
+        return apply_preprocess(panel, fit_weekly_profile(panel, split))
     return panel.values
 
 
@@ -266,30 +266,20 @@ def _select_kernel_cmd(args, hp, X, split, graph):
         kb = _kernel_blocks(hp, X_train, graph)
 
     if args.lam is not None:
-        lam_list = [args.lam]
-    else:
-        lam_max = power_method(assemble_blocks(kb, [], H)[0]).value
-        lam_list = lambda_grid(lam_max)
+        result = greedy_select_kernel(gammas, kb, p, lam=args.lam, H=H)
+        return result, {"lambda": float(args.lam), "lambda_grid": [float(args.lam)]}
 
     def run(lam):
         res = greedy_select_kernel(gammas, kb, p, lam=lam, H=H)
-        rec = fit_predict_kernel(kb, res.order, lam, H)
-        return res, rec
+        return res, fit_predict_kernel(kb, res.order, lam, H)
 
-    if len(lam_list) == 1:
-        result, _ = run(lam_list[0])
-        lam_star = lam_list[0]
-        val_error = None
-    else:
-        gs = grid_search(run, lam_list, X, split)
-        result, lam_star, val_error = gs.result, gs.config, gs.val_error
-    extras = {
-        "lambda": float(lam_star),
+    lam_list = lambda_grid(power_method(assemble_blocks(kb, [], H)[0]).value)
+    gs = grid_search(run, lam_list, X, split)
+    return gs.result, {
+        "lambda": float(gs.config),
         "lambda_grid": [float(v) for v in lam_list],
+        "validation_error": gs.val_error,
     }
-    if val_error is not None:
-        extras["validation_error"] = val_error
-    return result, extras
 
 
 def cmd_select(args):

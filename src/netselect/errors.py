@@ -19,10 +19,6 @@ class InvalidInputError(NetselectError):
 class SingularMatrixError(NetselectError):
     """Matrix not invertible even after the jitter policy."""
 
-    def __init__(self, message, min_eigenvalue=None):
-        super().__init__(message)
-        self.min_eigenvalue = min_eigenvalue
-
 
 class TrainingDivergedError(NetselectError):
     """Network training produced a non-finite loss."""

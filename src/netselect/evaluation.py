@@ -9,7 +9,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional
+from typing import Callable, List, NamedTuple
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from .timeseries import HOUR, PanelSeries, Split, write_csv
 
 LAMBDA_COEFFICIENTS = (0.001, 0.00325, 0.0055, 0.00775, 0.01)
 BURN_IN = 500
+N_MODES = 3              # synth_generate: graph Fourier modes,
+AR_COEF = 0.9            # their AR(1) coefficient,
+REDUNDANT_NOISE = 0.005  # and the noise std of a redundant sensor's copy
 
 
 @dataclass
@@ -27,7 +30,7 @@ class EvalReport:
     method: str
     selected: List[int]
     test_mse: float
-    baseline_mean: Optional[float]
+    baseline_mean: float
     baseline_draws: int
     baseline_skipped: int
     hyperparams: dict
@@ -38,7 +41,7 @@ class EvalReport:
             raise InvalidInputError(f"unknown method tag {self.method!r}")
         if self.test_mse < 0:
             raise InvalidInputError("test MSE must be nonnegative")
-        if self.baseline_mean is not None and self.baseline_mean < 0:
+        if self.baseline_mean < 0:
             raise InvalidInputError("baseline mean MSE must be nonnegative")
         if self.baseline_draws < 0 or self.baseline_skipped < 0:
             raise InvalidInputError("draw counts must be nonnegative")
@@ -190,14 +193,15 @@ def _hourly_panel(values: np.ndarray) -> PanelSeries:
 
 
 def synth_generate(graph: SensorGraph, T: int, model: str = "graph-smooth",
-                   seed: int = 0, **kwargs) -> PanelSeries:
+                   seed: int = 0, *, noise_std=0.3, redundant_pairs=(),
+                   noise_sensors=()) -> PanelSeries:
     """Synthetic hourly panel on a sensor graph.
 
-    graph-smooth, the only model: a few lowest graph Fourier modes with
-    AR(1) coefficients plus per-sensor noise. kwargs: n_modes (3), ar_coef
-    (0.9), noise_std (0.3), redundant_pairs (list of (src, dup) where
-    dup copies src's signal with noise redundant_noise = 0.005), and
-    noise_sensors (indices replaced by pure noise, std 1).
+    graph-smooth, the only model: the N_MODES lowest graph Fourier modes
+    with AR(1) coefficients AR_COEF plus per-sensor noise of std
+    noise_std. Each (src, dup) in redundant_pairs makes dup a copy of
+    src's signal with noise of std REDUNDANT_NOISE; each index in
+    noise_sensors is replaced by pure noise of std 1.
 
     A 500-step burn-in makes the returned T columns come from the
     stationary regime.
@@ -207,26 +211,15 @@ def synth_generate(graph: SensorGraph, T: int, model: str = "graph-smooth",
     if T < 1:
         raise InvalidInputError("T must be positive")
     n = graph.n
+    if n < N_MODES:
+        raise InvalidInputError(f"need at least {N_MODES} sensors, got {n}")
     rng = np.random.default_rng(seed)
-
-    n_modes = int(kwargs.pop("n_modes", 3))
-    ar_coef = float(kwargs.pop("ar_coef", 0.9))
-    noise_std = float(kwargs.pop("noise_std", 0.3))
-    redundant_noise = float(kwargs.pop("redundant_noise", 0.005))
-    redundant_pairs = list(kwargs.pop("redundant_pairs", []))
-    noise_sensors = sorted(int(i) for i in kwargs.pop("noise_sensors", ()))
-    if kwargs:
-        raise InvalidInputError(f"unknown kwargs {sorted(kwargs)}")
-    if not (1 <= n_modes <= n):
-        raise InvalidInputError(f"n_modes must lie in [1, {n}]")
-    if not (0.0 <= ar_coef < 1.0):
-        raise InvalidInputError("ar_coef must lie in [0, 1) for stationarity")
     spec = graph_spectrum(combinatorial_laplacian(graph))
-    modes = spec.vectors[:, :n_modes]
-    coef = np.zeros((n_modes, BURN_IN + T))
-    c = np.zeros(n_modes)
+    modes = spec.vectors[:, :N_MODES]
+    coef = np.zeros((N_MODES, BURN_IN + T))
+    c = np.zeros(N_MODES)
     for t in range(BURN_IN + T):
-        c = ar_coef * c + rng.normal(size=n_modes)
+        c = AR_COEF * c + rng.normal(size=N_MODES)
         coef[:, t] = c
     signal = modes @ coef[:, BURN_IN:]
     X = signal + rng.normal(scale=noise_std, size=(n, T))
@@ -234,8 +227,8 @@ def synth_generate(graph: SensorGraph, T: int, model: str = "graph-smooth",
         src, dup = int(src), int(dup)
         if not (0 <= src < n and 0 <= dup < n) or src == dup:
             raise InvalidInputError(f"bad redundant pair ({src}, {dup})")
-        X[dup] = signal[src] + rng.normal(scale=redundant_noise, size=T)
-    for i in noise_sensors:
+        X[dup] = signal[src] + rng.normal(scale=REDUNDANT_NOISE, size=T)
+    for i in sorted(int(i) for i in noise_sensors):
         if not 0 <= i < n:
             raise InvalidInputError(f"noise sensor {i} out of range")
         X[i] = rng.normal(size=T)
@@ -244,10 +237,7 @@ def synth_generate(graph: SensorGraph, T: int, model: str = "graph-smooth",
 
 def summary_table_csv(report: EvalReport, path):
     """The report as a one-row table: its method, and the cell
-    "test (baseline)" under its horizon H; a bare test MSE without a
-    baseline."""
-    cell = f"{report.test_mse:.4g}"
-    if report.baseline_mean is not None:
-        cell += f" ({report.baseline_mean:.4g})"
+    "test (baseline)" under its horizon H."""
+    cell = f"{report.test_mse:.4g} ({report.baseline_mean:.4g})"
     write_csv(path, ["method", f"H={int(report.hyperparams.get('H', 0))}"],
               [[report.method, cell]])

@@ -36,10 +36,6 @@ class SensorScores:
     measure: str         # "r2" or "mse"
     ranking: List[int]   # descending score for r2, ascending for mse
 
-    def __post_init__(self):
-        if self.measure not in MEASURES:
-            raise InvalidInputError(f"measure must be one of {MEASURES}")
-
 
 def write_scores_csv(scores: SensorScores, sensor_ids, path):
     """CSV sensor_id,score,rank with rank 1 at the top of the ranking."""

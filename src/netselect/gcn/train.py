@@ -171,15 +171,16 @@ def run_epochs(rng, blocks, max_epoch, step, val_loss=None, rule=None):
 
 
 def train_prediction_net(X, split: Split, spectrum, I, net_config: ChebNetConfig,
-                         train_config: TrainConfig, workspace=None):
+                         train_config: TrainConfig, workspace: Workspace):
     """Train the reconstruction network for the turned-off set I.
 
     X is the preprocessed (n, T) panel matrix and spectrum the EigenPair
     of the rescaled Laplacian. Inputs are lag windows with zeros inserted
     at the rows of I; targets are x_{I,t}. The net trains with Adam; the
     validation loss is tracked per epoch and training stops early by the
-    "two-epoch-mean" rule. Nets trained one after another may share one
-    Workspace, whose buffers then serve every net of the same shape.
+    "two-epoch-mean" rule. workspace holds the scratch buffers; nets
+    trained one after another share one, whose buffers then serve every
+    net of the same shape.
 
     Returns (params, val_losses).
     """
@@ -198,8 +199,6 @@ def train_prediction_net(X, split: Split, spectrum, I, net_config: ChebNetConfig
     rng = np.random.default_rng(train_config.seed)
     params = init_params(net_config, seed=train_config.seed)
     opt = make_optimizer("adam", train_config.lr)
-    if workspace is None:
-        workspace = Workspace()
 
     train_blocks = batch_blocks(0, split.t_tv, h, train_config.batch_size)
     val_ts = np.concatenate(batch_blocks(split.t_tv, split.t0, h, split.t0 - split.t_tv))

@@ -84,9 +84,7 @@ def solve_spd(A, B):
         except np.linalg.LinAlgError:
             min_eig = float(np.linalg.eigvalsh(A)[0])
             raise SingularMatrixError(
-                f"matrix is singular beyond jitter (min eigenvalue {min_eig:.3e})",
-                min_eigenvalue=min_eig,
-            )
+                f"matrix is singular beyond jitter (min eigenvalue {min_eig:.3e})")
         A = jittered
     return np.linalg.solve(A, np.asarray(B, dtype=float))
 

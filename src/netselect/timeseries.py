@@ -61,9 +61,6 @@ class PanelSeries:
     def t_total(self):
         return self.values.shape[1]
 
-    def with_values(self, values):
-        return PanelSeries(self.sensor_ids, self.timestamps, values)
-
 
 @dataclass(frozen=True)
 class Split:
@@ -291,10 +288,10 @@ def fit_weekly_profile(panel: PanelSeries, split: Split) -> PreprocessModel:
     return PreprocessModel(profile, scale)
 
 
-def apply_preprocess(panel: PanelSeries, model: PreprocessModel) -> PanelSeries:
+def apply_preprocess(panel: PanelSeries, model: PreprocessModel) -> np.ndarray:
+    """The (n, T) panel values minus the weekly profile, over the residual std."""
     slots = np.arange(panel.t_total) % WEEK_HOURS
-    values = (panel.values - model.profile[:, slots]) / model.scale[:, None]
-    return panel.with_values(values)
+    return (panel.values - model.profile[:, slots]) / model.scale[:, None]
 
 
 def autocovariance(X, l):
@@ -472,4 +469,12 @@ def read_panel(path) -> PanelSeries:
     if not finite.all():
         raise InvalidInputError(
             f"{path}: line {lines[int(np.argmin(finite))]}: non-finite value")
-    return PanelSeries(header[1:], np.asarray(stamps, dtype=np.int64), values.T)
+    stamps = np.asarray(stamps, dtype=np.int64)
+    off_step = np.nonzero(np.diff(stamps) != HOUR)[0]
+    if off_step.size:
+        raise InvalidInputError(f"{path}: line {lines[off_step[0] + 1]}: "
+                                f"timestamp is not 1 hour after the one before")
+    dups = sorted(s for s, k in Counter(header[1:]).items() if k > 1)
+    if dups:
+        raise InvalidInputError(f"{path}: line 1: duplicate sensor ids {dups[:5]}")
+    return PanelSeries(header[1:], stamps, values.T)

@@ -1,5 +1,6 @@
 """src/netselect holds only code that the pipeline or the benchmark runs."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -22,6 +23,26 @@ def test_every_library_name_is_used_outside_the_tests():
               for name in re.findall(r"^(?:def|class) (\w+)", text, flags=re.M)
               if len(re.findall(rf"\b{name}\b", corpus)) < 2]
     assert not unused, f"defined in src/netselect but used by no other code: {unused}"
+
+
+def test_packages_hold_only_a_docstring():
+    # nothing imports from a package itself, so a re-export or a version
+    # string there is code that no caller reads
+    for path in sorted((ROOT / "src" / "netselect").rglob("__init__.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        assert ast.get_docstring(module) and len(module.body) == 1, \
+            f"{path.relative_to(ROOT)} holds more than a docstring"
+
+
+def test_no_function_takes_kwargs():
+    # a **kwargs signature hides which options a function takes and needs
+    # a hand-written check for the unknown ones; keyword-only parameters
+    # do both
+    found = [f"{path.relative_to(ROOT)}:{node.kwarg.lineno}"
+             for path in sorted((ROOT / "src" / "netselect").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.arguments) and node.kwarg is not None]
+    assert not found, f"functions taking **kwargs: {found}"
 
 
 def test_tracer_targets_resolve():

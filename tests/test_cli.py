@@ -370,6 +370,31 @@ def test_select_kernel_readme_example_defaults_p(tmp_path, capsys):
     assert len(sel["hyperparams"]["lambda_grid"]) == 5
 
 
+def test_select_kernel_with_a_fixed_lambda_fits_no_reconstructor(tmp_path, capsys,
+                                                                   monkeypatch):
+    # a given --lambda skips the grid, and with it the one use of a fitted
+    # reconstructor in select: scoring it on the validation rows
+    panel_path, coords_path, _ = _correlated_panel(tmp_path, n=8)
+    fits = []
+
+    def counted(*args, **kwargs):
+        fits.append(args[1:])  # turned-off set, lambda, H
+        return select_kernel.fit_predict_kernel(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_predict_kernel", counted)
+    out = tmp_path / "sel"
+    assert main(["select", str(panel_path), "--coords", str(coords_path),
+                 "--method", "kernel", "--kernel", "spatial-temporal", "--H", "1",
+                 "--k0", "6", "--k1", "3", "--p", "2", "--lambda", "0.01",
+                 "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert fits == []
+    hp = json.loads((out / "selection.json").read_text())["hyperparams"]
+    assert hp["lambda"] == 0.01
+    assert hp["lambda_grid"] == [0.01]
+    assert "validation_error" not in hp
+
+
 def test_select_rejects_duplicate_sensor_ids(tmp_path, capsys):
     panel_path, coords_path, ids = _correlated_panel(tmp_path)
     lines = panel_path.read_text().splitlines()
@@ -846,7 +871,7 @@ def test_select_flags_and_evaluate_share_each_settings_kind():
 
 @pytest.mark.parametrize("error, code", [
     (InvalidInputError("bad"), 2),
-    (SingularMatrixError("bad", min_eigenvalue=-1.0), 3),
+    (SingularMatrixError("bad"), 3),
     (TrainingDivergedError("bad"), 3),
 ])
 def test_the_error_class_decides_the_exit_code(capsys, monkeypatch, error, code):

@@ -58,7 +58,6 @@ def test_eval_report_validation():
         _report(test_mse=-1.0)
     with pytest.raises(InvalidInputError, match="nonnegative"):
         _report(baseline_mean=-1.0)
-    _report(baseline_mean=None)  # baseline is optional
 
 
 def test_default_p():
@@ -240,7 +239,7 @@ def test_synth_var1_validation():
     # the var1 model was removed: asking for it is an unknown model
     with pytest.raises(InvalidInputError, match="model"):
         synth_generate(g, 10, "var1")
-    with pytest.raises(InvalidInputError, match="unknown kwargs"):
+    with pytest.raises(TypeError, match="rho"):
         synth_generate(g, 10, "graph-smooth", rho=0.5)
     with pytest.raises(InvalidInputError, match="model"):
         synth_generate(g, 10, "sinusoid")
@@ -253,8 +252,8 @@ def test_summary_table_layout(tmp_path):
     summary_table_csv(_report(), path)
     assert path.read_text() == "method,H=0\nlinear-h0,0.5 (0.8)\n"
     summary_table_csv(_report(method="kernel-h", hyperparams={"H": 1},
-                              test_mse=0.7, baseline_mean=None), path)
-    assert path.read_text() == "method,H=1\nkernel-h,0.7\n"
+                              test_mse=0.7, baseline_mean=0.9), path)
+    assert path.read_text() == "method,H=1\nkernel-h,0.7 (0.9)\n"
 
 
 def test_make_split_covers_burn_in_notion():

@@ -6,6 +6,7 @@ import pytest
 from netselect.errors import InvalidInputError, TrainingDivergedError
 from netselect.gcn.layers import (
     ChebNetConfig,
+    Workspace,
     backward_batch,
     cheb_values,
     elu,
@@ -234,7 +235,7 @@ def test_prediction_training_runs_and_stops():
                            out_dim=1, h=0)
     params, val_losses = train_prediction_net(
         X, split, spectrum, [2], config,
-        TrainConfig(lr=0.01, batch_size=32, max_epoch=5, seed=0))
+        TrainConfig(lr=0.01, batch_size=32, max_epoch=5, seed=0), Workspace())
     # stops at the first epoch where the two-epoch rule fires
     assert len(val_losses) == 4
     assert [e for e in range(1, 5)
@@ -250,7 +251,8 @@ def test_prediction_training_validates_out_dim():
     config = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
                            out_dim=2, h=0)
     with pytest.raises(InvalidInputError, match="out_dim"):
-        train_prediction_net(X, split, spectrum, [0], config, TrainConfig())
+        train_prediction_net(X, split, spectrum, [0], config, TrainConfig(),
+                             Workspace())
 
 
 def test_training_diverges_at_huge_lr():
@@ -261,7 +263,7 @@ def test_training_diverges_at_huge_lr():
         with pytest.raises(TrainingDivergedError, match="non-finite"):
             train_prediction_net(
                 X, split, spectrum, [1], config,
-                TrainConfig(lr=1e100, batch_size=32, max_epoch=20, seed=0))
+                TrainConfig(lr=1e100, batch_size=32, max_epoch=20, seed=0), Workspace())
 
 
 def test_net_reconstructor_surface():
@@ -451,7 +453,7 @@ def test_training_nets_are_frozen():
                              out_dim=1, h=1)
     _, val_losses = train_prediction_net(
         X, split, spectrum, [2], pred_net,
-        TrainConfig(lr=0.01, batch_size=32, max_epoch=20, seed=0))
+        TrainConfig(lr=0.01, batch_size=32, max_epoch=20, seed=0), Workspace())
     assert np.array_equal(val_losses, FROZEN_PREDICTION_VAL_LOSSES)  # stops at 6
 
     sel_net = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),

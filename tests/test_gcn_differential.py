@@ -137,7 +137,8 @@ def test_prediction_nets_trained_in_turn_on_one_workspace():
     for I in ([0, 5], [3, 11], [0, 5]):
         shared, shared_val = train_prediction_net(X, split, spectrum, I, config,
                                                   train, workspace)
-        own, own_val = train_prediction_net(X, split, spectrum, I, config, train)
+        own, own_val = train_prediction_net(X, split, spectrum, I, config, train,
+                                            Workspace())
         assert shared_val == own_val
         _assert_grads_equal(shared, own)
 

@@ -1,6 +1,7 @@
 """Ingestion, cleaning, weekly detrending, covariance blocks, panel IO."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -166,10 +167,10 @@ def test_weekly_profile_round_trip():
     split = Split(2 * WEEK_HOURS, 2 * WEEK_HOURS + 20, T)
     model = fit_weekly_profile(panel, split)
     detrended = apply_preprocess(panel, model)
-    restored = detrended.values * model.scale[:, None] + model.profile[:, slots]
+    restored = detrended * model.scale[:, None] + model.profile[:, slots]
     assert np.allclose(restored, panel.values, atol=1e-12)
     # training residuals have unit scale by construction
-    resid = detrended.values[:, : split.t_tv]
+    resid = detrended[:, : split.t_tv]
     assert np.allclose(resid.std(axis=1), 1.0, atol=1e-10)
 
 
@@ -179,7 +180,7 @@ def test_weekly_profile_needs_a_week_and_variance():
         fit_weekly_profile(panel, Split(100, 200, 400))
     flat = panel.values.copy()
     flat[1, :] = 2.5
-    constant = panel.with_values(flat)
+    constant = PanelSeries(panel.sensor_ids, panel.timestamps, flat)
     with pytest.raises(InvalidInputError, match="s1"):
         fit_weekly_profile(constant, Split(200, 300, 400))
 
@@ -294,6 +295,21 @@ def test_read_panel_errors(tmp_path):
         with pytest.raises(InvalidInputError,
                            match=f"{path}: line 4: non-finite value"):
             read_panel(path)
+    # a skipped or repeated hour, and a repeated id, were named without
+    # their file or line
+    for text, line in (("0,1\n3600,2\n\n10800,3\n", 5), ("0,1\n0,2\n", 3)):
+        path.write_text("timestamp,a\n" + text)
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"{path}: line {line}: timestamp is not 1 hour after the one before")):
+            read_panel(path)
+    # a non-finite value on line 3 is named before the repeated hour on line 4
+    path.write_text("timestamp,a\n0,1\n3600,nan\n3600,3\n")
+    with pytest.raises(InvalidInputError, match="line 3: non-finite value"):
+        read_panel(path)
+    path.write_text("timestamp,a,b,a\n0,1,2,3\n")
+    with pytest.raises(InvalidInputError,
+                       match=re.escape(f"{path}: line 1: duplicate sensor ids ['a']")):
+        read_panel(path)
 
 
 @pytest.mark.parametrize("name, text, message", [

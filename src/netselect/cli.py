@@ -41,6 +41,7 @@ from .graph import (
 )
 from .numerics import power_method, sym_eig
 from .select_kernel import (
+    GRAPH_KERNELS,
     KERNEL_TAGS,
     build_kernel_blocks,
     fit_predict_kernel,
@@ -70,7 +71,6 @@ METHODS = ("linear", "kernel", "gcn-dropout", "gcn-mask")
 LAPLACIAN_OF = {"combinatorial": combinatorial_laplacian,
                 "normalized": normalized_laplacian}
 LAPLACIANS = tuple(LAPLACIAN_OF)
-GRAPH_KERNELS = ("laplacian", "spatial-temporal", "rbf")
 # select's --lr default per selection rule: Adam for the mask, plain
 # gradient descent (which diverges at Adam's rate) for dropout
 DEFAULT_LR = {"gcn-mask": 0.05, "gcn-dropout": 0.002}
@@ -105,7 +105,7 @@ def _is_number(v):
 
 
 def _comma_ints(text):
-    return [int(part) for part in text.split(",") if part.strip()]
+    return [int(part) for part in text.split(",")]
 
 
 INT_GE0 = Kind("an integer >= 0", lambda v: _is_int(v, 0), int)
@@ -114,7 +114,6 @@ INTS_GE1 = Kind("a list of integers >= 1", lambda v: isinstance(v, list)
                 and all(_is_int(w, 1) for w in v), _comma_ints)
 FRACTION = Kind("a finite number in (0, 1)", lambda v: _is_number(v) and 0 < v < 1,
                 float)
-SHARE = Kind("a finite number in (0, 1]", lambda v: _is_number(v) and 0 < v <= 1, float)
 FINITE_GE0 = Kind("a finite number >= 0", lambda v: _is_number(v) and v >= 0, float)
 FINITE_GT0 = Kind("a finite number > 0", lambda v: _is_number(v) and v > 0, float)
 
@@ -123,9 +122,11 @@ FINITE_GT0 = Kind("a finite number > 0", lambda v: _is_number(v) and v > 0, floa
 # families that need it; select writes all of them
 _FAMILIES = ("linear", "kernel", "gcn")
 SETTINGS = {
-    "n": (INT_GE1, _FAMILIES),
+    "sensor_ids": (Kind("a list of sensor ids", lambda v: isinstance(v, list)
+                        and all(isinstance(s, str) for s in v)), _FAMILIES),
     "split": (Kind("three integers t_tv, t0, t1", lambda v: isinstance(v, list)
-                   and len(v) == 3 and all(_is_int(t, 0) for t in v)), _FAMILIES),
+                   and len(v) == 3 and all(_is_int(t, 0) for t in v),
+                   _comma_ints), _FAMILIES),
     "standardize": (Kind("true or false", lambda v: isinstance(v, bool)), _FAMILIES),
     "H": (INT_GE0, _FAMILIES),
     "kernel": (Kind(f"one of {KERNEL_TAGS}", lambda v: v in KERNEL_TAGS), ("kernel",)),
@@ -145,17 +146,13 @@ def _write_text(path, text):
         fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _resolve_split(args, t_total) -> Split:
-    sizes = args.split
-    if sizes:
-        if len(sizes) != 3:
-            raise InvalidInputError("--split needs train,val,test sizes")
-        if sum(sizes) != t_total:
-            raise InvalidInputError(
-                f"--split sizes sum to {sum(sizes)}, panel has {t_total} hours"
-            )
-        return Split(sizes[0], sizes[0] + sizes[1], t_total)
-    return make_split(t_total, args.val_frac, args.test_frac)
+def _panel_split(bounds, panel) -> Split:
+    """The Split at boundaries t_tv, t0, t1; t1 must be the panel's length."""
+    if bounds[-1] != panel.t_total:
+        raise InvalidInputError(
+            f"split t_tv,t0,t1 = {bounds} covers {bounds[-1]} hours, "
+            f"panel has {panel.t_total}")
+    return Split(*bounds)
 
 
 def _align_coords(panel, coords_path):
@@ -206,7 +203,7 @@ def _gcn_spectrum(hp, graph):
 
 
 def _chebnet(hp, out_dim):
-    return ChebNetConfig(n=hp["n"], cheb_order=hp["cheb_order"],
+    return ChebNetConfig(n=len(hp["sensor_ids"]), cheb_order=hp["cheb_order"],
                          f_out=hp["f_out"], fc_sizes=tuple(hp["fc_sizes"]),
                          out_dim=out_dim, h=hp["H"])
 
@@ -284,7 +281,8 @@ def _select_kernel_cmd(args, hp, X, split, graph):
 
 def cmd_select(args):
     panel = read_panel(args.panel)
-    split = _resolve_split(args, panel.t_total)
+    split = (make_split(panel.t_total) if args.split is None
+             else _panel_split(args.split, panel))
     X = _panel_matrix(panel, split, args.standardize)
     n = X.shape[0]
     p = args.p if args.p is not None else default_p(n)
@@ -293,7 +291,7 @@ def cmd_select(args):
     # every setting the method runs with, among them all that evaluate
     # rebuilds it from (SETTINGS)
     hp = {
-        "n": n,
+        "sensor_ids": list(panel.sensor_ids),
         "p": p,
         "H": args.H,
         "seed": args.seed,
@@ -406,18 +404,14 @@ def cmd_evaluate(args):
             raise InvalidInputError(
                 f"selection hyperparam {key!r} must be {kind.wanted}, got {hp[key]!r}"
             )
-    n = panel.n
-    if hp["n"] != n:
+    if hp["sensor_ids"] != list(panel.sensor_ids):
         raise InvalidInputError(
-            f"selection was made for {hp['n']} sensors, panel has {n}"
-        )
-    if any(i >= n for i in sel.order):
-        raise InvalidInputError(f"selection order {sel.order} exceeds panel size {n}")
-    split = Split(*hp["split"])
-    if split.t1 != panel.t_total:
+            f"selection was made on {len(hp['sensor_ids'])} sensors that differ "
+            f"from the panel's {panel.n} in ids or order; rerun select on this panel")
+    if any(i >= panel.n for i in sel.order):
         raise InvalidInputError(
-            f"stored split covers {split.t1} hours, panel has {panel.t_total}"
-        )
+            f"selection order {sel.order} exceeds panel size {panel.n}")
+    split = _panel_split(hp["split"], panel)
     X = _panel_matrix(panel, split, hp["standardize"])
 
     graph = _graph(sel.method, hp, panel, args.coords)
@@ -459,7 +453,7 @@ def _build_parser():
 
     ing = sub.add_parser("ingest", help="clean raw records into an hourly panel")
     ing.add_argument("raw_csv")
-    ing.add_argument("--rc", type=SHARE.flag, default=0.5,
+    ing.add_argument("--rc", type=FRACTION.flag, default=0.5,
                      help="minimum share of consistent records to keep a station")
     ing.add_argument("--min-records", type=INT_GE0.flag, default=100)
     ing.add_argument("--out-dir", default=".")
@@ -479,7 +473,7 @@ def _build_parser():
     slc.add_argument("--r-s", type=FRACTION.flag, default=0.5,
                      help="target temporal kernel value at lag H; sets the "
                           "decay -ln(r_s)/H^2")
-    slc.add_argument("--kernel", choices=KERNEL_TAGS, default="laplacian")
+    slc.add_argument("--kernel", choices=KERNEL_TAGS, default="spatial-temporal")
     slc.add_argument("--seed", type=INT_GE0.flag, default=0)
     slc.add_argument("--k0", type=INT_GE1.flag, default=20)
     slc.add_argument("--k1", type=INT_GE1.flag, default=7)
@@ -499,10 +493,9 @@ def _build_parser():
     slc.add_argument("--mask-lambda-count", type=INT_GE1.flag, default=20)
     slc.add_argument("--eps0", type=FINITE_GT0.flag, default=0.01)
     slc.add_argument("--out-dir", default=".")
-    slc.add_argument("--split", type=INTS_GE1.flag, default=None,
-                     help="train,val,test sizes in hours (must sum to T)")
-    slc.add_argument("--val-frac", type=FRACTION.flag, default=0.05)
-    slc.add_argument("--test-frac", type=FRACTION.flag, default=0.15)
+    slc.add_argument("--split", type=SETTINGS["split"][0].flag, default=None,
+                     help="boundaries t_tv,t0,t1 ending the train, val and "
+                          "test hours (t1 = T; default 80/5/15%% of T)")
     slc.add_argument("--standardize", action="store_true",
                      help="remove the weekly profile and scale by train std")
     slc.set_defaults(func=cmd_select)

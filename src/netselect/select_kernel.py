@@ -23,18 +23,20 @@ from .select_linear import (
 )
 from .timeseries import _check_partition, estimate_blocks, lag_stack
 
-KERNEL_TAGS = ("laplacian", "spatial-temporal", "autocovariance", "linear", "rbf")
+KERNEL_TAGS = ("spatial-temporal", "autocovariance", "linear", "rbf")
+# the kernels whose Gram blocks are built on the sensor graph
+GRAPH_KERNELS = ("spatial-temporal", "rbf")
 
 
 def build_kernel_blocks(kernel, H=0, gamma=0.0, graph=None, X_train=None
                         ) -> List[np.ndarray]:
     """Gram blocks [K(0), ..., K(H)] for the named kernel.
 
-    autocovariance needs training data; laplacian / spatial-temporal / rbf
-    need the sensor graph. Kernels without intrinsic lag structure are
-    extended in time by the RBF factor exp(-gamma l^2); each of their
-    blocks is exactly symmetric, so K(-l) = K(l)^T = K(l). The blocks
-    follow the lag convention of timeseries.assemble_blocks.
+    autocovariance and linear need training data, GRAPH_KERNELS the
+    sensor graph. Kernels without intrinsic lag structure are extended
+    in time by the RBF factor exp(-gamma l^2); each of their blocks is
+    exactly symmetric, so K(-l) = K(l)^T = K(l). The blocks follow the
+    lag convention of timeseries.assemble_blocks.
     """
     if kernel not in KERNEL_TAGS:
         raise InvalidInputError(f"unknown kernel {kernel!r}; supported: {KERNEL_TAGS}")
@@ -49,9 +51,9 @@ def build_kernel_blocks(kernel, H=0, gamma=0.0, graph=None, X_train=None
         if X_train is None:
             raise InvalidInputError("linear kernel needs training data")
         K_g = estimate_blocks(X_train, 0)[0]
-    elif kernel in ("laplacian", "spatial-temporal"):
+    elif kernel == "spatial-temporal":
         if graph is None:
-            raise InvalidInputError(f"{kernel} kernel needs the sensor graph")
+            raise InvalidInputError("spatial-temporal kernel needs the sensor graph")
         spec = graphmod.graph_spectrum(graphmod.combinatorial_laplacian(graph))
         K_g = graphmod.laplacian_kernel(spec)
     else:  # rbf on sensor coordinates, median-heuristic length scale

@@ -76,10 +76,15 @@ class Split:
             )
 
 
-def make_split(t_total, val_frac=0.05, test_frac=0.15) -> Split:
-    """Chronological split with the given validation/test fractions."""
-    t0 = t_total - int(round(test_frac * t_total))
-    t_tv = t0 - int(round(val_frac * t_total))
+VAL_PART = 0.05
+TEST_PART = 0.15
+
+
+def make_split(t_total) -> Split:
+    """Chronological split: the last TEST_PART of the hours for test, the
+    VAL_PART before them for validation, the rest for training."""
+    t0 = t_total - int(round(TEST_PART * t_total))
+    t_tv = t0 - int(round(VAL_PART * t_total))
     return Split(t_tv, t0, t_total)
 
 
@@ -202,8 +207,8 @@ def clean_stations(records, r_c, min_records=100):
 
     Returns a list of (station, max_bikes) sorted by station id.
     """
-    if not (0 < r_c <= 1):
-        raise InvalidInputError(f"r_c must be in (0, 1], got {r_c}")
+    if not (0 < r_c < 1):
+        raise InvalidInputError(f"r_c must be in (0, 1), got {r_c}")
     kept = []
     for station in sorted(records):
         recs = _record_array(records[station])

@@ -21,7 +21,13 @@ from netselect.errors import (
 )
 from netselect.evaluation import default_p
 from netselect.select_linear import SelectionResult
-from netselect.timeseries import HOUR, PanelSeries, estimate_blocks, write_panel
+from netselect.timeseries import (
+    HOUR,
+    PanelSeries,
+    estimate_blocks,
+    read_panel,
+    write_panel,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -259,22 +265,30 @@ def test_select_rejects_out_of_range_timestamp(tmp_path, capsys):
     assert "line 6: moment '1e300' outside years 1 to 9999" in capsys.readouterr().err
 
 
-def test_select_stores_explicit_split_sizes(tmp_path, capsys):
+def test_select_stores_explicit_split_boundaries(tmp_path, capsys):
     panel_path, coords_path, _ = _correlated_panel(tmp_path)
     out = tmp_path / "sel"
     assert main(["select", str(panel_path), "--coords", str(coords_path),
-                 "--split", "300,40,60", "--out-dir", str(out)]) == 0
+                 "--split", "300,340,400", "--out-dir", str(out)]) == 0
     sel = json.loads((out / "selection.json").read_text())
     assert sel["hyperparams"]["split"] == [300, 340, 400]
     capsys.readouterr()
 
 
-def test_select_rejects_split_sizes_off_the_panel_length(tmp_path, capsys):
+@pytest.mark.parametrize("split, message", [
+    ("300,340,390", "split t_tv,t0,t1 = [300, 340, 390] covers 390 hours, "
+                    "panel has 400"),
+    # train,val,test sizes sum to T, so they never end at hour T
+    ("300,40,60", "split t_tv,t0,t1 = [300, 40, 60] covers 60 hours, "
+                  "panel has 400"),
+], ids=["off-the-panel-length", "sizes"])
+def test_select_rejects_split_boundaries_off_the_panel_length(tmp_path, capsys,
+                                                              split, message):
     panel_path, coords_path, _ = _correlated_panel(tmp_path)
     out = tmp_path / "sel"
     assert main(["select", str(panel_path), "--coords", str(coords_path),
-                 "--split", "300,40,50", "--out-dir", str(out)]) == 2
-    assert "--split sizes sum to 390, panel has 400 hours" in capsys.readouterr().err
+                 "--split", split, "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -296,7 +310,7 @@ def test_select_linear_writes_deterministic_outputs(tmp_path, capsys):
     sel = json.loads((out1 / "selection.json").read_text())
     assert sel["method"] == "linear-h0"
     assert len(sel["order"]) == 1  # default p is 10% of 6 sensors
-    assert sel["hyperparams"]["n"] == 6
+    assert sel["hyperparams"]["sensor_ids"] == ids
     assert sel["hyperparams"]["split"] == [320, 340, 400]
 
     geo = json.loads((out1 / "selected.geojson").read_text())
@@ -435,8 +449,6 @@ def test_select_rejects_bad_coordinates(tmp_path, capsys, line, row, message):
     ["--method", "linear", "--k0", "0"],
     # out of range, and checked only where used, so these exited 0
     ["--method", "kernel", "--kernel", "autocovariance", "--H", "0", "--r-s", "5"],
-    ["--split", "300,50,50", "--val-frac", "7"],
-    ["--split", "300,50,50", "--test-frac", "-3"],
 ])
 def test_select_rejects_bad_flag_values(tmp_path, capsys, flags):
     # argparse rejects them (exit 2) before any work, never a traceback
@@ -450,21 +462,23 @@ def test_select_rejects_bad_flag_values(tmp_path, capsys, flags):
     assert not (tmp_path / "selection.json").exists()
 
 
+_IDS4 = [f"s{i:03d}" for i in range(4)]
+
+
 def _noiseless_panel(tmp_path, T=400, seed=1):
     # two free signals plus their difference and sum: any pair of the
     # four sensors reconstructs the rest exactly
     rng = np.random.default_rng(seed)
     Z = rng.normal(size=(2, T))
     X = np.vstack([Z[0], Z[1], Z[0] - Z[1], Z[0] + Z[1]])
-    ids = [f"s{i:03d}" for i in range(4)]
     panel_path = tmp_path / "panel.csv"
-    write_panel(PanelSeries(ids, np.arange(T) * HOUR, X), panel_path)
+    write_panel(PanelSeries(_IDS4, np.arange(T) * HOUR, X), panel_path)
     return panel_path
 
 
 def _write_selection(path):
     result = SelectionResult(
-        "linear-h0", {"H": 0, "n": 4, "split": [300, 350, 400],
+        "linear-h0", {"H": 0, "sensor_ids": _IDS4, "split": [300, 350, 400],
                       "standardize": False},
         [2, 3], [0.0, 0.0])
     path.write_text(result.to_json() + "\n", encoding="utf-8")
@@ -498,10 +512,11 @@ def test_evaluate_reports_exact_reconstruction(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("n", 7, "made for 7 sensors, panel has 4"),
+    ("sensor_ids", _IDS4 + ["s004"], "made on 5 sensors that differ from the "
+                                     "panel's 4 in ids or order"),
     ("order", [2, 4], "exceeds panel size 4"),
     ("split", [300, 350, 380], "covers 380 hours, panel has 400"),
-], ids=["n", "order", "split"])
+], ids=["sensor_ids", "order", "split"])
 def test_evaluate_rejects_mismatched_network_size(tmp_path, capsys, key, value,
                                                   message):
     # a selection made on another panel is an input error
@@ -516,10 +531,30 @@ def test_evaluate_rejects_mismatched_network_size(tmp_path, capsys, key, value,
     assert message in capsys.readouterr().err
 
 
+def test_evaluate_refuses_the_panel_with_its_sensors_reordered(tmp_path, capsys):
+    # the same sensors in another order would score the selection's
+    # indices on the wrong series, with exit 0
+    panel_path, coords_path, ids = _correlated_panel(tmp_path)
+    sel_dir = tmp_path / "sel"
+    assert main(["select", str(panel_path), "--coords", str(coords_path),
+                 "--out-dir", str(sel_dir)]) == 0
+    panel = read_panel(panel_path)
+    reversed_path = tmp_path / "reversed.csv"
+    write_panel(PanelSeries(ids[::-1], panel.timestamps, panel.values[::-1]),
+                reversed_path)
+    capsys.readouterr()
+    for path, code in ((reversed_path, 2), (panel_path, 0)):
+        assert main(["evaluate", str(path), str(sel_dir / "selection.json"),
+                     "--baseline-draws", "2", "--out-dir", str(tmp_path / "ev")]
+                    ) == code
+    assert ("made on 6 sensors that differ from the panel's 6 in ids or order"
+            in capsys.readouterr().err)
+
+
 def test_evaluate_records_gcn_prediction_net_settings(tmp_path, capsys):
     panel_path = _noiseless_panel(tmp_path)
     coords_path = tmp_path / "coords.csv"
-    _write_coords(coords_path, [f"s{i:03d}" for i in range(4)],
+    _write_coords(coords_path, _IDS4,
                   [[0.0, 0.0], [1.0, 0.2], [0.1, 1.3], [1.2, 1.1]])
     sel_dir = tmp_path / "sel"
     with pytest.warns(UserWarning, match="below eps0"):
@@ -542,11 +577,14 @@ def test_evaluate_records_gcn_prediction_net_settings(tmp_path, capsys):
 _COORDS4 = [[0.0, 0.0], [1.0, 0.2], [0.1, 1.3], [1.2, 1.1]]
 # complete hyperparams of each stored method family, as select writes them
 _STORED = {
-    "linear-h0": {"H": 0, "n": 4, "split": [300, 350, 400], "standardize": False},
-    "kernel-h0": {"H": 0, "n": 4, "split": [300, 350, 400], "standardize": False,
+    "linear-h0": {"H": 0, "sensor_ids": _IDS4, "split": [300, 350, 400],
+                  "standardize": False},
+    "kernel-h0": {"H": 0, "sensor_ids": _IDS4, "split": [300, 350, 400],
+                  "standardize": False,
                   "kernel": "autocovariance", "gamma": 0.0, "lambda": 0.0,
                   "k0": 2, "k1": 1},
-    "gcn-mask": {"H": 0, "n": 4, "split": [300, 350, 400], "standardize": False,
+    "gcn-mask": {"H": 0, "sensor_ids": _IDS4, "split": [300, 350, 400],
+                 "standardize": False,
                  "k0": 2, "k1": 1, "laplacian": "combinatorial", "cheb_order": 2,
                  "f_out": 2, "fc_sizes": [4]},
 }
@@ -556,7 +594,7 @@ def _evaluate_stored(tmp_path, method, order, hp):
     """Exit code of evaluate on a hand-written selection.json."""
     panel_path = _noiseless_panel(tmp_path)
     coords_path = tmp_path / "coords.csv"
-    _write_coords(coords_path, [f"s{i:03d}" for i in range(4)], _COORDS4)
+    _write_coords(coords_path, _IDS4, _COORDS4)
     sel_path = tmp_path / "selection.json"
     sel = {"method": method, "hyperparams": hp, "order": order,
            "step_values": [0.0] * len(order)}
@@ -574,7 +612,8 @@ def test_evaluate_needs_every_stored_setting(tmp_path, capsys, method):
     for key in hp:
         partial = {k: v for k, v in hp.items() if k != key}
         assert _evaluate_stored(tmp_path, method, [2, 3], partial) == 2, key
-        assert repr(key) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert repr(key) in err and "rerun select" in err
     assert _evaluate_stored(tmp_path, method, [2, 3], hp) == 0
     assert json.loads((tmp_path / "report.json").read_text())["method"] == method
 
@@ -587,7 +626,8 @@ def test_evaluate_rejects_negative_sensor_index(tmp_path, capsys, method):
 
 
 @pytest.mark.parametrize("method, key, value", [
-    ("linear-h0", "n", "4"),
+    ("linear-h0", "sensor_ids", ",".join(_IDS4)),
+    ("linear-h0", "sensor_ids", [0, 1, 2, 3]),
     ("linear-h0", "split", [300, 400]),
     ("linear-h0", "standardize", "no"),
     ("linear-h0", "H", "0"),
@@ -649,7 +689,7 @@ def test_evaluate_takes_the_split_from_the_selection_only(tmp_path, capsys):
 _SELECT_FLAGS = ["--p", "1", "--k0", "2", "--k1", "1", "--cheb-order", "2",
                  "--f-out", "2", "--fc-sizes", "4", "--max-epoch", "2",
                  "--mask-lambda-count", "2"]
-_COMMON_RECORD = ["H", "k0", "k1", "n", "p", "seed", "split", "standardize"]
+_COMMON_RECORD = ["H", "k0", "k1", "p", "seed", "sensor_ids", "split", "standardize"]
 _KERNEL_RECORD = _COMMON_RECORD + ["gamma", "kernel", "lambda", "lambda_grid"]
 _GCN_RECORD = _COMMON_RECORD + ["batch_size", "cheb_order", "f_out", "fc_sizes",
                                 "laplacian", "lr", "max_epoch"]
@@ -675,7 +715,7 @@ def test_select_records_every_setting(tmp_path, capsys, flags, keys, values):
     # method from it
     panel_path = _noiseless_panel(tmp_path)
     coords_path = tmp_path / "coords.csv"
-    _write_coords(coords_path, [f"s{i:03d}" for i in range(4)], _COORDS4)
+    _write_coords(coords_path, _IDS4, _COORDS4)
     sel_dir = tmp_path / "sel"
     assert main(["select", str(panel_path), "--coords", str(coords_path),
                  "--out-dir", str(sel_dir)] + _SELECT_FLAGS + flags) == 0
@@ -754,7 +794,7 @@ _POSITIONAL = {"ingest": ["raw.csv"], "select": ["panel.csv", "--coords", "c.csv
     ("ingest", "--rc"),
     ("select", "--lambda"), ("select", "--r-s"), ("select", "--lr"),
     ("select", "--mask-lambda-min"), ("select", "--mask-lambda-max"),
-    ("select", "--eps0"), ("select", "--val-frac"), ("select", "--test-frac"),
+    ("select", "--eps0"),
     ("evaluate", "--lr"),
 ])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -803,9 +843,7 @@ _REFUSED = [
     ("select", "--mask-lambda-max", "-0.5", "a finite number >= 0"),
     ("select", "--mask-lambda-count", "0", "an integer >= 1"),
     ("select", "--eps0", "0", "a finite number > 0"),
-    ("select", "--split", "300,0,100", "a list of integers >= 1"),
-    ("select", "--val-frac", "x", "a finite number"),
-    ("select", "--test-frac", "-inf", "a finite number"),
+    ("select", "--split", "300,340", "three integers t_tv, t0, t1"),
     ("evaluate", "--baseline-draws", "0", "an integer >= 1"),
     ("evaluate", "--seed", "-1", "an integer >= 0"),
     ("evaluate", "--lr", "-0.01", "a finite number > 0"),
@@ -816,17 +854,24 @@ _REFUSED = [
 
 # values that pass the finiteness check but not the range of their kind
 _OUT_OF_RANGE = [
-    ("ingest", "--rc", "0", "a finite number in (0, 1]"),
-    ("ingest", "--rc", "1.5", "a finite number in (0, 1]"),
+    ("ingest", "--rc", "0", "a finite number in (0, 1)"),
+    ("ingest", "--rc", "1.5", "a finite number in (0, 1)"),
+    # a share of records is at most 1, so no station has one above 1
+    ("ingest", "--rc", "1", "a finite number in (0, 1)"),
     ("select", "--r-s", "1", "a finite number in (0, 1)"),
     ("select", "--r-s", "5", "a finite number in (0, 1)"),
-    ("select", "--val-frac", "7", "a finite number in (0, 1)"),
-    ("select", "--test-frac", "-3", "a finite number in (0, 1)"),
-    ("select", "--test-frac", "0", "a finite number in (0, 1)"),
 ]
 
 
-@pytest.mark.parametrize("command, flag, value, wanted", _REFUSED + _OUT_OF_RANGE)
+# list values with an empty entry, which the parse once skipped
+_EMPTY_ENTRY = [
+    ("select", "--fc-sizes", "16,,8", "a list of integers >= 1"),
+    ("select", "--split", "1200,,1275,1500", "three integers t_tv, t0, t1"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, wanted",
+                         _REFUSED + _OUT_OF_RANGE + _EMPTY_ENTRY)
 def test_numeric_flags_parse_with_their_kind(capsys, command, flag, value, wanted):
     # checked at parse time whether or not the chosen method uses the flag,
     # so select never records a value that evaluate refuses
@@ -848,13 +893,13 @@ def test_every_numeric_flag_parses_with_a_kind():
 
 def test_select_flags_and_evaluate_share_each_settings_kind():
     # select records a flag's value under its key, and evaluate checks it
-    # with the same Kind object, so the two accept the same values; --split
-    # takes sizes and select records their boundaries, --standardize no value
+    # with the same Kind object, so the two accept the same values;
+    # --standardize takes no value
     actions = _commands()["select"]._option_string_actions
     shared = {}
     for key, (kind, _) in cli.SETTINGS.items():
         action = actions.get("--" + key.replace("_", "-"))
-        if action is None or key in ("split", "standardize"):
+        if action is None or key == "standardize":
             continue
         if action.choices is not None:
             assert all(kind.check(choice) for choice in action.choices), key
@@ -862,7 +907,8 @@ def test_select_flags_and_evaluate_share_each_settings_kind():
             assert action.type.__self__ is kind, key
         shared[key] = kind.wanted
     assert shared == {
-        "H": "an integer >= 0", "kernel": f"one of {select_kernel.KERNEL_TAGS}",
+        "split": "three integers t_tv, t0, t1", "H": "an integer >= 0",
+        "kernel": f"one of {select_kernel.KERNEL_TAGS}",
         "lambda": "a finite number >= 0", "k0": "an integer >= 1",
         "k1": "an integer >= 1", "laplacian": f"one of {cli.LAPLACIANS}",
         "cheb_order": "an integer >= 0", "f_out": "an integer >= 1",

@@ -79,7 +79,7 @@ KERNEL_CASES = [
     ("short", "autocovariance", 0.0, [False] * P),
     ("duplicate", "autocovariance", 0.0, [False] + [True] * (P - 1)),
     ("near", "autocovariance", 0.05, [True] * P),
-    ("near", "laplacian", 0.0, [False] + [True] * (P - 1)),
+    ("near", "spatial-temporal", 0.0, [False] + [True] * (P - 1)),
     ("near", "spatial-temporal", 0.05, [True] * P),
 ]
 

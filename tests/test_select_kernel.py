@@ -12,6 +12,7 @@ from netselect.graph import (
     laplacian_kernel,
 )
 from netselect.select_kernel import (
+    KERNEL_TAGS,
     build_kernel_blocks,
     fit_predict_kernel,
     greedy_select_kernel,
@@ -53,7 +54,7 @@ def test_build_kernel_blocks_requirements():
     with pytest.raises(InvalidInputError, match="training data"):
         build_kernel_blocks("autocovariance")
     with pytest.raises(InvalidInputError, match="graph"):
-        build_kernel_blocks("laplacian")
+        build_kernel_blocks("spatial-temporal")
     with pytest.raises(InvalidInputError, match="graph"):
         build_kernel_blocks("rbf")
 
@@ -81,21 +82,15 @@ def test_lambda_monotonicity_single_instance():
     assert vals[0] == min(vals)
 
 
-def test_laplacian_and_spatial_temporal_blocks_agree():
-    g = _graph()
-    spec = graph_spectrum(combinatorial_laplacian(g))
-    K_g = laplacian_kernel(spec)
-    H, gamma = 2, 0.4
-    lap = build_kernel_blocks("laplacian", gamma=gamma, H=H, graph=g)
-    st = build_kernel_blocks("spatial-temporal", gamma=gamma, H=H, graph=g)
-    assert len(lap) == len(st) == H + 1
-    for l in range(H + 1):
-        ref = K_g * np.exp(-gamma * l ** 2)
-        assert np.allclose(lap[l], ref, atol=1e-12)
-        assert np.allclose(st[l], ref, atol=1e-12)
-        # K(-l) = K(l)^T needs no flag: the blocks are exactly symmetric
-        assert np.array_equal(lap[l], lap[l].T)
-        assert np.array_equal(st[l], st[l].T)
+def test_kernel_tags_give_distinct_blocks():
+    # one name per kernel: two tags with equal blocks are one kernel
+    g, X = _graph(n=5), _data(n=5)
+    blocks = {tag: build_kernel_blocks(tag, gamma=0.4, H=1, graph=g, X_train=X)
+              for tag in KERNEL_TAGS}
+    for k, a in enumerate(KERNEL_TAGS):
+        for b in KERNEL_TAGS[k + 1:]:
+            assert not all(np.allclose(Ka, Kb) for Ka, Kb in
+                           zip(blocks[a], blocks[b])), (a, b)
 
 
 def test_spatial_temporal_blocks_structure():
@@ -103,7 +98,8 @@ def test_spatial_temporal_blocks_structure():
     K_g = laplacian_kernel(graph_spectrum(combinatorial_laplacian(g)))
     kb = build_kernel_blocks("spatial-temporal", gamma=0.3, H=2, graph=g)
     assert len(kb) == 3
-    assert np.allclose(kb[2], K_g * np.exp(-0.3 * 4))
+    for l in range(3):
+        assert np.allclose(kb[l], K_g * np.exp(-0.3 * l ** 2), atol=1e-12)
     n = K_g.shape[0]
     K, cross = assemble_blocks(kb, [], 2)
     assert K.shape == (3 * n, 3 * n)
@@ -125,7 +121,7 @@ def test_graph_and_linear_kernel_blocks_are_exactly_symmetric():
     for seed in range(5):
         g = _graph(n=8, seed=seed)
         X = _data(n=8, T=200, seed=seed)
-        for kernel in ("laplacian", "spatial-temporal", "linear", "rbf"):
+        for kernel in ("spatial-temporal", "linear", "rbf"):
             kb = build_kernel_blocks(kernel, gamma=0.4, H=2, graph=g, X_train=X)
             for K in kb:
                 assert np.array_equal(K, K.T), (kernel, seed)

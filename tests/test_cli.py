@@ -281,7 +281,9 @@ def test_select_stores_explicit_split_boundaries(tmp_path, capsys):
     # train,val,test sizes sum to T, so they never end at hour T
     ("300,40,60", "split t_tv,t0,t1 = [300, 40, 60] covers 60 hours, "
                   "panel has 400"),
-], ids=["off-the-panel-length", "sizes"])
+    ("0,340,400", "split must satisfy 0 < t_tv < t0 < t1, got (0, 340, 400)"),
+    ("340,300,400", "split must satisfy 0 < t_tv < t0 < t1, got (340, 300, 400)"),
+], ids=["off-the-panel-length", "sizes", "no-training-rows", "decreasing"])
 def test_select_rejects_split_boundaries_off_the_panel_length(tmp_path, capsys,
                                                               split, message):
     panel_path, coords_path, _ = _correlated_panel(tmp_path)
@@ -449,6 +451,8 @@ def test_select_rejects_bad_coordinates(tmp_path, capsys, line, row, message):
     ["--method", "linear", "--k0", "0"],
     # out of range, and checked only where used, so these exited 0
     ["--method", "kernel", "--kernel", "autocovariance", "--H", "0", "--r-s", "5"],
+    # the alias of spatial-temporal is gone, so its name is no kernel
+    ["--method", "kernel", "--kernel", "laplacian"],
 ])
 def test_select_rejects_bad_flag_values(tmp_path, capsys, flags):
     # argparse rejects them (exit 2) before any work, never a traceback
@@ -514,9 +518,13 @@ def test_evaluate_reports_exact_reconstruction(tmp_path, capsys):
 @pytest.mark.parametrize("key, value, message", [
     ("sensor_ids", _IDS4 + ["s004"], "made on 5 sensors that differ from the "
                                      "panel's 4 in ids or order"),
+    ("sensor_ids", _IDS4[:3] + ["s009"], "made on 4 sensors that differ from "
+                                        "the panel's 4 in ids or order"),
+    ("sensor_ids", _IDS4[:3], "made on 3 sensors that differ from the "
+                              "panel's 4 in ids or order"),
     ("order", [2, 4], "exceeds panel size 4"),
     ("split", [300, 350, 380], "covers 380 hours, panel has 400"),
-], ids=["sensor_ids", "order", "split"])
+], ids=["sensor_ids", "sensor_ids-renamed", "sensor_ids-fewer", "order", "split"])
 def test_evaluate_rejects_mismatched_network_size(tmp_path, capsys, key, value,
                                                   message):
     # a selection made on another panel is an input error
@@ -870,8 +878,16 @@ _EMPTY_ENTRY = [
 ]
 
 
+# boundaries that are not three integers >= 0
+_SPLIT_FORM = [
+    ("select", "--split", "300,340,400,500", "three integers t_tv, t0, t1"),
+    ("select", "--split", "-1,340,400", "three integers t_tv, t0, t1"),
+    ("select", "--split", "300,340,inf", "three integers t_tv, t0, t1"),
+]
+
+
 @pytest.mark.parametrize("command, flag, value, wanted",
-                         _REFUSED + _OUT_OF_RANGE + _EMPTY_ENTRY)
+                         _REFUSED + _OUT_OF_RANGE + _EMPTY_ENTRY + _SPLIT_FORM)
 def test_numeric_flags_parse_with_their_kind(capsys, command, flag, value, wanted):
     # checked at parse time whether or not the chosen method uses the flag,
     # so select never records a value that evaluate refuses

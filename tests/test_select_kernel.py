@@ -12,6 +12,7 @@ from netselect.graph import (
     laplacian_kernel,
 )
 from netselect.select_kernel import (
+    GRAPH_KERNELS,
     KERNEL_TAGS,
     build_kernel_blocks,
     fit_predict_kernel,
@@ -57,6 +58,18 @@ def test_build_kernel_blocks_requirements():
         build_kernel_blocks("spatial-temporal")
     with pytest.raises(InvalidInputError, match="graph"):
         build_kernel_blocks("rbf")
+
+
+@pytest.mark.parametrize("kernel", KERNEL_TAGS)
+def test_graph_kernels_are_the_tags_that_need_the_graph(kernel):
+    # cli builds the sensor graph for a kernel selection only when the
+    # kernel is in GRAPH_KERNELS
+    X = _data(n=5)
+    if kernel in GRAPH_KERNELS:
+        with pytest.raises(InvalidInputError, match="graph"):
+            build_kernel_blocks(kernel, H=1, X_train=X)
+    else:
+        assert len(build_kernel_blocks(kernel, H=1, X_train=X)) == 2
 
 
 def test_autocovariance_kernel_lambda_zero_matches_linear():

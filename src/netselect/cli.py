@@ -48,6 +48,7 @@ from .select_kernel import (
     greedy_select_kernel,
 )
 from .select_linear import (
+    METHODS,
     SelectionResult,
     fit_predict_linear,
     greedy_select_linear,
@@ -67,7 +68,6 @@ from .timeseries import (
     write_panel,
 )
 
-METHODS = ("linear", "kernel", "gcn-dropout", "gcn-mask")
 LAPLACIAN_OF = {"combinatorial": combinatorial_laplacian,
                 "normalized": normalized_laplacian}
 LAPLACIANS = tuple(LAPLACIAN_OF)
@@ -177,10 +177,10 @@ def _panel_matrix(panel, split, standardize):
 
 
 def _graph(method, hp, panel, coords):
-    """The kNN graph that a method (select's --method or a stored tag)
-    uses, or None; coords is the panel-aligned array or a coords path."""
+    """The kNN graph that a method uses, or None; coords is the
+    panel-aligned array or a coords path."""
     if not (method.startswith("gcn") or (
-            method.startswith("kernel") and hp["kernel"] in GRAPH_KERNELS)):
+            method == "kernel" and hp["kernel"] in GRAPH_KERNELS)):
         return None
     if coords is None:
         raise InvalidInputError(
@@ -253,8 +253,8 @@ def cmd_ingest(args):
     return 0
 
 
-def _select_kernel_cmd(args, hp, X, split, graph):
-    H, p = hp["H"], hp["p"]
+def _select_kernel_cmd(args, hp, p, X, split, graph):
+    H = hp["H"]
     X_train = X[:, :split.t_tv]
     gammas = estimate_blocks(X_train, H)
     if hp["kernel"] == "autocovariance":
@@ -264,7 +264,7 @@ def _select_kernel_cmd(args, hp, X, split, graph):
 
     if args.lam is not None:
         result = greedy_select_kernel(gammas, kb, p, lam=args.lam, H=H)
-        return result, {"lambda": float(args.lam), "lambda_grid": [float(args.lam)]}
+        return result, {"lambda": float(args.lam)}
 
     def run(lam):
         res = greedy_select_kernel(gammas, kb, p, lam=lam, H=H)
@@ -292,7 +292,6 @@ def cmd_select(args):
     # rebuilds it from (SETTINGS)
     hp = {
         "sensor_ids": list(panel.sensor_ids),
-        "p": p,
         "H": args.H,
         "seed": args.seed,
         "standardize": bool(args.standardize),
@@ -321,7 +320,7 @@ def cmd_select(args):
         gammas = estimate_blocks(X[:, :split.t_tv], args.H)
         result = greedy_select_linear(gammas, p, H=args.H)
     elif args.method == "kernel":
-        result, extras = _select_kernel_cmd(args, hp, X, split, graph)
+        result, extras = _select_kernel_cmd(args, hp, p, X, split, graph)
     else:
         spectrum = _gcn_spectrum(hp, graph)
         net = _chebnet(hp, n)
@@ -364,10 +363,10 @@ def _evaluate_fit_fn(args, sel, X, split, graph):
     hp = sel.hyperparams
     H = hp["H"]
     X_train = X[:, :split.t_tv]
-    if sel.method.startswith("linear"):
+    if sel.method == "linear":
         gammas = estimate_blocks(X_train, H)
         return lambda I: fit_predict_linear(gammas, I, H)
-    if sel.method.startswith("kernel"):
+    if sel.method == "kernel":
         kb = _kernel_blocks(hp, X_train, graph)
         return lambda I: fit_predict_kernel(kb, I, hp["lambda"], H)
     # gcn: retrain the prediction network for each requested set; the
@@ -420,7 +419,7 @@ def cmd_evaluate(args):
     mse = test_mse(rec, X, sel.order, split)
     base = random_baseline(fit_fn, X, len(sel.order), split,
                            draws=args.baseline_draws, seed=args.seed)
-    if sel.method.startswith("gcn"):
+    if family == "gcn":
         hp = dict(hp, prediction_net={"lr": args.lr, "batch_size": args.batch_size,
                                       "max_epoch": args.max_epoch})
     report = EvalReport(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NetselectError
 from .graph import SensorGraph, combinatorial_laplacian, graph_spectrum
-from .select_linear import METHOD_TAGS, SelectionResult
+from .select_linear import METHODS, SelectionResult
 from .timeseries import HOUR, PanelSeries, Split, write_csv
 
 LAMBDA_COEFFICIENTS = (0.001, 0.00325, 0.0055, 0.00775, 0.01)
@@ -37,8 +37,9 @@ class EvalReport:
     seed: int
 
     def __post_init__(self):
-        if self.method not in METHOD_TAGS:
-            raise InvalidInputError(f"unknown method tag {self.method!r}")
+        if self.method not in METHODS:
+            raise InvalidInputError(
+                f"method must be one of {METHODS}, got {self.method!r}")
         if self.test_mse < 0:
             raise InvalidInputError("test MSE must be nonnegative")
         if self.baseline_mean < 0:
@@ -159,8 +160,9 @@ def grid_search(select_fn: Callable, grid, X, split: Split) -> GridSearchResult:
     select_fn(config) runs selection and fitting on training rows only
     and returns (SelectionResult, reconstructor). Scoring uses the
     validation interval; ties keep the earliest grid entry. A config
-    that raises is skipped with a warning; if all fail the errors are
-    raised together.
+    whose computation fails is skipped with a warning, and if all fail
+    the errors are raised together; an input error is raised at once,
+    since every config would repeat it.
     """
     grid = list(grid)
     if not grid:
@@ -172,6 +174,8 @@ def grid_search(select_fn: Callable, grid, X, split: Split) -> GridSearchResult:
         try:
             result, rec = select_fn(config)
             err = _interval_mse(rec, X, split.t_tv, split.t0)
+        except InvalidInputError:
+            raise
         except NetselectError as exc:
             warnings.warn(f"grid config {config!r} skipped: {exc}")
             failures.append(f"{config!r}: {exc}")
@@ -239,5 +243,5 @@ def summary_table_csv(report: EvalReport, path):
     """The report as a one-row table: its method, and the cell
     "test (baseline)" under its horizon H."""
     cell = f"{report.test_mse:.4g} ({report.baseline_mean:.4g})"
-    write_csv(path, ["method", f"H={int(report.hyperparams.get('H', 0))}"],
+    write_csv(path, ["method", f"H={report.hyperparams['H']}"],
               [[report.method, cell]])

@@ -146,7 +146,7 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
     scores = score_sensors(params, net_config, spectrum, X, val_ts, measure)
 
     order = scores.ranking[:p]
-    result = SelectionResult("gcn-dropout", {"q": q, "measure": scores.measure},
+    result = SelectionResult("gcn-dropout", {"measure": scores.measure},
                              order, [float(scores.scores[i]) for i in order])
     diagnostics = {"resampled": resample_count, "val_losses": val_losses}
     return scores, result, diagnostics

@@ -125,8 +125,7 @@ def greedy_select_kernel(gammas, kb, p, lam=0.0, H=0) -> SelectionResult:
         return float(gammas[0][i, i] - 2.0 * (beta[0] @ th) + th @ alpha @ th)
 
     order, step_values = greedy(gammas[0].shape[0], p, score, value)
-    method = "kernel-h0" if H == 0 else "kernel-h"
-    return SelectionResult(method, {}, order, step_values)
+    return SelectionResult("kernel", {}, order, step_values)
 
 
 def fit_predict_kernel(kb, I, lam, H=0) -> LinearReconstructor:

@@ -19,14 +19,7 @@ from .errors import InvalidInputError
 from .numerics import JITTER_TRIGGER, check_symmetric, solve_spd
 from .timeseries import _check_partition, lag_stack, lag_windows
 
-METHOD_TAGS = (
-    "linear-h0",
-    "linear-h",
-    "kernel-h0",
-    "kernel-h",
-    "gcn-dropout",
-    "gcn-mask",
-)
+METHODS = ("linear", "kernel", "gcn-dropout", "gcn-mask")
 
 
 def _json_list(data, key, kind, wanted):
@@ -47,8 +40,10 @@ class SelectionResult:
     step_values: List[float]  # criterion minimum at each greedy step
 
     def __post_init__(self):
-        if self.method not in METHOD_TAGS:
-            raise InvalidInputError(f"unknown method tag {self.method!r}")
+        if self.method not in METHODS:
+            raise InvalidInputError(
+                f"method must be one of {METHODS}, got {self.method!r}; "
+                f"rerun select to record it")
         if not isinstance(self.hyperparams, dict):
             raise InvalidInputError("hyperparams must be a JSON object")
         if any(i < 0 for i in self.order):
@@ -176,8 +171,7 @@ def greedy_select_linear(gammas, p, H=0) -> SelectionResult:
         return float(gammas[0][i, i] - b @ solve_spd(alpha, b))
 
     order, step_values = greedy(gammas[0].shape[0], p, score, value)
-    method = "linear-h0" if H == 0 else "linear-h"
-    return SelectionResult(method, {}, order, step_values)
+    return SelectionResult("linear", {}, order, step_values)
 
 
 @dataclass

@@ -19,8 +19,8 @@ from netselect.errors import (
     SingularMatrixError,
     TrainingDivergedError,
 )
-from netselect.evaluation import default_p
-from netselect.select_linear import SelectionResult
+from netselect.evaluation import EvalReport, default_p
+from netselect.select_linear import METHODS, SelectionResult
 from netselect.timeseries import (
     HOUR,
     PanelSeries,
@@ -310,7 +310,7 @@ def test_select_linear_writes_deterministic_outputs(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
     sel = json.loads((out1 / "selection.json").read_text())
-    assert sel["method"] == "linear-h0"
+    assert sel["method"] == "linear"
     assert len(sel["order"]) == 1  # default p is 10% of 6 sensors
     assert sel["hyperparams"]["sensor_ids"] == ids
     assert sel["hyperparams"]["split"] == [320, 340, 400]
@@ -342,7 +342,7 @@ def test_select_autocovariance_kernel_matches_linear(tmp_path, capsys):
 
     lin = json.loads((lin_dir / "selection.json").read_text())
     ker = json.loads((ker_dir / "selection.json").read_text())
-    assert ker["method"] == "kernel-h0"
+    assert ker["method"] == "kernel"
     assert ker["hyperparams"]["lambda"] == 0.0
     assert ker["order"] == lin["order"]
 
@@ -365,7 +365,7 @@ def test_select_autocovariance_kernel_estimates_blocks_once(tmp_path, capsys,
     capsys.readouterr()
     assert calls == [1]
     sel = json.loads((tmp_path / "ker" / "selection.json").read_text())
-    assert sel["method"] == "kernel-h"
+    assert sel["method"] == "kernel"
     assert len(sel["order"]) == 2
 
 
@@ -380,9 +380,8 @@ def test_select_kernel_readme_example_defaults_p(tmp_path, capsys):
                  "--standardize", "--out-dir", str(out)]) == 0
     capsys.readouterr()
     sel = json.loads((out / "selection.json").read_text())
-    assert sel["method"] == "kernel-h"
+    assert sel["method"] == "kernel"
     assert len(sel["order"]) == default_p(n)
-    assert sel["hyperparams"]["p"] == default_p(n)
     assert len(sel["hyperparams"]["lambda_grid"]) == 5
 
 
@@ -407,8 +406,18 @@ def test_select_kernel_with_a_fixed_lambda_fits_no_reconstructor(tmp_path, capsy
     assert fits == []
     hp = json.loads((out / "selection.json").read_text())["hyperparams"]
     assert hp["lambda"] == 0.01
-    assert hp["lambda_grid"] == [0.01]
-    assert "validation_error" not in hp
+    assert "lambda_grid" not in hp and "validation_error" not in hp
+
+
+def test_kernel_grid_raises_an_input_error_once(tmp_path, capsys, recwarn):
+    # the lambda grid skipped a config on any error, so --p n ran the
+    # greedy once per grid point, warned five times and joined the one
+    # message five times
+    argv = _twelve_sensors(tmp_path) + ["--method", "kernel", "--p", "12",
+                                        "--k0", "5", "--k1", "3"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: need 1 <= p < 12, got p=12\n"
+    assert not recwarn.list
 
 
 def test_select_rejects_duplicate_sensor_ids(tmp_path, capsys):
@@ -482,8 +491,8 @@ def _noiseless_panel(tmp_path, T=400, seed=1):
 
 def _write_selection(path):
     result = SelectionResult(
-        "linear-h0", {"H": 0, "sensor_ids": _IDS4, "split": [300, 350, 400],
-                      "standardize": False},
+        "linear", {"H": 0, "sensor_ids": _IDS4, "split": [300, 350, 400],
+                   "standardize": False},
         [2, 3], [0.0, 0.0])
     path.write_text(result.to_json() + "\n", encoding="utf-8")
 
@@ -498,7 +507,7 @@ def test_evaluate_reports_exact_reconstruction(tmp_path, capsys):
     assert "test MSE" in capsys.readouterr().out
 
     report = json.loads((out1 / "report.json").read_text())
-    assert report["method"] == "linear-h0"
+    assert report["method"] == "linear"
     assert report["selected"] == [2, 3]
     assert report["test_mse"] <= 1e-10
     assert report["baseline_draws"] == 5
@@ -507,7 +516,7 @@ def test_evaluate_reports_exact_reconstruction(tmp_path, capsys):
 
     summary = (out1 / "summary.csv").read_text().splitlines()
     assert summary[0] == "method,H=0"
-    assert summary[1].startswith("linear-h0,")
+    assert summary[1].startswith("linear,")
 
     out2 = tmp_path / "ev2"
     assert main(["evaluate", str(panel_path), str(sel_path),
@@ -585,12 +594,12 @@ def test_evaluate_records_gcn_prediction_net_settings(tmp_path, capsys):
 _COORDS4 = [[0.0, 0.0], [1.0, 0.2], [0.1, 1.3], [1.2, 1.1]]
 # complete hyperparams of each stored method family, as select writes them
 _STORED = {
-    "linear-h0": {"H": 0, "sensor_ids": _IDS4, "split": [300, 350, 400],
-                  "standardize": False},
-    "kernel-h0": {"H": 0, "sensor_ids": _IDS4, "split": [300, 350, 400],
-                  "standardize": False,
-                  "kernel": "autocovariance", "gamma": 0.0, "lambda": 0.0,
-                  "k0": 2, "k1": 1},
+    "linear": {"H": 0, "sensor_ids": _IDS4, "split": [300, 350, 400],
+               "standardize": False},
+    "kernel": {"H": 0, "sensor_ids": _IDS4, "split": [300, 350, 400],
+               "standardize": False,
+               "kernel": "autocovariance", "gamma": 0.0, "lambda": 0.0,
+               "k0": 2, "k1": 1},
     "gcn-mask": {"H": 0, "sensor_ids": _IDS4, "split": [300, 350, 400],
                  "standardize": False,
                  "k0": 2, "k1": 1, "laplacian": "combinatorial", "cheb_order": 2,
@@ -634,16 +643,16 @@ def test_evaluate_rejects_negative_sensor_index(tmp_path, capsys, method):
 
 
 @pytest.mark.parametrize("method, key, value", [
-    ("linear-h0", "sensor_ids", ",".join(_IDS4)),
-    ("linear-h0", "sensor_ids", [0, 1, 2, 3]),
-    ("linear-h0", "split", [300, 400]),
-    ("linear-h0", "standardize", "no"),
-    ("linear-h0", "H", "0"),
-    ("linear-h0", "H", 0.5),
-    ("linear-h0", "H", -1),
-    ("linear-h0", "H", True),
-    ("kernel-h0", "gamma", "0"),
-    ("kernel-h0", "lambda", -1.0),
+    ("linear", "sensor_ids", ",".join(_IDS4)),
+    ("linear", "sensor_ids", [0, 1, 2, 3]),
+    ("linear", "split", [300, 400]),
+    ("linear", "standardize", "no"),
+    ("linear", "H", "0"),
+    ("linear", "H", 0.5),
+    ("linear", "H", -1),
+    ("linear", "H", True),
+    ("kernel", "gamma", "0"),
+    ("kernel", "lambda", -1.0),
     ("gcn-mask", "k0", "2"),
     ("gcn-mask", "laplacian", "foo"),
     ("gcn-mask", "fc_sizes", "4"),
@@ -697,21 +706,21 @@ def test_evaluate_takes_the_split_from_the_selection_only(tmp_path, capsys):
 _SELECT_FLAGS = ["--p", "1", "--k0", "2", "--k1", "1", "--cheb-order", "2",
                  "--f-out", "2", "--fc-sizes", "4", "--max-epoch", "2",
                  "--mask-lambda-count", "2"]
-_COMMON_RECORD = ["H", "k0", "k1", "p", "seed", "sensor_ids", "split", "standardize"]
-_KERNEL_RECORD = _COMMON_RECORD + ["gamma", "kernel", "lambda", "lambda_grid"]
+_COMMON_RECORD = ["H", "k0", "k1", "seed", "sensor_ids", "split", "standardize"]
+_KERNEL_RECORD = _COMMON_RECORD + ["gamma", "kernel", "lambda"]
 _GCN_RECORD = _COMMON_RECORD + ["batch_size", "cheb_order", "f_out", "fc_sizes",
                                 "laplacian", "lr", "max_epoch"]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("flags, keys, values", [
-    (["--method", "linear"], _COMMON_RECORD, {"H": 0, "p": 1}),
-    (["--method", "kernel"], _KERNEL_RECORD + ["validation_error"], {"H": 0}),
-    (["--method", "kernel", "--lambda", "0.1"], _KERNEL_RECORD,
-     {"lambda": 0.1, "lambda_grid": [0.1]}),
-    (["--method", "gcn-dropout", "--lr", "0.02"], _GCN_RECORD + ["measure", "q"],
-     {"q": 0.25, "measure": "r2", "lr": 0.02, "batch_size": 50, "max_epoch": 2}),
-    (["--method", "gcn-dropout"], _GCN_RECORD + ["measure", "q"], {"lr": 0.002}),
+    (["--method", "linear"], _COMMON_RECORD, {"H": 0}),
+    (["--method", "kernel"], _KERNEL_RECORD + ["lambda_grid", "validation_error"],
+     {"H": 0}),
+    (["--method", "kernel", "--lambda", "0.1"], _KERNEL_RECORD, {"lambda": 0.1}),
+    (["--method", "gcn-dropout", "--lr", "0.02"], _GCN_RECORD + ["measure"],
+     {"measure": "r2", "lr": 0.02, "batch_size": 50, "max_epoch": 2}),
+    (["--method", "gcn-dropout"], _GCN_RECORD + ["measure"], {"lr": 0.002}),
     (["--method", "gcn-mask", "--eps0", "0.02"],
      _GCN_RECORD + ["eps0", "mask_lambda_grid"],
      {"eps0": 0.02, "mask_lambda_grid": [0.05, 0.35], "lr": 0.05,
@@ -719,15 +728,19 @@ _GCN_RECORD = _COMMON_RECORD + ["batch_size", "cheb_order", "f_out", "fc_sizes",
 ], ids=["linear", "kernel-grid", "kernel-lambda", "gcn-dropout",
         "gcn-dropout-default-lr", "gcn-mask"])
 def test_select_records_every_setting(tmp_path, capsys, flags, keys, values):
-    # select alone writes the settings record, and evaluate rebuilds the
-    # method from it
+    # select alone writes the settings record, each fact once, and
+    # evaluate rebuilds the method from it; every output names the
+    # method as --method does, and p is the length of the order
     panel_path = _noiseless_panel(tmp_path)
     coords_path = tmp_path / "coords.csv"
     _write_coords(coords_path, _IDS4, _COORDS4)
     sel_dir = tmp_path / "sel"
     assert main(["select", str(panel_path), "--coords", str(coords_path),
                  "--out-dir", str(sel_dir)] + _SELECT_FLAGS + flags) == 0
-    hp = json.loads((sel_dir / "selection.json").read_text())["hyperparams"]
+    sel = json.loads((sel_dir / "selection.json").read_text())
+    hp = sel["hyperparams"]
+    assert sel["method"] == flags[1]
+    assert len(sel["order"]) == 1
     assert sorted(hp) == sorted(keys)
     assert {k: hp[k] for k in values} == values
     if "mask_lambda_grid" in hp:
@@ -737,6 +750,9 @@ def test_select_records_every_setting(tmp_path, capsys, flags, keys, values):
                  "--coords", str(coords_path), "--baseline-draws", "2",
                  "--max-epoch", "1", "--out-dir", str(tmp_path / "ev")]) == 0
     capsys.readouterr()
+    report = json.loads((tmp_path / "ev" / "report.json").read_text())
+    assert report["method"] == flags[1]
+    assert _read_csv(tmp_path / "ev" / "summary.csv")[1][0] == flags[1]
 
 
 def _twelve_sensors(tmp_path, coords=None, constant_sensor=None):
@@ -929,6 +945,26 @@ def test_select_flags_and_evaluate_share_each_settings_kind():
         "k1": "an integer >= 1", "laplacian": f"one of {cli.LAPLACIANS}",
         "cheb_order": "an integer >= 0", "f_out": "an integer >= 1",
         "fc_sizes": "a list of integers >= 1"}
+
+
+def test_select_methods_are_the_methods_a_record_holds(tmp_path, capsys):
+    # the stored method is select's --method value, which SelectionResult
+    # and EvalReport accept; a tag of the old H-suffixed form restated H
+    # and is refused, with a pointer to select
+    assert _commands()["select"]._option_string_actions["--method"].choices == METHODS
+    for method in METHODS:
+        SelectionResult(method, {}, [0], [0.0])
+        EvalReport(method, [0], 0.0, 0.0, 1, 0, {"H": 0}, 0)
+    for tag in ("linear-h0", "linear-h", "kernel-h0", "kernel-h", "ridge"):
+        with pytest.raises(InvalidInputError, match="method must be one of"):
+            SelectionResult(tag, {}, [0], [0.0])
+        with pytest.raises(InvalidInputError, match="method must be one of"):
+            EvalReport(tag, [0], 0.0, 0.0, 1, 0, {"H": 0}, 0)
+    for tag, method in (("linear-h0", "linear"), ("kernel-h", "kernel")):
+        assert _evaluate_stored(tmp_path, tag, [2, 3], _STORED[method]) == 2
+        err = capsys.readouterr().err
+        assert str(METHODS) in err and "rerun select" in err
+        assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("error, code", [

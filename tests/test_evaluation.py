@@ -34,7 +34,7 @@ def _graph(n=8, seed=0):
 
 
 def _report(**overrides):
-    base = dict(method="linear-h0", selected=[1, 2], test_mse=0.5,
+    base = dict(method="linear", selected=[1, 2], test_mse=0.5,
                 baseline_mean=0.8, baseline_draws=100, baseline_skipped=0,
                 hyperparams={"H": 0}, seed=0)
     base.update(overrides)
@@ -160,7 +160,7 @@ def test_grid_search_picks_best_and_keeps_first_on_ties():
     blocks = estimate_blocks(X[:, :300], 0)
 
     def select_fn(I):
-        result = SelectionResult("linear-h0", {"H": 0}, list(I), [0.0] * len(I))
+        result = SelectionResult("linear", {"H": 0}, list(I), [0.0] * len(I))
         return result, fit_predict_linear(blocks, list(I), 0)
 
     grid = [(0,), (1,), (2,)]
@@ -196,7 +196,7 @@ def test_grid_search_warns_once_per_failed_config_and_scores_the_rest():
     def select_fn(I):
         if I == (1,):
             raise NetselectError("singular")
-        result = SelectionResult("linear-h0", {"H": 0}, list(I), [0.0] * len(I))
+        result = SelectionResult("linear", {"H": 0}, list(I), [0.0] * len(I))
         return result, fit_predict_linear(blocks, list(I), 0)
 
     grid = [(0,), (1,), (2,), (3,)]
@@ -208,6 +208,22 @@ def test_grid_search_warns_once_per_failed_config_and_scores_the_rest():
     errs = {I: grid_search(select_fn, [I], X, split).val_error for I in scored}
     assert gs.config == min(scored, key=lambda I: errs[I])
     assert gs.val_error == errs[gs.config]
+
+
+def test_grid_search_raises_an_input_error_at_once(recwarn):
+    # every config would repeat an input error, so the first one ends the
+    # search, unwarned and unjoined
+    X = np.random.default_rng(6).normal(size=(4, 400))
+    calls = []
+
+    def select_fn(config):
+        calls.append(config)
+        raise InvalidInputError("need 1 <= p < 4, got p=4")
+
+    with pytest.raises(InvalidInputError, match="^need 1 <= p < 4, got p=4$"):
+        grid_search(select_fn, [0.1, 0.2, 0.3], X, Split(300, 350, 400))
+    assert calls == [0.1]
+    assert not recwarn.list
 
 
 def test_synth_graph_smooth_lives_in_low_modes():
@@ -250,10 +266,10 @@ def test_synth_var1_validation():
 def test_summary_table_layout(tmp_path):
     path = tmp_path / "summary.csv"
     summary_table_csv(_report(), path)
-    assert path.read_text() == "method,H=0\nlinear-h0,0.5 (0.8)\n"
-    summary_table_csv(_report(method="kernel-h", hyperparams={"H": 1},
+    assert path.read_text() == "method,H=0\nlinear,0.5 (0.8)\n"
+    summary_table_csv(_report(method="kernel", hyperparams={"H": 1},
                               test_mse=0.7, baseline_mean=0.9), path)
-    assert path.read_text() == "method,H=1\nkernel-h,0.7 (0.9)\n"
+    assert path.read_text() == "method,H=1\nkernel,0.7 (0.9)\n"
 
 
 def test_make_split_covers_burn_in_notion():

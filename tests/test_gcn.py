@@ -329,7 +329,7 @@ def test_dropout_selection_counts_degenerate_draws():
     assert diagnostics["resampled"] > 0
     assert result.method == "gcn-dropout"
     assert len(result.order) == 1
-    assert result.hyperparams["q"] == 0.5
+    assert list(result.hyperparams) == ["measure"]  # q is p/N
     assert len(scores.scores) == 2
 
 

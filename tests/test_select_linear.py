@@ -61,7 +61,7 @@ def test_greedy_tie_breaks_to_lowest_index():
     result = greedy_select_linear([np.eye(5)], p=3, H=0)
     assert result.order == [0, 1, 2]
     assert result.step_values == [1.0, 1.0, 1.0]
-    assert result.method == "linear-h0"
+    assert result.method == "linear"
 
 
 def test_greedy_validates_p_and_lags():
@@ -76,7 +76,7 @@ def test_greedy_method_tag_with_history():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(5, 400))
     result = greedy_select_linear(estimate_blocks(X, 2), p=2, H=2)
-    assert result.method == "linear-h"
+    assert result.method == "linear"  # H is recorded in hyperparams only
     assert len(result.order) == 2
 
 
@@ -129,7 +129,7 @@ def test_criterion_equals_training_mse_one_instance():
 
 
 def test_selection_result_json_round_trip():
-    result = SelectionResult("linear-h", {"H": 2, "seed": 0}, [3, 1], [0.5, 0.4])
+    result = SelectionResult("linear", {"H": 2, "seed": 0}, [3, 1], [0.5, 0.4])
     back = SelectionResult.from_json(result.to_json())
     assert back.method == result.method
     assert back.order == result.order
@@ -138,14 +138,14 @@ def test_selection_result_json_round_trip():
 
 
 def test_selection_result_validation():
-    with pytest.raises(InvalidInputError, match="unknown method"):
+    with pytest.raises(InvalidInputError, match="method must be one of"):
         SelectionResult("ridge", {}, [0], [1.0])
     with pytest.raises(InvalidInputError, match="duplicates"):
-        SelectionResult("linear-h0", {}, [0, 0], [1.0, 1.0])
+        SelectionResult("linear", {}, [0, 0], [1.0, 1.0])
     with pytest.raises(InvalidInputError, match="lengths"):
-        SelectionResult("linear-h0", {}, [0, 1], [1.0])
+        SelectionResult("linear", {}, [0, 1], [1.0])
     with pytest.raises(InvalidInputError, match="non-finite"):
-        SelectionResult("linear-h0", {}, [0], [np.inf])
+        SelectionResult("linear", {}, [0], [np.inf])
 
 
 def test_exhaustive_finds_global_minimum():

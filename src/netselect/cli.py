@@ -118,8 +118,9 @@ FINITE_GE0 = Kind("a finite number >= 0", lambda v: _is_number(v) and v >= 0, fl
 FINITE_GT0 = Kind("a finite number > 0", lambda v: _is_number(v) and v > 0, float)
 
 # the selection.json hyperparams evaluate rebuilds a method from: each
-# key's kind, which select's flag for it parses with too, and the method
-# families that need it; select writes all of them
+# key's kind, which select's flag for it parses with too, and the
+# families of the records that need it, "graph" for the methods that
+# build the kNN graph; select writes all of them
 _FAMILIES = ("linear", "kernel", "gcn")
 SETTINGS = {
     "sensor_ids": (Kind("a list of sensor ids", lambda v: isinstance(v, list)
@@ -132,8 +133,8 @@ SETTINGS = {
     "kernel": (Kind(f"one of {KERNEL_TAGS}", lambda v: v in KERNEL_TAGS), ("kernel",)),
     "gamma": (FINITE_GE0, ("kernel",)),
     "lambda": (FINITE_GE0, ("kernel",)),
-    "k0": (INT_GE1, ("kernel", "gcn")),
-    "k1": (INT_GE1, ("kernel", "gcn")),
+    "k0": (INT_GE1, ("graph",)),
+    "k1": (INT_GE1, ("graph",)),
     "laplacian": (Kind(f"one of {LAPLACIANS}", lambda v: v in LAPLACIANS), ("gcn",)),
     "cheb_order": (INT_GE0, ("gcn",)),
     "f_out": (INT_GE1, ("gcn",)),
@@ -176,11 +177,16 @@ def _panel_matrix(panel, split, standardize):
     return panel.values
 
 
+def _uses_graph(method, kernel):
+    """Whether a method builds the kNN graph: the GCN rules and the
+    GRAPH_KERNELS. Its record then holds k0 and k1."""
+    return method.startswith("gcn") or (method == "kernel" and kernel in GRAPH_KERNELS)
+
+
 def _graph(method, hp, panel, coords):
     """The kNN graph that a method uses, or None; coords is the
     panel-aligned array or a coords path."""
-    if not (method.startswith("gcn") or (
-            method == "kernel" and hp["kernel"] in GRAPH_KERNELS)):
+    if not _uses_graph(method, hp.get("kernel")):
         return None
     if coords is None:
         raise InvalidInputError(
@@ -293,17 +299,16 @@ def cmd_select(args):
     hp = {
         "sensor_ids": list(panel.sensor_ids),
         "H": args.H,
-        "seed": args.seed,
         "standardize": bool(args.standardize),
         "split": [split.t_tv, split.t0, split.t1],
-        "k0": args.k0,
-        "k1": args.k1,
     }
+    if _uses_graph(args.method, args.kernel):
+        hp.update(k0=args.k0, k1=args.k1)
     if args.method == "kernel":
         hp["kernel"] = args.kernel
         hp["gamma"] = gamma_grid(args.H, args.r_s) if args.H > 0 else 0.0
     elif args.method != "linear":
-        hp.update(laplacian=args.laplacian, cheb_order=args.cheb_order,
+        hp.update(seed=args.seed, laplacian=args.laplacian, cheb_order=args.cheb_order,
                   f_out=args.f_out, fc_sizes=args.fc_sizes,
                   lr=args.lr if args.lr is not None else DEFAULT_LR[args.method],
                   batch_size=args.batch_size, max_epoch=args.max_epoch)
@@ -389,8 +394,10 @@ def cmd_evaluate(args):
     with open(args.selection, encoding="utf-8") as fh:
         sel = SelectionResult.from_json(fh.read())
     hp = sel.hyperparams
-    family = sel.method.split("-")[0]
-    keys = [k for k, (_, families) in SETTINGS.items() if family in families]
+    families = (sel.method.split("-")[0],) + (
+        ("graph",) if _uses_graph(sel.method, hp.get("kernel")) else ())
+    keys = [k for k, (_, needed_by) in SETTINGS.items()
+            if any(f in families for f in needed_by)]
     missing = [k for k in keys if k not in hp]
     if missing:
         raise InvalidInputError(
@@ -419,7 +426,7 @@ def cmd_evaluate(args):
     mse = test_mse(rec, X, sel.order, split)
     base = random_baseline(fit_fn, X, len(sel.order), split,
                            draws=args.baseline_draws, seed=args.seed)
-    if family == "gcn":
+    if "gcn" in families:
         hp = dict(hp, prediction_net={"lr": args.lr, "batch_size": args.batch_size,
                                       "max_epoch": args.max_epoch})
     report = EvalReport(

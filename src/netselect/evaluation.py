@@ -89,6 +89,29 @@ def test_mse(reconstructor, X, I, split: Split) -> float:
     return _interval_mse(reconstructor, X, split.t0, split.t1)
 
 
+def _each(fn, items, what: str):
+    """fn(item) for every item that computes, in order, and the number skipped.
+
+    An InvalidInputError is raised at once, since every item would repeat
+    it. Any other NetselectError, a computation that failed on valid
+    input, skips its item with a warning. When every item fails, one
+    NetselectError names how many did and the first failure.
+    """
+    done, failures = [], []
+    for item in items:
+        try:
+            done.append(fn(item))
+        except InvalidInputError:
+            raise
+        except NetselectError as exc:
+            warnings.warn(f"{what} {item!r} skipped: {exc}")
+            failures.append(f"{item!r}: {exc}")
+    if not done:
+        raise NetselectError(
+            f"every {what} failed ({len(failures)}); the first was {failures[0]}")
+    return done, len(failures)
+
+
 class BaselineResult(NamedTuple):
     mean_mse: float
     draws: int
@@ -99,9 +122,9 @@ def random_baseline(fit_fn: Callable, X, p: int, split: Split, draws: int = 100,
                     seed: int = 0) -> BaselineResult:
     """Average test MSE over uniformly drawn size-p subsets.
 
-    fit_fn(I) must return a reconstructor for the sorted subset I. Fit
-    failures are skipped and counted. Each draw gets its own RNG stream
-    spawned from the seed, so a parallel run would agree with this one.
+    fit_fn(I) must return a reconstructor for the sorted subset I. Each
+    draw gets its own RNG stream spawned from the seed, so a parallel run
+    would agree with this one. Failed fits follow _each.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -109,22 +132,11 @@ def random_baseline(fit_fn: Callable, X, p: int, split: Split, draws: int = 100,
         raise InvalidInputError(f"need 1 <= p < {n}, got p={p}")
     if draws < 1:
         raise InvalidInputError("draws must be positive")
-    streams = np.random.SeedSequence(seed).spawn(draws)
-    total = 0.0
-    skipped = 0
-    for stream in streams:
-        rng = np.random.default_rng(stream)
-        I = sorted(int(i) for i in rng.choice(n, size=p, replace=False))
-        try:
-            rec = fit_fn(I)
-            total += test_mse(rec, X, I, split)
-        except NetselectError as err:
-            warnings.warn(f"baseline draw skipped for {I}: {err}")
-            skipped += 1
-    ok = draws - skipped
-    if ok == 0:
-        raise InvalidInputError("every baseline draw failed to fit")
-    return BaselineResult(total / ok, draws, skipped)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(draws)]
+    subsets = [sorted(int(i) for i in rng.choice(n, p, replace=False)) for rng in rngs]
+    mses, skipped = _each(lambda I: test_mse(fit_fn(I), X, I, split),
+                          subsets, "baseline draw")
+    return BaselineResult(sum(mses) / len(mses), draws, skipped)
 
 
 def gamma_grid(H: int, r_s: float = 0.5) -> float:
@@ -159,34 +171,21 @@ def grid_search(select_fn: Callable, grid, X, split: Split) -> GridSearchResult:
 
     select_fn(config) runs selection and fitting on training rows only
     and returns (SelectionResult, reconstructor). Scoring uses the
-    validation interval; ties keep the earliest grid entry. A config
-    whose computation fails is skipped with a warning, and if all fail
-    the errors are raised together; an input error is raised at once,
-    since every config would repeat it.
+    validation interval; ties keep the earliest grid entry. Failed
+    configs follow _each.
     """
     grid = list(grid)
     if not grid:
         raise InvalidInputError("grid must be nonempty")
     X = np.asarray(X, dtype=float)
-    best = None
-    failures: List[str] = []
-    for config in grid:
-        try:
-            result, rec = select_fn(config)
-            err = _interval_mse(rec, X, split.t_tv, split.t0)
-        except InvalidInputError:
-            raise
-        except NetselectError as exc:
-            warnings.warn(f"grid config {config!r} skipped: {exc}")
-            failures.append(f"{config!r}: {exc}")
-            continue
-        if best is None or err < best[2]:
-            best = (config, result, err)
-    if best is None:
-        raise InvalidInputError(
-            "every grid config failed: " + "; ".join(failures)
-        )
-    return GridSearchResult(*best)
+
+    def score(config):
+        result, rec = select_fn(config)
+        return GridSearchResult(config, result,
+                                _interval_mse(rec, X, split.t_tv, split.t0))
+
+    scored, _ = _each(score, grid, "grid config")
+    return min(scored, key=lambda gs: gs.val_error)
 
 
 def _hourly_panel(values: np.ndarray) -> PanelSeries:

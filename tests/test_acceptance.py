@@ -37,6 +37,7 @@ from netselect.timeseries import (
     lag_stack,
     make_split,
     read_panel,
+    write_panel,
 )
 from oracles import (
     central_differences,
@@ -348,14 +349,11 @@ def test_criterion_11_greedy_vs_exhaustive():
           f"equal at p=1, largest greedy gap {max_gap:.3e}")
 
 
-def test_criterion_12_dataset_tables():
-    paris = DATA_DIR / "paris"
-    toulouse = DATA_DIR / "toulouse"
-    needed = [paris / "panel.csv", toulouse / "panel.csv",
-              toulouse / "coords.csv"]
-    if not all(f.exists() for f in needed):
-        pytest.skip("published dataset CSVs not present under data/ "
-                    "(see README for the expected layout)")
+def dataset_tables(paris_dir, toulouse_dir):
+    """Criterion 12's two tables, each as (order, test MSE, baseline
+    mean MSE): linear H=0 on the first city, the spatial-temporal kernel
+    at H=1 on the second."""
+    paris, toulouse = Path(paris_dir), Path(toulouse_dir)
 
     # linear H=0 on the first city
     panel = read_panel(paris / "panel.csv")
@@ -367,9 +365,6 @@ def test_criterion_12_dataset_tables():
     mse = held_out_mse(fit_predict_linear(blocks, res.order, 0), X, res.order, split)
     base = random_baseline(lambda I: fit_predict_linear(blocks, I, 0),
                            X, 27, split, draws=100, seed=0)
-    assert abs(mse - 32.53) <= 0.05 * 32.53, f"test MSE {mse:.2f}"
-    assert abs(base.mean_mse - 41.04) <= 0.05 * 41.04, \
-        f"baseline {base.mean_mse:.2f}"
 
     # graph kernel H=1 on the second city
     panel2 = read_panel(toulouse / "panel.csv")
@@ -391,8 +386,56 @@ def test_criterion_12_dataset_tables():
                         X2, res2.order, split2)
     base2 = random_baseline(lambda I: fit_predict_kernel(kb, I, lam, 1),
                             X2, 18, split2, draws=100, seed=0)
+    return (res.order, mse, base.mean_mse), (res2.order, mse2, base2.mean_mse)
+
+
+def test_criterion_12_dataset_tables():
+    paris = DATA_DIR / "paris"
+    toulouse = DATA_DIR / "toulouse"
+    needed = [paris / "panel.csv", toulouse / "panel.csv",
+              toulouse / "coords.csv"]
+    if not all(f.exists() for f in needed):
+        pytest.skip("published dataset CSVs not present under data/ "
+                    "(see README for the expected layout)")
+
+    (_, mse, base), (_, mse2, base2) = dataset_tables(paris, toulouse)
+    assert abs(mse - 32.53) <= 0.05 * 32.53, f"test MSE {mse:.2f}"
+    assert abs(base - 41.04) <= 0.05 * 41.04, f"baseline {base:.2f}"
     assert abs(mse2 - 18.13) <= 0.05 * 18.13, f"test MSE {mse2:.2f}"
-    assert abs(base2.mean_mse - 20.59) <= 0.05 * 20.59, \
-        f"baseline {base2.mean_mse:.2f}"
-    print(f"criterion 12 PASS: linear H=0 {mse:.2f} ({base.mean_mse:.2f}), "
-          f"kernel H=1 {mse2:.2f} ({base2.mean_mse:.2f}), all within 5%")
+    assert abs(base2 - 20.59) <= 0.05 * 20.59, f"baseline {base2:.2f}"
+    print(f"criterion 12 PASS: linear H=0 {mse:.2f} ({base:.2f}), "
+          f"kernel H=1 {mse2:.2f} ({base2:.2f}), all within 5%")
+
+
+def _city_shaped(directory, n, T, seed):
+    """A synth_generate panel of n sensors and T hours on a kNN graph of
+    random coordinates, written as directory/panel.csv and coords.csv."""
+    directory.mkdir()
+    coords = np.random.default_rng(seed).uniform(size=(n, 2))
+    panel = synth_generate(build_knn_graph(coords, k0=20, k1=7), T, seed=seed)
+    write_panel(panel, directory / "panel.csv")
+    rows = ["sensor_id,lat,lon"] + [f"{sid},{lat!r},{lon!r}" for sid, (lat, lon)
+                                    in zip(panel.sensor_ids, coords.tolist())]
+    (directory / "coords.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return directory
+
+
+@pytest.fixture(scope="session")
+def city_shaped_dirs(tmp_path_factory):
+    """Paris- and Toulouse-shaped panel directories; writing them takes
+    about as long as the tables, so a session makes them once."""
+    root = tmp_path_factory.mktemp("cities")
+    return (_city_shaped(root / "paris", 270, 4417, seed=0),
+            _city_shaped(root / "toulouse", 180, 4290, seed=1))
+
+
+def test_criterion_12_body_runs_on_city_shaped_panels(city_shaped_dirs):
+    # data/ is absent wherever the suite runs, so criterion 12 runs its
+    # body on synthetic panels of the two cities' shapes; a synthetic
+    # panel guarantees no published number, only that greedy beats random
+    (order, mse, base), (order2, mse2, base2) = dataset_tables(*city_shaped_dirs)
+    assert len(order) == 27 and len(order2) == 18
+    assert mse < base, (mse, base)
+    assert mse2 < base2, (mse2, base2)
+    print(f"criterion 12 body on synthetic panels: linear H=0 {mse:.2f} "
+          f"({base:.2f}), kernel H=1 {mse2:.2f} ({base2:.2f})")

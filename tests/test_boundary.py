@@ -86,6 +86,23 @@ def test_one_csv_reader():
     assert not counted, f"rows numbered by hand in {counted}"
 
 
+def test_one_skip_rule():
+    # evaluation._each decides which failed fit of a repeated loop is
+    # skipped and what is raised when all fail; the grid search and the
+    # random baseline each kept a copy, and the copies mapped the same
+    # failures to different exit codes; cli.main maps the error classes
+    # to the codes
+    handlers = []
+    for path in sorted((ROOT / "src" / "netselect").rglob("*.py")):
+        func = None  # the def that a handler's line follows
+        for line in path.read_text(encoding="utf-8").splitlines():
+            func = (re.findall(r"^\s*def (\w+)", line) or [func])[0]
+            if re.search(r"\bexcept\b[^:]*\bNetselectError\b", line):
+                handlers.append((path.relative_to(ROOT).as_posix(), func))
+    assert handlers == [("src/netselect/cli.py", "main"),
+                        ("src/netselect/evaluation.py", "_each")]
+
+
 def test_one_kind_per_setting():
     # every numeric flag parses through a cli.Kind, and evaluate checks the
     # stored settings with the same objects through cli.SETTINGS; a bare

@@ -20,7 +20,7 @@ from netselect.errors import (
     TrainingDivergedError,
 )
 from netselect.evaluation import EvalReport, default_p
-from netselect.select_linear import METHODS, SelectionResult
+from netselect.select_linear import METHODS, SelectionResult, fit_predict_linear
 from netselect.timeseries import (
     HOUR,
     PanelSeries,
@@ -420,6 +420,22 @@ def test_kernel_grid_raises_an_input_error_once(tmp_path, capsys, recwarn):
     assert not recwarn.list
 
 
+def test_kernel_grid_singular_everywhere_exits_3(tmp_path, capsys, monkeypatch):
+    # a lambda grid whose every fit failed is a computation that failed
+    # on valid input, not bad input
+    def singular(*args, **kwargs):
+        raise SingularMatrixError("Gram singular")
+
+    monkeypatch.setattr(cli, "greedy_select_kernel", singular)
+    argv = _twelve_sensors(tmp_path) + ["--method", "kernel", "--k0", "5", "--k1", "3"]
+    with pytest.warns(UserWarning, match="skipped: Gram singular"):
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: NetselectError: every grid config failed (5); ")
+    assert err.endswith(": Gram singular\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_select_rejects_duplicate_sensor_ids(tmp_path, capsys):
     panel_path, coords_path, ids = _correlated_panel(tmp_path)
     lines = panel_path.read_text().splitlines()
@@ -524,6 +540,54 @@ def test_evaluate_reports_exact_reconstruction(tmp_path, capsys):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
+def _fails_after_the_selection(monkeypatch, error):
+    """Patch evaluate's linear fit to raise error on every baseline draw;
+    returns the list of subsets it was asked for."""
+    calls = []
+
+    def fit(gammas, I, H):
+        calls.append(list(I))
+        if len(calls) > 1:
+            raise error
+        return fit_predict_linear(gammas, I, H)
+
+    monkeypatch.setattr(cli, "fit_predict_linear", fit)
+    return calls
+
+
+def test_evaluate_baseline_input_error_exits_2_at_once(tmp_path, capsys, monkeypatch,
+                                                       recwarn):
+    # every draw would repeat an input error, so the first ends the run
+    # with its own message, unwarned
+    calls = _fails_after_the_selection(
+        monkeypatch, InvalidInputError("lag 2 reaches past the training rows"))
+    panel_path = _noiseless_panel(tmp_path)
+    sel_path = tmp_path / "selection.json"
+    _write_selection(sel_path)
+    assert main(["evaluate", str(panel_path), str(sel_path), "--baseline-draws", "5",
+                 "--out-dir", str(tmp_path / "ev")]) == 2
+    assert capsys.readouterr().err == "error: lag 2 reaches past the training rows\n"
+    assert len(calls) == 2
+    assert not recwarn.list
+    assert not (tmp_path / "ev").exists()
+
+
+def test_evaluate_baseline_singular_on_every_draw_exits_3(tmp_path, capsys,
+                                                          monkeypatch):
+    calls = _fails_after_the_selection(monkeypatch,
+                                       SingularMatrixError("Gram singular"))
+    panel_path = _noiseless_panel(tmp_path)
+    sel_path = tmp_path / "selection.json"
+    _write_selection(sel_path)
+    with pytest.warns(UserWarning, match="skipped: Gram singular") as caught:
+        assert main(["evaluate", str(panel_path), str(sel_path),
+                     "--baseline-draws", "5", "--out-dir", str(tmp_path / "ev")]) == 3
+    assert len(calls) == 6 and len(caught) == 5
+    err = capsys.readouterr().err
+    assert err == (f"error: NetselectError: every baseline draw failed (5); the first "
+                   f"was {calls[1]!r}: Gram singular\n")
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("sensor_ids", _IDS4 + ["s004"], "made on 5 sensors that differ from the "
                                      "panel's 4 in ids or order"),
@@ -598,8 +662,7 @@ _STORED = {
                "standardize": False},
     "kernel": {"H": 0, "sensor_ids": _IDS4, "split": [300, 350, 400],
                "standardize": False,
-               "kernel": "autocovariance", "gamma": 0.0, "lambda": 0.0,
-               "k0": 2, "k1": 1},
+               "kernel": "autocovariance", "gamma": 0.0, "lambda": 0.0},
     "gcn-mask": {"H": 0, "sensor_ids": _IDS4, "split": [300, 350, 400],
                  "standardize": False,
                  "k0": 2, "k1": 1, "laplacian": "combinatorial", "cheb_order": 2,
@@ -633,6 +696,20 @@ def test_evaluate_needs_every_stored_setting(tmp_path, capsys, method):
         assert repr(key) in err and "rerun select" in err
     assert _evaluate_stored(tmp_path, method, [2, 3], hp) == 0
     assert json.loads((tmp_path / "report.json").read_text())["method"] == method
+
+
+@pytest.mark.parametrize("kernel, graph_keys", [
+    ("autocovariance", {}), ("spatial-temporal", {"k0": 2, "k1": 1})])
+def test_evaluate_needs_k0_k1_only_for_a_graph_kernel(tmp_path, capsys, kernel,
+                                                      graph_keys):
+    # k0 and k1 are settings of the kNN graph, which only the graph
+    # kernels and the GCN rules build
+    hp = dict(_STORED["kernel"], kernel=kernel, **graph_keys)
+    assert _evaluate_stored(tmp_path, "kernel", [2, 3], hp) == 0
+    for key in graph_keys:
+        partial = {k: v for k, v in hp.items() if k != key}
+        assert _evaluate_stored(tmp_path, "kernel", [2, 3], partial) == 2
+        assert repr(key) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", sorted(_STORED))
@@ -706,18 +783,21 @@ def test_evaluate_takes_the_split_from_the_selection_only(tmp_path, capsys):
 _SELECT_FLAGS = ["--p", "1", "--k0", "2", "--k1", "1", "--cheb-order", "2",
                  "--f-out", "2", "--fc-sizes", "4", "--max-epoch", "2",
                  "--mask-lambda-count", "2"]
-_COMMON_RECORD = ["H", "k0", "k1", "seed", "sensor_ids", "split", "standardize"]
+_COMMON_RECORD = ["H", "sensor_ids", "split", "standardize"]
 _KERNEL_RECORD = _COMMON_RECORD + ["gamma", "kernel", "lambda"]
+_GRAPH_KERNEL_RECORD = _KERNEL_RECORD + ["k0", "k1"]
 _GCN_RECORD = _COMMON_RECORD + ["batch_size", "cheb_order", "f_out", "fc_sizes",
-                                "laplacian", "lr", "max_epoch"]
+                                "k0", "k1", "laplacian", "lr", "max_epoch", "seed"]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("flags, keys, values", [
     (["--method", "linear"], _COMMON_RECORD, {"H": 0}),
-    (["--method", "kernel"], _KERNEL_RECORD + ["lambda_grid", "validation_error"],
+    (["--method", "kernel"], _GRAPH_KERNEL_RECORD + ["lambda_grid", "validation_error"],
      {"H": 0}),
-    (["--method", "kernel", "--lambda", "0.1"], _KERNEL_RECORD, {"lambda": 0.1}),
+    (["--method", "kernel", "--lambda", "0.1"], _GRAPH_KERNEL_RECORD, {"lambda": 0.1}),
+    (["--method", "kernel", "--kernel", "autocovariance", "--lambda", "0.1"],
+     _KERNEL_RECORD, {"kernel": "autocovariance"}),
     (["--method", "gcn-dropout", "--lr", "0.02"], _GCN_RECORD + ["measure"],
      {"measure": "r2", "lr": 0.02, "batch_size": 50, "max_epoch": 2}),
     (["--method", "gcn-dropout"], _GCN_RECORD + ["measure"], {"lr": 0.002}),
@@ -725,8 +805,8 @@ _GCN_RECORD = _COMMON_RECORD + ["batch_size", "cheb_order", "f_out", "fc_sizes",
      _GCN_RECORD + ["eps0", "mask_lambda_grid"],
      {"eps0": 0.02, "mask_lambda_grid": [0.05, 0.35], "lr": 0.05,
       "batch_size": 50, "max_epoch": 2}),
-], ids=["linear", "kernel-grid", "kernel-lambda", "gcn-dropout",
-        "gcn-dropout-default-lr", "gcn-mask"])
+], ids=["linear", "kernel-grid", "kernel-lambda", "kernel-autocovariance",
+        "gcn-dropout", "gcn-dropout-default-lr", "gcn-mask"])
 def test_select_records_every_setting(tmp_path, capsys, flags, keys, values):
     # select alone writes the settings record, each fact once, and
     # evaluate rebuilds the method from it; every output names the

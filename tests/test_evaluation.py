@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from netselect.errors import InvalidInputError, NetselectError
+from netselect.errors import InvalidInputError, NetselectError, SingularMatrixError
 from netselect.evaluation import (
     BURN_IN,
     EvalReport,
@@ -123,8 +123,25 @@ def test_random_baseline_determinism_and_skips():
         raise NetselectError("no fit")
 
     with pytest.warns(UserWarning):
-        with pytest.raises(InvalidInputError, match="every baseline draw"):
+        with pytest.raises(NetselectError, match="every baseline draw") as exc:
             random_baseline(always_fails, X, 2, split, draws=3, seed=0)
+    assert not isinstance(exc.value, InvalidInputError)
+
+
+def test_random_baseline_raises_an_input_error_at_once(recwarn):
+    # every draw would repeat an input error; skipping it drew all of
+    # them, warned each time and ended with a message of its own
+    X = np.random.default_rng(4).normal(size=(5, 400))
+    calls = []
+
+    def fit(I):
+        calls.append(I)
+        raise InvalidInputError("lag 3 reaches past the training rows")
+
+    with pytest.raises(InvalidInputError, match="^lag 3 reaches past the training"):
+        random_baseline(fit, X, 2, Split(300, 350, 400), draws=5, seed=0)
+    assert len(calls) == 1
+    assert not recwarn.list
 
 
 def test_gamma_grid_values_and_validation():
@@ -181,8 +198,9 @@ def test_grid_search_picks_best_and_keeps_first_on_ties():
         return select_fn((0,))
 
     with pytest.warns(UserWarning, match="'bad' skipped: broken config"):
-        with pytest.raises(InvalidInputError, match="every grid config"):
+        with pytest.raises(NetselectError, match="every grid config") as exc:
             grid_search(sometimes, ["bad"], X, split)
+    assert not isinstance(exc.value, InvalidInputError)
     with pytest.raises(InvalidInputError, match="nonempty"):
         grid_search(sometimes, [], X, split)
 
@@ -224,6 +242,23 @@ def test_grid_search_raises_an_input_error_at_once(recwarn):
         grid_search(select_fn, [0.1, 0.2, 0.3], X, Split(300, 350, 400))
     assert calls == [0.1]
     assert not recwarn.list
+
+
+def test_grid_search_of_failed_computations_is_no_input_error():
+    # a ridge grid singular at every point is a computation that failed
+    # on valid input (exit 3), not bad input (exit 2)
+    X = np.random.default_rng(6).normal(size=(4, 400))
+
+    def select_fn(config):
+        raise SingularMatrixError(f"singular at {config}")
+
+    with pytest.warns(UserWarning) as caught:
+        with pytest.raises(NetselectError) as exc:
+            grid_search(select_fn, [0.1, 0.2, 0.3], X, Split(300, 350, 400))
+    assert not isinstance(exc.value, InvalidInputError)
+    assert str(exc.value) == ("every grid config failed (3); "
+                              "the first was 0.1: singular at 0.1")
+    assert len(caught) == 3
 
 
 def test_synth_graph_smooth_lives_in_low_modes():

@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -135,6 +136,9 @@ SETTINGS = {
     "lambda": (FINITE_GE0, ("kernel",)),
     "k0": (INT_GE1, ("graph",)),
     "k1": (INT_GE1, ("graph",)),
+    "coords_sha256": (Kind("64 lowercase hex characters", lambda v: isinstance(v, str)
+                           and re.fullmatch("[0-9a-f]{64}", v) is not None),
+                      ("graph",)),
     "laplacian": (Kind(f"one of {LAPLACIANS}", lambda v: v in LAPLACIANS), ("gcn",)),
     "cheb_order": (INT_GE0, ("gcn",)),
     "f_out": (INT_GE1, ("gcn",)),
@@ -179,33 +183,27 @@ def _panel_matrix(panel, split, standardize):
 
 def _uses_graph(method, kernel):
     """Whether a method builds the kNN graph: the GCN rules and the
-    GRAPH_KERNELS. Its record then holds k0 and k1."""
+    GRAPH_KERNELS. Its record then holds k0, k1 and coords_sha256."""
     return method.startswith("gcn") or (method == "kernel" and kernel in GRAPH_KERNELS)
 
 
-def _graph(method, hp, panel, coords):
+def _coords_sha256(coords):
+    """SHA-256 of the panel-aligned coordinates as little-endian float64."""
+    # imported here: hashlib loads OpenSSL, whose pages would raise the
+    # peak memory of ingest and of the methods without a graph
+    import hashlib
+    return hashlib.sha256(np.asarray(coords, dtype="<f8").tobytes()).hexdigest()
+
+
+def _graph(method, hp, coords):
     """The kNN graph that a method uses, or None; coords is the
-    panel-aligned array or a coords path."""
+    panel-aligned array, None when no --coords was given."""
     if not _uses_graph(method, hp.get("kernel")):
         return None
     if coords is None:
         raise InvalidInputError(
             f"--coords is required to rebuild the graph of {method}")
-    if isinstance(coords, str):
-        coords = _align_coords(panel, coords)
     return build_knn_graph(coords, hp["k0"], hp["k1"])
-
-
-def _kernel_blocks(hp, X_train, graph):
-    """Kernel Gram blocks K(0..H) for the kernel in hp."""
-    return build_kernel_blocks(hp["kernel"], H=hp["H"], gamma=hp["gamma"],
-                               graph=graph, X_train=X_train)
-
-
-def _gcn_spectrum(hp, graph):
-    """EigenPair of the rescaled Laplacian the ChebNet filters in."""
-    L = LAPLACIAN_OF[hp["laplacian"]](graph)
-    return sym_eig(scale_laplacian(L, power_method(L).value))
 
 
 def _chebnet(hp, out_dim):
@@ -259,30 +257,91 @@ def cmd_ingest(args):
     return 0
 
 
-def _select_kernel_cmd(args, hp, p, X, split, graph):
+# One function per method family builds what select and evaluate share
+# and returns two closures: select(p) gives the SelectionResult, the
+# hyperparams the family decided and a writer per extra output file;
+# fit(I) gives the reconstructor for the turned-off set I. They call
+# library functions through this module's globals, as patched there.
+
+def linear(args, hp, X, split, graph):
+    """Least squares on the data blocks Gamma(0..H)."""
+    H = hp["H"]
+    gammas = estimate_blocks(X[:, :split.t_tv], H)
+
+    def select(p):
+        return greedy_select_linear(gammas, p, H=H), {}, {}
+
+    return select, lambda I: fit_predict_linear(gammas, I, H)
+
+
+def kernel(args, hp, X, split, graph):
+    """Kernel ridge on the Gram blocks K(0..H) of hp["kernel"]."""
     H = hp["H"]
     X_train = X[:, :split.t_tv]
-    gammas = estimate_blocks(X_train, H)
-    if hp["kernel"] == "autocovariance":
-        kb = gammas  # the autocovariance kernel's Gram blocks are the data blocks
-    else:
-        kb = _kernel_blocks(hp, X_train, graph)
+    kb = build_kernel_blocks(hp["kernel"], H=H, gamma=hp["gamma"], graph=graph,
+                             X_train=X_train)
 
-    if args.lam is not None:
-        result = greedy_select_kernel(gammas, kb, p, lam=args.lam, H=H)
-        return result, {"lambda": float(args.lam)}
+    def select(p):
+        # the autocovariance kernel's Gram blocks are the data blocks
+        gammas = (kb if hp["kernel"] == "autocovariance"
+                  else estimate_blocks(X_train, H))
+        if args.lam is not None:
+            result = greedy_select_kernel(gammas, kb, p, lam=args.lam, H=H)
+            return result, {"lambda": float(args.lam)}, {}
 
-    def run(lam):
-        res = greedy_select_kernel(gammas, kb, p, lam=lam, H=H)
-        return res, fit_predict_kernel(kb, res.order, lam, H)
+        def run(lam):
+            res = greedy_select_kernel(gammas, kb, p, lam=lam, H=H)
+            return res, fit_predict_kernel(kb, res.order, lam, H)
 
-    lam_list = lambda_grid(power_method(assemble_blocks(kb, [], H)[0]).value)
-    gs = grid_search(run, lam_list, X, split)
-    return gs.result, {
-        "lambda": float(gs.config),
-        "lambda_grid": [float(v) for v in lam_list],
-        "validation_error": gs.val_error,
-    }
+        lam_list = lambda_grid(power_method(assemble_blocks(kb, [], H)[0]).value)
+        gs = grid_search(run, lam_list, X, split)
+        return gs.result, {
+            "lambda": float(gs.config),
+            "lambda_grid": [float(v) for v in lam_list],
+            "validation_error": gs.val_error,
+        }, {}
+
+    return select, lambda I: fit_predict_kernel(kb, I, hp["lambda"], H)
+
+
+def gcn(args, hp, X, split, graph):
+    """ChebNets filtering in the rescaled Laplacian's eigenbasis."""
+    L = LAPLACIAN_OF[hp["laplacian"]](graph)
+    spectrum = sym_eig(scale_laplacian(L, power_method(L).value))
+    ids = hp["sensor_ids"]
+
+    def select(p):
+        net = _chebnet(hp, len(ids))
+        tc = TrainConfig(lr=hp["lr"], batch_size=hp["batch_size"],
+                         max_epoch=hp["max_epoch"], seed=hp["seed"])
+        if args.method == "gcn-dropout":
+            scores, result, _ = train_selection_dropout(
+                X, split, spectrum, p, net, tc, measure=args.measure)
+            return result, {}, {
+                "scores.csv": lambda path: write_scores_csv(scores, ids, path)}
+        grid = hp["mask_lambda_grid"]
+        result, path_values = train_selection_masking(
+            X, split, spectrum, p, grid, hp["eps0"], net, tc)
+        return result, {}, {"mask_path.csv": lambda path: write_csv(
+            path, ["lambda"] + ids,
+            ([lam] + row.tolist() for lam, row in zip(grid, path_values)))}
+
+    # evaluate retrains the prediction net for each requested set; the
+    # nets train in turn with equal shapes, so they share one workspace
+    workspace = Workspace()
+
+    def fit(I):
+        net = _chebnet(hp, len(I))
+        tc = TrainConfig(lr=args.lr, batch_size=args.batch_size,
+                         max_epoch=args.max_epoch, seed=args.seed)
+        params, _ = train_prediction_net(X, split, spectrum, I, net, tc, workspace)
+        return NetReconstructor(params, net, spectrum, list(I))
+
+    return select, fit
+
+
+# the family of a method is its name up to the first "-"
+FAMILY = {"linear": linear, "kernel": kernel, "gcn": gcn}
 
 
 def cmd_select(args):
@@ -290,8 +349,7 @@ def cmd_select(args):
     split = (make_split(panel.t_total) if args.split is None
              else _panel_split(args.split, panel))
     X = _panel_matrix(panel, split, args.standardize)
-    n = X.shape[0]
-    p = args.p if args.p is not None else default_p(n)
+    p = args.p if args.p is not None else default_p(X.shape[0])
     coords = _align_coords(panel, args.coords)
 
     # every setting the method runs with, among them all that evaluate
@@ -303,7 +361,7 @@ def cmd_select(args):
         "split": [split.t_tv, split.t0, split.t1],
     }
     if _uses_graph(args.method, args.kernel):
-        hp.update(k0=args.k0, k1=args.k1)
+        hp.update(k0=args.k0, k1=args.k1, coords_sha256=_coords_sha256(coords))
     if args.method == "kernel":
         hp["kernel"] = args.kernel
         hp["gamma"] = gamma_grid(args.H, args.r_s) if args.H > 0 else 0.0
@@ -316,28 +374,10 @@ def cmd_select(args):
         hp["eps0"] = args.eps0
         hp["mask_lambda_grid"] = [float(v) for v in np.linspace(
             args.mask_lambda_min, args.mask_lambda_max, args.mask_lambda_count)]
-    graph = _graph(args.method, hp, panel, coords)
 
-    scores = None
-    mask_path_values = None
-    extras = {}
-    if args.method == "linear":
-        gammas = estimate_blocks(X[:, :split.t_tv], args.H)
-        result = greedy_select_linear(gammas, p, H=args.H)
-    elif args.method == "kernel":
-        result, extras = _select_kernel_cmd(args, hp, p, X, split, graph)
-    else:
-        spectrum = _gcn_spectrum(hp, graph)
-        net = _chebnet(hp, n)
-        tc = TrainConfig(lr=hp["lr"], batch_size=hp["batch_size"],
-                         max_epoch=hp["max_epoch"], seed=args.seed)
-        if args.method == "gcn-dropout":
-            scores, result, _ = train_selection_dropout(
-                X, split, spectrum, p, net, tc, measure=args.measure)
-        else:
-            result, mask_path_values = train_selection_masking(
-                X, split, spectrum, p, hp["mask_lambda_grid"], hp["eps0"], net, tc)
-
+    select, _ = FAMILY[args.method.split("-")[0]](
+        args, hp, X, split, _graph(args.method, hp, coords))
+    result, extras, tables = select(p)
     result.hyperparams.update(hp, **extras)
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -346,47 +386,14 @@ def cmd_select(args):
     geo_path = os.path.join(args.out_dir, "selected.geojson")
     _write_text(geo_path, _geojson(result, panel.sensor_ids, coords))
     written = [sel_path, geo_path]
-    if scores is not None:
-        scores_path = os.path.join(args.out_dir, "scores.csv")
-        write_scores_csv(scores, panel.sensor_ids, scores_path)
-        written.append(scores_path)
-    if mask_path_values is not None:
-        path_csv = os.path.join(args.out_dir, "mask_path.csv")
-        write_csv(path_csv, ["lambda"] + list(panel.sensor_ids),
-                  ([lam] + row.tolist()
-                   for lam, row in zip(hp["mask_lambda_grid"], mask_path_values)))
-        written.append(path_csv)
+    for name, write in tables.items():
+        written.append(os.path.join(args.out_dir, name))
+        write(written[-1])
     names = [panel.sensor_ids[i] for i in result.order]
     print(f"{result.method} selected {len(result.order)} sensors: "
           f"{' '.join(names)}")
     print("wrote " + ", ".join(written))
     return 0
-
-
-def _evaluate_fit_fn(args, sel, X, split, graph):
-    """Reconstructor factory for the stored method, reused for baselines."""
-    hp = sel.hyperparams
-    H = hp["H"]
-    X_train = X[:, :split.t_tv]
-    if sel.method == "linear":
-        gammas = estimate_blocks(X_train, H)
-        return lambda I: fit_predict_linear(gammas, I, H)
-    if sel.method == "kernel":
-        kb = _kernel_blocks(hp, X_train, graph)
-        return lambda I: fit_predict_kernel(kb, I, hp["lambda"], H)
-    # gcn: retrain the prediction network for each requested set; the
-    # nets train in turn with equal shapes, so they share one workspace
-    spectrum = _gcn_spectrum(hp, graph)
-    tc = TrainConfig(lr=args.lr, batch_size=args.batch_size,
-                     max_epoch=args.max_epoch, seed=args.seed)
-    workspace = Workspace()
-
-    def fit(I):
-        net = _chebnet(hp, len(I))
-        params, _ = train_prediction_net(X, split, spectrum, I, net, tc, workspace)
-        return NetReconstructor(params, net, spectrum, list(I))
-
-    return fit
 
 
 def cmd_evaluate(args):
@@ -420,11 +427,18 @@ def cmd_evaluate(args):
     split = _panel_split(hp["split"], panel)
     X = _panel_matrix(panel, split, hp["standardize"])
 
-    graph = _graph(sel.method, hp, panel, args.coords)
-    fit_fn = _evaluate_fit_fn(args, sel, X, split, graph)
-    rec = fit_fn(sel.order)
-    mse = test_mse(rec, X, sel.order, split)
-    base = random_baseline(fit_fn, X, len(sel.order), split,
+    coords = None
+    if "graph" in families and args.coords is not None:
+        coords = _align_coords(panel, args.coords)
+        if _coords_sha256(coords) != hp["coords_sha256"]:
+            raise InvalidInputError(
+                f"{args.coords}: the coordinates of the panel's sensors differ "
+                f"from those the selection's graph was built on; rerun select "
+                f"with this file")
+    _, fit = FAMILY[families[0]](args, hp, X, split,
+                                 _graph(sel.method, hp, coords))
+    mse = test_mse(fit(sel.order), X, sel.order, split)
+    base = random_baseline(fit, X, len(sel.order), split,
                            draws=args.baseline_draws, seed=args.seed)
     if "gcn" in families:
         hp = dict(hp, prediction_net={"lr": args.lr, "batch_size": args.batch_size,

@@ -137,3 +137,22 @@ def test_one_error_class_per_exit_code():
               for clause in re.findall(r"\bexcept ([^:]*):", text)
               if re.search(r"SingularMatrixError|TrainingDivergedError", clause)}
     assert not caught
+
+
+def test_commands_dispatch_through_the_family_table():
+    # cli.FAMILY's functions build what select and evaluate share of a
+    # method family; a library call in a command body is a second copy
+    # of that setup, and the two copies drifted apart
+    tree = ast.parse((ROOT / "src" / "netselect" / "cli.py").read_text(encoding="utf-8"))
+    commands = {node.name: node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name in ("cmd_select", "cmd_evaluate")}
+    assert sorted(commands) == ["cmd_evaluate", "cmd_select"]
+    family_calls = re.compile(
+        r"estimate_blocks|build_kernel_blocks|(greedy_select|fit_predict|train)_\w+")
+    named = sorted((name, node.id if isinstance(node, ast.Name) else node.attr)
+                   for name, command in commands.items()
+                   for node in ast.walk(command)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+    called = [pair for pair in named if family_calls.fullmatch(pair[1])]
+    assert not called, f"library functions named outside cli.FAMILY: {called}"

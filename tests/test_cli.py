@@ -3,8 +3,10 @@
 import argparse
 import ast
 import csv
+import hashlib
 import importlib
 import json
+import random
 import re
 import shlex
 from pathlib import Path
@@ -20,10 +22,19 @@ from netselect.errors import (
     TrainingDivergedError,
 )
 from netselect.evaluation import EvalReport, default_p
+from netselect.evaluation import test_mse as held_out_mse
+from netselect.graph import build_knn_graph, read_coords
+from netselect.select_kernel import (
+    GRAPH_KERNELS,
+    KERNEL_TAGS,
+    build_kernel_blocks,
+    fit_predict_kernel,
+)
 from netselect.select_linear import METHODS, SelectionResult, fit_predict_linear
 from netselect.timeseries import (
     HOUR,
     PanelSeries,
+    Split,
     estimate_blocks,
     read_panel,
     write_panel,
@@ -632,6 +643,86 @@ def test_evaluate_refuses_the_panel_with_its_sensors_reordered(tmp_path, capsys)
             in capsys.readouterr().err)
 
 
+def _kernel_run(tmp_path, kernel="spatial-temporal"):
+    """Select a kernel method at H=1 on an 8-sensor panel; returns the
+    panel path, the coords path and the selection.json path."""
+    panel_path, coords_path, _ = _correlated_panel(tmp_path, n=8)
+    sel_dir = tmp_path / "sel"
+    assert main(["select", str(panel_path), "--coords", str(coords_path),
+                 "--method", "kernel", "--kernel", kernel, "--H", "1",
+                 "--k0", "6", "--k1", "3", "--p", "2", "--out-dir", str(sel_dir)]) == 0
+    return panel_path, coords_path, sel_dir / "selection.json"
+
+
+def _evaluate_report(panel_path, sel_path, coords_path, out_dir):
+    """Exit code of evaluate and the bytes of the report.json it wrote."""
+    code = main(["evaluate", str(panel_path), str(sel_path), "--coords",
+                 str(coords_path), "--baseline-draws", "3", "--out-dir", str(out_dir)])
+    report = out_dir / "report.json"
+    return code, report.read_bytes() if report.exists() else None
+
+
+def test_evaluate_refuses_coordinates_other_than_the_selections(tmp_path, capsys):
+    # the graph is rebuilt from --coords; the same ids with their
+    # coordinate pairs shuffled built another graph and exited 0 with
+    # another test MSE
+    panel_path, coords_path, sel_path = _kernel_run(tmp_path)
+    rows = coords_path.read_text().splitlines()
+    pairs = [row.split(",", 1)[1] for row in rows[1:]]
+    shuffled = list(pairs)
+    random.Random(1).shuffle(shuffled)
+    assert shuffled != pairs
+    coords_path.with_name("shuffled.csv").write_text("\n".join(
+        [rows[0]] + [row.split(",", 1)[0] + "," + pair
+                     for row, pair in zip(rows[1:], shuffled)]) + "\n")
+    capsys.readouterr()
+    code, report = _evaluate_report(panel_path, sel_path,
+                                    coords_path.with_name("shuffled.csv"),
+                                    tmp_path / "ev")
+    assert (code, report) == (2, None)
+    err = capsys.readouterr().err
+    assert "shuffled.csv: the coordinates of the panel's sensors differ" in err
+    assert "rerun select" in err
+
+
+def test_evaluate_takes_the_coordinates_in_any_row_order(tmp_path, capsys):
+    # the digest is of the coordinates aligned to the panel, so a file
+    # with an extra station or its rows reordered names the same graph
+    panel_path, coords_path, sel_path = _kernel_run(tmp_path)
+    rows = coords_path.read_text().splitlines()
+    variants = {"extra.csv": rows + ["zzz,0.5,0.5"],
+                "reordered.csv": rows[:1] + rows[:0:-1]}
+    code, expected = _evaluate_report(panel_path, sel_path, coords_path,
+                                      tmp_path / "ev")
+    assert code == 0
+    for name, lines in variants.items():
+        coords_path.with_name(name).write_text("\n".join(lines) + "\n")
+        assert _evaluate_report(panel_path, sel_path, coords_path.with_name(name),
+                                tmp_path / f"ev-{name}") == (0, expected), name
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("kernel", KERNEL_TAGS)
+def test_select_and_evaluate_build_the_same_kernel(tmp_path, capsys, kernel):
+    # evaluate refits with the Gram blocks that select searched lambda on;
+    # the test MSE it reports is the library's for the stored settings
+    panel_path, coords_path, sel_path = _kernel_run(tmp_path, kernel)
+    code, report = _evaluate_report(panel_path, sel_path, coords_path, tmp_path / "ev")
+    capsys.readouterr()
+    assert code == 0
+    sel = json.loads(sel_path.read_text())
+    hp, order = sel["hyperparams"], sel["order"]
+    X = read_panel(panel_path).values
+    split = Split(*hp["split"])
+    graph = (build_knn_graph(read_coords(coords_path)[1], 6, 3)
+             if kernel in GRAPH_KERNELS else None)
+    kb = build_kernel_blocks(kernel, H=1, gamma=hp["gamma"], graph=graph,
+                             X_train=X[:, :split.t_tv])
+    expected = held_out_mse(fit_predict_kernel(kb, order, hp["lambda"], 1), X, order,
+                            split)
+    assert json.loads(report)["test_mse"] == expected
+
+
 def test_evaluate_records_gcn_prediction_net_settings(tmp_path, capsys):
     panel_path = _noiseless_panel(tmp_path)
     coords_path = tmp_path / "coords.csv"
@@ -656,6 +747,7 @@ def test_evaluate_records_gcn_prediction_net_settings(tmp_path, capsys):
 
 
 _COORDS4 = [[0.0, 0.0], [1.0, 0.2], [0.1, 1.3], [1.2, 1.1]]
+_COORDS4_SHA256 = hashlib.sha256(np.asarray(_COORDS4, dtype="<f8").tobytes()).hexdigest()
 # complete hyperparams of each stored method family, as select writes them
 _STORED = {
     "linear": {"H": 0, "sensor_ids": _IDS4, "split": [300, 350, 400],
@@ -665,7 +757,8 @@ _STORED = {
                "kernel": "autocovariance", "gamma": 0.0, "lambda": 0.0},
     "gcn-mask": {"H": 0, "sensor_ids": _IDS4, "split": [300, 350, 400],
                  "standardize": False,
-                 "k0": 2, "k1": 1, "laplacian": "combinatorial", "cheb_order": 2,
+                 "k0": 2, "k1": 1, "coords_sha256": _COORDS4_SHA256,
+                 "laplacian": "combinatorial", "cheb_order": 2,
                  "f_out": 2, "fc_sizes": [4]},
 }
 
@@ -699,11 +792,12 @@ def test_evaluate_needs_every_stored_setting(tmp_path, capsys, method):
 
 
 @pytest.mark.parametrize("kernel, graph_keys", [
-    ("autocovariance", {}), ("spatial-temporal", {"k0": 2, "k1": 1})])
+    ("autocovariance", {}),
+    ("spatial-temporal", {"k0": 2, "k1": 1, "coords_sha256": _COORDS4_SHA256})])
 def test_evaluate_needs_k0_k1_only_for_a_graph_kernel(tmp_path, capsys, kernel,
                                                       graph_keys):
-    # k0 and k1 are settings of the kNN graph, which only the graph
-    # kernels and the GCN rules build
+    # k0, k1 and the coordinates' digest are settings of the kNN graph,
+    # which only the graph kernels and the GCN rules build
     hp = dict(_STORED["kernel"], kernel=kernel, **graph_keys)
     assert _evaluate_stored(tmp_path, "kernel", [2, 3], hp) == 0
     for key in graph_keys:
@@ -733,6 +827,8 @@ def test_evaluate_rejects_negative_sensor_index(tmp_path, capsys, method):
     ("gcn-mask", "k0", "2"),
     ("gcn-mask", "laplacian", "foo"),
     ("gcn-mask", "fc_sizes", "4"),
+    ("gcn-mask", "coords_sha256", _COORDS4_SHA256.upper()),
+    ("gcn-mask", "coords_sha256", _COORDS4_SHA256[:63]),
 ])
 def test_evaluate_checks_stored_setting_types(tmp_path, capsys, method, key, value):
     # a wrong type or range is an input error naming the key, never a
@@ -785,9 +881,10 @@ _SELECT_FLAGS = ["--p", "1", "--k0", "2", "--k1", "1", "--cheb-order", "2",
                  "--mask-lambda-count", "2"]
 _COMMON_RECORD = ["H", "sensor_ids", "split", "standardize"]
 _KERNEL_RECORD = _COMMON_RECORD + ["gamma", "kernel", "lambda"]
-_GRAPH_KERNEL_RECORD = _KERNEL_RECORD + ["k0", "k1"]
-_GCN_RECORD = _COMMON_RECORD + ["batch_size", "cheb_order", "f_out", "fc_sizes",
-                                "k0", "k1", "laplacian", "lr", "max_epoch", "seed"]
+_GRAPH_KERNEL_RECORD = _KERNEL_RECORD + ["coords_sha256", "k0", "k1"]
+_GCN_RECORD = _COMMON_RECORD + ["batch_size", "cheb_order", "coords_sha256", "f_out",
+                                "fc_sizes", "k0", "k1", "laplacian", "lr",
+                                "max_epoch", "seed"]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

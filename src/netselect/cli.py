@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import InvalidInputError, NetselectError
 from .evaluation import (
-    EvalReport,
     default_p,
     gamma_grid,
     grid_search,
@@ -56,15 +55,14 @@ from .select_linear import (
 )
 from .timeseries import (
     Split,
-    apply_preprocess,
     assemble_blocks,
     clean_stations,
     estimate_blocks,
-    fit_weekly_profile,
     interpolate_hourly,
     make_split,
     read_panel,
     read_raw_records,
+    standardize,
     write_csv,
     write_panel,
 )
@@ -118,6 +116,9 @@ FRACTION = Kind("a finite number in (0, 1)", lambda v: _is_number(v) and 0 < v <
 FINITE_GE0 = Kind("a finite number >= 0", lambda v: _is_number(v) and v >= 0, float)
 FINITE_GT0 = Kind("a finite number > 0", lambda v: _is_number(v) and v > 0, float)
 
+SHA256 = Kind("64 lowercase hex characters", lambda v: isinstance(v, str)
+              and re.fullmatch("[0-9a-f]{64}", v) is not None)
+
 # the selection.json hyperparams evaluate rebuilds a method from: each
 # key's kind, which select's flag for it parses with too, and the
 # families of the records that need it, "graph" for the methods that
@@ -126,6 +127,7 @@ _FAMILIES = ("linear", "kernel", "gcn")
 SETTINGS = {
     "sensor_ids": (Kind("a list of sensor ids", lambda v: isinstance(v, list)
                         and all(isinstance(s, str) for s in v)), _FAMILIES),
+    "panel_sha256": (SHA256, _FAMILIES),
     "split": (Kind("three integers t_tv, t0, t1", lambda v: isinstance(v, list)
                    and len(v) == 3 and all(_is_int(t, 0) for t in v),
                    _comma_ints), _FAMILIES),
@@ -136,9 +138,7 @@ SETTINGS = {
     "lambda": (FINITE_GE0, ("kernel",)),
     "k0": (INT_GE1, ("graph",)),
     "k1": (INT_GE1, ("graph",)),
-    "coords_sha256": (Kind("64 lowercase hex characters", lambda v: isinstance(v, str)
-                           and re.fullmatch("[0-9a-f]{64}", v) is not None),
-                      ("graph",)),
+    "coords_sha256": (SHA256, ("graph",)),
     "laplacian": (Kind(f"one of {LAPLACIANS}", lambda v: v in LAPLACIANS), ("gcn",)),
     "cheb_order": (INT_GE0, ("gcn",)),
     "f_out": (INT_GE1, ("gcn",)),
@@ -173,26 +173,29 @@ def _align_coords(panel, coords_path):
     return coords[[index[sid] for sid in panel.sensor_ids]]
 
 
-def _panel_matrix(panel, split, standardize):
-    """Panel values, with the weekly profile fitted on the training rows
-    removed when standardize is set."""
-    if standardize:
-        return apply_preprocess(panel, fit_weekly_profile(panel, split))
-    return panel.values
-
-
 def _uses_graph(method, kernel):
     """Whether a method builds the kNN graph: the GCN rules and the
     GRAPH_KERNELS. Its record then holds k0, k1 and coords_sha256."""
     return method.startswith("gcn") or (method == "kernel" and kernel in GRAPH_KERNELS)
 
 
+def _sha256(data):
+    """Hex SHA-256 of bytes."""
+    # imported here: hashlib loads OpenSSL, whose pages would raise the
+    # peak memory of ingest
+    import hashlib
+    return hashlib.sha256(data).hexdigest()
+
+
+def _panel_sha256(path):
+    """SHA-256 of a panel file's bytes."""
+    with open(path, "rb") as fh:
+        return _sha256(fh.read())
+
+
 def _coords_sha256(coords):
     """SHA-256 of the panel-aligned coordinates as little-endian float64."""
-    # imported here: hashlib loads OpenSSL, whose pages would raise the
-    # peak memory of ingest and of the methods without a graph
-    import hashlib
-    return hashlib.sha256(np.asarray(coords, dtype="<f8").tobytes()).hexdigest()
+    return _sha256(np.asarray(coords, dtype="<f8").tobytes())
 
 
 def _graph(method, hp, coords):
@@ -348,7 +351,7 @@ def cmd_select(args):
     panel = read_panel(args.panel)
     split = (make_split(panel.t_total) if args.split is None
              else _panel_split(args.split, panel))
-    X = _panel_matrix(panel, split, args.standardize)
+    X = standardize(panel, split) if args.standardize else panel.values
     p = args.p if args.p is not None else default_p(X.shape[0])
     coords = _align_coords(panel, args.coords)
 
@@ -356,6 +359,7 @@ def cmd_select(args):
     # rebuilds it from (SETTINGS)
     hp = {
         "sensor_ids": list(panel.sensor_ids),
+        "panel_sha256": _panel_sha256(args.panel),
         "H": args.H,
         "standardize": bool(args.standardize),
         "split": [split.t_tv, split.t0, split.t1],
@@ -421,11 +425,15 @@ def cmd_evaluate(args):
         raise InvalidInputError(
             f"selection was made on {len(hp['sensor_ids'])} sensors that differ "
             f"from the panel's {panel.n} in ids or order; rerun select on this panel")
+    if _panel_sha256(args.panel) != hp["panel_sha256"]:
+        raise InvalidInputError(
+            f"{args.panel}: the panel's bytes differ from those the selection "
+            f"was made on; rerun select on this panel")
     if any(i >= panel.n for i in sel.order):
         raise InvalidInputError(
             f"selection order {sel.order} exceeds panel size {panel.n}")
     split = _panel_split(hp["split"], panel)
-    X = _panel_matrix(panel, split, hp["standardize"])
+    X = standardize(panel, split) if hp["standardize"] else panel.values
 
     coords = None
     if "graph" in families and args.coords is not None:
@@ -443,19 +451,13 @@ def cmd_evaluate(args):
     if "gcn" in families:
         hp = dict(hp, prediction_net={"lr": args.lr, "batch_size": args.batch_size,
                                       "max_epoch": args.max_epoch})
-    report = EvalReport(
-        method=sel.method,
-        selected=sel.order,
-        test_mse=mse,
-        baseline_mean=base.mean_mse,
-        baseline_draws=base.draws,
-        baseline_skipped=base.skipped,
-        hyperparams=hp,
-        seed=args.seed,
-    )
+    report = {"method": sel.method, "selected": sel.order, "test_mse": mse,
+              "baseline_mean": base.mean_mse, "baseline_draws": base.draws,
+              "baseline_skipped": base.skipped, "hyperparams": hp,
+              "seed": args.seed}
     os.makedirs(args.out_dir, exist_ok=True)
     report_path = os.path.join(args.out_dir, "report.json")
-    _write_text(report_path, report.to_json())
+    _write_text(report_path, json.dumps(report, indent=2, sort_keys=True))
     table_path = os.path.join(args.out_dir, "summary.csv")
     summary_table_csv(report, table_path)
     print(f"{sel.method}: test MSE {mse:.4f}, baseline {base.mean_mse:.4f} "

@@ -5,17 +5,15 @@ turned-off set per time step, then averaged over test rows, which is the
 scale the summary tables use.
 """
 
-import json
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable, List, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInputError, NetselectError
 from .graph import SensorGraph, combinatorial_laplacian, graph_spectrum
-from .select_linear import METHODS, SelectionResult
+from .select_linear import SelectionResult
 from .timeseries import HOUR, PanelSeries, Split, write_csv
 
 LAMBDA_COEFFICIENTS = (0.001, 0.00325, 0.0055, 0.00775, 0.01)
@@ -23,43 +21,6 @@ BURN_IN = 500
 N_MODES = 3              # synth_generate: graph Fourier modes,
 AR_COEF = 0.9            # their AR(1) coefficient,
 REDUNDANT_NOISE = 0.005  # and the noise std of a redundant sensor's copy
-
-
-@dataclass
-class EvalReport:
-    method: str
-    selected: List[int]
-    test_mse: float
-    baseline_mean: float
-    baseline_draws: int
-    baseline_skipped: int
-    hyperparams: dict
-    seed: int
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise InvalidInputError(
-                f"method must be one of {METHODS}, got {self.method!r}")
-        if self.test_mse < 0:
-            raise InvalidInputError("test MSE must be nonnegative")
-        if self.baseline_mean < 0:
-            raise InvalidInputError("baseline mean MSE must be nonnegative")
-        if self.baseline_draws < 0 or self.baseline_skipped < 0:
-            raise InvalidInputError("draw counts must be nonnegative")
-        self.selected = [int(i) for i in self.selected]
-
-    def to_json(self) -> str:
-        payload = {
-            "method": self.method,
-            "selected": self.selected,
-            "test_mse": self.test_mse,
-            "baseline_mean": self.baseline_mean,
-            "baseline_draws": self.baseline_draws,
-            "baseline_skipped": self.baseline_skipped,
-            "hyperparams": self.hyperparams,
-            "seed": self.seed,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def default_p(n: int) -> int:
@@ -238,9 +199,9 @@ def synth_generate(graph: SensorGraph, T: int, model: str = "graph-smooth",
     return _hourly_panel(X)
 
 
-def summary_table_csv(report: EvalReport, path):
-    """The report as a one-row table: its method, and the cell
+def summary_table_csv(report: dict, path):
+    """The report.json dict as a one-row table: its method, and the cell
     "test (baseline)" under its horizon H."""
-    cell = f"{report.test_mse:.4g} ({report.baseline_mean:.4g})"
-    write_csv(path, ["method", f"H={report.hyperparams['H']}"],
-              [[report.method, cell]])
+    cell = f"{report['test_mse']:.4g} ({report['baseline_mean']:.4g})"
+    write_csv(path, ["method", f"H={report['hyperparams']['H']}"],
+              [[report["method"], cell]])

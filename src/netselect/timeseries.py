@@ -88,12 +88,6 @@ def make_split(t_total) -> Split:
     return Split(t_tv, t0, t_total)
 
 
-@dataclass(frozen=True)
-class PreprocessModel:
-    profile: np.ndarray  # (n, 168) weekly trend per sensor
-    scale: np.ndarray    # (n,) residual standard deviations, all positive
-
-
 def _iso_seconds(text):
     """Epoch seconds of an ISO-8601 moment, naive meaning UTC; ValueError
     when text is not one."""
@@ -191,19 +185,14 @@ def read_raw_records(path) -> Dict[str, np.ndarray]:
     return dict(zip(codes, np.split(table, ends[:-1])))
 
 
-def _record_array(recs):
-    """Records as a (k, 3) float array: read_raw_records' arrays, or
-    lists of (moment, bikes, spaces) tuples."""
-    return np.asarray(recs, dtype=float).reshape(-1, 3)
-
-
 def clean_stations(records, r_c, min_records=100):
     """Keep stations whose capacity correction rate exceeds r_c.
 
-    For each station, max_bikes = max(bikes + spaces) and the correction
-    rate is the fraction of records where bikes + spaces equals that
-    maximum. A station is kept iff rate > r_c (strict) and it has at
-    least min_records records and positive capacity.
+    records maps each station to its (k, 3) array, as read_raw_records
+    returns them. For each station, max_bikes = max(bikes + spaces) and
+    the correction rate is the fraction of records where bikes + spaces
+    equals that maximum. A station is kept iff rate > r_c (strict) and
+    it has at least min_records records and positive capacity.
 
     Returns a list of (station, max_bikes) sorted by station id.
     """
@@ -211,7 +200,7 @@ def clean_stations(records, r_c, min_records=100):
         raise InvalidInputError(f"r_c must be in (0, 1), got {r_c}")
     kept = []
     for station in sorted(records):
-        recs = _record_array(records[station])
+        recs = records[station]
         if not len(recs):
             continue
         totals = recs[:, 1] + recs[:, 2]
@@ -225,7 +214,8 @@ def clean_stations(records, r_c, min_records=100):
 
 
 def interpolate_hourly(records, kept) -> PanelSeries:
-    """Interpolate kept stations onto a common hourly grid.
+    """Interpolate kept stations of records, as clean_stations takes
+    them, onto a common hourly grid.
 
     The grid spans from the 0.995 quantile of per-station start moments
     to the 0.005 quantile of per-station end moments, so nearly every
@@ -235,7 +225,7 @@ def interpolate_hourly(records, kept) -> PanelSeries:
     """
     if not kept:
         raise InvalidInputError("no stations to interpolate")
-    arrays = [_record_array(records[s]) for s, _ in kept]
+    arrays = [records[s] for s, _ in kept]
     start_q = float(np.quantile([recs[0, 0] for recs in arrays], 0.995))
     end_q = float(np.quantile([recs[-1, 0] for recs in arrays], 0.005))
     t_first = int(np.ceil(start_q / HOUR)) * HOUR
@@ -266,8 +256,9 @@ def interpolate_hourly(records, kept) -> PanelSeries:
     return PanelSeries(ids, stamps, np.vstack(rows))
 
 
-def fit_weekly_profile(panel: PanelSeries, split: Split) -> PreprocessModel:
-    """Weekly profile and residual scale from training rows only.
+def standardize(panel: PanelSeries, split: Split) -> np.ndarray:
+    """The (n, T) panel values minus a weekly profile, over a residual
+    scale, both fitted on training rows only.
 
     P_i(m) is the mean of x_i over training columns whose index is
     congruent to m mod 168; scale_i is the standard deviation of the
@@ -290,13 +281,8 @@ def fit_weekly_profile(panel: PanelSeries, split: Split) -> PreprocessModel:
             f"sensor {panel.sensor_ids[bad]!r} (index {bad}) has zero "
             f"residual variance on training rows"
         )
-    return PreprocessModel(profile, scale)
-
-
-def apply_preprocess(panel: PanelSeries, model: PreprocessModel) -> np.ndarray:
-    """The (n, T) panel values minus the weekly profile, over the residual std."""
     slots = np.arange(panel.t_total) % WEEK_HOURS
-    return (panel.values - model.profile[:, slots]) / model.scale[:, None]
+    return (panel.values - profile[:, slots]) / scale[:, None]
 
 
 def autocovariance(X, l):

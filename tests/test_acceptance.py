@@ -31,12 +31,11 @@ from netselect.select_kernel import (
 from netselect.select_linear import fit_predict_linear, greedy_select_linear
 from netselect.timeseries import (
     Split,
-    apply_preprocess,
     estimate_blocks,
-    fit_weekly_profile,
     lag_stack,
     make_split,
     read_panel,
+    standardize,
     write_panel,
 )
 from oracles import (
@@ -359,7 +358,7 @@ def dataset_tables(paris_dir, toulouse_dir):
     panel = read_panel(paris / "panel.csv")
     split = Split(3776, 3975, 4417)
     assert split.t1 == panel.t_total
-    X = apply_preprocess(panel, fit_weekly_profile(panel, split))
+    X = standardize(panel, split)
     blocks = estimate_blocks(X[:, :split.t_tv], 0)
     res = greedy_select_linear(blocks, 27, H=0)
     mse = held_out_mse(fit_predict_linear(blocks, res.order, 0), X, res.order, split)
@@ -370,7 +369,7 @@ def dataset_tables(paris_dir, toulouse_dir):
     panel2 = read_panel(toulouse / "panel.csv")
     split2 = Split(3288, 3649, 4290)
     assert split2.t1 == panel2.t_total
-    X2 = apply_preprocess(panel2, fit_weekly_profile(panel2, split2))
+    X2 = standardize(panel2, split2)
     from netselect.graph import read_coords
 
     ids, coords = read_coords(toulouse / "coords.csv")

@@ -9,6 +9,7 @@ import json
 import random
 import re
 import shlex
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from netselect.errors import (
     SingularMatrixError,
     TrainingDivergedError,
 )
-from netselect.evaluation import EvalReport, default_p
+from netselect.evaluation import default_p
 from netselect.evaluation import test_mse as held_out_mse
 from netselect.graph import build_knn_graph, read_coords
 from netselect.select_kernel import (
@@ -516,10 +517,16 @@ def _noiseless_panel(tmp_path, T=400, seed=1):
     return panel_path
 
 
+# the panel_sha256 that select records for _noiseless_panel's file
+with tempfile.TemporaryDirectory() as _tmp:
+    _PANEL4_SHA256 = hashlib.sha256(
+        _noiseless_panel(Path(_tmp)).read_bytes()).hexdigest()
+
+
 def _write_selection(path):
     result = SelectionResult(
-        "linear", {"H": 0, "sensor_ids": _IDS4, "split": [300, 350, 400],
-                   "standardize": False},
+        "linear", {"H": 0, "sensor_ids": _IDS4, "panel_sha256": _PANEL4_SHA256,
+                   "split": [300, 350, 400], "standardize": False},
         [2, 3], [0.0, 0.0])
     path.write_text(result.to_json() + "\n", encoding="utf-8")
 
@@ -643,6 +650,27 @@ def test_evaluate_refuses_the_panel_with_its_sensors_reordered(tmp_path, capsys)
             in capsys.readouterr().err)
 
 
+def test_evaluate_refuses_the_panel_with_a_value_edited(tmp_path, capsys):
+    # the same ids in the same order with one value changed used to
+    # evaluate with exit 0 and another test MSE
+    panel_path, coords_path, ids = _correlated_panel(tmp_path)
+    sel_dir = tmp_path / "sel"
+    assert main(["select", str(panel_path), "--coords", str(coords_path),
+                 "--out-dir", str(sel_dir)]) == 0
+    panel = read_panel(panel_path)
+    values = panel.values.copy()
+    values[0, -1] += 0.5
+    edited_path = tmp_path / "edited.csv"
+    write_panel(PanelSeries(ids, panel.timestamps, values), edited_path)
+    capsys.readouterr()
+    for path, code in ((edited_path, 2), (panel_path, 0)):
+        assert main(["evaluate", str(path), str(sel_dir / "selection.json"),
+                     "--baseline-draws", "2", "--out-dir", str(tmp_path / "ev")]
+                    ) == code
+    err = capsys.readouterr().err
+    assert "edited.csv: the panel's bytes differ" in err and "rerun select" in err
+
+
 def _kernel_run(tmp_path, kernel="spatial-temporal"):
     """Select a kernel method at H=1 on an 8-sensor panel; returns the
     panel path, the coords path and the selection.json path."""
@@ -750,13 +778,13 @@ _COORDS4 = [[0.0, 0.0], [1.0, 0.2], [0.1, 1.3], [1.2, 1.1]]
 _COORDS4_SHA256 = hashlib.sha256(np.asarray(_COORDS4, dtype="<f8").tobytes()).hexdigest()
 # complete hyperparams of each stored method family, as select writes them
 _STORED = {
-    "linear": {"H": 0, "sensor_ids": _IDS4, "split": [300, 350, 400],
-               "standardize": False},
-    "kernel": {"H": 0, "sensor_ids": _IDS4, "split": [300, 350, 400],
-               "standardize": False,
+    "linear": {"H": 0, "sensor_ids": _IDS4, "panel_sha256": _PANEL4_SHA256,
+               "split": [300, 350, 400], "standardize": False},
+    "kernel": {"H": 0, "sensor_ids": _IDS4, "panel_sha256": _PANEL4_SHA256,
+               "split": [300, 350, 400], "standardize": False,
                "kernel": "autocovariance", "gamma": 0.0, "lambda": 0.0},
-    "gcn-mask": {"H": 0, "sensor_ids": _IDS4, "split": [300, 350, 400],
-                 "standardize": False,
+    "gcn-mask": {"H": 0, "sensor_ids": _IDS4, "panel_sha256": _PANEL4_SHA256,
+                 "split": [300, 350, 400], "standardize": False,
                  "k0": 2, "k1": 1, "coords_sha256": _COORDS4_SHA256,
                  "laplacian": "combinatorial", "cheb_order": 2,
                  "f_out": 2, "fc_sizes": [4]},
@@ -818,6 +846,7 @@ def test_evaluate_rejects_negative_sensor_index(tmp_path, capsys, method):
     ("linear", "sensor_ids", [0, 1, 2, 3]),
     ("linear", "split", [300, 400]),
     ("linear", "standardize", "no"),
+    ("linear", "panel_sha256", _PANEL4_SHA256.upper()),
     ("linear", "H", "0"),
     ("linear", "H", 0.5),
     ("linear", "H", -1),
@@ -879,7 +908,7 @@ def test_evaluate_takes_the_split_from_the_selection_only(tmp_path, capsys):
 _SELECT_FLAGS = ["--p", "1", "--k0", "2", "--k1", "1", "--cheb-order", "2",
                  "--f-out", "2", "--fc-sizes", "4", "--max-epoch", "2",
                  "--mask-lambda-count", "2"]
-_COMMON_RECORD = ["H", "sensor_ids", "split", "standardize"]
+_COMMON_RECORD = ["H", "panel_sha256", "sensor_ids", "split", "standardize"]
 _KERNEL_RECORD = _COMMON_RECORD + ["gamma", "kernel", "lambda"]
 _GRAPH_KERNEL_RECORD = _KERNEL_RECORD + ["coords_sha256", "k0", "k1"]
 _GCN_RECORD = _COMMON_RECORD + ["batch_size", "cheb_order", "coords_sha256", "f_out",
@@ -930,6 +959,36 @@ def test_select_records_every_setting(tmp_path, capsys, flags, keys, values):
     report = json.loads((tmp_path / "ev" / "report.json").read_text())
     assert report["method"] == flags[1]
     assert _read_csv(tmp_path / "ev" / "summary.csv")[1][0] == flags[1]
+
+
+_REPORT_KEYS = ["baseline_draws", "baseline_mean", "baseline_skipped", "hyperparams",
+                "method", "seed", "selected", "test_mse"]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("method", ["linear", "kernel", "gcn-mask"])
+def test_report_holds_the_documented_keys(tmp_path, capsys, method):
+    # report.json is written from one dict that no class declares; its
+    # hyperparams are the selection's, plus the prediction net's
+    # settings for the GCN rules
+    panel_path = _noiseless_panel(tmp_path)
+    coords_path = tmp_path / "coords.csv"
+    _write_coords(coords_path, _IDS4, _COORDS4)
+    sel_path = tmp_path / "sel" / "selection.json"
+    assert main(["select", str(panel_path), "--coords", str(coords_path),
+                 "--method", method, "--out-dir", str(sel_path.parent)]
+                + _SELECT_FLAGS) == 0
+    assert main(["evaluate", str(panel_path), str(sel_path), "--coords",
+                 str(coords_path), "--baseline-draws", "2", "--lr", "0.01",
+                 "--batch-size", "64", "--max-epoch", "1",
+                 "--out-dir", str(tmp_path / "ev")]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "ev" / "report.json").read_text())
+    assert sorted(report) == _REPORT_KEYS
+    expected = json.loads(sel_path.read_text())["hyperparams"]
+    if method.startswith("gcn"):
+        expected["prediction_net"] = {"lr": 0.01, "batch_size": 64, "max_epoch": 1}
+    assert report["hyperparams"] == expected
 
 
 def _twelve_sensors(tmp_path, coords=None, constant_sensor=None):
@@ -1126,17 +1185,14 @@ def test_select_flags_and_evaluate_share_each_settings_kind():
 
 def test_select_methods_are_the_methods_a_record_holds(tmp_path, capsys):
     # the stored method is select's --method value, which SelectionResult
-    # and EvalReport accept; a tag of the old H-suffixed form restated H
-    # and is refused, with a pointer to select
+    # accepts; a tag of the old H-suffixed form restated H and is
+    # refused, with a pointer to select
     assert _commands()["select"]._option_string_actions["--method"].choices == METHODS
     for method in METHODS:
         SelectionResult(method, {}, [0], [0.0])
-        EvalReport(method, [0], 0.0, 0.0, 1, 0, {"H": 0}, 0)
     for tag in ("linear-h0", "linear-h", "kernel-h0", "kernel-h", "ridge"):
         with pytest.raises(InvalidInputError, match="method must be one of"):
             SelectionResult(tag, {}, [0], [0.0])
-        with pytest.raises(InvalidInputError, match="method must be one of"):
-            EvalReport(tag, [0], 0.0, 0.0, 1, 0, {"H": 0}, 0)
     for tag, method in (("linear-h0", "linear"), ("kernel-h", "kernel")):
         assert _evaluate_stored(tmp_path, tag, [2, 3], _STORED[method]) == 2
         err = capsys.readouterr().err

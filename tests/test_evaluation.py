@@ -1,6 +1,5 @@
-"""Reports, baselines, hyperparameter grids, grid search, synthetic panels."""
-
-import json
+"""Summary tables, baselines, hyperparameter grids, grid search, synthetic
+panels."""
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ import pytest
 from netselect.errors import InvalidInputError, NetselectError, SingularMatrixError
 from netselect.evaluation import (
     BURN_IN,
-    EvalReport,
     default_p,
     gamma_grid,
     grid_search,
@@ -34,30 +32,12 @@ def _graph(n=8, seed=0):
 
 
 def _report(**overrides):
+    """A report.json dict as evaluate writes it."""
     base = dict(method="linear", selected=[1, 2], test_mse=0.5,
                 baseline_mean=0.8, baseline_draws=100, baseline_skipped=0,
                 hyperparams={"H": 0}, seed=0)
     base.update(overrides)
-    return EvalReport(**base)
-
-
-def test_eval_report_round_trip():
-    report = _report()
-    back = json.loads(report.to_json())
-    assert back["method"] == report.method
-    assert back["selected"] == report.selected
-    assert back["test_mse"] == report.test_mse
-    assert back["baseline_mean"] == report.baseline_mean
-    assert back["hyperparams"] == report.hyperparams
-
-
-def test_eval_report_validation():
-    with pytest.raises(InvalidInputError, match="method"):
-        _report(method="oracle")
-    with pytest.raises(InvalidInputError, match="nonnegative"):
-        _report(test_mse=-1.0)
-    with pytest.raises(InvalidInputError, match="nonnegative"):
-        _report(baseline_mean=-1.0)
+    return base
 
 
 def test_default_p():

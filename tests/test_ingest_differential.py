@@ -125,12 +125,16 @@ def test_columnar_ingest_equals_the_row_loop(tmp_path, kind):
     assert (tmp_path / "panel.csv").read_bytes() == (tmp_path / "ref_panel.csv").read_bytes()
 
 
-def test_clean_and_interpolate_take_lists_of_tuples():
+def test_clean_and_interpolate_match_the_tuple_reference():
+    # the library reads read_raw_records' (k, 3) arrays, the reference
+    # the same records as lists of tuples; a station may have none
     recs = [(0.0, 5.0, 5.0), (float(HOUR), 2.0, 8.0), (2.0 * HOUR, 9.0, 1.0)]
     records = {"a": recs, "b": recs[:2] + [(3.0 * HOUR, 4.0, 6.0)], "none": []}
-    kept = clean_stations(records, 0.5, min_records=3)
+    arrays = {station: np.array(rows, dtype=float).reshape(-1, 3)
+              for station, rows in records.items()}
+    kept = clean_stations(arrays, 0.5, min_records=3)
     assert kept == clean_stations_by_row(records, 0.5, min_records=3)
-    panel = interpolate_hourly(records, kept)
+    panel = interpolate_hourly(arrays, kept)
     ref = interpolate_hourly_by_row(records, kept)
     assert np.array_equal(panel.values, ref.values)
 

@@ -13,17 +13,16 @@ from netselect.timeseries import (
     WEEK_HOURS,
     PanelSeries,
     Split,
-    apply_preprocess,
     assemble_blocks,
     autocovariance,
     clean_stations,
     estimate_blocks,
-    fit_weekly_profile,
     interpolate_hourly,
     lag_windows,
     make_split,
     read_panel,
     read_raw_records,
+    standardize,
     write_csv,
     write_panel,
 )
@@ -111,10 +110,10 @@ def test_clean_stations_rules():
     # 200 records, capacity 10; "good" is always consistent, "half" is
     # consistent exactly half the time, "short" has too few records,
     # "empty" has zero capacity
-    good = [(float(t), 5.0, 5.0) for t in range(200)]
-    half = [(float(t), 5.0, 5.0 if t % 2 else 4.0) for t in range(200)]
-    short = [(float(t), 5.0, 5.0) for t in range(50)]
-    empty = [(float(t), 0.0, 0.0) for t in range(200)]
+    good = np.array([(float(t), 5.0, 5.0) for t in range(200)])
+    half = np.array([(float(t), 5.0, 5.0 if t % 2 else 4.0) for t in range(200)])
+    short = np.array([(float(t), 5.0, 5.0) for t in range(50)])
+    empty = np.array([(float(t), 0.0, 0.0) for t in range(200)])
     records = {"good": good, "half": half, "short": short, "empty": empty}
     kept = clean_stations(records, r_c=0.5)
     assert kept == [("good", 10.0)]
@@ -127,7 +126,7 @@ def test_clean_stations_rules():
 def test_interpolate_hourly_grid_and_clamp():
     # capacity 10; bikes ramp 0 -> 20 so the normalized series hits the
     # upper clamp at 1
-    recs = [(0.0, 0.0, 10.0), (10 * HOUR, 20.0, 0.0)]
+    recs = np.array([(0.0, 0.0, 10.0), (10 * HOUR, 20.0, 0.0)])
     records = {"a": recs, "b": recs}
     kept = [("a", 20.0), ("b", 20.0)]
     panel = interpolate_hourly(records, kept)
@@ -143,10 +142,10 @@ def test_interpolate_hourly_warns_on_flat_extrapolation():
     # 200 stations span hours 0..20; with them the grid quantiles land on
     # 0 and 20 h, so "late" (first record at 5 h) is held flat for hours
     # 0..4 and "early" (last record at 17 h) for hours 18..20
-    full = [(0.0, 5.0, 5.0), (20 * HOUR, 5.0, 5.0)]
+    full = np.array([(0.0, 5.0, 5.0), (20 * HOUR, 5.0, 5.0)])
     records = {f"s{k:03d}": full for k in range(200)}
-    records["late"] = [(5 * HOUR, 5.0, 5.0), (20 * HOUR, 5.0, 5.0)]
-    records["early"] = [(0.0, 5.0, 5.0), (17 * HOUR, 5.0, 5.0)]
+    records["late"] = np.array([(5 * HOUR, 5.0, 5.0), (20 * HOUR, 5.0, 5.0)])
+    records["early"] = np.array([(0.0, 5.0, 5.0), (17 * HOUR, 5.0, 5.0)])
     kept = [(s, 10.0) for s in sorted(records)]
     with pytest.warns(UserWarning) as caught:
         panel = interpolate_hourly(records, kept)
@@ -165,9 +164,13 @@ def test_weekly_profile_round_trip():
     values = base[:, slots] + 0.1 * rng.normal(size=(2, T))
     panel = PanelSeries(["a", "b"], np.arange(T, dtype=np.int64) * HOUR, values)
     split = Split(2 * WEEK_HOURS, 2 * WEEK_HOURS + 20, T)
-    model = fit_weekly_profile(panel, split)
-    detrended = apply_preprocess(panel, model)
-    restored = detrended * model.scale[:, None] + model.profile[:, slots]
+    # the training columns are two whole weeks: the profile is the mean
+    # of each hour-of-week slot over them, the scale the residual std
+    train = values[:, : split.t_tv]
+    profile = train.reshape(2, 2, WEEK_HOURS).mean(axis=1)
+    scale = (train - np.tile(profile, 2)).std(axis=1)
+    detrended = standardize(panel, split)
+    restored = detrended * scale[:, None] + profile[:, slots]
     assert np.allclose(restored, panel.values, atol=1e-12)
     # training residuals have unit scale by construction
     resid = detrended[:, : split.t_tv]
@@ -177,12 +180,12 @@ def test_weekly_profile_round_trip():
 def test_weekly_profile_needs_a_week_and_variance():
     panel = _panel(T=400)
     with pytest.raises(InvalidInputError, match="training rows"):
-        fit_weekly_profile(panel, Split(100, 200, 400))
+        standardize(panel, Split(100, 200, 400))
     flat = panel.values.copy()
     flat[1, :] = 2.5
     constant = PanelSeries(panel.sensor_ids, panel.timestamps, flat)
     with pytest.raises(InvalidInputError, match="s1"):
-        fit_weekly_profile(constant, Split(200, 300, 400))
+        standardize(constant, Split(200, 300, 400))
 
 
 def test_autocovariance_manual_and_lag_bounds():

@@ -47,12 +47,7 @@ from .select_kernel import (
     fit_predict_kernel,
     greedy_select_kernel,
 )
-from .select_linear import (
-    METHODS,
-    SelectionResult,
-    fit_predict_linear,
-    greedy_select_linear,
-)
+from .select_linear import SelectionResult, fit_predict_linear, greedy_select_linear
 from .timeseries import (
     Split,
     assemble_blocks,
@@ -70,6 +65,9 @@ from .timeseries import (
 LAPLACIAN_OF = {"combinatorial": combinatorial_laplacian,
                 "normalized": normalized_laplacian}
 LAPLACIANS = tuple(LAPLACIAN_OF)
+# select's --method values, which the selection record stores; the
+# family of a method (FAMILY) is its name up to the first "-"
+METHODS = ("linear", "kernel", "gcn-dropout", "gcn-mask")
 # select's --lr default per selection rule: Adam for the mask, plain
 # gradient descent (which diverges at Adam's rate) for dropout
 DEFAULT_LR = {"gcn-mask": 0.05, "gcn-dropout": 0.002}
@@ -144,6 +142,46 @@ SETTINGS = {
     "f_out": (INT_GE1, ("gcn",)),
     "fc_sizes": (INTS_GE1, ("gcn",)),
 }
+
+# the keys of selection.json and their kinds; select checks the record
+# it writes, evaluate the one it reads, and step_values has one entry
+# per sensor in order
+RECORD = {
+    "method": Kind(f"one of {METHODS}", lambda v: v in METHODS),
+    "hyperparams": Kind("a JSON object", lambda v: isinstance(v, dict)),
+    "order": Kind("a list of one or more distinct integers >= 0", lambda v:
+                  isinstance(v, list) and all(_is_int(i, 0) for i in v)
+                  and 0 < len(set(v)) == len(v)),
+    "step_values": Kind("a list of finite numbers", lambda v: isinstance(v, list)
+                        and all(_is_number(x) for x in v)),
+}
+
+
+def _check_kinds(where, values, kinds):
+    """Raise InvalidInputError unless the dict values holds each key of
+    kinds, of its Kind; where names the dict in the message."""
+    missing = [key for key in kinds if key not in values]
+    if missing:
+        raise InvalidInputError(f"no {', '.join(map(repr, missing))} in the "
+                                f"{where}; rerun select to write them")
+    for key, kind in kinds.items():
+        if not kind.check(values[key]):
+            raise InvalidInputError(
+                f"{where} {key!r} must be {kind.wanted}, got {values[key]!r}; "
+                f"rerun select to record it")
+
+
+def _check_record(record):
+    """Raise InvalidInputError unless record is a selection record that
+    evaluate can read."""
+    if not isinstance(record, dict):
+        raise InvalidInputError(f"malformed selection: the top level must be "
+                                f"a JSON object, not {type(record).__name__}")
+    _check_kinds("selection", record, RECORD)
+    if len(record["step_values"]) != len(record["order"]):
+        raise InvalidInputError(
+            f"selection 'step_values' has {len(record['step_values'])} entries "
+            f"for the {len(record['order'])} sensors of 'order'")
 
 
 def _write_text(path, text):
@@ -320,7 +358,7 @@ def gcn(args, hp, X, split, graph):
         if args.method == "gcn-dropout":
             scores, result, _ = train_selection_dropout(
                 X, split, spectrum, p, net, tc, measure=args.measure)
-            return result, {}, {
+            return result, {"measure": scores.measure}, {
                 "scores.csv": lambda path: write_scores_csv(scores, ids, path)}
         grid = hp["mask_lambda_grid"]
         result, path_values = train_selection_masking(
@@ -343,7 +381,6 @@ def gcn(args, hp, X, split, graph):
     return select, fit
 
 
-# the family of a method is its name up to the first "-"
 FAMILY = {"linear": linear, "kernel": kernel, "gcn": gcn}
 
 
@@ -382,11 +419,13 @@ def cmd_select(args):
     select, _ = FAMILY[args.method.split("-")[0]](
         args, hp, X, split, _graph(args.method, hp, coords))
     result, extras, tables = select(p)
-    result.hyperparams.update(hp, **extras)
+    record = {"method": args.method, "hyperparams": dict(hp, **extras),
+              "order": result.order, "step_values": result.step_values}
+    _check_record(record)
 
     os.makedirs(args.out_dir, exist_ok=True)
     sel_path = os.path.join(args.out_dir, "selection.json")
-    _write_text(sel_path, result.to_json())
+    _write_text(sel_path, json.dumps(record, indent=2, sort_keys=True))
     geo_path = os.path.join(args.out_dir, "selected.geojson")
     _write_text(geo_path, _geojson(result, panel.sensor_ids, coords))
     written = [sel_path, geo_path]
@@ -394,7 +433,7 @@ def cmd_select(args):
         written.append(os.path.join(args.out_dir, name))
         write(written[-1])
     names = [panel.sensor_ids[i] for i in result.order]
-    print(f"{result.method} selected {len(result.order)} sensors: "
+    print(f"{args.method} selected {len(result.order)} sensors: "
           f"{' '.join(names)}")
     print("wrote " + ", ".join(written))
     return 0
@@ -403,24 +442,17 @@ def cmd_select(args):
 def cmd_evaluate(args):
     panel = read_panel(args.panel)
     with open(args.selection, encoding="utf-8") as fh:
-        sel = SelectionResult.from_json(fh.read())
-    hp = sel.hyperparams
-    families = (sel.method.split("-")[0],) + (
-        ("graph",) if _uses_graph(sel.method, hp.get("kernel")) else ())
-    keys = [k for k, (_, needed_by) in SETTINGS.items()
-            if any(f in families for f in needed_by)]
-    missing = [k for k in keys if k not in hp]
-    if missing:
-        raise InvalidInputError(
-            f"selection hyperparams lack {', '.join(map(repr, missing))}; "
-            f"rerun select to write them"
-        )
-    for key in keys:
-        kind = SETTINGS[key][0]
-        if not kind.check(hp[key]):
-            raise InvalidInputError(
-                f"selection hyperparam {key!r} must be {kind.wanted}, got {hp[key]!r}"
-            )
+        try:
+            sel = json.loads(fh.read())
+        except ValueError as err:
+            raise InvalidInputError(f"malformed selection: {err}") from None
+    _check_record(sel)
+    method, hp, order = sel["method"], sel["hyperparams"], sel["order"]
+    families = (method.split("-")[0],) + (
+        ("graph",) if _uses_graph(method, hp.get("kernel")) else ())
+    _check_kinds("selection hyperparams", hp,
+                 {key: kind for key, (kind, needed_by) in SETTINGS.items()
+                  if any(f in families for f in needed_by)})
     if hp["sensor_ids"] != list(panel.sensor_ids):
         raise InvalidInputError(
             f"selection was made on {len(hp['sensor_ids'])} sensors that differ "
@@ -429,9 +461,9 @@ def cmd_evaluate(args):
         raise InvalidInputError(
             f"{args.panel}: the panel's bytes differ from those the selection "
             f"was made on; rerun select on this panel")
-    if any(i >= panel.n for i in sel.order):
+    if any(i >= panel.n for i in order):
         raise InvalidInputError(
-            f"selection order {sel.order} exceeds panel size {panel.n}")
+            f"selection order {order} exceeds panel size {panel.n}")
     split = _panel_split(hp["split"], panel)
     X = standardize(panel, split) if hp["standardize"] else panel.values
 
@@ -444,14 +476,14 @@ def cmd_evaluate(args):
                 f"from those the selection's graph was built on; rerun select "
                 f"with this file")
     _, fit = FAMILY[families[0]](args, hp, X, split,
-                                 _graph(sel.method, hp, coords))
-    mse = test_mse(fit(sel.order), X, sel.order, split)
-    base = random_baseline(fit, X, len(sel.order), split,
+                                 _graph(method, hp, coords))
+    mse = test_mse(fit(order), X, order, split)
+    base = random_baseline(fit, X, len(order), split,
                            draws=args.baseline_draws, seed=args.seed)
     if "gcn" in families:
         hp = dict(hp, prediction_net={"lr": args.lr, "batch_size": args.batch_size,
                                       "max_epoch": args.max_epoch})
-    report = {"method": sel.method, "selected": sel.order, "test_mse": mse,
+    report = {"method": method, "selected": order, "test_mse": mse,
               "baseline_mean": base.mean_mse, "baseline_draws": base.draws,
               "baseline_skipped": base.skipped, "hyperparams": hp,
               "seed": args.seed}
@@ -460,7 +492,7 @@ def cmd_evaluate(args):
     _write_text(report_path, json.dumps(report, indent=2, sort_keys=True))
     table_path = os.path.join(args.out_dir, "summary.csv")
     summary_table_csv(report, table_path)
-    print(f"{sel.method}: test MSE {mse:.4f}, baseline {base.mean_mse:.4f} "
+    print(f"{method}: test MSE {mse:.4f}, baseline {base.mean_mse:.4f} "
           f"over {base.draws} draws ({base.skipped} skipped)")
     print(f"wrote {report_path}, {table_path}")
     return 0

@@ -146,8 +146,7 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
     scores = score_sensors(params, net_config, spectrum, X, val_ts, measure)
 
     order = scores.ranking[:p]
-    result = SelectionResult("gcn-dropout", {"measure": scores.measure},
-                             order, [float(scores.scores[i]) for i in order])
+    result = SelectionResult(order, [float(scores.scores[i]) for i in order])
     diagnostics = {"resampled": resample_count, "val_losses": val_losses}
     return scores, result, diagnostics
 
@@ -220,5 +219,5 @@ def train_selection_masking(X, split: Split, spectrum, p, lam_grid, eps0,
         )
     ranking = sorted(range(n), key=lambda i: (-F[i], final_at_top[i], i))
     order = ranking[:p]
-    result = SelectionResult("gcn-mask", {}, order, [float(F[i]) for i in order])
+    result = SelectionResult(order, [float(F[i]) for i in order])
     return result, mask_path

@@ -124,8 +124,7 @@ def greedy_select_kernel(gammas, kb, p, lam=0.0, H=0) -> SelectionResult:
         th = kernel_reconstructor(K_cross, K_S, lam).ravel()
         return float(gammas[0][i, i] - 2.0 * (beta[0] @ th) + th @ alpha @ th)
 
-    order, step_values = greedy(gammas[0].shape[0], p, score, value)
-    return SelectionResult("kernel", {}, order, step_values)
+    return SelectionResult(*greedy(gammas[0].shape[0], p, score, value))
 
 
 def fit_predict_kernel(kb, I, lam, H=0) -> LinearReconstructor:

@@ -1,4 +1,4 @@
-"""Selection results, the greedy loop, and the linear reconstructor.
+"""The selection result, the greedy loop, and the linear reconstructor.
 
 The linear reconstruction of turned-off sensors I from the rest is
 x_hat_{I,t} = Theta x^H_{I^c,t} with Theta = beta alpha^{-1} on the
@@ -8,10 +8,8 @@ error of that reconstructor, which is what the greedy algorithms
 minimize one sensor at a time.
 """
 
-import json
-import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -19,71 +17,10 @@ from .errors import InvalidInputError
 from .numerics import JITTER_TRIGGER, check_symmetric, solve_spd
 from .timeseries import _check_partition, lag_stack, lag_windows
 
-METHODS = ("linear", "kernel", "gcn-dropout", "gcn-mask")
 
-
-def _json_list(data, key, kind, wanted):
-    """data[key], which must be a JSON list of kind values (not booleans)."""
-    value = data[key]
-    if not isinstance(value, list) or any(
-            isinstance(v, bool) or not isinstance(v, kind) for v in value):
-        raise InvalidInputError(
-            f"selection {key!r} must be a list of {wanted}, got {value!r}")
-    return value
-
-
-@dataclass
-class SelectionResult:
-    method: str
-    hyperparams: Dict
+class SelectionResult(NamedTuple):
     order: List[int]          # turned-off sensors, first picked first
-    step_values: List[float]  # criterion minimum at each greedy step
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise InvalidInputError(
-                f"method must be one of {METHODS}, got {self.method!r}; "
-                f"rerun select to record it")
-        if not isinstance(self.hyperparams, dict):
-            raise InvalidInputError("hyperparams must be a JSON object")
-        if any(i < 0 for i in self.order):
-            raise InvalidInputError(
-                f"selection order has a negative index: {self.order}"
-            )
-        if len(set(self.order)) != len(self.order):
-            raise InvalidInputError(f"selection order has duplicates: {self.order}")
-        if len(self.step_values) != len(self.order):
-            raise InvalidInputError("step_values and order lengths differ")
-        if not all(math.isfinite(v) for v in self.step_values):
-            raise InvalidInputError("step_values contain non-finite entries")
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "method": self.method,
-                "hyperparams": self.hyperparams,
-                "order": [int(i) for i in self.order],
-                "step_values": [float(v) for v in self.step_values],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        try:
-            data = json.loads(text)
-            return cls(
-                method=data["method"],
-                hyperparams=data["hyperparams"],
-                order=_json_list(data, "order", int, "integers"),
-                step_values=[float(v) for v in _json_list(
-                    data, "step_values", (int, float), "numbers")],
-            )
-        except KeyError as err:
-            raise InvalidInputError(f"selection has no {err.args[0]!r} key") from None
-        except (TypeError, ValueError) as err:
-            raise InvalidInputError(f"malformed selection: {err}") from None
+    step_values: List[float]  # the value that picked each of them
 
 
 def greedy(n, p, score, value):
@@ -170,8 +107,7 @@ def greedy_select_linear(gammas, p, H=0) -> SelectionResult:
         b = beta[0]
         return float(gammas[0][i, i] - b @ solve_spd(alpha, b))
 
-    order, step_values = greedy(gammas[0].shape[0], p, score, value)
-    return SelectionResult("linear", {}, order, step_values)
+    return SelectionResult(*greedy(gammas[0].shape[0], p, score, value))
 
 
 @dataclass

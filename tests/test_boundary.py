@@ -156,3 +156,32 @@ def test_commands_dispatch_through_the_family_table():
                    if isinstance(node, (ast.Name, ast.Attribute)))
     called = [pair for pair in named if family_calls.fullmatch(pair[1])]
     assert not called, f"library functions named outside cli.FAMILY: {called}"
+
+
+def test_cli_owns_the_record_files():
+    # cli writes selection.json and report.json, and checks a selection
+    # through cli.RECORD; json in another module, or a second tuple of
+    # methods, is a second owner of the record format with checks of its
+    # own
+    sources = {p.relative_to(ROOT).as_posix(): p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "src" / "netselect").rglob("*.py"))}
+    for pattern in (r"^\s*(import|from) json\b", r"^\s*METHODS\s*="):
+        owners = [path for path, text in sources.items()
+                  if re.search(pattern, text, flags=re.M)]
+        assert owners == ["src/netselect/cli.py"], (pattern, owners)
+
+
+def test_no_unused_imports():
+    # no linter runs here; a module-level import that nothing in its
+    # module reads is a leftover of code that moved or went away
+    unused = []
+    for path in (sorted((ROOT / "src" / "netselect").rglob("*.py"))
+                 + sorted((ROOT / "tests").glob("*.py"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+                   for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for name in ((alias.asname or alias.name).split(".")[0]
+                                for alias in node.names)
+                   if name not in read]
+    assert not unused, f"imported but never used: {unused}"

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from netselect import cli, select_kernel
-from netselect.cli import _build_parser, main
+from netselect.cli import METHODS, _build_parser, main
 from netselect.errors import (
     InvalidInputError,
     SingularMatrixError,
@@ -31,7 +31,7 @@ from netselect.select_kernel import (
     build_kernel_blocks,
     fit_predict_kernel,
 )
-from netselect.select_linear import METHODS, SelectionResult, fit_predict_linear
+from netselect.select_linear import fit_predict_linear
 from netselect.timeseries import (
     HOUR,
     PanelSeries,
@@ -524,11 +524,13 @@ with tempfile.TemporaryDirectory() as _tmp:
 
 
 def _write_selection(path):
-    result = SelectionResult(
-        "linear", {"H": 0, "sensor_ids": _IDS4, "panel_sha256": _PANEL4_SHA256,
-                   "split": [300, 350, 400], "standardize": False},
-        [2, 3], [0.0, 0.0])
-    path.write_text(result.to_json() + "\n", encoding="utf-8")
+    record = {"method": "linear",
+              "hyperparams": {"H": 0, "sensor_ids": _IDS4,
+                              "panel_sha256": _PANEL4_SHA256,
+                              "split": [300, 350, 400], "standardize": False},
+              "order": [2, 3], "step_values": [0.0, 0.0]}
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
 
 
 def test_evaluate_reports_exact_reconstruction(tmp_path, capsys):
@@ -838,7 +840,8 @@ def test_evaluate_needs_k0_k1_only_for_a_graph_kernel(tmp_path, capsys, kernel,
 def test_evaluate_rejects_negative_sensor_index(tmp_path, capsys, method):
     # numpy would read -1 as the last sensor
     assert _evaluate_stored(tmp_path, method, [-1, 2], _STORED[method]) == 2
-    assert "negative index" in capsys.readouterr().err
+    assert "'order' must be a list of one or more distinct integers >= 0" in (
+        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("method, key, value", [
@@ -890,6 +893,24 @@ def test_evaluate_rejects_malformed_selection(tmp_path, capsys):
         sel_path.write_text(json.dumps(stored), encoding="utf-8")
         assert main(argv) == 2, (key, value)
         assert f"{key!r} must be a list of" in capsys.readouterr().err
+    # nor are values that no select run writes; json.load reads bare
+    # NaN and Infinity
+    for key, text in (("order", "[2, 2]"), ("order", "[]"),
+                      ("step_values", "[0.0]"), ("step_values", "[NaN, 0.0]"),
+                      ("step_values", "[0.0, Infinity]")):
+        _write_selection(sel_path)
+        stored = json.loads(sel_path.read_text())
+        stored[key] = "@"
+        sel_path.write_text(json.dumps(stored).replace('"@"', text), encoding="utf-8")
+        assert main(argv) == 2, (key, text)
+        assert repr(key) in capsys.readouterr().err, (key, text)
+    _write_selection(sel_path)
+    sel_path.write_text(f"[{sel_path.read_text()}]", encoding="utf-8")
+    assert main(argv) == 2
+    assert "malformed selection" in capsys.readouterr().err
+    sel_path.write_bytes(b"\xff" + sel_path.read_bytes())  # not UTF-8
+    assert main(argv) == 2
+    assert "malformed selection" in capsys.readouterr().err
 
 
 def test_evaluate_takes_the_split_from_the_selection_only(tmp_path, capsys):
@@ -1184,15 +1205,9 @@ def test_select_flags_and_evaluate_share_each_settings_kind():
 
 
 def test_select_methods_are_the_methods_a_record_holds(tmp_path, capsys):
-    # the stored method is select's --method value, which SelectionResult
-    # accepts; a tag of the old H-suffixed form restated H and is
-    # refused, with a pointer to select
+    # the stored method is select's --method value; a tag of the old
+    # H-suffixed form restated H and is refused, with a pointer to select
     assert _commands()["select"]._option_string_actions["--method"].choices == METHODS
-    for method in METHODS:
-        SelectionResult(method, {}, [0], [0.0])
-    for tag in ("linear-h0", "linear-h", "kernel-h0", "kernel-h", "ridge"):
-        with pytest.raises(InvalidInputError, match="method must be one of"):
-            SelectionResult(tag, {}, [0], [0.0])
     for tag, method in (("linear-h0", "linear"), ("kernel-h", "kernel")):
         assert _evaluate_stored(tmp_path, tag, [2, 3], _STORED[method]) == 2
         err = capsys.readouterr().err

@@ -157,7 +157,7 @@ def test_grid_search_picks_best_and_keeps_first_on_ties():
     blocks = estimate_blocks(X[:, :300], 0)
 
     def select_fn(I):
-        result = SelectionResult("linear", {"H": 0}, list(I), [0.0] * len(I))
+        result = SelectionResult(list(I), [0.0] * len(I))
         return result, fit_predict_linear(blocks, list(I), 0)
 
     grid = [(0,), (1,), (2,)]
@@ -194,7 +194,7 @@ def test_grid_search_warns_once_per_failed_config_and_scores_the_rest():
     def select_fn(I):
         if I == (1,):
             raise NetselectError("singular")
-        result = SelectionResult("linear", {"H": 0}, list(I), [0.0] * len(I))
+        result = SelectionResult(list(I), [0.0] * len(I))
         return result, fit_predict_linear(blocks, list(I), 0)
 
     grid = [(0,), (1,), (2,), (3,)]

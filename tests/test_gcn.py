@@ -327,9 +327,8 @@ def test_dropout_selection_counts_degenerate_draws():
     scores, result, diagnostics = train_selection_dropout(
         X, split, spectrum, 1, config, tc)
     assert diagnostics["resampled"] > 0
-    assert result.method == "gcn-dropout"
-    assert len(result.order) == 1
-    assert list(result.hyperparams) == ["measure"]  # q is p/N
+    assert result.order == scores.ranking[:1]
+    assert scores.measure == "r2"
     assert len(scores.scores) == 2
 
 
@@ -373,7 +372,7 @@ def test_dropout_selection_falls_back_to_mse_on_a_constant_sensor():
     with pytest.warns(UserWarning, match="sensor index 1 .*falling back to mse"):
         scores, result, _ = train_selection_dropout(X, split, spectrum, 1, config, tc)
     assert scores.measure == "mse"
-    assert result.hyperparams["measure"] == "mse"
+    assert result.order == scores.ranking[:1]
     assert list(np.argsort(scores.scores, kind="stable")) == scores.ranking
 
 
@@ -388,8 +387,7 @@ def test_masking_selection_shapes_and_validation():
     assert mask_path.shape == (2, 4)
     assert np.all(mask_path >= 0.0)
     assert np.all(mask_path <= 1.0)
-    assert result.method == "gcn-mask"
-    assert len(result.order) == 1
+    assert len(result.order) == len(result.step_values) == 1
 
     with pytest.raises(InvalidInputError, match="ascending"):
         train_selection_masking(X, split, spectrum, 1, [0.2, 0.1], 0.01, config, tc)

@@ -197,9 +197,9 @@ def test_greedy_kernel_result_surface():
     blocks = estimate_blocks(X, 0)
     kb = build_kernel_blocks("autocovariance", H=0, X_train=X)
     result = greedy_select_kernel(blocks, kb, 2, lam=0.05, H=0)
-    assert result.method == "kernel"
-    assert result.hyperparams == {}  # select records the settings
-    assert len(result.order) == 2
+    # select records the method and settings beside the result
+    assert result._fields == ("order", "step_values")
+    assert len(result.order) == len(result.step_values) == 2
     with pytest.raises(InvalidInputError, match="p="):
         greedy_select_kernel(blocks, kb, 5, lam=0.0, H=0)
     with pytest.raises(InvalidInputError,

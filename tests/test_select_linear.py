@@ -59,9 +59,7 @@ def test_criterion_h0_equals_partial_variance_for_singletons():
 
 def test_greedy_tie_breaks_to_lowest_index():
     result = greedy_select_linear([np.eye(5)], p=3, H=0)
-    assert result.order == [0, 1, 2]
-    assert result.step_values == [1.0, 1.0, 1.0]
-    assert result.method == "linear"
+    assert result == SelectionResult(order=[0, 1, 2], step_values=[1.0, 1.0, 1.0])
 
 
 def test_greedy_validates_p_and_lags():
@@ -72,12 +70,13 @@ def test_greedy_validates_p_and_lags():
         greedy_select_linear(blocks, p=1, H=1)
 
 
-def test_greedy_method_tag_with_history():
+def test_greedy_with_history_returns_only_what_it_computes():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(5, 400))
     result = greedy_select_linear(estimate_blocks(X, 2), p=2, H=2)
-    assert result.method == "linear"  # H is recorded in hyperparams only
-    assert len(result.order) == 2
+    # select records the method and H beside the result
+    assert result._fields == ("order", "step_values")
+    assert len(result.order) == len(result.step_values) == 2
 
 
 @pytest.mark.parametrize("H", [0, 1])
@@ -126,26 +125,6 @@ def test_criterion_equals_training_mse_one_instance():
     crit = criterion_linear(blocks, I, H)
     mse = training_mse(fit_predict_linear(blocks, I, H), X)
     assert crit == pytest.approx(mse, rel=1e-10)
-
-
-def test_selection_result_json_round_trip():
-    result = SelectionResult("linear", {"H": 2, "seed": 0}, [3, 1], [0.5, 0.4])
-    back = SelectionResult.from_json(result.to_json())
-    assert back.method == result.method
-    assert back.order == result.order
-    assert back.step_values == result.step_values
-    assert back.hyperparams == result.hyperparams
-
-
-def test_selection_result_validation():
-    with pytest.raises(InvalidInputError, match="method must be one of"):
-        SelectionResult("ridge", {}, [0], [1.0])
-    with pytest.raises(InvalidInputError, match="duplicates"):
-        SelectionResult("linear", {}, [0, 0], [1.0, 1.0])
-    with pytest.raises(InvalidInputError, match="lengths"):
-        SelectionResult("linear", {}, [0, 1], [1.0])
-    with pytest.raises(InvalidInputError, match="non-finite"):
-        SelectionResult("linear", {}, [0], [np.inf])
 
 
 def test_exhaustive_finds_global_minimum():

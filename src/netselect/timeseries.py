@@ -180,7 +180,11 @@ def read_raw_records(path) -> Dict[str, np.ndarray]:
             and np.all(np.isfinite(bikes)) and np.all(np.isfinite(spaces))):
         _raise_first_bad_record(path)
     order = np.lexsort((moment, code))
-    table = np.column_stack((moment, bikes, spaces))[order]
+    # a column at a time: a stacked table and its sorted copy, both alive
+    # at once, set ingest's peak memory
+    table = np.empty((order.size, 3))
+    for j, column in enumerate((moment, bikes, spaces)):
+        table[:, j] = column[order]
     ends = np.cumsum(np.bincount(code))
     return dict(zip(codes, np.split(table, ends[:-1])))
 
@@ -438,8 +442,62 @@ def write_panel(panel: PanelSeries, path):
               row_format="%s" + ",%.17g" * panel.n + "\n")
 
 
-def read_panel(path) -> PanelSeries:
-    """Read a panel CSV written by write_panel (or equivalent)."""
+def _parse_stamp(text, where):
+    """Integer epoch seconds of a panel timestamp, which must be a whole
+    second."""
+    value = _parse_moment(text, where)
+    if not value.is_integer():
+        raise InvalidInputError(
+            f"{where}: timestamp {text.strip()!r} is not a whole second")
+    return int(value)
+
+
+# np.loadtxt strips these from a value's ends as whitespace, float() refuses them
+_LOADTXT_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _read_panel_bulk(path):
+    """The panel of a plain CSV, its values parsed by one np.loadtxt pass
+    over the open file, or None when _read_panel_rows must read it: a
+    quote, an id that holds a newline, a field loadtxt refuses or could
+    read otherwise than float(), a bad stamp, or a panel PanelSeries
+    refuses (a non-finite value, a broken hourly step, a repeated id).
+    A panel it returns is the one _read_panel_rows returns."""
+    # universal newlines: this pass and loadtxt split lines alike
+    with open(path, encoding="utf-8") as fh:
+        try:
+            header = next(csv_rows(fh, path))[1]
+            n = len(header) - 1
+            if (n < 1 or header[0].strip() != "timestamp"
+                    or any("\n" in h for h in header)):
+                return None
+            stamps, limit = [], csv.field_size_limit()
+            for line in fh:
+                if line.count(",") != n:
+                    if line == "\n":
+                        continue
+                    return None
+                if any(c in line for c in _LOADTXT_ONLY_SPACES):
+                    return None
+                # a field csv refuses, which float() and loadtxt would read
+                if len(line) > limit and max(map(len, line.split(","))) > limit:
+                    return None
+                stamps.append(_parse_stamp(line[:line.index(",")], path))
+            if not stamps:
+                return None
+            fh.seek(0)
+            # a file object, not the path: numpy would open a path ending
+            # in .gz as gzip
+            values = np.loadtxt(fh, delimiter=",", comments=None, skiprows=1,
+                                usecols=range(1, n + 1), ndmin=2, encoding="utf-8")
+            return PanelSeries(header[1:], stamps, values.T)
+        except (InvalidInputError, ValueError):
+            return None
+
+
+def _read_panel_rows(path):
+    """read_panel one csv_rows record at a time; the source of every
+    read_panel error."""
     lines, stamps, cols = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         rows = csv_rows(fh, path)
@@ -450,7 +508,7 @@ def read_panel(path) -> PanelSeries:
             raise InvalidInputError(f"{path}: line 1: no sensor columns")
         for line, row in rows:
             where = f"{path}: line {line}"
-            stamps.append(int(_parse_moment(row[0], where)))
+            stamps.append(_parse_stamp(row[0], where))
             cols.append(float_fields(row[1:], "value", where, finite=False))
             lines.append(line)
     if not stamps:
@@ -469,3 +527,15 @@ def read_panel(path) -> PanelSeries:
     if dups:
         raise InvalidInputError(f"{path}: line 1: duplicate sensor ids {dups[:5]}")
     return PanelSeries(header[1:], stamps, values.T)
+
+
+def read_panel(path) -> PanelSeries:
+    """Read a panel CSV written by write_panel (or equivalent).
+
+    Values are numbers as float() reads them and timestamps whole
+    seconds. A plain panel, as write_panel writes them, is parsed in
+    bulk; any other goes through the row loop, which names the line of
+    the first bad record.
+    """
+    panel = _read_panel_bulk(path)
+    return _read_panel_rows(path) if panel is None else panel

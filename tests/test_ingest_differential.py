@@ -4,7 +4,9 @@ read_raw_records streams records into typed columns and checks them a
 column at a time; clean_stations and interpolate_hourly slice the
 per-station arrays it returns, and write_panel formats each panel row
 at once. Each must give exactly what the row loop over record tuples
-gives, and the same first error on bad input.
+gives, and the same first error on bad input. read_panel parses the
+values of a plain panel with one np.loadtxt pass and must return what
+its row loop returns, bit for bit.
 """
 
 import csv
@@ -14,12 +16,16 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from netselect import timeseries
 from netselect.errors import InvalidInputError
 from netselect.timeseries import (
     HOUR,
     PanelSeries,
+    _read_panel_bulk,
+    _read_panel_rows,
     clean_stations,
     interpolate_hourly,
+    read_panel,
     read_raw_records,
     write_panel,
 )
@@ -96,6 +102,19 @@ def _interpolated(interpolate, records, kept):
     return panel, [str(w.message) for w in caught]
 
 
+def _panel_read(read, path):
+    """What read makes of a panel CSV: its ids, stamps, value bits and
+    value strides, None, or the message of its InvalidInputError."""
+    try:
+        panel = read(path)
+    except InvalidInputError as exc:
+        return str(exc)
+    if panel is None:
+        return None
+    return (panel.sensor_ids, panel.timestamps.tolist(), panel.values.tobytes(),
+            panel.values.strides)
+
+
 @pytest.mark.parametrize("kind", FEEDS)
 def test_columnar_ingest_equals_the_row_loop(tmp_path, kind):
     raw = tmp_path / "raw.csv"
@@ -123,6 +142,9 @@ def test_columnar_ingest_equals_the_row_loop(tmp_path, kind):
     write_panel(panel, tmp_path / "panel.csv")
     write_panel_by_field(ref_panel, tmp_path / "ref_panel.csv")
     assert (tmp_path / "panel.csv").read_bytes() == (tmp_path / "ref_panel.csv").read_bytes()
+    bulk = _panel_read(_read_panel_bulk, tmp_path / "panel.csv")
+    assert bulk is not None
+    assert bulk == _panel_read(_read_panel_rows, tmp_path / "panel.csv")
 
 
 def test_clean_and_interpolate_match_the_tuple_reference():
@@ -184,3 +206,106 @@ def test_errors_match_the_row_loop(tmp_path, first, second):
         read_raw_records(path)
     assert str(got.value) == str(ref.value)
     assert ": line 4: " in str(got.value)
+
+
+# valid panels, and whether the bulk parse takes them
+HAND_PANELS = {
+    "crlf": ("timestamp,a,b\r\n0,1,2\r\n3600,3,4\r\n", True),
+    "lone-cr": ("timestamp,a,b\r0,1,2\r3600,3,4\r", True),
+    "blank-lines": ("timestamp,a,b\n\n0,1,2\n\r\n\r\n3600,3,4\n\n", True),
+    "no-final-newline": ("timestamp,a,b\n0,1,2\n3600,3,4", True),
+    "comma-id": ('timestamp,"a,1",b\n0,1,2\n3600,3,4\n', True),
+    "quote-id": ('timestamp,"a""1",b\n0,1,2\n3600,3,4\n', True),
+    "newline-id": ('timestamp,"a\n1",b\n0,1,2\n3600,3,4\n', False),
+    "cr-id": ('timestamp,"a\r1",b\n0,1,2\n3600,3,4\n', False),
+    "spaced-values": ("timestamp,a,b\n0, 1 ,\t2\n3600,  3,4\xa0\n", True),
+    "underscore": ("timestamp,a\n0,1_0\n3600,2\n", False),
+    "quoted-value": ('timestamp,a\n0,"1.5"\n3600,2\n', False),
+    "unicode-digit": ("timestamp,a\n0,\u0661\n3600,2\n", False),
+    "extremes": ("timestamp,a,b,c\n0,-0.0,5e-324,1e308\n"
+                 "3600,1e-320,-5e-324,-1.7976931348623157e308\n", True),
+    "epoch-stamps": ("timestamp,a\n1546300800,1\n 1546304400.0 ,2\n", True),
+    "iso-offset-stamps": ("timestamp,a\n2019-01-01T02:00:00+02:00,1\n"
+                          "2018-12-31T23:00:00-02:00,2\n2019-01-01T02:00:00,3\n", True),
+}
+
+
+@pytest.mark.parametrize("text, bulk", HAND_PANELS.values(), ids=list(HAND_PANELS))
+def test_panel_bulk_parse_equals_the_row_loop(tmp_path, text, bulk):
+    path = tmp_path / "panel.csv"
+    path.write_bytes(text.encode("utf-8"))
+    ref = _panel_read(_read_panel_rows, path)
+    assert isinstance(ref, tuple)
+    assert _panel_read(_read_panel_bulk, path) == (ref if bulk else None)
+    assert _panel_read(read_panel, path) == ref
+
+
+# value fields loadtxt and float() both read, and ones that only one reads
+GOOD_VALUES = ["0.25", "-0.0", "5e-324", "1e308", " 7 ", "\t8", "9\xa0", "+.5", "6."]
+ODD_VALUES = ["1_0", '"1.5"', "1\x1c", "\x1f2", "\u0661", "nan", "-inf", "1e999",
+              "", "x", "1e", "0x1", "1 2", "1,5"]
+
+
+def _random_panel_text(rng):
+    """A small panel CSV, most often valid and plain."""
+    n, t = rng.integers(1, 4), rng.integers(1, 5)
+    ids = [["a", "b", "c"], ['"a,1"', "b", "c"], ["a", "b", "a"]][rng.choice(3, p=[.8, .1, .1])]
+    stamps = EPOCH0 + HOUR * np.arange(t)
+    stamps[rng.random(t) < 0.05] += HOUR // 2
+    lines = ["timestamp," + ",".join(ids[:n])]
+    for stamp in stamps:
+        values = rng.normal(size=n) * 10.0 ** rng.integers(-5, 5, size=n)
+        fields = [repr(float(v)) for v in values]
+        for k in np.nonzero(rng.random(n) < 0.1)[0]:
+            fields[k] = rng.choice(GOOD_VALUES)
+        if rng.random() < 0.1:
+            fields[rng.integers(n)] = rng.choice(ODD_VALUES)
+        stamp = int(stamp)
+        text = (datetime.fromtimestamp(stamp, tz=timezone.utc).isoformat()
+                if rng.random() < 0.5 else str(stamp))
+        lines.append(",".join([text] + fields))
+        if rng.random() < 0.1:
+            lines.append("")
+    end = rng.choice(["\n", "\r\n", "\r"])
+    return end.join(lines) + (end if rng.random() < 0.8 else "")
+
+
+def test_random_panels_read_as_the_row_loop_reads_them(tmp_path):
+    path = tmp_path / "panel.csv"
+    taken = 0
+    for seed in range(400):
+        path.write_bytes(_random_panel_text(np.random.default_rng(seed)).encode("utf-8"))
+        ref = _panel_read(_read_panel_rows, path)
+        bulk = _panel_read(_read_panel_bulk, path)
+        assert bulk in (None, ref), seed
+        assert _panel_read(read_panel, path) == ref, seed
+        taken += bulk is not None
+    # both the bulk parse and the row loop run
+    assert 100 < taken < 390
+
+
+def test_a_written_panel_takes_the_bulk_path(tmp_path, monkeypatch):
+    # the linear-h0 benchmark shape; a bulk parse that always deferred
+    # would pass every other test
+    rng = np.random.default_rng(0)
+    panel = PanelSeries([f"s{i:03d}" for i in range(110)],
+                        EPOCH0 + HOUR * np.arange(1500), rng.random((110, 1500)))
+    path = tmp_path / "panel.csv"
+    write_panel(panel, path)
+
+    def row_loop(path):
+        raise AssertionError(f"{path} went through the row loop")
+
+    monkeypatch.setattr(timeseries, "_read_panel_rows", row_loop)
+    back = read_panel(path)
+    assert back.sensor_ids == panel.sensor_ids
+    assert np.array_equal(back.timestamps, panel.timestamps)
+    assert np.array_equal(back.values, panel.values)
+    assert back.values.strides == (8, 8 * 110)
+
+
+def test_a_value_only_float_reads_comes_through_the_row_loop(tmp_path):
+    # loadtxt refuses 1_0 and "1.5"; float() reads them, so they are valid
+    path = tmp_path / "panel.csv"
+    path.write_text('timestamp,a\n0,1_0\n3600,"1.5"\n')
+    assert read_panel(path).values.tolist() == [[10.0, 1.5]]

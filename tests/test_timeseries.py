@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from netselect import timeseries
 from netselect.errors import InvalidInputError
 from netselect.graph import read_coords
 from netselect.timeseries import (
@@ -292,6 +293,21 @@ def test_read_panel_errors(tmp_path):
         with pytest.raises(InvalidInputError,
                            match=f"line 3: moment '{stamp}' outside years 1 to 9999"):
             read_panel(path)
+    # a fractional stamp was truncated: 0.5, 3600.9 read as hourly and
+    # -0.5, 3599.5 as a broken step
+    for first, second in (("0.5", "3600.9"), ("-0.5", "3599.5")):
+        path.write_text(f"timestamp,a\n{first},1.0\n{second},2.0\n")
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"{path}: line 2: timestamp '{first}' is not a whole second")):
+            read_panel(path)
+    # loadtxt strips \x1c to \x1f from a value's ends, float() refuses them
+    path.write_text("timestamp,a\n0,1\x1c\n")
+    with pytest.raises(InvalidInputError, match="line 2: non-numeric value"):
+        read_panel(path)
+    # float() and loadtxt read a value longer than csv's field limit
+    path.write_text(f"timestamp,a\n0,{'0' * csv.field_size_limit()}1\n")
+    with pytest.raises(InvalidInputError, match="line 2: field larger than field limit"):
+        read_panel(path)
     # a non-finite value was named without its file or line
     for value in ("nan", "inf", "-1e999"):
         path.write_text(f"timestamp,a,b\n0,1.0,2.0\n\n3600,2.0,{value}\n")
@@ -313,6 +329,17 @@ def test_read_panel_errors(tmp_path):
     with pytest.raises(InvalidInputError,
                        match=re.escape(f"{path}: line 1: duplicate sensor ids ['a']")):
         read_panel(path)
+
+
+def test_read_panel_errors_come_from_the_row_loop(tmp_path, monkeypatch):
+    # the bulk parse hands every bad panel above to the row loop, so
+    # each message is the one the row loop gives
+    def row_loop_only(path):
+        assert timeseries._read_panel_bulk(path) is None
+        return timeseries._read_panel_rows(path)
+
+    monkeypatch.setitem(globals(), "read_panel", row_loop_only)
+    test_read_panel_errors(tmp_path)
 
 
 @pytest.mark.parametrize("name, text, message", [

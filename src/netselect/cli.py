@@ -57,6 +57,7 @@ from .timeseries import (
     make_split,
     read_panel,
     read_raw_records,
+    sha256_hex,
     standardize,
     write_csv,
     write_panel,
@@ -217,23 +218,9 @@ def _uses_graph(method, kernel):
     return method.startswith("gcn") or (method == "kernel" and kernel in GRAPH_KERNELS)
 
 
-def _sha256(data):
-    """Hex SHA-256 of bytes."""
-    # imported here: hashlib loads OpenSSL, whose pages would raise the
-    # peak memory of ingest
-    import hashlib
-    return hashlib.sha256(data).hexdigest()
-
-
-def _panel_sha256(path):
-    """SHA-256 of a panel file's bytes."""
-    with open(path, "rb") as fh:
-        return _sha256(fh.read())
-
-
 def _coords_sha256(coords):
     """SHA-256 of the panel-aligned coordinates as little-endian float64."""
-    return _sha256(np.asarray(coords, dtype="<f8").tobytes())
+    return sha256_hex([np.asarray(coords, dtype="<f8").tobytes()])
 
 
 def _graph(method, hp, coords):
@@ -286,6 +273,9 @@ def cmd_ingest(args):
             f"min {args.min_records} records)"
         )
     panel = interpolate_hourly(records, kept)
+    # freed before write_panel loads hashlib: OpenSSL's pages on top of
+    # the raw records would set ingest's peak memory
+    del records
     os.makedirs(args.out_dir, exist_ok=True)
     panel_path = os.path.join(args.out_dir, "panel.csv")
     write_panel(panel, panel_path)
@@ -385,7 +375,7 @@ FAMILY = {"linear": linear, "kernel": kernel, "gcn": gcn}
 
 
 def cmd_select(args):
-    panel = read_panel(args.panel)
+    panel, panel_sha256 = read_panel(args.panel)
     split = (make_split(panel.t_total) if args.split is None
              else _panel_split(args.split, panel))
     X = standardize(panel, split) if args.standardize else panel.values
@@ -396,7 +386,7 @@ def cmd_select(args):
     # rebuilds it from (SETTINGS)
     hp = {
         "sensor_ids": list(panel.sensor_ids),
-        "panel_sha256": _panel_sha256(args.panel),
+        "panel_sha256": panel_sha256,
         "H": args.H,
         "standardize": bool(args.standardize),
         "split": [split.t_tv, split.t0, split.t1],
@@ -440,7 +430,7 @@ def cmd_select(args):
 
 
 def cmd_evaluate(args):
-    panel = read_panel(args.panel)
+    panel, panel_sha256 = read_panel(args.panel)
     with open(args.selection, encoding="utf-8") as fh:
         try:
             sel = json.loads(fh.read())
@@ -457,7 +447,7 @@ def cmd_evaluate(args):
         raise InvalidInputError(
             f"selection was made on {len(hp['sensor_ids'])} sensors that differ "
             f"from the panel's {panel.n} in ids or order; rerun select on this panel")
-    if _panel_sha256(args.panel) != hp["panel_sha256"]:
+    if panel_sha256 != hp["panel_sha256"]:
         raise InvalidInputError(
             f"{args.panel}: the panel's bytes differ from those the selection "
             f"was made on; rerun select on this panel")

@@ -180,13 +180,13 @@ def read_raw_records(path) -> Dict[str, np.ndarray]:
             and np.all(np.isfinite(bikes)) and np.all(np.isfinite(spaces))):
         _raise_first_bad_record(path)
     order = np.lexsort((moment, code))
-    # a column at a time: a stacked table and its sorted copy, both alive
-    # at once, set ingest's peak memory
-    table = np.empty((order.size, 3))
-    for j, column in enumerate((moment, bikes, spaces)):
-        table[:, j] = column[order]
+    # each column sorted straight into a contiguous table row: a sorted copy
+    # beside the table set ingest's peak (take's default mode makes one)
+    table = np.empty((3, order.size))
+    for row, column in zip(table, (moment, bikes, spaces)):
+        np.take(column, order, out=row, mode="clip")
     ends = np.cumsum(np.bincount(code))
-    return dict(zip(codes, np.split(table, ends[:-1])))
+    return dict(zip(codes, np.split(table.T, ends[:-1])))
 
 
 def clean_stations(records, r_c, min_records=100):
@@ -383,7 +383,8 @@ def csv_rows(fh, path):
     newline count. A record with other than the header's number of
     fields, or one that csv cannot parse (a field over
     csv.field_size_limit(), say), raises InvalidInputError naming its
-    line. Every line number an input CSV's errors name comes from here."""
+    line, as does a line that is not UTF-8. Every line number an input
+    CSV's errors name comes from here."""
     reader = csv.reader(fh)
     line = 1
     try:
@@ -399,6 +400,19 @@ def csv_rows(fh, path):
             line = reader.line_num + 1
     except csv.Error as exc:
         raise InvalidInputError(f"{path}: line {line}: {exc}") from None
+    except UnicodeDecodeError:
+        raise InvalidInputError(
+            f"{path}: line {_undecodable_line(path)}: not UTF-8 text") from None
+
+
+def _undecodable_line(path):
+    """The number of the first line of a file that is not UTF-8, read
+    from its bytes: the text layer decodes ahead of the line csv reads."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    # only valid UTF-8 comes back unchanged from decoding with replacement
+    return next((number for number, line in enumerate(lines, start=1)
+                 if line.decode("utf-8", "replace").encode("utf-8") != line), 1)
 
 
 def float_fields(fields, what, where, finite=True):
@@ -435,11 +449,32 @@ def write_csv(path, header, rows, row_format=None):
 def write_panel(panel: PanelSeries, path):
     """Write a panel CSV: first column timestamp (ISO-8601 hour), one
     column per sensor id. The ids go through csv quoting; a timestamp
-    or a .17g float never needs it, so each row is one %-format."""
+    or a .17g float never needs it, so each row is one %-format. Beside
+    it goes the sidecar that read_panel reads, path + ".npz": the stamps,
+    the (T, n) C-order values and the SHA-256 of the CSV's bytes."""
     write_csv(path, ["timestamp"] + list(panel.sensor_ids),
               ((_format_stamp(stamp), *values) for stamp, values in
                zip(panel.timestamps.tolist(), panel.values.T.tolist())),
               row_format="%s" + ",%.17g" * panel.n + "\n")
+    np.savez(f"{path}.npz", stamps=panel.timestamps,
+             values=np.ascontiguousarray(panel.values.T), sha256=_file_sha256(path))
+
+
+def sha256_hex(chunks):
+    """Hex SHA-256 of the bytes an iterable yields."""
+    # imported here: hashlib loads OpenSSL, whose pages raise the peak
+    # memory of ingest while its raw records are alive
+    import hashlib
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _file_sha256(path):
+    """Hex SHA-256 of a file's bytes, read 64 KiB at a time."""
+    with open(path, "rb") as fh:
+        return sha256_hex(iter(lambda: fh.read(1 << 16), b""))
 
 
 def _parse_stamp(text, where):
@@ -450,49 +485,6 @@ def _parse_stamp(text, where):
         raise InvalidInputError(
             f"{where}: timestamp {text.strip()!r} is not a whole second")
     return int(value)
-
-
-# np.loadtxt strips these from a value's ends as whitespace, float() refuses them
-_LOADTXT_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
-
-
-def _read_panel_bulk(path):
-    """The panel of a plain CSV, its values parsed by one np.loadtxt pass
-    over the open file, or None when _read_panel_rows must read it: a
-    quote, an id that holds a newline, a field loadtxt refuses or could
-    read otherwise than float(), a bad stamp, or a panel PanelSeries
-    refuses (a non-finite value, a broken hourly step, a repeated id).
-    A panel it returns is the one _read_panel_rows returns."""
-    # universal newlines: this pass and loadtxt split lines alike
-    with open(path, encoding="utf-8") as fh:
-        try:
-            header = next(csv_rows(fh, path))[1]
-            n = len(header) - 1
-            if (n < 1 or header[0].strip() != "timestamp"
-                    or any("\n" in h for h in header)):
-                return None
-            stamps, limit = [], csv.field_size_limit()
-            for line in fh:
-                if line.count(",") != n:
-                    if line == "\n":
-                        continue
-                    return None
-                if any(c in line for c in _LOADTXT_ONLY_SPACES):
-                    return None
-                # a field csv refuses, which float() and loadtxt would read
-                if len(line) > limit and max(map(len, line.split(","))) > limit:
-                    return None
-                stamps.append(_parse_stamp(line[:line.index(",")], path))
-            if not stamps:
-                return None
-            fh.seek(0)
-            # a file object, not the path: numpy would open a path ending
-            # in .gz as gzip
-            values = np.loadtxt(fh, delimiter=",", comments=None, skiprows=1,
-                                usecols=range(1, n + 1), ndmin=2, encoding="utf-8")
-            return PanelSeries(header[1:], stamps, values.T)
-        except (InvalidInputError, ValueError):
-            return None
 
 
 def _read_panel_rows(path):
@@ -529,13 +521,30 @@ def _read_panel_rows(path):
     return PanelSeries(header[1:], stamps, values.T)
 
 
-def read_panel(path) -> PanelSeries:
-    """Read a panel CSV written by write_panel (or equivalent).
+def _read_sidecar(path, digest):
+    """The panel of write_panel's sidecar to the CSV path, or None unless
+    it loads without pickle, records digest, holds int64 stamps and
+    C-order float64 values, and PanelSeries accepts them with the CSV
+    header's ids."""
+    try:
+        with np.load(f"{path}.npz", allow_pickle=False) as sidecar:
+            recorded, stamps, values = (sidecar[k] for k in ("sha256", "stamps", "values"))
+        if (str(recorded) != digest or stamps.dtype != np.int64 or values.dtype != np.float64
+                or not values.flags.c_contiguous or not values.size):
+            return None
+        with open(path, newline="", encoding="utf-8") as fh:
+            ids = next(csv_rows(fh, path))[1][1:]
+        return PanelSeries(ids, stamps, values.T)
+    # a sidecar is only a copy: whatever keeps it from reading, the CSV is read
+    except Exception:
+        return None
 
-    Values are numbers as float() reads them and timestamps whole
-    seconds. A plain panel, as write_panel writes them, is parsed in
-    bulk; any other goes through the row loop, which names the line of
-    the first bad record.
-    """
-    panel = _read_panel_bulk(path)
-    return _read_panel_rows(path) if panel is None else panel
+
+def read_panel(path):
+    """The panel of a CSV written by write_panel (or equivalent), and the
+    SHA-256 of the CSV's bytes. It comes from write_panel's sidecar when
+    that records the digest; else from the row loop, which reads values
+    as float() does and names the line of the first bad record."""
+    digest = _file_sha256(path)
+    panel = _read_sidecar(path, digest)
+    return (_read_panel_rows(path) if panel is None else panel), digest

@@ -355,7 +355,7 @@ def dataset_tables(paris_dir, toulouse_dir):
     paris, toulouse = Path(paris_dir), Path(toulouse_dir)
 
     # linear H=0 on the first city
-    panel = read_panel(paris / "panel.csv")
+    panel, _ = read_panel(paris / "panel.csv")
     split = Split(3776, 3975, 4417)
     assert split.t1 == panel.t_total
     X = standardize(panel, split)
@@ -366,7 +366,7 @@ def dataset_tables(paris_dir, toulouse_dir):
                            X, 27, split, draws=100, seed=0)
 
     # graph kernel H=1 on the second city
-    panel2 = read_panel(toulouse / "panel.csv")
+    panel2, _ = read_panel(toulouse / "panel.csv")
     split2 = Split(3288, 3649, 4290)
     assert split2.t1 == panel2.t_total
     X2 = standardize(panel2, split2)

@@ -9,6 +9,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _sources():
+    """src/netselect's module texts by repository path."""
+    return {p.relative_to(ROOT).as_posix(): p.read_text(encoding="utf-8")
+            for p in sorted((ROOT / "src" / "netselect").rglob("*.py"))}
+
+
 def test_every_library_name_is_used_outside_the_tests():
     # a reference that only tests call belongs in tests/oracles.py; names
     # in perfbench count, since its tracer wraps library functions by name,
@@ -64,8 +70,7 @@ def test_tracer_targets_resolve():
 def test_one_csv_writer():
     # timeseries.write_csv writes every table the commands write; a row
     # joined by hand splits an id that holds a comma into two fields
-    sources = {p.relative_to(ROOT).as_posix(): p.read_text(encoding="utf-8")
-               for p in sorted((ROOT / "src" / "netselect").rglob("*.py"))}
+    sources = _sources()
     writers = sorted(path for path, text in sources.items() if "csv.writer(" in text)
     assert writers == ["src/netselect/timeseries.py"]
     joined = sorted(path for path, text in sources.items()
@@ -77,8 +82,7 @@ def test_one_csv_reader():
     # timeseries.csv_rows numbers the records of every CSV the commands
     # read; a loop of its own that counts rows from 2 names the wrong line
     # after a quoted newline and lets a csv.Error exit 1
-    sources = {p.relative_to(ROOT).as_posix(): p.read_text(encoding="utf-8")
-               for p in sorted((ROOT / "src" / "netselect").rglob("*.py"))}
+    sources = _sources()
     readers = sorted(path for path, text in sources.items() if "csv.reader(" in text)
     assert readers == ["src/netselect/timeseries.py"]
     counted = sorted(path for path, text in sources.items()
@@ -126,8 +130,7 @@ def test_one_error_class_per_exit_code():
                        ("InvalidInputError", "NetselectError"),
                        ("SingularMatrixError", "NetselectError"),
                        ("TrainingDivergedError", "NetselectError")]
-    sources = {p.relative_to(ROOT).as_posix(): p.read_text(encoding="utf-8")
-               for p in sorted((ROOT / "src" / "netselect").rglob("*.py"))}
+    sources = _sources()
     allowed = {name for name, _ in classes} | {"argparse.ArgumentTypeError"}
     raised = {(path, name) for path, text in sources.items()
               for name in re.findall(r"\braise ([\w.]+)\(", text)}
@@ -163,8 +166,7 @@ def test_cli_owns_the_record_files():
     # through cli.RECORD; json in another module, or a second tuple of
     # methods, is a second owner of the record format with checks of its
     # own
-    sources = {p.relative_to(ROOT).as_posix(): p.read_text(encoding="utf-8")
-               for p in sorted((ROOT / "src" / "netselect").rglob("*.py"))}
+    sources = _sources()
     for pattern in (r"^\s*(import|from) json\b", r"^\s*METHODS\s*="):
         owners = [path for path, text in sources.items()
                   if re.search(pattern, text, flags=re.M)]
@@ -185,3 +187,38 @@ def test_no_unused_imports():
                                 for alias in node.names)
                    if name not in read]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_hashlib_loads_in_one_function():
+    # hashlib loads OpenSSL, whose pages set ingest's peak memory when
+    # loaded while the raw records are alive; one function of timeseries
+    # hashes the panel file and the coordinates alike
+    found = []
+    for path, text in _sources().items():
+        for top in ast.parse(text).body:
+            owner = top.name if isinstance(top, ast.FunctionDef) else None
+            found += [(path, owner) for node in ast.walk(top)
+                      if isinstance(node, ast.Import)
+                      and "hashlib" in [alias.name for alias in node.names]
+                      or isinstance(node, ast.ImportFrom) and node.module == "hashlib"]
+    assert found == [("src/netselect/timeseries.py", "sha256_hex")]
+
+
+def test_every_np_load_refuses_pickles():
+    # a sidecar is read from the disk beside an input; a pickle in it
+    # would run code
+    calls = [(path, node.lineno) for path, text in _sources().items()
+             for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "load" and isinstance(node.func.value, ast.Name)
+             and node.func.value.id in ("np", "numpy")
+             and not any(k.arg == "allow_pickle" and isinstance(k.value, ast.Constant)
+                         and k.value.value is False for k in node.keywords)]
+    assert not calls, f"np.load without allow_pickle=False: {calls}"
+
+
+def test_no_second_panel_parser():
+    # csv_rows and float() read every CSV value; a second parser such as
+    # np.loadtxt needed rules of its own to read values as float() does
+    found = [path for path, text in _sources().items() if "loadtxt" in text]
+    assert not found, f"loadtxt in {found}"

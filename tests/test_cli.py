@@ -93,7 +93,8 @@ def test_ingest_keeps_only_clean_stations(tmp_path, capsys):
 
     out2 = tmp_path / "run2"
     assert main(["ingest", str(raw), "--out-dir", str(out2)]) == 0
-    assert (out1 / "panel.csv").read_bytes() == (out2 / "panel.csv").read_bytes()
+    for name in ("panel.csv", "panel.csv.npz", "stations.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_ids_keep_their_spaces_from_feed_to_selection(tmp_path, capsys):
@@ -156,6 +157,28 @@ def test_oversized_fields_exit_2(tmp_path, capsys, command, name):
     out = tmp_path / "out"
     assert main(argv + ["--out-dir", str(out)]) == 2
     assert f"{path}: line 3: field larger than field limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, name", [
+    ("ingest", "raw.csv"), ("select", "panel.csv"), ("select", "coords.csv"),
+])
+def test_undecodable_bytes_exit_2(tmp_path, capsys, command, name):
+    # a byte that is not UTF-8 raised UnicodeDecodeError, which exited 1
+    # with a traceback
+    if command == "ingest":
+        _write_raw(tmp_path / name)
+        argv = ["ingest", str(tmp_path / name)]
+    else:
+        panel_path, coords_path, _ = _correlated_panel(tmp_path)
+        argv = ["select", str(panel_path), "--coords", str(coords_path)]
+    path = tmp_path / name
+    lines = path.read_bytes().splitlines()
+    lines[2] = b"\xff" + lines[2]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    assert f"{path}: line 3: not UTF-8 text" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -639,7 +662,7 @@ def test_evaluate_refuses_the_panel_with_its_sensors_reordered(tmp_path, capsys)
     sel_dir = tmp_path / "sel"
     assert main(["select", str(panel_path), "--coords", str(coords_path),
                  "--out-dir", str(sel_dir)]) == 0
-    panel = read_panel(panel_path)
+    panel, _ = read_panel(panel_path)
     reversed_path = tmp_path / "reversed.csv"
     write_panel(PanelSeries(ids[::-1], panel.timestamps, panel.values[::-1]),
                 reversed_path)
@@ -659,7 +682,7 @@ def test_evaluate_refuses_the_panel_with_a_value_edited(tmp_path, capsys):
     sel_dir = tmp_path / "sel"
     assert main(["select", str(panel_path), "--coords", str(coords_path),
                  "--out-dir", str(sel_dir)]) == 0
-    panel = read_panel(panel_path)
+    panel, _ = read_panel(panel_path)
     values = panel.values.copy()
     values[0, -1] += 0.5
     edited_path = tmp_path / "edited.csv"
@@ -742,7 +765,7 @@ def test_select_and_evaluate_build_the_same_kernel(tmp_path, capsys, kernel):
     assert code == 0
     sel = json.loads(sel_path.read_text())
     hp, order = sel["hyperparams"], sel["order"]
-    X = read_panel(panel_path).values
+    X = read_panel(panel_path)[0].values
     split = Split(*hp["split"])
     graph = (build_knn_graph(read_coords(coords_path)[1], 6, 3)
              if kernel in GRAPH_KERNELS else None)

@@ -143,3 +143,6 @@ def test_read_coords_round_trip_and_errors(tmp_path):
     bad.write_text("sensor_id,lat,lon\na,48.85,2.35\nb,48.86,2.36\na,0.0,0.0\n")
     with pytest.raises(InvalidInputError, match="line 4: sensor_id 'a' repeats line 2"):
         read_coords(bad)
+    bad.write_bytes(b"sensor_id,lat,lon\na,48.85,2.35\nb,48.8\xb0,2.36\n")
+    with pytest.raises(InvalidInputError, match="line 3: not UTF-8 text"):
+        read_coords(bad)

@@ -4,9 +4,10 @@ read_raw_records streams records into typed columns and checks them a
 column at a time; clean_stations and interpolate_hourly slice the
 per-station arrays it returns, and write_panel formats each panel row
 at once. Each must give exactly what the row loop over record tuples
-gives, and the same first error on bad input. read_panel parses the
-values of a plain panel with one np.loadtxt pass and must return what
-its row loop returns, bit for bit.
+gives, and the same first error on bad input. read_panel reads the
+panel that write_panel wrote from its binary sidecar and must return
+what its row loop returns, bit for bit; a sidecar it cannot trust is
+ignored.
 """
 
 import csv
@@ -16,13 +17,14 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from netselect import timeseries
+from netselect import cli, timeseries
 from netselect.errors import InvalidInputError
 from netselect.timeseries import (
     HOUR,
     PanelSeries,
-    _read_panel_bulk,
+    _file_sha256,
     _read_panel_rows,
+    _read_sidecar,
     clean_stations,
     interpolate_hourly,
     read_panel,
@@ -64,7 +66,7 @@ def _write_feed(path, kind, seed=0):
     """A raw feed of a few stations; kind picks what makes it awkward."""
     rng = np.random.default_rng(seed)
     every = kind == "all"
-    ids = (["a,1", 'b"2', " c3", "d4 ", "e5"] if every or kind == "quoted-ids"
+    ids = (["a,1", 'b"2', " c3", "d4 ", "e\n5"] if every or kind == "quoted-ids"
            else ["s1", "s2", "s3", "s4", "s5"])
     rows = []
     for k, sid in enumerate(ids):
@@ -115,6 +117,10 @@ def _panel_read(read, path):
             panel.values.strides)
 
 
+def _sidecar_read(path):
+    return _read_sidecar(path, _file_sha256(path))
+
+
 @pytest.mark.parametrize("kind", FEEDS)
 def test_columnar_ingest_equals_the_row_loop(tmp_path, kind):
     raw = tmp_path / "raw.csv"
@@ -142,9 +148,11 @@ def test_columnar_ingest_equals_the_row_loop(tmp_path, kind):
     write_panel(panel, tmp_path / "panel.csv")
     write_panel_by_field(ref_panel, tmp_path / "ref_panel.csv")
     assert (tmp_path / "panel.csv").read_bytes() == (tmp_path / "ref_panel.csv").read_bytes()
-    bulk = _panel_read(_read_panel_bulk, tmp_path / "panel.csv")
-    assert bulk is not None
-    assert bulk == _panel_read(_read_panel_rows, tmp_path / "panel.csv")
+    sidecar = _panel_read(_sidecar_read, tmp_path / "panel.csv")
+    assert sidecar is not None
+    assert sidecar == _panel_read(_read_panel_rows, tmp_path / "panel.csv")
+    if kind in ("quoted-ids", "all"):
+        assert {"a,1", 'b"2', "e\n5"} <= set(sidecar[0])
 
 
 def test_clean_and_interpolate_match_the_tuple_reference():
@@ -208,104 +216,85 @@ def test_errors_match_the_row_loop(tmp_path, first, second):
     assert ": line 4: " in str(got.value)
 
 
-# valid panels, and whether the bulk parse takes them
-HAND_PANELS = {
-    "crlf": ("timestamp,a,b\r\n0,1,2\r\n3600,3,4\r\n", True),
-    "lone-cr": ("timestamp,a,b\r0,1,2\r3600,3,4\r", True),
-    "blank-lines": ("timestamp,a,b\n\n0,1,2\n\r\n\r\n3600,3,4\n\n", True),
-    "no-final-newline": ("timestamp,a,b\n0,1,2\n3600,3,4", True),
-    "comma-id": ('timestamp,"a,1",b\n0,1,2\n3600,3,4\n', True),
-    "quote-id": ('timestamp,"a""1",b\n0,1,2\n3600,3,4\n', True),
-    "newline-id": ('timestamp,"a\n1",b\n0,1,2\n3600,3,4\n', False),
-    "cr-id": ('timestamp,"a\r1",b\n0,1,2\n3600,3,4\n', False),
-    "spaced-values": ("timestamp,a,b\n0, 1 ,\t2\n3600,  3,4\xa0\n", True),
-    "underscore": ("timestamp,a\n0,1_0\n3600,2\n", False),
-    "quoted-value": ('timestamp,a\n0,"1.5"\n3600,2\n', False),
-    "unicode-digit": ("timestamp,a\n0,\u0661\n3600,2\n", False),
-    "extremes": ("timestamp,a,b,c\n0,-0.0,5e-324,1e308\n"
-                 "3600,1e-320,-5e-324,-1.7976931348623157e308\n", True),
-    "epoch-stamps": ("timestamp,a\n1546300800,1\n 1546304400.0 ,2\n", True),
-    "iso-offset-stamps": ("timestamp,a\n2019-01-01T02:00:00+02:00,1\n"
-                          "2018-12-31T23:00:00-02:00,2\n2019-01-01T02:00:00,3\n", True),
+# hand-written panels, which only the row loop reads, and what it reads
+ROW_LOOP_PANELS = {
+    "crlf": ("timestamp,a,b\r\n0,1,2\r\n3600,3,4\r\n", ["a", "b"], [[1, 3], [2, 4]]),
+    "quoted-ids": ('timestamp,"a,1","b""2","c\n3"\n0,1,2,3\n',
+                   ["a,1", 'b"2', "c\n3"], [[1], [2], [3]]),
+    "underscore": ("timestamp,a\n0,1_0\n3600,2\n", ["a"], [[10, 2]]),
+    "quoted-value": ('timestamp,a\n0,"1.5"\n3600,2\n', ["a"], [[1.5, 2]]),
 }
 
 
-@pytest.mark.parametrize("text, bulk", HAND_PANELS.values(), ids=list(HAND_PANELS))
-def test_panel_bulk_parse_equals_the_row_loop(tmp_path, text, bulk):
+@pytest.mark.parametrize("text, ids, values", ROW_LOOP_PANELS.values(),
+                         ids=list(ROW_LOOP_PANELS))
+def test_hand_written_panels_read_through_the_row_loop(tmp_path, text, ids, values):
     path = tmp_path / "panel.csv"
     path.write_bytes(text.encode("utf-8"))
+    panel, digest = read_panel(path)
+    assert panel.sensor_ids == ids
+    assert panel.values.tolist() == values
+    assert digest == _file_sha256(path)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_an_ingested_panel_reads_from_its_sidecar(tmp_path, monkeypatch, capsys):
+    # a sidecar that never read would pass every other test
+    raw = tmp_path / "raw.csv"
+    _write_feed(raw, "all")
+    assert cli.main(["ingest", str(raw), "--min-records", "30",
+                     "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    path = tmp_path / "panel.csv"
     ref = _panel_read(_read_panel_rows, path)
-    assert isinstance(ref, tuple)
-    assert _panel_read(_read_panel_bulk, path) == (ref if bulk else None)
-    assert _panel_read(read_panel, path) == ref
-
-
-# value fields loadtxt and float() both read, and ones that only one reads
-GOOD_VALUES = ["0.25", "-0.0", "5e-324", "1e308", " 7 ", "\t8", "9\xa0", "+.5", "6."]
-ODD_VALUES = ["1_0", '"1.5"', "1\x1c", "\x1f2", "\u0661", "nan", "-inf", "1e999",
-              "", "x", "1e", "0x1", "1 2", "1,5"]
-
-
-def _random_panel_text(rng):
-    """A small panel CSV, most often valid and plain."""
-    n, t = rng.integers(1, 4), rng.integers(1, 5)
-    ids = [["a", "b", "c"], ['"a,1"', "b", "c"], ["a", "b", "a"]][rng.choice(3, p=[.8, .1, .1])]
-    stamps = EPOCH0 + HOUR * np.arange(t)
-    stamps[rng.random(t) < 0.05] += HOUR // 2
-    lines = ["timestamp," + ",".join(ids[:n])]
-    for stamp in stamps:
-        values = rng.normal(size=n) * 10.0 ** rng.integers(-5, 5, size=n)
-        fields = [repr(float(v)) for v in values]
-        for k in np.nonzero(rng.random(n) < 0.1)[0]:
-            fields[k] = rng.choice(GOOD_VALUES)
-        if rng.random() < 0.1:
-            fields[rng.integers(n)] = rng.choice(ODD_VALUES)
-        stamp = int(stamp)
-        text = (datetime.fromtimestamp(stamp, tz=timezone.utc).isoformat()
-                if rng.random() < 0.5 else str(stamp))
-        lines.append(",".join([text] + fields))
-        if rng.random() < 0.1:
-            lines.append("")
-    end = rng.choice(["\n", "\r\n", "\r"])
-    return end.join(lines) + (end if rng.random() < 0.8 else "")
-
-
-def test_random_panels_read_as_the_row_loop_reads_them(tmp_path):
-    path = tmp_path / "panel.csv"
-    taken = 0
-    for seed in range(400):
-        path.write_bytes(_random_panel_text(np.random.default_rng(seed)).encode("utf-8"))
-        ref = _panel_read(_read_panel_rows, path)
-        bulk = _panel_read(_read_panel_bulk, path)
-        assert bulk in (None, ref), seed
-        assert _panel_read(read_panel, path) == ref, seed
-        taken += bulk is not None
-    # both the bulk parse and the row loop run
-    assert 100 < taken < 390
-
-
-def test_a_written_panel_takes_the_bulk_path(tmp_path, monkeypatch):
-    # the linear-h0 benchmark shape; a bulk parse that always deferred
-    # would pass every other test
-    rng = np.random.default_rng(0)
-    panel = PanelSeries([f"s{i:03d}" for i in range(110)],
-                        EPOCH0 + HOUR * np.arange(1500), rng.random((110, 1500)))
-    path = tmp_path / "panel.csv"
-    write_panel(panel, path)
 
     def row_loop(path):
         raise AssertionError(f"{path} went through the row loop")
 
     monkeypatch.setattr(timeseries, "_read_panel_rows", row_loop)
-    back = read_panel(path)
-    assert back.sensor_ids == panel.sensor_ids
-    assert np.array_equal(back.timestamps, panel.timestamps)
-    assert np.array_equal(back.values, panel.values)
-    assert back.values.strides == (8, 8 * 110)
+    assert _panel_read(lambda p: read_panel(p)[0], path) == ref
+    assert ref[3] == (8, 8 * len(ref[0]))
 
 
-def test_a_value_only_float_reads_comes_through_the_row_loop(tmp_path):
-    # loadtxt refuses 1_0 and "1.5"; float() reads them, so they are valid
-    path = tmp_path / "panel.csv"
-    path.write_text('timestamp,a\n0,1_0\n3600,"1.5"\n')
-    assert read_panel(path).values.tolist() == [[10.0, 1.5]]
+def _sidecar(path):
+    return path.parent / (path.name + ".npz")
+
+
+def _rewrite_sidecar(path, allow_pickle=False, **change):
+    """Overwrite path's sidecar, each array that change names passed
+    through its function."""
+    with np.load(_sidecar(path)) as sidecar:
+        arrays = {name: change.get(name, lambda x: x)(array)
+                  for name, array in sidecar.items()}
+    np.savez(_sidecar(path), allow_pickle=allow_pickle, **arrays)
+
+
+# ways a sidecar can fail to fit panel.csv, given the panel and another
+SPOILS = {
+    "stale": lambda path, other: path.write_text(path.read_text().replace("0.5", "0.25", 1)),
+    "truncated": lambda path, other: _sidecar(path).write_bytes(
+        _sidecar(path).read_bytes()[:-100]),
+    "foreign": lambda path, other: _sidecar(path).write_bytes(_sidecar(other).read_bytes()),
+    "wrong-shape": lambda path, other: _rewrite_sidecar(path, values=lambda v: v[:, :-1]),
+    "object-array": lambda path, other: _rewrite_sidecar(
+        path, allow_pickle=True, values=lambda v: v.astype(object)),
+    "float32": lambda path, other: _rewrite_sidecar(
+        path, values=lambda v: v.astype(np.float32)),
+    "fortran-order": lambda path, other: _rewrite_sidecar(path, values=np.asfortranarray),
+    "empty": lambda path, other: _rewrite_sidecar(path, stamps=lambda s: s[:0],
+                                                  values=lambda v: v[:0]),
+}
+
+
+@pytest.mark.parametrize("spoil", SPOILS.values(), ids=list(SPOILS))
+def test_a_sidecar_that_does_not_fit_is_ignored(tmp_path, spoil):
+    rng = np.random.default_rng(0)
+    path, other = tmp_path / "panel.csv", tmp_path / "other.csv"
+    write_panel(PanelSeries(["a", "b", "c"], EPOCH0 + HOUR * np.arange(4),
+                            np.array([[0.5, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]])), path)
+    write_panel(PanelSeries(["a", "b", "c"], EPOCH0 + HOUR * np.arange(4),
+                            rng.random((3, 4))), other)
+    spoil(path, other)
+    assert _sidecar_read(path) is None
+    ref = _panel_read(_read_panel_rows, path)
+    assert _panel_read(lambda p: read_panel(p)[0], path) == ref

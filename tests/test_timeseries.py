@@ -1,6 +1,7 @@
 """Ingestion, cleaning, weekly detrending, covariance blocks, panel IO."""
 
 import csv
+import hashlib
 import re
 
 import numpy as np
@@ -85,6 +86,12 @@ def test_read_raw_records_parsing(tmp_path):
     bad.write_text("station,moment,bikes,spaces\na,0,many,5\n")
     with pytest.raises(InvalidInputError, match="non-numeric"):
         read_raw_records(bad)
+    # a station id or a header that is not UTF-8 raised UnicodeDecodeError
+    for text, line in ((b"station,moment,bikes,spaces\na,0,5,5\n\xffb,0,5,5\n", 3),
+                       (b"station\xff,moment,bikes,spaces\na,0,5,5\n", 1)):
+        bad.write_bytes(text)
+        with pytest.raises(InvalidInputError, match=f"line {line}: not UTF-8 text"):
+            read_raw_records(bad)
 
 
 @pytest.mark.parametrize("row, message", [
@@ -259,13 +266,20 @@ def test_lagged_design_gram_identity():
 
 
 def test_panel_csv_round_trip(tmp_path):
+    # through the sidecar and through the row loop; a rewrite gives the
+    # same bytes, and the digest is the CSV's
     panel = _panel(T=50)
     path = tmp_path / "panel.csv"
     write_panel(panel, path)
-    back = read_panel(path)
-    assert back.sensor_ids == panel.sensor_ids
-    assert np.array_equal(back.timestamps, panel.timestamps)
-    assert np.array_equal(back.values, panel.values)
+    sidecar = (tmp_path / "panel.csv.npz").read_bytes()
+    write_panel(panel, path)
+    assert (tmp_path / "panel.csv.npz").read_bytes() == sidecar
+    read, digest = read_panel(path)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    for back in (read, timeseries._read_panel_rows(path)):
+        assert back.sensor_ids == panel.sensor_ids
+        assert np.array_equal(back.timestamps, panel.timestamps)
+        assert np.array_equal(back.values, panel.values)
 
 
 def test_read_panel_errors(tmp_path):
@@ -300,11 +314,11 @@ def test_read_panel_errors(tmp_path):
         with pytest.raises(InvalidInputError, match=re.escape(
                 f"{path}: line 2: timestamp '{first}' is not a whole second")):
             read_panel(path)
-    # loadtxt strips \x1c to \x1f from a value's ends, float() refuses them
+    # float() refuses \x1c to \x1f at a value's ends, which some parsers strip
     path.write_text("timestamp,a\n0,1\x1c\n")
     with pytest.raises(InvalidInputError, match="line 2: non-numeric value"):
         read_panel(path)
-    # float() and loadtxt read a value longer than csv's field limit
+    # float() would read a value longer than csv's field limit
     path.write_text(f"timestamp,a\n0,{'0' * csv.field_size_limit()}1\n")
     with pytest.raises(InvalidInputError, match="line 2: field larger than field limit"):
         read_panel(path)
@@ -329,17 +343,16 @@ def test_read_panel_errors(tmp_path):
     with pytest.raises(InvalidInputError,
                        match=re.escape(f"{path}: line 1: duplicate sensor ids ['a']")):
         read_panel(path)
-
-
-def test_read_panel_errors_come_from_the_row_loop(tmp_path, monkeypatch):
-    # the bulk parse hands every bad panel above to the row loop, so
-    # each message is the one the row loop gives
-    def row_loop_only(path):
-        assert timeseries._read_panel_bulk(path) is None
-        return timeseries._read_panel_rows(path)
-
-    monkeypatch.setitem(globals(), "read_panel", row_loop_only)
-    test_read_panel_errors(tmp_path)
+    # a byte that is not UTF-8 raised UnicodeDecodeError (exit 1); the
+    # text layer decodes ahead, so the line is found in the bytes
+    lines = ["timestamp,a"] + [f"{k * HOUR},1" for k in range(3000)]
+    lines[1500] += "\xff"
+    for text, line in (("timestamp,a\n0,\xff\n", 2), ("timestamp,\xe9\n0,1\n", 1),
+                       ("\n".join(lines), 1501), ("\r\n".join(lines[:1500]) + "\xc3", 1500)):
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"{path}: line {line}: not UTF-8 text")):
+            read_panel(path)
 
 
 @pytest.mark.parametrize("name, text, message", [
@@ -368,7 +381,8 @@ def test_panel_csv_round_trips_the_first_and_last_hours(tmp_path):
         panel = PanelSeries(["a"], first + np.arange(2) * HOUR, np.ones((1, 2)))
         path = tmp_path / "panel.csv"
         write_panel(panel, path)
-        assert np.array_equal(read_panel(path).timestamps, panel.timestamps)
+        for back in (read_panel(path)[0], timeseries._read_panel_rows(path)):
+            assert np.array_equal(back.timestamps, panel.timestamps)
 
 
 def test_write_csv_quotes_fields_and_keeps_floats(tmp_path):

@@ -14,6 +14,11 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
+# BLAS sums in another order at each thread count, which it reads when
+# numpy loads: one thread, unless the caller set one, fixes the bytes
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from .errors import InvalidInputError, NetselectError
@@ -324,7 +329,7 @@ def kernel(args, hp, X, split, graph):
             res = greedy_select_kernel(gammas, kb, p, lam=lam, H=H)
             return res, fit_predict_kernel(kb, res.order, lam, H)
 
-        lam_list = lambda_grid(power_method(assemble_blocks(kb, [], H)[0]).value)
+        lam_list = lambda_grid(np.linalg.eigvalsh(assemble_blocks(kb, [], H)[0])[-1])
         gs = grid_search(run, lam_list, X, split)
         return gs.result, {
             "lambda": float(gs.config),

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import graph as graphmod
 from .errors import InvalidInputError
-from .numerics import solve_spd
+from .numerics import solve_spd, solve_spd_many
 from .select_linear import (
     LinearReconstructor,
     SelectionResult,
@@ -91,9 +91,10 @@ def greedy_select_kernel(gammas, kb, p, lam=0.0, H=0) -> SelectionResult:
     least-squares map for Theta_lambda(i) computed from the kernel Gram
     blocks kb. With Q the inverse of K_R + lambda Id over R = S + {i}
     and J the positions of i, Theta_lambda(i) is the lag-0 row of
-    -Q_JJ^{-1} Q_J,: with its J entries set to 0: one (H+1)-sized solve
-    per candidate, and one product with the data Gram M_R for all of
-    them. Steps that step_inverse declines solve each K_S instead.
+    -Q_JJ^{-1} Q_J,: with its J entries set to 0. One stacked solve of
+    the q (H+1)-sized systems (solve_spd_many) and one product with the
+    data Gram M_R give every candidate's value. Steps that step_inverse
+    declines solve each K_S instead.
     """
     if H > len(gammas) - 1:
         raise InvalidInputError(
@@ -109,10 +110,9 @@ def greedy_select_kernel(gammas, kb, p, lam=0.0, H=0) -> SelectionResult:
         if Q is None:
             return None
         q = len(R)
-        theta = np.empty((q, Q.shape[0]))
-        for k, J in enumerate(lag_positions(q, H)):
-            theta[k] = -solve_spd(Q[np.ix_(J, J)], Q[J])[0]
-            theta[k, J] = 0.0
+        J = lag_positions(q, H)
+        theta = -solve_spd_many(Q[J[:, :, None], J[:, None, :]], Q[J])[:, 0]
+        theta[np.arange(q)[:, None], J] = 0.0
         M_R = lag_stack(gammas, [], R, H)[0]
         vals = (np.diag(M_R)[:q] - 2.0 * np.sum(M_R[:q] * theta, axis=1)
                 + np.sum((theta @ M_R) * theta, axis=1))

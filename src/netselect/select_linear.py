@@ -73,10 +73,9 @@ def step_inverse(A, H):
 
 
 def lag_positions(q, H):
-    """Index arrays J of each of q sensors' H+1 positions in the
-    lag-stacked layout, lag 0 first."""
-    lags = q * np.arange(H + 1)
-    return [k + lags for k in range(q)]
+    """(q, H+1) array whose row k holds the positions J of sensor k in
+    the lag-stacked layout of q sensors, lag 0 first."""
+    return np.arange(q)[:, None] + q * np.arange(H + 1)
 
 
 def greedy_select_linear(gammas, p, H=0) -> SelectionResult:

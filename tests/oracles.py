@@ -3,14 +3,15 @@
 The library computes what the pipeline runs: the greedy steps, which
 score every candidate from one inverse, and the fitted reconstructors.
 The set criteria, the training error they equal, the greedy that solves
-each candidate's system on its own, the conjugate-gradient solve and the
-single-sample network loss live here, so the tests can check the
-pipeline against them. So do the plain forms of what the network layers
-compute faster: the activations as np.where branches and an Adam step
-that allocates its moments and temporaries afresh, and the ingest
-layer as it was written before it went columnar: a row loop that keeps
-every record as a tuple, and a panel writer that formats one field at a
-time.
+each candidate's system on its own, the kernel greedy step that reads
+each candidate from the step inverse with its own solve, the
+conjugate-gradient solve and the single-sample network loss live here,
+so the tests can check the pipeline against them. So do the plain
+forms of what the network layers compute faster: the activations as
+np.where branches and an Adam step that allocates its moments and
+temporaries afresh, and the ingest layer as it was written before it
+went columnar: a row loop that keeps every record as a tuple, and a
+panel writer that formats one field at a time.
 """
 
 import csv
@@ -24,6 +25,7 @@ from netselect.gcn.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from netselect.errors import InvalidInputError
 from netselect.numerics import solve_spd
 from netselect.select_kernel import kernel_reconstructor
+from netselect.select_linear import lag_positions, step_inverse
 from netselect.timeseries import (
     HOUR,
     PanelSeries,
@@ -104,6 +106,30 @@ def kernel_value(gammas, kb, lam, H):
         return float(gammas[0][i, i] - 2.0 * (beta[0] @ th) + th @ alpha @ th)
 
     return value
+
+
+def kernel_step_score(gammas, kb, lam, H):
+    """greedy_select_kernel's score(R) with one solve_spd per candidate:
+    Theta_lambda(i) is the lag-0 row of -Q_JJ^{-1} Q_J,: with its J
+    entries set to 0, for Q the inverse of K_R + lambda Id. Returns None
+    when step_inverse declines the step."""
+
+    def score(R):
+        K_R = lag_stack(kb, [], R, H)[0]
+        Q = step_inverse(K_R + lam * np.eye(K_R.shape[0]), H)
+        if Q is None:
+            return None
+        q = len(R)
+        theta = np.empty((q, Q.shape[0]))
+        for k, J in enumerate(lag_positions(q, H)):
+            theta[k] = -solve_spd(Q[np.ix_(J, J)], Q[J])[0]
+            theta[k, J] = 0.0
+        M_R = lag_stack(gammas, [], R, H)[0]
+        vals = (np.diag(M_R)[:q] - 2.0 * np.sum(M_R[:q] * theta, axis=1)
+                + np.sum((theta @ M_R) * theta, axis=1))
+        return [float(v) for v in vals]
+
+    return score
 
 
 def lagged_design(X, rows, H):

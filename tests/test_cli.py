@@ -6,9 +6,12 @@ import csv
 import hashlib
 import importlib
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -22,7 +25,7 @@ from netselect.errors import (
     SingularMatrixError,
     TrainingDivergedError,
 )
-from netselect.evaluation import default_p
+from netselect.evaluation import default_p, lambda_grid, synth_generate
 from netselect.evaluation import test_mse as held_out_mse
 from netselect.graph import build_knn_graph, read_coords
 from netselect.select_kernel import (
@@ -36,6 +39,7 @@ from netselect.timeseries import (
     HOUR,
     PanelSeries,
     Split,
+    assemble_blocks,
     estimate_blocks,
     read_panel,
     write_panel,
@@ -776,6 +780,22 @@ def test_select_and_evaluate_build_the_same_kernel(tmp_path, capsys, kernel):
     assert json.loads(report)["test_mse"] == expected
 
 
+def test_kernel_grid_is_scaled_by_the_gram_eigensolve(tmp_path, capsys, monkeypatch):
+    # lambda_max of the lag-stacked Gram comes from one eigensolve; the
+    # power method scales only the GCN Laplacian
+    def no_power_method(*args, **kwargs):
+        raise AssertionError("the kernel grid ran the power method")
+
+    monkeypatch.setattr(cli, "power_method", no_power_method)
+    panel_path, coords_path, sel_path = _kernel_run(tmp_path)
+    capsys.readouterr()
+    hp = json.loads(sel_path.read_text())["hyperparams"]
+    graph = build_knn_graph(read_coords(coords_path)[1], 6, 3)
+    kb = build_kernel_blocks("spatial-temporal", H=1, gamma=hp["gamma"], graph=graph)
+    K = assemble_blocks(kb, [], 1)[0]
+    assert hp["lambda_grid"] == lambda_grid(np.linalg.eigvalsh(K)[-1])
+
+
 def test_evaluate_records_gcn_prediction_net_settings(tmp_path, capsys):
     panel_path = _noiseless_panel(tmp_path)
     coords_path = tmp_path / "coords.csv"
@@ -1249,3 +1269,33 @@ def test_the_error_class_decides_the_exit_code(capsys, monkeypatch, error, code)
     monkeypatch.setattr(cli, "read_panel", fail)
     assert main(["select", "panel.csv", "--coords", "coords.csv"]) == code
     assert capsys.readouterr().err.endswith("bad\n")
+
+
+
+def test_select_writes_the_same_bytes_with_the_thread_count_unset(tmp_path):
+    # on a multi-core host, the autocovariance X X^T of a panel of the
+    # linear-h0 benchmark's shape sums in another order at two BLAS
+    # threads than at one, which moved the step values in their last
+    # digits; numpy is loaded in this process, so only a new one shows
+    # the thread count that cli sets
+    rng = np.random.default_rng(0)
+    coords = rng.uniform(size=(110, 2))
+    panel = synth_generate(build_knn_graph(coords, 20, 7), 1500, "graph-smooth",
+                           seed=0)
+    panel_path, coords_path = tmp_path / "panel.csv", tmp_path / "coords.csv"
+    write_panel(panel, panel_path)
+    _write_coords(coords_path, panel.sensor_ids, coords)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    outputs = []
+    for threads in ({}, dict.fromkeys(names, "1")):
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        env.update(threads, PYTHONPATH=src)
+        out = tmp_path / f"threads-{len(threads)}"
+        subprocess.run([sys.executable, "-m", "netselect.cli", "select",
+                        str(panel_path), "--coords", str(coords_path), "--method",
+                        "linear", "--H", "0", "--standardize", "--out-dir", str(out)],
+                       env=env, check=True, capture_output=True)
+        outputs.append([(out / name).read_bytes()
+                        for name in ("selection.json", "selected.geojson")])
+    assert outputs[0] == outputs[1]

@@ -1,6 +1,10 @@
 """The greedy steps, which score every candidate from one inverse, against
 the per-candidate reference in oracles.py.
 
+The kernel steps, which solve every candidate's system in one stacked
+solve, must also equal the step that solves them one at a time, bit for
+bit.
+
 The panels make the step inverse singular (fewer samples than sensors,
 an exact duplicate, the graph-Laplacian kernel at zero ridge), where the
 step falls back to one solve per candidate, or nearly singular (planted
@@ -15,9 +19,9 @@ from netselect import select_kernel, select_linear
 from netselect.evaluation import gamma_grid, synth_generate
 from netselect.graph import build_knn_graph
 from netselect.select_kernel import build_kernel_blocks, greedy_select_kernel
-from netselect.select_linear import greedy_select_linear
+from netselect.select_linear import greedy, greedy_select_linear
 from netselect.timeseries import estimate_blocks
-from oracles import greedy_per_candidate, kernel_value, linear_value
+from oracles import greedy_per_candidate, kernel_step_score, kernel_value, linear_value
 
 P = 4
 
@@ -117,3 +121,19 @@ def test_kernel_greedy_matches_per_candidate_reference(case, kernel, ridge, take
     steps = _record_steps(monkeypatch)
     _assert_same(greedy_select_kernel(gammas, kb, P, lam=lam, H=H), ref)
     assert steps == taken
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("H", [0, 1, 2])
+@pytest.mark.parametrize("case,kernel,ridge,taken", KERNEL_CASES)
+def test_kernel_stacked_step_equals_per_candidate_step(case, kernel, ridge, taken,
+                                                       H, seed):
+    X = _panel(case, seed)
+    gammas = estimate_blocks(X, H)
+    kb = _kernel_blocks(kernel, X, H)
+    lam = ridge * np.trace(kb[0]) / kb[0].shape[0]
+    order, values = greedy(X.shape[0], P, kernel_step_score(gammas, kb, lam, H),
+                           kernel_value(gammas, kb, lam, H))
+    fast = greedy_select_kernel(gammas, kb, P, lam=lam, H=H)
+    assert fast.order == order
+    assert fast.step_values == values

@@ -1,8 +1,10 @@
-"""Dense linear algebra: symmetry checks, SPD solves, CG, power iteration."""
+"""Dense linear algebra: symmetry checks, SPD solves and their stacked
+form, CG, power iteration."""
 
 import numpy as np
 import pytest
 
+from netselect import numerics
 from netselect.errors import InvalidInputError, SingularMatrixError
 from netselect.numerics import (
     JITTER_SIZE,
@@ -10,6 +12,7 @@ from netselect.numerics import (
     check_symmetric,
     power_method,
     solve_spd,
+    solve_spd_many,
     sym_eig,
 )
 from oracles import conjugate_gradient
@@ -127,6 +130,83 @@ def test_solve_spd_matches_eigvalsh_jitter_reference():
             ref, jittered = _reference_solve_spd(A, B)
             assert jittered == jitter, (n, name)
             assert np.array_equal(solve_spd(A, B), ref), (n, name)
+
+
+def _spd_stack(rng, q, m):
+    """q SPD matrices of size m, with scales spread over 1e-6..1e6."""
+    M = rng.normal(size=(q, m, m))
+    A = M @ M.transpose(0, 2, 1) + 0.1 * np.eye(m)
+    A *= 10.0 ** rng.uniform(-6, 6, size=(q, 1, 1))
+    return (A + A.transpose(0, 2, 1)) / 2.0
+
+
+def _count_item_solves(monkeypatch):
+    """List that grows by one for each solve_spd call of solve_spd_many."""
+    calls = []
+    original = numerics.solve_spd
+
+    def counted(A, B):
+        calls.append(1)
+        return original(A, B)
+
+    monkeypatch.setattr(numerics, "solve_spd", counted)
+    return calls
+
+
+def _loop(A, B):
+    return np.stack([solve_spd(a, b) for a, b in zip(A, B)])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_solve_spd_many_equals_the_loop_bit_for_bit(m, monkeypatch):
+    rng = np.random.default_rng(m)
+    for q in (1, 7, 60):
+        A = _spd_stack(rng, q, m)
+        B = rng.normal(size=(q, m, 4))
+        calls = _count_item_solves(monkeypatch)
+        X = solve_spd_many(A, B)
+        assert calls == []  # one stacked solve, no item on its own
+        assert np.array_equal(X, _loop(A, B))
+
+
+# a 1 x 1 item never takes the jitter: its one eigenvalue is its scale
+@pytest.mark.parametrize("m", [2, 3])
+def test_solve_spd_many_falls_back_on_a_jittered_or_asymmetric_item(m, monkeypatch):
+    rng = np.random.default_rng(10 + m)
+    A = _spd_stack(rng, 9, m)
+    A[4] = _with_min_eigenvalue(rng, m, 0.1)
+    B = rng.normal(size=(9, m, 3))
+    calls = _count_item_solves(monkeypatch)
+    X = solve_spd_many(A, B)
+    assert len(calls) == 9
+    assert np.array_equal(X, _loop(A, B))
+    ref, jittered = _reference_solve_spd(A[4], B[4])
+    assert jittered
+    assert np.array_equal(X[4], ref)
+    # so does an item that is symmetric only up to roundoff, which
+    # solve_spd symmetrizes first
+    A = _spd_stack(rng, 9, m)
+    A[4, 0, 1] = np.nextafter(A[4, 0, 1], np.inf)
+    calls.clear()
+    assert np.array_equal(solve_spd_many(A, B), _loop(A, B))
+    assert len(calls) == 9
+
+
+def test_solve_spd_many_raises_what_solve_spd_raises():
+    rng = np.random.default_rng(5)
+    B = rng.normal(size=(6, 2, 3))
+    # an infinite last pivot leaves the Cholesky factor defined
+    for k, l, bad in ((0, 1, np.nan), (1, 1, np.inf)):
+        A = _spd_stack(rng, 6, 2)
+        A[3, k, l] = A[3, l, k] = bad
+        with pytest.raises(InvalidInputError) as many:
+            solve_spd_many(A, B)
+        with pytest.raises(InvalidInputError) as one:
+            solve_spd(A[3], B[3])
+        assert str(many.value) == str(one.value)
+    A[3] = np.diag([1.0, -2.0])
+    with pytest.raises(SingularMatrixError, match=r"min eigenvalue -2\.000e\+00"):
+        solve_spd_many(A, B)
 
 
 def test_conjugate_gradient_matches_direct():

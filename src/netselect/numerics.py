@@ -4,7 +4,8 @@ All routines work on plain float64 numpy arrays. Covariance and Gram
 matrices estimated from data can be numerically singular, so every
 inversion goes through solve_spd and its jitter policy: if the smallest
 eigenvalue of A falls below 1e-12 * trace(A)/n, add 1e-10 * trace(A)/n
-to the diagonal before solving.
+to the diagonal before solving; step_inverse inverts only where that
+policy would add no jitter.
 """
 
 from typing import NamedTuple
@@ -62,6 +63,15 @@ def sym_eig(M) -> EigenPair:
     return EigenPair(values, vectors)
 
 
+def _has_cholesky(A, tau):
+    """Whether A - tau Id, or every item of a stack A, has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(A - tau * np.eye(A.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def solve_spd(A, B):
     """Solve A X = B for symmetric positive definite A.
 
@@ -75,16 +85,11 @@ def solve_spd(A, B):
     A = check_symmetric(A)
     n = A.shape[0]
     scale = np.trace(A) / n
-    try:
-        np.linalg.cholesky(A - (JITTER_TRIGGER * scale) * np.eye(n))
-    except np.linalg.LinAlgError:
+    if not _has_cholesky(A, JITTER_TRIGGER * scale):
         jittered = A + (JITTER_SIZE * scale) * np.eye(n)
-        try:
-            np.linalg.cholesky(jittered)
-        except np.linalg.LinAlgError:
-            min_eig = float(np.linalg.eigvalsh(A)[0])
-            raise SingularMatrixError(
-                f"matrix is singular beyond jitter (min eigenvalue {min_eig:.3e})")
+        if not _has_cholesky(jittered, 0.0):
+            raise SingularMatrixError("matrix is singular beyond jitter "
+                                      f"(min eigenvalue {np.linalg.eigvalsh(A)[0]:.3e})")
         A = jittered
     return np.linalg.solve(A, np.asarray(B, dtype=float))
 
@@ -95,22 +100,40 @@ def solve_spd_many(A, B):
     that no item takes the jitter, else item by item."""
     A = np.asarray(A, dtype=float)
     if np.isfinite(A).all() and np.array_equal(A, A.transpose(0, 2, 1)):
-        m = A.shape[1]
-        tau = JITTER_TRIGGER * (np.trace(A, axis1=1, axis2=2) / m)
-        try:
-            np.linalg.cholesky(A - tau[:, None, None] * np.eye(m))
+        tau = JITTER_TRIGGER * (np.trace(A, axis1=1, axis2=2) / A.shape[1])
+        if _has_cholesky(A, tau[:, None, None]):
             return np.linalg.solve(A, B)
-        except np.linalg.LinAlgError:
-            pass
     return np.stack([solve_spd(a, b) for a, b in zip(A, B)])
+
+
+def step_inverse(A, positions):
+    """Inverse of the Gram matrix A of a greedy step, whose candidate k
+    owns the rows and columns positions[k], or None when a candidate's
+    own solve could take the jitter.
+
+    Each alpha_S, A without one candidate's positions, is a principal
+    submatrix, so lambda_min(alpha_S) >= lambda_min(A). If A - tau* Id
+    has a Cholesky factor, where tau* is the largest jitter trigger
+    JITTER_TRIGGER * trace(alpha_S)/dim of any candidate, solve_spd adds
+    no jitter to any alpha_S, and the values read from A^{-1} equal the
+    per-candidate ones in exact arithmetic. The inverse is symmetrized.
+    """
+    A = check_symmetric(A)
+    d = np.diag(A)
+    own = d[positions].sum(axis=1)
+    tau = JITTER_TRIGGER * (d.sum() - own.min()) / (A.shape[0] - positions.shape[1])
+    if not _has_cholesky(A, tau):
+        return None
+    P = np.linalg.inv(A)
+    return (P + P.T) / 2.0
 
 
 def power_method(A, tol=1e-10, max_iter=1000, seed=0) -> PowerResult:
     """Largest eigenvalue of a symmetric PSD matrix by power iteration.
 
-    Returns the estimate together with a convergence flag; the flag is
-    False when max_iter is exhausted before two consecutive Rayleigh
-    quotients agree to relative tol.
+    Returns the estimate with a convergence flag. The flag is False, and
+    the value the eigensolve's, when max_iter is exhausted before two
+    consecutive Rayleigh quotients agree to relative tol.
     """
     A = check_symmetric(A)
     n = A.shape[0]
@@ -132,4 +155,4 @@ def power_method(A, tol=1e-10, max_iter=1000, seed=0) -> PowerResult:
         if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
             return PowerResult(lam_new, True, it)
         lam = lam_new
-    return PowerResult(lam, False, max_iter)
+    return PowerResult(float(np.linalg.eigvalsh(A)[-1]), False, max_iter)

@@ -13,15 +13,9 @@ import numpy as np
 
 from . import graph as graphmod
 from .errors import InvalidInputError
-from .numerics import solve_spd, solve_spd_many
-from .select_linear import (
-    LinearReconstructor,
-    SelectionResult,
-    greedy,
-    lag_positions,
-    step_inverse,
-)
-from .timeseries import _check_partition, estimate_blocks, lag_stack
+from .numerics import solve_spd, solve_spd_many, step_inverse
+from .select_linear import LinearReconstructor, SelectionResult, greedy
+from .timeseries import _check_partition, estimate_blocks, lag_positions, lag_stack
 
 KERNEL_TAGS = ("spatial-temporal", "autocovariance", "linear", "rbf")
 # the kernels whose Gram blocks are built on the sensor graph
@@ -89,28 +83,23 @@ def greedy_select_kernel(gammas, kb, p, lam=0.0, H=0) -> SelectionResult:
     The loop of the linear method on the data blocks gammas; the value
     of a candidate i given the remaining sensors S swaps the
     least-squares map for Theta_lambda(i) computed from the kernel Gram
-    blocks kb. With Q the inverse of K_R + lambda Id over R = S + {i}
-    and J the positions of i, Theta_lambda(i) is the lag-0 row of
-    -Q_JJ^{-1} Q_J,: with its J entries set to 0. One stacked solve of
-    the q (H+1)-sized systems (solve_spd_many) and one product with the
-    data Gram M_R give every candidate's value. Steps that step_inverse
-    declines solve each K_S instead.
+    blocks kb. Both hold lags 0..H or more, as lag_stack checks. With Q
+    the inverse of K_R + lambda Id over R = S + {i} and J = lag_positions
+    of i, Theta_lambda(i) is the lag-0 row of -Q_JJ^{-1} Q_J,: with its
+    J entries set to 0. One stacked solve of the q (H+1)-sized systems
+    (solve_spd_many) and one product with the data Gram M_R give every
+    candidate's value. Steps that numerics.step_inverse declines solve
+    each K_S instead.
     """
-    if H > len(gammas) - 1:
-        raise InvalidInputError(
-            f"covariance blocks hold lags 0..{len(gammas) - 1}, need H={H}")
-    if H > len(kb) - 1:
-        raise InvalidInputError(f"kernel blocks hold lags 0..{len(kb) - 1}, need H={H}")
     if lam < 0:
         raise InvalidInputError("lambda must be nonnegative")
 
     def score(R):
-        K_R = lag_stack(kb, [], R, H)[0]
-        Q = step_inverse(K_R + lam * np.eye(K_R.shape[0]), H)
-        if Q is None:
-            return None
         q = len(R)
         J = lag_positions(q, H)
+        Q = step_inverse(lag_stack(kb, [], R, H)[0] + lam * np.eye(J.size), J)
+        if Q is None:
+            return None
         theta = -solve_spd_many(Q[J[:, :, None], J[:, None, :]], Q[J])[:, 0]
         theta[np.arange(q)[:, None], J] = 0.0
         M_R = lag_stack(gammas, [], R, H)[0]

@@ -14,8 +14,8 @@ from typing import List, NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import JITTER_TRIGGER, check_symmetric, solve_spd
-from .timeseries import _check_partition, lag_stack, lag_windows
+from .numerics import solve_spd, step_inverse
+from .timeseries import _check_partition, lag_positions, lag_stack, lag_windows
 
 
 class SelectionResult(NamedTuple):
@@ -47,59 +47,26 @@ def greedy(n, p, score, value):
     return order, step_values
 
 
-def step_inverse(A, H):
-    """Inverse of the lag-stacked Gram matrix A over the q remaining
-    sensors, or None when a candidate's own solve could take the jitter.
-
-    Candidate k owns the H+1 positions k, q+k, ..., and alpha_S is A
-    without them: a principal submatrix, so lambda_min(alpha_S) >=
-    lambda_min(A). If A - tau* Id has a Cholesky factor, where tau* is
-    the largest jitter trigger JITTER_TRIGGER * trace(alpha_S)/dim of
-    any candidate, solve_spd would add no jitter to any alpha_S, and the
-    values read from A^{-1} equal the per-candidate ones in exact
-    arithmetic. The inverse is symmetrized.
-    """
-    A = check_symmetric(A)
-    m = A.shape[0]
-    d = np.diag(A)
-    own = d.reshape(H + 1, -1).sum(axis=0)
-    tau = JITTER_TRIGGER * (d.sum() - own.min()) / (m - H - 1)
-    try:
-        np.linalg.cholesky(A - tau * np.eye(m))
-    except np.linalg.LinAlgError:
-        return None
-    P = np.linalg.inv(A)
-    return (P + P.T) / 2.0
-
-
-def lag_positions(q, H):
-    """(q, H+1) array whose row k holds the positions J of sensor k in
-    the lag-stacked layout of q sensors, lag 0 first."""
-    return np.arange(q)[:, None] + q * np.arange(H + 1)
-
-
 def greedy_select_linear(gammas, p, H=0) -> SelectionResult:
     """Greedy selection for the linear reconstruction criterion.
 
-    gammas holds Gamma(0..H) or more lags. The value of a candidate i is
-    its one-sensor criterion given the remaining sensors S,
-    Gamma_ii(0) - beta alpha^{-1} beta^T, with alpha and beta from
-    lag_stack of [i] on S. With P the inverse of the lag-stacked Gram
-    over R = S + {i} and J the positions of i, P_JJ^{-1} is the Schur
-    complement of alpha in it, so the value is its lag-0 entry: one
-    (H+1)-sized solve per candidate. Steps that step_inverse declines
-    solve each alpha instead.
+    gammas holds Gamma(0..H) or more lags, as lag_stack checks. The
+    value of a candidate i is its one-sensor criterion given the
+    remaining sensors S, Gamma_ii(0) - beta alpha^{-1} beta^T, with
+    alpha and beta from lag_stack of [i] on S. With P the inverse of the
+    lag-stacked Gram over R = S + {i} and J = lag_positions of i,
+    P_JJ^{-1} is the Schur complement of alpha in it, so the value is
+    its lag-0 entry: one (H+1)-sized solve per candidate. Steps that
+    numerics.step_inverse declines solve each alpha instead.
     """
-    if H > len(gammas) - 1:
-        raise InvalidInputError(f"blocks hold lags 0..{len(gammas) - 1}, need H={H}")
     e0 = np.eye(H + 1)[0]
 
     def score(R):
-        P = step_inverse(lag_stack(gammas, [], R, H)[0], H)
+        positions = lag_positions(len(R), H)
+        P = step_inverse(lag_stack(gammas, [], R, H)[0], positions)
         if P is None:
             return None
-        return [float(solve_spd(P[np.ix_(J, J)], e0)[0])
-                for J in lag_positions(len(R), H)]
+        return [float(solve_spd(P[np.ix_(J, J)], e0)[0]) for J in positions]
 
     def value(i, S):
         alpha, beta = lag_stack(gammas, [i], S, H)

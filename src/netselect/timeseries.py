@@ -342,6 +342,12 @@ def lag_stack(blocks, rows, cols, H):
     return alpha, beta
 
 
+def lag_positions(q, H):
+    """(q, H+1) array whose row k holds the positions of sensor k in
+    lag_stack's layout of q sensors, lag 0 first."""
+    return np.arange(q)[:, None] + q * np.arange(H + 1)
+
+
 def lag_windows(X, ts, H):
     """Lag windows (B, n, H+1) of the columns ts of X: [:, :, l] is
     X[:, t - l], zero where t - l < 0.

@@ -23,15 +23,15 @@ import numpy as np
 from netselect.gcn.layers import backward_batch, forward_batch, tensor_items
 from netselect.gcn.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from netselect.errors import InvalidInputError
-from netselect.numerics import solve_spd
+from netselect.numerics import solve_spd, step_inverse
 from netselect.select_kernel import kernel_reconstructor
-from netselect.select_linear import lag_positions, step_inverse
 from netselect.timeseries import (
     HOUR,
     PanelSeries,
     _format_stamp,
     _parse_moment,
     assemble_blocks,
+    lag_positions,
     lag_stack,
     write_csv,
 )
@@ -115,13 +115,14 @@ def kernel_step_score(gammas, kb, lam, H):
     when step_inverse declines the step."""
 
     def score(R):
+        q = len(R)
+        positions = lag_positions(q, H)
         K_R = lag_stack(kb, [], R, H)[0]
-        Q = step_inverse(K_R + lam * np.eye(K_R.shape[0]), H)
+        Q = step_inverse(K_R + lam * np.eye(K_R.shape[0]), positions)
         if Q is None:
             return None
-        q = len(R)
         theta = np.empty((q, Q.shape[0]))
-        for k, J in enumerate(lag_positions(q, H)):
+        for k, J in enumerate(positions):
             theta[k] = -solve_spd(Q[np.ix_(J, J)], Q[J])[0]
             theta[k, J] = 0.0
         M_R = lag_stack(gammas, [], R, H)[0]

@@ -67,6 +67,21 @@ def test_tracer_targets_resolve():
                        "select_kernel.assemble_kernel"}
 
 
+def test_one_owner_of_the_jitter_rule_and_the_lag_layout():
+    # numerics decides every jitter, for the SPD solves and the greedy
+    # step's inverse alike, and timeseries owns the lag-stacked layout
+    # that it builds; a second Cholesky test or a layout derived again
+    # elsewhere drifts from the first
+    sources = _sources()
+
+    def owners(pattern):
+        return sorted(path for path, text in sources.items()
+                      if re.search(pattern, text, flags=re.M))
+
+    assert owners(r"np\.linalg\.cholesky|\bJITTER_TRIGGER\b") == ["src/netselect/numerics.py"]
+    assert owners(r"^def lag_(?:stack|positions)\b") == ["src/netselect/timeseries.py"]
+
+
 def test_one_csv_writer():
     # timeseries.write_csv writes every table the commands write; a row
     # joined by hand splits an id that holds a comma into two fields

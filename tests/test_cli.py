@@ -101,6 +101,42 @@ def test_ingest_keeps_only_clean_stations(tmp_path, capsys):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_ingest_with_no_clean_station_exits_2(tmp_path, capsys):
+    # no station of the feed holds 1000 records
+    raw = tmp_path / "raw.csv"
+    _write_raw(raw)
+    out = tmp_path / "out"
+    assert main(["ingest", str(raw), "--min-records", "1000", "--out-dir", str(out)]) == 2
+    assert ("no station passes the cleaning rule (rc=0.5, min 1000 records)"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def _write_feed(path, stations):
+    """A clean feed: station name -> hours of its records."""
+    lines = ["station,moment,bikes,spaces"]
+    lines += [f"{name},{h * HOUR},{h % 7},{10 - h % 7}"
+              for name, hours in stations.items() for h in hours]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_ingest_drops_a_one_record_station_that_passes_the_cleaning(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    _write_feed(raw, {"a01": range(300), "a02": range(300), "lone": [0]})
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="station lone has fewer than 2 records, dropped"):
+        assert main(["ingest", str(raw), "--min-records", "1", "--out-dir", str(out)]) == 0
+    assert "ingested 2 stations" in capsys.readouterr().out
+    stations = (out / "stations.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in stations[1:]] == ["a01", "a02"]
+    # with one record at every kept station no series can be interpolated
+    _write_feed(raw, {"lone": [0], "solo": [0]})
+    with pytest.warns(UserWarning, match="fewer than 2 records"):
+        assert main(["ingest", str(raw), "--min-records", "1",
+                     "--out-dir", str(tmp_path / "none")]) == 2
+    assert "no station had enough records to interpolate" in capsys.readouterr().err
+
+
 def test_ids_keep_their_spaces_from_feed_to_selection(tmp_path, capsys):
     # read_panel stripped the header ids, so the panel that ingest wrote
     # for the station " a1" came back as "a1", and select found no
@@ -740,6 +776,17 @@ def test_evaluate_refuses_coordinates_other_than_the_selections(tmp_path, capsys
     err = capsys.readouterr().err
     assert "shuffled.csv: the coordinates of the panel's sensors differ" in err
     assert "rerun select" in err
+
+
+def test_evaluate_of_a_graph_kernel_needs_the_coordinates(tmp_path, capsys):
+    panel_path, _, sel_path = _kernel_run(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "ev"
+    assert main(["evaluate", str(panel_path), str(sel_path),
+                 "--out-dir", str(out)]) == 2
+    assert ("--coords is required to rebuild the graph of kernel"
+            in capsys.readouterr().err)
+    assert not (out / "report.json").exists()
 
 
 def test_evaluate_takes_the_coordinates_in_any_row_order(tmp_path, capsys):

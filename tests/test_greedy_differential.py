@@ -15,7 +15,7 @@ the step values to rel 1e-12.
 import numpy as np
 import pytest
 
-from netselect import select_kernel, select_linear
+from netselect import numerics, select_kernel, select_linear
 from netselect.evaluation import gamma_grid, synth_generate
 from netselect.graph import build_knn_graph
 from netselect.select_kernel import build_kernel_blocks, greedy_select_kernel
@@ -59,10 +59,10 @@ def _record_steps(monkeypatch):
     """List that gets True for each step whose inverse was taken, False
     for each step that fell back to per-candidate solves."""
     taken = []
-    original = select_linear.step_inverse
+    original = numerics.step_inverse
 
-    def recorded(A, H):
-        inv = original(A, H)
+    def recorded(A, positions):
+        inv = original(A, positions)
         taken.append(inv is not None)
         return inv
 

@@ -1,5 +1,5 @@
 """Dense linear algebra: symmetry checks, SPD solves and their stacked
-form, CG, power iteration."""
+form, the greedy step's guarded inverse, CG, power iteration."""
 
 import numpy as np
 import pytest
@@ -13,8 +13,12 @@ from netselect.numerics import (
     power_method,
     solve_spd,
     solve_spd_many,
+    step_inverse,
     sym_eig,
 )
+from netselect.gcn.layers import scale_laplacian
+from netselect.graph import build_knn_graph, normalized_laplacian
+from netselect.timeseries import lag_positions
 from oracles import conjugate_gradient
 
 
@@ -241,3 +245,48 @@ def test_power_method_flags_exhaustion():
     result = power_method(A, tol=1e-15, max_iter=3)
     assert not result.converged
     assert result.iterations == 3
+    # an unconverged estimate falls short of lambda_max; the eigensolve's
+    # value is returned instead
+    assert result.value == np.linalg.eigvalsh(A)[-1]
+
+
+def test_power_method_keeps_the_rescaled_laplacian_inside_the_chebyshev_range():
+    # a kNN graph of 40 stations whose normalized Laplacian runs power
+    # iteration to its 1000-step cap; the estimate it stopped at put the
+    # rescaled spectrum at 1 + 3.7e-4, where an order-50 Chebyshev
+    # polynomial reaches 2.07 instead of staying within [-1, 1]
+    layout = np.random.default_rng([2020, 40, 4])
+    coords = np.column_stack([48.80 + 0.10 * layout.random(40),
+                              2.25 + 0.17 * layout.random(40)])
+    L = normalized_laplacian(build_knn_graph(coords, 20, 7))
+    result = power_method(L)
+    assert not result.converged
+    assert np.linalg.eigvalsh(scale_laplacian(L, result.value))[-1] <= 1.0 + 1e-12
+
+
+def test_step_inverse_declines_when_any_candidate_would_jitter():
+    # without sensor 1 the Gram is diag(1e6, 1e-8, 1): its jitter trigger
+    # 1e-12 * (1e6 + 1) / 3 exceeds its smallest eigenvalue 1e-8
+    single = lag_positions(4, 0)
+    assert step_inverse(np.diag([1e6, 1.0, 1e-8, 1.0]), single) is None
+    A = np.diag([1e6, 1.0, 1e-5, 1.0])
+    assert np.allclose(step_inverse(A, single) @ A, np.eye(4))
+    # at H=1 sensor k owns positions k and 4 + k
+    A = np.kron(np.eye(2), np.diag([1e6, 1.0, 1e-8, 1.0]))
+    assert step_inverse(A, lag_positions(4, 1)) is None
+
+
+def test_step_inverse_reads_the_positions_it_is_given():
+    # two sensors of two lags each, stored sensor-major: sensor k owns
+    # positions 2k and 2k + 1. Each owns a 1e6 entry, so the largest
+    # trigger is 1e-12 * (1e6 + 1) / 2, below the smallest eigenvalue
+    # 7e-7, and the guard takes the inverse; read lag-major, sensor 1
+    # would own only 7e-7 + 1, and the trigger 1e-6 would decline it
+    A = np.diag([1e6, 7e-7, 1e6, 1.0])
+    sensor_major = np.arange(4).reshape(2, 2)
+    assert np.allclose(step_inverse(A, sensor_major) @ A, np.eye(4))
+    assert step_inverse(A, lag_positions(2, 1)) is None
+    # the same sensor-major matrix permuted to the lag-major layout
+    order = sensor_major.T.ravel()
+    P = step_inverse(A[np.ix_(order, order)], lag_positions(2, 1))
+    assert np.allclose(P, step_inverse(A, sensor_major)[np.ix_(order, order)])

@@ -202,12 +202,13 @@ def test_greedy_kernel_result_surface():
     assert len(result.order) == len(result.step_values) == 2
     with pytest.raises(InvalidInputError, match="p="):
         greedy_select_kernel(blocks, kb, 5, lam=0.0, H=0)
-    with pytest.raises(InvalidInputError,
-                       match="covariance blocks hold lags 0..0, need H=1"):
-        greedy_select_kernel(blocks, kb, 2, lam=0.0, H=1)
+    # lag_stack checks the depth of both block lists; short data blocks,
+    # deep enough kernel blocks
+    kb1 = build_kernel_blocks("autocovariance", H=1, X_train=X)
+    with pytest.raises(InvalidInputError, match=r"need lags 0\.\.1, only 1 available"):
+        greedy_select_kernel(blocks, kb1, 2, lam=0.0, H=1)
     # deep enough data blocks, short kernel blocks
-    with pytest.raises(InvalidInputError,
-                       match="kernel blocks hold lags 0..0, need H=1"):
+    with pytest.raises(InvalidInputError, match=r"need lags 0\.\.1, only 1 available"):
         greedy_select_kernel(estimate_blocks(X, 1), kb, 2, lam=0.0, H=1)
 
 

@@ -13,7 +13,6 @@ from netselect.select_linear import (
     SelectionResult,
     fit_predict_linear,
     greedy_select_linear,
-    step_inverse,
 )
 from netselect.timeseries import estimate_blocks
 from oracles import criterion_linear, lagged_design, training_mse
@@ -93,17 +92,6 @@ def test_greedy_makes_one_solve_per_candidate(H, monkeypatch):
     X = np.random.default_rng(6).normal(size=(12, 400))
     greedy_select_linear(estimate_blocks(X, H), p=4, H=H)
     assert calls == [H + 1] * sum(12 - k for k in range(4))
-
-
-def test_step_inverse_declines_when_any_candidate_would_jitter():
-    # without sensor 1 the Gram is diag(1e6, 1e-8, 1): its jitter trigger
-    # 1e-12 * (1e6 + 1) / 3 exceeds its smallest eigenvalue 1e-8
-    assert step_inverse(np.diag([1e6, 1.0, 1e-8, 1.0]), 0) is None
-    A = np.diag([1e6, 1.0, 1e-5, 1.0])
-    assert np.allclose(step_inverse(A, 0) @ A, np.eye(4))
-    # at H=1 sensor k owns positions k and 4 + k
-    A = np.kron(np.eye(2), np.diag([1e6, 1.0, 1e-8, 1.0]))
-    assert step_inverse(A, 1) is None
 
 
 def test_entropy_equivalence_on_one_instance():

@@ -239,12 +239,6 @@ def _graph(method, hp, coords):
     return build_knn_graph(coords, hp["k0"], hp["k1"])
 
 
-def _chebnet(hp, out_dim):
-    return ChebNetConfig(n=len(hp["sensor_ids"]), cheb_order=hp["cheb_order"],
-                         f_out=hp["f_out"], fc_sizes=tuple(hp["fc_sizes"]),
-                         out_dim=out_dim, h=hp["H"])
-
-
 def _geojson(result: SelectionResult, sensor_ids, coords):
     features = []
     for rank, i in enumerate(result.order, start=1):
@@ -345,9 +339,10 @@ def gcn(args, hp, X, split, graph):
     L = LAPLACIAN_OF[hp["laplacian"]](graph)
     spectrum = sym_eig(scale_laplacian(L, power_method(L).value))
     ids = hp["sensor_ids"]
+    net = ChebNetConfig(cheb_order=hp["cheb_order"], f_out=hp["f_out"],
+                        fc_sizes=tuple(hp["fc_sizes"]), h=hp["H"])
 
     def select(p):
-        net = _chebnet(hp, len(ids))
         tc = TrainConfig(lr=hp["lr"], batch_size=hp["batch_size"],
                          max_epoch=hp["max_epoch"], seed=hp["seed"])
         if args.method == "gcn-dropout":
@@ -367,7 +362,6 @@ def gcn(args, hp, X, split, graph):
     workspace = Workspace()
 
     def fit(I):
-        net = _chebnet(hp, len(I))
         tc = TrainConfig(lr=args.lr, batch_size=args.batch_size,
                          max_epoch=args.max_epoch, seed=args.seed)
         params, _ = train_prediction_net(X, split, spectrum, I, net, tc, workspace)

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import InvalidInputError, NetselectError
 from .graph import SensorGraph, combinatorial_laplacian, graph_spectrum
 from .select_linear import SelectionResult
-from .timeseries import HOUR, PanelSeries, Split, write_csv
+from .timeseries import HOUR, PanelSeries, Split, _check_size, write_csv
 
 LAMBDA_COEFFICIENTS = (0.001, 0.00325, 0.0055, 0.00775, 0.01)
 BURN_IN = 500
@@ -89,8 +89,7 @@ def random_baseline(fit_fn: Callable, X, p: int, split: Split, draws: int = 100,
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    if not (1 <= p < n):
-        raise InvalidInputError(f"need 1 <= p < {n}, got p={p}")
+    _check_size(n, p)
     if draws < 1:
         raise InvalidInputError("draws must be positive")
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(draws)]

@@ -53,20 +53,18 @@ def leaky_relu_grad(x, alpha):
 
 @dataclass(frozen=True)
 class ChebNetConfig:
-    n: int                    # graph nodes
+    """A ChebNet's architecture; its node and output counts come from the data."""
+
     cheb_order: int           # Chebyshev polynomial order K
     f_out: int                # GConv output channels
     fc_sizes: Tuple[int, ...] # hidden widths after flatten
-    out_dim: int              # p (prediction net) or n (selection nets)
     h: int = 0                # input lag depth; input channels = h + 1
 
     def __post_init__(self):
         if self.cheb_order < 0:
             raise InvalidInputError("cheb_order must be >= 0")
-        if self.n < 1 or self.f_out < 1 or self.out_dim < 1:
-            raise InvalidInputError("n, f_out, out_dim must be >= 1")
-        if any(w < 1 for w in self.fc_sizes):
-            raise InvalidInputError("fc widths must be >= 1")
+        if self.f_out < 1 or any(w < 1 for w in self.fc_sizes):
+            raise InvalidInputError("f_out and fc widths must be >= 1")
         if self.h < 0:
             raise InvalidInputError("h must be >= 0")
 
@@ -92,8 +90,9 @@ def tensor_items(params: ChebNetParams):
     return items
 
 
-def init_params(config: ChebNetConfig, seed=0) -> ChebNetParams:
-    """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
+def init_params(config: ChebNetConfig, n, out_dim, seed=0) -> ChebNetParams:
+    """Parameters of a net on n graph nodes with out_dim outputs:
+    uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
     rng = np.random.default_rng(seed)
 
     def glorot(shape, fan_in, fan_out):
@@ -102,8 +101,8 @@ def init_params(config: ChebNetConfig, seed=0) -> ChebNetParams:
 
     K1 = config.cheb_order + 1
     theta = glorot((K1, config.f_in, config.f_out), K1 * config.f_in, config.f_out)
-    gconv_bias = np.zeros((config.n, config.f_out))
-    dims = [config.n * config.f_out] + list(config.fc_sizes) + [config.out_dim]
+    gconv_bias = np.zeros((n, config.f_out))
+    dims = [n * config.f_out] + list(config.fc_sizes) + [out_dim]
     fc_weights = [
         glorot((dims[m + 1], dims[m]), dims[m], dims[m + 1])
         for m in range(len(dims) - 1)
@@ -178,12 +177,11 @@ def forward_batch(Xb, params: ChebNetParams, config: ChebNetConfig, spectrum,
     are written into it.
     """
     Xb = np.asarray(Xb, dtype=float)
-    if Xb.ndim != 3 or Xb.shape[1] != config.n or Xb.shape[2] != config.f_in:
-        raise InvalidInputError(
-            f"input must be (B, {config.n}, {config.f_in}), got {Xb.shape}"
-        )
+    n = params.gconv_bias.shape[0]
+    if Xb.ndim != 3 or Xb.shape[1] != n or Xb.shape[2] != config.f_in:
+        raise InvalidInputError(f"input must be (B, {n}, {config.f_in}), got {Xb.shape}")
     B = Xb.shape[0]
-    in_shape, g_shape = Xb.shape, (B, config.n, config.f_out)
+    in_shape, g_shape = Xb.shape, (B, n, config.f_out)
     U = spectrum.vectors
     T = cheb_values(spectrum.values, config.cheb_order)         # (K+1, n)
     h = np.einsum("kj,kfo->jfo", T, params.theta)                # (n, f_in, f_out)
@@ -196,7 +194,7 @@ def forward_batch(Xb, params: ChebNetParams, config: ChebNetConfig, spectrum,
     G_pre += params.gconv_bias
     A1 = elu(G_pre, out=_out(workspace, "A1", g_shape),
              scratch=_out(workspace, "tmp", g_shape))
-    f = A1.reshape(B, config.n * config.f_out)
+    f = A1.reshape(B, n * config.f_out)
     pre_acts = []
     feats = [f]
     n_hidden = len(params.fc_weights) - 1
@@ -215,8 +213,8 @@ def forward_batch(Xb, params: ChebNetParams, config: ChebNetConfig, spectrum,
     return out, cache
 
 
-def backward_batch(dout, cache, params: ChebNetParams, config: ChebNetConfig,
-                   spectrum, want_input_grad=False, workspace=None):
+def backward_batch(dout, cache, params: ChebNetParams, spectrum,
+                   want_input_grad=False, workspace=None):
     """Reverse-mode gradients from dL/dout of shape (B, out_dim).
 
     Returns (grads: ChebNetParams, dXb or None). dout must already
@@ -225,8 +223,7 @@ def backward_batch(dout, cache, params: ChebNetParams, config: ChebNetConfig,
     """
     feats = cache["feats"]
     pre_acts = cache["pre_acts"]
-    B = dout.shape[0]
-    g_shape = (B, config.n, config.f_out)
+    g_shape = cache["G_pre"].shape
 
     n_fc = len(params.fc_weights)
     fc_weights, fc_biases = [None] * n_fc, [None] * n_fc

@@ -1,10 +1,11 @@
 """Selection networks: dropout scoring and mask-with-l1 (Lasso path).
 
-Both transforms train the reconstruction network with out_dim = N. The
-dropout variant knocks sensors out at random and scores how well each
-sensor is predicted when missing; the masking variant learns a
-continuous input mask under an l1 penalty and ranks sensors by how
-early their mask weight collapses along an ascending lambda grid.
+Both transforms give the net_config architecture the N sensors of X as
+its nodes and as its outputs, and pick 1 <= p < N of them. The dropout
+variant knocks sensors out at random and scores how well each sensor is
+predicted when missing; the masking variant learns a continuous input
+mask under an l1 penalty and ranks sensors by how early their mask
+weight collapses along an ascending lambda grid.
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 
 from ..errors import InvalidInputError
 from ..select_linear import SelectionResult
-from ..timeseries import Split, lag_windows, write_csv
+from ..timeseries import Split, _check_size, lag_windows, write_csv
 from .layers import ChebNetConfig, Workspace, forward_batch, init_params
 from .train import (
     TrainConfig,
@@ -82,26 +83,23 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
                             train_config: TrainConfig, measure="r2"):
     """Dropout selection: train with random sensor knockouts, rank by score.
 
-    Per batch a Bernoulli vector w with zero-probability q = p/N masks
-    the input; the loss counts only dropped sensors (factor 1 - w).
-    Degenerate draws (all zeros or all ones) are resampled. The net
-    trains by plain gradient descent and stops early by the
-    "five-epoch-mean" rule; validation masks are drawn once so the trace
-    is deterministic. Scoring uses the full input.
+    The net's nodes and outputs are the N sensors of X. Per batch a
+    Bernoulli vector w with zero-probability q = p/N masks the input; the
+    loss counts only dropped sensors (factor 1 - w), and degenerate draws
+    (all zeros or all ones) are resampled. The net trains by plain
+    gradient descent and stops early by the "five-epoch-mean" rule;
+    validation masks are drawn once, so the trace is deterministic.
 
-    Returns (scores, result, diagnostics).
+    Scoring uses the full input. Returns (scores, result, diagnostics).
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    if net_config.out_dim != n:
-        raise InvalidInputError(f"out_dim must be N = {n} for dropout selection")
-    if not (1 <= p < n):
-        raise InvalidInputError(f"need 1 <= p < {n}, got p={p}")
+    _check_size(n, p)
     q = p / n
     h = net_config.h
 
     rng = np.random.default_rng(train_config.seed)
-    params = init_params(net_config, seed=train_config.seed)
+    params = init_params(net_config, n, n, seed=train_config.seed)
     opt = make_optimizer("gd", train_config.lr)
     workspace = Workspace()
 
@@ -155,23 +153,21 @@ def train_selection_masking(X, split: Split, spectrum, p, lam_grid, eps0,
                             net_config: ChebNetConfig, train_config: TrainConfig):
     """Masking selection: l1-penalized trainable input mask, Lasso path.
 
-    For each lambda in the ascending, nonnegative grid the network and a mask w
-    (init 0.5) are trained jointly with Adam for the full max_epoch, from
-    a fresh init and batch order; after every optimizer step w is
-    projected onto [0, 1]. The per-batch loss is
-    mean_t sum_i (1 - w_i)^2 (x_it - x_hat_it)^2 plus lambda ||w||_1.
-    F_i counts the grid points whose final mask weight falls below eps0;
-    sensors are ranked by descending F_i with ties (and the no-collapse
-    fallback) broken by the final weight at the largest lambda.
+    For each lambda in the ascending, nonnegative grid a net with the N
+    sensors of X as nodes and outputs and a mask w (init 0.5) are trained
+    jointly with Adam for the full max_epoch, from a fresh init and batch
+    order; after every optimizer step w is projected onto [0, 1]. The
+    per-batch loss is mean_t sum_i (1 - w_i)^2 (x_it - x_hat_it)^2 plus
+    lambda ||w||_1. F_i counts the grid points whose final mask weight
+    falls below eps0; sensors are ranked by descending F_i with ties (and
+    the no-collapse fallback) broken by the final weight at the largest
+    lambda.
 
     Returns (result, mask_path) with mask_path of shape (len(grid), N).
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    if net_config.out_dim != n:
-        raise InvalidInputError(f"out_dim must be N = {n} for masking selection")
-    if not (1 <= p < n):
-        raise InvalidInputError(f"need 1 <= p < {n}, got p={p}")
+    _check_size(n, p)
     lam_grid = [float(l) for l in lam_grid]
     if (not lam_grid or not all(math.isfinite(l) and l >= 0 for l in lam_grid)
             or any(b < a for a, b in zip(lam_grid, lam_grid[1:]))):
@@ -185,7 +181,7 @@ def train_selection_masking(X, split: Split, spectrum, p, lam_grid, eps0,
     mask_path = np.empty((len(lam_grid), n))
     workspace = Workspace()  # shared by the grid's runs, which run in turn
     for gi, lam in enumerate(lam_grid):
-        params = init_params(net_config, seed=train_config.seed)
+        params = init_params(net_config, n, n, seed=train_config.seed)
         w = np.full(n, 0.5)
         opt = make_optimizer("adam", train_config.lr)
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from ..errors import InvalidInputError, TrainingDivergedError
 from ..numerics import EigenPair
-from ..timeseries import Split, lag_windows
+from ..timeseries import Split, _check_subset, lag_windows
 from .layers import (
     ChebNetConfig,
     ChebNetParams,
@@ -141,8 +141,7 @@ def batch_loss(Xb, target, weight, params, net_config, spectrum,
     B = target.shape[0]
     loss = float(np.sum(weight * resid ** 2) / B)
     _check_finite(loss)
-    grads, dXb = backward_batch(2.0 * weight * resid / B, cache, params,
-                                net_config, spectrum,
+    grads, dXb = backward_batch(2.0 * weight * resid / B, cache, params, spectrum,
                                 want_input_grad=want_input_grad,
                                 workspace=workspace)
     return loss, grads, resid, dXb
@@ -174,30 +173,25 @@ def train_prediction_net(X, split: Split, spectrum, I, net_config: ChebNetConfig
                          train_config: TrainConfig, workspace: Workspace):
     """Train the reconstruction network for the turned-off set I.
 
-    X is the preprocessed (n, T) panel matrix and spectrum the EigenPair
-    of the rescaled Laplacian. Inputs are lag windows with zeros inserted
-    at the rows of I; targets are x_{I,t}. The net trains with Adam; the
-    validation loss is tracked per epoch and training stops early by the
-    "two-epoch-mean" rule. workspace holds the scratch buffers; nets
-    trained one after another share one, whose buffers then serve every
-    net of the same shape.
+    X is the preprocessed (n, T) panel matrix, spectrum the EigenPair of
+    the rescaled Laplacian and I a nonempty proper subset of range(n); the
+    net_config architecture gets n nodes and |I| outputs. Inputs are lag
+    windows with zeros inserted at the rows of I; targets are x_{I,t}.
+    The net trains with Adam; the validation loss is tracked per epoch
+    and training stops early by the "two-epoch-mean" rule. workspace
+    holds the scratch buffers; nets trained one after another share one,
+    whose buffers then serve every net of the same shape.
 
     Returns (params, val_losses).
     """
     X = np.asarray(X, dtype=float)
-    I = [int(i) for i in I]
-    if not I:
-        raise InvalidInputError("turned-off set must be nonempty")
-    if net_config.out_dim != len(I):
-        raise InvalidInputError(
-            f"out_dim {net_config.out_dim} must equal |I| = {len(I)}"
-        )
+    I, _ = _check_subset(X.shape[0], I)
     h = net_config.h
     X_masked = X.copy()
     X_masked[I, :] = 0.0
 
     rng = np.random.default_rng(train_config.seed)
-    params = init_params(net_config, seed=train_config.seed)
+    params = init_params(net_config, X.shape[0], len(I), seed=train_config.seed)
     opt = make_optimizer("adam", train_config.lr)
 
     train_blocks = batch_blocks(0, split.t_tv, h, train_config.batch_size)

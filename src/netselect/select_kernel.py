@@ -15,7 +15,7 @@ from . import graph as graphmod
 from .errors import InvalidInputError
 from .numerics import solve_spd, solve_spd_many, step_inverse
 from .select_linear import LinearReconstructor, SelectionResult, greedy
-from .timeseries import _check_partition, estimate_blocks, lag_positions, lag_stack
+from .timeseries import _check_subset, estimate_blocks, lag_positions, lag_stack
 
 KERNEL_TAGS = ("spatial-temporal", "autocovariance", "linear", "rbf")
 # the kernels whose Gram blocks are built on the sensor graph
@@ -118,9 +118,7 @@ def greedy_select_kernel(gammas, kb, p, lam=0.0, H=0) -> SelectionResult:
 
 def fit_predict_kernel(kb, I, lam, H=0) -> LinearReconstructor:
     """Kernel ridge reconstructor for the set I, as a lag-stacked linear map."""
-    I, Ic = _check_partition(kb[0].shape[0], I)
-    if not I or not Ic:
-        raise InvalidInputError("I must be a nonempty proper subset")
+    I, Ic = _check_subset(kb[0].shape[0], I)
     K_S, K_cross = lag_stack(kb, I, Ic, H)
     theta = kernel_reconstructor(K_cross, K_S, lam)
     return LinearReconstructor(theta=theta, turned_off=I, kept=Ic, H=H)

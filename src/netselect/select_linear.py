@@ -13,9 +13,8 @@ from typing import List, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError
 from .numerics import solve_spd, step_inverse
-from .timeseries import _check_partition, lag_positions, lag_stack, lag_windows
+from .timeseries import _check_size, _check_subset, lag_positions, lag_stack, lag_windows
 
 
 class SelectionResult(NamedTuple):
@@ -32,8 +31,7 @@ def greedy(n, p, score, value):
     own. The smallest value moves its sensor to the turned-off set; ties
     go to the lowest index. Returns (order, step_values).
     """
-    if not (1 <= p < n):
-        raise InvalidInputError(f"need 1 <= p < {n}, got p={p}")
+    _check_size(n, p)
     remaining = list(range(n))
     order: List[int] = []
     step_values: List[float] = []
@@ -59,13 +57,12 @@ def greedy_select_linear(gammas, p, H=0) -> SelectionResult:
     its lag-0 entry: one (H+1)-sized solve per candidate. Steps that
     numerics.step_inverse declines solve each alpha instead.
     """
-    e0 = np.eye(H + 1)[0]
-
     def score(R):
         positions = lag_positions(len(R), H)
         P = step_inverse(lag_stack(gammas, [], R, H)[0], positions)
         if P is None:
             return None
+        e0 = np.eye(H + 1)[0]
         return [float(solve_spd(P[np.ix_(J, J)], e0)[0]) for J in positions]
 
     def value(i, S):
@@ -99,9 +96,7 @@ class LinearReconstructor:
 
 def fit_predict_linear(gammas, I, H=0) -> LinearReconstructor:
     """Least-squares reconstructor Theta = beta alpha^{-1} for the set I."""
-    I, Ic = _check_partition(gammas[0].shape[0], I)
-    if not I or not Ic:
-        raise InvalidInputError("I must be a nonempty proper subset")
+    I, Ic = _check_subset(gammas[0].shape[0], I)
     alpha, beta = lag_stack(gammas, I, Ic, H)
     theta = solve_spd(alpha, beta.T).T
     return LinearReconstructor(theta=theta, turned_off=I, kept=Ic, H=H)

@@ -322,9 +322,25 @@ def _check_partition(n, I):
     return I, Ic
 
 
+def _check_subset(n, I):
+    """_check_partition of a turned-off set I that is nonempty and proper."""
+    I, Ic = _check_partition(n, I)
+    if not I or not Ic:
+        raise InvalidInputError("I must be a nonempty proper subset")
+    return I, Ic
+
+
+def _check_size(n, p):
+    """The size p of a selection from n sensors must be in [1, n)."""
+    if not (1 <= p < n):
+        raise InvalidInputError(f"need 1 <= p < {n}, got p={p}")
+
+
 def lag_stack(blocks, rows, cols, H):
     """The lag-stacked layout of assemble_blocks for any rows and cols:
     alpha over cols, beta from rows to cols."""
+    if H < 0:
+        raise InvalidInputError(f"lag depth H must be >= 0, got {H}")
     if H + 1 > len(blocks):
         raise InvalidInputError(f"need lags 0..{H}, only {len(blocks)} available")
     cols = np.asarray(cols, dtype=int)

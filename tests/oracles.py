@@ -196,7 +196,7 @@ def net_backward(x_input, target, params, config, spectrum):
     Xb = np.asarray(x_input, dtype=float)[None]
     out, cache = forward_batch(Xb, params, config, spectrum, want_cache=True)
     resid = out - np.asarray(target, dtype=float)[None]
-    grads, _ = backward_batch(2.0 * resid, cache, params, config, spectrum)
+    grads, _ = backward_batch(2.0 * resid, cache, params, spectrum)
     return float(np.sum(resid ** 2)), grads
 
 

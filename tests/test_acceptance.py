@@ -231,13 +231,12 @@ def test_criterion_07_conjugate_gradient_path():
 
 def test_criterion_08_gradient_check():
     started = time.monotonic()
-    config = ChebNetConfig(n=5, cheb_order=3, f_out=3, fc_sizes=(7,),
-                           out_dim=4, h=2)
+    config = ChebNetConfig(cheb_order=3, f_out=3, fc_sizes=(7,), h=2)
     rng = np.random.default_rng(8)
     S = rng.normal(size=(5, 5))
     S = (S + S.T) / 2.0
     spectrum = sym_eig(S / np.max(np.abs(np.linalg.eigvalsh(S))))
-    params = init_params(config, seed=1)
+    params = init_params(config, 5, 4, seed=1)
     x = rng.normal(size=(5, 3))
     target = rng.normal(size=4)
 
@@ -267,8 +266,7 @@ def selection_sanity():
     is pure noise, p = 2, three seeds. Both sanity tests share one run.
     """
     started = time.monotonic()
-    net = ChebNetConfig(n=20, cheb_order=3, f_out=4, fc_sizes=(32,),
-                        out_dim=20, h=0)
+    net = ChebNetConfig(cheb_order=3, f_out=4, fc_sizes=(32,), h=0)
     mask_lams = list(np.linspace(0.05, 0.5, 8))
     wins = {"mse": 0, "top3": 0, "mask": 0}
     details = []

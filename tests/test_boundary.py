@@ -1,6 +1,7 @@
 """src/netselect holds only code that the pipeline or the benchmark runs."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import re
@@ -13,6 +14,12 @@ def _sources():
     """src/netselect's module texts by repository path."""
     return {p.relative_to(ROOT).as_posix(): p.read_text(encoding="utf-8")
             for p in sorted((ROOT / "src" / "netselect").rglob("*.py"))}
+
+
+def _owners(pattern):
+    """The src/netselect modules whose text matches pattern."""
+    return sorted(path for path, text in _sources().items()
+                  if re.search(pattern, text, flags=re.M))
 
 
 def test_every_library_name_is_used_outside_the_tests():
@@ -72,14 +79,21 @@ def test_one_owner_of_the_jitter_rule_and_the_lag_layout():
     # step's inverse alike, and timeseries owns the lag-stacked layout
     # that it builds; a second Cholesky test or a layout derived again
     # elsewhere drifts from the first
-    sources = _sources()
+    assert _owners(r"np\.linalg\.cholesky|\bJITTER_TRIGGER\b") == ["src/netselect/numerics.py"]
+    assert _owners(r"^def lag_(?:stack|positions)\b") == ["src/netselect/timeseries.py"]
 
-    def owners(pattern):
-        return sorted(path for path, text in sources.items()
-                      if re.search(pattern, text, flags=re.M))
 
-    assert owners(r"np\.linalg\.cholesky|\bJITTER_TRIGGER\b") == ["src/netselect/numerics.py"]
-    assert owners(r"^def lag_(?:stack|positions)\b") == ["src/netselect/timeseries.py"]
+def test_one_owner_of_each_selection_size_rule():
+    # timeseries decides which sizes p and which turned-off sets I a
+    # selection may have; the copies in the trainers drifted, and the
+    # prediction net trained on I = [-1]. A ChebNet config holds only the
+    # architecture, so no trainer checks it against the data's sizes
+    assert _owners(r"\b1 <= p < n\b|need 1 <= p") == ["src/netselect/timeseries.py"]
+    assert _owners(r"\bnot I or not Ic\b|nonempty proper subset\"") == [
+        "src/netselect/timeseries.py"]
+    layers = importlib.import_module("netselect.gcn.layers")
+    assert [f.name for f in dataclasses.fields(layers.ChebNetConfig)] == [
+        "cheb_order", "f_out", "fc_sizes", "h"]
 
 
 def test_one_csv_writer():

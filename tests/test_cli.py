@@ -316,6 +316,9 @@ def test_select_rejects_bad_panel_header(tmp_path, capsys):
     _write_coords(coords, ["s000"], [(0.0, 0.0)])
     assert main(["select", str(bad), "--coords", str(coords)]) == 2
     assert "timestamp" in capsys.readouterr().err
+    bad.write_text("timestamp\n0\n", encoding="utf-8")
+    assert main(["select", str(bad), "--coords", str(coords)]) == 2
+    assert "line 1: no sensor columns" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("stamp", ["nan", "inf"])

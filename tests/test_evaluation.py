@@ -88,6 +88,10 @@ def test_random_baseline_determinism_and_skips():
     b = random_baseline(fit, X, 2, split, draws=20, seed=9)
     assert a == b
     assert a.draws == 20 and a.skipped == 0
+    with pytest.raises(InvalidInputError, match="^need 1 <= p < 5, got p=5$"):
+        random_baseline(fit, X, 5, split)
+    with pytest.raises(InvalidInputError, match="draws"):
+        random_baseline(fit, X, 2, split, draws=0)
 
     def flaky(I):
         if 0 in I:
@@ -276,6 +280,9 @@ def test_synth_var1_validation():
         synth_generate(g, 10, "sinusoid")
     with pytest.raises(InvalidInputError, match="T"):
         synth_generate(g, 0, "graph-smooth")
+    pair = build_knn_graph(np.array([[0.0, 0.0], [1.0, 0.0]]), k0=1, k1=1)
+    with pytest.raises(InvalidInputError, match="at least 3 sensors, got 2"):
+        synth_generate(pair, 10, "graph-smooth")
 
 
 def test_summary_table_layout(tmp_path):

@@ -88,16 +88,14 @@ def test_spectral_filter_matches_chebyshev_recursion():
         S = rng.normal(size=(n, n))
         S = (S + S.T) / 2.0
         Lt = S / np.max(np.abs(np.linalg.eigvalsh(S)))
-        config = ChebNetConfig(n=n, cheb_order=K, f_out=f_out, fc_sizes=(),
-                               out_dim=out_dim, h=1)
-        params = init_params(config, seed=K)
+        config = ChebNetConfig(cheb_order=K, f_out=f_out, fc_sizes=(), h=1)
+        params = init_params(config, n, out_dim, seed=K)
         params.gconv_bias[:] = rng.normal(size=params.gconv_bias.shape)
         Xb = rng.normal(size=(B, n, 2))
         dout = rng.normal(size=(B, out_dim))
         spectrum = sym_eig(Lt)
         out, cache = forward_batch(Xb, params, config, spectrum, want_cache=True)
-        grads, dXb = backward_batch(dout, cache, params, config, spectrum,
-                                    want_input_grad=True)
+        grads, dXb = backward_batch(dout, cache, params, spectrum, want_input_grad=True)
 
         stack = _cheb_stack(Lt, K, Xb)
         G_pre = np.einsum("bknf,kfo->bno", stack, params.theta) + params.gconv_bias
@@ -114,16 +112,14 @@ def test_spectral_filter_matches_chebyshev_recursion():
 
 def test_input_gradient_matches_central_differences():
     # dXb feeds the mask gradient of the masking selector
-    config = ChebNetConfig(n=4, cheb_order=3, f_out=2, fc_sizes=(5,),
-                           out_dim=3, h=1)
+    config = ChebNetConfig(cheb_order=3, f_out=2, fc_sizes=(5,), h=1)
     _, spectrum, _ = _toy_setup()
     rng = np.random.default_rng(11)
-    params = init_params(config, seed=2)
+    params = init_params(config, 4, 3, seed=2)
     Xb = rng.normal(size=(2, 4, 2))
     dout = rng.normal(size=(2, 3))
     _, cache = forward_batch(Xb, params, config, spectrum, want_cache=True)
-    _, dXb = backward_batch(dout, cache, params, config, spectrum,
-                            want_input_grad=True)
+    _, dXb = backward_batch(dout, cache, params, spectrum, want_input_grad=True)
     eps = 1e-6
     num = np.empty_like(Xb)
     for idx in np.ndindex(Xb.shape):
@@ -144,9 +140,8 @@ def test_scale_laplacian():
 
 
 def test_init_params_bounds_and_determinism():
-    config = ChebNetConfig(n=6, cheb_order=4, f_out=3, fc_sizes=(10,),
-                           out_dim=2, h=1)
-    params = init_params(config, seed=3)
+    config = ChebNetConfig(cheb_order=4, f_out=3, fc_sizes=(10,), h=1)
+    params = init_params(config, 6, 2, seed=3)
     bound = np.sqrt(6.0 / ((config.cheb_order + 1) * config.f_in + config.f_out))
     assert np.all(np.abs(params.theta) <= bound)
     assert np.all(params.gconv_bias == 0)
@@ -157,36 +152,36 @@ def test_init_params_bounds_and_determinism():
         return all(np.array_equal(a, b)
                    for (_, a), (_, b) in zip(tensor_items(p), tensor_items(q)))
 
-    assert same(params, init_params(config, seed=3))
-    assert not same(params, init_params(config, seed=4))
+    assert same(params, init_params(config, 6, 2, seed=3))
+    assert not same(params, init_params(config, 6, 2, seed=4))
 
 
 def test_net_config_validation():
-    with pytest.raises(InvalidInputError):
-        ChebNetConfig(n=0, cheb_order=1, f_out=1, fc_sizes=(4,), out_dim=1)
-    with pytest.raises(InvalidInputError):
-        ChebNetConfig(n=3, cheb_order=-1, f_out=1, fc_sizes=(4,), out_dim=1)
-    with pytest.raises(InvalidInputError):
-        ChebNetConfig(n=3, cheb_order=1, f_out=1, fc_sizes=(0,), out_dim=1)
+    with pytest.raises(InvalidInputError, match="cheb_order"):
+        ChebNetConfig(cheb_order=-1, f_out=1, fc_sizes=(4,))
+    with pytest.raises(InvalidInputError, match="f_out"):
+        ChebNetConfig(cheb_order=1, f_out=0, fc_sizes=(4,))
+    with pytest.raises(InvalidInputError, match="fc widths"):
+        ChebNetConfig(cheb_order=1, f_out=1, fc_sizes=(0,))
+    with pytest.raises(InvalidInputError, match="h must"):
+        ChebNetConfig(cheb_order=1, f_out=1, fc_sizes=(4,), h=-1)
 
 
 def test_forward_batch_validates_shape():
-    config = ChebNetConfig(n=3, cheb_order=1, f_out=2, fc_sizes=(4,),
-                           out_dim=1, h=1)
-    params = init_params(config)
+    config = ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=1)
+    params = init_params(config, 3, 1)
     spectrum = sym_eig(np.eye(3) * 0.5)
     with pytest.raises(InvalidInputError, match="input must be"):
         forward_batch(np.zeros((2, 3, 1)), params, config, spectrum)
 
 
 def test_small_gradient_check():
-    config = ChebNetConfig(n=3, cheb_order=2, f_out=2, fc_sizes=(4,),
-                           out_dim=2, h=1)
+    config = ChebNetConfig(cheb_order=2, f_out=2, fc_sizes=(4,), h=1)
     rng = np.random.default_rng(5)
     S = rng.normal(size=(3, 3))
     S = (S + S.T) / 2.0
     spectrum = sym_eig(S / np.max(np.abs(np.linalg.eigvalsh(S))))
-    params = init_params(config, seed=1)
+    params = init_params(config, 3, 2, seed=1)
     x = rng.normal(size=(3, 2))
     target = rng.normal(size=2)
     _, grads = net_backward(x, target, params, config, spectrum)
@@ -227,12 +222,13 @@ def test_five_epoch_stop_rule():
 def test_train_config_validation():
     with pytest.raises(InvalidInputError, match="lr"):
         TrainConfig(lr=0.0)
+    with pytest.raises(InvalidInputError, match="batch_size"):
+        TrainConfig(batch_size=0)
 
 
 def test_prediction_training_runs_and_stops():
     X, spectrum, split = _toy_setup()
-    config = ChebNetConfig(n=4, cheb_order=2, f_out=2, fc_sizes=(8,),
-                           out_dim=1, h=0)
+    config = ChebNetConfig(cheb_order=2, f_out=2, fc_sizes=(8,), h=0)
     params, val_losses = train_prediction_net(
         X, split, spectrum, [2], config,
         TrainConfig(lr=0.01, batch_size=32, max_epoch=5, seed=0), Workspace())
@@ -246,19 +242,22 @@ def test_prediction_training_runs_and_stops():
     assert out.shape == (10, 1)
 
 
-def test_prediction_training_validates_out_dim():
+def test_prediction_training_validates_the_turned_off_set():
+    # [-1] used to mask the last sensor, [0, 0] to train two outputs for
+    # one sensor, and all four a net with no input left; [4] hit an
+    # IndexError
     X, spectrum, split = _toy_setup()
-    config = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
-                           out_dim=2, h=0)
-    with pytest.raises(InvalidInputError, match="out_dim"):
-        train_prediction_net(X, split, spectrum, [0], config, TrainConfig(),
-                             Workspace())
+    config = ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=0)
+    for I, match in (([], "nonempty"), ([-1], "outside"), ([4], "outside"),
+                     ([0, 0], "duplicates"), ([0, 1, 2, 3], "proper subset")):
+        with pytest.raises(InvalidInputError, match=match):
+            train_prediction_net(X, split, spectrum, I, config, TrainConfig(),
+                                 Workspace())
 
 
 def test_training_diverges_at_huge_lr():
     X, spectrum, split = _toy_setup()
-    config = ChebNetConfig(n=4, cheb_order=2, f_out=2, fc_sizes=(8,),
-                           out_dim=1, h=0)
+    config = ChebNetConfig(cheb_order=2, f_out=2, fc_sizes=(8,), h=0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDivergedError, match="non-finite"):
             train_prediction_net(
@@ -268,9 +267,8 @@ def test_training_diverges_at_huge_lr():
 
 def test_net_reconstructor_surface():
     X, spectrum, split = _toy_setup(h=1)
-    config = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
-                           out_dim=2, h=1)
-    params = init_params(config, seed=0)
+    config = ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=1)
+    params = init_params(config, 4, 2, seed=0)
     rec = NetReconstructor(params, config, spectrum, [1, 3])
     pred = rec.predict_panel(X, 10, 15)
     assert pred.shape == (2, 5)
@@ -280,9 +278,8 @@ def test_net_reconstructor_surface():
 
 def test_score_sensors_mse_and_zero_variance():
     X, spectrum, _ = _toy_setup()
-    config = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
-                           out_dim=4, h=0)
-    params = init_params(config, seed=2)
+    config = ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=0)
+    params = init_params(config, 4, 4, seed=2)
     val_ts = np.arange(200, 230)
     scores = score_sensors(params, config, spectrum, X, val_ts, measure="mse")
     assert scores.measure == "mse"
@@ -305,9 +302,8 @@ def test_score_sensors_mse_and_zero_variance():
 
 def test_write_scores_csv(tmp_path):
     X, spectrum, _ = _toy_setup()
-    config = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
-                           out_dim=4, h=0)
-    params = init_params(config, seed=2)
+    config = ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=0)
+    params = init_params(config, 4, 4, seed=2)
     scores = score_sensors(params, config, spectrum, X, np.arange(200, 230), "mse")
     path = tmp_path / "scores.csv"
     write_scores_csv(scores, ["a", "b", "c", "d"], path)
@@ -321,8 +317,7 @@ def test_write_scores_csv(tmp_path):
 def test_dropout_selection_counts_degenerate_draws():
     # with two sensors and q = 1/2, half of all mask draws are degenerate
     X, spectrum, split = _toy_setup(n=2)
-    config = ChebNetConfig(n=2, cheb_order=1, f_out=2, fc_sizes=(4,),
-                           out_dim=2, h=0)
+    config = ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=0)
     tc = TrainConfig(lr=0.01, batch_size=25, max_epoch=5, seed=0)
     scores, result, diagnostics = train_selection_dropout(
         X, split, spectrum, 1, config, tc)
@@ -334,8 +329,7 @@ def test_dropout_selection_counts_degenerate_draws():
 
 def test_dropout_selection_follows_the_early_stop_rule():
     X, spectrum, split = _toy_setup()
-    config = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
-                           out_dim=4, h=0)
+    config = ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=0)
     tc = TrainConfig(lr=0.05, batch_size=25, max_epoch=40, seed=0)
     _, _, diagnostics = train_selection_dropout(X, split, spectrum, 1, config, tc)
     val_losses = diagnostics["val_losses"]
@@ -351,13 +345,8 @@ def test_dropout_selection_follows_the_early_stop_rule():
 
 def test_dropout_selection_validation():
     X, spectrum, split = _toy_setup()
-    good = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
-                         out_dim=4, h=0)
-    bad_dim = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
-                            out_dim=2, h=0)
+    good = ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=0)
     tc = TrainConfig(max_epoch=1)
-    with pytest.raises(InvalidInputError, match="out_dim"):
-        train_selection_dropout(X, split, spectrum, 1, bad_dim, tc)
     with pytest.raises(InvalidInputError, match="p="):
         train_selection_dropout(X, split, spectrum, 4, good, tc)
 
@@ -366,8 +355,7 @@ def test_dropout_selection_falls_back_to_mse_on_a_constant_sensor():
     # r2 is undefined for a sensor with no variance on the validation rows
     X, spectrum, split = _toy_setup()
     X[1, split.t_tv:split.t0] = 0.3
-    config = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
-                           out_dim=4, h=0)
+    config = ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=0)
     tc = TrainConfig(lr=0.01, batch_size=25, max_epoch=2, seed=0)
     with pytest.warns(UserWarning, match="sensor index 1 .*falling back to mse"):
         scores, result, _ = train_selection_dropout(X, split, spectrum, 1, config, tc)
@@ -378,8 +366,7 @@ def test_dropout_selection_falls_back_to_mse_on_a_constant_sensor():
 
 def test_masking_selection_shapes_and_validation():
     X, spectrum, split = _toy_setup()
-    config = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
-                           out_dim=4, h=0)
+    config = ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=0)
     tc = TrainConfig(lr=0.01, batch_size=32, max_epoch=2, seed=0)
     with pytest.warns(UserWarning, match="below eps0"):
         result, mask_path = train_selection_masking(
@@ -405,8 +392,7 @@ def test_masking_selection_shapes_and_validation():
 
 def test_masking_is_deterministic_given_seed():
     X, spectrum, split = _toy_setup()
-    config = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
-                           out_dim=4, h=0)
+    config = ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=0)
     tc = TrainConfig(lr=0.02, batch_size=32, max_epoch=2, seed=7)
     import warnings
 
@@ -447,15 +433,13 @@ FROZEN_MASK_PATH = [
 
 def test_training_nets_are_frozen():
     X, spectrum, split = _toy_setup()
-    pred_net = ChebNetConfig(n=4, cheb_order=2, f_out=2, fc_sizes=(8,),
-                             out_dim=1, h=1)
+    pred_net = ChebNetConfig(cheb_order=2, f_out=2, fc_sizes=(8,), h=1)
     _, val_losses = train_prediction_net(
         X, split, spectrum, [2], pred_net,
         TrainConfig(lr=0.01, batch_size=32, max_epoch=20, seed=0), Workspace())
     assert np.array_equal(val_losses, FROZEN_PREDICTION_VAL_LOSSES)  # stops at 6
 
-    sel_net = ChebNetConfig(n=4, cheb_order=1, f_out=2, fc_sizes=(4,),
-                            out_dim=4, h=1)
+    sel_net = ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=1)
     scores, _, diagnostics = train_selection_dropout(
         X, split, spectrum, 1, sel_net,
         TrainConfig(lr=0.05, batch_size=25, max_epoch=40, seed=0))

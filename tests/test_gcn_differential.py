@@ -41,9 +41,8 @@ def _spectrum(n, seed):
 
 
 def _net(n=12, f_out=3, out_dim=5, h=1, fc_sizes=(7,), cheb_order=5, seed=0):
-    config = ChebNetConfig(n=n, cheb_order=cheb_order, f_out=f_out,
-                           fc_sizes=fc_sizes, out_dim=out_dim, h=h)
-    params = init_params(config, seed=seed)
+    config = ChebNetConfig(cheb_order=cheb_order, f_out=f_out, fc_sizes=fc_sizes, h=h)
+    params = init_params(config, n, out_dim, seed=seed)
     params.gconv_bias[:] = np.random.default_rng(seed).normal(size=(n, f_out))
     return config, params, _spectrum(n, seed)
 
@@ -100,14 +99,15 @@ def test_adam_step_equals_the_allocating_step():
 
 
 def test_workspace_gives_the_same_loss_and_gradients():
-    config, params, spectrum = _net()
+    n, out_dim = 12, 5
+    config, params, spectrum = _net(n=n, out_dim=out_dim)
     rng = np.random.default_rng(3)
     workspace = Workspace()
     # the buffers serve the largest batch; a smaller one reuses their head
     for B in (480, 160, 480):
-        Xb = rng.normal(size=(B, config.n, config.f_in))
-        target = rng.normal(size=(B, config.out_dim))
-        weight = rng.uniform(size=(1, config.out_dim))
+        Xb = rng.normal(size=(B, n, config.f_in))
+        target = rng.normal(size=(B, out_dim))
+        weight = rng.uniform(size=(1, out_dim))
         ref = batch_loss(Xb, target, weight, params, config, spectrum,
                          want_input_grad=True)
         got = batch_loss(Xb, target, weight, params, config, spectrum,
@@ -115,7 +115,7 @@ def test_workspace_gives_the_same_loss_and_gradients():
         assert got[0] == ref[0]
         _assert_grads_equal(got[1], ref[1])
         assert np.array_equal(got[2], ref[2])
-        assert got[3].shape == (B, config.n, config.f_in)
+        assert got[3].shape == (B, n, config.f_in)
         assert np.array_equal(got[3], ref[3])
         assert np.array_equal(forward_batch(Xb, params, config, spectrum,
                                             workspace=workspace),
@@ -130,8 +130,7 @@ def test_prediction_nets_trained_in_turn_on_one_workspace():
     X = rng.normal(size=(n, T))
     spectrum = _spectrum(n, 7)
     split = Split(220, 260, T)
-    config = ChebNetConfig(n=n, cheb_order=3, f_out=2, fc_sizes=(6,),
-                           out_dim=2, h=1)
+    config = ChebNetConfig(cheb_order=3, f_out=2, fc_sizes=(6,), h=1)
     train = TrainConfig(lr=0.01, batch_size=40, max_epoch=3, seed=0)
     workspace = Workspace()
     for I in ([0, 5], [3, 11], [0, 5]):
@@ -144,28 +143,27 @@ def test_prediction_nets_trained_in_turn_on_one_workspace():
 
 
 def test_a_held_cache_survives_a_later_forward_without_workspace():
-    config, params, spectrum = _net()
+    n, out_dim = 12, 5
+    config, params, spectrum = _net(n=n, out_dim=out_dim)
     rng = np.random.default_rng(4)
-    Xa, Xb = rng.normal(size=(2, 30, config.n, config.f_in))
-    dout = rng.normal(size=(30, config.out_dim))
+    Xa, Xb = rng.normal(size=(2, 30, n, config.f_in))
+    dout = rng.normal(size=(30, out_dim))
     _, cache = forward_batch(Xa, params, config, spectrum, want_cache=True)
-    ref, ref_dX = backward_batch(dout, cache, params, config, spectrum,
-                                 want_input_grad=True)
+    ref, ref_dX = backward_batch(dout, cache, params, spectrum, want_input_grad=True)
     forward_batch(Xb, params, config, spectrum, want_cache=True)
-    got, got_dX = backward_batch(dout, cache, params, config, spectrum,
-                                 want_input_grad=True)
+    got, got_dX = backward_batch(dout, cache, params, spectrum, want_input_grad=True)
     _assert_grads_equal(got, ref)
     assert np.array_equal(got_dX, ref_dX)
 
 
 def test_a_step_on_a_warm_workspace_allocates_less_than_one_block():
     # the gcn-mask benchmark's prediction net: one 480-row batch per step
-    B = 480
-    config, params, spectrum = _net(n=40, f_out=8, out_dim=4, h=0, fc_sizes=(64,),
+    B, n, out_dim = 480, 40, 4
+    config, params, spectrum = _net(n=n, f_out=8, out_dim=out_dim, h=0, fc_sizes=(64,),
                                     cheb_order=20)
     rng = np.random.default_rng(5)
-    Xb = rng.normal(size=(B, config.n, config.f_in))
-    target = rng.normal(size=(B, config.out_dim))
+    Xb = rng.normal(size=(B, n, config.f_in))
+    target = rng.normal(size=(B, out_dim))
     tensors = [t for _, t in tensor_items(params)]
     workspace = Workspace()
     opt = make_optimizer("adam", 0.001)
@@ -184,5 +182,5 @@ def test_a_step_on_a_warm_workspace_allocates_less_than_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block = B * config.n * config.f_out * 8
+    block = B * n * config.f_out * 8
     assert peak - base < block, f"step peaked {peak - base} bytes over a {block}-byte block"

@@ -72,6 +72,14 @@ def test_sensor_graph_validation():
         SensorGraph(coords, np.array([[0.0, -1.0], [-1.0, 0.0]]))
     with pytest.raises(InvalidInputError, match=re.escape("[[0], [1]]")):
         SensorGraph(coords, np.zeros((2, 2)))
+    with pytest.raises(InvalidInputError, match="node count"):
+        SensorGraph(coords, np.zeros((3, 3)))
+    for bad, match in ((np.zeros((2, 3)), r"must be \(n, 2\)"),
+                       (np.array([[0.0, 0.0], [np.nan, 0.0]]), "non-finite")):
+        with pytest.raises(InvalidInputError, match=match):
+            SensorGraph(bad, np.zeros((2, 2)))
+        with pytest.raises(InvalidInputError, match=match):
+            build_knn_graph(bad, k0=1, k1=1)
 
 
 def test_combinatorial_laplacian_row_sums():

@@ -42,6 +42,8 @@ def test_check_symmetric_rejects_real_asymmetry():
 def test_check_symmetric_rejects_nonsquare_and_nonfinite():
     with pytest.raises(InvalidInputError, match="square"):
         check_symmetric(np.zeros((2, 3)))
+    with pytest.raises(InvalidInputError, match="dimension >= 1"):
+        check_symmetric(np.zeros((0, 0)))
     with pytest.raises(InvalidInputError, match="non-finite"):
         check_symmetric(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 

@@ -54,6 +54,8 @@ def test_kernel_config_validation():
 def test_build_kernel_blocks_requirements():
     with pytest.raises(InvalidInputError, match="training data"):
         build_kernel_blocks("autocovariance")
+    with pytest.raises(InvalidInputError, match="training data"):
+        build_kernel_blocks("linear")
     with pytest.raises(InvalidInputError, match="graph"):
         build_kernel_blocks("spatial-temporal")
     with pytest.raises(InvalidInputError, match="graph"):
@@ -202,6 +204,8 @@ def test_greedy_kernel_result_surface():
     assert len(result.order) == len(result.step_values) == 2
     with pytest.raises(InvalidInputError, match="p="):
         greedy_select_kernel(blocks, kb, 5, lam=0.0, H=0)
+    with pytest.raises(InvalidInputError, match="lambda must be nonnegative"):
+        greedy_select_kernel(blocks, kb, 2, lam=-0.1, H=0)
     # lag_stack checks the depth of both block lists; short data blocks,
     # deep enough kernel blocks
     kb1 = build_kernel_blocks("autocovariance", H=1, X_train=X)

@@ -67,6 +67,11 @@ def test_greedy_validates_p_and_lags():
         greedy_select_linear(blocks, p=4)
     with pytest.raises(InvalidInputError, match="lags"):
         greedy_select_linear(blocks, p=1, H=1)
+    # a negative depth used to end in a bare IndexError or ValueError
+    with pytest.raises(InvalidInputError, match="H must be >= 0, got -1"):
+        greedy_select_linear(blocks, p=2, H=-1)
+    with pytest.raises(InvalidInputError, match="H must be >= 0, got -1"):
+        fit_predict_linear(blocks, [1], H=-1)
 
 
 def test_greedy_with_history_returns_only_what_it_computes():

@@ -46,6 +46,10 @@ def test_panel_series_validation():
         PanelSeries(["a"], np.array([0, HOUR]), np.array([[1.0, np.nan]]))
     with pytest.raises(InvalidInputError, match="sensor count"):
         PanelSeries(["a", "b"], np.array([0, HOUR]), np.zeros((1, 2)))
+    with pytest.raises(InvalidInputError, match="2-D"):
+        PanelSeries(["a"], np.array([0, HOUR]), np.zeros(2))
+    with pytest.raises(InvalidInputError, match="length"):
+        PanelSeries(["a"], np.array([0, HOUR]), np.zeros((1, 3)))
     with pytest.raises(InvalidInputError, match=r"duplicate sensor ids \['a'\]"):
         PanelSeries(["a", "b", "a"], np.array([0, HOUR]), np.zeros((3, 2)))
 
@@ -144,6 +148,8 @@ def test_interpolate_hourly_grid_and_clamp():
     assert panel.values[0, 5] == pytest.approx(0.5)
     assert panel.values[0, 10] == pytest.approx(1.0)
     assert np.all(panel.values <= 1.0)
+    with pytest.raises(InvalidInputError, match="no stations"):
+        interpolate_hourly(records, [])
 
 
 def test_interpolate_hourly_warns_on_flat_extrapolation():
@@ -206,6 +212,8 @@ def test_autocovariance_manual_and_lag_bounds():
         autocovariance(X, 3)
     with pytest.raises(InvalidInputError):
         autocovariance(X, -1)
+    with pytest.raises(InvalidInputError, match=r"\(n, T\)"):
+        autocovariance(X[0], 0)
     for bad in (np.nan, np.inf):
         X[1, 2] = bad
         with pytest.raises(InvalidInputError, match="non-finite"):

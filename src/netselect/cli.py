@@ -365,7 +365,7 @@ def gcn(args, hp, X, split, graph):
         tc = TrainConfig(lr=args.lr, batch_size=args.batch_size,
                          max_epoch=args.max_epoch, seed=args.seed)
         params, _ = train_prediction_net(X, split, spectrum, I, net, tc, workspace)
-        return NetReconstructor(params, net, spectrum, list(I))
+        return NetReconstructor(params, spectrum, list(I))
 
     return select, fit
 
@@ -466,7 +466,7 @@ def cmd_evaluate(args):
                 f"with this file")
     _, fit = FAMILY[families[0]](args, hp, X, split,
                                  _graph(method, hp, coords))
-    mse = test_mse(fit(order), X, order, split)
+    mse = test_mse(fit(order), X, split)
     base = random_baseline(fit, X, len(order), split,
                            draws=args.baseline_draws, seed=args.seed)
     if "gcn" in families:

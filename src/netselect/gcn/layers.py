@@ -53,7 +53,8 @@ def leaky_relu_grad(x, alpha):
 
 @dataclass(frozen=True)
 class ChebNetConfig:
-    """A ChebNet's architecture; its node and output counts come from the data."""
+    """The architecture init_params builds a net from; its node and output
+    counts come from the data, and the built params carry all of it."""
 
     cheb_order: int           # Chebyshev polynomial order K
     f_out: int                # GConv output channels
@@ -68,17 +69,19 @@ class ChebNetConfig:
         if self.h < 0:
             raise InvalidInputError("h must be >= 0")
 
-    @property
-    def f_in(self):
-        return self.h + 1
-
 
 @dataclass
 class ChebNetParams:
+    """A net's tensors; their shapes are its architecture."""
+
     theta: np.ndarray               # (K+1, f_in, f_out)
     gconv_bias: np.ndarray          # (n, f_out)
     fc_weights: List[np.ndarray]    # hidden layers then the linear output
     fc_biases: List[np.ndarray]
+
+    @property
+    def h(self):  # input lag depth
+        return self.theta.shape[1] - 1
 
 
 def tensor_items(params: ChebNetParams):
@@ -99,8 +102,8 @@ def init_params(config: ChebNetConfig, n, out_dim, seed=0) -> ChebNetParams:
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-bound, bound, size=shape)
 
-    K1 = config.cheb_order + 1
-    theta = glorot((K1, config.f_in, config.f_out), K1 * config.f_in, config.f_out)
+    K1, f_in = config.cheb_order + 1, config.h + 1
+    theta = glorot((K1, f_in, config.f_out), K1 * f_in, config.f_out)
     gconv_bias = np.zeros((n, config.f_out))
     dims = [n * config.f_out] + list(config.fc_sizes) + [out_dim]
     fc_weights = [
@@ -165,8 +168,8 @@ def _out(workspace, name, shape):
     return None if workspace is None else workspace.take(name, shape)
 
 
-def forward_batch(Xb, params: ChebNetParams, config: ChebNetConfig, spectrum,
-                  want_cache=False, workspace=None):
+def forward_batch(Xb, params: ChebNetParams, spectrum, want_cache=False,
+                  workspace=None):
     """Batched forward pass; Xb has shape (B, n, f_in).
 
     spectrum is the EigenPair (lam, U) of the rescaled Laplacian L_tilde.
@@ -177,13 +180,14 @@ def forward_batch(Xb, params: ChebNetParams, config: ChebNetConfig, spectrum,
     are written into it.
     """
     Xb = np.asarray(Xb, dtype=float)
+    K1, f_in, f_out = params.theta.shape
     n = params.gconv_bias.shape[0]
-    if Xb.ndim != 3 or Xb.shape[1] != n or Xb.shape[2] != config.f_in:
-        raise InvalidInputError(f"input must be (B, {n}, {config.f_in}), got {Xb.shape}")
+    if Xb.ndim != 3 or Xb.shape[1] != n or Xb.shape[2] != f_in:
+        raise InvalidInputError(f"input must be (B, {n}, {f_in}), got {Xb.shape}")
     B = Xb.shape[0]
-    in_shape, g_shape = Xb.shape, (B, n, config.f_out)
+    in_shape, g_shape = Xb.shape, (B, n, f_out)
     U = spectrum.vectors
-    T = cheb_values(spectrum.values, config.cheb_order)         # (K+1, n)
+    T = cheb_values(spectrum.values, K1 - 1)                     # (K+1, n)
     h = np.einsum("kj,kfo->jfo", T, params.theta)                # (n, f_in, f_out)
     X_hat = np.matmul(U.T, Xb, out=_out(workspace, "X_hat", in_shape))
     # "tmp" holds Z, then the negative part of elu, then in backward_batch
@@ -194,7 +198,7 @@ def forward_batch(Xb, params: ChebNetParams, config: ChebNetConfig, spectrum,
     G_pre += params.gconv_bias
     A1 = elu(G_pre, out=_out(workspace, "A1", g_shape),
              scratch=_out(workspace, "tmp", g_shape))
-    f = A1.reshape(B, n * config.f_out)
+    f = A1.reshape(B, n * f_out)
     pre_acts = []
     feats = [f]
     n_hidden = len(params.fc_weights) - 1

@@ -46,8 +46,7 @@ def write_scores_csv(scores: SensorScores, sensor_ids, path):
                for i, sid in enumerate(sensor_ids)))
 
 
-def score_sensors(params, net_config: ChebNetConfig, spectrum, X, val_ts, measure="r2"
-                  ) -> SensorScores:
+def score_sensors(params, spectrum, X, val_ts, measure="r2") -> SensorScores:
     """Per-sensor score of the trained network on validation rows.
 
     Predictions use the full input (no dropout, no rescaling). R^2 per
@@ -59,8 +58,7 @@ def score_sensors(params, net_config: ChebNetConfig, spectrum, X, val_ts, measur
         raise InvalidInputError(f"measure must be one of {MEASURES}")
     X = np.asarray(X, dtype=float)
     val_ts = np.asarray(val_ts, dtype=int)
-    pred = forward_batch(lag_windows(X, val_ts, net_config.h), params,
-                         net_config, spectrum)     # (B, n)
+    pred = forward_batch(lag_windows(X, val_ts, params.h), params, spectrum)  # (B, n)
     actual = X[:, val_ts].T
     resid_sq = ((actual - pred) ** 2).sum(axis=0)  # per sensor
     if measure == "r2":
@@ -123,7 +121,7 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
         resample_count += extra
         _, grads, _, _ = batch_loss(lag_windows(X, ts, h) * w[None, :, None],
                                     X[:, ts].T, (1.0 - w)[None, :], params,
-                                    net_config, spectrum, workspace=workspace)
+                                    spectrum, workspace=workspace)
         opt.step(_param_tensors(params), _param_tensors(grads))
 
     def val_loss():
@@ -131,7 +129,7 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
         n_val = 0
         for ts, w in zip(val_blocks, val_masks):
             out = forward_batch(lag_windows(X, ts, h) * w[None, :, None],
-                                params, net_config, spectrum, workspace=workspace)
+                                params, spectrum, workspace=workspace)
             resid = out - X[:, ts].T
             vl += float(np.sum((1.0 - w)[None, :] * resid ** 2))
             n_val += ts.size
@@ -141,7 +139,7 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
                             val_loss, "five-epoch-mean")
 
     val_ts = np.concatenate(val_blocks)
-    scores = score_sensors(params, net_config, spectrum, X, val_ts, measure)
+    scores = score_sensors(params, spectrum, X, val_ts, measure)
 
     order = scores.ranking[:p]
     result = SelectionResult(order, [float(scores.scores[i]) for i in order])
@@ -192,8 +190,7 @@ def train_selection_masking(X, split: Split, spectrum, p, lam_grid, eps0,
             Xb = lag_windows(X, ts, h)
             _, grads, resid, dXb = batch_loss(Xb * w[None, :, None], X[:, ts].T,
                                               ((1.0 - w) ** 2)[None, :], params,
-                                              net_config, spectrum,
-                                              want_input_grad=True,
+                                              spectrum, want_input_grad=True,
                                               workspace=workspace)
             # mask gradient: input path, the (1-w)^2 loss factor, and l1
             dw = (dXb * Xb).sum(axis=(0, 2))

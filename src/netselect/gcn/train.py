@@ -124,8 +124,8 @@ def _early_stop(rule, val_losses):
     return False
 
 
-def batch_loss(Xb, target, weight, params, net_config, spectrum,
-               want_input_grad=False, workspace=None):
+def batch_loss(Xb, target, weight, params, spectrum, want_input_grad=False,
+               workspace=None):
     """Weighted squared-error loss of one batch and its gradients.
 
     The loss is sum(weight * (out - target)^2) / B for the B rows of the
@@ -135,7 +135,7 @@ def batch_loss(Xb, target, weight, params, net_config, spectrum,
     The layers keep their intermediates, and dXb, in workspace when one
     is given.
     """
-    out, cache = forward_batch(Xb, params, net_config, spectrum, want_cache=True,
+    out, cache = forward_batch(Xb, params, spectrum, want_cache=True,
                                workspace=workspace)
     resid = out - target
     B = target.shape[0]
@@ -201,13 +201,12 @@ def train_prediction_net(X, split: Split, spectrum, I, net_config: ChebNetConfig
 
     def step(ts):
         _, grads, _, _ = batch_loss(lag_windows(X_masked, ts, h),
-                                    X[np.ix_(I, ts)].T, 1.0, params,
-                                    net_config, spectrum, workspace=workspace)
+                                    X[np.ix_(I, ts)].T, 1.0, params, spectrum,
+                                    workspace=workspace)
         opt.step(_param_tensors(params), _param_tensors(grads))
 
     def val_loss():
-        val_out = forward_batch(val_in, params, net_config, spectrum,
-                                workspace=workspace)
+        val_out = forward_batch(val_in, params, spectrum, workspace=workspace)
         return float(np.sum((val_out - val_target) ** 2) / val_ts.size)
 
     val_losses = run_epochs(rng, train_blocks, train_config.max_epoch, step,
@@ -224,8 +223,7 @@ class NetReconstructor:
     (|I|, t_end - t_start).
     """
 
-    params: object
-    config: ChebNetConfig
+    params: ChebNetParams
     spectrum: EigenPair
     turned_off: List[int]
 
@@ -234,10 +232,8 @@ class NetReconstructor:
         X_masked = X.copy()
         X_masked[self.turned_off, :] = 0.0
         ts = np.arange(t_start, t_end)
-        if ts.size and ts[0] < self.config.h:
-            raise InvalidInputError(
-                f"prediction needs {self.config.h} lag columns before t_start"
-            )
-        out = forward_batch(lag_windows(X_masked, ts, self.config.h),
-                            self.params, self.config, self.spectrum)
+        h = self.params.h
+        if ts.size and ts[0] < h:
+            raise InvalidInputError(f"prediction needs {h} lag columns before t_start")
+        out = forward_batch(lag_windows(X_masked, ts, h), self.params, self.spectrum)
         return out.T

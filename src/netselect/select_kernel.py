@@ -93,6 +93,10 @@ def greedy_select_kernel(gammas, kb, p, lam=0.0, H=0) -> SelectionResult:
     """
     if lam < 0:
         raise InvalidInputError("lambda must be nonnegative")
+    n = gammas[0].shape[0]
+    if kb[0].shape[0] != n:
+        raise InvalidInputError(f"data blocks cover {n} sensors, "
+                                f"kernel blocks {kb[0].shape[0]}")
 
     def score(R):
         q = len(R)
@@ -113,7 +117,7 @@ def greedy_select_kernel(gammas, kb, p, lam=0.0, H=0) -> SelectionResult:
         th = kernel_reconstructor(K_cross, K_S, lam).ravel()
         return float(gammas[0][i, i] - 2.0 * (beta[0] @ th) + th @ alpha @ th)
 
-    return SelectionResult(*greedy(gammas[0].shape[0], p, score, value))
+    return SelectionResult(*greedy(n, p, score, value))
 
 
 def fit_predict_kernel(kb, I, lam, H=0) -> LinearReconstructor:

@@ -190,11 +190,11 @@ def conjugate_gradient(A, b, tol=1e-8):
     return x
 
 
-def net_backward(x_input, target, params, config, spectrum):
+def net_backward(x_input, target, params, spectrum):
     """Loss sum_j (out_j - target_j)^2 of one sample, with its parameter
     gradients. Returns (loss, grads)."""
     Xb = np.asarray(x_input, dtype=float)[None]
-    out, cache = forward_batch(Xb, params, config, spectrum, want_cache=True)
+    out, cache = forward_batch(Xb, params, spectrum, want_cache=True)
     resid = out - np.asarray(target, dtype=float)[None]
     grads, _ = backward_batch(2.0 * resid, cache, params, spectrum)
     return float(np.sum(resid ** 2)), grads

@@ -240,9 +240,9 @@ def test_criterion_08_gradient_check():
     x = rng.normal(size=(5, 3))
     target = rng.normal(size=4)
 
-    _, grads = net_backward(x, target, params, config, spectrum)
+    _, grads = net_backward(x, target, params, spectrum)
     num = central_differences(
-        lambda: net_backward(x, target, params, config, spectrum)[0], params)
+        lambda: net_backward(x, target, params, spectrum)[0], params)
 
     worst = {}
     for (name, ana), ref in zip(tensor_items(grads), num):
@@ -287,7 +287,7 @@ def selection_sanity():
             X, split, spectrum, 2, net,
             TrainConfig(lr=0.02, batch_size=50, max_epoch=60, seed=seed))
         rec = fit_predict_linear(blocks, result.order, 0)
-        sel_mse = held_out_mse(rec, X, result.order, split)
+        sel_mse = held_out_mse(rec, X, split)
         base = random_baseline(lambda I: fit_predict_linear(blocks, I, 0),
                                X, 2, split, draws=100, seed=seed)
         wins["mse"] += sel_mse <= base.mean_mse
@@ -359,7 +359,7 @@ def dataset_tables(paris_dir, toulouse_dir):
     X = standardize(panel, split)
     blocks = estimate_blocks(X[:, :split.t_tv], 0)
     res = greedy_select_linear(blocks, 27, H=0)
-    mse = held_out_mse(fit_predict_linear(blocks, res.order, 0), X, res.order, split)
+    mse = held_out_mse(fit_predict_linear(blocks, res.order, 0), X, split)
     base = random_baseline(lambda I: fit_predict_linear(blocks, I, 0),
                            X, 27, split, draws=100, seed=0)
 
@@ -379,8 +379,7 @@ def dataset_tables(paris_dir, toulouse_dir):
                              graph=graph)
     lam = 0.149
     res2 = greedy_select_kernel(cov, kb, 18, lam=lam, H=1)
-    mse2 = held_out_mse(fit_predict_kernel(kb, res2.order, lam, 1),
-                        X2, res2.order, split2)
+    mse2 = held_out_mse(fit_predict_kernel(kb, res2.order, lam, 1), X2, split2)
     base2 = random_baseline(lambda I: fit_predict_kernel(kb, I, lam, 1),
                             X2, 18, split2, draws=100, seed=0)
     return (res.order, mse, base.mean_mse), (res2.order, mse2, base2.mean_mse)

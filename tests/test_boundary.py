@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -94,6 +95,28 @@ def test_one_owner_of_each_selection_size_rule():
     layers = importlib.import_module("netselect.gcn.layers")
     assert [f.name for f in dataclasses.fields(layers.ChebNetConfig)] == [
         "cheb_order", "f_out", "fc_sizes", "h"]
+
+
+def test_one_copy_of_a_nets_shape_and_a_reconstructors_set():
+    # a net's params carry its architecture and a reconstructor its
+    # turned-off set; a config or an I passed beside them was a second
+    # copy that could disagree, and a config with another h broadcast
+    # silently into a wrong output
+    layers = importlib.import_module("netselect.gcn.layers")
+    train = importlib.import_module("netselect.gcn.train")
+    selection = importlib.import_module("netselect.gcn.selection")
+    evaluation = importlib.import_module("netselect.evaluation")
+    named = {f.__name__: [(a.name, a.annotation)
+                          for a in inspect.signature(f).parameters.values()]
+             for f in (layers.forward_batch, layers.backward_batch,
+                       train.batch_loss, selection.score_sensors)}
+    named["NetReconstructor"] = [(f.name, f.type)
+                                 for f in dataclasses.fields(train.NetReconstructor)]
+    with_config = {where: name for where, fields in named.items()
+                   for name, kind in fields if "config" in f"{name} {kind}".lower()}
+    assert not with_config, f"a net's shape passed beside its params: {with_config}"
+    assert list(inspect.signature(evaluation.test_mse).parameters) == [
+        "reconstructor", "X", "split"]
 
 
 def test_one_csv_writer():

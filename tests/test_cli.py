@@ -303,6 +303,26 @@ def test_readme_library_imports_resolve():
     assert not missing, f"README imports names the package lacks: {missing}"
 
 
+def test_readme_library_blocks_run(tmp_path, monkeypatch):
+    # a stale call form in the library examples, such as an argument that
+    # was dropped, fails only when the blocks run; they share one
+    # namespace, as a reader running them in turn would
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"),
+                        flags=re.S)
+    assert len(blocks) == 2
+    coords = np.random.default_rng(0).uniform(size=(24, 2))  # k0=20 needs n > 20
+    panel = synth_generate(build_knn_graph(coords, 20, 7), 600, seed=0)
+    np.save(tmp_path / "panel.npy", panel.values)
+    _write_coords(tmp_path / "coords.csv", panel.sensor_ids, coords)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert len(namespace["result"].order) == 3
+    assert namespace["rec"].turned_off == namespace["result"].order
+    assert np.isfinite(namespace["mse"]) and namespace["base"].draws == 100
+
+
 def test_ingest_missing_file_is_input_error(tmp_path, capsys):
     assert main(["ingest", str(tmp_path / "absent.csv"),
                  "--out-dir", str(tmp_path)]) == 2
@@ -825,8 +845,7 @@ def test_select_and_evaluate_build_the_same_kernel(tmp_path, capsys, kernel):
              if kernel in GRAPH_KERNELS else None)
     kb = build_kernel_blocks(kernel, H=1, gamma=hp["gamma"], graph=graph,
                              X_train=X[:, :split.t_tv])
-    expected = held_out_mse(fit_predict_kernel(kb, order, hp["lambda"], 1), X, order,
-                            split)
+    expected = held_out_mse(fit_predict_kernel(kb, order, hp["lambda"], 1), X, split)
     assert json.loads(report)["test_mse"] == expected
 
 

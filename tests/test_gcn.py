@@ -94,7 +94,7 @@ def test_spectral_filter_matches_chebyshev_recursion():
         Xb = rng.normal(size=(B, n, 2))
         dout = rng.normal(size=(B, out_dim))
         spectrum = sym_eig(Lt)
-        out, cache = forward_batch(Xb, params, config, spectrum, want_cache=True)
+        out, cache = forward_batch(Xb, params, spectrum, want_cache=True)
         grads, dXb = backward_batch(dout, cache, params, spectrum, want_input_grad=True)
 
         stack = _cheb_stack(Lt, K, Xb)
@@ -118,15 +118,15 @@ def test_input_gradient_matches_central_differences():
     params = init_params(config, 4, 3, seed=2)
     Xb = rng.normal(size=(2, 4, 2))
     dout = rng.normal(size=(2, 3))
-    _, cache = forward_batch(Xb, params, config, spectrum, want_cache=True)
+    _, cache = forward_batch(Xb, params, spectrum, want_cache=True)
     _, dXb = backward_batch(dout, cache, params, spectrum, want_input_grad=True)
     eps = 1e-6
     num = np.empty_like(Xb)
     for idx in np.ndindex(Xb.shape):
         bump = np.zeros_like(Xb)
         bump[idx] = eps
-        hi = np.sum(dout * forward_batch(Xb + bump, params, config, spectrum))
-        lo = np.sum(dout * forward_batch(Xb - bump, params, config, spectrum))
+        hi = np.sum(dout * forward_batch(Xb + bump, params, spectrum))
+        lo = np.sum(dout * forward_batch(Xb - bump, params, spectrum))
         num[idx] = (hi - lo) / (2.0 * eps)
     assert np.allclose(dXb, num, rtol=1e-5, atol=1e-9)
 
@@ -142,7 +142,7 @@ def test_scale_laplacian():
 def test_init_params_bounds_and_determinism():
     config = ChebNetConfig(cheb_order=4, f_out=3, fc_sizes=(10,), h=1)
     params = init_params(config, 6, 2, seed=3)
-    bound = np.sqrt(6.0 / ((config.cheb_order + 1) * config.f_in + config.f_out))
+    bound = np.sqrt(6.0 / ((config.cheb_order + 1) * (config.h + 1) + config.f_out))
     assert np.all(np.abs(params.theta) <= bound)
     assert np.all(params.gconv_bias == 0)
     assert all(np.all(b == 0) for b in params.fc_biases)
@@ -172,7 +172,13 @@ def test_forward_batch_validates_shape():
     params = init_params(config, 3, 1)
     spectrum = sym_eig(np.eye(3) * 0.5)
     with pytest.raises(InvalidInputError, match="input must be"):
-        forward_batch(np.zeros((2, 3, 1)), params, config, spectrum)
+        forward_batch(np.zeros((2, 3, 1)), params, spectrum)
+    # the params are the architecture: two lag channels into a net built
+    # for one are refused, the count taken from theta
+    one_lag = init_params(ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=0), 3, 1)
+    assert one_lag.theta.shape[1] == 1
+    with pytest.raises(InvalidInputError, match=r"input must be \(B, 3, 1\)"):
+        forward_batch(np.zeros((2, 3, 2)), one_lag, spectrum)
 
 
 def test_small_gradient_check():
@@ -184,9 +190,9 @@ def test_small_gradient_check():
     params = init_params(config, 3, 2, seed=1)
     x = rng.normal(size=(3, 2))
     target = rng.normal(size=2)
-    _, grads = net_backward(x, target, params, config, spectrum)
+    _, grads = net_backward(x, target, params, spectrum)
     num = central_differences(
-        lambda: net_backward(x, target, params, config, spectrum)[0], params)
+        lambda: net_backward(x, target, params, spectrum)[0], params)
     for (_, ana), ref in zip(tensor_items(grads), num):
         rel = np.abs(ana - ref) / np.maximum(np.abs(ref), 1e-6)
         assert rel.max() <= 1e-6
@@ -238,7 +244,7 @@ def test_prediction_training_runs_and_stops():
             if _early_stop("two-epoch-mean", val_losses[:e])] == [4]
     assert all(np.isfinite(v) for v in val_losses)
     out = forward_batch(lag_windows(X, np.arange(230, 240), 0),
-                        params, config, spectrum)
+                        params, spectrum)
     assert out.shape == (10, 1)
 
 
@@ -269,11 +275,18 @@ def test_net_reconstructor_surface():
     X, spectrum, split = _toy_setup(h=1)
     config = ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=1)
     params = init_params(config, 4, 2, seed=0)
-    rec = NetReconstructor(params, config, spectrum, [1, 3])
+    rec = NetReconstructor(params, spectrum, [1, 3])
     pred = rec.predict_panel(X, 10, 15)
     assert pred.shape == (2, 5)
     with pytest.raises(InvalidInputError, match="lag columns"):
         rec.predict_panel(X, 0, 5)
+    # the lag depth comes from the params
+    deep = init_params(ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=2), 4, 2)
+    assert deep.h == 2
+    rec = NetReconstructor(deep, spectrum, [1, 3])
+    with pytest.raises(InvalidInputError, match="needs 2 lag columns"):
+        rec.predict_panel(X, 1, 5)
+    assert rec.predict_panel(X, 2, 5).shape == (2, 3)
 
 
 def test_score_sensors_mse_and_zero_variance():
@@ -281,30 +294,30 @@ def test_score_sensors_mse_and_zero_variance():
     config = ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=0)
     params = init_params(config, 4, 4, seed=2)
     val_ts = np.arange(200, 230)
-    scores = score_sensors(params, config, spectrum, X, val_ts, measure="mse")
+    scores = score_sensors(params, spectrum, X, val_ts, measure="mse")
     assert scores.measure == "mse"
     assert list(np.argsort(scores.scores, kind="stable")) == scores.ranking
 
-    r2 = score_sensors(params, config, spectrum, X, val_ts, measure="r2")
+    r2 = score_sensors(params, spectrum, X, val_ts, measure="r2")
     assert np.all(r2.scores <= 1.0)
     assert list(np.argsort(-r2.scores, kind="stable")) == r2.ranking
 
     flat = X.copy()
     flat[2, val_ts] = 7.0
     with pytest.warns(UserWarning, match="index 2"):
-        fallback = score_sensors(params, config, spectrum, flat, val_ts, measure="r2")
+        fallback = score_sensors(params, spectrum, flat, val_ts, measure="r2")
     assert fallback.measure == "mse"
-    mse = score_sensors(params, config, spectrum, flat, val_ts, measure="mse")
+    mse = score_sensors(params, spectrum, flat, val_ts, measure="mse")
     assert np.array_equal(fallback.scores, mse.scores)
     with pytest.raises(InvalidInputError, match="measure"):
-        score_sensors(params, config, spectrum, X, val_ts, measure="mae")
+        score_sensors(params, spectrum, X, val_ts, measure="mae")
 
 
 def test_write_scores_csv(tmp_path):
     X, spectrum, _ = _toy_setup()
     config = ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=0)
     params = init_params(config, 4, 4, seed=2)
-    scores = score_sensors(params, config, spectrum, X, np.arange(200, 230), "mse")
+    scores = score_sensors(params, spectrum, X, np.arange(200, 230), "mse")
     path = tmp_path / "scores.csv"
     write_scores_csv(scores, ["a", "b", "c", "d"], path)
     lines = path.read_text().splitlines()

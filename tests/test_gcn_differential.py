@@ -100,26 +100,26 @@ def test_adam_step_equals_the_allocating_step():
 
 def test_workspace_gives_the_same_loss_and_gradients():
     n, out_dim = 12, 5
-    config, params, spectrum = _net(n=n, out_dim=out_dim)
+    _, params, spectrum = _net(n=n, out_dim=out_dim)
     rng = np.random.default_rng(3)
     workspace = Workspace()
     # the buffers serve the largest batch; a smaller one reuses their head
     for B in (480, 160, 480):
-        Xb = rng.normal(size=(B, n, config.f_in))
+        Xb = rng.normal(size=(B, n, params.h + 1))
         target = rng.normal(size=(B, out_dim))
         weight = rng.uniform(size=(1, out_dim))
-        ref = batch_loss(Xb, target, weight, params, config, spectrum,
+        ref = batch_loss(Xb, target, weight, params, spectrum,
                          want_input_grad=True)
-        got = batch_loss(Xb, target, weight, params, config, spectrum,
+        got = batch_loss(Xb, target, weight, params, spectrum,
                          want_input_grad=True, workspace=workspace)
         assert got[0] == ref[0]
         _assert_grads_equal(got[1], ref[1])
         assert np.array_equal(got[2], ref[2])
-        assert got[3].shape == (B, n, config.f_in)
+        assert got[3].shape == (B, n, params.h + 1)
         assert np.array_equal(got[3], ref[3])
-        assert np.array_equal(forward_batch(Xb, params, config, spectrum,
+        assert np.array_equal(forward_batch(Xb, params, spectrum,
                                             workspace=workspace),
-                              forward_batch(Xb, params, config, spectrum))
+                              forward_batch(Xb, params, spectrum))
 
 
 def test_prediction_nets_trained_in_turn_on_one_workspace():
@@ -144,13 +144,13 @@ def test_prediction_nets_trained_in_turn_on_one_workspace():
 
 def test_a_held_cache_survives_a_later_forward_without_workspace():
     n, out_dim = 12, 5
-    config, params, spectrum = _net(n=n, out_dim=out_dim)
+    _, params, spectrum = _net(n=n, out_dim=out_dim)
     rng = np.random.default_rng(4)
-    Xa, Xb = rng.normal(size=(2, 30, n, config.f_in))
+    Xa, Xb = rng.normal(size=(2, 30, n, params.h + 1))
     dout = rng.normal(size=(30, out_dim))
-    _, cache = forward_batch(Xa, params, config, spectrum, want_cache=True)
+    _, cache = forward_batch(Xa, params, spectrum, want_cache=True)
     ref, ref_dX = backward_batch(dout, cache, params, spectrum, want_input_grad=True)
-    forward_batch(Xb, params, config, spectrum, want_cache=True)
+    forward_batch(Xb, params, spectrum, want_cache=True)
     got, got_dX = backward_batch(dout, cache, params, spectrum, want_input_grad=True)
     _assert_grads_equal(got, ref)
     assert np.array_equal(got_dX, ref_dX)
@@ -162,14 +162,14 @@ def test_a_step_on_a_warm_workspace_allocates_less_than_one_block():
     config, params, spectrum = _net(n=n, f_out=8, out_dim=out_dim, h=0, fc_sizes=(64,),
                                     cheb_order=20)
     rng = np.random.default_rng(5)
-    Xb = rng.normal(size=(B, n, config.f_in))
+    Xb = rng.normal(size=(B, n, params.h + 1))
     target = rng.normal(size=(B, out_dim))
     tensors = [t for _, t in tensor_items(params)]
     workspace = Workspace()
     opt = make_optimizer("adam", 0.001)
 
     def step():
-        _, grads, _, _ = batch_loss(Xb, target, 1.0, params, config, spectrum,
+        _, grads, _, _ = batch_loss(Xb, target, 1.0, params, spectrum,
                                     workspace=workspace)
         opt.step(tensors, [g for _, g in tensor_items(grads)])
 

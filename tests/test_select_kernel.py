@@ -214,6 +214,13 @@ def test_greedy_kernel_result_surface():
     # deep enough data blocks, short kernel blocks
     with pytest.raises(InvalidInputError, match=r"need lags 0\.\.1, only 1 available"):
         greedy_select_kernel(estimate_blocks(X, 1), kb, 2, lam=0.0, H=1)
+    # data and Gram blocks must cover the same sensors, either way round
+    kb4 = build_kernel_blocks("autocovariance", H=0, X_train=X[:4])
+    for gammas, kernel_blocks, match in ((blocks, kb4, "cover 5 sensors, kernel blocks 4"),
+                                         (estimate_blocks(X[:4], 0), kb,
+                                          "cover 4 sensors, kernel blocks 5")):
+        with pytest.raises(InvalidInputError, match=match):
+            greedy_select_kernel(gammas, kernel_blocks, 2, lam=0.0, H=0)
 
 
 def test_fit_predict_kernel_reconstructor():

@@ -31,13 +31,6 @@ from .evaluation import (
     summary_table_csv,
     test_mse,
 )
-from .gcn.layers import ChebNetConfig, Workspace, scale_laplacian
-from .gcn.selection import (
-    train_selection_dropout,
-    train_selection_masking,
-    write_scores_csv,
-)
-from .gcn.train import NetReconstructor, TrainConfig, train_prediction_net
 from .graph import (
     build_knn_graph,
     combinatorial_laplacian,
@@ -336,6 +329,17 @@ def kernel(args, hp, X, split, graph):
 
 def gcn(args, hp, X, split, graph):
     """ChebNets filtering in the rescaled Laplacian's eigenbasis."""
+    # only the gcn methods load the gcn modules: a command compiles what
+    # it imports when no bytecode is cached, and its peak memory grows
+    # with that source
+    from .gcn.layers import ChebNetConfig, Workspace, scale_laplacian
+    from .gcn.selection import (
+        train_selection_dropout,
+        train_selection_masking,
+        write_scores_csv,
+    )
+    from .gcn.train import NetReconstructor, TrainConfig, train_prediction_net
+
     L = LAPLACIAN_OF[hp["laplacian"]](graph)
     spectrum = sym_eig(scale_laplacian(L, power_method(L).value))
     ids = hp["sensor_ids"]

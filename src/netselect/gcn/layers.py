@@ -70,10 +70,13 @@ class ChebNetConfig:
             raise InvalidInputError("h must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChebNetParams:
-    """A net's tensors; their shapes are its architecture."""
+    """A net's tensors, each a view of one contiguous vector, so an
+    optimizer steps the whole net as one array; their shapes are its
+    architecture."""
 
+    vector: np.ndarray              # every entry, in tensor_items order
     theta: np.ndarray               # (K+1, f_in, f_out)
     gconv_bias: np.ndarray          # (n, f_out)
     fc_weights: List[np.ndarray]    # hidden layers then the linear output
@@ -93,6 +96,17 @@ def tensor_items(params: ChebNetParams):
     return items
 
 
+def _on_vector(vector, shapes) -> ChebNetParams:
+    """The net whose tensors, of the given shapes in tensor_items order,
+    are consecutive views of vector."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(vector[start:start + size].reshape(shape))
+        start += size
+    return ChebNetParams(vector, views[0], views[1], views[2::2], views[3::2])
+
+
 def init_params(config: ChebNetConfig, n, out_dim, seed=0) -> ChebNetParams:
     """Parameters of a net on n graph nodes with out_dim outputs:
     uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
@@ -103,15 +117,15 @@ def init_params(config: ChebNetConfig, n, out_dim, seed=0) -> ChebNetParams:
         return rng.uniform(-bound, bound, size=shape)
 
     K1, f_in = config.cheb_order + 1, config.h + 1
-    theta = glorot((K1, f_in, config.f_out), K1 * f_in, config.f_out)
-    gconv_bias = np.zeros((n, config.f_out))
     dims = [n * config.f_out] + list(config.fc_sizes) + [out_dim]
-    fc_weights = [
-        glorot((dims[m + 1], dims[m]), dims[m], dims[m + 1])
-        for m in range(len(dims) - 1)
-    ]
-    fc_biases = [np.zeros(dims[m + 1]) for m in range(len(dims) - 1)]
-    return ChebNetParams(theta, gconv_bias, fc_weights, fc_biases)
+    shapes = [(K1, f_in, config.f_out), (n, config.f_out)]
+    for m in range(len(dims) - 1):
+        shapes += [(dims[m + 1], dims[m]), (dims[m + 1],)]
+    params = _on_vector(np.zeros(sum(map(math.prod, shapes))), shapes)
+    params.theta[:] = glorot(shapes[0], K1 * f_in, config.f_out)
+    for m, W in enumerate(params.fc_weights):  # the biases stay zero
+        W[:] = glorot(W.shape, dims[m], dims[m + 1])
+    return params
 
 
 def scale_laplacian(L, lam_max):
@@ -139,20 +153,27 @@ def cheb_values(lam, K):
 
 
 class Workspace:
-    """Scratch arrays that one training run reuses from batch to batch.
+    """What one training run reuses from batch to batch.
 
     forward_batch and backward_batch write their batch-sized
-    intermediates into a workspace instead of allocating them, which
-    spares the page faults of freeing and refetching the same memory on
-    every batch. Each named buffer is as large as the largest array it
-    has served, and a smaller one is a view of its leading part, so a
-    run that alternates batch sizes keeps its pages. A cache or input
-    gradient computed with a workspace holds views into it and is valid
-    only until the next pass that uses the same workspace.
+    intermediates and the parameter gradients into a workspace instead
+    of allocating them, which spares the page faults of freeing and
+    refetching the same memory on every batch. Each named buffer is as
+    large as the largest array it has served, and a smaller one is a
+    view of its leading part, so a run that alternates batch sizes keeps
+    its pages. A cache, gradients or an input gradient computed with a
+    workspace hold views into it and are valid only until the next pass
+    that uses the same workspace.
+
+    The workspace also holds the Chebyshev table of the spectrum the run
+    filters with, built on the first forward pass. It is kept while the
+    passes hand in the same eigenvalue array, which must not change in
+    place meanwhile, and rebuilt for any other.
     """
 
     def __init__(self):
         self._buffers = {}
+        self._cheb = None  # (eigenvalue array, its table)
 
     def take(self, name, shape):
         size = math.prod(shape)
@@ -160,6 +181,13 @@ class Workspace:
         if buf is None or buf.size < size:
             buf = self._buffers[name] = np.empty(size)
         return buf[:size].reshape(shape)
+
+    def cheb_table(self, lam, K):
+        """cheb_values(lam, K), reused while lam is the same array."""
+        if (self._cheb is None or self._cheb[0] is not lam
+                or self._cheb[1].shape[0] != K + 1):
+            self._cheb = (lam, cheb_values(lam, K))
+        return self._cheb[1]
 
 
 def _out(workspace, name, shape):
@@ -177,7 +205,7 @@ def forward_batch(Xb, params: ChebNetParams, spectrum, want_cache=False,
     h = sum_k theta_k T_k(lam), so it is applied in the graph Fourier
     basis. Returns (B, out_dim) outputs, plus the intermediate cache when
     want_cache is set. With a Workspace, the batch-sized intermediates
-    are written into it.
+    are written into it and the Chebyshev table is the one it holds.
     """
     Xb = np.asarray(Xb, dtype=float)
     K1, f_in, f_out = params.theta.shape
@@ -187,7 +215,8 @@ def forward_batch(Xb, params: ChebNetParams, spectrum, want_cache=False,
     B = Xb.shape[0]
     in_shape, g_shape = Xb.shape, (B, n, f_out)
     U = spectrum.vectors
-    T = cheb_values(spectrum.values, K1 - 1)                     # (K+1, n)
+    T = (cheb_values(spectrum.values, K1 - 1) if workspace is None  # (K+1, n)
+         else workspace.cheb_table(spectrum.values, K1 - 1))
     h = np.einsum("kj,kfo->jfo", T, params.theta)                # (n, f_in, f_out)
     X_hat = np.matmul(U.T, Xb, out=_out(workspace, "X_hat", in_shape))
     # "tmp" holds Z, then the negative part of elu, then in backward_batch
@@ -221,23 +250,26 @@ def backward_batch(dout, cache, params: ChebNetParams, spectrum,
                    want_input_grad=False, workspace=None):
     """Reverse-mode gradients from dL/dout of shape (B, out_dim).
 
-    Returns (grads: ChebNetParams, dXb or None). dout must already
-    include the loss normalization. With a Workspace, the (B, n, f_out)
+    Returns (grads: ChebNetParams, dXb or None), grads laid out on one
+    vector like params. dout must already include the loss
+    normalization. With a Workspace, the gradients, the (B, n, f_out)
     intermediates and dXb are written into it.
     """
     feats = cache["feats"]
     pre_acts = cache["pre_acts"]
     g_shape = cache["G_pre"].shape
 
-    n_fc = len(params.fc_weights)
-    fc_weights, fc_biases = [None] * n_fc, [None] * n_fc
+    size = params.vector.size
+    grads = _on_vector(np.empty(size) if workspace is None
+                       else workspace.take("grads", (size,)),
+                       [t.shape for _, t in tensor_items(params)])
     df = dout
-    for m in range(n_fc - 1, -1, -1):
+    for m in range(len(params.fc_weights) - 1, -1, -1):
         if m < len(pre_acts):  # hidden layers; the output layer is linear
             # df is the product made below for layer m + 1, never dout
             df *= leaky_relu_grad(pre_acts[m], LEAKY_ALPHA)
-        fc_weights[m] = df.T @ feats[m]
-        fc_biases[m] = df.sum(axis=0)
+        np.matmul(df.T, feats[m], out=grads.fc_weights[m])
+        df.sum(axis=0, out=grads.fc_biases[m])
         df = np.matmul(df, params.fc_weights[m],
                        out=_out(workspace, "tmp", feats[0].shape) if m == 0 else None)
 
@@ -247,8 +279,8 @@ def backward_batch(dout, cache, params: ChebNetParams, spectrum,
     U = spectrum.vectors
     dG_hat = np.matmul(U.T, dG, out=_out(workspace, "tmp", g_shape))
     dh = np.einsum("bjf,bjo->jfo", cache["X_hat"], dG_hat)
-    grads = ChebNetParams(np.einsum("kj,jfo->kfo", cache["T"], dh),
-                          dG.sum(axis=0), fc_weights, fc_biases)
+    np.einsum("kj,jfo->kfo", cache["T"], dh, out=grads.theta)
+    dG.sum(axis=0, out=grads.gconv_bias)
 
     dXb = None
     if want_input_grad:

@@ -21,7 +21,6 @@ from ..timeseries import Split, _check_size, lag_windows, write_csv
 from .layers import ChebNetConfig, Workspace, forward_batch, init_params
 from .train import (
     TrainConfig,
-    _param_tensors,
     batch_blocks,
     batch_loss,
     make_optimizer,
@@ -77,6 +76,14 @@ def score_sensors(params, spectrum, X, val_ts, measure="r2") -> SensorScores:
     return SensorScores(scores, measure, [int(i) for i in ranking])
 
 
+def _own_value_blocks(X, split: Split, h, batch_size):
+    """The training blocks of a net that predicts every sensor from its
+    lag windows, built once for the whole run: (inputs, targets) with
+    the targets the inputs' lag-0 channel, a view rather than a copy."""
+    return [(Xb, Xb[:, :, 0]) for Xb in (lag_windows(X, ts, h)
+            for ts in batch_blocks(0, split.t_tv, h, batch_size))]
+
+
 def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetConfig,
                             train_config: TrainConfig, measure="r2"):
     """Dropout selection: train with random sensor knockouts, rank by score.
@@ -109,42 +116,82 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
                 return w, resampled
             resampled += 1
 
-    train_blocks = batch_blocks(0, split.t_tv, h, train_config.batch_size)
-    val_blocks = batch_blocks(split.t_tv, split.t0, h, train_config.batch_size)
-    val_masks = [draw_mask()[0] for _ in val_blocks]
+    # the validation masks are fixed, so their blocks hold the masked input
+    train_blocks = _own_value_blocks(X, split, h, train_config.batch_size)
+    val_block_ts = batch_blocks(split.t_tv, split.t0, h, train_config.batch_size)
+    val_masks = [draw_mask()[0] for _ in val_block_ts]
+    val_blocks = [(lag_windows(X, ts, h) * w[None, :, None], X[:, ts].T,
+                   (1.0 - w)[None, :]) for ts, w in zip(val_block_ts, val_masks)]
+    val_ts = np.concatenate(val_block_ts)
 
     resample_count = 0
 
-    def step(ts):
+    def step(block):
         nonlocal resample_count
+        Xb, target = block
         w, extra = draw_mask()
         resample_count += extra
-        _, grads, _, _ = batch_loss(lag_windows(X, ts, h) * w[None, :, None],
-                                    X[:, ts].T, (1.0 - w)[None, :], params,
-                                    spectrum, workspace=workspace)
-        opt.step(_param_tensors(params), _param_tensors(grads))
+        _, grads, _, _ = batch_loss(Xb * w[None, :, None], target, (1.0 - w)[None, :],
+                                    params, spectrum, workspace=workspace)
+        opt.step([params.vector], [grads.vector])
 
     def val_loss():
         vl = 0.0
-        n_val = 0
-        for ts, w in zip(val_blocks, val_masks):
-            out = forward_batch(lag_windows(X, ts, h) * w[None, :, None],
-                                params, spectrum, workspace=workspace)
-            resid = out - X[:, ts].T
-            vl += float(np.sum((1.0 - w)[None, :] * resid ** 2))
-            n_val += ts.size
-        return vl / n_val
+        for Xb, target, weight in val_blocks:
+            resid = forward_batch(Xb, params, spectrum, workspace=workspace) - target
+            vl += float(np.sum(weight * resid ** 2))
+        return vl / val_ts.size
 
     val_losses = run_epochs(rng, train_blocks, train_config.max_epoch, step,
                             val_loss, "five-epoch-mean")
 
-    val_ts = np.concatenate(val_blocks)
     scores = score_sensors(params, spectrum, X, val_ts, measure)
 
     order = scores.ranking[:p]
     result = SelectionResult(order, [float(scores.scores[i]) for i in order])
     diagnostics = {"resampled": resample_count, "val_losses": val_losses}
     return scores, result, diagnostics
+
+
+def mask_gradients(Xb, target, w, lam, params, spectrum, workspace=None):
+    """Gradients of the masking rule's loss on one batch.
+
+    The loss is sum_t sum_i (1 - w_i)^2 (x_it - x_hat_it)^2 / B plus
+    lam ||w||_1, where x_hat is the net's output on the masked input
+    Xb * w and the B rows of target are the x_t. Returns (grads, dw):
+    the parameter gradients and the gradient in the mask w, whose l1
+    part is lam sign(w). A non-finite data loss raises
+    TrainingDivergedError.
+    """
+    _, grads, resid, dXb = batch_loss(Xb * w[None, :, None], target,
+                                      ((1.0 - w) ** 2)[None, :], params, spectrum,
+                                      want_input_grad=True, workspace=workspace)
+    # the input path, the (1-w)^2 loss factor, and l1
+    dw = (dXb * Xb).sum(axis=(0, 2))
+    dw += -2.0 * (1.0 - w) * (resid ** 2).sum(axis=0) / target.shape[0]
+    dw += lam * np.sign(w)
+    return grads, dw
+
+
+def _train_mask(blocks, lam, spectrum, n, net_config, train_config, workspace):
+    """One grid point of the masking rule: a fresh net and mask trained
+    jointly; returns the final mask. The net and its optimizer are freed
+    on return, before the next point builds its own."""
+    params = init_params(net_config, n, n, seed=train_config.seed)
+    w = np.full(n, 0.5)
+    opt = make_optimizer("adam", train_config.lr)
+
+    # lam is finite (the caller checks) and w stays in [0, 1], so the l1
+    # term is finite and batch_loss checking the data loss alone catches
+    # divergence
+    def step(block):
+        grads, dw = mask_gradients(*block, w, lam, params, spectrum, workspace)
+        opt.step([params.vector, w], [grads.vector, dw])
+        np.clip(w, 0.0, 1.0, out=w)
+
+    run_epochs(np.random.default_rng(train_config.seed), blocks,
+               train_config.max_epoch, step)
+    return w
 
 
 def train_selection_masking(X, split: Split, spectrum, p, lam_grid, eps0,
@@ -171,37 +218,16 @@ def train_selection_masking(X, split: Split, spectrum, p, lam_grid, eps0,
             or any(b < a for a, b in zip(lam_grid, lam_grid[1:]))):
         raise InvalidInputError(
             "lambda grid must be nonempty, finite, nonnegative and ascending")
-    if eps0 <= 0:
-        raise InvalidInputError("eps0 must be positive")
+    if not (math.isfinite(eps0) and eps0 > 0):
+        raise InvalidInputError(f"eps0 must be a finite number > 0, got {eps0}")
     h = net_config.h
 
-    train_blocks = batch_blocks(0, split.t_tv, h, train_config.batch_size)
+    train_blocks = _own_value_blocks(X, split, h, train_config.batch_size)
     mask_path = np.empty((len(lam_grid), n))
     workspace = Workspace()  # shared by the grid's runs, which run in turn
     for gi, lam in enumerate(lam_grid):
-        params = init_params(net_config, n, n, seed=train_config.seed)
-        w = np.full(n, 0.5)
-        opt = make_optimizer("adam", train_config.lr)
-
-        # lam is finite (checked above) and w stays in [0, 1], so the l1
-        # term is finite and batch_loss checking the data loss alone
-        # catches divergence
-        def step(ts):
-            Xb = lag_windows(X, ts, h)
-            _, grads, resid, dXb = batch_loss(Xb * w[None, :, None], X[:, ts].T,
-                                              ((1.0 - w) ** 2)[None, :], params,
-                                              spectrum, want_input_grad=True,
-                                              workspace=workspace)
-            # mask gradient: input path, the (1-w)^2 loss factor, and l1
-            dw = (dXb * Xb).sum(axis=(0, 2))
-            dw += -2.0 * (1.0 - w) * (resid ** 2).sum(axis=0) / ts.size
-            dw += lam * np.sign(w)
-            opt.step(_param_tensors(params) + [w], _param_tensors(grads) + [dw])
-            np.clip(w, 0.0, 1.0, out=w)
-
-        run_epochs(np.random.default_rng(train_config.seed), train_blocks,
-                   train_config.max_epoch, step)
-        mask_path[gi] = w
+        mask_path[gi] = _train_mask(train_blocks, lam, spectrum, n, net_config,
+                                    train_config, workspace)
 
     final_at_top = mask_path[-1]
     F = (mask_path < eps0).sum(axis=0)

@@ -4,6 +4,7 @@ Batches are contiguous chronological blocks whose order is reshuffled
 every epoch from the run seed, so runs are deterministic given the seed.
 """
 
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -19,7 +20,6 @@ from .layers import (
     backward_batch,
     forward_batch,
     init_params,
-    tensor_items,
 )
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -33,8 +33,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise InvalidInputError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise InvalidInputError(f"lr must be a finite number > 0, got {self.lr}")
         if self.batch_size < 1 or self.max_epoch < 1:
             raise InvalidInputError("batch_size and max_epoch must be >= 1")
 
@@ -51,7 +51,8 @@ class _GD:
 class _Adam:
     """Adam with its moments updated in place and its temporaries taken
     from two scratch arrays per tensor, so only the first step
-    allocates."""
+    allocates. The trainers hand in a net as the one vector its tensors
+    are views of, and the mask rule its mask as a second tensor."""
 
     def __init__(self, lr):
         self.lr = lr
@@ -95,10 +96,6 @@ def batch_blocks(t_lo, t_hi, h, batch_size):
     if ts.size == 0:
         raise InvalidInputError(f"no usable targets in [{t_lo}, {t_hi}) at lag {h}")
     return [ts[k:k + batch_size] for k in range(0, ts.size, batch_size)]
-
-
-def _param_tensors(params: ChebNetParams):
-    return [a for _, a in tensor_items(params)]
 
 
 def _check_finite(loss):
@@ -148,7 +145,7 @@ def batch_loss(Xb, target, weight, params, spectrum, want_input_grad=False,
 
 
 def run_epochs(rng, blocks, max_epoch, step, val_loss=None, rule=None):
-    """Up to max_epoch passes of step(ts) over the batch blocks.
+    """Up to max_epoch passes of step(block) over the batch blocks.
 
     Each pass visits the blocks in a fresh order drawn from rng. When
     val_loss is given, it is called after every pass and checked to be
@@ -169,6 +166,13 @@ def run_epochs(rng, blocks, max_epoch, step, val_loss=None, rule=None):
     return val_losses
 
 
+def _masked_windows(X, ts, h, I):
+    """lag_windows(X, ts, h) with the turned-off sensors I reading zero."""
+    Xb = lag_windows(X, ts, h)
+    Xb[:, I, :] = 0.0
+    return Xb
+
+
 def train_prediction_net(X, split: Split, spectrum, I, net_config: ChebNetConfig,
                          train_config: TrainConfig, workspace: Workspace):
     """Train the reconstruction network for the turned-off set I.
@@ -179,31 +183,32 @@ def train_prediction_net(X, split: Split, spectrum, I, net_config: ChebNetConfig
     windows with zeros inserted at the rows of I; targets are x_{I,t}.
     The net trains with Adam; the validation loss is tracked per epoch
     and training stops early by the "two-epoch-mean" rule. workspace
-    holds the scratch buffers; nets trained one after another share one,
-    whose buffers then serve every net of the same shape.
+    holds the scratch buffers and the Chebyshev table; nets trained one
+    after another share one, whose buffers then serve every net of the
+    same shape.
 
     Returns (params, val_losses).
     """
     X = np.asarray(X, dtype=float)
     I, _ = _check_subset(X.shape[0], I)
     h = net_config.h
-    X_masked = X.copy()
-    X_masked[I, :] = 0.0
 
     rng = np.random.default_rng(train_config.seed)
     params = init_params(net_config, X.shape[0], len(I), seed=train_config.seed)
     opt = make_optimizer("adam", train_config.lr)
 
-    train_blocks = batch_blocks(0, split.t_tv, h, train_config.batch_size)
+    # each block's inputs and targets, built once for every epoch
+    train_blocks = [(_masked_windows(X, ts, h, I), X[np.ix_(I, ts)].T)
+                    for ts in batch_blocks(0, split.t_tv, h, train_config.batch_size)]
     val_ts = np.concatenate(batch_blocks(split.t_tv, split.t0, h, split.t0 - split.t_tv))
-    val_in = lag_windows(X_masked, val_ts, h)
+    val_in = _masked_windows(X, val_ts, h, I)
     val_target = X[np.ix_(I, val_ts)].T
 
-    def step(ts):
-        _, grads, _, _ = batch_loss(lag_windows(X_masked, ts, h),
-                                    X[np.ix_(I, ts)].T, 1.0, params, spectrum,
+    def step(block):
+        Xb, target = block
+        _, grads, _, _ = batch_loss(Xb, target, 1.0, params, spectrum,
                                     workspace=workspace)
-        opt.step(_param_tensors(params), _param_tensors(grads))
+        opt.step([params.vector], [grads.vector])
 
     def val_loss():
         val_out = forward_batch(val_in, params, spectrum, workspace=workspace)
@@ -228,12 +233,11 @@ class NetReconstructor:
     turned_off: List[int]
 
     def predict_panel(self, X, t_start, t_end):
-        X = np.asarray(X, dtype=float)
-        X_masked = X.copy()
-        X_masked[self.turned_off, :] = 0.0
         ts = np.arange(t_start, t_end)
         h = self.params.h
         if ts.size and ts[0] < h:
             raise InvalidInputError(f"prediction needs {h} lag columns before t_start")
-        out = forward_batch(lag_windows(X_masked, ts, h), self.params, self.spectrum)
+        out = forward_batch(_masked_windows(np.asarray(X, dtype=float), ts, h,
+                                            self.turned_off),
+                            self.params, self.spectrum)
         return out.T

@@ -18,7 +18,9 @@ from netselect.gcn.layers import (
     scale_laplacian,
     tensor_items,
 )
+from netselect.gcn import layers, selection, train
 from netselect.gcn.selection import (
+    mask_gradients,
     score_sensors,
     train_selection_dropout,
     train_selection_masking,
@@ -131,6 +133,33 @@ def test_input_gradient_matches_central_differences():
     assert np.allclose(dXb, num, rtol=1e-5, atol=1e-9)
 
 
+def test_mask_gradient_matches_central_differences():
+    # the whole mask gradient dw: the input path, the (1 - w)^2 loss
+    # factor and the l1 term, against the full masked batch loss
+    config = ChebNetConfig(cheb_order=3, f_out=2, fc_sizes=(5,), h=1)
+    _, spectrum, _ = _toy_setup()
+    rng = np.random.default_rng(12)
+    params = init_params(config, 4, 4, seed=2)
+    params.gconv_bias[:] = rng.normal(size=params.gconv_bias.shape)
+    Xb = rng.normal(size=(6, 4, 2))
+    target = rng.normal(size=(6, 4))
+    w = rng.uniform(0.1, 0.9, size=4)
+    lam = 0.3
+
+    def loss(w):
+        resid = forward_batch(Xb * w[None, :, None], params, spectrum) - target
+        return np.sum((1.0 - w) ** 2 * resid ** 2) / 6 + lam * np.abs(w).sum()
+
+    _, dw = mask_gradients(Xb, target, w, lam, params, spectrum)
+    eps = 1e-6
+    num = np.empty_like(w)
+    for i in range(w.size):
+        bump = np.zeros_like(w)
+        bump[i] = eps
+        num[i] = (loss(w + bump) - loss(w - bump)) / (2.0 * eps)
+    assert np.allclose(dw, num, rtol=1e-6, atol=1e-9)
+
+
 def test_scale_laplacian():
     L = np.diag([0.0, 1.0, 4.0])
     Lt = scale_laplacian(L, 4.0)
@@ -226,8 +255,9 @@ def test_five_epoch_stop_rule():
 
 
 def test_train_config_validation():
-    with pytest.raises(InvalidInputError, match="lr"):
-        TrainConfig(lr=0.0)
+    for lr in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidInputError, match="lr must be a finite number > 0"):
+            TrainConfig(lr=lr)
     with pytest.raises(InvalidInputError, match="batch_size"):
         TrainConfig(batch_size=0)
 
@@ -399,8 +429,10 @@ def test_masking_selection_shapes_and_validation():
     # a negative penalty pushes every weight up to 1, so none collapses
     with pytest.raises(InvalidInputError, match="nonnegative"):
         train_selection_masking(X, split, spectrum, 1, [-0.1, 0.1], 0.01, config, tc)
-    with pytest.raises(InvalidInputError, match="eps0"):
-        train_selection_masking(X, split, spectrum, 1, [0.1], 0.0, config, tc)
+    for eps0 in (0.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidInputError,
+                           match="eps0 must be a finite number > 0"):
+            train_selection_masking(X, split, spectrum, 1, [0.1], eps0, config, tc)
 
 
 def test_masking_is_deterministic_given_seed():
@@ -466,3 +498,57 @@ def test_training_nets_are_frozen():
             X, split, spectrum, 1, [0.01, 0.1], 0.01, sel_net,
             TrainConfig(lr=0.01, batch_size=32, max_epoch=3, seed=0))
     assert np.array_equal(mask_path, FROZEN_MASK_PATH)
+
+
+def test_each_run_builds_its_table_once_and_each_block_once(monkeypatch):
+    # the Chebyshev table and the block inputs are fixed for a run, so
+    # no trainer rebuilds them per step
+    X, spectrum, split = _toy_setup()
+    net = ChebNetConfig(cheb_order=2, f_out=2, fc_sizes=(4,), h=1)
+    tc = TrainConfig(lr=0.01, batch_size=32, max_epoch=3, seed=0)
+    calls = {"cheb_values": 0, "lag_windows": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(layers, "cheb_values", counted("cheb_values", layers.cheb_values))
+    lag = counted("lag_windows", train.lag_windows)
+    monkeypatch.setattr(train, "lag_windows", lag)
+    monkeypatch.setattr(selection, "lag_windows", lag)
+
+    def run(trainer, *args, **kwargs):
+        for name in calls:
+            calls[name] = 0
+        trainer(*args, **kwargs)
+        return dict(calls)
+
+    n_train = len(batch_blocks(0, split.t_tv, net.h, tc.batch_size))  # 7
+    n_val = len(batch_blocks(split.t_tv, split.t0, net.h, tc.batch_size))  # 1
+    # training blocks and the one validation block
+    assert run(train_prediction_net, X, split, spectrum, [2], net, tc, Workspace()) == {
+        "cheb_values": 1, "lag_windows": n_train + 1}
+    # training and validation blocks, then the scoring pass, which runs
+    # without a workspace
+    assert run(train_selection_dropout, X, split, spectrum, 1, net, tc) == {
+        "cheb_values": 2, "lag_windows": n_train + n_val + 1}
+    # one table and one set of blocks for the whole lambda path
+    with pytest.warns(UserWarning, match="below eps0"):
+        assert run(train_selection_masking, X, split, spectrum, 1, [0.01, 0.1, 0.2],
+                   0.01, net, tc) == {"cheb_values": 1, "lag_windows": n_train}
+
+
+def test_workspace_rebuilds_the_table_for_another_spectrum():
+    # the table is keyed by the eigenvalue array itself: an equal copy or
+    # another order gets its own table
+    lam = np.linspace(-1.0, 1.0, 5)
+    workspace = Workspace()
+    table = workspace.cheb_table(lam, 3)
+    assert np.array_equal(table, cheb_values(lam, 3))
+    assert workspace.cheb_table(lam, 3) is table
+    assert workspace.cheb_table(lam.copy(), 3) is not table
+    other = np.linspace(-0.5, 0.5, 5)
+    assert np.array_equal(workspace.cheb_table(other, 3), cheb_values(other, 3))
+    assert np.array_equal(workspace.cheb_table(other, 4), cheb_values(other, 4))

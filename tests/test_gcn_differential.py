@@ -1,8 +1,9 @@
 """The network's fast paths against their plain references.
 
-The branch-free activations, the in-place Adam step and the workspace
-the layers write into must give the same values as the np.where
-activations, the allocating Adam step and a pass without a workspace.
+The branch-free activations, the in-place Adam step, the optimizer
+steps on a net's flat vector and the workspace the layers write into
+must give the same values as the np.where activations, the allocating
+Adam step, a step per tensor and a pass without a workspace.
 """
 
 import tracemalloc
@@ -98,6 +99,40 @@ def test_adam_step_equals_the_allocating_step():
         assert np.array_equal(va, vb)
 
 
+def test_flat_vector_steps_equal_the_per_tensor_steps():
+    # the trainers step a net as the one vector its tensors are views of,
+    # beside the mask w with its clip to [0, 1], as the masking rule does;
+    # each entry must move as under a step per tensor
+    class GDPerTensor:
+        def __init__(self, lr):
+            self.lr = lr
+
+        def step(self, tensors, grads):
+            for t, g in zip(tensors, grads):
+                t -= self.lr * g
+
+    for kind, reference in (("adam", AdamAllocating), ("gd", GDPerTensor)):
+        _, params, _ = _net(n=12, out_dim=12)
+        rng = np.random.default_rng(9)
+        w = rng.uniform(size=12)
+        ref_tensors = [t.copy() for _, t in tensor_items(params)] + [w.copy()]
+        fast, ref = make_optimizer(kind, 0.05), reference(0.05)
+        clipped = 0
+        for _ in range(60):
+            grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=t.shape)
+                     for t in ref_tensors]
+            fast.step([params.vector, w],
+                      [np.concatenate([g.ravel() for g in grads[:-1]]), grads[-1]])
+            np.clip(w, 0.0, 1.0, out=w)
+            clipped += int(np.sum((w == 0.0) | (w == 1.0)))
+            ref.step(ref_tensors, grads)
+            np.clip(ref_tensors[-1], 0.0, 1.0, out=ref_tensors[-1])
+        for (name, a), b in zip(tensor_items(params), ref_tensors):
+            assert np.array_equal(a, b), (kind, name)
+        assert np.array_equal(w, ref_tensors[-1]), kind
+        assert clipped > 0, kind  # the clip took part
+
+
 def test_workspace_gives_the_same_loss_and_gradients():
     n, out_dim = 12, 5
     _, params, spectrum = _net(n=n, out_dim=out_dim)
@@ -164,14 +199,13 @@ def test_a_step_on_a_warm_workspace_allocates_less_than_one_block():
     rng = np.random.default_rng(5)
     Xb = rng.normal(size=(B, n, params.h + 1))
     target = rng.normal(size=(B, out_dim))
-    tensors = [t for _, t in tensor_items(params)]
     workspace = Workspace()
     opt = make_optimizer("adam", 0.001)
 
     def step():
         _, grads, _, _ = batch_loss(Xb, target, 1.0, params, spectrum,
                                     workspace=workspace)
-        opt.step(tensors, [g for _, g in tensor_items(grads)])
+        opt.step([params.vector], [grads.vector])
 
     step()
     tracemalloc.start()

@@ -161,9 +161,9 @@ class Workspace:
     refetching the same memory on every batch. Each named buffer is as
     large as the largest array it has served, and a smaller one is a
     view of its leading part, so a run that alternates batch sizes keeps
-    its pages. A cache, gradients or an input gradient computed with a
-    workspace hold views into it and are valid only until the next pass
-    that uses the same workspace.
+    its pages. A pass's cache, gradients and input gradient hold views
+    into its workspace and are valid only until the next pass on the
+    same workspace.
 
     The workspace also holds the Chebyshev table of the spectrum the run
     filters with, built on the first forward pass. It is kept while the
@@ -190,22 +190,16 @@ class Workspace:
         return self._cheb[1]
 
 
-def _out(workspace, name, shape):
-    """The workspace buffer called name, or None, which has numpy
-    allocate the result, without a workspace."""
-    return None if workspace is None else workspace.take(name, shape)
-
-
-def forward_batch(Xb, params: ChebNetParams, spectrum, want_cache=False,
-                  workspace=None):
+def forward_batch(Xb, params: ChebNetParams, spectrum, workspace: Workspace,
+                  want_cache=False):
     """Batched forward pass; Xb has shape (B, n, f_in).
 
     spectrum is the EigenPair (lam, U) of the rescaled Laplacian L_tilde.
     The filter sum_k theta_k T_k(L_tilde) equals U diag(h) U^T with
     h = sum_k theta_k T_k(lam), so it is applied in the graph Fourier
     basis. Returns (B, out_dim) outputs, plus the intermediate cache when
-    want_cache is set. With a Workspace, the batch-sized intermediates
-    are written into it and the Chebyshev table is the one it holds.
+    want_cache is set. The batch-sized intermediates are written into
+    workspace, and the Chebyshev table is the one it holds.
     """
     Xb = np.asarray(Xb, dtype=float)
     K1, f_in, f_out = params.theta.shape
@@ -215,28 +209,27 @@ def forward_batch(Xb, params: ChebNetParams, spectrum, want_cache=False,
     B = Xb.shape[0]
     in_shape, g_shape = Xb.shape, (B, n, f_out)
     U = spectrum.vectors
-    T = (cheb_values(spectrum.values, K1 - 1) if workspace is None  # (K+1, n)
-         else workspace.cheb_table(spectrum.values, K1 - 1))
+    T = workspace.cheb_table(spectrum.values, K1 - 1)            # (K+1, n)
     h = np.einsum("kj,kfo->jfo", T, params.theta)                # (n, f_in, f_out)
-    X_hat = np.matmul(U.T, Xb, out=_out(workspace, "X_hat", in_shape))
+    X_hat = np.matmul(U.T, Xb, out=workspace.take("X_hat", in_shape))
     # "tmp" holds Z, then the negative part of elu, then in backward_batch
     # the first FC layer's input gradient and dG_hat; each is dead before
     # the next is written, and the cache never refers to it
-    Z = np.einsum("bjf,jfo->bjo", X_hat, h, out=_out(workspace, "tmp", g_shape))
-    G_pre = np.matmul(U, Z, out=_out(workspace, "G_pre", g_shape))
+    Z = np.einsum("bjf,jfo->bjo", X_hat, h, out=workspace.take("tmp", g_shape))
+    G_pre = np.matmul(U, Z, out=workspace.take("G_pre", g_shape))
     G_pre += params.gconv_bias
-    A1 = elu(G_pre, out=_out(workspace, "A1", g_shape),
-             scratch=_out(workspace, "tmp", g_shape))
+    A1 = elu(G_pre, out=workspace.take("A1", g_shape),
+             scratch=workspace.take("tmp", g_shape))
     f = A1.reshape(B, n * f_out)
     pre_acts = []
     feats = [f]
     n_hidden = len(params.fc_weights) - 1
     for m in range(n_hidden):
         fc_shape = (B, params.fc_weights[m].shape[0])
-        u = np.matmul(f, params.fc_weights[m].T, out=_out(workspace, f"u{m}", fc_shape))
+        u = np.matmul(f, params.fc_weights[m].T, out=workspace.take(f"u{m}", fc_shape))
         u += params.fc_biases[m]
         pre_acts.append(u)
-        f = leaky_relu(u, LEAKY_ALPHA, out=_out(workspace, f"a{m}", fc_shape))
+        f = leaky_relu(u, LEAKY_ALPHA, out=workspace.take(f"a{m}", fc_shape))
         feats.append(f)
     out = f @ params.fc_weights[-1].T + params.fc_biases[-1]
     if not want_cache:
@@ -247,21 +240,19 @@ def forward_batch(Xb, params: ChebNetParams, spectrum, want_cache=False,
 
 
 def backward_batch(dout, cache, params: ChebNetParams, spectrum,
-                   want_input_grad=False, workspace=None):
+                   workspace: Workspace, want_input_grad=False):
     """Reverse-mode gradients from dL/dout of shape (B, out_dim).
 
     Returns (grads: ChebNetParams, dXb or None), grads laid out on one
     vector like params. dout must already include the loss
-    normalization. With a Workspace, the gradients, the (B, n, f_out)
-    intermediates and dXb are written into it.
+    normalization. The gradients, the (B, n, f_out) intermediates and
+    dXb are written into workspace.
     """
     feats = cache["feats"]
     pre_acts = cache["pre_acts"]
     g_shape = cache["G_pre"].shape
 
-    size = params.vector.size
-    grads = _on_vector(np.empty(size) if workspace is None
-                       else workspace.take("grads", (size,)),
+    grads = _on_vector(workspace.take("grads", params.vector.shape),
                        [t.shape for _, t in tensor_items(params)])
     df = dout
     for m in range(len(params.fc_weights) - 1, -1, -1):
@@ -271,13 +262,13 @@ def backward_batch(dout, cache, params: ChebNetParams, spectrum,
         np.matmul(df.T, feats[m], out=grads.fc_weights[m])
         df.sum(axis=0, out=grads.fc_biases[m])
         df = np.matmul(df, params.fc_weights[m],
-                       out=_out(workspace, "tmp", feats[0].shape) if m == 0 else None)
+                       out=workspace.take("tmp", feats[0].shape) if m == 0 else None)
 
     dA1 = df.reshape(g_shape)
-    dG = elu_grad(cache["G_pre"], out=_out(workspace, "dG", g_shape))
+    dG = elu_grad(cache["G_pre"], out=workspace.take("dG", g_shape))
     dG *= dA1
     U = spectrum.vectors
-    dG_hat = np.matmul(U.T, dG, out=_out(workspace, "tmp", g_shape))
+    dG_hat = np.matmul(U.T, dG, out=workspace.take("tmp", g_shape))
     dh = np.einsum("bjf,bjo->jfo", cache["X_hat"], dG_hat)
     np.einsum("kj,jfo->kfo", cache["T"], dh, out=grads.theta)
     dG.sum(axis=0, out=grads.gconv_bias)
@@ -286,6 +277,6 @@ def backward_batch(dout, cache, params: ChebNetParams, spectrum,
     if want_input_grad:
         in_shape = cache["X_hat"].shape
         dX_hat = np.einsum("jfo,bjo->bjf", cache["h"], dG_hat,
-                           out=_out(workspace, "dX_hat", in_shape))
-        dXb = np.matmul(U, dX_hat, out=_out(workspace, "dXb", in_shape))
+                           out=workspace.take("dX_hat", in_shape))
+        dXb = np.matmul(U, dX_hat, out=workspace.take("dXb", in_shape))
     return grads, dXb

@@ -45,7 +45,13 @@ def write_scores_csv(scores: SensorScores, sensor_ids, path):
                for i, sid in enumerate(sensor_ids)))
 
 
-def score_sensors(params, spectrum, X, val_ts, measure="r2") -> SensorScores:
+def _check_measure(measure):
+    if measure not in MEASURES:
+        raise InvalidInputError(f"measure must be one of {MEASURES}, got {measure!r}")
+
+
+def score_sensors(params, spectrum, X, val_ts, workspace: Workspace,
+                  measure="r2") -> SensorScores:
     """Per-sensor score of the trained network on validation rows.
 
     Predictions use the full input (no dropout, no rescaling). R^2 per
@@ -53,11 +59,10 @@ def score_sensors(params, spectrum, X, val_ts, measure="r2") -> SensorScores:
     validation mean; a zero-variance sensor leaves it undefined, so the
     scores fall back to mse with a warning naming that sensor.
     """
-    if measure not in MEASURES:
-        raise InvalidInputError(f"measure must be one of {MEASURES}")
+    _check_measure(measure)
     X = np.asarray(X, dtype=float)
     val_ts = np.asarray(val_ts, dtype=int)
-    pred = forward_batch(lag_windows(X, val_ts, params.h), params, spectrum)  # (B, n)
+    pred = forward_batch(lag_windows(X, val_ts, params.h), params, spectrum, workspace)
     actual = X[:, val_ts].T
     resid_sq = ((actual - pred) ** 2).sum(axis=0)  # per sensor
     if measure == "r2":
@@ -97,6 +102,7 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
 
     Scoring uses the full input. Returns (scores, result, diagnostics).
     """
+    _check_measure(measure)
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     _check_size(n, p)
@@ -132,20 +138,20 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
         w, extra = draw_mask()
         resample_count += extra
         _, grads, _, _ = batch_loss(Xb * w[None, :, None], target, (1.0 - w)[None, :],
-                                    params, spectrum, workspace=workspace)
+                                    params, spectrum, workspace)
         opt.step([params.vector], [grads.vector])
 
     def val_loss():
         vl = 0.0
         for Xb, target, weight in val_blocks:
-            resid = forward_batch(Xb, params, spectrum, workspace=workspace) - target
+            resid = forward_batch(Xb, params, spectrum, workspace) - target
             vl += float(np.sum(weight * resid ** 2))
         return vl / val_ts.size
 
     val_losses = run_epochs(rng, train_blocks, train_config.max_epoch, step,
                             val_loss, "five-epoch-mean")
 
-    scores = score_sensors(params, spectrum, X, val_ts, measure)
+    scores = score_sensors(params, spectrum, X, val_ts, workspace, measure)
 
     order = scores.ranking[:p]
     result = SelectionResult(order, [float(scores.scores[i]) for i in order])
@@ -153,7 +159,7 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
     return scores, result, diagnostics
 
 
-def mask_gradients(Xb, target, w, lam, params, spectrum, workspace=None):
+def mask_gradients(Xb, target, w, lam, params, spectrum, workspace: Workspace):
     """Gradients of the masking rule's loss on one batch.
 
     The loss is sum_t sum_i (1 - w_i)^2 (x_it - x_hat_it)^2 / B plus
@@ -161,11 +167,11 @@ def mask_gradients(Xb, target, w, lam, params, spectrum, workspace=None):
     Xb * w and the B rows of target are the x_t. Returns (grads, dw):
     the parameter gradients and the gradient in the mask w, whose l1
     part is lam sign(w). A non-finite data loss raises
-    TrainingDivergedError.
+    TrainingDivergedError. The pass runs on workspace.
     """
     _, grads, resid, dXb = batch_loss(Xb * w[None, :, None], target,
                                       ((1.0 - w) ** 2)[None, :], params, spectrum,
-                                      want_input_grad=True, workspace=workspace)
+                                      workspace, want_input_grad=True)
     # the input path, the (1-w)^2 loss factor, and l1
     dw = (dXb * Xb).sum(axis=(0, 2))
     dw += -2.0 * (1.0 - w) * (resid ** 2).sum(axis=0) / target.shape[0]

@@ -5,6 +5,7 @@ every epoch from the run seed, so runs are deterministic given the seed.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List
 
@@ -35,8 +36,10 @@ class TrainConfig:
     def __post_init__(self):
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise InvalidInputError(f"lr must be a finite number > 0, got {self.lr}")
-        if self.batch_size < 1 or self.max_epoch < 1:
-            raise InvalidInputError("batch_size and max_epoch must be >= 1")
+        for name, lo in (("batch_size", 1), ("max_epoch", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < lo:
+                raise InvalidInputError(f"{name} must be an integer >= {lo}, got {v!r}")
 
 
 class _GD:
@@ -121,26 +124,24 @@ def _early_stop(rule, val_losses):
     return False
 
 
-def batch_loss(Xb, target, weight, params, spectrum, want_input_grad=False,
-               workspace=None):
+def batch_loss(Xb, target, weight, params, spectrum, workspace: Workspace,
+               want_input_grad=False):
     """Weighted squared-error loss of one batch and its gradients.
 
     The loss is sum(weight * (out - target)^2) / B for the B rows of the
     batch, with weight broadcast against the (B, out_dim) residual; a
     non-finite loss raises TrainingDivergedError. Returns
     (loss, grads, resid, dXb), dXb being None unless want_input_grad.
-    The layers keep their intermediates, and dXb, in workspace when one
-    is given.
+    The layers keep their intermediates, the gradients and dXb in
+    workspace.
     """
-    out, cache = forward_batch(Xb, params, spectrum, want_cache=True,
-                               workspace=workspace)
+    out, cache = forward_batch(Xb, params, spectrum, workspace, want_cache=True)
     resid = out - target
     B = target.shape[0]
     loss = float(np.sum(weight * resid ** 2) / B)
     _check_finite(loss)
     grads, dXb = backward_batch(2.0 * weight * resid / B, cache, params, spectrum,
-                                want_input_grad=want_input_grad,
-                                workspace=workspace)
+                                workspace, want_input_grad=want_input_grad)
     return loss, grads, resid, dXb
 
 
@@ -206,12 +207,11 @@ def train_prediction_net(X, split: Split, spectrum, I, net_config: ChebNetConfig
 
     def step(block):
         Xb, target = block
-        _, grads, _, _ = batch_loss(Xb, target, 1.0, params, spectrum,
-                                    workspace=workspace)
+        _, grads, _, _ = batch_loss(Xb, target, 1.0, params, spectrum, workspace)
         opt.step([params.vector], [grads.vector])
 
     def val_loss():
-        val_out = forward_batch(val_in, params, spectrum, workspace=workspace)
+        val_out = forward_batch(val_in, params, spectrum, workspace)
         return float(np.sum((val_out - val_target) ** 2) / val_ts.size)
 
     val_losses = run_epochs(rng, train_blocks, train_config.max_epoch, step,
@@ -225,7 +225,8 @@ class NetReconstructor:
 
     Matches the linear reconstructor surface: predict_panel zeroes the
     turned-off rows of the input and returns predictions of shape
-    (|I|, t_end - t_start).
+    (|I|, t_end - t_start). Each call runs on a workspace of its own, so
+    no test-sized buffer outlives it under the nets trained after.
     """
 
     params: ChebNetParams
@@ -239,5 +240,5 @@ class NetReconstructor:
             raise InvalidInputError(f"prediction needs {h} lag columns before t_start")
         out = forward_batch(_masked_windows(np.asarray(X, dtype=float), ts, h,
                                             self.turned_off),
-                            self.params, self.spectrum)
+                            self.params, self.spectrum, Workspace())
         return out.T

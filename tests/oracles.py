@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from netselect.gcn.layers import backward_batch, forward_batch, tensor_items
+from netselect.gcn.layers import Workspace, backward_batch, forward_batch, tensor_items
 from netselect.gcn.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from netselect.errors import InvalidInputError
 from netselect.numerics import solve_spd, step_inverse
@@ -194,9 +194,10 @@ def net_backward(x_input, target, params, spectrum):
     """Loss sum_j (out_j - target_j)^2 of one sample, with its parameter
     gradients. Returns (loss, grads)."""
     Xb = np.asarray(x_input, dtype=float)[None]
-    out, cache = forward_batch(Xb, params, spectrum, want_cache=True)
+    workspace = Workspace()
+    out, cache = forward_batch(Xb, params, spectrum, workspace, want_cache=True)
     resid = out - np.asarray(target, dtype=float)[None]
-    grads, _ = backward_batch(2.0 * resid, cache, params, spectrum)
+    grads, _ = backward_batch(2.0 * resid, cache, params, spectrum, workspace)
     return float(np.sum(resid ** 2)), grads
 
 

@@ -119,6 +119,23 @@ def test_one_copy_of_a_nets_shape_and_a_reconstructors_set():
         "reconstructor", "X", "split"]
 
 
+def test_every_net_pass_runs_on_a_workspace():
+    # a pass without a workspace took a second, allocating path that
+    # rebuilt the Chebyshev table, so dropout scoring built each run's
+    # table twice; one path leaves no fork to drift from the other
+    layers = importlib.import_module("netselect.gcn.layers")
+    train = importlib.import_module("netselect.gcn.train")
+    selection = importlib.import_module("netselect.gcn.selection")
+    passes = (layers.forward_batch, layers.backward_batch, train.batch_loss,
+              selection.mask_gradients, selection.score_sensors)
+    # a missing workspace parameter counts as one with a default
+    optional = [f.__name__ for f in passes
+                if getattr(inspect.signature(f).parameters.get("workspace"), "default",
+                           None) is not inspect.Parameter.empty]
+    assert not optional, f"passes that can run without a workspace: {optional}"
+    assert _owners(r"workspace is None|def _out\b") == []
+
+
 def test_one_csv_writer():
     # timeseries.write_csv writes every table the commands write; a row
     # joined by hand splits an id that holds a comma into two fields

@@ -35,7 +35,7 @@ from netselect.gcn.train import (
 )
 from netselect.numerics import sym_eig
 from netselect.timeseries import Split, lag_windows
-from oracles import central_differences, net_backward
+from oracles import central_differences, leaky_relu_where, net_backward
 
 
 def _toy_setup(n=4, T=260, h=0, seed=0):
@@ -90,26 +90,36 @@ def test_spectral_filter_matches_chebyshev_recursion():
         S = rng.normal(size=(n, n))
         S = (S + S.T) / 2.0
         Lt = S / np.max(np.abs(np.linalg.eigvalsh(S)))
-        config = ChebNetConfig(cheb_order=K, f_out=f_out, fc_sizes=(), h=1)
-        params = init_params(config, n, out_dim, seed=K)
-        params.gconv_bias[:] = rng.normal(size=params.gconv_bias.shape)
+        spectrum = sym_eig(Lt)
         Xb = rng.normal(size=(B, n, 2))
         dout = rng.normal(size=(B, out_dim))
-        spectrum = sym_eig(Lt)
-        out, cache = forward_batch(Xb, params, spectrum, want_cache=True)
-        grads, dXb = backward_batch(dout, cache, params, spectrum, want_input_grad=True)
-
         stack = _cheb_stack(Lt, K, Xb)
-        G_pre = np.einsum("bknf,kfo->bno", stack, params.theta) + params.gconv_bias
-        W, b = params.fc_weights[0], params.fc_biases[0]
-        out_ref = elu(G_pre).reshape(B, -1) @ W.T + b
-        dG = (dout @ W).reshape(B, n, f_out) * elu_grad(G_pre)
-        dtheta = np.einsum("bknf,bno->kfo", stack, dG)
-        dX = _cheb_stack_adjoint(Lt, K, np.einsum("kfo,bno->bknf", params.theta, dG))
-        for name, got, ref in (("out", out, out_ref), ("G_pre", cache["G_pre"], G_pre),
-                               ("dtheta", grads.theta, dtheta), ("dX", dXb, dX)):
-            rel = np.abs(got - ref).max() / np.abs(ref).max()
-            assert rel <= 1e-10, f"K={K} {name}: rel {rel:.2e}"
+        # the output layer alone, then a leaky relu hidden layer before it
+        for fc_sizes in ((), (5,)):
+            config = ChebNetConfig(cheb_order=K, f_out=f_out, fc_sizes=fc_sizes, h=1)
+            params = init_params(config, n, out_dim, seed=K)
+            params.gconv_bias[:] = rng.normal(size=params.gconv_bias.shape)
+            workspace = Workspace()
+            out, cache = forward_batch(Xb, params, spectrum, workspace, want_cache=True)
+            grads, dXb = backward_batch(dout, cache, params, spectrum, workspace,
+                                        want_input_grad=True)
+
+            G_pre = np.einsum("bknf,kfo->bno", stack, params.theta) + params.gconv_bias
+            f, pre_acts = elu(G_pre).reshape(B, -1), []
+            for W, b in zip(params.fc_weights[:-1], params.fc_biases[:-1]):
+                pre_acts.append(f @ W.T + b)
+                f = leaky_relu_where(pre_acts[-1], layers.LEAKY_ALPHA)
+            out_ref = f @ params.fc_weights[-1].T + params.fc_biases[-1]
+            df = dout @ params.fc_weights[-1]
+            for W, u in zip(params.fc_weights[-2::-1], pre_acts[::-1]):
+                df = (df * leaky_relu_grad(u, layers.LEAKY_ALPHA)) @ W
+            dG = df.reshape(B, n, f_out) * elu_grad(G_pre)
+            dtheta = np.einsum("bknf,bno->kfo", stack, dG)
+            dX = _cheb_stack_adjoint(Lt, K, np.einsum("kfo,bno->bknf", params.theta, dG))
+            for name, got, ref in (("out", out, out_ref), ("G_pre", cache["G_pre"], G_pre),
+                                   ("dtheta", grads.theta, dtheta), ("dX", dXb, dX)):
+                rel = np.abs(got - ref).max() / np.abs(ref).max()
+                assert rel <= 1e-10, f"K={K} fc={fc_sizes} {name}: rel {rel:.2e}"
 
 
 def test_input_gradient_matches_central_differences():
@@ -120,15 +130,17 @@ def test_input_gradient_matches_central_differences():
     params = init_params(config, 4, 3, seed=2)
     Xb = rng.normal(size=(2, 4, 2))
     dout = rng.normal(size=(2, 3))
-    _, cache = forward_batch(Xb, params, spectrum, want_cache=True)
-    _, dXb = backward_batch(dout, cache, params, spectrum, want_input_grad=True)
+    workspace = Workspace()
+    _, cache = forward_batch(Xb, params, spectrum, workspace, want_cache=True)
+    _, dXb = backward_batch(dout, cache, params, spectrum, workspace,
+                            want_input_grad=True)
     eps = 1e-6
     num = np.empty_like(Xb)
     for idx in np.ndindex(Xb.shape):
         bump = np.zeros_like(Xb)
         bump[idx] = eps
-        hi = np.sum(dout * forward_batch(Xb + bump, params, spectrum))
-        lo = np.sum(dout * forward_batch(Xb - bump, params, spectrum))
+        hi = np.sum(dout * forward_batch(Xb + bump, params, spectrum, Workspace()))
+        lo = np.sum(dout * forward_batch(Xb - bump, params, spectrum, Workspace()))
         num[idx] = (hi - lo) / (2.0 * eps)
     assert np.allclose(dXb, num, rtol=1e-5, atol=1e-9)
 
@@ -147,10 +159,11 @@ def test_mask_gradient_matches_central_differences():
     lam = 0.3
 
     def loss(w):
-        resid = forward_batch(Xb * w[None, :, None], params, spectrum) - target
+        out = forward_batch(Xb * w[None, :, None], params, spectrum, Workspace())
+        resid = out - target
         return np.sum((1.0 - w) ** 2 * resid ** 2) / 6 + lam * np.abs(w).sum()
 
-    _, dw = mask_gradients(Xb, target, w, lam, params, spectrum)
+    _, dw = mask_gradients(Xb, target, w, lam, params, spectrum, Workspace())
     eps = 1e-6
     num = np.empty_like(w)
     for i in range(w.size):
@@ -201,13 +214,13 @@ def test_forward_batch_validates_shape():
     params = init_params(config, 3, 1)
     spectrum = sym_eig(np.eye(3) * 0.5)
     with pytest.raises(InvalidInputError, match="input must be"):
-        forward_batch(np.zeros((2, 3, 1)), params, spectrum)
+        forward_batch(np.zeros((2, 3, 1)), params, spectrum, Workspace())
     # the params are the architecture: two lag channels into a net built
     # for one are refused, the count taken from theta
     one_lag = init_params(ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=0), 3, 1)
     assert one_lag.theta.shape[1] == 1
     with pytest.raises(InvalidInputError, match=r"input must be \(B, 3, 1\)"):
-        forward_batch(np.zeros((2, 3, 2)), one_lag, spectrum)
+        forward_batch(np.zeros((2, 3, 2)), one_lag, spectrum, Workspace())
 
 
 def test_small_gradient_check():
@@ -258,8 +271,17 @@ def test_train_config_validation():
     for lr in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(InvalidInputError, match="lr must be a finite number > 0"):
             TrainConfig(lr=lr)
-    with pytest.raises(InvalidInputError, match="batch_size"):
-        TrainConfig(batch_size=0)
+    # a seed below 0 used to fail later as a bare ValueError in the rng,
+    # a fractional batch size as a TypeError, and batch_size=True to
+    # train on batches of one
+    for field, lo, bad in (("batch_size", 1, (0, -3, 1.5, 2.0, True, "50", None)),
+                           ("max_epoch", 1, (0, 1.5, True)),
+                           ("seed", 0, (-1, 0.5, False, "0"))):
+        for value in bad:
+            with pytest.raises(InvalidInputError,
+                               match=f"{field} must be an integer >= {lo}"):
+                TrainConfig(**{field: value})
+    assert TrainConfig(batch_size=np.int64(7), max_epoch=1, seed=np.int64(0)).seed == 0
 
 
 def test_prediction_training_runs_and_stops():
@@ -274,7 +296,7 @@ def test_prediction_training_runs_and_stops():
             if _early_stop("two-epoch-mean", val_losses[:e])] == [4]
     assert all(np.isfinite(v) for v in val_losses)
     out = forward_batch(lag_windows(X, np.arange(230, 240), 0),
-                        params, spectrum)
+                        params, spectrum, Workspace())
     assert out.shape == (10, 1)
 
 
@@ -324,30 +346,42 @@ def test_score_sensors_mse_and_zero_variance():
     config = ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=0)
     params = init_params(config, 4, 4, seed=2)
     val_ts = np.arange(200, 230)
-    scores = score_sensors(params, spectrum, X, val_ts, measure="mse")
+    scores = score_sensors(params, spectrum, X, val_ts, Workspace(), measure="mse")
     assert scores.measure == "mse"
     assert list(np.argsort(scores.scores, kind="stable")) == scores.ranking
 
-    r2 = score_sensors(params, spectrum, X, val_ts, measure="r2")
+    r2 = score_sensors(params, spectrum, X, val_ts, Workspace(), measure="r2")
     assert np.all(r2.scores <= 1.0)
     assert list(np.argsort(-r2.scores, kind="stable")) == r2.ranking
 
     flat = X.copy()
     flat[2, val_ts] = 7.0
     with pytest.warns(UserWarning, match="index 2"):
-        fallback = score_sensors(params, spectrum, flat, val_ts, measure="r2")
+        fallback = score_sensors(params, spectrum, flat, val_ts, Workspace(), measure="r2")
     assert fallback.measure == "mse"
-    mse = score_sensors(params, spectrum, flat, val_ts, measure="mse")
+    mse = score_sensors(params, spectrum, flat, val_ts, Workspace(), measure="mse")
     assert np.array_equal(fallback.scores, mse.scores)
     with pytest.raises(InvalidInputError, match="measure"):
-        score_sensors(params, spectrum, X, val_ts, measure="mae")
+        score_sensors(params, spectrum, X, val_ts, Workspace(), measure="mae")
+
+
+def test_dropout_checks_the_measure_before_training(monkeypatch):
+    # "mae" used to be refused by the scoring pass, after every epoch ran
+    X, spectrum, split = _toy_setup()
+    config = ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=0)
+    epochs = []
+    monkeypatch.setattr(selection, "run_epochs", lambda *a, **k: epochs.append(a))
+    with pytest.raises(InvalidInputError, match="measure must be one of"):
+        train_selection_dropout(X, split, spectrum, 1, config, TrainConfig(),
+                                measure="mae")
+    assert epochs == []
 
 
 def test_write_scores_csv(tmp_path):
     X, spectrum, _ = _toy_setup()
     config = ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=0)
     params = init_params(config, 4, 4, seed=2)
-    scores = score_sensors(params, spectrum, X, np.arange(200, 230), "mse")
+    scores = score_sensors(params, spectrum, X, np.arange(200, 230), Workspace(), "mse")
     path = tmp_path / "scores.csv"
     write_scores_csv(scores, ["a", "b", "c", "d"], path)
     lines = path.read_text().splitlines()
@@ -531,9 +565,9 @@ def test_each_run_builds_its_table_once_and_each_block_once(monkeypatch):
     assert run(train_prediction_net, X, split, spectrum, [2], net, tc, Workspace()) == {
         "cheb_values": 1, "lag_windows": n_train + 1}
     # training and validation blocks, then the scoring pass, which runs
-    # without a workspace
+    # on the training workspace and its table
     assert run(train_selection_dropout, X, split, spectrum, 1, net, tc) == {
-        "cheb_values": 2, "lag_windows": n_train + n_val + 1}
+        "cheb_values": 1, "lag_windows": n_train + n_val + 1}
     # one table and one set of blocks for the whole lambda path
     with pytest.warns(UserWarning, match="below eps0"):
         assert run(train_selection_masking, X, split, spectrum, 1, [0.01, 0.1, 0.2],

@@ -1,9 +1,12 @@
 """The network's fast paths against their plain references.
 
-The branch-free activations, the in-place Adam step, the optimizer
-steps on a net's flat vector and the workspace the layers write into
-must give the same values as the np.where activations, the allocating
-Adam step, a step per tensor and a pass without a workspace.
+The branch-free activations, the in-place Adam step and the optimizer
+steps on a net's flat vector must give the same values as the np.where
+activations, the allocating Adam step and a step per tensor. Every
+pass runs on a workspace, so a warm one that has served other batch
+sizes must give the same values as a fresh one; the layers themselves
+are checked against the dense Chebyshev recursion and central
+differences in test_gcn.py.
 """
 
 import tracemalloc
@@ -13,7 +16,6 @@ import numpy as np
 from netselect.gcn.layers import (
     ChebNetConfig,
     Workspace,
-    backward_batch,
     elu,
     elu_grad,
     forward_batch,
@@ -143,18 +145,17 @@ def test_workspace_gives_the_same_loss_and_gradients():
         Xb = rng.normal(size=(B, n, params.h + 1))
         target = rng.normal(size=(B, out_dim))
         weight = rng.uniform(size=(1, out_dim))
-        ref = batch_loss(Xb, target, weight, params, spectrum,
+        ref = batch_loss(Xb, target, weight, params, spectrum, Workspace(),
                          want_input_grad=True)
-        got = batch_loss(Xb, target, weight, params, spectrum,
-                         want_input_grad=True, workspace=workspace)
+        got = batch_loss(Xb, target, weight, params, spectrum, workspace,
+                         want_input_grad=True)
         assert got[0] == ref[0]
         _assert_grads_equal(got[1], ref[1])
         assert np.array_equal(got[2], ref[2])
         assert got[3].shape == (B, n, params.h + 1)
         assert np.array_equal(got[3], ref[3])
-        assert np.array_equal(forward_batch(Xb, params, spectrum,
-                                            workspace=workspace),
-                              forward_batch(Xb, params, spectrum))
+        assert np.array_equal(forward_batch(Xb, params, spectrum, workspace),
+                              forward_batch(Xb, params, spectrum, Workspace()))
 
 
 def test_prediction_nets_trained_in_turn_on_one_workspace():
@@ -177,20 +178,6 @@ def test_prediction_nets_trained_in_turn_on_one_workspace():
         _assert_grads_equal(shared, own)
 
 
-def test_a_held_cache_survives_a_later_forward_without_workspace():
-    n, out_dim = 12, 5
-    _, params, spectrum = _net(n=n, out_dim=out_dim)
-    rng = np.random.default_rng(4)
-    Xa, Xb = rng.normal(size=(2, 30, n, params.h + 1))
-    dout = rng.normal(size=(30, out_dim))
-    _, cache = forward_batch(Xa, params, spectrum, want_cache=True)
-    ref, ref_dX = backward_batch(dout, cache, params, spectrum, want_input_grad=True)
-    forward_batch(Xb, params, spectrum, want_cache=True)
-    got, got_dX = backward_batch(dout, cache, params, spectrum, want_input_grad=True)
-    _assert_grads_equal(got, ref)
-    assert np.array_equal(got_dX, ref_dX)
-
-
 def test_a_step_on_a_warm_workspace_allocates_less_than_one_block():
     # the gcn-mask benchmark's prediction net: one 480-row batch per step
     B, n, out_dim = 480, 40, 4
@@ -203,8 +190,7 @@ def test_a_step_on_a_warm_workspace_allocates_less_than_one_block():
     opt = make_optimizer("adam", 0.001)
 
     def step():
-        _, grads, _, _ = batch_loss(Xb, target, 1.0, params, spectrum,
-                                    workspace=workspace)
+        _, grads, _, _ = batch_loss(Xb, target, 1.0, params, spectrum, workspace)
         opt.step([params.vector], [grads.vector])
 
     step()

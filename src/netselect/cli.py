@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NetselectError
 from .evaluation import (
+    MEASURES,
     default_p,
     gamma_grid,
     grid_search,
@@ -341,7 +342,9 @@ def gcn(args, hp, X, split, graph):
     from .gcn.train import NetReconstructor, TrainConfig, train_prediction_net
 
     L = LAPLACIAN_OF[hp["laplacian"]](graph)
-    spectrum = sym_eig(scale_laplacian(L, power_method(L).value))
+    # a command's nets train in turn, so they share one workspace, whose
+    # buffers then serve every net of the same shape
+    workspace = Workspace(sym_eig(scale_laplacian(L, power_method(L).value)))
     ids = hp["sensor_ids"]
     net = ChebNetConfig(cheb_order=hp["cheb_order"], f_out=hp["f_out"],
                         fc_sizes=tuple(hp["fc_sizes"]), h=hp["H"])
@@ -351,25 +354,21 @@ def gcn(args, hp, X, split, graph):
                          max_epoch=hp["max_epoch"], seed=hp["seed"])
         if args.method == "gcn-dropout":
             scores, result, _ = train_selection_dropout(
-                X, split, spectrum, p, net, tc, measure=args.measure)
+                X, split, workspace, p, net, tc, measure=args.measure)
             return result, {"measure": scores.measure}, {
                 "scores.csv": lambda path: write_scores_csv(scores, ids, path)}
         grid = hp["mask_lambda_grid"]
         result, path_values = train_selection_masking(
-            X, split, spectrum, p, grid, hp["eps0"], net, tc)
+            X, split, workspace, p, grid, hp["eps0"], net, tc)
         return result, {}, {"mask_path.csv": lambda path: write_csv(
             path, ["lambda"] + ids,
             ([lam] + row.tolist() for lam, row in zip(grid, path_values)))}
 
-    # evaluate retrains the prediction net for each requested set; the
-    # nets train in turn with equal shapes, so they share one workspace
-    workspace = Workspace()
-
     def fit(I):
         tc = TrainConfig(lr=args.lr, batch_size=args.batch_size,
                          max_epoch=args.max_epoch, seed=args.seed)
-        params, _ = train_prediction_net(X, split, spectrum, I, net, tc, workspace)
-        return NetReconstructor(params, spectrum, list(I))
+        params, _ = train_prediction_net(X, split, workspace, I, net, tc)
+        return NetReconstructor(params, workspace.spectrum, list(I))
 
     return select, fit
 
@@ -534,7 +533,7 @@ def _build_parser():
                           "gradient descent)")
     slc.add_argument("--batch-size", type=INT_GE1.flag, default=50)
     slc.add_argument("--max-epoch", type=INT_GE1.flag, default=500)
-    slc.add_argument("--measure", choices=("r2", "mse"), default="r2")
+    slc.add_argument("--measure", choices=MEASURES, default="r2")
     slc.add_argument("--mask-lambda-min", type=FINITE_GE0.flag, default=0.05)
     slc.add_argument("--mask-lambda-max", type=FINITE_GE0.flag, default=0.35)
     slc.add_argument("--mask-lambda-count", type=INT_GE1.flag, default=20)

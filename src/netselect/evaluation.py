@@ -21,6 +21,7 @@ BURN_IN = 500
 N_MODES = 3              # synth_generate: graph Fourier modes,
 AR_COEF = 0.9            # their AR(1) coefficient,
 REDUNDANT_NOISE = 0.005  # and the noise std of a redundant sensor's copy
+MEASURES = ("r2", "mse")  # how the gcn-dropout rule scores a hidden sensor
 
 
 def default_p(n: int) -> int:

@@ -8,6 +8,7 @@ the backward pass is cached explicitly.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -51,6 +52,13 @@ def leaky_relu_grad(x, alpha):
     return np.where(x < 0, alpha, 1.0)
 
 
+def _check_int(name, value, lo):
+    """Refuse a value that is not an integer >= lo; a bool is refused and
+    a numpy integer accepted."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < lo:
+        raise InvalidInputError(f"{name} must be an integer >= {lo}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChebNetConfig:
     """The architecture init_params builds a net from; its node and output
@@ -62,12 +70,10 @@ class ChebNetConfig:
     h: int = 0                # input lag depth; input channels = h + 1
 
     def __post_init__(self):
-        if self.cheb_order < 0:
-            raise InvalidInputError("cheb_order must be >= 0")
-        if self.f_out < 1 or any(w < 1 for w in self.fc_sizes):
-            raise InvalidInputError("f_out and fc widths must be >= 1")
-        if self.h < 0:
-            raise InvalidInputError("h must be >= 0")
+        for name, lo in (("cheb_order", 0), ("f_out", 1), ("h", 0)):
+            _check_int(name, getattr(self, name), lo)
+        for k, width in enumerate(self.fc_sizes):
+            _check_int(f"fc_sizes[{k}]", width, 1)
 
 
 @dataclass(frozen=True)
@@ -153,7 +159,9 @@ def cheb_values(lam, K):
 
 
 class Workspace:
-    """What one training run reuses from batch to batch.
+    """What one run reuses from pass to pass: the EigenPair (lam, U) of
+    the rescaled Laplacian L_tilde that it filters with, the Chebyshev
+    table of lam, built on the first forward pass, and scratch buffers.
 
     forward_batch and backward_batch write their batch-sized
     intermediates and the parameter gradients into a workspace instead
@@ -164,16 +172,12 @@ class Workspace:
     its pages. A pass's cache, gradients and input gradient hold views
     into its workspace and are valid only until the next pass on the
     same workspace.
-
-    The workspace also holds the Chebyshev table of the spectrum the run
-    filters with, built on the first forward pass. It is kept while the
-    passes hand in the same eigenvalue array, which must not change in
-    place meanwhile, and rebuilt for any other.
     """
 
-    def __init__(self):
+    def __init__(self, spectrum):
+        self.spectrum = spectrum
         self._buffers = {}
-        self._cheb = None  # (eigenvalue array, its table)
+        self._cheb = {}  # order K -> its table
 
     def take(self, name, shape):
         size = math.prod(shape)
@@ -182,24 +186,21 @@ class Workspace:
             buf = self._buffers[name] = np.empty(size)
         return buf[:size].reshape(shape)
 
-    def cheb_table(self, lam, K):
-        """cheb_values(lam, K), reused while lam is the same array."""
-        if (self._cheb is None or self._cheb[0] is not lam
-                or self._cheb[1].shape[0] != K + 1):
-            self._cheb = (lam, cheb_values(lam, K))
-        return self._cheb[1]
+    def cheb_table(self, K):
+        """cheb_values of the spectrum's eigenvalues up to order K."""
+        if K not in self._cheb:
+            self._cheb[K] = cheb_values(self.spectrum.values, K)
+        return self._cheb[K]
 
 
-def forward_batch(Xb, params: ChebNetParams, spectrum, workspace: Workspace,
-                  want_cache=False):
+def forward_batch(Xb, params: ChebNetParams, workspace: Workspace, want_cache=False):
     """Batched forward pass; Xb has shape (B, n, f_in).
 
-    spectrum is the EigenPair (lam, U) of the rescaled Laplacian L_tilde.
     The filter sum_k theta_k T_k(L_tilde) equals U diag(h) U^T with
-    h = sum_k theta_k T_k(lam), so it is applied in the graph Fourier
-    basis. Returns (B, out_dim) outputs, plus the intermediate cache when
-    want_cache is set. The batch-sized intermediates are written into
-    workspace, and the Chebyshev table is the one it holds.
+    h = sum_k theta_k T_k(lam), (lam, U) the workspace's spectrum, so it
+    is applied in the graph Fourier basis. Returns (B, out_dim) outputs,
+    plus the intermediate cache when want_cache is set. The batch-sized
+    intermediates are written into workspace.
     """
     Xb = np.asarray(Xb, dtype=float)
     K1, f_in, f_out = params.theta.shape
@@ -208,8 +209,8 @@ def forward_batch(Xb, params: ChebNetParams, spectrum, workspace: Workspace,
         raise InvalidInputError(f"input must be (B, {n}, {f_in}), got {Xb.shape}")
     B = Xb.shape[0]
     in_shape, g_shape = Xb.shape, (B, n, f_out)
-    U = spectrum.vectors
-    T = workspace.cheb_table(spectrum.values, K1 - 1)            # (K+1, n)
+    U = workspace.spectrum.vectors
+    T = workspace.cheb_table(K1 - 1)                             # (K+1, n)
     h = np.einsum("kj,kfo->jfo", T, params.theta)                # (n, f_in, f_out)
     X_hat = np.matmul(U.T, Xb, out=workspace.take("X_hat", in_shape))
     # "tmp" holds Z, then the negative part of elu, then in backward_batch
@@ -239,14 +240,14 @@ def forward_batch(Xb, params: ChebNetParams, spectrum, workspace: Workspace,
     return out, cache
 
 
-def backward_batch(dout, cache, params: ChebNetParams, spectrum,
-                   workspace: Workspace, want_input_grad=False):
+def backward_batch(dout, cache, params: ChebNetParams, workspace: Workspace,
+                   want_input_grad=False):
     """Reverse-mode gradients from dL/dout of shape (B, out_dim).
 
     Returns (grads: ChebNetParams, dXb or None), grads laid out on one
     vector like params. dout must already include the loss
     normalization. The gradients, the (B, n, f_out) intermediates and
-    dXb are written into workspace.
+    dXb are written into workspace, the one the forward pass ran on.
     """
     feats = cache["feats"]
     pre_acts = cache["pre_acts"]
@@ -267,7 +268,7 @@ def backward_batch(dout, cache, params: ChebNetParams, spectrum,
     dA1 = df.reshape(g_shape)
     dG = elu_grad(cache["G_pre"], out=workspace.take("dG", g_shape))
     dG *= dA1
-    U = spectrum.vectors
+    U = workspace.spectrum.vectors
     dG_hat = np.matmul(U.T, dG, out=workspace.take("tmp", g_shape))
     dh = np.einsum("bjf,bjo->jfo", cache["X_hat"], dG_hat)
     np.einsum("kj,jfo->kfo", cache["T"], dh, out=grads.theta)

@@ -16,6 +16,7 @@ from typing import List
 import numpy as np
 
 from ..errors import InvalidInputError
+from ..evaluation import MEASURES
 from ..select_linear import SelectionResult
 from ..timeseries import Split, _check_size, lag_windows, write_csv
 from .layers import ChebNetConfig, Workspace, forward_batch, init_params
@@ -26,8 +27,6 @@ from .train import (
     make_optimizer,
     run_epochs,
 )
-
-MEASURES = ("r2", "mse")
 
 
 @dataclass
@@ -50,8 +49,7 @@ def _check_measure(measure):
         raise InvalidInputError(f"measure must be one of {MEASURES}, got {measure!r}")
 
 
-def score_sensors(params, spectrum, X, val_ts, workspace: Workspace,
-                  measure="r2") -> SensorScores:
+def score_sensors(params, X, val_ts, workspace: Workspace, measure="r2") -> SensorScores:
     """Per-sensor score of the trained network on validation rows.
 
     Predictions use the full input (no dropout, no rescaling). R^2 per
@@ -62,7 +60,7 @@ def score_sensors(params, spectrum, X, val_ts, workspace: Workspace,
     _check_measure(measure)
     X = np.asarray(X, dtype=float)
     val_ts = np.asarray(val_ts, dtype=int)
-    pred = forward_batch(lag_windows(X, val_ts, params.h), params, spectrum, workspace)
+    pred = forward_batch(lag_windows(X, val_ts, params.h), params, workspace)
     actual = X[:, val_ts].T
     resid_sq = ((actual - pred) ** 2).sum(axis=0)  # per sensor
     if measure == "r2":
@@ -89,8 +87,9 @@ def _own_value_blocks(X, split: Split, h, batch_size):
             for ts in batch_blocks(0, split.t_tv, h, batch_size))]
 
 
-def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetConfig,
-                            train_config: TrainConfig, measure="r2"):
+def train_selection_dropout(X, split: Split, workspace: Workspace, p,
+                            net_config: ChebNetConfig, train_config: TrainConfig,
+                            measure="r2"):
     """Dropout selection: train with random sensor knockouts, rank by score.
 
     The net's nodes and outputs are the N sensors of X. Per batch a
@@ -100,7 +99,8 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
     gradient descent and stops early by the "five-epoch-mean" rule;
     validation masks are drawn once, so the trace is deterministic.
 
-    Scoring uses the full input. Returns (scores, result, diagnostics).
+    Training, validation and the scoring pass, which uses the full
+    input, run on workspace. Returns (scores, result, diagnostics).
     """
     _check_measure(measure)
     X = np.asarray(X, dtype=float)
@@ -112,7 +112,6 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
     rng = np.random.default_rng(train_config.seed)
     params = init_params(net_config, n, n, seed=train_config.seed)
     opt = make_optimizer("gd", train_config.lr)
-    workspace = Workspace()
 
     def draw_mask():
         resampled = 0
@@ -138,20 +137,20 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
         w, extra = draw_mask()
         resample_count += extra
         _, grads, _, _ = batch_loss(Xb * w[None, :, None], target, (1.0 - w)[None, :],
-                                    params, spectrum, workspace)
+                                    params, workspace)
         opt.step([params.vector], [grads.vector])
 
     def val_loss():
         vl = 0.0
         for Xb, target, weight in val_blocks:
-            resid = forward_batch(Xb, params, spectrum, workspace) - target
+            resid = forward_batch(Xb, params, workspace) - target
             vl += float(np.sum(weight * resid ** 2))
         return vl / val_ts.size
 
     val_losses = run_epochs(rng, train_blocks, train_config.max_epoch, step,
                             val_loss, "five-epoch-mean")
 
-    scores = score_sensors(params, spectrum, X, val_ts, workspace, measure)
+    scores = score_sensors(params, X, val_ts, workspace, measure)
 
     order = scores.ranking[:p]
     result = SelectionResult(order, [float(scores.scores[i]) for i in order])
@@ -159,7 +158,7 @@ def train_selection_dropout(X, split: Split, spectrum, p, net_config: ChebNetCon
     return scores, result, diagnostics
 
 
-def mask_gradients(Xb, target, w, lam, params, spectrum, workspace: Workspace):
+def mask_gradients(Xb, target, w, lam, params, workspace: Workspace):
     """Gradients of the masking rule's loss on one batch.
 
     The loss is sum_t sum_i (1 - w_i)^2 (x_it - x_hat_it)^2 / B plus
@@ -170,8 +169,8 @@ def mask_gradients(Xb, target, w, lam, params, spectrum, workspace: Workspace):
     TrainingDivergedError. The pass runs on workspace.
     """
     _, grads, resid, dXb = batch_loss(Xb * w[None, :, None], target,
-                                      ((1.0 - w) ** 2)[None, :], params, spectrum,
-                                      workspace, want_input_grad=True)
+                                      ((1.0 - w) ** 2)[None, :], params, workspace,
+                                      want_input_grad=True)
     # the input path, the (1-w)^2 loss factor, and l1
     dw = (dXb * Xb).sum(axis=(0, 2))
     dw += -2.0 * (1.0 - w) * (resid ** 2).sum(axis=0) / target.shape[0]
@@ -179,7 +178,7 @@ def mask_gradients(Xb, target, w, lam, params, spectrum, workspace: Workspace):
     return grads, dw
 
 
-def _train_mask(blocks, lam, spectrum, n, net_config, train_config, workspace):
+def _train_mask(blocks, lam, n, net_config, train_config, workspace):
     """One grid point of the masking rule: a fresh net and mask trained
     jointly; returns the final mask. The net and its optimizer are freed
     on return, before the next point builds its own."""
@@ -191,7 +190,7 @@ def _train_mask(blocks, lam, spectrum, n, net_config, train_config, workspace):
     # term is finite and batch_loss checking the data loss alone catches
     # divergence
     def step(block):
-        grads, dw = mask_gradients(*block, w, lam, params, spectrum, workspace)
+        grads, dw = mask_gradients(*block, w, lam, params, workspace)
         opt.step([params.vector, w], [grads.vector, dw])
         np.clip(w, 0.0, 1.0, out=w)
 
@@ -200,7 +199,7 @@ def _train_mask(blocks, lam, spectrum, n, net_config, train_config, workspace):
     return w
 
 
-def train_selection_masking(X, split: Split, spectrum, p, lam_grid, eps0,
+def train_selection_masking(X, split: Split, workspace: Workspace, p, lam_grid, eps0,
                             net_config: ChebNetConfig, train_config: TrainConfig):
     """Masking selection: l1-penalized trainable input mask, Lasso path.
 
@@ -209,10 +208,10 @@ def train_selection_masking(X, split: Split, spectrum, p, lam_grid, eps0,
     jointly with Adam for the full max_epoch, from a fresh init and batch
     order; after every optimizer step w is projected onto [0, 1]. The
     per-batch loss is mean_t sum_i (1 - w_i)^2 (x_it - x_hat_it)^2 plus
-    lambda ||w||_1. F_i counts the grid points whose final mask weight
-    falls below eps0; sensors are ranked by descending F_i with ties (and
-    the no-collapse fallback) broken by the final weight at the largest
-    lambda.
+    lambda ||w||_1; the grid's runs go in turn on workspace. F_i counts
+    the grid points whose final mask weight falls below eps0; sensors are
+    ranked by descending F_i with ties (and the no-collapse fallback)
+    broken by the final weight at the largest lambda.
 
     Returns (result, mask_path) with mask_path of shape (len(grid), N).
     """
@@ -230,10 +229,9 @@ def train_selection_masking(X, split: Split, spectrum, p, lam_grid, eps0,
 
     train_blocks = _own_value_blocks(X, split, h, train_config.batch_size)
     mask_path = np.empty((len(lam_grid), n))
-    workspace = Workspace()  # shared by the grid's runs, which run in turn
     for gi, lam in enumerate(lam_grid):
-        mask_path[gi] = _train_mask(train_blocks, lam, spectrum, n, net_config,
-                                    train_config, workspace)
+        mask_path[gi] = _train_mask(train_blocks, lam, n, net_config, train_config,
+                                    workspace)
 
     final_at_top = mask_path[-1]
     F = (mask_path < eps0).sum(axis=0)

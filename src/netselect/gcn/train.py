@@ -5,7 +5,6 @@ every epoch from the run seed, so runs are deterministic given the seed.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import List
 
@@ -18,6 +17,7 @@ from .layers import (
     ChebNetConfig,
     ChebNetParams,
     Workspace,
+    _check_int,
     backward_batch,
     forward_batch,
     init_params,
@@ -37,9 +37,7 @@ class TrainConfig:
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise InvalidInputError(f"lr must be a finite number > 0, got {self.lr}")
         for name, lo in (("batch_size", 1), ("max_epoch", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < lo:
-                raise InvalidInputError(f"{name} must be an integer >= {lo}, got {v!r}")
+            _check_int(name, getattr(self, name), lo)
 
 
 class _GD:
@@ -124,8 +122,7 @@ def _early_stop(rule, val_losses):
     return False
 
 
-def batch_loss(Xb, target, weight, params, spectrum, workspace: Workspace,
-               want_input_grad=False):
+def batch_loss(Xb, target, weight, params, workspace: Workspace, want_input_grad=False):
     """Weighted squared-error loss of one batch and its gradients.
 
     The loss is sum(weight * (out - target)^2) / B for the B rows of the
@@ -135,13 +132,13 @@ def batch_loss(Xb, target, weight, params, spectrum, workspace: Workspace,
     The layers keep their intermediates, the gradients and dXb in
     workspace.
     """
-    out, cache = forward_batch(Xb, params, spectrum, workspace, want_cache=True)
+    out, cache = forward_batch(Xb, params, workspace, want_cache=True)
     resid = out - target
     B = target.shape[0]
     loss = float(np.sum(weight * resid ** 2) / B)
     _check_finite(loss)
-    grads, dXb = backward_batch(2.0 * weight * resid / B, cache, params, spectrum,
-                                workspace, want_input_grad=want_input_grad)
+    grads, dXb = backward_batch(2.0 * weight * resid / B, cache, params, workspace,
+                                want_input_grad=want_input_grad)
     return loss, grads, resid, dXb
 
 
@@ -174,19 +171,19 @@ def _masked_windows(X, ts, h, I):
     return Xb
 
 
-def train_prediction_net(X, split: Split, spectrum, I, net_config: ChebNetConfig,
-                         train_config: TrainConfig, workspace: Workspace):
+def train_prediction_net(X, split: Split, workspace: Workspace, I,
+                         net_config: ChebNetConfig, train_config: TrainConfig):
     """Train the reconstruction network for the turned-off set I.
 
-    X is the preprocessed (n, T) panel matrix, spectrum the EigenPair of
-    the rescaled Laplacian and I a nonempty proper subset of range(n); the
-    net_config architecture gets n nodes and |I| outputs. Inputs are lag
-    windows with zeros inserted at the rows of I; targets are x_{I,t}.
-    The net trains with Adam; the validation loss is tracked per epoch
-    and training stops early by the "two-epoch-mean" rule. workspace
-    holds the scratch buffers and the Chebyshev table; nets trained one
-    after another share one, whose buffers then serve every net of the
-    same shape.
+    X is the preprocessed (n, T) panel matrix, workspace the run's
+    Workspace, which holds the spectrum of the rescaled Laplacian, and I
+    a nonempty proper subset of range(n); the net_config architecture
+    gets n nodes and |I| outputs. Inputs are lag windows with zeros
+    inserted at the rows of I; targets are x_{I,t}. The net trains with
+    Adam; the validation loss is tracked per epoch and training stops
+    early by the "two-epoch-mean" rule. Nets trained one after another
+    share one workspace, whose buffers then serve every net of the same
+    shape.
 
     Returns (params, val_losses).
     """
@@ -207,11 +204,11 @@ def train_prediction_net(X, split: Split, spectrum, I, net_config: ChebNetConfig
 
     def step(block):
         Xb, target = block
-        _, grads, _, _ = batch_loss(Xb, target, 1.0, params, spectrum, workspace)
+        _, grads, _, _ = batch_loss(Xb, target, 1.0, params, workspace)
         opt.step([params.vector], [grads.vector])
 
     def val_loss():
-        val_out = forward_batch(val_in, params, spectrum, workspace)
+        val_out = forward_batch(val_in, params, workspace)
         return float(np.sum((val_out - val_target) ** 2) / val_ts.size)
 
     val_losses = run_epochs(rng, train_blocks, train_config.max_epoch, step,
@@ -240,5 +237,5 @@ class NetReconstructor:
             raise InvalidInputError(f"prediction needs {h} lag columns before t_start")
         out = forward_batch(_masked_windows(np.asarray(X, dtype=float), ts, h,
                                             self.turned_off),
-                            self.params, self.spectrum, Workspace())
+                            self.params, Workspace(self.spectrum))
         return out.T

@@ -194,10 +194,10 @@ def net_backward(x_input, target, params, spectrum):
     """Loss sum_j (out_j - target_j)^2 of one sample, with its parameter
     gradients. Returns (loss, grads)."""
     Xb = np.asarray(x_input, dtype=float)[None]
-    workspace = Workspace()
-    out, cache = forward_batch(Xb, params, spectrum, workspace, want_cache=True)
+    workspace = Workspace(spectrum)
+    out, cache = forward_batch(Xb, params, workspace, want_cache=True)
     resid = out - np.asarray(target, dtype=float)[None]
-    grads, _ = backward_batch(2.0 * resid, cache, params, spectrum, workspace)
+    grads, _ = backward_batch(2.0 * resid, cache, params, workspace)
     return float(np.sum(resid ** 2)), grads
 
 

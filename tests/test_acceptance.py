@@ -18,7 +18,13 @@ from netselect.evaluation import (
     synth_generate,
 )
 from netselect.evaluation import test_mse as held_out_mse
-from netselect.gcn.layers import ChebNetConfig, init_params, scale_laplacian, tensor_items
+from netselect.gcn.layers import (
+    ChebNetConfig,
+    Workspace,
+    init_params,
+    scale_laplacian,
+    tensor_items,
+)
 from netselect.gcn.selection import train_selection_dropout, train_selection_masking
 from netselect.gcn.train import TrainConfig
 from netselect.graph import build_knn_graph, combinatorial_laplacian
@@ -284,7 +290,7 @@ def selection_sanity():
         blocks = estimate_blocks(X[:, :split.t_tv], 0)
 
         scores, result, _ = train_selection_dropout(
-            X, split, spectrum, 2, net,
+            X, split, Workspace(spectrum), 2, net,
             TrainConfig(lr=0.02, batch_size=50, max_epoch=60, seed=seed))
         rec = fit_predict_linear(blocks, result.order, 0)
         sel_mse = held_out_mse(rec, X, split)
@@ -296,7 +302,7 @@ def selection_sanity():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             _, mpath = train_selection_masking(
-                X, split, spectrum, 2, mask_lams, 0.01, net,
+                X, split, Workspace(spectrum), 2, mask_lams, 0.01, net,
                 TrainConfig(lr=0.01, batch_size=50, max_epoch=8, seed=seed))
         F = (mpath < 0.01).sum(axis=0)
         rank_pos = {i: k for k, i in enumerate(

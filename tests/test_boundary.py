@@ -75,6 +75,30 @@ def test_tracer_targets_resolve():
                        "select_kernel.assemble_kernel"}
 
 
+def test_tracer_reads_arguments_where_the_library_takes_them():
+    # the tracer's notes read a traced call's arguments by position or
+    # by name; a signature that moves one would have the note read
+    # another argument, which only a traced benchmark run showed
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    notes = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["NOTES"])
+    reads, wrong = 0, []
+    for key, note in zip(notes.keys, notes.values):
+        layer, _, fname = key.value.rpartition(".")
+        fn = getattr(importlib.import_module(f"netselect.{layer}"), fname, None)
+        if fn is None:  # a stale target, which the test above lists
+            continue
+        params = list(inspect.signature(fn).parameters)
+        for call in ast.walk(defs[note.id] if isinstance(note, ast.Name) else note):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_arg":
+                pos, name = (arg.value for arg in call.args[2:4])
+                reads += 1
+                if params[pos:pos + 1] != [name]:
+                    wrong.append(f"{key.value} reads {name!r} at {pos} of {params}")
+    assert reads == 5 and not wrong, wrong
+
+
 def test_one_owner_of_the_jitter_rule_and_the_lag_layout():
     # numerics decides every jitter, for the SPD solves and the greedy
     # step's inverse alike, and timeseries owns the lag-stacked layout
@@ -134,6 +158,51 @@ def test_every_net_pass_runs_on_a_workspace():
                            None) is not inspect.Parameter.empty]
     assert not optional, f"passes that can run without a workspace: {optional}"
     assert _owners(r"workspace is None|def _out\b") == []
+
+
+def _callers(callee):
+    """(path, qualified name of the enclosing def) of every call of the
+    name callee in src/netselect."""
+    found = []
+
+    def visit(node, path, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, path, f"{owner}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == callee:
+                found.append((path, owner))
+            visit(child, path, owner)
+
+    for path, text in _sources().items():
+        visit(ast.parse(text), path, "")
+    return sorted(found)
+
+
+def test_a_workspace_carries_its_runs_spectrum():
+    # a workspace owns the spectrum its passes filter with and builds the
+    # Chebyshev table from it; a spectrum passed beside it was a second
+    # copy, and the table was kept by the identity of the eigenvalue
+    # array, which then must not change in place. The command builds one
+    # workspace for its runs, and a reconstructor one per prediction
+    beside, identity = [], []
+    for path in sorted((ROOT / "src" / "netselect" / "gcn").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                if {"spectrum", "workspace"} <= names:
+                    beside.append(node.name)
+            if (isinstance(node, ast.Compare)
+                    and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                    and not any(isinstance(v, ast.Constant) and v.value is None
+                                for v in [node.left] + node.comparators)):
+                identity.append(f"{path.name}:{node.lineno}")
+    assert not beside, f"a spectrum passed beside a workspace: {beside}"
+    assert not identity, f"identity tests on objects other than None: {identity}"
+    assert _callers("Workspace") == [
+        ("src/netselect/cli.py", "gcn"),
+        ("src/netselect/gcn/train.py", "NetReconstructor.predict_panel")]
 
 
 def test_one_csv_writer():

@@ -25,7 +25,7 @@ from netselect.errors import (
     SingularMatrixError,
     TrainingDivergedError,
 )
-from netselect.evaluation import default_p, lambda_grid, synth_generate
+from netselect.evaluation import MEASURES, default_p, lambda_grid, synth_generate
 from netselect.evaluation import test_mse as held_out_mse
 from netselect.graph import build_knn_graph, read_coords
 from netselect.select_kernel import (
@@ -1213,6 +1213,42 @@ def _commands():
     """Each command's argparse parser, by command name."""
     return next(a for a in _build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_measure_choices_are_the_scoring_measures(capsys):
+    # select's --measure took a tuple of its own beside the one the
+    # scoring pass checks, so a measure added to one was refused or
+    # unreachable through the other
+    from netselect.gcn import selection
+
+    measure = next(a for a in _commands()["select"]._actions if a.dest == "measure")
+    assert measure.choices is MEASURES and selection.MEASURES is MEASURES
+    with pytest.raises(SystemExit) as exc:
+        main(["select"] + _POSITIONAL["select"] + ["--measure", "mae"])
+    assert exc.value.code == 2
+    assert "argument --measure: invalid choice: 'mae'" in capsys.readouterr().err
+
+
+def test_only_the_gcn_methods_load_the_gcn_modules(tmp_path):
+    # a command compiles what it imports when no bytecode is cached, and
+    # its peak memory grows with that source; this process has loaded the
+    # gcn modules already, so new ones run each method
+    argv = _twelve_sensors(tmp_path) + ["--p", "1", "--k0", "3", "--k1", "2"]
+    script = ("import sys\nfrom netselect.cli import main\n"
+              "assert main(sys.argv[1:]) == 0\n"
+              "print(any(m.startswith('netselect.gcn') for m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+               PYTHONDONTWRITEBYTECODE="1", PYTHONWARNINGS="ignore")
+    loaded = {}
+    for method, flags in (("linear", []), ("kernel", ["--lambda", "0.1"]),
+                          ("gcn-mask", ["--cheb-order", "1", "--f-out", "1",
+                                        "--fc-sizes", "2", "--max-epoch", "1",
+                                        "--mask-lambda-count", "1"])):
+        run = subprocess.run([sys.executable, "-c", script] + argv
+                             + ["--method", method] + flags,
+                             env=env, check=True, capture_output=True, text=True)
+        loaded[method] = run.stdout.split()[-1]
+    assert loaded == {"linear": "False", "kernel": "False", "gcn-mask": "True"}
 
 
 # a value that each numeric flag's kind refuses, and the kind's phrase

@@ -99,9 +99,9 @@ def test_spectral_filter_matches_chebyshev_recursion():
             config = ChebNetConfig(cheb_order=K, f_out=f_out, fc_sizes=fc_sizes, h=1)
             params = init_params(config, n, out_dim, seed=K)
             params.gconv_bias[:] = rng.normal(size=params.gconv_bias.shape)
-            workspace = Workspace()
-            out, cache = forward_batch(Xb, params, spectrum, workspace, want_cache=True)
-            grads, dXb = backward_batch(dout, cache, params, spectrum, workspace,
+            workspace = Workspace(spectrum)
+            out, cache = forward_batch(Xb, params, workspace, want_cache=True)
+            grads, dXb = backward_batch(dout, cache, params, workspace,
                                         want_input_grad=True)
 
             G_pre = np.einsum("bknf,kfo->bno", stack, params.theta) + params.gconv_bias
@@ -130,17 +130,17 @@ def test_input_gradient_matches_central_differences():
     params = init_params(config, 4, 3, seed=2)
     Xb = rng.normal(size=(2, 4, 2))
     dout = rng.normal(size=(2, 3))
-    workspace = Workspace()
-    _, cache = forward_batch(Xb, params, spectrum, workspace, want_cache=True)
-    _, dXb = backward_batch(dout, cache, params, spectrum, workspace,
+    workspace = Workspace(spectrum)
+    _, cache = forward_batch(Xb, params, workspace, want_cache=True)
+    _, dXb = backward_batch(dout, cache, params, workspace,
                             want_input_grad=True)
     eps = 1e-6
     num = np.empty_like(Xb)
     for idx in np.ndindex(Xb.shape):
         bump = np.zeros_like(Xb)
         bump[idx] = eps
-        hi = np.sum(dout * forward_batch(Xb + bump, params, spectrum, Workspace()))
-        lo = np.sum(dout * forward_batch(Xb - bump, params, spectrum, Workspace()))
+        hi = np.sum(dout * forward_batch(Xb + bump, params, Workspace(spectrum)))
+        lo = np.sum(dout * forward_batch(Xb - bump, params, Workspace(spectrum)))
         num[idx] = (hi - lo) / (2.0 * eps)
     assert np.allclose(dXb, num, rtol=1e-5, atol=1e-9)
 
@@ -159,11 +159,11 @@ def test_mask_gradient_matches_central_differences():
     lam = 0.3
 
     def loss(w):
-        out = forward_batch(Xb * w[None, :, None], params, spectrum, Workspace())
+        out = forward_batch(Xb * w[None, :, None], params, Workspace(spectrum))
         resid = out - target
         return np.sum((1.0 - w) ** 2 * resid ** 2) / 6 + lam * np.abs(w).sum()
 
-    _, dw = mask_gradients(Xb, target, w, lam, params, spectrum, Workspace())
+    _, dw = mask_gradients(Xb, target, w, lam, params, Workspace(spectrum))
     eps = 1e-6
     num = np.empty_like(w)
     for i in range(w.size):
@@ -199,14 +199,23 @@ def test_init_params_bounds_and_determinism():
 
 
 def test_net_config_validation():
-    with pytest.raises(InvalidInputError, match="cheb_order"):
-        ChebNetConfig(cheb_order=-1, f_out=1, fc_sizes=(4,))
-    with pytest.raises(InvalidInputError, match="f_out"):
-        ChebNetConfig(cheb_order=1, f_out=0, fc_sizes=(4,))
-    with pytest.raises(InvalidInputError, match="fc widths"):
-        ChebNetConfig(cheb_order=1, f_out=1, fc_sizes=(0,))
-    with pytest.raises(InvalidInputError, match="h must"):
-        ChebNetConfig(cheb_order=1, f_out=1, fc_sizes=(4,), h=-1)
+    # a fractional size used to fail in init_params as a bare TypeError,
+    # and h=True to build a two-lag net
+    sizes = {"cheb_order": 1, "f_out": 1, "fc_sizes": (4,)}
+    for field, lo, bad in (("cheb_order", 0, (-1, 2.5, True, "2", None)),
+                           ("f_out", 1, (0, 1.5, True)),
+                           ("h", 0, (-1, 0.5, True, False))):
+        for value in bad:
+            with pytest.raises(InvalidInputError,
+                               match=f"{field} must be an integer >= {lo}"):
+                ChebNetConfig(**dict(sizes, **{field: value}))
+    for fc_sizes, k in (((0,), 0), ((4.0,), 0), ((4, True), 1), ((4, -2), 1)):
+        with pytest.raises(InvalidInputError,
+                           match=rf"fc_sizes\[{k}\] must be an integer >= 1"):
+            ChebNetConfig(cheb_order=1, f_out=1, fc_sizes=fc_sizes)
+    config = ChebNetConfig(cheb_order=np.int64(2), f_out=np.int64(3),
+                           fc_sizes=(np.int64(4),), h=np.int64(1))
+    assert init_params(config, 5, 2).theta.shape == (3, 2, 3)
 
 
 def test_forward_batch_validates_shape():
@@ -214,13 +223,13 @@ def test_forward_batch_validates_shape():
     params = init_params(config, 3, 1)
     spectrum = sym_eig(np.eye(3) * 0.5)
     with pytest.raises(InvalidInputError, match="input must be"):
-        forward_batch(np.zeros((2, 3, 1)), params, spectrum, Workspace())
+        forward_batch(np.zeros((2, 3, 1)), params, Workspace(spectrum))
     # the params are the architecture: two lag channels into a net built
     # for one are refused, the count taken from theta
     one_lag = init_params(ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=0), 3, 1)
     assert one_lag.theta.shape[1] == 1
     with pytest.raises(InvalidInputError, match=r"input must be \(B, 3, 1\)"):
-        forward_batch(np.zeros((2, 3, 2)), one_lag, spectrum, Workspace())
+        forward_batch(np.zeros((2, 3, 2)), one_lag, Workspace(spectrum))
 
 
 def test_small_gradient_check():
@@ -288,15 +297,15 @@ def test_prediction_training_runs_and_stops():
     X, spectrum, split = _toy_setup()
     config = ChebNetConfig(cheb_order=2, f_out=2, fc_sizes=(8,), h=0)
     params, val_losses = train_prediction_net(
-        X, split, spectrum, [2], config,
-        TrainConfig(lr=0.01, batch_size=32, max_epoch=5, seed=0), Workspace())
+        X, split, Workspace(spectrum), [2], config,
+        TrainConfig(lr=0.01, batch_size=32, max_epoch=5, seed=0))
     # stops at the first epoch where the two-epoch rule fires
     assert len(val_losses) == 4
     assert [e for e in range(1, 5)
             if _early_stop("two-epoch-mean", val_losses[:e])] == [4]
     assert all(np.isfinite(v) for v in val_losses)
     out = forward_batch(lag_windows(X, np.arange(230, 240), 0),
-                        params, spectrum, Workspace())
+                        params, Workspace(spectrum))
     assert out.shape == (10, 1)
 
 
@@ -309,8 +318,8 @@ def test_prediction_training_validates_the_turned_off_set():
     for I, match in (([], "nonempty"), ([-1], "outside"), ([4], "outside"),
                      ([0, 0], "duplicates"), ([0, 1, 2, 3], "proper subset")):
         with pytest.raises(InvalidInputError, match=match):
-            train_prediction_net(X, split, spectrum, I, config, TrainConfig(),
-                                 Workspace())
+            train_prediction_net(X, split, Workspace(spectrum), I, config,
+                                 TrainConfig())
 
 
 def test_training_diverges_at_huge_lr():
@@ -319,8 +328,8 @@ def test_training_diverges_at_huge_lr():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDivergedError, match="non-finite"):
             train_prediction_net(
-                X, split, spectrum, [1], config,
-                TrainConfig(lr=1e100, batch_size=32, max_epoch=20, seed=0), Workspace())
+                X, split, Workspace(spectrum), [1], config,
+                TrainConfig(lr=1e100, batch_size=32, max_epoch=20, seed=0))
 
 
 def test_net_reconstructor_surface():
@@ -346,23 +355,23 @@ def test_score_sensors_mse_and_zero_variance():
     config = ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=0)
     params = init_params(config, 4, 4, seed=2)
     val_ts = np.arange(200, 230)
-    scores = score_sensors(params, spectrum, X, val_ts, Workspace(), measure="mse")
+    scores = score_sensors(params, X, val_ts, Workspace(spectrum), measure="mse")
     assert scores.measure == "mse"
     assert list(np.argsort(scores.scores, kind="stable")) == scores.ranking
 
-    r2 = score_sensors(params, spectrum, X, val_ts, Workspace(), measure="r2")
+    r2 = score_sensors(params, X, val_ts, Workspace(spectrum), measure="r2")
     assert np.all(r2.scores <= 1.0)
     assert list(np.argsort(-r2.scores, kind="stable")) == r2.ranking
 
     flat = X.copy()
     flat[2, val_ts] = 7.0
     with pytest.warns(UserWarning, match="index 2"):
-        fallback = score_sensors(params, spectrum, flat, val_ts, Workspace(), measure="r2")
+        fallback = score_sensors(params, flat, val_ts, Workspace(spectrum), measure="r2")
     assert fallback.measure == "mse"
-    mse = score_sensors(params, spectrum, flat, val_ts, Workspace(), measure="mse")
+    mse = score_sensors(params, flat, val_ts, Workspace(spectrum), measure="mse")
     assert np.array_equal(fallback.scores, mse.scores)
     with pytest.raises(InvalidInputError, match="measure"):
-        score_sensors(params, spectrum, X, val_ts, Workspace(), measure="mae")
+        score_sensors(params, X, val_ts, Workspace(spectrum), measure="mae")
 
 
 def test_dropout_checks_the_measure_before_training(monkeypatch):
@@ -372,23 +381,31 @@ def test_dropout_checks_the_measure_before_training(monkeypatch):
     epochs = []
     monkeypatch.setattr(selection, "run_epochs", lambda *a, **k: epochs.append(a))
     with pytest.raises(InvalidInputError, match="measure must be one of"):
-        train_selection_dropout(X, split, spectrum, 1, config, TrainConfig(),
+        train_selection_dropout(X, split, Workspace(spectrum), 1, config, TrainConfig(),
                                 measure="mae")
     assert epochs == []
 
 
 def test_write_scores_csv(tmp_path):
+    # rank 1 is the first sensor turned off, the one rebuilt best while
+    # hidden: the highest R^2 or the lowest MSE
     X, spectrum, _ = _toy_setup()
     config = ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=0)
     params = init_params(config, 4, 4, seed=2)
-    scores = score_sensors(params, spectrum, X, np.arange(200, 230), Workspace(), "mse")
-    path = tmp_path / "scores.csv"
-    write_scores_csv(scores, ["a", "b", "c", "d"], path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "sensor_id,score,rank"
-    assert len(lines) == 5
-    ranks = sorted(int(line.split(",")[2]) for line in lines[1:])
-    assert ranks == [1, 2, 3, 4]
+    for measure in ("r2", "mse"):
+        scores = score_sensors(params, X, np.arange(200, 230), Workspace(spectrum),
+                               measure)
+        path = tmp_path / f"{measure}.csv"
+        write_scores_csv(scores, ["a", "b", "c", "d"], path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "sensor_id,score,rank"
+        rows = sorted((int(rank), float(score), sid)
+                      for sid, score, rank in (line.split(",") for line in lines[1:]))
+        assert [rank for rank, _, _ in rows] == [1, 2, 3, 4]
+        by_rank = [score for _, score, _ in rows]
+        assert by_rank == sorted(by_rank, reverse=measure == "r2")
+        assert len(set(by_rank)) == 4  # the direction is not a tie
+        assert rows[0][2] == "abcd"[scores.ranking[0]]
 
 
 def test_dropout_selection_counts_degenerate_draws():
@@ -397,7 +414,7 @@ def test_dropout_selection_counts_degenerate_draws():
     config = ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=0)
     tc = TrainConfig(lr=0.01, batch_size=25, max_epoch=5, seed=0)
     scores, result, diagnostics = train_selection_dropout(
-        X, split, spectrum, 1, config, tc)
+        X, split, Workspace(spectrum), 1, config, tc)
     assert diagnostics["resampled"] > 0
     assert result.order == scores.ranking[:1]
     assert scores.measure == "r2"
@@ -408,7 +425,7 @@ def test_dropout_selection_follows_the_early_stop_rule():
     X, spectrum, split = _toy_setup()
     config = ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=0)
     tc = TrainConfig(lr=0.05, batch_size=25, max_epoch=40, seed=0)
-    _, _, diagnostics = train_selection_dropout(X, split, spectrum, 1, config, tc)
+    _, _, diagnostics = train_selection_dropout(X, split, Workspace(spectrum), 1, config, tc)
     val_losses = diagnostics["val_losses"]
     # the rule is checked every five epochs; it first fires at epoch 25
     assert len(val_losses) == 25
@@ -416,7 +433,7 @@ def test_dropout_selection_follows_the_early_stop_rule():
             if _early_stop("five-epoch-mean", val_losses[:e])] == [25]
     # a run capped before the stop makes the same epochs
     short = TrainConfig(lr=0.05, batch_size=25, max_epoch=24, seed=0)
-    _, _, diagnostics = train_selection_dropout(X, split, spectrum, 1, config, short)
+    _, _, diagnostics = train_selection_dropout(X, split, Workspace(spectrum), 1, config, short)
     assert diagnostics["val_losses"] == val_losses[:24]
 
 
@@ -425,7 +442,7 @@ def test_dropout_selection_validation():
     good = ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=0)
     tc = TrainConfig(max_epoch=1)
     with pytest.raises(InvalidInputError, match="p="):
-        train_selection_dropout(X, split, spectrum, 4, good, tc)
+        train_selection_dropout(X, split, Workspace(spectrum), 4, good, tc)
 
 
 def test_dropout_selection_falls_back_to_mse_on_a_constant_sensor():
@@ -435,7 +452,7 @@ def test_dropout_selection_falls_back_to_mse_on_a_constant_sensor():
     config = ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=0)
     tc = TrainConfig(lr=0.01, batch_size=25, max_epoch=2, seed=0)
     with pytest.warns(UserWarning, match="sensor index 1 .*falling back to mse"):
-        scores, result, _ = train_selection_dropout(X, split, spectrum, 1, config, tc)
+        scores, result, _ = train_selection_dropout(X, split, Workspace(spectrum), 1, config, tc)
     assert scores.measure == "mse"
     assert result.order == scores.ranking[:1]
     assert list(np.argsort(scores.scores, kind="stable")) == scores.ranking
@@ -447,26 +464,26 @@ def test_masking_selection_shapes_and_validation():
     tc = TrainConfig(lr=0.01, batch_size=32, max_epoch=2, seed=0)
     with pytest.warns(UserWarning, match="below eps0"):
         result, mask_path = train_selection_masking(
-            X, split, spectrum, 1, [0.01, 0.02], 1e-6, config, tc)
+            X, split, Workspace(spectrum), 1, [0.01, 0.02], 1e-6, config, tc)
     assert mask_path.shape == (2, 4)
     assert np.all(mask_path >= 0.0)
     assert np.all(mask_path <= 1.0)
     assert len(result.order) == len(result.step_values) == 1
 
     with pytest.raises(InvalidInputError, match="ascending"):
-        train_selection_masking(X, split, spectrum, 1, [0.2, 0.1], 0.01, config, tc)
+        train_selection_masking(X, split, Workspace(spectrum), 1, [0.2, 0.1], 0.01, config, tc)
     with pytest.raises(InvalidInputError, match="ascending"):
-        train_selection_masking(X, split, spectrum, 1, [], 0.01, config, tc)
+        train_selection_masking(X, split, Workspace(spectrum), 1, [], 0.01, config, tc)
     for grid in ([0.1, float("nan")], [0.1, float("inf")]):
         with pytest.raises(InvalidInputError, match="finite"):
-            train_selection_masking(X, split, spectrum, 1, grid, 0.01, config, tc)
+            train_selection_masking(X, split, Workspace(spectrum), 1, grid, 0.01, config, tc)
     # a negative penalty pushes every weight up to 1, so none collapses
     with pytest.raises(InvalidInputError, match="nonnegative"):
-        train_selection_masking(X, split, spectrum, 1, [-0.1, 0.1], 0.01, config, tc)
+        train_selection_masking(X, split, Workspace(spectrum), 1, [-0.1, 0.1], 0.01, config, tc)
     for eps0 in (0.0, float("nan"), float("inf")):
         with pytest.raises(InvalidInputError,
                            match="eps0 must be a finite number > 0"):
-            train_selection_masking(X, split, spectrum, 1, [0.1], eps0, config, tc)
+            train_selection_masking(X, split, Workspace(spectrum), 1, [0.1], eps0, config, tc)
 
 
 def test_masking_is_deterministic_given_seed():
@@ -477,9 +494,9 @@ def test_masking_is_deterministic_given_seed():
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        _, path_a = train_selection_masking(X, split, spectrum, 1, [0.05, 0.1],
+        _, path_a = train_selection_masking(X, split, Workspace(spectrum), 1, [0.05, 0.1],
                                             0.01, config, tc)
-        _, path_b = train_selection_masking(X, split, spectrum, 1, [0.05, 0.1],
+        _, path_b = train_selection_masking(X, split, Workspace(spectrum), 1, [0.05, 0.1],
                                             0.01, config, tc)
     assert np.array_equal(path_a, path_b)
 
@@ -514,13 +531,13 @@ def test_training_nets_are_frozen():
     X, spectrum, split = _toy_setup()
     pred_net = ChebNetConfig(cheb_order=2, f_out=2, fc_sizes=(8,), h=1)
     _, val_losses = train_prediction_net(
-        X, split, spectrum, [2], pred_net,
-        TrainConfig(lr=0.01, batch_size=32, max_epoch=20, seed=0), Workspace())
+        X, split, Workspace(spectrum), [2], pred_net,
+        TrainConfig(lr=0.01, batch_size=32, max_epoch=20, seed=0))
     assert np.array_equal(val_losses, FROZEN_PREDICTION_VAL_LOSSES)  # stops at 6
 
     sel_net = ChebNetConfig(cheb_order=1, f_out=2, fc_sizes=(4,), h=1)
     scores, _, diagnostics = train_selection_dropout(
-        X, split, spectrum, 1, sel_net,
+        X, split, Workspace(spectrum), 1, sel_net,
         TrainConfig(lr=0.05, batch_size=25, max_epoch=40, seed=0))
     assert np.array_equal(scores.scores, FROZEN_DROPOUT_SCORES)
     assert diagnostics["resampled"] == FROZEN_DROPOUT_RESAMPLED
@@ -529,7 +546,7 @@ def test_training_nets_are_frozen():
 
     with pytest.warns(UserWarning, match="below eps0"):
         _, mask_path = train_selection_masking(
-            X, split, spectrum, 1, [0.01, 0.1], 0.01, sel_net,
+            X, split, Workspace(spectrum), 1, [0.01, 0.1], 0.01, sel_net,
             TrainConfig(lr=0.01, batch_size=32, max_epoch=3, seed=0))
     assert np.array_equal(mask_path, FROZEN_MASK_PATH)
 
@@ -562,27 +579,24 @@ def test_each_run_builds_its_table_once_and_each_block_once(monkeypatch):
     n_train = len(batch_blocks(0, split.t_tv, net.h, tc.batch_size))  # 7
     n_val = len(batch_blocks(split.t_tv, split.t0, net.h, tc.batch_size))  # 1
     # training blocks and the one validation block
-    assert run(train_prediction_net, X, split, spectrum, [2], net, tc, Workspace()) == {
+    assert run(train_prediction_net, X, split, Workspace(spectrum), [2], net, tc) == {
         "cheb_values": 1, "lag_windows": n_train + 1}
     # training and validation blocks, then the scoring pass, which runs
     # on the training workspace and its table
-    assert run(train_selection_dropout, X, split, spectrum, 1, net, tc) == {
+    assert run(train_selection_dropout, X, split, Workspace(spectrum), 1, net, tc) == {
         "cheb_values": 1, "lag_windows": n_train + n_val + 1}
     # one table and one set of blocks for the whole lambda path
     with pytest.warns(UserWarning, match="below eps0"):
-        assert run(train_selection_masking, X, split, spectrum, 1, [0.01, 0.1, 0.2],
+        assert run(train_selection_masking, X, split, Workspace(spectrum), 1, [0.01, 0.1, 0.2],
                    0.01, net, tc) == {"cheb_values": 1, "lag_windows": n_train}
 
 
-def test_workspace_rebuilds_the_table_for_another_spectrum():
-    # the table is keyed by the eigenvalue array itself: an equal copy or
-    # another order gets its own table
-    lam = np.linspace(-1.0, 1.0, 5)
-    workspace = Workspace()
-    table = workspace.cheb_table(lam, 3)
-    assert np.array_equal(table, cheb_values(lam, 3))
-    assert workspace.cheb_table(lam, 3) is table
-    assert workspace.cheb_table(lam.copy(), 3) is not table
-    other = np.linspace(-0.5, 0.5, 5)
-    assert np.array_equal(workspace.cheb_table(other, 3), cheb_values(other, 3))
-    assert np.array_equal(workspace.cheb_table(other, 4), cheb_values(other, 4))
+def test_workspace_builds_its_spectrums_table_once_per_order():
+    # a workspace owns its run's spectrum, so the order alone keys the table
+    spectrum = sym_eig(np.diag(np.linspace(-1.0, 1.0, 5)))
+    workspace = Workspace(spectrum)
+    table = workspace.cheb_table(3)
+    assert np.array_equal(table, cheb_values(spectrum.values, 3))
+    assert workspace.cheb_table(3) is table
+    assert np.array_equal(workspace.cheb_table(4), cheb_values(spectrum.values, 4))
+    assert workspace.cheb_table(3) is table

@@ -139,23 +139,23 @@ def test_workspace_gives_the_same_loss_and_gradients():
     n, out_dim = 12, 5
     _, params, spectrum = _net(n=n, out_dim=out_dim)
     rng = np.random.default_rng(3)
-    workspace = Workspace()
+    workspace = Workspace(spectrum)
     # the buffers serve the largest batch; a smaller one reuses their head
     for B in (480, 160, 480):
         Xb = rng.normal(size=(B, n, params.h + 1))
         target = rng.normal(size=(B, out_dim))
         weight = rng.uniform(size=(1, out_dim))
-        ref = batch_loss(Xb, target, weight, params, spectrum, Workspace(),
+        ref = batch_loss(Xb, target, weight, params, Workspace(spectrum),
                          want_input_grad=True)
-        got = batch_loss(Xb, target, weight, params, spectrum, workspace,
+        got = batch_loss(Xb, target, weight, params, workspace,
                          want_input_grad=True)
         assert got[0] == ref[0]
         _assert_grads_equal(got[1], ref[1])
         assert np.array_equal(got[2], ref[2])
         assert got[3].shape == (B, n, params.h + 1)
         assert np.array_equal(got[3], ref[3])
-        assert np.array_equal(forward_batch(Xb, params, spectrum, workspace),
-                              forward_batch(Xb, params, spectrum, Workspace()))
+        assert np.array_equal(forward_batch(Xb, params, workspace),
+                              forward_batch(Xb, params, Workspace(spectrum)))
 
 
 def test_prediction_nets_trained_in_turn_on_one_workspace():
@@ -168,12 +168,11 @@ def test_prediction_nets_trained_in_turn_on_one_workspace():
     split = Split(220, 260, T)
     config = ChebNetConfig(cheb_order=3, f_out=2, fc_sizes=(6,), h=1)
     train = TrainConfig(lr=0.01, batch_size=40, max_epoch=3, seed=0)
-    workspace = Workspace()
+    workspace = Workspace(spectrum)
     for I in ([0, 5], [3, 11], [0, 5]):
-        shared, shared_val = train_prediction_net(X, split, spectrum, I, config,
-                                                  train, workspace)
-        own, own_val = train_prediction_net(X, split, spectrum, I, config, train,
-                                            Workspace())
+        shared, shared_val = train_prediction_net(X, split, workspace, I, config, train)
+        own, own_val = train_prediction_net(X, split, Workspace(spectrum), I, config,
+                                            train)
         assert shared_val == own_val
         _assert_grads_equal(shared, own)
 
@@ -186,11 +185,11 @@ def test_a_step_on_a_warm_workspace_allocates_less_than_one_block():
     rng = np.random.default_rng(5)
     Xb = rng.normal(size=(B, n, params.h + 1))
     target = rng.normal(size=(B, out_dim))
-    workspace = Workspace()
+    workspace = Workspace(spectrum)
     opt = make_optimizer("adam", 0.001)
 
     def step():
-        _, grads, _, _ = batch_loss(Xb, target, 1.0, params, spectrum, workspace)
+        _, grads, _, _ = batch_loss(Xb, target, 1.0, params, workspace)
         opt.step([params.vector], [grads.vector])
 
     step()

@@ -6,6 +6,7 @@ byte-identical across reruns. Exit codes: 0 success, 2 input error,
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -45,6 +46,7 @@ from .select_kernel import (
     build_kernel_blocks,
     fit_predict_kernel,
     greedy_select_kernel,
+    kernel_fitter,
 )
 from .select_linear import SelectionResult, fit_predict_linear, greedy_select_linear
 from .timeseries import (
@@ -325,7 +327,10 @@ def kernel(args, hp, X, split, graph):
             "validation_error": gs.val_error,
         }, {}
 
-    return select, lambda I: fit_predict_kernel(kb, I, hp["lambda"], H)
+    # evaluate's fits share one inverse, built at the first: select never
+    # fits, and its hp has no lambda yet
+    fitter = functools.cache(lambda: kernel_fitter(kb, hp["lambda"], H))
+    return select, lambda I: fitter()(I)
 
 
 def gcn(args, hp, X, split, graph):
@@ -467,6 +472,8 @@ def cmd_evaluate(args):
                 f"{args.coords}: the coordinates of the panel's sensors differ "
                 f"from those the selection's graph was built on; rerun select "
                 f"with this file")
+    # the fits run without the raw values beside the standardized ones
+    del panel
     _, fit = FAMILY[families[0]](args, hp, X, split,
                                  _graph(method, hp, coords))
     mse = test_mse(fit(order), X, split)

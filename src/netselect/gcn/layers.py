@@ -72,6 +72,9 @@ class ChebNetConfig:
     def __post_init__(self):
         for name, lo in (("cheb_order", 0), ("f_out", 1), ("h", 0)):
             _check_int(name, getattr(self, name), lo)
+        if not isinstance(self.fc_sizes, (tuple, list)):
+            raise InvalidInputError(f"fc_sizes must be a sequence of integers >= 1, "
+                                    f"got {self.fc_sizes!r}")
         for k, width in enumerate(self.fc_sizes):
             _check_int(f"fc_sizes[{k}]", width, 1)
 

@@ -4,8 +4,8 @@ All routines work on plain float64 numpy arrays. Covariance and Gram
 matrices estimated from data can be numerically singular, so every
 inversion goes through solve_spd and its jitter policy: if the smallest
 eigenvalue of A falls below 1e-12 * trace(A)/n, add 1e-10 * trace(A)/n
-to the diagonal before solving; step_inverse inverts only where that
-policy would add no jitter.
+to the diagonal before solving; step_inverse and subset_inverse invert
+only where that policy would add no jitter.
 """
 
 from typing import NamedTuple
@@ -122,6 +122,17 @@ def step_inverse(A, positions):
     d = np.diag(A)
     own = d[positions].sum(axis=1)
     tau = JITTER_TRIGGER * (d.sum() - own.min()) / (A.shape[0] - positions.shape[1])
+    return _inverse_above(A, tau)
+
+
+def subset_inverse(A):
+    """step_inverse for every principal submatrix of A at once: tau* is
+    JITTER_TRIGGER * max diag(A), which bounds each one's trigger."""
+    A = check_symmetric(A)
+    return _inverse_above(A, JITTER_TRIGGER * np.diag(A).max())
+
+
+def _inverse_above(A, tau):
     if not _has_cholesky(A, tau):
         return None
     P = np.linalg.inv(A)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import graph as graphmod
 from .errors import InvalidInputError
-from .numerics import solve_spd, solve_spd_many, step_inverse
+from .numerics import solve_spd, solve_spd_many, step_inverse, subset_inverse
 from .select_linear import LinearReconstructor, SelectionResult, greedy
 from .timeseries import _check_subset, estimate_blocks, lag_positions, lag_stack
 
@@ -126,3 +126,26 @@ def fit_predict_kernel(kb, I, lam, H=0) -> LinearReconstructor:
     K_S, K_cross = lag_stack(kb, I, Ic, H)
     theta = kernel_reconstructor(K_cross, K_S, lam)
     return LinearReconstructor(theta=theta, turned_off=I, kept=Ic, H=H)
+
+
+def kernel_fitter(kb, lam, H):
+    """fit(I) = fit_predict_kernel(kb, I, lam, H) from one subset_inverse
+    Q of all sensors' lag-stacked Gram + lambda Id: Theta_lambda is the
+    lag-0 rows of -Q_JJ^{-1} Q_JK, J and K the lag_positions of I and I^c,
+    equal in exact arithmetic; the roundoff grows with cond(Q). If the
+    guard declines, fit is fit_predict_kernel."""
+    if lam < 0:
+        raise InvalidInputError("lambda must be nonnegative")
+    n = kb[0].shape[0]
+    pos = lag_positions(n, H)
+    Q = subset_inverse(lag_stack(kb, [], range(n), H)[0] + lam * np.eye(pos.size))
+    if Q is None:
+        return lambda I: fit_predict_kernel(kb, I, lam, H)
+
+    def fit(I):
+        I, Ic = _check_subset(n, I)
+        J, K = pos[I].T.ravel(), pos[Ic].T.ravel()
+        theta = -solve_spd(Q[np.ix_(J, J)], Q[np.ix_(J, K)])[:len(I)]
+        return LinearReconstructor(theta=theta, turned_off=I, kept=Ic, H=H)
+
+    return fit

@@ -63,7 +63,8 @@ def greedy_select_linear(gammas, p, H=0) -> SelectionResult:
         if P is None:
             return None
         e0 = np.eye(H + 1)[0]
-        return [float(solve_spd(P[np.ix_(J, J)], e0)[0]) for J in positions]
+        P_JJ = P[positions[:, :, None], positions[:, None, :]]
+        return [float(solve_spd(B, e0)[0]) for B in P_JJ]
 
     def value(i, S):
         alpha, beta = lag_stack(gammas, [i], S, H)

@@ -180,12 +180,14 @@ def read_raw_records(path) -> Dict[str, np.ndarray]:
             and np.all(np.isfinite(bikes)) and np.all(np.isfinite(spaces))):
         _raise_first_bad_record(path)
     order = np.lexsort((moment, code))
-    # each column sorted straight into a contiguous table row: a sorted copy
-    # beside the table set ingest's peak (take's default mode makes one)
+    ends = np.cumsum(np.bincount(code))
+    # the codes are freed and each column is sorted straight into a
+    # contiguous table row: the codes or a sorted copy (take's default mode
+    # makes one) beside the table set ingest's peak
+    del code, add_code
     table = np.empty((3, order.size))
     for row, column in zip(table, (moment, bikes, spaces)):
         np.take(column, order, out=row, mode="clip")
-    ends = np.cumsum(np.bincount(code))
     return dict(zip(codes, np.split(table.T, ends[:-1])))
 
 
@@ -370,10 +372,11 @@ def lag_windows(X, ts, H):
 
     The windows are a C-ordered (n, B, H+1) array seen through a
     transpose, and a sum over them (the masking rule's per-sensor sum
-    over batch and lags) runs in that memory order.
+    over batch and lags) runs in that memory order. np.take would first
+    copy all of an F-ordered panel; the index gather copies the windows.
     """
     lags = np.asarray(ts, dtype=int)[:, None] - np.arange(H + 1)  # (B, H+1)
-    cols = np.take(X, lags, axis=1)
+    cols = np.ascontiguousarray(X[:, lags])
     cols[:, lags < 0] = 0.0
     return cols.transpose(1, 0, 2)
 

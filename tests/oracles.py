@@ -9,9 +9,9 @@ conjugate-gradient solve and the single-sample network loss live here,
 so the tests can check the pipeline against them. So do the plain
 forms of what the network layers compute faster: the activations as
 np.where branches and an Adam step that allocates its moments and
-temporaries afresh, and the ingest layer as it was written before it
-went columnar: a row loop that keeps every record as a tuple, and a
-panel writer that formats one field at a time.
+temporaries afresh, the lag windows by np.take, and the ingest layer
+as it was written before it went columnar: a row loop that keeps every
+record as a tuple, and a panel writer that formats one field at a time.
 """
 
 import csv
@@ -149,6 +149,15 @@ def lagged_design(X, rows, H):
     for l in range(H + 1):
         D[l * q:(l + 1) * q, l:l + T] = X[rows, :]
     return D
+
+
+def lag_windows_by_take(X, ts, H):
+    """timeseries.lag_windows as np.take gathers them, which first copies
+    a panel that is not C-ordered whole."""
+    lags = np.asarray(ts, dtype=int)[:, None] - np.arange(H + 1)
+    cols = np.take(X, lags, axis=1)
+    cols[:, lags < 0] = 0.0
+    return cols.transpose(1, 0, 2)
 
 
 def training_mse(rec, X_train):

@@ -13,6 +13,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from netselect.select_kernel import (
     GRAPH_KERNELS,
     KERNEL_TAGS,
     build_kernel_blocks,
-    fit_predict_kernel,
+    kernel_fitter,
 )
 from netselect.select_linear import fit_predict_linear
 from netselect.timeseries import (
@@ -832,7 +833,8 @@ def test_evaluate_takes_the_coordinates_in_any_row_order(tmp_path, capsys):
 @pytest.mark.parametrize("kernel", KERNEL_TAGS)
 def test_select_and_evaluate_build_the_same_kernel(tmp_path, capsys, kernel):
     # evaluate refits with the Gram blocks that select searched lambda on;
-    # the test MSE it reports is the library's for the stored settings
+    # the test MSE it reports is the library's for the stored settings,
+    # from the fitter whose one inverse serves every evaluate fit
     panel_path, coords_path, sel_path = _kernel_run(tmp_path, kernel)
     code, report = _evaluate_report(panel_path, sel_path, coords_path, tmp_path / "ev")
     capsys.readouterr()
@@ -845,8 +847,57 @@ def test_select_and_evaluate_build_the_same_kernel(tmp_path, capsys, kernel):
              if kernel in GRAPH_KERNELS else None)
     kb = build_kernel_blocks(kernel, H=1, gamma=hp["gamma"], graph=graph,
                              X_train=X[:, :split.t_tv])
-    expected = held_out_mse(fit_predict_kernel(kb, order, hp["lambda"], 1), X, split)
+    expected = held_out_mse(kernel_fitter(kb, hp["lambda"], 1)(order), X, split)
     assert json.loads(report)["test_mse"] == expected
+
+
+def test_kernel_evaluate_fits_every_draw_from_one_inverse(tmp_path, capsys, monkeypatch):
+    # the selection's fit and the 20 baseline draws read one inverse of
+    # the lag-stacked Gram; none solves its own kernel system
+    panel_path, coords_path, sel_path = _kernel_run(tmp_path)
+    calls = {"subset_inverse": 0, "kernel_reconstructor": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(select_kernel, name,
+                            counted(name, getattr(select_kernel, name)))
+    assert main(["evaluate", str(panel_path), str(sel_path), "--coords",
+                 str(coords_path), "--baseline-draws", "20",
+                 "--out-dir", str(tmp_path / "ev")]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "ev" / "report.json").read_text())
+    assert (report["baseline_draws"], report["baseline_skipped"]) == (20, 0)
+    assert calls == {"subset_inverse": 1, "kernel_reconstructor": 0}
+
+
+def test_evaluate_frees_the_raw_panel_before_the_fits(tmp_path, capsys, monkeypatch):
+    # a standardized panel is a copy, so the raw values are freed before
+    # the fits, whose buffers would otherwise sit on top of them
+    argv = _twelve_sensors(tmp_path) + ["--p", "1", "--standardize"]
+    assert main(argv) == 0
+    raw = []
+
+    def reading(path):
+        panel, digest = read_panel(path)
+        raw.append(weakref.ref(panel.values))
+        return panel, digest
+
+    def baseline(*args, **kwargs):
+        assert raw[0]() is None
+        return cli_random_baseline(*args, **kwargs)
+
+    cli_random_baseline = cli.random_baseline
+    monkeypatch.setattr(cli, "read_panel", reading)
+    monkeypatch.setattr(cli, "random_baseline", baseline)
+    assert main(["evaluate", argv[1], str(tmp_path / "out" / "selection.json"),
+                 "--baseline-draws", "2", "--out-dir", str(tmp_path / "ev")]) == 0
+    capsys.readouterr()
+    assert len(raw) == 1
 
 
 def test_kernel_grid_is_scaled_by_the_gram_eigensolve(tmp_path, capsys, monkeypatch):

@@ -213,6 +213,10 @@ def test_net_config_validation():
         with pytest.raises(InvalidInputError,
                            match=rf"fc_sizes\[{k}\] must be an integer >= 1"):
             ChebNetConfig(cheb_order=1, f_out=1, fc_sizes=fc_sizes)
+    # a bare width or None used to fail as a bare TypeError
+    for fc_sizes in (4, None):
+        with pytest.raises(InvalidInputError, match="fc_sizes must be a sequence"):
+            ChebNetConfig(cheb_order=1, f_out=1, fc_sizes=fc_sizes)
     config = ChebNetConfig(cheb_order=np.int64(2), f_out=np.int64(3),
                            fc_sizes=(np.int64(4),), h=np.int64(1))
     assert init_params(config, 5, 2).theta.shape == (3, 2, 3)

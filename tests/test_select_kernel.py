@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from netselect import select_kernel
 from netselect.errors import InvalidInputError
 from netselect.evaluation import gamma_grid, synth_generate
+from netselect.evaluation import test_mse as held_out_mse
 from netselect.graph import (
     build_knn_graph,
     combinatorial_laplacian,
@@ -17,10 +19,11 @@ from netselect.select_kernel import (
     build_kernel_blocks,
     fit_predict_kernel,
     greedy_select_kernel,
+    kernel_fitter,
     kernel_reconstructor,
 )
 from netselect.select_linear import greedy_select_linear
-from netselect.timeseries import assemble_blocks, estimate_blocks
+from netselect.timeseries import assemble_blocks, estimate_blocks, make_split
 from oracles import criterion_kernel, criterion_linear
 
 
@@ -232,6 +235,62 @@ def test_fit_predict_kernel_reconstructor():
     assert rec.theta.shape == (2, 2 * 3)
     pred = rec.predict_panel(X, 10, 20)
     assert pred.shape == (2, 10)
+
+
+def _draws(n, count=40, seed=0):
+    """Sorted turned-off sets of every size 1..n-1, random_baseline's kind."""
+    rng = np.random.default_rng(seed)
+    return [sorted(int(i) for i in rng.choice(n, int(rng.integers(1, n)), replace=False))
+            for _ in range(count)]
+
+
+def _fitter_panels():
+    """(X, kernel blocks, lambda) of a spatial-temporal H=1 panel and of
+    the autocovariance at lambda = 0 with two planted near-duplicates."""
+    rng = np.random.default_rng(11)
+    g = build_knn_graph(rng.uniform(size=(12, 2)), k0=5, k1=3)
+    X = synth_generate(g, 600, "graph-smooth", seed=3).values
+    yield X, build_kernel_blocks("spatial-temporal", H=1, gamma=gamma_grid(1, 0.5),
+                                 graph=g), 0.05
+    X = synth_generate(g, 600, "graph-smooth", seed=3,
+                       redundant_pairs=[(0, 7), (3, 10)]).values
+    yield X, build_kernel_blocks("autocovariance", H=1, X_train=X[:, :500]), 0.0
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_kernel_fitter_matches_each_fit_on_its_own(case, monkeypatch):
+    # every fit reads the one inverse; none solves its own K_S
+    X, kb, lam = list(_fitter_panels())[case]
+    draws = _draws(12)
+    with monkeypatch.context() as m:
+        m.setattr(select_kernel, "kernel_reconstructor", None)
+        fit = kernel_fitter(kb, lam, 1)
+        fits = [fit(I) for I in draws]
+    split = make_split(X.shape[1])
+    for I, got in zip(draws, fits):
+        want = fit_predict_kernel(kb, I, lam, 1)
+        assert (got.turned_off, got.kept, got.H) == (want.turned_off, want.kept, 1)
+        assert np.linalg.norm(got.theta - want.theta) <= 1e-12 * np.linalg.norm(want.theta)
+        assert held_out_mse(got, X, split) == pytest.approx(
+            held_out_mse(want, X, split), rel=1e-12, abs=0.0)
+
+
+def test_kernel_fitter_is_each_fit_where_the_guard_declines():
+    # a singular Gram at lambda = 0, from an exact duplicate or from fewer
+    # hours than sensors: some K_S takes the jitter, so no inverse is
+    # built and every fit is fit_predict_kernel's, bit for bit
+    X = _metamorphic_panel()
+    X[9] = X[2]
+    for X_train in (X[:, :500], X[:, :8]):
+        kb = build_kernel_blocks("autocovariance", H=1, X_train=X_train)
+        assert select_kernel.subset_inverse(assemble_blocks(kb, [], 1)[0]) is None
+        fit = kernel_fitter(kb, 0.0, 1)
+        for I in _draws(12, count=10):
+            assert np.array_equal(fit(I).theta, fit_predict_kernel(kb, I, 0.0, 1).theta)
+    with pytest.raises(InvalidInputError, match="lambda must be nonnegative"):
+        kernel_fitter(kb, -0.1, 1)
+    with pytest.raises(InvalidInputError, match="nonempty proper subset"):
+        kernel_fitter(kb, 0.5, 1)(list(range(12)))
 
 
 def test_greedy_orders_and_step_values_are_frozen():

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from netselect.timeseries import (
     write_csv,
     write_panel,
 )
-from oracles import lagged_design
+from oracles import lag_windows_by_take, lagged_design
 
 
 def _panel(n=3, T=400, seed=0):
@@ -257,6 +258,50 @@ def test_lag_windows_layout():
     # per-sensor sum over batch and lags keeps its memory order, and so
     # its bits
     assert W.transpose(1, 0, 2).flags.c_contiguous
+
+
+def test_read_raw_records_frees_the_codes_before_the_table(tmp_path):
+    # at the table fill, the three columns, the sort order and the table
+    # (7 words a record) are alive; with the station codes it would be 8
+    path = tmp_path / "raw.csv"
+    rng = np.random.default_rng(0)
+    with open(path, "w") as fh:
+        fh.write("station,moment,bikes,spaces\n")
+        fh.writelines(f"s{k % 40},{rng.integers(10**6)},{k % 7},{k % 5}\n"
+                      for k in range(60000))
+    tracemalloc.start()
+    try:
+        read_raw_records(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5 * 8 * 60000
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("H", [0, 1, 2])
+def test_lag_windows_match_the_take_gather(order, H):
+    # the same values in the same memory layout, so sums over the windows
+    # keep their bits; ts reaches before column 0 at every lag > 0
+    X = np.asarray(np.random.default_rng(2).normal(size=(5, 30)), order=order)
+    for ts in (np.arange(30), np.array([0, 1, 7, 2, 29, 0]), np.array([], dtype=int)):
+        got, want = lag_windows(X, ts, H), lag_windows_by_take(X, ts, H)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert np.array_equal(got, want)
+
+
+def test_lag_windows_do_not_copy_the_panel():
+    # a panel read from disk is the transpose of a (T, n) array, which
+    # np.take would copy whole on each call
+    X = np.random.default_rng(3).normal(size=(1500, 110)).T
+    assert X.flags.f_contiguous
+    tracemalloc.start()
+    try:
+        lag_windows(X, np.arange(1275, 1500), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes
 
 
 def test_lagged_design_gram_identity():

@@ -91,6 +91,9 @@ def make_split(t_total) -> Split:
 def _iso_seconds(text):
     """Epoch seconds of an ISO-8601 moment, naive meaning UTC; ValueError
     when text is not one."""
+    if text.endswith("Z"):
+        # fromisoformat reads a Z only from Python 3.11 on
+        text = text[:-1] + "+00:00"
     dt = datetime.fromisoformat(text)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
@@ -115,28 +118,6 @@ def _parse_moment(text, where):
     return value
 
 
-def _raw_rows(fh, path):
-    """The csv_rows of a raw records file past its checked header."""
-    rows = csv_rows(fh, path)
-    if [h.strip() for h in next(rows)[1]] != ["station", "moment", "bikes", "spaces"]:
-        raise InvalidInputError(
-            f"{path}: line 1: expected header 'station,moment,bikes,spaces'"
-        )
-    return rows
-
-
-def _raise_first_bad_record(path):
-    """Re-read a raw records file row by row and raise the error of its
-    first bad record. read_raw_records checks whole columns at once, so
-    it calls this, once it knows some record is bad, to name the line."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        for line, row in _raw_rows(fh, path):
-            where = f"{path}: line {line}"
-            _parse_moment(row[1], where)
-            float_fields(row[2:], "bikes/spaces", where)
-    raise InvalidInputError(f"{path}: a record failed to read but none is bad on re-reading")
-
-
 def read_raw_records(path) -> Dict[str, np.ndarray]:
     """Read raw records CSV station,moment,bikes,spaces.
 
@@ -146,49 +127,41 @@ def read_raw_records(path) -> Dict[str, np.ndarray]:
     station -> (k, 3) array of its k records (moment, bikes, spaces)
     sorted by moment, records with equal moments in file order; the
     stations come in order of first appearance.
+
+    The reader is raw_feed.read_records, which may read a large feed in
+    byte ranges by forked processes. It is imported here, so that only
+    ingest compiles and holds its code.
     """
-    codes: Dict[str, int] = {}  # station -> code, in order of first appearance
+    from .raw_feed import read_records
+    return read_records(path)
+
+
+def _parse_records(lines, codes):
+    """The columns code, moment, bikes and spaces, in file order, of the
+    records csv reads from lines; each station is coded in codes, which
+    gains new ones in order of first appearance. A bad record raises
+    ValueError or csv.Error."""
     code = array("q")
     moment, bikes, spaces = array("d"), array("d"), array("d")
     add_code, add_moment = code.append, moment.append
     add_bikes, add_spaces = bikes.append, spaces.append
-    with open(path, newline="", encoding="utf-8") as fh:
-        _raw_rows(fh, path)  # checks the header
+    # a bare reader: numbering each row would cost time on every record
+    for row in csv.reader(lines):
+        if not row:
+            continue
+        station, m, b, s = row
+        c = codes.get(station)
+        if c is None:
+            c = codes[station] = len(codes)
         try:
-            # a bare reader: numbering each row would cost time on every record
-            for row in csv.reader(fh):
-                if not row:
-                    continue
-                station, m, b, s = row
-                c = codes.get(station)
-                if c is None:
-                    c = codes[station] = len(codes)
-                try:
-                    t = float(m)
-                except ValueError:
-                    t = _iso_seconds(m.strip())
-                add_moment(t)
-                add_bikes(float(b))
-                add_spaces(float(s))
-                add_code(c)
-        except (ValueError, csv.Error):
-            _raise_first_bad_record(path)
-    code = np.frombuffer(code, dtype=np.int64)
-    moment, bikes, spaces = (np.frombuffer(a) for a in (moment, bikes, spaces))
-    # NaN fails both comparisons
-    if not (np.all((moment >= MIN_MOMENT) & (moment <= MAX_MOMENT))
-            and np.all(np.isfinite(bikes)) and np.all(np.isfinite(spaces))):
-        _raise_first_bad_record(path)
-    order = np.lexsort((moment, code))
-    ends = np.cumsum(np.bincount(code))
-    # the codes are freed and each column is sorted straight into a
-    # contiguous table row: the codes or a sorted copy (take's default mode
-    # makes one) beside the table set ingest's peak
-    del code, add_code
-    table = np.empty((3, order.size))
-    for row, column in zip(table, (moment, bikes, spaces)):
-        np.take(column, order, out=row, mode="clip")
-    return dict(zip(codes, np.split(table.T, ends[:-1])))
+            t = float(m)
+        except ValueError:
+            t = _iso_seconds(m.strip())
+        add_moment(t)
+        add_bikes(float(b))
+        add_spaces(float(s))
+        add_code(c)
+    return [np.frombuffer(c, dtype=c.typecode) for c in (code, moment, bikes, spaces)]
 
 
 def clean_stations(records, r_c, min_records=100):
@@ -471,6 +444,12 @@ def write_csv(path, header, rows, row_format=None):
                           for v in row] for row in rows)
 
 
+# rows of a panel that write_panel turns into Python floats at a time:
+# all rows at once sat under the hashing and the sidecar and set ingest's
+# peak memory
+PANEL_ROWS = 256
+
+
 def write_panel(panel: PanelSeries, path):
     """Write a panel CSV: first column timestamp (ISO-8601 hour), one
     column per sensor id. The ids go through csv quoting; a timestamp
@@ -478,8 +457,9 @@ def write_panel(panel: PanelSeries, path):
     it goes the sidecar that read_panel reads, path + ".npz": the stamps,
     the (T, n) C-order values and the SHA-256 of the CSV's bytes."""
     write_csv(path, ["timestamp"] + list(panel.sensor_ids),
-              ((_format_stamp(stamp), *values) for stamp, values in
-               zip(panel.timestamps.tolist(), panel.values.T.tolist())),
+              ((_format_stamp(stamp), *values) for k in range(0, panel.t_total, PANEL_ROWS)
+               for stamp, values in zip(panel.timestamps[k:k + PANEL_ROWS].tolist(),
+                                        panel.values[:, k:k + PANEL_ROWS].T.tolist())),
               row_format="%s" + ",%.17g" * panel.n + "\n")
     np.savez(f"{path}.npz", stamps=panel.timestamps,
              values=np.ascontiguousarray(panel.values.T), sha256=_file_sha256(path))

@@ -1283,10 +1283,12 @@ def test_measure_choices_are_the_scoring_measures(capsys):
 def test_only_the_gcn_methods_load_the_gcn_modules(tmp_path):
     # a command compiles what it imports when no bytecode is cached, and
     # its peak memory grows with that source; this process has loaded the
-    # gcn modules already, so new ones run each method
+    # gcn modules already, so new ones run each method. No select loads
+    # the raw feed's reader either
     argv = _twelve_sensors(tmp_path) + ["--p", "1", "--k0", "3", "--k1", "2"]
     script = ("import sys\nfrom netselect.cli import main\n"
               "assert main(sys.argv[1:]) == 0\n"
+              "assert 'netselect.raw_feed' not in sys.modules\n"
               "print(any(m.startswith('netselect.gcn') for m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
                PYTHONDONTWRITEBYTECODE="1", PYTHONWARNINGS="ignore")

@@ -11,14 +11,21 @@ ignored.
 """
 
 import csv
+import math
+import os
+import subprocess
+import sys
+import threading
 import warnings
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from netselect import cli, timeseries
+from netselect import cli, raw_feed, timeseries
 from netselect.errors import InvalidInputError
+from netselect.raw_feed import _cuts, _range_count, _range_lines, _read_one_range
 from netselect.timeseries import (
     HOUR,
     PanelSeries,
@@ -43,6 +50,7 @@ SPAN_HOURS = 200
 CAPACITY = 20
 FEEDS = ["interleaved", "duplicates", "mixed-moments", "blank-lines",
          "quoted-ids", "all"]
+QUOTE_FREE_FEEDS = FEEDS[:4]
 
 
 def _moment_text(rng, moment):
@@ -214,6 +222,235 @@ def test_errors_match_the_row_loop(tmp_path, first, second):
         read_raw_records(path)
     assert str(got.value) == str(ref.value)
     assert ": line 4: " in str(got.value)
+
+
+def test_a_trailing_z_reads_as_utc(tmp_path):
+    # Python 3.10's fromisoformat refused the Z that 3.11 reads, so one
+    # feed ingested under one and exited 2 under the other
+    path = tmp_path / "raw.csv"
+    path.write_text("station,moment,bikes,spaces\n"
+                    "a,2019-01-01T00:00:00Z,5,5\n"
+                    "a,2019-01-01 01:00:00.500Z ,5,5\n")
+    assert read_raw_records(path)["a"][:, 0].tolist() == [EPOCH0, EPOCH0 + HOUR + 0.5]
+    assert read_raw_records_by_row(path)["a"][1][0] == EPOCH0 + HOUR + 0.5
+
+
+# line ends and text that the ranges of a raw feed must split and decode
+# as the text layer does: \r\n, a bare \r, no final newline, characters
+# str.splitlines would split at, and text of more than one chunk
+RANGE_TEXTS = {
+    "crlf": "station,moment\r\na,1\r\nb,2\r\n",
+    "bare-cr": "station,moment\ra,1\rb,2\n\nc,3\r\nd,4",
+    "separators": "station,moment\na\x1c\x85\u2028\x0b,1\n\u00e9t\u00e9,2\n",
+    "long": "station,moment\n" + "".join(f"s{k % 7},{k}\r\n" for k in range(5000)),
+}
+
+
+@pytest.mark.parametrize("text", RANGE_TEXTS.values(), ids=list(RANGE_TEXTS))
+def test_ranges_split_lines_as_the_text_layer_does(tmp_path, text):
+    path = tmp_path / "raw.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, newline="", encoding="utf-8") as fh:
+        want = list(fh)
+    assert list(_range_lines(path, 0, math.inf)) == want
+    data = path.read_bytes()
+    # any cut just past a newline splits the lines between the ranges
+    cuts = [k + 1 for k, byte in enumerate(data) if byte == ord("\n")][::97]
+    for cut in cuts:
+        got = list(_range_lines(path, 0, cut)) + list(_range_lines(path, cut, len(data)))
+        assert got == want
+
+
+def _in_one_thread(case, *args):
+    """Run this module's case(*args) in a new Python process of one
+    thread, where read_raw_records may fork. A fork of pytest's process,
+    which may run BLAS threads, warns on Python 3.12 and the warning
+    fails the test; so does one in the new process."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONDONTWRITEBYTECODE="1", PYTHONWARNINGS="error::DeprecationWarning")
+    script = f"import sys\nfrom {__name__} import {case.__name__}\n{case.__name__}(*sys.argv[1:])"
+    run = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def _force_ranges(count):
+    """Let read_raw_records cut a feed of any size into count ranges."""
+    raw_feed.MIN_RANGE_BYTES = 1
+    os.sched_getaffinity = lambda pid: set(range(count))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _split_read(path, count):
+    """read_raw_records(path), checked to be read in count ranges, with
+    no fall back to one, and to be the one-range read, bit for bit."""
+    def fall_back(path):
+        raise AssertionError(f"the split read of {path} fell back to one range")
+
+    assert _range_count(path) == count
+    assert len(_cuts(path, count)) == count + 1
+    raw_feed._read_one_range = fall_back
+    try:
+        got = read_raw_records(path)
+    finally:
+        raw_feed._read_one_range = _read_one_range
+    one = _read_one_range(path)
+    assert list(got) == list(one)
+    assert all(got[s].tobytes() == one[s].tobytes() for s in got)
+    return got
+
+
+def _split_read_equals_the_row_loop(tmp, count):
+    count = int(count)
+    _force_ranges(count)
+    for kind in QUOTE_FREE_FEEDS:
+        raw = Path(tmp) / f"{kind}.csv"
+        _write_feed(raw, kind)
+        got = _split_read(raw, count)
+        ref = read_raw_records_by_row(raw)
+        assert list(got) == list(ref)
+        for station, recs in got.items():
+            assert np.array_equal(recs, np.array(ref[station]))
+    _no_child_left()
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_a_split_read_equals_the_row_loop(tmp_path, count):
+    _in_one_thread(_split_read_equals_the_row_loop, tmp_path, count)
+
+
+def _offset(lines, k):
+    """Byte offset of line k of a feed of lines ended by newlines."""
+    return sum(len(line.encode("utf-8")) + 1 for line in lines[:k])
+
+
+def _late_stations_keep_their_place(tmp):
+    _force_ranges(3)
+    path = Path(tmp) / "raw.csv"
+    blocks = [["b", "a"], ["a", "c"], ["d", "c", "b", "e"]]
+    lines = ["station,moment,bikes,spaces"] + [
+        f"{block[k % len(block)]},{(20 * j + k) * HOUR:07d},{k % 5},{k % 3}"
+        for j, block in enumerate(blocks) for k in range(20)]
+    path.write_text("\n".join(lines) + "\n")
+    cuts = _cuts(path, 3)
+    first = {s: next(k for k, line in enumerate(lines) if line.startswith(s + ","))
+             for s in "abcde"}
+    assert cuts[1] <= _offset(lines, first["c"]) < cuts[2] <= _offset(lines, first["d"])
+    got = _split_read(path, 3)
+    assert list(got) == list(read_raw_records_by_row(path)) == ["b", "a", "c", "d", "e"]
+    _no_child_left()
+
+
+def test_a_station_first_seen_in_a_later_range_keeps_its_place(tmp_path):
+    _in_one_thread(_late_stations_keep_their_place, tmp_path)
+
+
+def _bad_rows_name_the_row_loops_line(tmp):
+    _force_ranges(3)
+    path = Path(tmp) / "raw.csv"
+    for bad in BAD_ROWS:
+        for at in (5, 15, 25):
+            lines = ["station,moment,bikes,spaces"] + [f"b,{k * HOUR},1,1" for k in range(30)]
+            lines[at] = bad
+            # a later bad record in the last range must not be the one named
+            lines[28] = "a,0,5,x"
+            path.write_text("\n".join(lines) + "\n")
+            cuts = _cuts(path, 3)
+            assert cuts.index(max(c for c in cuts if c <= _offset(lines, at))) == at // 10
+            with pytest.raises(InvalidInputError) as ref:
+                read_raw_records_by_row(path)
+            with pytest.raises(InvalidInputError) as got:
+                read_raw_records(path)
+            assert str(got.value) == str(ref.value)
+            assert f": line {at + 1}: " in str(got.value)
+            _no_child_left()
+    path.write_text("station,when,bikes,spaces\n" + "b,0,1,1\n" * 30)
+    with pytest.raises(InvalidInputError, match=": line 1: expected header"):
+        read_raw_records(path)
+    _no_child_left()
+
+
+def test_a_bad_record_in_any_range_names_the_row_loops_line(tmp_path):
+    _in_one_thread(_bad_rows_name_the_row_loops_line, tmp_path)
+
+
+def _a_refused_fork_reads_one_range(tmp):
+    _force_ranges(3)
+    path = Path(tmp) / "raw.csv"
+    _write_feed(path, "interleaved")
+    forks, fork = [], os.fork
+
+    def second_refused():
+        forks.append(len(forks))
+        if len(forks) == 2:
+            raise BlockingIOError("fork refused")
+        return fork()
+
+    os.fork = second_refused
+    fds = len(os.listdir("/proc/self/fd"))
+    got = read_raw_records(path)
+    assert len(forks) == 2
+    assert len(os.listdir("/proc/self/fd")) == fds
+    one = _read_one_range(path)
+    assert list(got) == list(one)
+    assert all(got[s].tobytes() == one[s].tobytes() for s in got)
+    _no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open files in /proc")
+def test_a_refused_fork_reads_one_range(tmp_path):
+    _in_one_thread(_a_refused_fork_reads_one_range, tmp_path)
+
+
+def _one_range_cases(tmp):
+    def split(*args):
+        raise AssertionError("a split read")
+
+    os.sched_getaffinity = lambda pid: {0, 1, 2}
+    raw_feed._fork = split
+    tmp = Path(tmp)
+    # under 2 MiB, each of two ranges would be under MIN_RANGE_BYTES:
+    # 16-byte records and blank lines make a feed of 2 MiB - 1 bytes, and
+    # one blank line more makes one of 2 MiB
+    header = b"station,moment,bikes,spaces\n"
+    size = 2 * raw_feed.MIN_RANGE_BYTES
+    records = b"".join(b"a,%09d,1,1\n" % k for k in range((size - len(header)) // 16))
+    data = header + records + b"\n" * ((size - len(header)) % 16)
+    (tmp / "small.csv").write_bytes(data[:-1])
+    (tmp / "big.csv").write_bytes(data)
+    assert len(read_raw_records(tmp / "small.csv")["a"]) == len(records) // 16
+    with pytest.raises(AssertionError, match="a split read"):
+        read_raw_records(tmp / "big.csv")
+    # feeds of any size from here on
+    raw_feed.MIN_RANGE_BYTES = 1
+    _write_feed(tmp / "plain.csv", "interleaved")
+    _write_feed(tmp / "quoted.csv", "quoted-ids")
+    assert _range_count(tmp / "plain.csv") == 3
+    assert _range_count(tmp / "quoted.csv") == 1
+    assert list(read_raw_records(tmp / "quoted.csv")) == list(
+        read_raw_records_by_row(tmp / "quoted.csv"))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert _range_count(tmp / "plain.csv") == 1
+        assert list(read_raw_records(tmp / "plain.csv")) == list(
+            read_raw_records_by_row(tmp / "plain.csv"))
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert _range_count(tmp / "plain.csv") == 3
+
+
+def test_quotes_small_feeds_and_threads_keep_one_range(tmp_path):
+    _in_one_thread(_one_range_cases, tmp_path)
 
 
 # hand-written panels, which only the row loop reads, and what it reads

@@ -4,8 +4,10 @@ All routines work on plain float64 numpy arrays. Covariance and Gram
 matrices estimated from data can be numerically singular, so every
 inversion goes through solve_spd and its jitter policy: if the smallest
 eigenvalue of A falls below 1e-12 * trace(A)/n, add 1e-10 * trace(A)/n
-to the diagonal before solving; step_inverse and subset_inverse invert
-only where that policy would add no jitter.
+to the diagonal before solving. A run that reads many principal
+submatrices from one inverse asks jitter_free once, on the run's full
+matrix, and then inverts by sym_inverse unchecked, or solves each
+submatrix on its own.
 """
 
 from typing import NamedTuple
@@ -106,36 +108,24 @@ def solve_spd_many(A, B):
     return np.stack([solve_spd(a, b) for a, b in zip(A, B)])
 
 
-def step_inverse(A, positions):
-    """Inverse of the Gram matrix A of a greedy step, whose candidate k
-    owns the rows and columns positions[k], or None when a candidate's
-    own solve could take the jitter.
+def jitter_free(A):
+    """Whether solve_spd adds no jitter to any principal submatrix of A.
 
-    Each alpha_S, A without one candidate's positions, is a principal
-    submatrix, so lambda_min(alpha_S) >= lambda_min(A). If A - tau* Id
-    has a Cholesky factor, where tau* is the largest jitter trigger
-    JITTER_TRIGGER * trace(alpha_S)/dim of any candidate, solve_spd adds
-    no jitter to any alpha_S, and the values read from A^{-1} equal the
-    per-candidate ones in exact arithmetic. The inverse is symmetrized.
+    A principal submatrix alpha_S has lambda_min(alpha_S) >=
+    lambda_min(A), and its jitter trigger JITTER_TRIGGER * trace/dim is
+    at most tau* = JITTER_TRIGGER * max diag(A). So one Cholesky of
+    A - tau* Id decides for every alpha_S at once, and the values read
+    from A^{-1} then equal their own solves in exact arithmetic.
     """
     A = check_symmetric(A)
-    d = np.diag(A)
-    own = d[positions].sum(axis=1)
-    tau = JITTER_TRIGGER * (d.sum() - own.min()) / (A.shape[0] - positions.shape[1])
-    return _inverse_above(A, tau)
+    return _has_cholesky(A, JITTER_TRIGGER * np.diag(A).max())
 
 
-def subset_inverse(A):
-    """step_inverse for every principal submatrix of A at once: tau* is
-    JITTER_TRIGGER * max diag(A), which bounds each one's trigger."""
-    A = check_symmetric(A)
-    return _inverse_above(A, JITTER_TRIGGER * np.diag(A).max())
-
-
-def _inverse_above(A, tau):
-    if not _has_cholesky(A, tau):
-        return None
-    P = np.linalg.inv(A)
+def sym_inverse(A):
+    """The symmetrized inverse of A, which is not checked for jitter:
+    a run calls it only on principal submatrices of a matrix that
+    jitter_free admits."""
+    P = np.linalg.inv(check_symmetric(A))
     return (P + P.T) / 2.0
 
 

@@ -13,8 +13,8 @@ import numpy as np
 
 from . import graph as graphmod
 from .errors import InvalidInputError
-from .numerics import solve_spd, solve_spd_many, step_inverse, subset_inverse
-from .select_linear import LinearReconstructor, SelectionResult, greedy
+from .numerics import jitter_free, solve_spd, solve_spd_many, sym_inverse
+from .select_linear import LinearReconstructor, SelectionResult, greedy, one_by_one
 from .timeseries import _check_subset, estimate_blocks, lag_positions, lag_stack
 
 KERNEL_TAGS = ("spatial-temporal", "autocovariance", "linear", "rbf")
@@ -70,11 +70,15 @@ def kernel_reconstructor(K_cross, K_S, lam):
     lambda = 0 is regularized at the 1e-10 level; matrices indefinite
     beyond jitter raise SingularMatrixError.
     """
-    K_S = np.asarray(K_S, dtype=float)
-    if lam < 0:
-        raise InvalidInputError("lambda must be nonnegative")
-    A = K_S + lam * np.eye(K_S.shape[0])
+    A = _ridged(np.asarray(K_S, dtype=float), lam)
     return solve_spd(A, np.asarray(K_cross, dtype=float).T).T
+
+
+def _ridged(K, lam):
+    """K + lambda Id, for a finite nonnegative lambda."""
+    if not 0.0 <= lam < np.inf:
+        raise InvalidInputError(f"lambda must be nonnegative and finite, got {lam}")
+    return K + lam * np.eye(K.shape[0])
 
 
 def greedy_select_kernel(gammas, kb, p, lam=0.0, H=0) -> SelectionResult:
@@ -88,11 +92,10 @@ def greedy_select_kernel(gammas, kb, p, lam=0.0, H=0) -> SelectionResult:
     of i, Theta_lambda(i) is the lag-0 row of -Q_JJ^{-1} Q_J,: with its
     J entries set to 0. One stacked solve of the q (H+1)-sized systems
     (solve_spd_many) and one product with the data Gram M_R give every
-    candidate's value. Steps that numerics.step_inverse declines solve
+    candidate's value. The run asks numerics.jitter_free once, on
+    K + lambda Id over all sensors; if it refuses, every step solves
     each K_S instead.
     """
-    if lam < 0:
-        raise InvalidInputError("lambda must be nonnegative")
     n = gammas[0].shape[0]
     if kb[0].shape[0] != n:
         raise InvalidInputError(f"data blocks cover {n} sensors, "
@@ -101,9 +104,7 @@ def greedy_select_kernel(gammas, kb, p, lam=0.0, H=0) -> SelectionResult:
     def score(R):
         q = len(R)
         J = lag_positions(q, H)
-        Q = step_inverse(lag_stack(kb, [], R, H)[0] + lam * np.eye(J.size), J)
-        if Q is None:
-            return None
+        Q = sym_inverse(_ridged(lag_stack(kb, [], R, H)[0], lam))
         theta = -solve_spd_many(Q[J[:, :, None], J[:, None, :]], Q[J])[:, 0]
         theta[np.arange(q)[:, None], J] = 0.0
         M_R = lag_stack(gammas, [], R, H)[0]
@@ -117,7 +118,8 @@ def greedy_select_kernel(gammas, kb, p, lam=0.0, H=0) -> SelectionResult:
         th = kernel_reconstructor(K_cross, K_S, lam).ravel()
         return float(gammas[0][i, i] - 2.0 * (beta[0] @ th) + th @ alpha @ th)
 
-    return SelectionResult(*greedy(n, p, score, value))
+    admitted = jitter_free(_ridged(lag_stack(kb, [], range(n), H)[0], lam))
+    return SelectionResult(*greedy(n, p, score if admitted else one_by_one(value)))
 
 
 def fit_predict_kernel(kb, I, lam, H=0) -> LinearReconstructor:
@@ -129,18 +131,18 @@ def fit_predict_kernel(kb, I, lam, H=0) -> LinearReconstructor:
 
 
 def kernel_fitter(kb, lam, H):
-    """fit(I) = fit_predict_kernel(kb, I, lam, H) from one subset_inverse
-    Q of all sensors' lag-stacked Gram + lambda Id: Theta_lambda is the
-    lag-0 rows of -Q_JJ^{-1} Q_JK, J and K the lag_positions of I and I^c,
-    equal in exact arithmetic; the roundoff grows with cond(Q). If the
-    guard declines, fit is fit_predict_kernel."""
-    if lam < 0:
-        raise InvalidInputError("lambda must be nonnegative")
+    """fit(I) = fit_predict_kernel(kb, I, lam, H) from one inverse Q of
+    all sensors' lag-stacked Gram + lambda Id: Theta_lambda is the lag-0
+    rows of -Q_JJ^{-1} Q_JK, J and K the lag_positions of I and I^c,
+    equal in exact arithmetic; the roundoff grows with cond(Q). The
+    fitter asks numerics.jitter_free once; if it refuses, fit is
+    fit_predict_kernel."""
     n = kb[0].shape[0]
     pos = lag_positions(n, H)
-    Q = subset_inverse(lag_stack(kb, [], range(n), H)[0] + lam * np.eye(pos.size))
-    if Q is None:
+    A = _ridged(lag_stack(kb, [], range(n), H)[0], lam)
+    if not jitter_free(A):
         return lambda I: fit_predict_kernel(kb, I, lam, H)
+    Q = sym_inverse(A)
 
     def fit(I):
         I, Ic = _check_subset(n, I)

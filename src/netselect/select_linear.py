@@ -13,7 +13,7 @@ from typing import List, NamedTuple
 
 import numpy as np
 
-from .numerics import solve_spd, step_inverse
+from .numerics import jitter_free, solve_spd, sym_inverse
 from .timeseries import _check_size, _check_subset, lag_positions, lag_stack, lag_windows
 
 
@@ -22,27 +22,31 @@ class SelectionResult(NamedTuple):
     step_values: List[float]  # the value that picked each of them
 
 
-def greedy(n, p, score, value):
+def greedy(n, p, values):
     """Backward greedy over sensors 0..n-1.
 
-    At each of p steps, score(R) returns the values of all remaining
-    sensors R at once, or None when step_inverse declines the step;
-    then value(i, S) scores each i in R against the others S on its
-    own. The smallest value moves its sensor to the turned-off set; ties
-    go to the lowest index. Returns (order, step_values).
+    At each of p steps, values(R) returns the values of all remaining
+    sensors R; the smallest moves its sensor to the turned-off set, and
+    ties go to the lowest index. A run's values are read from one
+    inverse at every step or solved per candidate at every step, never
+    a mix. Returns (order, step_values).
     """
     _check_size(n, p)
     remaining = list(range(n))
     order: List[int] = []
     step_values: List[float] = []
     for _ in range(p):
-        vals = score(remaining)
-        if vals is None:
-            vals = [value(i, [j for j in remaining if j != i]) for i in remaining]
+        vals = values(remaining)
         k = min(range(len(vals)), key=vals.__getitem__)
         order.append(remaining.pop(k))
         step_values.append(vals[k])
     return order, step_values
+
+
+def one_by_one(value):
+    """values(R) for greedy that scores each i in R against the others
+    S on its own, by value(i, S)."""
+    return lambda R: [value(i, [j for j in R if j != i]) for i in R]
 
 
 def greedy_select_linear(gammas, p, H=0) -> SelectionResult:
@@ -54,14 +58,15 @@ def greedy_select_linear(gammas, p, H=0) -> SelectionResult:
     alpha and beta from lag_stack of [i] on S. With P the inverse of the
     lag-stacked Gram over R = S + {i} and J = lag_positions of i,
     P_JJ^{-1} is the Schur complement of alpha in it, so the value is
-    its lag-0 entry: one (H+1)-sized solve per candidate. Steps that
-    numerics.step_inverse declines solve each alpha instead.
+    its lag-0 entry: one (H+1)-sized solve per candidate. The run asks
+    numerics.jitter_free once, on the Gram over all sensors; if it
+    refuses, every step solves each alpha instead.
     """
+    n = gammas[0].shape[0]
+
     def score(R):
         positions = lag_positions(len(R), H)
-        P = step_inverse(lag_stack(gammas, [], R, H)[0], positions)
-        if P is None:
-            return None
+        P = sym_inverse(lag_stack(gammas, [], R, H)[0])
         e0 = np.eye(H + 1)[0]
         P_JJ = P[positions[:, :, None], positions[:, None, :]]
         return [float(solve_spd(B, e0)[0]) for B in P_JJ]
@@ -71,7 +76,8 @@ def greedy_select_linear(gammas, p, H=0) -> SelectionResult:
         b = beta[0]
         return float(gammas[0][i, i] - b @ solve_spd(alpha, b))
 
-    return SelectionResult(*greedy(gammas[0].shape[0], p, score, value))
+    admitted = jitter_free(lag_stack(gammas, [], range(n), H)[0])
+    return SelectionResult(*greedy(n, p, score if admitted else one_by_one(value)))
 
 
 @dataclass

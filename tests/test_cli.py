@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netselect import cli, select_kernel
+from netselect import cli, select_kernel, select_linear
 from netselect.cli import METHODS, _build_parser, main
 from netselect.errors import (
     InvalidInputError,
@@ -851,11 +851,9 @@ def test_select_and_evaluate_build_the_same_kernel(tmp_path, capsys, kernel):
     assert json.loads(report)["test_mse"] == expected
 
 
-def test_kernel_evaluate_fits_every_draw_from_one_inverse(tmp_path, capsys, monkeypatch):
-    # the selection's fit and the 20 baseline draws read one inverse of
-    # the lag-stacked Gram; none solves its own kernel system
-    panel_path, coords_path, sel_path = _kernel_run(tmp_path)
-    calls = {"subset_inverse": 0, "kernel_reconstructor": 0}
+def _count_calls(monkeypatch, module, names):
+    """Dict name -> number of calls of module.name, for each name."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -863,16 +861,40 @@ def test_kernel_evaluate_fits_every_draw_from_one_inverse(tmp_path, capsys, monk
             return fn(*args, **kwargs)
         return call
 
-    for name in calls:
-        monkeypatch.setattr(select_kernel, name,
-                            counted(name, getattr(select_kernel, name)))
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def test_kernel_evaluate_fits_every_draw_from_one_inverse(tmp_path, capsys, monkeypatch):
+    # the selection's fit and the 20 baseline draws read one inverse of
+    # the lag-stacked Gram, behind one guard; none solves its own kernel
+    # system
+    panel_path, coords_path, sel_path = _kernel_run(tmp_path)
+    calls = _count_calls(monkeypatch, select_kernel, ["jitter_free", "kernel_reconstructor"])
     assert main(["evaluate", str(panel_path), str(sel_path), "--coords",
                  str(coords_path), "--baseline-draws", "20",
                  "--out-dir", str(tmp_path / "ev")]) == 0
     capsys.readouterr()
     report = json.loads((tmp_path / "ev" / "report.json").read_text())
     assert (report["baseline_draws"], report["baseline_skipped"]) == (20, 0)
-    assert calls == {"subset_inverse": 1, "kernel_reconstructor": 0}
+    assert calls == {"jitter_free": 1, "kernel_reconstructor": 0}
+
+
+def test_select_guards_each_greedy_run_once(tmp_path, capsys, monkeypatch):
+    # the guard decides once per greedy run, not once per step: one run
+    # for linear select, one per point of the kernel's 5-point lambda grid
+    panel_path, coords_path, _ = _correlated_panel(tmp_path, n=8)
+    kernel_calls = _count_calls(monkeypatch, select_kernel, ["jitter_free"])
+    linear_calls = _count_calls(monkeypatch, select_linear, ["jitter_free"])
+    for method in ("linear", "kernel"):
+        assert main(["select", str(panel_path), "--coords", str(coords_path),
+                     "--method", method, "--H", "1", "--k0", "6", "--k1", "3",
+                     "--p", "3", "--out-dir", str(tmp_path / method)]) == 0
+    capsys.readouterr()
+    hp = json.loads((tmp_path / "kernel" / "selection.json").read_text())["hyperparams"]
+    assert len(hp["lambda_grid"]) == 5
+    assert (linear_calls, kernel_calls) == ({"jitter_free": 1}, {"jitter_free": 5})
 
 
 def test_evaluate_frees_the_raw_panel_before_the_fits(tmp_path, capsys, monkeypatch):

@@ -1,15 +1,17 @@
-"""The greedy steps, which score every candidate from one inverse, against
-the per-candidate reference in oracles.py.
+"""The greedy runs, which score every candidate of every step from one
+inverse, against the per-candidate reference in oracles.py.
 
 The kernel steps, which solve every candidate's system in one stacked
 solve, must also equal the step that solves them one at a time, bit for
 bit.
 
-The panels make the step inverse singular (fewer samples than sensors,
-an exact duplicate, the graph-Laplacian kernel at zero ridge), where the
-step falls back to one solve per candidate, or nearly singular (planted
-near-duplicates), where it does not. The orders must agree exactly and
-the step values to rel 1e-12.
+Each run asks numerics.jitter_free once, on the Gram over all sensors.
+The panels make that Gram singular (fewer samples than sensors, an
+exact duplicate, the graph-Laplacian kernel at zero ridge), where the
+run is refused and solves every candidate on its own at every step, or
+nearly singular (planted near-duplicates), where it is admitted. The
+orders must agree exactly; the step values of a refused run exactly,
+those of an admitted run to rel 1e-12.
 """
 
 import numpy as np
@@ -19,8 +21,8 @@ from netselect import numerics, select_kernel, select_linear
 from netselect.evaluation import gamma_grid, synth_generate
 from netselect.graph import build_knn_graph
 from netselect.select_kernel import build_kernel_blocks, greedy_select_kernel
-from netselect.select_linear import greedy, greedy_select_linear
-from netselect.timeseries import estimate_blocks
+from netselect.select_linear import greedy, greedy_select_linear, one_by_one
+from netselect.timeseries import assemble_blocks, estimate_blocks
 from oracles import greedy_per_candidate, kernel_step_score, kernel_value, linear_value
 
 P = 4
@@ -55,62 +57,65 @@ def _kernel_blocks(kernel, X, H):
     return build_kernel_blocks(kernel, H=H, gamma=gamma, graph=_graph())
 
 
-def _record_steps(monkeypatch):
-    """List that gets True for each step whose inverse was taken, False
-    for each step that fell back to per-candidate solves."""
-    taken = []
-    original = numerics.step_inverse
+def _record_runs(monkeypatch):
+    """List that gets, for each greedy run, whether numerics.jitter_free
+    admitted it: True for a run that reads every step from one inverse,
+    False for one that solves every candidate on its own."""
+    runs = []
 
-    def recorded(A, positions):
-        inv = original(A, positions)
-        taken.append(inv is not None)
-        return inv
+    def recorded(A):
+        runs.append(numerics.jitter_free(A))
+        return runs[-1]
 
     for module in (select_linear, select_kernel):
-        monkeypatch.setattr(module, "step_inverse", recorded)
-    return taken
+        monkeypatch.setattr(module, "jitter_free", recorded)
+    return runs
 
 
-# (data case, steps whose inverse is taken)
+# (data case, whether the run is admitted)
 LINEAR_CASES = [
-    ("short", [False] * P),
-    ("duplicate", [False] + [True] * (P - 1)),
-    ("near", [True] * P),
+    ("short", False),
+    ("duplicate", False),
+    ("near", True),
 ]
 
-# (data case, kernel, ridge, steps whose inverse is taken)
+# (data case, kernel, ridge, whether the run is admitted)
 KERNEL_CASES = [
-    ("short", "autocovariance", 0.0, [False] * P),
-    ("duplicate", "autocovariance", 0.0, [False] + [True] * (P - 1)),
-    ("near", "autocovariance", 0.05, [True] * P),
-    ("near", "spatial-temporal", 0.0, [False] + [True] * (P - 1)),
-    ("near", "spatial-temporal", 0.05, [True] * P),
+    ("short", "autocovariance", 0.0, False),
+    ("duplicate", "autocovariance", 0.0, False),
+    ("near", "autocovariance", 0.05, True),
+    ("near", "spatial-temporal", 0.0, False),
+    ("near", "spatial-temporal", 0.05, True),
 ]
 
 
-def _assert_same(fast, ref):
+def _assert_same(fast, ref, admitted):
+    # a refused run computes what the reference computes, in its order
     order, values = ref
     assert fast.order == order
-    assert fast.step_values == pytest.approx(values, rel=1e-12, abs=0.0)
+    if admitted:
+        assert fast.step_values == pytest.approx(values, rel=1e-12, abs=0.0)
+    else:
+        assert fast.step_values == values
 
 
 @pytest.mark.parametrize("seed", [3, 4])
 @pytest.mark.parametrize("H", [0, 1])
-@pytest.mark.parametrize("case,taken", LINEAR_CASES)
-def test_linear_greedy_matches_per_candidate_reference(case, taken, H, seed,
+@pytest.mark.parametrize("case,admitted", LINEAR_CASES)
+def test_linear_greedy_matches_per_candidate_reference(case, admitted, H, seed,
                                                        monkeypatch):
     X = _panel(case, seed)
     gammas = estimate_blocks(X, H)
     ref = greedy_per_candidate(X.shape[0], P, linear_value(gammas, H))
-    steps = _record_steps(monkeypatch)
-    _assert_same(greedy_select_linear(gammas, P, H=H), ref)
-    assert steps == taken
+    runs = _record_runs(monkeypatch)
+    _assert_same(greedy_select_linear(gammas, P, H=H), ref, admitted)
+    assert runs == [admitted]
 
 
 @pytest.mark.parametrize("seed", [3, 4])
 @pytest.mark.parametrize("H", [0, 1])
-@pytest.mark.parametrize("case,kernel,ridge,taken", KERNEL_CASES)
-def test_kernel_greedy_matches_per_candidate_reference(case, kernel, ridge, taken,
+@pytest.mark.parametrize("case,kernel,ridge,admitted", KERNEL_CASES)
+def test_kernel_greedy_matches_per_candidate_reference(case, kernel, ridge, admitted,
                                                        H, seed, monkeypatch):
     X = _panel(case, seed)
     gammas = estimate_blocks(X, H)
@@ -118,22 +123,27 @@ def test_kernel_greedy_matches_per_candidate_reference(case, kernel, ridge, take
     # the ridge is relative to the mean diagonal of the kernel's K(0)
     lam = ridge * np.trace(kb[0]) / kb[0].shape[0]
     ref = greedy_per_candidate(X.shape[0], P, kernel_value(gammas, kb, lam, H))
-    steps = _record_steps(monkeypatch)
-    _assert_same(greedy_select_kernel(gammas, kb, P, lam=lam, H=H), ref)
-    assert steps == taken
+    runs = _record_runs(monkeypatch)
+    _assert_same(greedy_select_kernel(gammas, kb, P, lam=lam, H=H), ref, admitted)
+    assert runs == [admitted]
 
 
 @pytest.mark.parametrize("seed", [3, 4])
 @pytest.mark.parametrize("H", [0, 1, 2])
-@pytest.mark.parametrize("case,kernel,ridge,taken", KERNEL_CASES)
-def test_kernel_stacked_step_equals_per_candidate_step(case, kernel, ridge, taken,
+@pytest.mark.parametrize("case,kernel,ridge,admitted", KERNEL_CASES)
+def test_kernel_stacked_step_equals_per_candidate_step(case, kernel, ridge, admitted,
                                                        H, seed):
+    # the run takes the stacked step where its guard admits it, at H=2 as
+    # well, and the per-candidate values otherwise
     X = _panel(case, seed)
     gammas = estimate_blocks(X, H)
     kb = _kernel_blocks(kernel, X, H)
     lam = ridge * np.trace(kb[0]) / kb[0].shape[0]
-    order, values = greedy(X.shape[0], P, kernel_step_score(gammas, kb, lam, H),
-                           kernel_value(gammas, kb, lam, H))
+    K = assemble_blocks(kb, [], H)[0]
+    values = (kernel_step_score(gammas, kb, lam, H)
+              if numerics.jitter_free(K + lam * np.eye(K.shape[0]))
+              else one_by_one(kernel_value(gammas, kb, lam, H)))
+    order, step_values = greedy(X.shape[0], P, values)
     fast = greedy_select_kernel(gammas, kb, P, lam=lam, H=H)
     assert fast.order == order
-    assert fast.step_values == values
+    assert fast.step_values == step_values

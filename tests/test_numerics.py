@@ -1,5 +1,5 @@
 """Dense linear algebra: symmetry checks, SPD solves and their stacked
-form, the greedy step's guarded inverse, CG, power iteration."""
+form, the run guard of a one-inverse run, CG, power iteration."""
 
 import numpy as np
 import pytest
@@ -10,15 +10,15 @@ from netselect.numerics import (
     JITTER_SIZE,
     JITTER_TRIGGER,
     check_symmetric,
+    jitter_free,
     power_method,
     solve_spd,
     solve_spd_many,
-    step_inverse,
     sym_eig,
+    sym_inverse,
 )
 from netselect.gcn.layers import scale_laplacian
 from netselect.graph import build_knn_graph, normalized_laplacian
-from netselect.timeseries import lag_positions
 from oracles import conjugate_gradient
 
 
@@ -266,29 +266,33 @@ def test_power_method_keeps_the_rescaled_laplacian_inside_the_chebyshev_range():
     assert np.linalg.eigvalsh(scale_laplacian(L, result.value))[-1] <= 1.0 + 1e-12
 
 
-def test_step_inverse_declines_when_any_candidate_would_jitter():
-    # without sensor 1 the Gram is diag(1e6, 1e-8, 1): its jitter trigger
-    # 1e-12 * (1e6 + 1) / 3 exceeds its smallest eigenvalue 1e-8
-    single = lag_positions(4, 0)
-    assert step_inverse(np.diag([1e6, 1.0, 1e-8, 1.0]), single) is None
-    A = np.diag([1e6, 1.0, 1e-5, 1.0])
-    assert np.allclose(step_inverse(A, single) @ A, np.eye(4))
-    # at H=1 sensor k owns positions k and 4 + k
-    A = np.kron(np.eye(2), np.diag([1e6, 1.0, 1e-8, 1.0]))
-    assert step_inverse(A, lag_positions(4, 1)) is None
+def test_jitter_free_refuses_where_a_principal_submatrix_would_jitter():
+    # A itself needs no jitter: its trigger 1e-12 * (1e6 + 8) / 10 is
+    # below its smallest eigenvalue 2e-7. Its submatrix on sensors 0 and
+    # 9 would take it, with trigger 1e-12 * 1e6 / 2
+    A = np.diag([1e6] + [1.0] * 8 + [2e-7])
+    assert numerics._has_cholesky(A, JITTER_TRIGGER * np.trace(A) / 10)
+    assert not jitter_free(A)
+    A[9, 9] = 1e-5
+    assert jitter_free(A)
+    assert np.allclose(sym_inverse(A) @ A, np.eye(10))
 
 
-def test_step_inverse_reads_the_positions_it_is_given():
-    # two sensors of two lags each, stored sensor-major: sensor k owns
-    # positions 2k and 2k + 1. Each owns a 1e6 entry, so the largest
-    # trigger is 1e-12 * (1e6 + 1) / 2, below the smallest eigenvalue
-    # 7e-7, and the guard takes the inverse; read lag-major, sensor 1
-    # would own only 7e-7 + 1, and the trigger 1e-6 would decline it
-    A = np.diag([1e6, 7e-7, 1e6, 1.0])
-    sensor_major = np.arange(4).reshape(2, 2)
-    assert np.allclose(step_inverse(A, sensor_major) @ A, np.eye(4))
-    assert step_inverse(A, lag_positions(2, 1)) is None
-    # the same sensor-major matrix permuted to the lag-major layout
-    order = sensor_major.T.ravel()
-    P = step_inverse(A[np.ix_(order, order)], lag_positions(2, 1))
-    assert np.allclose(P, step_inverse(A, sensor_major)[np.ix_(order, order)])
+def test_jitter_free_admits_only_where_no_principal_submatrix_jitters():
+    # every principal submatrix of an admitted matrix solves without
+    # jitter; the random Grams carry eigenvalues down to 1e-13 of the
+    # largest, so some are admitted and some refused
+    rng = np.random.default_rng(5)
+    verdicts = []
+    for _ in range(40):
+        U = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+        A = (U * np.logspace(0, -rng.uniform(8, 13), 6)) @ U.T
+        A = (A + A.T) / 2.0
+        verdicts.append(jitter_free(A))
+        if not verdicts[-1]:
+            continue
+        for mask in range(1, 2 ** 6):
+            S = [k for k in range(6) if mask >> k & 1]
+            sub = A[np.ix_(S, S)]
+            assert numerics._has_cholesky(sub, JITTER_TRIGGER * np.trace(sub) / len(S))
+    assert any(verdicts) and not all(verdicts)

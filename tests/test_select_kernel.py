@@ -283,7 +283,7 @@ def test_kernel_fitter_is_each_fit_where_the_guard_declines():
     X[9] = X[2]
     for X_train in (X[:, :500], X[:, :8]):
         kb = build_kernel_blocks("autocovariance", H=1, X_train=X_train)
-        assert select_kernel.subset_inverse(assemble_blocks(kb, [], 1)[0]) is None
+        assert not select_kernel.jitter_free(assemble_blocks(kb, [], 1)[0])
         fit = kernel_fitter(kb, 0.0, 1)
         for I in _draws(12, count=10):
             assert np.array_equal(fit(I).theta, fit_predict_kernel(kb, I, 0.0, 1).theta)
@@ -291,6 +291,23 @@ def test_kernel_fitter_is_each_fit_where_the_guard_declines():
         kernel_fitter(kb, -0.1, 1)
     with pytest.raises(InvalidInputError, match="nonempty proper subset"):
         kernel_fitter(kb, 0.5, 1)(list(range(12)))
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, -0.1])
+def test_every_kernel_entry_refuses_a_lambda_by_name(lam):
+    # NaN and inf reached the solves, which named the matrix's
+    # non-finite entries and not lambda
+    X = _data(seed=8)
+    gammas = estimate_blocks(X, 1)
+    kb = build_kernel_blocks("autocovariance", H=1, X_train=X)
+    K_S, K_cross = assemble_blocks(kb, [0], 1)
+    match = f"lambda must be nonnegative and finite, got {lam}"
+    for call in (lambda: greedy_select_kernel(gammas, kb, 2, lam=lam, H=1),
+                 lambda: kernel_fitter(kb, lam, 1),
+                 lambda: fit_predict_kernel(kb, [0], lam, 1),
+                 lambda: kernel_reconstructor(K_cross, K_S, lam)):
+        with pytest.raises(InvalidInputError, match=match):
+            call()
 
 
 def test_greedy_orders_and_step_values_are_frozen():

@@ -5,9 +5,9 @@ matrices estimated from data can be numerically singular, so every
 inversion goes through solve_spd and its jitter policy: if the smallest
 eigenvalue of A falls below 1e-12 * trace(A)/n, add 1e-10 * trace(A)/n
 to the diagonal before solving. A run that reads many principal
-submatrices from one inverse asks jitter_free once, on the run's full
-matrix, and then inverts by sym_inverse unchecked, or solves each
-submatrix on its own.
+submatrices from one inverse asks well_conditioned once, on the run's
+full matrix, and then inverts by sym_inverse and solves by plain
+np.linalg.solve, or solves each submatrix on its own by solve_spd.
 """
 
 from typing import NamedTuple
@@ -19,6 +19,9 @@ from .errors import InvalidInputError, SingularMatrixError
 # jitter policy thresholds, relative to the mean diagonal trace(A)/n
 JITTER_TRIGGER = 1e-12
 JITTER_SIZE = 1e-10
+# the largest condition number of a matrix a run reads from one inverse;
+# its solves then lose about COND_LIMIT * 1e-16 = 1e-10 relative
+COND_LIMIT = 1e6
 
 
 class EigenPair(NamedTuple):
@@ -66,9 +69,9 @@ def sym_eig(M) -> EigenPair:
 
 
 def _has_cholesky(A, tau):
-    """Whether A - tau Id, or every item of a stack A, has a Cholesky factor."""
+    """Whether A - tau Id has a Cholesky factor."""
     try:
-        np.linalg.cholesky(A - tau * np.eye(A.shape[-1]))
+        np.linalg.cholesky(A - tau * np.eye(A.shape[0]))
     except np.linalg.LinAlgError:
         return False
     return True
@@ -96,35 +99,22 @@ def solve_spd(A, B):
     return np.linalg.solve(A, np.asarray(B, dtype=float))
 
 
-def solve_spd_many(A, B):
-    """np.stack([solve_spd(a, b) for a, b in zip(A, B)]) for A (q, m, m)
-    and B (q, m, k): by one stacked solve when one stacked Cholesky shows
-    that no item takes the jitter, else item by item."""
-    A = np.asarray(A, dtype=float)
-    if np.isfinite(A).all() and np.array_equal(A, A.transpose(0, 2, 1)):
-        tau = JITTER_TRIGGER * (np.trace(A, axis1=1, axis2=2) / A.shape[1])
-        if _has_cholesky(A, tau[:, None, None]):
-            return np.linalg.solve(A, B)
-    return np.stack([solve_spd(a, b) for a, b in zip(A, B)])
+def well_conditioned(A):
+    """Whether A is positive definite with cond(A) <= COND_LIMIT.
 
-
-def jitter_free(A):
-    """Whether solve_spd adds no jitter to any principal submatrix of A.
-
-    A principal submatrix alpha_S has lambda_min(alpha_S) >=
-    lambda_min(A), and its jitter trigger JITTER_TRIGGER * trace/dim is
-    at most tau* = JITTER_TRIGGER * max diag(A). So one Cholesky of
-    A - tau* Id decides for every alpha_S at once, and the values read
-    from A^{-1} then equal their own solves in exact arithmetic.
+    By interlacing, every principal submatrix of A and every block of
+    A^{-1} then has cond <= COND_LIMIT, while solve_spd jitters only
+    above cond 1/JITTER_TRIGGER = 1e12: a run that A admits reads every
+    value from one inverse, and no solve in it can take the jitter.
     """
-    A = check_symmetric(A)
-    return _has_cholesky(A, JITTER_TRIGGER * np.diag(A).max())
+    lo, hi = np.linalg.eigvalsh(check_symmetric(A))[[0, -1]]
+    return bool(lo > 0 and hi <= COND_LIMIT * lo)
 
 
 def sym_inverse(A):
     """The symmetrized inverse of A, which is not checked for jitter:
     a run calls it only on principal submatrices of a matrix that
-    jitter_free admits."""
+    well_conditioned admits."""
     P = np.linalg.inv(check_symmetric(A))
     return (P + P.T) / 2.0
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import graph as graphmod
 from .errors import InvalidInputError
-from .numerics import jitter_free, solve_spd, solve_spd_many, sym_inverse
+from .numerics import solve_spd, sym_inverse, well_conditioned
 from .select_linear import LinearReconstructor, SelectionResult, greedy, one_by_one
 from .timeseries import _check_subset, estimate_blocks, lag_positions, lag_stack
 
@@ -90,11 +90,10 @@ def greedy_select_kernel(gammas, kb, p, lam=0.0, H=0) -> SelectionResult:
     blocks kb. Both hold lags 0..H or more, as lag_stack checks. With Q
     the inverse of K_R + lambda Id over R = S + {i} and J = lag_positions
     of i, Theta_lambda(i) is the lag-0 row of -Q_JJ^{-1} Q_J,: with its
-    J entries set to 0. One stacked solve of the q (H+1)-sized systems
-    (solve_spd_many) and one product with the data Gram M_R give every
-    candidate's value. The run asks numerics.jitter_free once, on
-    K + lambda Id over all sensors; if it refuses, every step solves
-    each K_S instead.
+    J entries set to 0. One stacked np.linalg.solve of the q Q_JJ and
+    one product with the data Gram M_R give every candidate's value.
+    The run asks numerics.well_conditioned once, on K + lambda Id over
+    all sensors; if it refuses, every step solves each K_S instead.
     """
     n = gammas[0].shape[0]
     if kb[0].shape[0] != n:
@@ -105,7 +104,7 @@ def greedy_select_kernel(gammas, kb, p, lam=0.0, H=0) -> SelectionResult:
         q = len(R)
         J = lag_positions(q, H)
         Q = sym_inverse(_ridged(lag_stack(kb, [], R, H)[0], lam))
-        theta = -solve_spd_many(Q[J[:, :, None], J[:, None, :]], Q[J])[:, 0]
+        theta = -np.linalg.solve(Q[J[:, :, None], J[:, None, :]], Q[J])[:, 0]
         theta[np.arange(q)[:, None], J] = 0.0
         M_R = lag_stack(gammas, [], R, H)[0]
         vals = (np.diag(M_R)[:q] - 2.0 * np.sum(M_R[:q] * theta, axis=1)
@@ -118,7 +117,7 @@ def greedy_select_kernel(gammas, kb, p, lam=0.0, H=0) -> SelectionResult:
         th = kernel_reconstructor(K_cross, K_S, lam).ravel()
         return float(gammas[0][i, i] - 2.0 * (beta[0] @ th) + th @ alpha @ th)
 
-    admitted = jitter_free(_ridged(lag_stack(kb, [], range(n), H)[0], lam))
+    admitted = well_conditioned(_ridged(lag_stack(kb, [], range(n), H)[0], lam))
     return SelectionResult(*greedy(n, p, score if admitted else one_by_one(value)))
 
 
@@ -135,19 +134,19 @@ def kernel_fitter(kb, lam, H):
     all sensors' lag-stacked Gram + lambda Id: Theta_lambda is the lag-0
     rows of -Q_JJ^{-1} Q_JK, J and K the lag_positions of I and I^c,
     equal in exact arithmetic; the roundoff grows with cond(Q). The
-    fitter asks numerics.jitter_free once; if it refuses, fit is
-    fit_predict_kernel."""
+    fitter asks numerics.well_conditioned once, so each Q_JJ is solved
+    by plain np.linalg.solve; if it refuses, fit is fit_predict_kernel."""
     n = kb[0].shape[0]
     pos = lag_positions(n, H)
     A = _ridged(lag_stack(kb, [], range(n), H)[0], lam)
-    if not jitter_free(A):
+    if not well_conditioned(A):
         return lambda I: fit_predict_kernel(kb, I, lam, H)
     Q = sym_inverse(A)
 
     def fit(I):
         I, Ic = _check_subset(n, I)
         J, K = pos[I].T.ravel(), pos[Ic].T.ravel()
-        theta = -solve_spd(Q[np.ix_(J, J)], Q[np.ix_(J, K)])[:len(I)]
+        theta = -np.linalg.solve(Q[np.ix_(J, J)], Q[np.ix_(J, K)])[:len(I)]
         return LinearReconstructor(theta=theta, turned_off=I, kept=Ic, H=H)
 
     return fit

@@ -101,11 +101,13 @@ def test_tracer_reads_arguments_where_the_library_takes_them():
 
 def test_one_owner_of_the_jitter_rule_and_the_lag_layout():
     # numerics decides every jitter, for the SPD solves and a run's one
-    # inverse alike, and takes every inverse; timeseries owns the
-    # lag-stacked layout that it builds; a second Cholesky test, a second
-    # inverse or a layout derived again elsewhere drifts from the first
+    # inverse alike, takes every inverse and holds the condition bound of
+    # a one-inverse run; timeseries owns the lag-stacked layout that it
+    # builds; a second Cholesky test, a second inverse, a second bound or
+    # a layout derived again elsewhere drifts from the first
     assert _owners(r"np\.linalg\.(?:cholesky|inv)\b|\bJITTER_TRIGGER\b") == [
         "src/netselect/numerics.py"]
+    assert _owners(r"\bCOND_LIMIT\b") == ["src/netselect/numerics.py"]
     assert _owners(r"^def lag_(?:stack|positions)\b") == ["src/netselect/timeseries.py"]
 
 

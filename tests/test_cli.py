@@ -871,22 +871,23 @@ def test_kernel_evaluate_fits_every_draw_from_one_inverse(tmp_path, capsys, monk
     # the lag-stacked Gram, behind one guard; none solves its own kernel
     # system
     panel_path, coords_path, sel_path = _kernel_run(tmp_path)
-    calls = _count_calls(monkeypatch, select_kernel, ["jitter_free", "kernel_reconstructor"])
+    calls = _count_calls(monkeypatch, select_kernel,
+                         ["well_conditioned", "kernel_reconstructor"])
     assert main(["evaluate", str(panel_path), str(sel_path), "--coords",
                  str(coords_path), "--baseline-draws", "20",
                  "--out-dir", str(tmp_path / "ev")]) == 0
     capsys.readouterr()
     report = json.loads((tmp_path / "ev" / "report.json").read_text())
     assert (report["baseline_draws"], report["baseline_skipped"]) == (20, 0)
-    assert calls == {"jitter_free": 1, "kernel_reconstructor": 0}
+    assert calls == {"well_conditioned": 1, "kernel_reconstructor": 0}
 
 
 def test_select_guards_each_greedy_run_once(tmp_path, capsys, monkeypatch):
     # the guard decides once per greedy run, not once per step: one run
     # for linear select, one per point of the kernel's 5-point lambda grid
     panel_path, coords_path, _ = _correlated_panel(tmp_path, n=8)
-    kernel_calls = _count_calls(monkeypatch, select_kernel, ["jitter_free"])
-    linear_calls = _count_calls(monkeypatch, select_linear, ["jitter_free"])
+    kernel_calls = _count_calls(monkeypatch, select_kernel, ["well_conditioned"])
+    linear_calls = _count_calls(monkeypatch, select_linear, ["well_conditioned"])
     for method in ("linear", "kernel"):
         assert main(["select", str(panel_path), "--coords", str(coords_path),
                      "--method", method, "--H", "1", "--k0", "6", "--k1", "3",
@@ -894,7 +895,7 @@ def test_select_guards_each_greedy_run_once(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     hp = json.loads((tmp_path / "kernel" / "selection.json").read_text())["hyperparams"]
     assert len(hp["lambda_grid"]) == 5
-    assert (linear_calls, kernel_calls) == ({"jitter_free": 1}, {"jitter_free": 5})
+    assert (linear_calls, kernel_calls) == ({"well_conditioned": 1}, {"well_conditioned": 5})
 
 
 def test_evaluate_frees_the_raw_panel_before_the_fits(tmp_path, capsys, monkeypatch):

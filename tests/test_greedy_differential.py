@@ -5,11 +5,12 @@ The kernel steps, which solve every candidate's system in one stacked
 solve, must also equal the step that solves them one at a time, bit for
 bit.
 
-Each run asks numerics.jitter_free once, on the Gram over all sensors.
-The panels make that Gram singular (fewer samples than sensors, an
-exact duplicate, the graph-Laplacian kernel at zero ridge), where the
+Each run asks numerics.well_conditioned once, on the Gram over all
+sensors. The panels make that Gram singular (fewer samples than sensors,
+an exact duplicate, the graph-Laplacian kernel at zero ridge), where the
 run is refused and solves every candidate on its own at every step, or
-nearly singular (planted near-duplicates), where it is admitted. The
+give it planted near-duplicates that keep its cond below COND_LIMIT,
+where it is admitted. The
 orders must agree exactly; the step values of a refused run exactly,
 those of an admitted run to rel 1e-12.
 """
@@ -58,17 +59,17 @@ def _kernel_blocks(kernel, X, H):
 
 
 def _record_runs(monkeypatch):
-    """List that gets, for each greedy run, whether numerics.jitter_free
+    """List that gets, for each greedy run, whether numerics.well_conditioned
     admitted it: True for a run that reads every step from one inverse,
     False for one that solves every candidate on its own."""
     runs = []
 
     def recorded(A):
-        runs.append(numerics.jitter_free(A))
+        runs.append(numerics.well_conditioned(A))
         return runs[-1]
 
     for module in (select_linear, select_kernel):
-        monkeypatch.setattr(module, "jitter_free", recorded)
+        monkeypatch.setattr(module, "well_conditioned", recorded)
     return runs
 
 
@@ -141,7 +142,7 @@ def test_kernel_stacked_step_equals_per_candidate_step(case, kernel, ridge, admi
     lam = ridge * np.trace(kb[0]) / kb[0].shape[0]
     K = assemble_blocks(kb, [], H)[0]
     values = (kernel_step_score(gammas, kb, lam, H)
-              if numerics.jitter_free(K + lam * np.eye(K.shape[0]))
+              if numerics.well_conditioned(K + lam * np.eye(K.shape[0]))
               else one_by_one(kernel_value(gammas, kb, lam, H)))
     order, step_values = greedy(X.shape[0], P, values)
     fast = greedy_select_kernel(gammas, kb, P, lam=lam, H=H)

@@ -1,5 +1,5 @@
-"""Dense linear algebra: symmetry checks, SPD solves and their stacked
-form, the run guard of a one-inverse run, CG, power iteration."""
+"""Dense linear algebra: symmetry checks, SPD solves, the run guard of
+a one-inverse run, CG, power iteration."""
 
 import numpy as np
 import pytest
@@ -7,15 +7,15 @@ import pytest
 from netselect import numerics
 from netselect.errors import InvalidInputError, SingularMatrixError
 from netselect.numerics import (
+    COND_LIMIT,
     JITTER_SIZE,
     JITTER_TRIGGER,
     check_symmetric,
-    jitter_free,
     power_method,
     solve_spd,
-    solve_spd_many,
     sym_eig,
     sym_inverse,
+    well_conditioned,
 )
 from netselect.gcn.layers import scale_laplacian
 from netselect.graph import build_knn_graph, normalized_laplacian
@@ -138,83 +138,6 @@ def test_solve_spd_matches_eigvalsh_jitter_reference():
             assert np.array_equal(solve_spd(A, B), ref), (n, name)
 
 
-def _spd_stack(rng, q, m):
-    """q SPD matrices of size m, with scales spread over 1e-6..1e6."""
-    M = rng.normal(size=(q, m, m))
-    A = M @ M.transpose(0, 2, 1) + 0.1 * np.eye(m)
-    A *= 10.0 ** rng.uniform(-6, 6, size=(q, 1, 1))
-    return (A + A.transpose(0, 2, 1)) / 2.0
-
-
-def _count_item_solves(monkeypatch):
-    """List that grows by one for each solve_spd call of solve_spd_many."""
-    calls = []
-    original = numerics.solve_spd
-
-    def counted(A, B):
-        calls.append(1)
-        return original(A, B)
-
-    monkeypatch.setattr(numerics, "solve_spd", counted)
-    return calls
-
-
-def _loop(A, B):
-    return np.stack([solve_spd(a, b) for a, b in zip(A, B)])
-
-
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_solve_spd_many_equals_the_loop_bit_for_bit(m, monkeypatch):
-    rng = np.random.default_rng(m)
-    for q in (1, 7, 60):
-        A = _spd_stack(rng, q, m)
-        B = rng.normal(size=(q, m, 4))
-        calls = _count_item_solves(monkeypatch)
-        X = solve_spd_many(A, B)
-        assert calls == []  # one stacked solve, no item on its own
-        assert np.array_equal(X, _loop(A, B))
-
-
-# a 1 x 1 item never takes the jitter: its one eigenvalue is its scale
-@pytest.mark.parametrize("m", [2, 3])
-def test_solve_spd_many_falls_back_on_a_jittered_or_asymmetric_item(m, monkeypatch):
-    rng = np.random.default_rng(10 + m)
-    A = _spd_stack(rng, 9, m)
-    A[4] = _with_min_eigenvalue(rng, m, 0.1)
-    B = rng.normal(size=(9, m, 3))
-    calls = _count_item_solves(monkeypatch)
-    X = solve_spd_many(A, B)
-    assert len(calls) == 9
-    assert np.array_equal(X, _loop(A, B))
-    ref, jittered = _reference_solve_spd(A[4], B[4])
-    assert jittered
-    assert np.array_equal(X[4], ref)
-    # so does an item that is symmetric only up to roundoff, which
-    # solve_spd symmetrizes first
-    A = _spd_stack(rng, 9, m)
-    A[4, 0, 1] = np.nextafter(A[4, 0, 1], np.inf)
-    calls.clear()
-    assert np.array_equal(solve_spd_many(A, B), _loop(A, B))
-    assert len(calls) == 9
-
-
-def test_solve_spd_many_raises_what_solve_spd_raises():
-    rng = np.random.default_rng(5)
-    B = rng.normal(size=(6, 2, 3))
-    # an infinite last pivot leaves the Cholesky factor defined
-    for k, l, bad in ((0, 1, np.nan), (1, 1, np.inf)):
-        A = _spd_stack(rng, 6, 2)
-        A[3, k, l] = A[3, l, k] = bad
-        with pytest.raises(InvalidInputError) as many:
-            solve_spd_many(A, B)
-        with pytest.raises(InvalidInputError) as one:
-            solve_spd(A[3], B[3])
-        assert str(many.value) == str(one.value)
-    A[3] = np.diag([1.0, -2.0])
-    with pytest.raises(SingularMatrixError, match=r"min eigenvalue -2\.000e\+00"):
-        solve_spd_many(A, B)
-
-
 def test_conjugate_gradient_matches_direct():
     rng = np.random.default_rng(2)
     A = _random_spd(rng, 10)
@@ -266,33 +189,49 @@ def test_power_method_keeps_the_rescaled_laplacian_inside_the_chebyshev_range():
     assert np.linalg.eigvalsh(scale_laplacian(L, result.value))[-1] <= 1.0 + 1e-12
 
 
-def test_jitter_free_refuses_where_a_principal_submatrix_would_jitter():
-    # A itself needs no jitter: its trigger 1e-12 * (1e6 + 8) / 10 is
-    # below its smallest eigenvalue 2e-7. Its submatrix on sensors 0 and
-    # 9 would take it, with trigger 1e-12 * 1e6 / 2
-    A = np.diag([1e6] + [1.0] * 8 + [2e-7])
-    assert numerics._has_cholesky(A, JITTER_TRIGGER * np.trace(A) / 10)
-    assert not jitter_free(A)
-    A[9, 9] = 1e-5
-    assert jitter_free(A)
+def _jitters(A):
+    """Whether solve_spd would add its jitter to A."""
+    return not numerics._has_cholesky(A, JITTER_TRIGGER * np.trace(A) / A.shape[0])
+
+
+def test_well_conditioned_refuses_a_matrix_that_needs_no_jitter_above_the_bound():
+    # no principal submatrix of A takes the jitter: the largest trigger,
+    # 1e-12 * 1e6 on the submatrix of sensor 0, is below 1e-5. But
+    # cond(A) is 1e11, so a run reading A^{-1} would lose about 1e-5
+    A = np.diag([1e6] + [1.0] * 8 + [1e-5])
+    assert numerics._has_cholesky(A, JITTER_TRIGGER * np.diag(A).max())
+    assert not well_conditioned(A)
+    # cond exactly COND_LIMIT is admitted, a hair above it is not
+    A[9, 9] = 1e6 / COND_LIMIT
+    assert well_conditioned(A)
     assert np.allclose(sym_inverse(A) @ A, np.eye(10))
+    A[9, 9] = np.nextafter(A[9, 9], 0.0)
+    assert not well_conditioned(A)
+    assert not well_conditioned(-np.eye(3))
+    assert not well_conditioned(np.zeros((2, 2)))
 
 
-def test_jitter_free_admits_only_where_no_principal_submatrix_jitters():
-    # every principal submatrix of an admitted matrix solves without
-    # jitter; the random Grams carry eigenvalues down to 1e-13 of the
-    # largest, so some are admitted and some refused
+def test_well_conditioned_admits_exactly_up_to_the_cond_limit():
+    # random Grams with cond 1e2..1e13 are admitted exactly where cond <=
+    # COND_LIMIT; no principal submatrix of an admitted Gram, and no
+    # principal block of its inverse, takes solve_spd's jitter
     rng = np.random.default_rng(5)
-    verdicts = []
+    verdicts, refused_jitter_free = [], 0
     for _ in range(40):
         U = np.linalg.qr(rng.normal(size=(6, 6)))[0]
-        A = (U * np.logspace(0, -rng.uniform(8, 13), 6)) @ U.T
+        cond = 10.0 ** rng.uniform(2, 13)
+        A = (U * np.logspace(0, -np.log10(cond), 6)) @ U.T
         A = (A + A.T) / 2.0
-        verdicts.append(jitter_free(A))
+        verdicts.append(well_conditioned(A))
+        assert verdicts[-1] == (cond <= COND_LIMIT)
         if not verdicts[-1]:
+            refused_jitter_free += numerics._has_cholesky(
+                A, JITTER_TRIGGER * np.diag(A).max())
             continue
+        Q = sym_inverse(A)
         for mask in range(1, 2 ** 6):
             S = [k for k in range(6) if mask >> k & 1]
-            sub = A[np.ix_(S, S)]
-            assert numerics._has_cholesky(sub, JITTER_TRIGGER * np.trace(sub) / len(S))
-    assert any(verdicts) and not all(verdicts)
+            assert not _jitters(A[np.ix_(S, S)])
+            assert not _jitters(Q[np.ix_(S, S)])
+    # the refused ones include Grams where no principal submatrix jitters
+    assert any(verdicts) and not all(verdicts) and refused_jitter_free

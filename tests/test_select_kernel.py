@@ -7,6 +7,7 @@ from netselect import select_kernel
 from netselect.errors import InvalidInputError
 from netselect.evaluation import gamma_grid, synth_generate
 from netselect.evaluation import test_mse as held_out_mse
+from netselect.numerics import COND_LIMIT
 from netselect.graph import (
     build_knn_graph,
     combinatorial_laplacian,
@@ -283,7 +284,7 @@ def test_kernel_fitter_is_each_fit_where_the_guard_declines():
     X[9] = X[2]
     for X_train in (X[:, :500], X[:, :8]):
         kb = build_kernel_blocks("autocovariance", H=1, X_train=X_train)
-        assert not select_kernel.jitter_free(assemble_blocks(kb, [], 1)[0])
+        assert not select_kernel.well_conditioned(assemble_blocks(kb, [], 1)[0])
         fit = kernel_fitter(kb, 0.0, 1)
         for I in _draws(12, count=10):
             assert np.array_equal(fit(I).theta, fit_predict_kernel(kb, I, 0.0, 1).theta)
@@ -291,6 +292,32 @@ def test_kernel_fitter_is_each_fit_where_the_guard_declines():
         kernel_fitter(kb, -0.1, 1)
     with pytest.raises(InvalidInputError, match="nonempty proper subset"):
         kernel_fitter(kb, 0.5, 1)(list(range(12)))
+
+
+@pytest.mark.parametrize("noise,admitted", [(1e-3, False), (1e-2, True)])
+def test_kernel_fitter_guards_on_the_condition_number(noise, admitted):
+    # sensors 7 and 10 copy 0 and 3 up to noise. At 1e-3 the Gram at
+    # lambda = 0 needs no jitter, but its cond is 4.6e7, where fits read
+    # from one inverse were up to 2.6e-9 off; it is refused, and every
+    # fit is fit_predict_kernel's. At 1e-2 (cond 4.6e5) it is admitted,
+    # and every draw's Theta is within 1e-10 of its own fit
+    rng = np.random.default_rng(11)
+    g = build_knn_graph(rng.uniform(size=(12, 2)), k0=5, k1=3)
+    X = synth_generate(g, 600, "graph-smooth", seed=3).values
+    X[[7, 10]] = X[[0, 3]] + np.random.default_rng(0).normal(scale=noise, size=(2, 600))
+    kb = build_kernel_blocks("autocovariance", H=1, X_train=X[:, :500])
+    A = assemble_blocks(kb, [], 1)[0]
+    lo, hi = np.linalg.eigvalsh(A)[[0, -1]]
+    assert 0 < lo and hi < 1e12 * lo
+    assert (hi <= COND_LIMIT * lo) == admitted
+    assert select_kernel.well_conditioned(A) == admitted
+    fit = kernel_fitter(kb, 0.0, 1)
+    for I in _draws(12):
+        got, want = fit(I).theta, fit_predict_kernel(kb, I, 0.0, 1).theta
+        if admitted:
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        else:
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, -0.1])

@@ -7,11 +7,11 @@ bit.
 
 Each run asks numerics.well_conditioned once, on the Gram over all
 sensors. The panels make that Gram singular (fewer samples than sensors,
-an exact duplicate, the graph-Laplacian kernel at zero ridge), where the
-run is refused and solves every candidate on its own at every step, or
-give it planted near-duplicates that keep its cond below COND_LIMIT,
-where it is admitted. The
-orders must agree exactly; the step values of a refused run exactly,
+an exact duplicate, the graph-Laplacian kernel at zero ridge), or give it
+near-twins whose cond lies above COND_LIMIT though no solve would take
+the jitter; there the run is refused and solves every candidate on its
+own at every step. Planted near-duplicates that keep its cond below
+COND_LIMIT are admitted. The orders must agree exactly; the step values of a refused run exactly,
 those of an admitted run to rel 1e-12.
 """
 
@@ -21,6 +21,7 @@ import pytest
 from netselect import numerics, select_kernel, select_linear
 from netselect.evaluation import gamma_grid, synth_generate
 from netselect.graph import build_knn_graph
+from netselect.numerics import COND_LIMIT
 from netselect.select_kernel import build_kernel_blocks, greedy_select_kernel
 from netselect.select_linear import greedy, greedy_select_linear, one_by_one
 from netselect.timeseries import assemble_blocks, estimate_blocks
@@ -42,6 +43,12 @@ def _panel(case, seed):
         X = synth_generate(g, 600, "graph-smooth", seed=seed,
                            noise_sensors=[4]).values
         X[9] = X[2]
+        return X
+    if case == "twin":  # 7 and 10 copy 0 and 3 up to noise 1e-3: cond 1.8e7-6e7
+        X = synth_generate(g, 600, "graph-smooth", seed=seed,
+                           noise_sensors=[4]).values
+        X[[7, 10]] = X[[0, 3]] + np.random.default_rng(seed).normal(scale=1e-3,
+                                                                    size=(2, 600))
         return X
     # near-duplicates: sensor 7 copies 0 and 10 copies 3 up to noise 0.005
     return synth_generate(g, 600, "graph-smooth", seed=seed,
@@ -77,6 +84,7 @@ def _record_runs(monkeypatch):
 LINEAR_CASES = [
     ("short", False),
     ("duplicate", False),
+    ("twin", False),
     ("near", True),
 ]
 
@@ -84,6 +92,7 @@ LINEAR_CASES = [
 KERNEL_CASES = [
     ("short", "autocovariance", 0.0, False),
     ("duplicate", "autocovariance", 0.0, False),
+    ("twin", "autocovariance", 0.0, False),
     ("near", "autocovariance", 0.05, True),
     ("near", "spatial-temporal", 0.0, False),
     ("near", "spatial-temporal", 0.05, True),
@@ -98,6 +107,19 @@ def _assert_same(fast, ref, admitted):
         assert fast.step_values == pytest.approx(values, rel=1e-12, abs=0.0)
     else:
         assert fast.step_values == values
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("H", [0, 1])
+def test_twin_gram_is_refused_though_no_solve_would_jitter(seed, H):
+    # the twin panel lies in the band the guard refuses on cond alone:
+    # its Gram is positive definite, needs no jitter, and has cond above
+    # COND_LIMIT, so the twin cases do not repeat the singular ones
+    A = assemble_blocks(estimate_blocks(_panel("twin", seed), H), [], H)[0]
+    lo, hi = np.linalg.eigvalsh(A)[[0, -1]]
+    assert COND_LIMIT * lo < hi < lo / numerics.JITTER_TRIGGER
+    assert numerics._has_cholesky(A, numerics.JITTER_TRIGGER * np.trace(A) / A.shape[0])
+    assert not numerics.well_conditioned(A)
 
 
 @pytest.mark.parametrize("seed", [3, 4])

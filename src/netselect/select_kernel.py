@@ -15,7 +15,7 @@ from . import graph as graphmod
 from .errors import InvalidInputError
 from .numerics import solve_spd, sym_inverse, well_conditioned
 from .select_linear import LinearReconstructor, SelectionResult, greedy, one_by_one
-from .timeseries import _check_subset, estimate_blocks, lag_positions, lag_stack
+from .timeseries import _check_subset, assemble_blocks, estimate_blocks, lag_positions
 
 KERNEL_TAGS = ("spatial-temporal", "autocovariance", "linear", "rbf")
 # the kernels whose Gram blocks are built on the sensor graph
@@ -85,46 +85,46 @@ def greedy_select_kernel(gammas, kb, p, lam=0.0, H=0) -> SelectionResult:
     """Greedy selection under the kernel ridge criterion.
 
     The loop of the linear method on the data blocks gammas; the value
-    of a candidate i given the remaining sensors S swaps the
-    least-squares map for Theta_lambda(i) computed from the kernel Gram
-    blocks kb. Both hold lags 0..H or more, as lag_stack checks. With Q
-    the inverse of K_R + lambda Id over R = S + {i} and J = lag_positions
+    of a candidate i given the turned-off set T swaps the least-squares
+    map for Theta_lambda(i) computed from the kernel Gram blocks kb.
+    Both hold lags 0..H or more, as assemble_blocks checks. With Q the
+    inverse of K_R + lambda Id, K_R the alpha of T, and J = lag_positions
     of i, Theta_lambda(i) is the lag-0 row of -Q_JJ^{-1} Q_J,: with its
     J entries set to 0. One stacked np.linalg.solve of the q Q_JJ and
     one product with the data Gram M_R give every candidate's value.
     The run asks numerics.well_conditioned once, on K + lambda Id over
-    all sensors; if it refuses, every step solves each K_S instead.
+    all sensors; if it refuses, every step solves each K_S of T + [i].
     """
     n = gammas[0].shape[0]
     if kb[0].shape[0] != n:
         raise InvalidInputError(f"data blocks cover {n} sensors, "
                                 f"kernel blocks {kb[0].shape[0]}")
 
-    def score(R):
-        q = len(R)
+    def score(T):
+        q = n - len(T)
         J = lag_positions(q, H)
-        Q = sym_inverse(_ridged(lag_stack(kb, [], R, H)[0], lam))
+        Q = sym_inverse(_ridged(assemble_blocks(kb, T, H)[0], lam))
         theta = -np.linalg.solve(Q[J[:, :, None], J[:, None, :]], Q[J])[:, 0]
         theta[np.arange(q)[:, None], J] = 0.0
-        M_R = lag_stack(gammas, [], R, H)[0]
+        M_R = assemble_blocks(gammas, T, H)[0]
         vals = (np.diag(M_R)[:q] - 2.0 * np.sum(M_R[:q] * theta, axis=1)
                 + np.sum((theta @ M_R) * theta, axis=1))
         return [float(v) for v in vals]
 
-    def value(i, S):
-        alpha, beta = lag_stack(gammas, [i], S, H)
-        K_S, K_cross = lag_stack(kb, [i], S, H)
-        th = kernel_reconstructor(K_cross, K_S, lam).ravel()
-        return float(gammas[0][i, i] - 2.0 * (beta[0] @ th) + th @ alpha @ th)
+    def value(i, T):
+        alpha, beta = assemble_blocks(gammas, [*T, i], H)
+        K_S, K_cross = assemble_blocks(kb, [*T, i], H)
+        th = kernel_reconstructor(K_cross[-1:], K_S, lam).ravel()
+        return float(gammas[0][i, i] - 2.0 * (beta[-1] @ th) + th @ alpha @ th)
 
-    admitted = well_conditioned(_ridged(lag_stack(kb, [], range(n), H)[0], lam))
-    return SelectionResult(*greedy(n, p, score if admitted else one_by_one(value)))
+    admitted = well_conditioned(_ridged(assemble_blocks(kb, [], H)[0], lam))
+    return SelectionResult(*greedy(n, p, score if admitted else one_by_one(n, value)))
 
 
 def fit_predict_kernel(kb, I, lam, H=0) -> LinearReconstructor:
     """Kernel ridge reconstructor for the set I, as a lag-stacked linear map."""
     I, Ic = _check_subset(kb[0].shape[0], I)
-    K_S, K_cross = lag_stack(kb, I, Ic, H)
+    K_S, K_cross = assemble_blocks(kb, I, H)
     theta = kernel_reconstructor(K_cross, K_S, lam)
     return LinearReconstructor(theta=theta, turned_off=I, kept=Ic, H=H)
 
@@ -138,7 +138,7 @@ def kernel_fitter(kb, lam, H):
     by plain np.linalg.solve; if it refuses, fit is fit_predict_kernel."""
     n = kb[0].shape[0]
     pos = lag_positions(n, H)
-    A = _ridged(lag_stack(kb, [], range(n), H)[0], lam)
+    A = _ridged(assemble_blocks(kb, [], H)[0], lam)
     if not well_conditioned(A):
         return lambda I: fit_predict_kernel(kb, I, lam, H)
     Q = sym_inverse(A)

@@ -14,7 +14,7 @@ from typing import List, NamedTuple
 import numpy as np
 
 from .numerics import solve_spd, sym_inverse, well_conditioned
-from .timeseries import _check_size, _check_subset, lag_positions, lag_stack, lag_windows
+from .timeseries import _check_size, _check_subset, assemble_blocks, lag_positions, lag_windows
 
 
 class SelectionResult(NamedTuple):
@@ -25,40 +25,40 @@ class SelectionResult(NamedTuple):
 def greedy(n, p, values):
     """Backward greedy over sensors 0..n-1.
 
-    At each of p steps, values(R) returns the values of all remaining
-    sensors R; the smallest moves its sensor to the turned-off set, and
-    ties go to the lowest index. A run's values are read from one
-    inverse at every step or solved per candidate at every step, never
-    a mix. Returns (order, step_values).
+    At each of p steps, values(T) returns the values of the remaining
+    sensors, in increasing order, given the turned-off set T; the
+    smallest moves its sensor to T, and ties go to the lowest index. A
+    run's values are read from one inverse at every step or solved per
+    candidate at every step, never a mix. Returns (order, step_values).
     """
     _check_size(n, p)
     remaining = list(range(n))
     order: List[int] = []
     step_values: List[float] = []
     for _ in range(p):
-        vals = values(remaining)
+        vals = values(order)
         k = min(range(len(vals)), key=vals.__getitem__)
         order.append(remaining.pop(k))
         step_values.append(vals[k])
     return order, step_values
 
 
-def one_by_one(value):
-    """values(R) for greedy that scores each i in R against the others
-    S on its own, by value(i, S)."""
-    return lambda R: [value(i, [j for j in R if j != i]) for i in R]
+def one_by_one(n, value):
+    """values(T) for greedy that scores each sensor i of 0..n-1 not in
+    T on its own, by value(i, T)."""
+    return lambda T: [value(i, T) for i in range(n) if i not in T]
 
 
 def greedy_select_linear(gammas, p, H=0) -> SelectionResult:
     """Greedy selection for the linear reconstruction criterion.
 
-    gammas holds Gamma(0..H) or more lags, as lag_stack checks. The
-    value of a candidate i is its one-sensor criterion given the
-    remaining sensors S, Gamma_ii(0) - beta alpha^{-1} beta^T, with
-    alpha and beta from lag_stack of [i] on S. With P the inverse of the
-    lag-stacked Gram over R = S + {i} and J = lag_positions of i,
-    P_JJ^{-1} is the Schur complement of alpha in it, so the value is
-    its lag-0 entry: one (H+1)-sized solve per candidate. The run asks
+    gammas holds Gamma(0..H) or more lags, as assemble_blocks checks.
+    Given the turned-off set T, the value of a candidate i is its
+    one-sensor criterion Gamma_ii(0) - beta alpha^{-1} beta^T, alpha and
+    beta's last row from assemble_blocks of T + [i]. With P the inverse
+    of alpha of T and J = lag_positions of i, P_JJ^{-1} is the Schur
+    complement of that alpha in it, so the value is its lag-0 entry:
+    one (H+1)-sized solve per candidate. The run asks
     numerics.well_conditioned once, on the Gram over all sensors; if it
     refuses, every step solves each alpha instead. The admitted step
     still solves each P_JJ by solve_spd, which cannot jitter there:
@@ -66,20 +66,20 @@ def greedy_select_linear(gammas, p, H=0) -> SelectionResult:
     """
     n = gammas[0].shape[0]
 
-    def score(R):
-        positions = lag_positions(len(R), H)
-        P = sym_inverse(lag_stack(gammas, [], R, H)[0])
+    def score(T):
+        P = sym_inverse(assemble_blocks(gammas, T, H)[0])
+        positions = lag_positions(n - len(T), H)
         e0 = np.eye(H + 1)[0]
         P_JJ = P[positions[:, :, None], positions[:, None, :]]
         return [float(solve_spd(B, e0)[0]) for B in P_JJ]
 
-    def value(i, S):
-        alpha, beta = lag_stack(gammas, [i], S, H)
-        b = beta[0]
+    def value(i, T):
+        alpha, beta = assemble_blocks(gammas, [*T, i], H)
+        b = beta[-1]
         return float(gammas[0][i, i] - b @ solve_spd(alpha, b))
 
-    admitted = well_conditioned(lag_stack(gammas, [], range(n), H)[0])
-    return SelectionResult(*greedy(n, p, score if admitted else one_by_one(value)))
+    admitted = well_conditioned(assemble_blocks(gammas, [], H)[0])
+    return SelectionResult(*greedy(n, p, score if admitted else one_by_one(n, value)))
 
 
 @dataclass
@@ -106,6 +106,6 @@ class LinearReconstructor:
 def fit_predict_linear(gammas, I, H=0) -> LinearReconstructor:
     """Least-squares reconstructor Theta = beta alpha^{-1} for the set I."""
     I, Ic = _check_subset(gammas[0].shape[0], I)
-    alpha, beta = lag_stack(gammas, I, Ic, H)
+    alpha, beta = assemble_blocks(gammas, I, H)
     theta = solve_spd(alpha, beta.T).T
     return LinearReconstructor(theta=theta, turned_off=I, kept=Ic, H=H)

@@ -282,7 +282,10 @@ def autocovariance(X, l):
 
 def estimate_blocks(X, H) -> List[np.ndarray]:
     """Covariance and autocovariances [Gamma(0), ..., Gamma(H)] of a data
-    matrix, in the block layout of assemble_blocks."""
+    matrix of more than H hours, in the block layout of assemble_blocks."""
+    if H >= np.shape(X)[-1]:
+        raise InvalidInputError(f"lag depth H={H} needs more than {H} training "
+                                f"hours, got {np.shape(X)[-1]}")
     return [autocovariance(X, l) for l in range(H + 1)]
 
 
@@ -311,31 +314,9 @@ def _check_size(n, p):
         raise InvalidInputError(f"need 1 <= p < {n}, got p={p}")
 
 
-def lag_stack(blocks, rows, cols, H):
-    """The lag-stacked layout of assemble_blocks for any rows and cols:
-    alpha over cols, beta from rows to cols."""
-    if H < 0:
-        raise InvalidInputError(f"lag depth H must be >= 0, got {H}")
-    if H + 1 > len(blocks):
-        raise InvalidInputError(f"need lags 0..{H}, only {len(blocks)} available")
-    cols = np.asarray(cols, dtype=int)
-    ix = np.ix_(cols, cols)
-    sub = [blocks[l][ix] for l in range(H + 1)]
-    q = cols.shape[0]
-    alpha = np.empty(((H + 1) * q, (H + 1) * q))
-    for r in range(H + 1):
-        for c in range(H + 1):
-            alpha[r * q:(r + 1) * q, c * q:(c + 1) * q] = (
-                sub[c - r] if c >= r else sub[r - c].T
-            )
-    rx = np.ix_(np.asarray(rows, dtype=int), cols)
-    beta = np.concatenate([blocks[c][rx] for c in range(H + 1)], axis=1)
-    return alpha, beta
-
-
 def lag_positions(q, H):
     """(q, H+1) array whose row k holds the positions of sensor k in
-    lag_stack's layout of q sensors, lag 0 first."""
+    assemble_blocks' alpha of q sensors, lag 0 first."""
     return np.arange(q)[:, None] + q * np.arange(H + 1)
 
 
@@ -360,12 +341,28 @@ def assemble_blocks(blocks, I, H):
     blocks holds G(0..H), or more lags, with G(-l) = G(l)^T: the data
     autocovariances Gamma(l) and the kernel Gram blocks K(l) share this
     convention. alpha is the (H+1)|I^c| square matrix with block (r, c)
-    equal to G_{I^c}(c - r); beta is the |I| x (H+1)|I^c| matrix whose
-    c-th block is G_{I I^c}(c). With I empty, alpha is the full
-    lag-stacked matrix.
+    equal to G_{I^c}(c - r), I^c increasing; beta is the |I| x (H+1)|I^c|
+    matrix whose c-th block is G_{I I^c}(c), rows in I's order. With I
+    empty, alpha is the full lag-stacked matrix.
     """
+    if H < 0:
+        raise InvalidInputError(f"lag depth H must be >= 0, got {H}")
+    if H + 1 > len(blocks):
+        raise InvalidInputError(f"need lags 0..{H}, only {len(blocks)} available")
     I, Ic = _check_partition(blocks[0].shape[0], I)
-    return lag_stack(blocks, I, Ic, H)
+    cols = np.asarray(Ic, dtype=int)
+    ix = np.ix_(cols, cols)
+    sub = [blocks[l][ix] for l in range(H + 1)]
+    q = cols.shape[0]
+    alpha = np.empty(((H + 1) * q, (H + 1) * q))
+    for r in range(H + 1):
+        for c in range(H + 1):
+            alpha[r * q:(r + 1) * q, c * q:(c + 1) * q] = (
+                sub[c - r] if c >= r else sub[r - c].T
+            )
+    rx = np.ix_(np.asarray(I, dtype=int), cols)
+    beta = np.concatenate([blocks[c][rx] for c in range(H + 1)], axis=1)
+    return alpha, beta
 
 
 def _format_stamp(epoch):

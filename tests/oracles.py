@@ -1,10 +1,12 @@
 """Reference computations of the paper's identities, used only by tests.
 
 The library computes what the pipeline runs: the greedy steps, which
-score every candidate from one inverse, and the fitted reconstructors.
-The set criteria, the training error they equal, the greedy that solves
-each candidate's system on its own, the kernel greedy step that reads
-each candidate from the step inverse with its own solve, the
+score every candidate from one inverse, and the fitted reconstructors,
+each lag-stacked Gram by timeseries.assemble_blocks of a turned-off set.
+The reference builder lag_stack, which stacks any rows against any
+columns, the set criteria, the training error they equal, the greedy
+that solves each candidate's system on its own, the kernel greedy step
+that reads each candidate from the step inverse with its own solve, the
 conjugate-gradient solve and the single-sample network loss live here,
 so the tests can check the pipeline against them. So do the plain
 forms of what the network layers compute faster: the activations as
@@ -32,9 +34,31 @@ from netselect.timeseries import (
     _parse_moment,
     assemble_blocks,
     lag_positions,
-    lag_stack,
     write_csv,
 )
+
+
+def lag_stack(blocks, rows, cols, H):
+    """timeseries.assemble_blocks' layout for any rows and cols: alpha
+    over cols, beta from rows to cols, both in the given orders. The
+    reference builder, which the pipeline does not use."""
+    if H < 0:
+        raise InvalidInputError(f"lag depth H must be >= 0, got {H}")
+    if H + 1 > len(blocks):
+        raise InvalidInputError(f"need lags 0..{H}, only {len(blocks)} available")
+    cols = np.asarray(cols, dtype=int)
+    ix = np.ix_(cols, cols)
+    sub = [blocks[l][ix] for l in range(H + 1)]
+    q = cols.shape[0]
+    alpha = np.empty(((H + 1) * q, (H + 1) * q))
+    for r in range(H + 1):
+        for c in range(H + 1):
+            alpha[r * q:(r + 1) * q, c * q:(c + 1) * q] = (
+                sub[c - r] if c >= r else sub[r - c].T
+            )
+    rx = np.ix_(np.asarray(rows, dtype=int), cols)
+    beta = np.concatenate([blocks[c][rx] for c in range(H + 1)], axis=1)
+    return alpha, beta
 
 
 def criterion_linear(gammas, I, H):
@@ -109,11 +133,13 @@ def kernel_value(gammas, kb, lam, H):
 
 
 def kernel_step_score(gammas, kb, lam, H):
-    """greedy_select_kernel's score(R) with one solve_spd per candidate:
+    """greedy_select_kernel's score(T) with one solve_spd per candidate:
     Theta_lambda(i) is the lag-0 row of -Q_JJ^{-1} Q_J,: with its J
-    entries set to 0, for Q the inverse of K_R + lambda Id."""
+    entries set to 0, for Q the inverse of K_R + lambda Id over the
+    sensors R outside the turned-off set T."""
 
-    def score(R):
+    def score(T):
+        R = [j for j in range(kb[0].shape[0]) if j not in T]
         q = len(R)
         positions = lag_positions(q, H)
         K_R = lag_stack(kb, [], R, H)[0]

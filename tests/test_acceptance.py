@@ -38,7 +38,6 @@ from netselect.select_linear import fit_predict_linear, greedy_select_linear
 from netselect.timeseries import (
     Split,
     estimate_blocks,
-    lag_stack,
     make_split,
     read_panel,
     standardize,
@@ -50,6 +49,7 @@ from oracles import (
     criterion_kernel,
     criterion_linear,
     greedy_per_candidate,
+    lag_stack,
     net_backward,
     training_mse,
 )

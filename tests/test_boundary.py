@@ -108,7 +108,11 @@ def test_one_owner_of_the_jitter_rule_and_the_lag_layout():
     assert _owners(r"np\.linalg\.(?:cholesky|inv)\b|\bJITTER_TRIGGER\b") == [
         "src/netselect/numerics.py"]
     assert _owners(r"\bCOND_LIMIT\b") == ["src/netselect/numerics.py"]
-    assert _owners(r"^def lag_(?:stack|positions)\b") == ["src/netselect/timeseries.py"]
+    for name in ("assemble_blocks", "lag_positions"):
+        assert _owners(rf"^def {name}\b") == ["src/netselect/timeseries.py"], name
+    # assemble_blocks is the one builder of a lag-stacked Gram; its
+    # general form lag_stack is the reference builder in tests/oracles.py
+    assert _owners(r"\blag_stack\b") == []
 
 
 def test_one_owner_of_each_selection_size_rule():

@@ -1233,7 +1233,8 @@ _TWO_CLUSTERS = ([[0.1 * i, 0.0] for i in range(6)]
 @pytest.mark.parametrize("argv, message", [
     (lambda tmp: _twelve_sensors(tmp, constant_sensor=1) + ["--standardize"],
      "sensor 's001' (index 1) has zero residual variance on training rows"),
-    (lambda tmp: _twelve_sensors(tmp) + ["--H", "500"], "lag 320 outside [0, 319]"),
+    (lambda tmp: _twelve_sensors(tmp) + ["--H", "500"],
+     "lag depth H=500 needs more than 500 training hours, got 320"),
     (lambda tmp: _twelve_sensors(tmp, coords=_SAME_SPOT)
      + ["--method", "kernel", "--k0", "3", "--k1", "1"],
      "node 0 has zero distance to its k1-th neighbor (duplicate coordinates)"),

@@ -162,11 +162,16 @@ def test_kernel_stacked_step_equals_per_candidate_step(case, kernel, ridge, admi
     gammas = estimate_blocks(X, H)
     kb = _kernel_blocks(kernel, X, H)
     lam = ridge * np.trace(kb[0]) / kb[0].shape[0]
+    n = X.shape[0]
     K = assemble_blocks(kb, [], H)[0]
+    value = kernel_value(gammas, kb, lam, H)
+    # both take the turned-off set T; the candidate i is scored on the
+    # sensors outside T + [i]
     values = (kernel_step_score(gammas, kb, lam, H)
               if numerics.well_conditioned(K + lam * np.eye(K.shape[0]))
-              else one_by_one(kernel_value(gammas, kb, lam, H)))
-    order, step_values = greedy(X.shape[0], P, values)
+              else one_by_one(n, lambda i, T: value(
+                  i, [j for j in range(n) if j != i and j not in T])))
+    order, step_values = greedy(n, P, values)
     fast = greedy_select_kernel(gammas, kb, P, lam=lam, H=H)
     assert fast.order == order
     assert fast.step_values == step_values

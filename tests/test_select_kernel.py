@@ -210,7 +210,7 @@ def test_greedy_kernel_result_surface():
         greedy_select_kernel(blocks, kb, 5, lam=0.0, H=0)
     with pytest.raises(InvalidInputError, match="lambda must be nonnegative"):
         greedy_select_kernel(blocks, kb, 2, lam=-0.1, H=0)
-    # lag_stack checks the depth of both block lists; short data blocks,
+    # assemble_blocks checks the depth of both block lists; short data blocks,
     # deep enough kernel blocks
     kb1 = build_kernel_blocks("autocovariance", H=1, X_train=X)
     with pytest.raises(InvalidInputError, match=r"need lags 0\.\.1, only 1 available"):

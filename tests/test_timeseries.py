@@ -31,7 +31,7 @@ from netselect.timeseries import (
     write_csv,
     write_panel,
 )
-from oracles import lag_windows_by_take, lagged_design
+from oracles import lag_stack, lag_windows_by_take, lagged_design
 
 
 def _panel(n=3, T=400, seed=0):
@@ -244,6 +244,22 @@ def test_assemble_blocks_layout():
         assemble_blocks(blocks, [0, 0], 1)
     with pytest.raises(InvalidInputError):
         assemble_blocks(blocks, [7], 1)
+
+
+@pytest.mark.parametrize("H", [0, 1, 2])
+def test_assemble_blocks_keeps_the_given_order_of_I(H):
+    # a refused greedy step scores its candidate i on assemble_blocks of
+    # T + [i] and reads i's row of beta as the last one: beta's rows
+    # follow I as given, alpha's sensors increase
+    rng = np.random.default_rng(4)
+    blocks = estimate_blocks(rng.normal(size=(12, 200)), H)
+    I = [5, 2, 9]
+    Ic = [j for j in range(12) if j not in I]
+    alpha, beta = assemble_blocks(blocks, I, H)
+    want_alpha, want_beta = lag_stack(blocks, I, Ic, H)
+    assert np.array_equal(alpha, want_alpha)
+    assert np.array_equal(beta, want_beta)
+    assert np.array_equal(beta, lag_stack(blocks, [2, 5, 9], Ic, H)[1][[1, 0, 2]])
 
 
 def test_lag_windows_layout():

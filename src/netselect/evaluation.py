@@ -32,8 +32,9 @@ def default_p(n: int) -> int:
 
 
 def _interval_mse(reconstructor, X, lo: int, hi: int) -> float:
-    if hi > X.shape[1] or not 0 <= lo < hi:
-        raise InvalidInputError(f"bad scoring interval [{lo}, {hi})")
+    if hi > X.shape[1]:
+        raise InvalidInputError(f"scoring interval [{lo}, {hi}) needs {hi} hours, "
+                                f"the panel has {X.shape[1]}")
     rows = [int(i) for i in reconstructor.turned_off]
     pred = reconstructor.predict_panel(X, lo, hi)
     actual = X[np.ix_(rows, np.arange(lo, hi))]

@@ -14,7 +14,7 @@ import numpy as np
 from . import graph as graphmod
 from .errors import InvalidInputError
 from .numerics import solve_spd, sym_inverse, well_conditioned
-from .select_linear import LinearReconstructor, SelectionResult, greedy, one_by_one
+from .select_linear import LinearReconstructor, SelectionResult, greedy
 from .timeseries import _check_subset, assemble_blocks, estimate_blocks, lag_positions
 
 KERNEL_TAGS = ("spatial-temporal", "autocovariance", "linear", "rbf")
@@ -92,18 +92,15 @@ def greedy_select_kernel(gammas, kb, p, lam=0.0, H=0) -> SelectionResult:
     of i, Theta_lambda(i) is the lag-0 row of -Q_JJ^{-1} Q_J,: with its
     J entries set to 0. One stacked np.linalg.solve of the q Q_JJ and
     one product with the data Gram M_R give every candidate's value.
-    The run asks numerics.well_conditioned once, on K + lambda Id over
-    all sensors; if it refuses, every step solves each K_S of T + [i].
     """
     n = gammas[0].shape[0]
     if kb[0].shape[0] != n:
         raise InvalidInputError(f"data blocks cover {n} sensors, "
                                 f"kernel blocks {kb[0].shape[0]}")
 
-    def score(T):
+    def score(T, Q):
         q = n - len(T)
         J = lag_positions(q, H)
-        Q = sym_inverse(_ridged(assemble_blocks(kb, T, H)[0], lam))
         theta = -np.linalg.solve(Q[J[:, :, None], J[:, None, :]], Q[J])[:, 0]
         theta[np.arange(q)[:, None], J] = 0.0
         M_R = assemble_blocks(gammas, T, H)[0]
@@ -117,8 +114,7 @@ def greedy_select_kernel(gammas, kb, p, lam=0.0, H=0) -> SelectionResult:
         th = kernel_reconstructor(K_cross[-1:], K_S, lam).ravel()
         return float(gammas[0][i, i] - 2.0 * (beta[-1] @ th) + th @ alpha @ th)
 
-    admitted = well_conditioned(_ridged(assemble_blocks(kb, [], H)[0], lam))
-    return SelectionResult(*greedy(n, p, score if admitted else one_by_one(n, value)))
+    return greedy(n, p, lambda T: _ridged(assemble_blocks(kb, T, H)[0], lam), score, value)
 
 
 def fit_predict_kernel(kb, I, lam, H=0) -> LinearReconstructor:

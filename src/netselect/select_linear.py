@@ -22,31 +22,32 @@ class SelectionResult(NamedTuple):
     step_values: List[float]  # the value that picked each of them
 
 
-def greedy(n, p, values):
+def greedy(n, p, gram, score, value) -> SelectionResult:
     """Backward greedy over sensors 0..n-1.
 
-    At each of p steps, values(T) returns the values of the remaining
-    sensors, in increasing order, given the turned-off set T; the
-    smallest moves its sensor to T, and ties go to the lowest index. A
-    run's values are read from one inverse at every step or solved per
-    candidate at every step, never a mix. Returns (order, step_values).
+    gram(T) is the run's lag-stacked Gram over the sensors outside the
+    turned-off set T. The run asks numerics.well_conditioned once, on
+    gram([]). If it admits, each step's values are score(T, P), P the
+    sym_inverse of gram(T); if it refuses, each remaining sensor i is
+    scored on its own by value(i, T). Both list the remaining sensors in
+    increasing order; the smallest value moves its sensor to T, and ties
+    go to the lowest index.
     """
     _check_size(n, p)
+    full = gram([])
+    admitted = well_conditioned(full)
     remaining = list(range(n))
     order: List[int] = []
     step_values: List[float] = []
     for _ in range(p):
-        vals = values(order)
+        if admitted:
+            vals = score(order, sym_inverse(gram(order) if order else full))
+        else:
+            vals = [value(i, order) for i in remaining]
         k = min(range(len(vals)), key=vals.__getitem__)
         order.append(remaining.pop(k))
         step_values.append(vals[k])
-    return order, step_values
-
-
-def one_by_one(n, value):
-    """values(T) for greedy that scores each sensor i of 0..n-1 not in
-    T on its own, by value(i, T)."""
-    return lambda T: [value(i, T) for i in range(n) if i not in T]
+    return SelectionResult(order, step_values)
 
 
 def greedy_select_linear(gammas, p, H=0) -> SelectionResult:
@@ -58,16 +59,12 @@ def greedy_select_linear(gammas, p, H=0) -> SelectionResult:
     beta's last row from assemble_blocks of T + [i]. With P the inverse
     of alpha of T and J = lag_positions of i, P_JJ^{-1} is the Schur
     complement of that alpha in it, so the value is its lag-0 entry:
-    one (H+1)-sized solve per candidate. The run asks
-    numerics.well_conditioned once, on the Gram over all sensors; if it
-    refuses, every step solves each alpha instead. The admitted step
-    still solves each P_JJ by solve_spd, which cannot jitter there:
-    the benchmark's traced check counts those solves as its candidates.
+    one (H+1)-sized solve_spd per candidate, which cannot jitter under
+    the guard: the benchmark's traced check counts those solves.
     """
     n = gammas[0].shape[0]
 
-    def score(T):
-        P = sym_inverse(assemble_blocks(gammas, T, H)[0])
+    def score(T, P):
         positions = lag_positions(n - len(T), H)
         e0 = np.eye(H + 1)[0]
         P_JJ = P[positions[:, :, None], positions[:, None, :]]
@@ -78,8 +75,7 @@ def greedy_select_linear(gammas, p, H=0) -> SelectionResult:
         b = beta[-1]
         return float(gammas[0][i, i] - b @ solve_spd(alpha, b))
 
-    admitted = well_conditioned(assemble_blocks(gammas, [], H)[0])
-    return SelectionResult(*greedy(n, p, score if admitted else one_by_one(n, value)))
+    return greedy(n, p, lambda T: assemble_blocks(gammas, T, H)[0], score, value)
 
 
 @dataclass

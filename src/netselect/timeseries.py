@@ -410,14 +410,14 @@ def _undecodable_line(path):
                  if line.decode("utf-8", "replace").encode("utf-8") != line), 1)
 
 
-def float_fields(fields, what, where, finite=True):
-    """The fields as floats, finite unless finite is False; else an
-    InvalidInputError at where, "non-numeric what" or "non-finite what"."""
+def float_fields(fields, what, where):
+    """The fields as finite floats; else an InvalidInputError at where,
+    "non-numeric what" or "non-finite what"."""
     try:
         values = [float(v) for v in fields]
     except ValueError:
         raise InvalidInputError(f"{where}: non-numeric {what}") from None
-    if finite and not all(map(math.isfinite, values)):
+    if not all(map(math.isfinite, values)):
         raise InvalidInputError(f"{where}: non-finite {what}")
     return values
 
@@ -492,7 +492,7 @@ def _parse_stamp(text, where):
 def _read_panel_rows(path):
     """read_panel one csv_rows record at a time; the source of every
     read_panel error."""
-    lines, stamps, cols = [], [], []
+    stamps, cols = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         rows = csv_rows(fh, path)
         header = next(rows)[1]
@@ -500,27 +500,21 @@ def _read_panel_rows(path):
             raise InvalidInputError(f"{path}: line 1: first column must be 'timestamp'")
         if len(header) < 2:
             raise InvalidInputError(f"{path}: line 1: no sensor columns")
+        dups = sorted(s for s, k in Counter(header[1:]).items() if k > 1)
+        if dups:
+            raise InvalidInputError(f"{path}: line 1: duplicate sensor ids {dups[:5]}")
         for line, row in rows:
             where = f"{path}: line {line}"
-            stamps.append(_parse_stamp(row[0], where))
-            cols.append(float_fields(row[1:], "value", where, finite=False))
-            lines.append(line)
+            stamp = _parse_stamp(row[0], where)
+            cols.append(float_fields(row[1:], "value", where))
+            if stamps and stamp - stamps[-1] != HOUR:
+                raise InvalidInputError(
+                    f"{where}: timestamp is not 1 hour after the one before")
+            stamps.append(stamp)
     if not stamps:
         raise InvalidInputError(f"{path}: no data rows")
-    values = np.asarray(cols, dtype=float)
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        raise InvalidInputError(
-            f"{path}: line {lines[int(np.argmin(finite))]}: non-finite value")
-    stamps = np.asarray(stamps, dtype=np.int64)
-    off_step = np.nonzero(np.diff(stamps) != HOUR)[0]
-    if off_step.size:
-        raise InvalidInputError(f"{path}: line {lines[off_step[0] + 1]}: "
-                                f"timestamp is not 1 hour after the one before")
-    dups = sorted(s for s, k in Counter(header[1:]).items() if k > 1)
-    if dups:
-        raise InvalidInputError(f"{path}: line 1: duplicate sensor ids {dups[:5]}")
-    return PanelSeries(header[1:], stamps, values.T)
+    return PanelSeries(header[1:], np.asarray(stamps, dtype=np.int64),
+                       np.asarray(cols, dtype=float).T)
 
 
 def _read_sidecar(path, digest):

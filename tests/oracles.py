@@ -25,7 +25,7 @@ import numpy as np
 from netselect.gcn.layers import Workspace, backward_batch, forward_batch, tensor_items
 from netselect.gcn.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from netselect.errors import InvalidInputError
-from netselect.numerics import solve_spd, sym_inverse
+from netselect.numerics import solve_spd
 from netselect.select_kernel import kernel_reconstructor
 from netselect.timeseries import (
     HOUR,
@@ -132,18 +132,16 @@ def kernel_value(gammas, kb, lam, H):
     return value
 
 
-def kernel_step_score(gammas, kb, lam, H):
-    """greedy_select_kernel's score(T) with one solve_spd per candidate:
-    Theta_lambda(i) is the lag-0 row of -Q_JJ^{-1} Q_J,: with its J
-    entries set to 0, for Q the inverse of K_R + lambda Id over the
+def kernel_step_score(gammas, H):
+    """greedy_select_kernel's score(T, Q) with one solve_spd per
+    candidate: Theta_lambda(i) is the lag-0 row of -Q_JJ^{-1} Q_J,: with
+    its J entries set to 0, for Q the inverse of K_R + lambda Id over the
     sensors R outside the turned-off set T."""
 
-    def score(T):
-        R = [j for j in range(kb[0].shape[0]) if j not in T]
+    def score(T, Q):
+        R = [j for j in range(gammas[0].shape[0]) if j not in T]
         q = len(R)
         positions = lag_positions(q, H)
-        K_R = lag_stack(kb, [], R, H)[0]
-        Q = sym_inverse(K_R + lam * np.eye(K_R.shape[0]))
         theta = np.empty((q, Q.shape[0]))
         for k, J in enumerate(positions):
             theta[k] = -solve_spd(Q[np.ix_(J, J)], Q[J])[0]

@@ -29,6 +29,7 @@ from netselect.errors import (
 from netselect.evaluation import MEASURES, default_p, lambda_grid, synth_generate
 from netselect.evaluation import test_mse as held_out_mse
 from netselect.graph import build_knn_graph, read_coords
+from netselect.numerics import well_conditioned
 from netselect.select_kernel import (
     GRAPH_KERNELS,
     KERNEL_TAGS,
@@ -882,20 +883,64 @@ def test_kernel_evaluate_fits_every_draw_from_one_inverse(tmp_path, capsys, monk
     assert calls == {"well_conditioned": 1, "kernel_reconstructor": 0}
 
 
-def test_select_guards_each_greedy_run_once(tmp_path, capsys, monkeypatch):
-    # the guard decides once per greedy run, not once per step: one run
-    # for linear select, one per point of the kernel's 5-point lambda grid
+def _select_h1(tmp_path, capsys, method):
+    """select by method at H=1, p=3 on 8 correlated sensors, and the
+    hyperparams it records."""
     panel_path, coords_path, _ = _correlated_panel(tmp_path, n=8)
-    kernel_calls = _count_calls(monkeypatch, select_kernel, ["well_conditioned"])
-    linear_calls = _count_calls(monkeypatch, select_linear, ["well_conditioned"])
-    for method in ("linear", "kernel"):
-        assert main(["select", str(panel_path), "--coords", str(coords_path),
-                     "--method", method, "--H", "1", "--k0", "6", "--k1", "3",
-                     "--p", "3", "--out-dir", str(tmp_path / method)]) == 0
+    assert main(["select", str(panel_path), "--coords", str(coords_path),
+                 "--method", method, "--H", "1", "--k0", "6", "--k1", "3",
+                 "--p", "3", "--out-dir", str(tmp_path / method)]) == 0
     capsys.readouterr()
-    hp = json.loads((tmp_path / "kernel" / "selection.json").read_text())["hyperparams"]
+    return json.loads((tmp_path / method / "selection.json").read_text())["hyperparams"]
+
+
+def test_select_guards_each_greedy_run_once(tmp_path, capsys, monkeypatch):
+    # greedy asks the guard once per run, not once per step: one run for
+    # linear select, one per lambda for kernel select. select_kernel's own
+    # guard is the fitter's, which select never builds
+    greedy_calls = _count_calls(monkeypatch, select_linear, ["well_conditioned"])
+    fitter_calls = _count_calls(monkeypatch, select_kernel, ["well_conditioned"])
+    guards = {}
+    for method in ("linear", "kernel"):
+        greedy_calls["well_conditioned"] = 0
+        hp = _select_h1(tmp_path, capsys, method)
+        guards[method] = greedy_calls["well_conditioned"]
     assert len(hp["lambda_grid"]) == 5
-    assert (linear_calls, kernel_calls) == ({"well_conditioned": 1}, {"well_conditioned": 5})
+    assert guards == {"linear": 1, "kernel": 5}
+    assert fitter_calls == {"well_conditioned": 0}
+
+
+def test_select_builds_each_admitted_full_gram_once(tmp_path, capsys, monkeypatch):
+    # step 0 inverts the full Gram the guard admitted; it is not built
+    # again. A run's Gram blocks are the linear greedy's gammas and the
+    # kernel greedy's kb, and its full Gram is theirs over every sensor
+    verdicts, builds, runs = [], [], []
+
+    def guard(A):
+        verdicts.append(well_conditioned(A))
+        return verdicts[-1]
+
+    def build(blocks, I, H):
+        builds.append(blocks if len(I) == 0 else None)
+        return assemble_blocks(blocks, I, H)
+
+    def run(select, k):
+        def counted(*args, **kwargs):
+            builds.clear()
+            result = select(*args, **kwargs)
+            runs.append(sum(b is args[k] for b in builds))
+            return result
+        return counted
+
+    monkeypatch.setattr(select_linear, "well_conditioned", guard)
+    for module in (select_linear, select_kernel):
+        monkeypatch.setattr(module, "assemble_blocks", build)
+    monkeypatch.setattr(cli, "greedy_select_linear", run(cli.greedy_select_linear, 0))
+    monkeypatch.setattr(cli, "greedy_select_kernel", run(cli.greedy_select_kernel, 1))
+    for method in ("linear", "kernel"):
+        _select_h1(tmp_path, capsys, method)
+    assert runs == [1] * 6
+    assert verdicts == [True] * 6
 
 
 def test_evaluate_frees_the_raw_panel_before_the_fits(tmp_path, capsys, monkeypatch):

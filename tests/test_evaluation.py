@@ -1,6 +1,8 @@
 """Summary tables, baselines, hyperparameter grids, grid search, synthetic
 panels."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,13 @@ def test_test_mse_of_zero_predictor_matches_noise_level():
     split = Split(300, 400, 1000)
     mse = held_out_mse(rec, X, split)
     assert abs(mse - 2.0) <= 0.2
+
+
+def test_test_mse_of_a_panel_shorter_than_the_split():
+    rec = LinearReconstructor(np.zeros((1, 2)), turned_off=[1], kept=[0, 2], H=0)
+    with pytest.raises(InvalidInputError, match=re.escape(
+            "scoring interval [350, 400) needs 400 hours, the panel has 380")):
+        held_out_mse(rec, np.ones((3, 380)), Split(300, 350, 400))
 
 
 def test_random_baseline_determinism_and_skips():

@@ -18,12 +18,12 @@ those of an admitted run to rel 1e-12.
 import numpy as np
 import pytest
 
-from netselect import numerics, select_kernel, select_linear
+from netselect import numerics, select_linear
 from netselect.evaluation import gamma_grid, synth_generate
 from netselect.graph import build_knn_graph
 from netselect.numerics import COND_LIMIT
 from netselect.select_kernel import build_kernel_blocks, greedy_select_kernel
-from netselect.select_linear import greedy, greedy_select_linear, one_by_one
+from netselect.select_linear import greedy, greedy_select_linear
 from netselect.timeseries import assemble_blocks, estimate_blocks
 from oracles import greedy_per_candidate, kernel_step_score, kernel_value, linear_value
 
@@ -75,8 +75,7 @@ def _record_runs(monkeypatch):
         runs.append(numerics.well_conditioned(A))
         return runs[-1]
 
-    for module in (select_linear, select_kernel):
-        monkeypatch.setattr(module, "well_conditioned", recorded)
+    monkeypatch.setattr(select_linear, "well_conditioned", recorded)
     return runs
 
 
@@ -155,7 +154,7 @@ def test_kernel_greedy_matches_per_candidate_reference(case, kernel, ridge, admi
 @pytest.mark.parametrize("H", [0, 1, 2])
 @pytest.mark.parametrize("case,kernel,ridge,admitted", KERNEL_CASES)
 def test_kernel_stacked_step_equals_per_candidate_step(case, kernel, ridge, admitted,
-                                                       H, seed):
+                                                       H, seed, monkeypatch):
     # the run takes the stacked step where its guard admits it, at H=2 as
     # well, and the per-candidate values otherwise
     X = _panel(case, seed)
@@ -163,15 +162,15 @@ def test_kernel_stacked_step_equals_per_candidate_step(case, kernel, ridge, admi
     kb = _kernel_blocks(kernel, X, H)
     lam = ridge * np.trace(kb[0]) / kb[0].shape[0]
     n = X.shape[0]
-    K = assemble_blocks(kb, [], H)[0]
+
+    def gram(T):
+        K = assemble_blocks(kb, T, H)[0]
+        return K + lam * np.eye(K.shape[0])
+
     value = kernel_value(gammas, kb, lam, H)
-    # both take the turned-off set T; the candidate i is scored on the
-    # sensors outside T + [i]
-    values = (kernel_step_score(gammas, kb, lam, H)
-              if numerics.well_conditioned(K + lam * np.eye(K.shape[0]))
-              else one_by_one(n, lambda i, T: value(
-                  i, [j for j in range(n) if j != i and j not in T])))
-    order, step_values = greedy(n, P, values)
-    fast = greedy_select_kernel(gammas, kb, P, lam=lam, H=H)
-    assert fast.order == order
-    assert fast.step_values == step_values
+    runs = _record_runs(monkeypatch)
+    # the candidate i is scored on the sensors outside T + [i]
+    ref = greedy(n, P, gram, kernel_step_score(gammas, H),
+                 lambda i, T: value(i, [j for j in range(n) if j != i and j not in T]))
+    assert greedy_select_kernel(gammas, kb, P, lam=lam, H=H) == ref
+    assert runs == [admitted, admitted]

@@ -465,6 +465,23 @@ def test_read_panel_errors(tmp_path):
             read_panel(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    # every row was parsed before any was checked: the non-numeric line
+    # 6 was named before the non-finite line 3, a bad row before the
+    # header's repeated id, and the nan on line 5 before the bad hour on 3
+    ("timestamp,a,b\n0,1,2\n3600,inf,2\n7200,1,2\n10800,1,2\n14400,x,2\n",
+     "line 3: non-finite value"),
+    ("timestamp,a,a\n0,1,x\n", "line 1: duplicate sensor ids ['a']"),
+    ("timestamp,a\n0,1\n7200,2\n10800,3\n14400,nan\n",
+     "line 3: timestamp is not 1 hour after the one before"),
+])
+def test_read_panel_names_the_first_bad_line_in_file_order(tmp_path, text, message):
+    path = tmp_path / "panel.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidInputError, match=re.escape(f"{path}: {message}")):
+        read_panel(path)
+
+
 @pytest.mark.parametrize("name, text, message", [
     ("raw.csv", 'station,moment,bikes,spaces\n"a\nb",0,5,5\na,0,many,5\n',
      "line 4: non-numeric bikes/spaces"),

@@ -7,6 +7,7 @@ byte-identical across reruns. Exit codes: 0 success, 2 input error,
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -581,5 +582,18 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> int:
+    """Process entry point of `netselect` and `python -m netselect.cli`.
+
+    Returns main's exit code after freezing the heap, so the full
+    collections the interpreter runs at exit walk none of the modules
+    and objects the command leaves. `main` never freezes, so library and
+    test callers keep their collector.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

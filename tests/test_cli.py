@@ -3,6 +3,7 @@
 import argparse
 import ast
 import csv
+import gc
 import hashlib
 import importlib
 import json
@@ -1526,3 +1527,41 @@ def test_select_writes_the_same_bytes_with_the_thread_count_unset(tmp_path):
         outputs.append([(out / name).read_bytes()
                         for name in ("selection.json", "selected.geojson")])
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("code", [0, 2, 3])
+def test_run_freezes_the_heap_once_main_returns(monkeypatch, code):
+    # gc.freeze is replaced: a frozen test process would never collect
+    # the cycles that later tests leave
+    events = []
+
+    def fake_main():
+        events.append("main")
+        return code
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    assert cli.run() == code
+    assert events == ["main", "freeze"]
+
+
+def test_main_leaves_the_collector_alone(tmp_path, capsys):
+    argv = _twelve_sensors(tmp_path) + ["--p", "2"]
+    before = gc.get_freeze_count()
+    assert main(argv) == 0
+    assert main(["select", str(tmp_path / "missing.csv")] + argv[2:]) == 2
+    assert gc.get_freeze_count() == before
+
+
+def test_module_run_writes_the_same_bytes_as_main(tmp_path, capsys):
+    # python -m netselect.cli goes through run, which freezes the heap
+    # before the interpreter exits; the outputs must not depend on it
+    argv = _twelve_sensors(tmp_path)
+    assert main(argv) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    subprocess.run([sys.executable, "-m", "netselect.cli"] + argv[:-1]
+                   + [str(tmp_path / "module")], env=env, check=True,
+                   capture_output=True)
+    for name in ("selection.json", "selected.geojson"):
+        assert ((tmp_path / "module" / name).read_bytes()
+                == (tmp_path / "out" / name).read_bytes()), name
